@@ -16,8 +16,7 @@ from . import fusion as fu
 from . import instances as inst
 from . import products as pr
 from .fusion import MorphismCapExceeded
-from .locality import (LocalityError, _check_delta_closures,
-                       validate_locality)
+from .locality import LocalityError, validate_locality
 from .partial_subgroups import (verify_restriction_product,
                                 verify_theorem_nk_normal,
                                 verify_theorem_nk_subnormal)
@@ -86,10 +85,6 @@ def cmd_locality_build(d, args):
 
 
 def cmd_locality_validate(d, args):
-    G = inst.group_of(d)
-    S = inst.sylow_of(d, G)
-    delta = inst.delta_of(d, G, S)
-    _check_delta_closures(G, S, {P.eset for P in delta})
     mwl = args.max_word_len or d.get("max_word_length", 4)
     L = inst.build_locality(d, max_word_length=mwl)
     rep = validate_locality(L, max_word_length=mwl)

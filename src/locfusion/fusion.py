@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .permgroup import (FiniteGroup, Subgroup, all_subgroups, cayley_group,
-                        compose, conjugate, inverse, _p_part)
+from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
+                        cayley_group, compose, conjugate, inverse, _p_part)
 
 DEFAULT_MORPHISM_CAP = 1_000_000
 
@@ -106,6 +106,7 @@ class FusionSystem:
         self.maps = frozenset(maps)
         self.subgroups = subgroup_lattice(S)
         self._sub_by_set = {P.eset: P for P in self.subgroups}
+        self._index: Optional[SIndex] = None
         self._gen_cache: dict[frozenset, frozenset] = {}
         self.by_src: dict[frozenset, tuple[FMap, ...]] = {}
         grouped: dict[frozenset, list[FMap]] = {}
@@ -145,10 +146,31 @@ class FusionSystem:
         return sorted((self.subgroup(s) for s in seen),
                       key=lambda H: H.elements)
 
+    @property
+    def index(self) -> SIndex:
+        """S indexed by positions, built on first use."""
+        if self._index is None:
+            self._index = SIndex(self.S)
+        return self._index
+
+    def normalizer_in_s(self, P: Subgroup) -> frozenset:
+        """N_S(P) as an element set."""
+        idx = self.index
+        return frozenset(idx.members(idx.normalizer(idx.mask(P.eset))))
+
+    def _aut_s_images(self, P: Subgroup) -> set[tuple[int, ...]]:
+        """Aut_S(P) as image tuples over the positions of P."""
+        idx = self.index
+        m = idx.mask(P.eset)
+        ps = idx.positions(m)
+        return {tuple([idx.inner(s)[i] for i in ps])
+                for s in idx.positions(idx.normalizer(m))}
+
     def aut_s(self, P: Subgroup) -> set[FMap]:
-        NS = [s for s in self.S if all(conjugate(x, s) in P.eset
-                                       for x in P.eset)]
-        return {conj_map(P.eset, s) for s in NS}
+        els = self.index.elements
+        dom = sorted(P.eset)
+        return {FMap(zip(dom, [els[j] for j in images]))
+                for images in self._aut_s_images(P)}
 
     def __eq__(self, other):
         return (isinstance(other, FusionSystem) and self.p == other.p
@@ -180,12 +202,30 @@ class FusionSystem:
 
 # -- constructions -----------------------------------------------------------
 
+def _conjugation_maps(S: Subgroup, acting: Iterable) -> set[FMap]:
+    """Graphs of the maps P -> P^g for P in the S-lattice and g in
+    ``acting`` with P^g <= S.
+
+    The action of each g on S is computed once and dropped; the test
+    P <= dom(g) is one mask comparison, and each distinct
+    (P, images) map is built once.
+    """
+    idx = SIndex(S)
+    subs = [(m, idx.positions(m))
+            for m in (idx.mask(P.elements) for P in subgroup_lattice(S))]
+    graphs = set()
+    for g in acting:
+        images, dom = idx.action(g)
+        for m, ps in subs:
+            if m & dom == m:
+                graphs.add((m, tuple([images[i] for i in ps])))
+    els = idx.elements
+    return {FMap(zip(idx.members(m), [els[j] for j in images]))
+            for m, images in graphs}
+
+
 def inner_maps(S: Subgroup) -> set[FMap]:
-    out = set()
-    for P in subgroup_lattice(S):
-        for s in S:
-            out.add(conj_map(P.eset, s))
-    return out
+    return _conjugation_maps(S, S.elements)
 
 
 def inner_fusion(S: Subgroup, p: int) -> FusionSystem:
@@ -252,14 +292,8 @@ def fusion_of_group(G: FiniteGroup, S: Subgroup,
     """
     if p == 0:
         p = _infer_p(S)
-    acting = G.elements if acting is None else tuple(acting)
-    maps = set()
-    for P in subgroup_lattice(S):
-        for g in acting:
-            img = {conjugate(x, g) for x in P.eset}
-            if img <= S.eset:
-                maps.add(conj_map(P.eset, g))
-    return FusionSystem(S, p, maps)
+    acting = G.elements if acting is None else acting
+    return FusionSystem(S, p, _conjugation_maps(S, acting))
 
 
 def _infer_p(S: Subgroup) -> int:
@@ -401,8 +435,7 @@ def _quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, dict]:
 
 def fully_normalized_conjugate(F: FusionSystem, P: Subgroup) -> Subgroup:
     def nsize(Q):
-        return sum(1 for s in F.S
-                   if all(conjugate(x, s) in Q.eset for x in Q.eset))
+        return len(F.normalizer_in_s(Q))
     conj = F.conjugates(P)
     best = max(nsize(Q) for Q in conj)
     return next(Q for Q in conj if nsize(Q) == best)
@@ -410,8 +443,7 @@ def fully_normalized_conjugate(F: FusionSystem, P: Subgroup) -> Subgroup:
 
 def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     """N_F(Q) over N_S(Q): restrictions of Q-preserving morphisms."""
-    NS = frozenset(s for s in F.S
-                   if all(conjugate(x, s) in Q.eset for x in Q.eset))
+    NS = F.normalizer_in_s(Q)
     NSsub = F.subgroup(NS)
     lattice = [P for P in subgroup_lattice(F.S) if P.eset <= NS]
     out = set()
@@ -482,29 +514,30 @@ def centric_radicals(F: FusionSystem) -> list[Subgroup]:
 # -- saturation --------------------------------------------------------------
 
 def is_fully_automized(F: FusionSystem, P: Subgroup) -> bool:
-    auts = F.aut(P)
-    return len(F.aut_s(P)) == _p_part(_aut_order(auts), F.p)
-
-
-def _aut_order(auts: Sequence[FMap]) -> int:
-    return len(auts)
+    return len(F._aut_s_images(P)) == _p_part(len(F.aut(P)), F.p)
 
 
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
-    aut_s_p = F.aut_s(P)
+    """Every iso phi: Q -> P in F extends to N_phi, the g in N_S(Q) whose
+    conjugation phi^-1 c_g phi lies in Aut_S(P)."""
+    idx = F.index
+    pos = idx.pos
+    aut_s_p = F._aut_s_images(P)
+    ps = [pos[x] for x in sorted(P.eset)]
     for Q in F.conjugates(P):
-        NSQ = [s for s in F.S
-               if all(conjugate(x, s) in Q.eset for x in Q.eset)]
+        nsq = idx.positions(idx.normalizer(idx.mask(Q.eset)))
         for phi in F.isos_from(Q):
             if phi.img != P.eset:
                 continue
-            phi_inv = phi.inv()
-            nphi = set()
-            for g in NSQ:
-                ind = phi_inv.then(conj_map(Q.eset, g)).then(phi)
-                if ind in aut_s_p:
-                    nphi.add(g)
-            nset = frozenset(nphi)
+            fwd = {pos[x]: pos[y] for x, y in phi.pairs}
+            preimage = {v: k for k, v in fwd.items()}
+            back = [preimage[i] for i in ps]
+            nphi = 0
+            for g in nsq:
+                cg = idx.inner(g)
+                if tuple([fwd[cg[j]] for j in back]) in aut_s_p:
+                    nphi |= 1 << g
+            nset = frozenset(idx.members(nphi))
             ok = any(psi.image_of(Q.eset) == P.eset
                      and all(psi.d[x] == phi.d[x] for x in Q.eset)
                      for psi in F.by_src.get(nset, ()))

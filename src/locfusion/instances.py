@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .locality import (Locality, delta_min_order, locality_from_group)
-from .permgroup import (FiniteGroup, Subgroup, all_subgroups,
-                        generated_subgroup, sylow_subgroup)
+from .permgroup import (FiniteGroup, SizeCapExceeded, Subgroup,
+                        all_subgroups, generated_subgroup, sylow_subgroup)
 
 BUNDLED = ("instance-a", "instance-b", "product-24", "product-48",
            "group-8", "group-60")
@@ -41,10 +41,22 @@ def load_descriptor(name_or_path: str) -> dict:
         d = json.loads(text)
     except json.JSONDecodeError as e:
         raise DescriptorError(f"descriptor is not valid JSON: {e}") from e
-    for key in ("name", "group", "p"):
-        if key not in d:
-            raise DescriptorError(f"descriptor missing {key!r}")
+    _require_keys(d, ("name", "group", "p"), "descriptor")
+    _require_int(d["p"], "'p'")
     return d
+
+
+def _require_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DescriptorError(f"{what} must be an integer, not {value!r}")
+
+
+def _require_keys(spec, keys: Iterable[str], what: str) -> None:
+    if not isinstance(spec, dict):
+        raise DescriptorError(f"{what} must be an object, not {spec!r}")
+    for key in keys:
+        if key not in spec:
+            raise DescriptorError(f"{what} missing {key!r}")
 
 
 def _perm(images: list[int], degree: int) -> tuple:
@@ -56,6 +68,8 @@ def _perm(images: list[int], degree: int) -> tuple:
 def group_of(d: dict) -> FiniteGroup:
     try:
         return FiniteGroup.from_descriptor(d["group"])
+    except SizeCapExceeded:
+        raise
     except Exception as e:
         raise DescriptorError(f"bad group descriptor: {e}") from e
 
@@ -77,6 +91,7 @@ def delta_of(d: dict, G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     if spec.get("all"):
         return all_subgroups(G, within=S)
     if "min_order" in spec:
+        _require_int(spec["min_order"], "delta 'min_order'")
         return delta_min_order(G, S, spec["min_order"])
     if "explicit" in spec:
         out = []
@@ -131,6 +146,11 @@ def product_setup(d: dict, name: str) -> dict:
         spec = d["fusion_products"][name]
     except KeyError:
         raise DescriptorError(f"unknown product {name!r}") from None
+    what = f"product {name!r}"
+    _require_keys(spec, ("E", "D", "N", "K", "oracle"), what)
+    _require_keys(spec["E"], ("over", "acting"), f"{what} 'E'")
+    _require_keys(spec["D"], ("kind",), f"{what} 'D'")
+    _require_keys(spec["oracle"], ("over", "acting"), f"{what} 'oracle'")
     G = group_of(d)
     S = sylow_of(d, G)
     p = d["p"]
@@ -144,6 +164,7 @@ def product_setup(d: dict, name: str) -> dict:
 
     dd = spec["D"]
     if dd["kind"] == "inner":
+        _require_keys(dd, ("over",), f"{what} 'D'")
         R = generated_subgroup(G, [_perm(x, G.degree) for x in dd["over"]])
         D = fu.inner_fusion(F.subgroup(R.eset), p)
     elif dd["kind"] == "normalizer":

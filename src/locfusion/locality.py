@@ -20,9 +20,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .permgroup import (FiniteGroup, Subgroup, cayley_group, conjugate,
-                        generated_subgroup, is_p_group, GroupError, _p_part,
-                        perm_order)
+from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
+                        cayley_group, image_mask, is_p_group, _p_part)
 
 Word = tuple[int, ...]
 
@@ -168,18 +167,6 @@ class Locality:
             raise DomainError(w, sw)
         return x
 
-    def conj(self, x: int, f: int) -> Optional[int]:
-        """x^f through the binary table; None when undefined."""
-        t = self.prod.get((self.inv[f], x))
-        return self.prod.get((t, f)) if t is not None else None
-
-    def conj_in_domain(self, x: int, f: int) -> bool:
-        return self.in_domain((self.inv[f], x, f))
-
-    def s_subgroup(self) -> Subgroup:
-        G, _ = self.s_as_group()
-        return G.full_subgroup()
-
     # -- S (and local subgroups) as genuine groups ---------------------------
 
     def group_on(self, ids: Iterable[int]) -> tuple[FiniteGroup, dict]:
@@ -219,7 +206,6 @@ def _subgroup_as_group(H: Subgroup) -> FiniteGroup:
 # -- construction of group-realized localities -------------------------------
 
 def delta_min_order(G: FiniteGroup, S: Subgroup, min_order: int) -> list[Subgroup]:
-    from .permgroup import all_subgroups
     return [P for P in all_subgroups(G, within=S) if P.order >= min_order]
 
 
@@ -234,38 +220,44 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     """
     delta = list(delta)
     dsets = {P.eset for P in delta}
+    _check_delta_closures(G, S, dsets)
     if S.eset not in dsets:
         raise LocalityError("delta must contain S")
     if not is_p_group(S, p):
         raise LocalityError("S must be a p-group")
-    _check_delta_closures(G, S, dsets)
 
-    carrier = []
+    # the carrier: g with S_g = S cap S^(g^-1) in delta
+    six = SIndex(S)
+    dmasks = {six.mask(d) for d in dsets}
+    labels, actions = [], []
     for g in G.elements:
-        sg = frozenset(s for s in S.elements
-                       if conjugate(s, g) in S.eset)
-        if sg in dsets:
-            carrier.append(g)
-    labels = tuple(carrier)
+        images, dom = six.action(g)
+        if dom in dmasks:
+            labels.append(g)
+            actions.append((images, dom))
+    labels = tuple(labels)
     idx = {g: i for i, g in enumerate(labels)}
     s_ids = tuple(idx[s] for s in S.elements)
     identity = idx[G.identity]
     inv = tuple(idx[G.inv(g)] for g in labels)
 
-    # (f,g) is composable iff the word (f,g) carries a member of delta
+    # (f,g) is composable iff S_(f,g) = {s in S_f : s^f in S_g} is in
+    # delta; S_g takes few values, so this is decided once per (f, S_g)
     prod: dict[tuple[int, int], int] = {}
-    s_list = S.elements
-    pmaps = {}
-    for g in labels:
-        pmaps[g] = {s: conjugate(s, g) for s in s_list
-                    if conjugate(s, g) in S.eset}
-    for f in labels:
-        mf = pmaps[f]
-        for g in labels:
-            mg = pmaps[g]
-            sw = frozenset(s for s, t in mf.items() if t in mg)
-            if sw in dsets:
-                prod[(idx[f], idx[g])] = idx[G.mul(f, g)]
+    doms = [dom for _, dom in actions]
+    dom_values = set(doms)
+    for i, (f, (images, dom_f)) in enumerate(zip(labels, actions)):
+        fpos = six.positions(dom_f)
+        composable = {}
+        for dom_g in dom_values:
+            sw = 0
+            for k in fpos:
+                if dom_g >> images[k] & 1:
+                    sw |= 1 << k
+            composable[dom_g] = sw in dmasks
+        for j, dom_g in enumerate(doms):
+            if composable[dom_g]:
+                prod[(i, j)] = idx[G.mul(f, labels[j])]
 
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
     L = Locality(labels, identity, inv, prod, s_ids, p, delta_ids,
@@ -281,9 +273,22 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
 
 
 def _check_delta_closures(G: FiniteGroup, S: Subgroup, dsets: set[frozenset]):
-    from .permgroup import all_subgroups
+    """Raise LocalityError unless every member of dsets is a subgroup of
+    S, and dsets is overgroup-closed and closed under the conjugation maps
+    of G into S."""
     subs = all_subgroups(G, within=S)
     by_set = {P.eset: P for P in subs}
+    six = SIndex(S)
+    members = [(m, six.positions(m))
+               for m in {six.mask(d) for d in dsets if d in by_set}]
+    dmasks = {m for m, _ in members}
+    # members sent outside delta by some conjugation map into S
+    escapes = set()
+    for g in G.elements:
+        images, dom = six.action(g)
+        for m, ps in members:
+            if m & dom == m and image_mask(images, ps) not in dmasks:
+                escapes.add(m)
     for d in dsets:
         if d not in by_set:
             raise LocalityError("delta member is not a subgroup of S")
@@ -291,11 +296,9 @@ def _check_delta_closures(G: FiniteGroup, S: Subgroup, dsets: set[frozenset]):
             if d < Q.eset and Q.eset not in dsets:
                 raise LocalityError(
                     f"delta is not overgroup-closed: missing overgroup of order {Q.order}")
-        for g in G.elements:
-            img = frozenset(conjugate(x, g) for x in d)
-            if img <= S.eset and img not in dsets:
-                raise LocalityError(
-                    "delta is not closed under conjugation maps into S")
+        if six.mask(d) in escapes:
+            raise LocalityError(
+                "delta is not closed under conjugation maps into S")
 
 
 # -- the validator -----------------------------------------------------------
@@ -478,7 +481,6 @@ def _check_delta_of_locality(L: Locality) -> CheckResult:
 
 def _subgroup_sets_of_s(L: Locality) -> set[frozenset[int]]:
     G, to_perm = L.s_as_group()
-    from .permgroup import all_subgroups
     perm_to_id = {v: k for k, v in to_perm.items()}
     out = set()
     for P in all_subgroups(G):

@@ -1,13 +1,24 @@
-"""Exact finite permutation groups stored by full element enumeration.
+"""Exact finite permutation groups, and an integer kernel indexed by S.
 
 Permutations are tuples of images of ``0..degree-1`` (one-line notation,
 0-indexed; the JSON interchange format is 1-indexed).  Composition is
 left-to-right: ``(a*b)(x) = b(a(x))``, so ``x^g = g^-1 * x * g``.
 
-Everything here is capped and exhaustive by design: groups are small
-enough that every predicate can be decided by complete enumeration, and
-all outputs are canonically ordered (lexicographic on one-line images)
-so results are byte-deterministic.
+Groups are stored by full element enumeration.  Everything here is
+capped and exhaustive by design: groups are small enough that every
+predicate can be decided by complete enumeration, and all outputs are
+canonically ordered (lexicographic on one-line images) so results are
+byte-deterministic.
+
+Work inside a subgroup S goes through :class:`SIndex`: S is indexed once
+as positions ``0..|S|-1`` in canonical order, subsets of S are ``int``
+bitmasks over those positions, and products in S are lookups in a
+lazily filled Cayley table.  ``SIndex.action(g)`` conjugates all of S by
+one element g of the ambient group in a single pass, giving the position
+of each ``s^g`` (or -1 when it leaves S) and the domain mask
+``S ∩ S^(g^-1)``; callers compute it once per g and drop it.  The
+S-lattice is the join-closure of the cyclic subgroups on bitmasks
+(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
 """
 
 from __future__ import annotations
@@ -46,9 +57,11 @@ def inverse(a: Perm) -> Perm:
 
 
 def conjugate(x: Perm, g: Perm) -> Perm:
-    """x^g = g^-1 x g."""
-    gi = inverse(g)
-    return compose(compose(gi, x), g)
+    """x^g = g^-1 x g, in one pass: x^g maps g(i) to g(x(i))."""
+    c = [0] * len(g)
+    for i, y in enumerate(g):
+        c[y] = g[x[i]]
+    return tuple(c)
 
 
 def is_bijection(a: Iterable[int], degree: int) -> bool:
@@ -146,9 +159,6 @@ class FiniteGroup:
     def inv(self, a: Perm) -> Perm:
         return inverse(a)
 
-    def conj(self, x: Perm, g: Perm) -> Perm:
-        return conjugate(x, g)
-
     def subgroup(self, elems: Iterable[Perm], check: bool = True) -> "Subgroup":
         return Subgroup(self, elems, check=check)
 
@@ -226,11 +236,6 @@ class Subgroup:
         return f"Subgroup(order={self.order})"
 
 
-def group_from_generators(generators: Iterable[Perm], degree: int,
-                          max_size: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
-    return FiniteGroup(degree, generators, max_size=max_size)
-
-
 def generated_subgroup(G: FiniteGroup, gens: Iterable[Perm]) -> Subgroup:
     """Closure of ``gens`` inside G (gens must lie in G)."""
     gens = [tuple(g) for g in gens]
@@ -240,47 +245,153 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[Perm]) -> Subgroup:
     return Subgroup(G, _closure(gens, G.degree, len(G)), check=False)
 
 
+# -- the S-indexed kernel ---------------------------------------------------
+
+class SIndex:
+    """A subgroup S indexed as positions ``0..|S|-1`` in canonical order.
+
+    Subsets of S are ``int`` bitmasks over positions.  Positions follow
+    the canonical order, so the members of a mask come out sorted, and
+    position 0 is the identity (the least permutation).  Columns of the
+    Cayley table and the conjugation action of S on itself are filled on
+    first use; the index lives as long as its caller keeps it.
+    """
+
+    __slots__ = ("elements", "pos", "_cols", "_inner")
+
+    def __init__(self, S: Subgroup):
+        self.elements = S.elements
+        self.pos = {x: i for i, x in enumerate(S.elements)}
+        self._cols: dict[int, tuple[int, ...]] = {}
+        self._inner: Optional[list[tuple[int, ...]]] = None
+
+    def mask(self, xs: Iterable[Perm]) -> int:
+        """Bitmask of a subset of S (KeyError for an element outside S)."""
+        pos = self.pos
+        m = 0
+        for x in xs:
+            m |= 1 << pos[x]
+        return m
+
+    def positions(self, mask: int) -> list[int]:
+        return [i for i in range(len(self.elements)) if mask >> i & 1]
+
+    def members(self, mask: int) -> tuple[Perm, ...]:
+        els = self.elements
+        return tuple(els[i] for i in range(len(els)) if mask >> i & 1)
+
+    def action(self, g: Perm) -> tuple[tuple[int, ...], int]:
+        """Conjugation by any g of the ambient group, on all of S at once.
+
+        Returns ``(images, dom)``: ``images[i]`` is the position of
+        ``s_i^g`` in S, or -1 when it leaves S, and ``dom`` is the mask of
+        ``S ∩ S^(g^-1)``, the positions that have an image.
+        """
+        gi = inverse(g)
+        get = self.pos.get
+        images = tuple([get(tuple([g[x[k]] for k in gi]), -1)
+                        for x in self.elements])
+        dom = 0
+        for i, j in enumerate(images):
+            if j >= 0:
+                dom |= 1 << i
+        return images, dom
+
+    def inner(self, s: int) -> tuple[int, ...]:
+        """Conjugation by the element at position s: a permutation of
+        positions."""
+        if self._inner is None:
+            self._inner = [self.action(x)[0] for x in self.elements]
+        return self._inner[s]
+
+    def normalizer(self, mask: int) -> int:
+        """Mask of N_S(P) for the subgroup P with the given mask."""
+        ps = self.positions(mask)
+        out = 0
+        for s in range(len(self.elements)):
+            img = self.inner(s)
+            if all(mask >> img[i] & 1 for i in ps):
+                out |= 1 << s
+        return out
+
+    def right(self, g: int) -> tuple[int, ...]:
+        """Column g of the Cayley table: the position of s_i * s_g for
+        every position i."""
+        col = self._cols.get(g)
+        if col is None:
+            x, pos = self.elements[g], self.pos
+            col = self._cols[g] = tuple([pos[compose(a, x)]
+                                         for a in self.elements])
+        return col
+
+    def join(self, h: int, gens: Iterable[int]) -> int:
+        """Mask of the subgroup generated by the subgroup ``h`` and ``gens``.
+
+        Walks right cosets of H: the coset Hr times a generator g is the
+        coset H(rg), so it lies inside the result or is disjoint from it,
+        and one lookup per (coset, generator) decides which.
+        """
+        cols = [self.right(g) for g in gens]
+        seen = h
+        todo = [self.positions(h)]
+        while todo:
+            coset = todo.pop()
+            for col in cols:
+                if not seen >> col[coset[0]] & 1:
+                    new = [col[c] for c in coset]
+                    for c in new:
+                        seen |= 1 << c
+                    todo.append(new)
+        return seen
+
+    def lattice(self) -> list[int]:
+        """Masks of every subgroup of S, ordered by (order, members).
+
+        Join-closure of the cyclic subgroups: every subgroup is the join
+        of the cyclic subgroups it contains, so joining each subgroup
+        found with each cyclic subgroup outside it reaches all of them.
+        """
+        cyclic: dict[int, int] = {}  # mask -> one generator's position
+        for x in range(1, len(self.elements)):
+            col, m, y = self.right(x), 1, x
+            while y:
+                m |= 1 << y
+                y = col[y]
+            cyclic.setdefault(m, x)
+        subs: dict[int, tuple[int, ...]] = {1: ()}
+        subs.update((m, (x,)) for m, x in cyclic.items())
+        todo = list(subs)
+        while todo:
+            h = todo.pop()
+            gens = subs[h]
+            for x in cyclic.values():
+                if not h >> x & 1:
+                    j = self.join(h, gens + (x,))
+                    if j not in subs:
+                        subs[j] = gens + (x,)
+                        todo.append(j)
+        return sorted(subs, key=lambda m: (m.bit_count(), self.positions(m)))
+
+
+def image_mask(images: tuple[int, ...], positions: Iterable[int]) -> int:
+    """Mask of the images of ``positions``, all of which must have one."""
+    m = 0
+    for i in positions:
+        m |= 1 << images[i]
+    return m
+
+
 # -- subgroup enumeration ---------------------------------------------------
 
 def all_subgroups(G: FiniteGroup, within: Optional[Subgroup] = None,
                   cap: int = DEFAULT_GROUP_CAP) -> list[Subgroup]:
-    """Every subgroup of G (or of ``within``), canonically ordered.
-
-    Join-closure of the cyclic subgroups: every subgroup is the join of
-    the cyclic subgroups it contains, so iterating pairwise joins from
-    the cyclic ones reaches all of them.
-    """
-    ambient = within.elements if within is not None else G.elements
-    if len(ambient) > cap:
+    """Every subgroup of G (or of ``within``), canonically ordered, from
+    the bitmask lattice of :class:`SIndex`."""
+    H = within if within is not None else G.full_subgroup()
+    if len(H) > cap:
         raise SizeCapExceeded(f"subgroup enumeration cap {cap} exceeded")
-    e = G.identity
-
-    # cyclic subgroups, each with a single generator
-    seeds: dict[frozenset, tuple[Perm, ...]] = {frozenset((e,)): ()}
-    for x in ambient:
-        cyc = set()
-        y = x
-        while y not in cyc:
-            cyc.add(y)
-            y = compose(y, x)
-        key = frozenset(cyc)
-        if key not in seeds:
-            seeds[key] = (x,)
-
-    subs = dict(seeds)
-    worklist = list(seeds.items())
-    while worklist:
-        key_a, gens_a = worklist.pop()
-        for key_b, gens_b in list(subs.items()):
-            if key_a <= key_b or key_b <= key_a:
-                continue
-            gens = tuple(sorted(set(gens_a + gens_b)))
-            join = frozenset(_closure(gens, G.degree, len(ambient)))
-            if join not in subs:
-                subs[join] = gens
-                worklist.append((join, gens))
-    return sorted((Subgroup(G, s, check=False) for s in subs),
-                  key=lambda H: (H.order, H.elements))
+    idx = SIndex(H)
+    return [Subgroup(G, idx.members(m), check=False) for m in idx.lattice()]
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:

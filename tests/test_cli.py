@@ -115,3 +115,65 @@ def test_json_echo_with_out(tmp_path, capsys):
 def test_seed_recorded(capsys):
     run(["group", "info", "instance-a", "--seed", "7"])
     assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
+def _write(tmp_path, d):
+    p = tmp_path / f"{d['name']}.json"
+    p.write_text(json.dumps(d))
+    return str(p)
+
+
+def test_non_overgroup_closed_delta_exits_2(tmp_path, capsys):
+    # S and a subgroup of order 2 without the order-4 groups between them
+    d = {"name": "gap-delta",
+         "group": {"degree": 4, "generators": [[2, 3, 4, 1], [2, 1, 3, 4]]},
+         "p": 2, "sylow": "auto",
+         "delta": {"explicit": [
+             [[1, 2, 3, 4], [2, 1, 4, 3]],
+             [[1, 2, 3, 4], [1, 2, 4, 3], [2, 1, 3, 4], [2, 1, 4, 3],
+              [3, 4, 1, 2], [3, 4, 2, 1], [4, 3, 1, 2], [4, 3, 2, 1]]]}}
+    for cmd in (["locality", "validate"], ["suite"]):
+        assert run(cmd + [_write(tmp_path, d)]) == 2
+        out, err = capsys.readouterr()
+        assert "overgroup-closed" in json.loads(out)["error"]
+        assert "Traceback" not in err
+
+
+def test_group_over_cap_exits_3(tmp_path, capsys):
+    d = {"name": "s8", "p": 2,
+         "group": {"degree": 8, "generators": [[2, 3, 4, 5, 6, 7, 8, 1],
+                                               [2, 1, 3, 4, 5, 6, 7, 8]]}}
+    assert run(["group", "info", _write(tmp_path, d)]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["kind"] == "SizeCapExceeded"
+    assert "Traceback" not in err
+
+
+def test_string_p_exits_2(tmp_path, capsys):
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("instance-a")
+    d["p"] = "2"
+    assert run(["suite", _write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert "'p' must be an integer" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+def test_string_min_order_exits_2(tmp_path, capsys):
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("instance-a")
+    d["delta"] = {"min_order": "4"}
+    assert run(["locality", "build", _write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert "'min_order' must be an integer" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+def test_product_without_e_exits_2(tmp_path, capsys):
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("product-24")
+    del d["fusion_products"]["i"]["E"]
+    assert run(["product-ed", _write(tmp_path, d), "--product", "i"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == "product 'i' missing 'E'"
+    assert "Traceback" not in err
