@@ -477,14 +477,10 @@ def is_normal_subgroup_in(F: FusionSystem, Q: Subgroup) -> bool:
 
 def op_core(F: FusionSystem) -> Subgroup:
     """O_p(F): the largest subgroup normal in F."""
-    best = None
-    for Q in F.subgroups:
-        if is_normal_subgroup_in(F, Q):
-            if best is None or Q.order > best.order:
-                best = Q
-    for Q in F.subgroups:
-        if is_normal_subgroup_in(F, Q) and not Q.eset <= best.eset:
-            raise FusionError("normal subgroups do not have a unique maximum")
+    normals = [Q for Q in F.subgroups if is_normal_subgroup_in(F, Q)]
+    best = max(normals, key=lambda Q: Q.order)  # the first of largest order
+    if any(not Q.eset <= best.eset for Q in normals):
+        raise FusionError("normal subgroups do not have a unique maximum")
     return best
 
 

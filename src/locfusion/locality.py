@@ -6,24 +6,34 @@ delta of subgroups of S.  A word lies in the domain of the partial
 product exactly when the subgroup S_w it carries through S belongs to
 delta; the n-ary product is the left fold of the binary one.
 
-The word machinery works with partial injective maps on S: each carrier
-element f induces the map s -> s^f wherever the conjugate stays in S,
-and S_w is the domain of the composite map along w.  Words with the same
-(left-fold value, composite map) pair behave identically under every
-check performed here, which is what makes exhaustive validation up to a
-word-length bound tractable.
+Inside a locality, S is indexed as positions ``0..|S|-1`` in the order of
+``s_ids`` (for a group-realized locality this is the order of
+``SIndex(S)``), and every subset of S is an ``int`` bitmask over those
+positions: delta is a set of masks, S_w is a mask, and the S-lattice is
+a list of masks computed once per locality.  Each carrier element f
+induces the partial injective map s -> s^f on positions wherever the
+conjugate stays in S; S_w is the domain of the composite map along w.
+Words with the same (left-fold value, composite map) pair behave
+identically under every check performed here, which is what makes
+exhaustive validation up to a word-length bound tractable.  One
+explorer (``_word_states``) walks those states and one check
+(``_check_delta_closures``) decides whether a family of masks is an
+object set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
-                        cayley_group, image_mask, is_p_group, _p_part)
+                        bit_positions, cayley_group, image_mask, is_p_group,
+                        _p_part)
 
 Word = tuple[int, ...]
+
+_defined = (0).__le__  # v -> v >= 0, for a position or -1
 
 
 class LocalityError(ValueError):
@@ -70,18 +80,30 @@ class ValidationReport:
         }
 
 
+def _mask(pos: dict, xs: Iterable) -> int:
+    """Mask of a delta member over the positions ``pos`` of S."""
+    m = 0
+    for x in xs:
+        i = pos.get(x)
+        if i is None:
+            raise LocalityError("delta member is not a subgroup of S")
+        m |= 1 << i
+    return m
+
+
 class Locality:
     """(L, delta, S) with partial product given by a binary table.
 
     ``labels`` are stable hashable names for the carrier elements
     (ambient permutations for group-realized instances); set-valued
     results are exchanged as label sets so that sub-localities remain
-    comparable with their parents.
+    comparable with their parents.  ``delta`` is given as sets of ids of
+    S and stored as masks over the positions of S.
     """
 
     def __init__(self, labels: Sequence, identity: int, inv: Sequence[int],
                  prod: dict[tuple[int, int], int], s_ids: Iterable[int],
-                 p: int, delta: Iterable[frozenset[int]],
+                 p: int, delta: Iterable[Iterable[int]],
                  realization: Optional[FiniteGroup] = None):
         self.labels = tuple(labels)
         self.n = len(self.labels)
@@ -90,11 +112,14 @@ class Locality:
         self.prod = dict(prod)
         self.s_ids = tuple(sorted(s_ids))
         self.p = p
-        self.delta = frozenset(frozenset(P) for P in delta)
+        self._s_pos = {s: i for i, s in enumerate(self.s_ids)}
+        self.delta = frozenset(self.mask_of(P) for P in delta)
         self.realization = realization
         self.id_of = {lab: i for i, lab in enumerate(self.labels)}
-        self._s_pos = {s: i for i, s in enumerate(self.s_ids)}
+        self._bits = tuple(1 << i for i in range(len(self.s_ids)))
         self._pm = self._build_partial_maps()
+        self._sf = tuple(self._dom(m) for m in self._pm)
+        self._lattice: Optional[list[int]] = None
         self._fusion = None  # cached F_S(L)
 
     # -- construction helpers ----------------------------------------------
@@ -104,7 +129,10 @@ class Locality:
 
         s^f is evaluated as the left fold of (f^-1, s, f) through the
         binary table; in a valid locality this agrees with the n-ary
-        product on that word.
+        product on that word.  Every map on positions here, rows and
+        composites alike, carries one extra entry -1 at the end, so that
+        ``pf[-1] == -1`` and composing by indexing keeps undefined
+        points undefined.
         """
         maps = []
         for f in range(self.n):
@@ -114,14 +142,41 @@ class Locality:
                 t = self.prod.get((fi, s))
                 u = self.prod.get((t, f)) if t is not None else None
                 row.append(self._s_pos.get(u, -1) if u is not None else -1)
+            row.append(-1)
             maps.append(tuple(row))
         return tuple(maps)
 
-    # -- basic queries -------------------------------------------------------
+    def _dom(self, m: tuple[int, ...]) -> int:
+        """Mask of the positions where the map m is defined."""
+        return sum(itertools.compress(self._bits, map(_defined, m)))
+
+    def _extends_in_delta(self, m: tuple[int, ...],
+                          reps: dict[int, tuple[int, ...]]) -> dict[int, bool]:
+        """For each mask d of ``reps``: is {i : m[i] in d} in delta?
+
+        ``reps[d]`` is any map with domain d; the set is the domain of m
+        followed by it.  The domain of a word w followed by a letter or
+        word depends only on the latter's domain, so callers test once
+        per distinct domain instead of once per extension.
+        """
+        dom, delta = self._dom, self.delta
+        return {d: dom(tuple(map(r.__getitem__, m))) in delta
+                for d, r in reps.items()}
 
     @property
-    def carrier(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
+    def lattice(self) -> list[int]:
+        """Masks of every subgroup of S, ordered by (order, members);
+        computed on first use and kept."""
+        if self._lattice is None:
+            G, to = self.group_on(self.s_ids)
+            six = SIndex(Subgroup(G, to.values(), check=False))
+            bit = {six.pos[to[s]]: b for s, b in zip(self.s_ids, self._bits)}
+            self._lattice = sorted(
+                (sum(bit[j] for j in bit_positions(m)) for m in six.lattice()),
+                key=lambda m: (m.bit_count(), bit_positions(m)))
+        return self._lattice
+
+    # -- basic queries -------------------------------------------------------
 
     def label_set(self, ids: Iterable[int]) -> frozenset:
         return frozenset(self.labels[i] for i in ids)
@@ -132,22 +187,33 @@ class Locality:
     def s_label_set(self) -> frozenset:
         return self.label_set(self.s_ids)
 
+    def mask_of(self, ids: Iterable[int]) -> int:
+        """Mask of a set of ids of S (LocalityError for an id outside S)."""
+        return _mask(self._s_pos, ids)
+
+    def ids_of(self, mask: int) -> frozenset[int]:
+        """The ids of S in a mask."""
+        return frozenset(self.s_ids[i] for i in bit_positions(mask))
+
     def word_map(self, w: Word) -> tuple[int, ...]:
-        m = tuple(range(len(self.s_ids)))
-        for f in w:
-            pf = self._pm[f]
-            m = tuple(pf[v] if v >= 0 else -1 for v in m)
+        """The composite map along w on positions (with the trailing -1)."""
+        if not w:
+            return tuple(range(len(self.s_ids))) + (-1,)
+        m = self._pm[w[0]]
+        for f in w[1:]:
+            m = tuple(map(self._pm[f].__getitem__, m))
         return m
 
-    def _map_dom(self, m: tuple[int, ...]) -> frozenset[int]:
-        return frozenset(self.s_ids[i] for i, v in enumerate(m) if v >= 0)
+    def s_mask(self, w: Word) -> int:
+        """S_w as a mask; S itself for the empty word."""
+        return self._dom(self.word_map(w))
 
     def s_of_word(self, w: Word) -> frozenset[int]:
         """S_w as a set of carrier ids; S itself for the empty word."""
-        return self._map_dom(self.word_map(w))
+        return self.ids_of(self.s_mask(w))
 
     def in_domain(self, w: Word) -> bool:
-        return self.s_of_word(w) in self.delta
+        return self.s_mask(w) in self.delta
 
     def fold(self, w: Word) -> Optional[int]:
         """Left fold of the binary product; None when a step is undefined."""
@@ -159,15 +225,13 @@ class Locality:
         return x
 
     def product(self, w: Word) -> int:
-        sw = self.s_of_word(w)
-        if sw not in self.delta:
-            raise DomainError(w, sw)
-        x = self.fold(w)
+        sw = self.s_mask(w)
+        x = self.fold(w) if sw in self.delta else None
         if x is None:
-            raise DomainError(w, sw)
+            raise DomainError(w, self.ids_of(sw))
         return x
 
-    # -- S (and local subgroups) as genuine groups ---------------------------
+    # -- local subgroups as genuine groups ----------------------------------
 
     def group_on(self, ids: Iterable[int]) -> tuple[FiniteGroup, dict]:
         """Realize a product-total subset as a permutation group.
@@ -189,19 +253,6 @@ class Locality:
         G, to_perm = cayley_group(elems, mul)
         return G, {i: to_perm[i] for i in ids}
 
-    def s_as_group(self) -> tuple[FiniteGroup, dict]:
-        if self.realization is not None:
-            G = self.realization
-            sub = G.subgroup([self.labels[i] for i in self.s_ids], check=False)
-            # parent group with S embedded; callers take subgroups of S
-            return _subgroup_as_group(sub), {i: self.labels[i] for i in self.s_ids}
-        return self.group_on(self.s_ids)
-
-
-def _subgroup_as_group(H: Subgroup) -> FiniteGroup:
-    G = FiniteGroup(H.parent.degree, H.elements, max_size=max(len(H), 1))
-    return G
-
 
 # -- construction of group-realized localities -------------------------------
 
@@ -219,22 +270,26 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     unless ``validate`` is disabled.
     """
     delta = list(delta)
-    dsets = {P.eset for P in delta}
-    _check_delta_closures(G, S, dsets)
-    if S.eset not in dsets:
-        raise LocalityError("delta must contain S")
-    if not is_p_group(S, p):
-        raise LocalityError("S must be a p-group")
-
-    # the carrier: g with S_g = S cap S^(g^-1) in delta
     six = SIndex(S)
-    dmasks = {six.mask(d) for d in dsets}
+    dmasks = {_mask(six.pos, P.elements) for P in delta}
+
+    # the carrier: g with S_g = S cap S^(g^-1) in delta.  Its maps are
+    # all the Delta-closure check needs: a member inside S_g for g
+    # outside the carrier would miss the overgroup S_g, which the check
+    # reports first.
     labels, actions = [], []
     for g in G.elements:
         images, dom = six.action(g)
         if dom in dmasks:
             labels.append(g)
             actions.append((images, dom))
+    lattice = six.lattice()
+    bad = _check_delta_closures(lattice, dmasks, actions)
+    if bad is not None:
+        raise LocalityError(bad)
+    if not is_p_group(S, p):
+        raise LocalityError("S must be a p-group")
+
     labels = tuple(labels)
     idx = {g: i for i, g in enumerate(labels)}
     s_ids = tuple(idx[s] for s in S.elements)
@@ -247,7 +302,7 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     doms = [dom for _, dom in actions]
     dom_values = set(doms)
     for i, (f, (images, dom_f)) in enumerate(zip(labels, actions)):
-        fpos = six.positions(dom_f)
+        fpos = bit_positions(dom_f)
         composable = {}
         for dom_g in dom_values:
             sw = 0
@@ -262,6 +317,7 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
     L = Locality(labels, identity, inv, prod, s_ids, p, delta_ids,
                  realization=G)
+    L._lattice = lattice  # s_ids follow the positions of six
     if validate:
         report = validate_locality(L, max_word_length=max_word_length)
         if not report.ok:
@@ -272,49 +328,61 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     return L
 
 
-def _check_delta_closures(G: FiniteGroup, S: Subgroup, dsets: set[frozenset]):
-    """Raise LocalityError unless every member of dsets is a subgroup of
-    S, and dsets is overgroup-closed and closed under the conjugation maps
-    of G into S."""
-    subs = all_subgroups(G, within=S)
-    by_set = {P.eset: P for P in subs}
-    six = SIndex(S)
-    members = [(m, six.positions(m))
-               for m in {six.mask(d) for d in dsets if d in by_set}]
-    dmasks = {m for m, _ in members}
-    # members sent outside delta by some conjugation map into S
-    escapes = set()
-    for g in G.elements:
-        images, dom = six.action(g)
-        for m, ps in members:
-            if m & dom == m and image_mask(images, ps) not in dmasks:
-                escapes.add(m)
-    for d in dsets:
-        if d not in by_set:
-            raise LocalityError("delta member is not a subgroup of S")
-        for Q in subs:
-            if d < Q.eset and Q.eset not in dsets:
-                raise LocalityError(
-                    f"delta is not overgroup-closed: missing overgroup of order {Q.order}")
-        if six.mask(d) in escapes:
-            raise LocalityError(
-                "delta is not closed under conjugation maps into S")
+def _check_delta_closures(lattice: Sequence[int], delta: Collection[int],
+                          maps: Iterable[tuple[Sequence[int], int]]
+                          ) -> Optional[str]:
+    """Why ``delta`` is not an object set on S, or None when it is.
+
+    ``lattice`` holds the masks of every subgroup of S, ordered by
+    (order, members), so S is last; ``delta`` holds masks over the same
+    positions, and ``maps`` the conjugation maps ``(images, dom)`` on S
+    (as from ``SIndex.action``) that delta must be closed under.  Every
+    member must be a subgroup of S; then, member by member in lattice
+    order, every overgroup must be a member and every map defined on the
+    member must send it to a member; last, S must be a member.
+    """
+    subs = set(lattice)
+    if any(d not in subs for d in delta):
+        return "delta member is not a subgroup of S"
+    members = [(d, bit_positions(d)) for d in lattice if d in delta]
+    escapes = set()  # members sent outside delta by some map
+    for images, dom in maps:
+        for d, ps in members:
+            if d & dom == d and d not in escapes \
+                    and image_mask(images, ps) not in delta:
+                escapes.add(d)
+    for d, _ in members:
+        for q in lattice:
+            if q & d == d and q not in delta:
+                return ("delta is not overgroup-closed: missing overgroup "
+                        f"of order {q.bit_count()}")
+        if d in escapes:
+            return "delta is not closed under conjugation maps into S"
+    if lattice[-1] not in delta:
+        return "delta must contain S"
+    return None
 
 
 # -- the validator -----------------------------------------------------------
 
-def _word_states(L: Locality, max_len: int):
-    """All (fold value, composite partial map) states of domain words.
+def _word_states(L: Locality, max_len: int,
+                 letters: Optional[Iterable[int]] = None):
+    """All (fold value, composite partial map) states of domain words
+    over ``letters`` (the whole carrier by default), up to ``max_len``.
 
-    Returns state -> (minimal length, representative word).  Folding a
-    domain word must never hit an undefined binary step; such an event
-    is reported by the caller via the returned failure list.
+    Returns ``(states, failures)``: ``states`` maps each state to its
+    minimal length and a representative word, and ``failures`` lists the
+    domain words whose left fold is undefined or leaves the letters.
     """
+    letters = range(L.n) if letters is None else sorted(letters)
+    inside = set(letters)
+    pm, sf, prod = L._pm, L._sf, L.prod
+    reps = {sf[f]: pm[f] for f in letters}
     states = {}
     failures = []
     frontier = {}
-    for f in range(L.n):
-        st = (f, L._pm[f])
+    for f in letters:
+        st = (f, pm[f])
         if st not in states:
             states[st] = (1, (f,))
             frontier[st] = (f,)
@@ -323,13 +391,13 @@ def _word_states(L: Locality, max_len: int):
         length += 1
         new = {}
         for (pi, m), word in frontier.items():
-            for f in range(L.n):
-                pf = L._pm[f]
-                m2 = tuple(pf[v] if v >= 0 else -1 for v in m)
-                if L._map_dom(m2) not in L.delta:
+            ok = L._extends_in_delta(m, reps)
+            for f in letters:
+                if not ok[sf[f]]:
                     continue
-                pi2 = L.prod.get((pi, f))
-                if pi2 is None:
+                m2 = tuple(map(pm[f].__getitem__, m))
+                pi2 = prod.get((pi, f))
+                if pi2 is None or pi2 not in inside:
                     failures.append(word + (f,))
                     continue
                 st = (pi2, m2)
@@ -378,17 +446,18 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
     add(CheckResult("identity_and_inversion", ok, wit))
 
     # S_f in delta for every f
-    bad = next((f for f in range(L.n)
-                if L.s_of_word((f,)) not in L.delta), None)
+    bad = next((f for f in range(L.n) if L._sf[f] not in L.delta), None)
     add(CheckResult("s_f_in_delta", bad is None,
                     None if bad is None else f"element {bad}"))
 
     # objectivity at length 2: (f,g) defined iff S_(f,g) in delta
     ok, wit = True, None
+    reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
     for f in range(L.n):
+        in_delta = L._extends_in_delta(L._pm[f], reps)
         for g in range(L.n):
             defined = (f, g) in L.prod
-            obj = L.s_of_word((f, g)) in L.delta
+            obj = in_delta[L._sf[g]]
             if defined != obj:
                 ok, wit = False, f"pair ({f},{g}): defined={defined}, S_w in delta={obj}"
                 break
@@ -397,7 +466,8 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
     add(CheckResult("objectivity_len2", ok, wit))
 
     # delta closure properties
-    add(_check_delta_of_locality(L))
+    bad = _check_delta_closures(L.lattice, L.delta, zip(L._pm, L._sf))
+    add(CheckResult("delta_closure", bad is None, bad))
 
     # domain words: folds defined, splitting/associativity, S_w transport
     states, fold_failures = _word_states(L, max_word_length)
@@ -416,13 +486,12 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
     add(CheckResult("s_w_through_product", ok, wit))
 
     ok, wit = True, None
-    items = list(states.items())
-    for (p1, m1), (l1, w1) in items:
-        for (p2, m2), (l2, w2) in items:
-            if l1 + l2 > max_word_length:
-                continue
-            m = tuple(m2[v] if v >= 0 else -1 for v in m1)
-            if L._map_dom(m) not in L.delta:
+    items = [(p, L._dom(m), m, v) for (p, m), v in states.items()]
+    reps = {d: m for _, d, m, _ in items}
+    for p1, _, m1, (l1, w1) in items:
+        in_delta = L._extends_in_delta(m1, reps)
+        for p2, d2, _, (l2, w2) in items:
+            if l1 + l2 > max_word_length or not in_delta[d2]:
                 continue
             pi = L.prod.get((p1, p2))
             q = p1
@@ -454,50 +523,15 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
     return rep
 
 
-def _check_delta_of_locality(L: Locality) -> CheckResult:
-    sset = frozenset(L.s_ids)
-    if sset not in L.delta:
-        return CheckResult("delta_closure", False, "S not in delta")
-    subs = _subgroup_sets_of_s(L)
-    for d in L.delta:
-        if d not in subs:
-            return CheckResult("delta_closure", False,
-                               "delta member is not a subgroup of S")
-        for q in subs:
-            if d < q and q not in L.delta:
-                return CheckResult("delta_closure", False,
-                                   f"missing overgroup of size {len(q)}")
-        for f in range(L.n):
-            pf = L._pm[f]
-            pos = [L._s_pos[s] for s in d]
-            if all(pf[i] >= 0 for i in pos):
-                img = frozenset(L.s_ids[pf[i]] for i in pos)
-                if img not in L.delta:
-                    return CheckResult(
-                        "delta_closure", False,
-                        f"not closed under conjugation by element {f}")
-    return CheckResult("delta_closure", True)
-
-
-def _subgroup_sets_of_s(L: Locality) -> set[frozenset[int]]:
-    G, to_perm = L.s_as_group()
-    perm_to_id = {v: k for k, v in to_perm.items()}
-    out = set()
-    for P in all_subgroups(G):
-        out.add(frozenset(perm_to_id[x] for x in P.elements))
-    return out
-
-
 def _check_s_maximal(L: Locality) -> CheckResult:
     sset = set(L.s_ids)
+    full = (1 << len(L.s_ids)) - 1
     for f in range(L.n):
         if f in sset:
             continue
         # f can only enlarge S to a p-subgroup from inside N_L(S)
         pf = L._pm[f]
-        if any(v < 0 for v in pf):
-            continue
-        if frozenset(L.s_ids[v] for v in pf) != frozenset(L.s_ids):
+        if L._sf[f] != full or image_mask(pf, range(len(L.s_ids))) != full:
             continue
         ext = set(sset)
         frontier = [f]
@@ -525,55 +559,45 @@ def _check_s_maximal(L: Locality) -> CheckResult:
 
 # -- restriction and normalizer localities ----------------------------------
 
-def _sub_locality(L: Locality, carrier_ids: list[int],
-                  delta: Iterable[frozenset[int]],
+def _sub_locality(L: Locality, carrier_ids: list[int], delta: Iterable[int],
                   restrict_prod_to_delta: bool) -> Locality:
+    """The sub-locality on ``carrier_ids`` with object set ``delta``
+    (masks of L).  Ids are renumbered in order, so S keeps its
+    positions, and with them the masks and the S-lattice of L."""
     carrier_ids = sorted(carrier_ids)
     old_to_new = {old: new for new, old in enumerate(carrier_ids)}
     labels = [L.labels[i] for i in carrier_ids]
-    delta = [frozenset(d) for d in delta]
-    dsets = set(delta)
+    delta = set(delta)
     cset = set(carrier_ids)
     prod = {}
     for (i, j), k in L.prod.items():
         if i in cset and j in cset and k in cset:
-            if restrict_prod_to_delta:
-                m = L.word_map((i, j))
-                if L._map_dom(m) not in dsets:
-                    continue
+            if restrict_prod_to_delta and L.s_mask((i, j)) not in delta:
+                continue
             prod[(old_to_new[i], old_to_new[j])] = old_to_new[k]
-    new_delta = [frozenset(old_to_new[x] for x in d) for d in delta]
-    return Locality(labels, old_to_new[L.identity],
-                    [old_to_new[L.inv[i]] for i in carrier_ids],
-                    prod, [old_to_new[s] for s in L.s_ids], L.p, new_delta,
-                    realization=L.realization)
+    new_delta = [[old_to_new[x] for x in L.ids_of(d)] for d in delta]
+    sub = Locality(labels, old_to_new[L.identity],
+                   [old_to_new[L.inv[i]] for i in carrier_ids],
+                   prod, [old_to_new[s] for s in L.s_ids], L.p, new_delta,
+                   realization=L.realization)
+    sub._lattice = L._lattice
+    return sub
 
 
 def restriction(Lplus: Locality, delta: Iterable[frozenset[int]]) -> Locality:
     """Restriction of L^+ to a smaller object set (carrier ids of L^+)."""
-    delta = [frozenset(d) for d in delta]
-    dsets = set(delta)
-    if not dsets <= Lplus.delta:
-        bad = next(d for d in dsets if d not in Lplus.delta)
-        raise LocalityError(f"delta member of size {len(bad)} not in the object set")
+    dmasks = {Lplus.mask_of(d) for d in delta}
+    if not dmasks <= Lplus.delta:
+        bad = next(d for d in dmasks if d not in Lplus.delta)
+        raise LocalityError(
+            f"delta member of size {bad.bit_count()} not in the object set")
     # overgroup closure and F_S(L+)-conjugacy closure
-    subs = _subgroup_sets_of_s(Lplus)
-    for d in dsets:
-        for q in subs:
-            if d < q and q not in dsets:
-                raise LocalityError(
-                    f"restriction delta not overgroup-closed (missing size {len(q)})")
-        for f in range(Lplus.n):
-            pf = Lplus._pm[f]
-            pos = [Lplus._s_pos[s] for s in d]
-            if all(pf[i] >= 0 for i in pos):
-                img = frozenset(Lplus.s_ids[pf[i]] for i in pos)
-                if img not in dsets:
-                    raise LocalityError(
-                        "restriction delta not closed under fusion conjugacy")
-    carrier = [f for f in range(Lplus.n)
-               if Lplus.s_of_word((f,)) in dsets]
-    return _sub_locality(Lplus, carrier, delta, restrict_prod_to_delta=True)
+    bad = _check_delta_closures(Lplus.lattice, dmasks,
+                                zip(Lplus._pm, Lplus._sf))
+    if bad is not None:
+        raise LocalityError(f"restriction {bad}")
+    carrier = [f for f in range(Lplus.n) if Lplus._sf[f] in dmasks]
+    return _sub_locality(Lplus, carrier, dmasks, restrict_prod_to_delta=True)
 
 
 def strongly_closed_in_carrier(L: Locality, t_ids: Iterable[int]) -> bool:
@@ -645,7 +669,7 @@ def is_linking_locality(L: Locality) -> tuple[bool, dict]:
     F = fusion_of_locality(L)
     report["saturated"] = is_saturated(F)
 
-    dsets = {frozenset(L.labels[i] for i in d) for d in L.delta}
+    dsets = {L.label_set(L.ids_of(d)) for d in L.delta}
     ok_cr = True
     for P in centric_radicals(F):
         if P.eset not in dsets:
@@ -655,11 +679,12 @@ def is_linking_locality(L: Locality) -> tuple[bool, dict]:
     report["centric_radicals_in_delta"] = ok_cr
 
     ok_loc = True
-    for d in sorted(L.delta, key=lambda x: (len(x), sorted(x))):
-        res = local_group(L, d)
+    for d in sorted(L.delta, key=lambda m: (m.bit_count(), bit_positions(m))):
+        res = local_group(L, L.ids_of(d))
         if res is None:
             ok_loc = False
-            report["witness"] = f"N_L(P) not a group for object of order {len(d)}"
+            report["witness"] = (f"N_L(P) not a group for object of order "
+                                 f"{d.bit_count()}")
             break
         H, _ = res
         if not is_characteristic_p(H, L.p):
@@ -688,4 +713,4 @@ def locality_to_descriptor(L: Locality) -> dict:
     return {"carrier": L.n, "identity": L.identity, "inverse": list(L.inv),
             "products": sorted([i, j, k] for (i, j), k in L.prod.items()),
             "S": list(L.s_ids), "p": L.p,
-            "delta": sorted(sorted(x) for x in L.delta)}
+            "delta": sorted(sorted(L.ids_of(d)) for d in L.delta)}

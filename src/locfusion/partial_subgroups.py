@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .locality import (Locality, LocalityError, normalizer_carrier,
-                       restriction, strongly_closed_in_carrier)
+from .locality import (Locality, LocalityError, _word_states,
+                       normalizer_carrier, restriction,
+                       strongly_closed_in_carrier)
 from .report import PreconditionError, Report
 
 DEFAULT_ENUM_CAP = 400
@@ -50,33 +51,14 @@ def is_partial_subgroup(L: Locality, X: Iterable[int],
     """Inversion-closed, contains 1, and folds of domain words stay in X.
 
     Words over X are explored through (product, map) states up to the
-    bound, exactly like the locality validator.
+    bound, by the explorer of the locality validator.
     """
     X = frozenset(X)
     if L.identity not in X:
         return False
     if any(L.inv[x] not in X for x in X):
         return False
-    letters = sorted(X)
-    states = {(f, L._pm[f]) for f in letters}
-    frontier = set(states)
-    for _ in range(max_word_length - 1):
-        new = set()
-        for pi, m in frontier:
-            for f in letters:
-                pf = L._pm[f]
-                m2 = tuple(pf[v] if v >= 0 else -1 for v in m)
-                if L._map_dom(m2) not in L.delta:
-                    continue
-                pi2 = L.prod.get((pi, f))
-                if pi2 is None or pi2 not in X:
-                    return False
-                st = (pi2, m2)
-                if st not in states:
-                    states.add(st)
-                    new.add(st)
-        frontier = new
-    return True
+    return not _word_states(L, max_word_length, X)[1]
 
 
 def is_partial_normal(L: Locality, N: Iterable[int],
@@ -179,13 +161,13 @@ def decompose(L: Locality, N: Iterable[int], K: Iterable[int],
     Exhaustive search over the pairs in id order; the S_g condition is
     recomputed for the returned pair, never assumed.
     """
-    sg = L.s_of_word((g,))
+    sg = L.s_mask((g,))
     Ns, Ks = sorted(set(N)), sorted(set(K))
 
     def search(A, B):
         for a in A:
             for b in B:
-                if L.prod.get((a, b)) == g and L.s_of_word((a, b)) == sg:
+                if L.prod.get((a, b)) == g and L.s_mask((a, b)) == sg:
                     return a, b
         return None
     nk = search(Ns, Ks)

@@ -247,6 +247,11 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[Perm]) -> Subgroup:
 
 # -- the S-indexed kernel ---------------------------------------------------
 
+def bit_positions(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 class SIndex:
     """A subgroup S indexed as positions ``0..|S|-1`` in canonical order.
 
@@ -273,8 +278,7 @@ class SIndex:
             m |= 1 << pos[x]
         return m
 
-    def positions(self, mask: int) -> list[int]:
-        return [i for i in range(len(self.elements)) if mask >> i & 1]
+    positions = staticmethod(bit_positions)
 
     def members(self, mask: int) -> tuple[Perm, ...]:
         els = self.elements

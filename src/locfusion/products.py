@@ -61,33 +61,12 @@ def a_fe(F: FusionSystem, E: FusionSystem, P: Subgroup) -> set[FMap]:
         if _map_order(phi) % F.p == 0:
             continue
         commutators = {compose(inverse(x), phi.d[x]) for x in P.eset}
-        if not _generated(commutators, pt) <= pt:
+        if not commutators <= pt:  # pt is a subgroup: holds their closure
             continue
         if phi.restrict(frozenset(pt)) not in E.maps:
             continue
         good.append(phi)
     return _aut_group_closure(good, auts)
-
-
-def _generated(xs: Iterable, universe: frozenset) -> frozenset:
-    """Closure of xs under composition/inversion; stops growing past the
-    universe early, in which case a strict superset is returned."""
-    out = set(xs)
-    frontier = list(out)
-    while frontier:
-        if not out <= universe:
-            return frozenset(out)
-        a = frontier.pop()
-        ia = inverse(a)
-        if ia not in out:
-            out.add(ia)
-            frontier.append(ia)
-        for b in list(out):
-            c = compose(a, b)
-            if c not in out:
-                out.add(c)
-                frontier.append(c)
-    return frozenset(out)
 
 
 def _tr_subgroup(F: FusionSystem, T: frozenset, R: frozenset) -> Subgroup:
@@ -175,8 +154,7 @@ def product_ed_via_locality(L, N: Iterable[int],
         raise PreconditionError("locality is not a linking locality")
     F = fusion_of_locality(L)
     for P in subcentric_subgroups(F):
-        ids = frozenset(L.id_of[x] for x in P.eset)
-        if ids not in L.delta:
+        if L.mask_of(L.id_of[x] for x in P.eset) not in L.delta:
             raise PreconditionError(
                 "object set does not contain every subcentric subgroup")
     nk = set_product(L, N, K)

@@ -177,3 +177,17 @@ def test_product_without_e_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == "product 'i' missing 'E'"
     assert "Traceback" not in err
+
+
+def test_restriction_non_overgroup_closed_delta_exits_2(tmp_path, capsys):
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("instance-b")
+    # an order-4 subgroup of S without S itself
+    d["restriction"]["delta"] = {"explicit": [
+        [[1, 2, 3, 4, 5], [3, 2, 1, 4, 5], [1, 4, 3, 2, 5], [3, 4, 1, 2, 5]]]}
+    assert run(["restriction", _write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == ("restriction delta is not "
+                                        "overgroup-closed: missing overgroup "
+                                        "of order 8")
+    assert "Traceback" not in err

@@ -165,3 +165,78 @@ def test_descriptor_roundtrip(loc_a):
 def test_delta_min_order_members(s4, s4_sylow):
     delta = delta_min_order(s4, s4_sylow, 4)
     assert sorted(P.order for P in delta) == [4, 4, 4, 8]
+
+
+# -- the one Delta-closure check, from each caller --------------------------
+
+def test_validator_reports_missing_overgroup(s4, s4_sylow):
+    L = locality_from_group(s4, s4_sylow, delta_min_order(s4, s4_sylow, 2),
+                            2, validate=False)
+    d = locality_to_descriptor(L)
+    d["delta"].remove(next(m for m in d["delta"] if len(m) == 4))
+    rep = validate_locality(locality_from_descriptor(d), max_word_length=3)
+    check = next(c for c in rep.checks if c.name == "delta_closure")
+    assert not check.passed
+    assert check.witness == \
+        "delta is not overgroup-closed: missing overgroup of order 4"
+
+
+def test_restriction_rejects_non_overgroup_closed_delta(loc_b):
+    small = [m for m in loc_b.delta if m.bit_count() == 4]
+    with pytest.raises(LocalityError, match="overgroup-closed"):
+        restriction(loc_b, [loc_b.ids_of(small[0])])
+
+
+def test_constructor_rejects_delta_id_outside_s(loc_a):
+    d = locality_to_descriptor(loc_a)
+    outside = next(f for f in range(loc_a.n) if f not in loc_a.s_ids)
+    d["delta"].append(sorted(d["S"][:1] + [outside]))
+    with pytest.raises(LocalityError, match="not a subgroup of S"):
+        locality_from_descriptor(d)
+
+
+# -- S_w as a mask against the element-wise definition ------------------------
+
+def _element_wise_s_w(L, S, w):
+    """Conjugate S through the labels of w in the ambient group, keeping
+    the elements whose conjugates stay in S at every step."""
+    cur = {s: s for s in S.elements}
+    for f in w:
+        g = L.labels[f]
+        cur = {s: conjugate(x, g) for s, x in cur.items()
+               if conjugate(x, g) in S.eset}
+    return frozenset(cur)
+
+
+def _check_s_w_oracle(L, S, dsets, max_len):
+    seen = set()
+    for k in range(max_len + 1):
+        for w in itertools.product(range(L.n), repeat=k):
+            s_w = _element_wise_s_w(L, S, w)
+            assert L.label_set(L.s_of_word(w)) == s_w, w
+            assert L.in_domain(w) == (s_w in dsets), w
+            seen.add(s_w in dsets)
+    return seen
+
+
+@pytest.mark.parametrize("name,max_len", [("instance-a", 3),
+                                          ("instance-b", 2)])
+def test_s_w_matches_element_wise(name, max_len):
+    from locfusion import instances as inst
+    d = inst.load_descriptor(name)
+    L = inst.build_locality(d)
+    G = L.realization
+    S = inst.sylow_of(d, G)
+    dsets = {P.eset for P in inst.delta_of(d, G, S)}
+    # every word this short is in the domain of both bundled localities
+    assert _check_s_w_oracle(L, S, dsets, max_len) == {True}
+
+
+def test_s_w_matches_element_wise_on_partial_domain():
+    s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
+                         from_cycles(6, (1, 2))])
+    s = sylow_subgroup(s6, 2)
+    delta = delta_min_order(s6, s, 8)
+    L = locality_from_group(s6, s, delta, 2, validate=False)
+    dsets = {P.eset for P in delta}
+    assert _check_s_w_oracle(L, s, dsets, 2) == {True, False}
