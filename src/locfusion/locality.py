@@ -13,6 +13,9 @@ positions: delta is a set of masks, S_w is a mask, and the S-lattice is
 a list of masks computed once per locality.  Each carrier element f
 induces the partial injective map s -> s^f on positions wherever the
 conjugate stays in S; S_w is the domain of the composite map along w.
+Domain questions are answered without building that composite: the
+preimage of a mask under one letter's map is cached per (letter, mask),
+and S_w is the preimage of S walked through w from the right.
 Words with the same (left-fold value, composite map) pair behave
 identically under every check performed here, which is what makes
 exhaustive validation up to a word-length bound tractable.  One
@@ -99,6 +102,11 @@ class Locality:
     results are exchanged as label sets so that sub-localities remain
     comparable with their parents.  ``delta`` is given as sets of ids of
     S and stored as masks over the positions of S.
+
+    The tables (carrier, inversion, product, S and delta) are not
+    mutated after construction: the partial maps ``_pm`` built from
+    them, the preimage cache behind ``s_mask`` and the ``_verdicts`` memo
+    of the partial-subgroup predicates all rely on that.
     """
 
     def __init__(self, labels: Sequence, identity: int, inv: Sequence[int],
@@ -119,8 +127,11 @@ class Locality:
         self._bits = tuple(1 << i for i in range(len(self.s_ids)))
         self._pm = self._build_partial_maps()
         self._sf = tuple(self._dom(m) for m in self._pm)
+        self._full = (1 << len(self.s_ids)) - 1
+        self._pre: dict[tuple[int, int], int] = {}  # (f, mask) -> preimage
         self._lattice: Optional[list[int]] = None
         self._fusion = None  # cached F_S(L)
+        self._verdicts: dict = {}  # memo of the partial_subgroups predicates
 
     # -- construction helpers ----------------------------------------------
 
@@ -195,18 +206,27 @@ class Locality:
         """The ids of S in a mask."""
         return frozenset(self.s_ids[i] for i in bit_positions(mask))
 
-    def word_map(self, w: Word) -> tuple[int, ...]:
-        """The composite map along w on positions (with the trailing -1)."""
-        if not w:
-            return tuple(range(len(self.s_ids))) + (-1,)
-        m = self._pm[w[0]]
-        for f in w[1:]:
-            m = tuple(map(self._pm[f].__getitem__, m))
-        return m
+    def preimage(self, f: int, mask: int) -> int:
+        """Mask of the positions i with s_i^f defined and in ``mask``;
+        cached per (f, mask)."""
+        key = (f, mask)
+        pre = self._pre.get(key)
+        if pre is None:
+            pre = sum(b for b, v in zip(self._bits, self._pm[f])
+                      if v >= 0 and mask >> v & 1)
+            self._pre[key] = pre
+        return pre
 
     def s_mask(self, w: Word) -> int:
-        """S_w as a mask; S itself for the empty word."""
-        return self._dom(self.word_map(w))
+        """S_w as a mask; S itself for the empty word.
+
+        S_w = pre_{w1}(pre_{w2}(... pre_{wk}(S))), which is the domain
+        of the composite map along w for any tables, valid or not.
+        """
+        mask = self._full
+        for f in reversed(w):
+            mask = self.preimage(f, mask)
+        return mask
 
     def s_of_word(self, w: Word) -> frozenset[int]:
         """S_w as a set of carrier ids; S itself for the empty word."""
@@ -525,7 +545,7 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
 
 def _check_s_maximal(L: Locality) -> CheckResult:
     sset = set(L.s_ids)
-    full = (1 << len(L.s_ids)) - 1
+    full = L._full
     for f in range(L.n):
         if f in sset:
             continue

@@ -5,9 +5,17 @@ forming a partial subgroup, and conjugation / products are always the
 ones of the enclosing locality.  This keeps N_L(T)-relative statements
 free of re-indexing.
 
+Conjugation is decided on masks: (f^-1, n, f) is in the domain exactly
+when the preimage of S_f under n and then f^-1 is in delta, read from
+the locality's preimage cache, and the word is folded only then.
+``is_partial_subgroup`` and ``is_partial_normal`` memoize their
+verdicts on the locality (partial normality together with its first
+violating pair), so a set asked about again costs one dict lookup.
+
 The harnesses check the two structure theorems about NK (normal and
 subnormal K) and the restriction-compatibility lemma on concrete
-instances, clause by clause.
+instances, clause by clause; a failed normality, equality or
+decomposition clause carries a witness.
 """
 
 from __future__ import annotations
@@ -51,27 +59,52 @@ def is_partial_subgroup(L: Locality, X: Iterable[int],
     """Inversion-closed, contains 1, and folds of domain words stay in X.
 
     Words over X are explored through (product, map) states up to the
-    bound, by the explorer of the locality validator.
+    bound, by the explorer of the locality validator.  The verdict is
+    memoized on L per (X, bound).
     """
     X = frozenset(X)
-    if L.identity not in X:
-        return False
-    if any(L.inv[x] not in X for x in X):
-        return False
-    return not _word_states(L, max_word_length, X)[1]
+    key = ("subgroup", X, max_word_length)
+    ok = L._verdicts.get(key)
+    if ok is None:
+        ok = (L.identity in X and all(L.inv[x] in X for x in X)
+              and not _word_states(L, max_word_length, X)[1])
+        L._verdicts[key] = ok
+    return ok
+
+
+def _conjugates(L: Locality, f: int, xs: Iterable[int]):
+    """(x, x^f) for the x in xs with (f^-1, x, f) in the domain.
+
+    S_(f^-1, x, f) is the preimage of S_f under x and then f^-1; the
+    word is folded only when that mask is in delta.
+    """
+    fi, sf, pre, delta = L.inv[f], L._sf[f], L.preimage, L.delta
+    for x in xs:
+        if pre(fi, pre(x, sf)) in delta:
+            yield x, L.fold((fi, x, f))
+
+
+def partial_normal_witness(L: Locality, N: Iterable[int],
+                           ambient: Optional[Iterable[int]] = None
+                           ) -> Optional[tuple[int, int]]:
+    """The first (f, n) in id order with f in the ambient set, (f^-1, n, f)
+    defined and n^f outside N; None when there is none.  Memoized on L
+    per (N, ambient set)."""
+    Nset = frozenset(N)
+    amb = None if ambient is None else frozenset(ambient)
+    key = ("normal", Nset, amb)
+    if key not in L._verdicts:
+        ns = sorted(Nset)
+        L._verdicts[key] = next(
+            ((f, n) for f in (range(L.n) if amb is None else sorted(amb))
+             for n, z in _conjugates(L, f, ns) if z not in Nset), None)
+    return L._verdicts[key]
 
 
 def is_partial_normal(L: Locality, N: Iterable[int],
                       ambient: Optional[Iterable[int]] = None) -> bool:
     """n^f in N for all f in the ambient set with (f^-1, n, f) defined."""
-    Nset = frozenset(N)
-    amb = range(L.n) if ambient is None else ambient
-    for f in amb:
-        fi = L.inv[f]
-        for n in Nset:
-            if L.in_domain((fi, n, f)) and L.fold((fi, n, f)) not in Nset:
-                return False
-    return True
+    return partial_normal_witness(L, N, ambient) is None
 
 
 def partial_normal_closure(L: Locality, seed: Iterable[int],
@@ -97,13 +130,10 @@ def partial_normal_closure(L: Locality, seed: Iterable[int],
                     X.add(z)
                     changed = True
         for f in amb:
-            fi = L.inv[f]
-            for x in list(X):
-                if L.in_domain((fi, x, f)):
-                    z = L.fold((fi, x, f))
-                    if z not in X:
-                        X.add(z)
-                        changed = True
+            for _, z in _conjugates(L, f, list(X)):
+                if z not in X:
+                    X.add(z)
+                    changed = True
     return frozenset(X)
 
 
@@ -185,6 +215,25 @@ def _t_of(L: Locality, N: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(N) & set(L.s_ids)))
 
 
+def _normality_witness(L: Locality, X: Iterable[int],
+            ambient: Optional[Iterable[int]] = None) -> dict:
+    """Witness of a failed partial-normality clause: f, n and n^f.
+    Called after ``is_partial_normal`` said False, so it is a memo hit."""
+    f, n = partial_normal_witness(L, X, ambient)
+    return {"f": f, "n": n, "n^f": L.fold((L.inv[f], n, f))}
+
+
+def _partial_normal_clause(L: Locality, X: Iterable[int],
+                           ambient: Optional[Iterable[int]] = None):
+    """(verdict, witness) of: X is a partial subgroup, partial normal in
+    the ambient set (all of L by default)."""
+    if not is_partial_subgroup(L, X):
+        return False, "not a partial subgroup"
+    if not is_partial_normal(L, X, ambient):
+        return False, _normality_witness(L, X, ambient)
+    return True, None
+
+
 def _check_nk_preconditions(L: Locality, N: Iterable[int], K: Iterable[int],
                             require_normal_k: bool) -> tuple[tuple[int, ...], list[int]]:
     Nset = frozenset(N)
@@ -219,7 +268,9 @@ def verify_theorem_nk_normal(L: Locality, N: Iterable[int], K: Iterable[int],
     rep.set("nk_equals_kn", set(NK) == set(KN),
             None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
     rep.set("nk_partial_subgroup", is_partial_subgroup(L, NK))
-    rep.set("nk_partial_normal", is_partial_normal(L, NK))
+    ok = is_partial_normal(L, NK)
+    rep.set("nk_partial_normal", ok,
+            None if ok else _normality_witness(L, NK))
 
     lhs = frozenset(NK) & frozenset(L.s_ids)
     rhs = group_product_in_s(L, T, set(Kset) & set(L.s_ids))
@@ -254,7 +305,8 @@ def verify_theorem_nk_subnormal(L: Locality, N: Iterable[int],
 
     NK = set_product(L, sorted(Nset), sorted(Kset))
     KN = set_product(L, sorted(Kset), sorted(Nset))
-    rep.set("nk_equals_kn", set(NK) == set(KN))
+    rep.set("nk_equals_kn", set(NK) == set(KN),
+            None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
     rep.set("nk_partial_subgroup", is_partial_subgroup(L, NK))
     ok, chain = is_subnormal(L, NK)
     rep.set("nk_subnormal", ok, None if ok else [len(c) for c in chain])
@@ -284,13 +336,15 @@ def verify_restriction_product(Lplus: Locality, delta: Iterable[frozenset[int]],
     N = keep(lab(Np) & carrier_labels)
     K = keep(lab(Kp) & carrier_labels)
 
-    rep.set("n_restricted_partial_normal",
-            is_partial_subgroup(L, N) and is_partial_normal(L, N))
+    rep.set("n_restricted_partial_normal", *_partial_normal_clause(L, N))
     T = _t_of(L, N)
     nlt = normalizer_carrier(L, T)
-    rep.set("k_restricted_normal_in_nlt",
-            set(K) <= set(nlt) and is_partial_subgroup(L, K)
-            and is_partial_normal(L, K, ambient=nlt))
+    outside = sorted(set(K) - set(nlt))
+    if outside:
+        rep.set("k_restricted_normal_in_nlt", False, {"outside_nlt": outside})
+    else:
+        rep.set("k_restricted_normal_in_nlt",
+                *_partial_normal_clause(L, K, nlt))
 
     big = Lplus.label_set(set_product(Lplus, sorted(Np), sorted(Kp)))
     small = L.label_set(set_product(L, sorted(N), sorted(K)))

@@ -1,15 +1,29 @@
-"""Golden gate: the ``suite`` report bytes of every bundled descriptor.
+"""Golden gate: the ``suite`` report bytes of every bundled descriptor,
+and the ``theorem1`` / ``restriction`` report bytes on the S6 benchmark
+descriptor.
 
-The digests were recorded from the element-wise implementation before
-the S-indexed kernel replaced it; any change to a verdict, a morphism
-list or the JSON layout shows here.
+The suite digests were recorded from the element-wise implementation
+before the S-indexed kernel replaced it, the S6 digests from the
+word-map implementation of S_w before the preimage walk replaced it;
+any change to a verdict, a morphism list or the JSON layout shows here.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from locfusion.cli import main
+
+S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
+    "instances" / "s6.json"
+
+S6_SHA256 = {
+    "theorem1":
+        "a2789dd9a5a61d5b8098496ad4a57f5c92a273dcb6708c63ab0c8dd244c5b547",
+    "restriction":
+        "6fd7998a05bfd339dea85d72a27cd8b5249c6011dd35d82b07b50dc9461745d6",
+}
 
 SUITE_SHA256 = {
     "instance-a":
@@ -32,3 +46,10 @@ def test_suite_report_bytes_unchanged(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(["suite", name, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SUITE_SHA256[name]
+
+
+@pytest.mark.parametrize("command", sorted(S6_SHA256))
+def test_s6_report_bytes_unchanged(command, tmp_path):
+    out = tmp_path / f"{command}.json"
+    assert main([command, str(S6_DESCRIPTOR), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == S6_SHA256[command]

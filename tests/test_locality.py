@@ -240,3 +240,63 @@ def test_s_w_matches_element_wise_on_partial_domain():
     L = locality_from_group(s6, s, delta, 2, validate=False)
     dsets = {P.eset for P in delta}
     assert _check_s_w_oracle(L, s, dsets, 2) == {True, False}
+
+
+# -- the preimage walk against the composite-map definition of S_w ------------
+
+def _composite_s_w(L, w):
+    """S_w as the domain of the partial maps of w composed on positions."""
+    m = tuple(range(len(L.s_ids))) + (-1,)
+    for f in w:
+        m = tuple(L._pm[f][i] for i in m)
+    return sum(1 << i for i, v in enumerate(m[:-1]) if v >= 0)
+
+
+def _check_walk_against_composite(L, max_len):
+    seen = set()
+    for k in range(max_len + 1):
+        for w in itertools.product(range(L.n), repeat=k):
+            s_w = _composite_s_w(L, w)
+            assert L.s_mask(w) == s_w, w
+            seen.add(s_w in L.delta)
+    return seen
+
+
+def test_s_mask_walk_matches_composite_on_instance_a(loc_a):
+    assert _check_walk_against_composite(loc_a, 3) == {True}
+
+
+def test_s_mask_walk_matches_composite_on_partial_domain():
+    s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
+                         from_cycles(6, (1, 2))])
+    s = sylow_subgroup(s6, 2)
+    L = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2,
+                            validate=False)
+    assert _check_walk_against_composite(L, 2) == {True, False}
+
+
+def _rows_mutually_inverse(L):
+    return all(L._pm[L.inv[f]][v] == i
+               for f in range(L.n) for i, v in enumerate(L._pm[f][:-1])
+               if v >= 0)
+
+
+def test_s_mask_walk_matches_composite_on_corrupted_table(loc_b):
+    """The walk is a set identity, so it agrees with the composite-map
+    definition also on tables that break the locality axioms."""
+    assert _rows_mutually_inverse(loc_b)
+    d = locality_to_descriptor(loc_b)
+    sset = set(d["S"])
+    for idx, (i, j, k) in enumerate(d["products"]):
+        if i in sset or j not in sset:
+            continue
+        # (f^-1, s) with f outside S: its value feeds the row of f
+        bad = dict(d, products=list(d["products"]))
+        bad["products"][idx] = [i, j, next(x for x in sorted(sset) if x != k)]
+        L = locality_from_descriptor(bad)
+        if not _rows_mutually_inverse(L):
+            break
+    else:
+        pytest.fail("no corruption broke the inverse rows")
+    assert not validate_locality(L, max_word_length=2).ok
+    _check_walk_against_composite(L, 3)

@@ -1,19 +1,28 @@
 """Partial subgroup predicates and the NK product harnesses."""
 
+from pathlib import Path
+
 import pytest
 
-from locfusion.instances import (build_locality, k_choice, load_descriptor,
-                                 named_subgroup, resolve_ids)
+from locfusion.instances import (build_locality, delta_of, k_choice,
+                                 load_descriptor, named_subgroup, resolve_ids,
+                                 sylow_of)
 from locfusion.locality import delta_min_order, normalizer_carrier
-from locfusion.partial_subgroups import (decompose, enumerate_partial_normals,
+from locfusion.partial_subgroups import (_conjugates, _partial_normal_clause,
+                                         decompose,
+                                         enumerate_partial_normals,
                                          is_partial_normal,
                                          is_partial_subgroup, is_subnormal,
-                                         partial_normal_closure, set_product,
+                                         partial_normal_closure,
+                                         partial_normal_witness, set_product,
                                          verify_restriction_product,
                                          verify_theorem_nk_normal,
                                          verify_theorem_nk_subnormal)
-from locfusion.permgroup import compose, from_cycles
+from locfusion.permgroup import compose, conjugate, from_cycles, inverse
 from locfusion.report import PreconditionError
+
+S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
+    "instances" / "s6.json"
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +140,152 @@ def test_normalizer_carrier_is_group(lb, n_alt):
     assert len(T) == 4
     nlt = normalizer_carrier(lb, T)
     assert len(nlt) == 24  # all of the carrier normalizes T here
+
+
+# -- partial normality and its closure against the element-wise definition ----
+
+def _element_wise_s_w(L, S, w):
+    cur = {s: s for s in S.elements}
+    for f in w:
+        g = L.labels[f]
+        cur = {s: conjugate(x, g) for s, x in cur.items()
+               if conjugate(x, g) in S.eset}
+    return frozenset(cur)
+
+
+class _Brute:
+    """Domain, products and conjugation of a group-realized locality from
+    the element-wise S_w and the multiplication of the ambient group."""
+
+    def __init__(self, d):
+        self.L = L = build_locality(d)
+        G = L.realization
+        self.S = sylow_of(d, G)
+        self.dsets = {P.eset for P in delta_of(d, G, self.S)}
+
+    def defined(self, w):
+        return _element_wise_s_w(self.L, self.S, w) in self.dsets
+
+    def inv(self, f):
+        return self.L.id_of[inverse(self.L.labels[f])]
+
+    def conj(self, f, n):
+        """n^f when (f^-1, n, f) is in the domain, else None."""
+        L = self.L
+        if not self.defined((self.inv(f), n, f)):
+            return None
+        return L.id_of[conjugate(L.labels[n], L.labels[f])]
+
+    def violations(self, N, ambient):
+        N = set(N)
+        return [(f, n) for f in sorted(ambient) for n in sorted(N)
+                if self.conj(f, n) not in (None, *N)]
+
+    def closure(self, seed, ambient):
+        L = self.L
+        X = set(seed) | {L.identity}
+        while True:
+            new = {self.inv(x) for x in X}
+            new |= {L.id_of[compose(L.labels[x], L.labels[y])]
+                    for x in X for y in X if self.defined((x, y))}
+            new |= {self.conj(f, x) for f in ambient for x in X} - {None}
+            if new <= X:
+                return frozenset(X)
+            X |= new
+
+
+@pytest.fixture(scope="module",
+                params=["instance-b", "instance-b-delta2", "s6-delta8"])
+def brute(request):
+    """instance-b as shipped and with delta = order >= 2, and S6 with
+    delta = order >= 8; the last two have words outside the domain."""
+    if request.param.startswith("instance-b"):
+        d = load_descriptor("instance-b")
+        if request.param.endswith("delta2"):
+            d = {**d, "delta": {"min_order": 2}}
+    else:
+        d = load_descriptor(str(S6_DESCRIPTOR))
+        d = {**d, "delta": {"min_order": 8}}
+    return d, _Brute(d)
+
+
+def _n_and_k_choices(d, L):
+    N = resolve_ids(L, named_subgroup(d, L.realization, "alt"))
+    T = frozenset(L.s_ids) & N
+    nlt = normalizer_carrier(L, T)
+    return N, nlt, {k: k_choice(d, L, k) for k in d["k_choices"]}
+
+
+def test_conjugate_domain_matches_element_wise(brute):
+    """The one domain test of the predicates: (f^-1, n, f) in D, for
+    every pair, with its value n^f."""
+    _, B = brute
+    L = B.L
+    for f in range(L.n):
+        got = dict(_conjugates(L, f, range(L.n)))
+        want = {n: B.conj(f, n) for n in range(L.n)}
+        assert got == {n: z for n, z in want.items() if z is not None}, f
+
+
+def test_partial_normal_matches_element_wise(brute):
+    d, B = brute
+    L = B.L
+    N, nlt, ks = _n_and_k_choices(d, L)
+    whole = range(L.n)
+    S = frozenset(L.s_ids)
+    cases = [(N, None), (S, None)] + [(K, nlt) for K in ks.values()]
+    for X, amb in cases:
+        bad = B.violations(X, whole if amb is None else amb)
+        assert is_partial_normal(L, X, amb) == (not bad)
+        assert partial_normal_witness(L, X, amb) == (bad[0] if bad else None)
+    assert is_partial_normal(L, N)
+    assert not is_partial_normal(L, S)
+
+
+def test_partial_normal_closure_matches_element_wise(brute):
+    d, B = brute
+    L = B.L
+    N, nlt, ks = _n_and_k_choices(d, L)
+    whole = range(L.n)
+    cases = [({min(N - {L.identity})}, whole), (set(L.s_ids), whole)]
+    cases += [(K, nlt) for K in ks.values()]
+    for seed, amb in cases:
+        assert partial_normal_closure(L, seed, amb) == B.closure(seed, amb)
+
+
+@pytest.mark.parametrize("first", ["whole", "normalizer"])
+def test_normal_memo_keys_on_ambient(desc_b, first):
+    L = build_locality(desc_b)  # a fresh memo
+    S = frozenset(L.s_ids)
+    nls = normalizer_carrier(L, S)
+    ambient = {"whole": None, "normalizer": nls}
+    expected = {"whole": False, "normalizer": True}
+    order = [first, next(k for k in ambient if k != first)]
+    for k in order + order:
+        assert is_partial_normal(L, S, ambient[k]) is expected[k], k
+
+
+def test_normality_witness_violates_definition(desc_b):
+    B = _Brute(desc_b)
+    L = B.L
+    S = frozenset(L.s_ids)
+    ok, wit = _partial_normal_clause(L, S)
+    assert not ok
+    f, n = wit["f"], wit["n"]
+    assert n in S and B.defined((B.inv(f), n, f))
+    assert wit["n^f"] == B.conj(f, n) and wit["n^f"] not in S
+    # the first violating pair in id order
+    assert B.violations(S, range(L.n))[0] == (f, n)
+    g = next(i for i in range(L.n) if L.inv[i] != i)
+    assert _partial_normal_clause(L, {L.identity, g}) == \
+        (False, "not a partial subgroup")
+
+
+@pytest.mark.parametrize("bounds", [(1, 4), (4, 1)])
+def test_subgroup_memo_keys_on_word_length(bounds):
+    L = build_locality(load_descriptor("instance-a"))  # a fresh memo
+    f = next(i for i in range(L.n)
+             if L.prod[(i, i)] != L.inv[i] and L.prod[(i, i)] != L.identity)
+    X = {L.identity, f, L.inv[f]}  # f of order 4: f^2 is missing
+    for bound in bounds + bounds:
+        assert is_partial_subgroup(L, X, bound) is (bound == 1), bound
