@@ -3,6 +3,10 @@ verification suites, and emit deterministic JSON reports.
 
 Exit codes: 0 all clauses pass; 1 a clause failed; 2 descriptor or
 precondition error; 3 a cap was exceeded or a verdict came back unknown.
+
+Each run makes one ``instances.Instance`` from the descriptor and the
+caps, and every handler takes it, so the steps of ``suite`` build G, S,
+L, F and each product once.
 """
 
 from __future__ import annotations
@@ -20,10 +24,17 @@ from .locality import LocalityError, validate_locality
 from .partial_subgroups import (verify_restriction_product,
                                 verify_theorem_nk_normal,
                                 verify_theorem_nk_subnormal)
-from .permgroup import GroupError, SizeCapExceeded
+from .permgroup import DEFAULT_GROUP_CAP, GroupError, SizeCapExceeded
 from .report import PreconditionError
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_CAP = 0, 1, 2, 3
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def _common(sub: argparse.ArgumentParser):
@@ -31,8 +42,14 @@ def _common(sub: argparse.ArgumentParser):
     sub.add_argument("--out", help="write the JSON report to this path")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-word-len", type=int, default=None)
-    sub.add_argument("--group-cap", type=int, default=None)
-    sub.add_argument("--morphism-cap", type=int, default=None)
+    sub.add_argument("--group-cap", type=_positive_int,
+                     default=DEFAULT_GROUP_CAP,
+                     help="largest order a group closure may reach "
+                          "(default %(default)s)")
+    sub.add_argument("--morphism-cap", type=_positive_int,
+                     default=fu.DEFAULT_MORPHISM_CAP,
+                     help="most morphisms a fusion closure may hold "
+                          "(default %(default)s)")
     sub.add_argument("--json", action="store_true",
                      help="echo the report to stdout even when --out is set")
 
@@ -68,36 +85,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- command handlers --------------------------------------------------------
+# Each takes the run's Instance and the parsed arguments.
 
-def cmd_group_info(d, args):
-    G = inst.group_of(d)
-    S = inst.sylow_of(d, G)
-    return {"suite": "group_info", "instance": d["name"],
-            "degree": G.degree, "order": G.order, "p": d["p"],
-            "sylow_order": S.order}, EXIT_OK
+def cmd_group_info(ctx, args):
+    return {"suite": "group_info", "instance": ctx.d["name"],
+            "degree": ctx.G.degree, "order": ctx.G.order, "p": ctx.d["p"],
+            "sylow_order": ctx.S.order}, EXIT_OK
 
 
-def cmd_locality_build(d, args):
-    L = inst.build_locality(d)
-    return {"suite": "locality_build", "instance": d["name"],
+def cmd_locality_build(ctx, args):
+    L = ctx.L
+    return {"suite": "locality_build", "instance": ctx.d["name"],
             "carrier_size": L.n, "s_order": len(L.s_ids),
             "delta_size": len(L.delta), "p": L.p}, EXIT_OK
 
 
-def cmd_locality_validate(d, args):
-    mwl = args.max_word_len or d.get("max_word_length", 4)
-    L = inst.build_locality(d, max_word_length=mwl)
-    rep = validate_locality(L, max_word_length=mwl)
-    out = {"suite": "locality_validate", "instance": d["name"],
+def cmd_locality_validate(ctx, args):
+    mwl = args.max_word_len or ctx.d.get("max_word_length", 4)
+    rep = validate_locality(ctx.L, max_word_length=mwl)
+    out = {"suite": "locality_validate", "instance": ctx.d["name"],
            **rep.to_json()}
     return out, EXIT_OK if rep.ok else EXIT_FAIL
 
 
-def _theorem_reports(d, args, which: str):
+def _theorem_reports(ctx, which: str):
+    d = ctx.d
     cfg = d.get(which)
     if not cfg:
         raise inst.DescriptorError(f"descriptor has no {which!r} section")
-    L = inst.build_locality(d)
+    L = ctx.L
     N = inst.resolve_ids(L, inst.named_subgroup(d, L.realization, cfg["n"]))
     verify = (verify_theorem_nk_normal if which == "theorem1"
               else verify_theorem_nk_subnormal)
@@ -111,22 +127,22 @@ def _theorem_reports(d, args, which: str):
             "ok": ok, "reports": reports}, EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_theorem1(d, args):
-    return _theorem_reports(d, args, "theorem1")
+def cmd_theorem1(ctx, args):
+    return _theorem_reports(ctx, "theorem1")
 
 
-def cmd_theorem2(d, args):
-    return _theorem_reports(d, args, "theorem2")
+def cmd_theorem2(ctx, args):
+    return _theorem_reports(ctx, "theorem2")
 
 
-def cmd_restriction(d, args):
+def cmd_restriction(ctx, args):
+    d = ctx.d
     cfg = d.get("restriction")
     if not cfg:
         raise inst.DescriptorError("descriptor has no 'restriction' section")
-    L = inst.build_locality(d)
+    L = ctx.L
     G = L.realization
-    sub_delta = inst.delta_of({**d, "delta": cfg["delta"]}, G,
-                              inst.sylow_of(d, G))
+    sub_delta = inst.delta_of({**d, "delta": cfg["delta"]}, G, ctx.S)
     delta_ids = [frozenset(L.id_of[g] for g in P.eset) for P in sub_delta]
     N = inst.resolve_ids(L, inst.named_subgroup(d, G, cfg["n"]))
     K = inst.k_choice(d, L, cfg["k"])
@@ -135,20 +151,16 @@ def cmd_restriction(d, args):
         EXIT_OK if rep.ok else EXIT_FAIL
 
 
-def cmd_fusion_build(d, args):
-    L = inst.build_locality(d)
-    F = fu.fusion_of_locality(L)
-    return {"suite": "fusion_build", "instance": d["name"],
+def cmd_fusion_build(ctx, args):
+    F = fu.fusion_of_locality(ctx.L, ctx.morphism_cap)
+    return {"suite": "fusion_build", "instance": ctx.d["name"],
             **F.to_json()}, EXIT_OK
 
 
-def cmd_fusion_saturate(d, args):
-    G = inst.group_of(d)
-    S = inst.sylow_of(d, G)
-    F = fu.fusion_of_group(G, S, p=d["p"])
-    sat = fu.is_saturated(F)
-    return {"suite": "saturate_check", "instance": d["name"],
-            "saturated": sat, "morphisms": len(F.maps)}, \
+def cmd_fusion_saturate(ctx, args):
+    sat = fu.is_saturated(ctx.F)
+    return {"suite": "saturate_check", "instance": ctx.d["name"],
+            "saturated": sat, "morphisms": len(ctx.F.maps)}, \
         EXIT_OK if sat else EXIT_FAIL
 
 
@@ -160,29 +172,11 @@ def _products_of(d, args):
     return names
 
 
-def _compute_ed(st):
-    """Both routes where defined: (ED, route, cross_route_agreement)."""
-    agreement = None
-    try:
-        ed = pr.product_ED(st["F"], st["E"], st["D"])
-        route = "formula_e"
-        try:
-            ed_loc = pr.product_ed_via_locality(st["L"], st["N_ids"],
-                                                st["K_ids"])
-            agreement = ed == ed_loc
-        except PreconditionError:
-            pass
-    except pr.NormalityRequired:
-        ed = pr.product_ed_via_locality(st["L"], st["N_ids"], st["K_ids"])
-        route = "locality"
-    return ed, route, agreement
-
-
-def cmd_product_ed(d, args):
+def cmd_product_ed(ctx, args):
     out, worst = [], EXIT_OK
-    for name in _products_of(d, args):
-        st = inst.product_setup(d, name)
-        ed, route, agreement = _compute_ed(st)
+    for name in _products_of(ctx.d, args):
+        st = ctx.product(name)
+        ed, route, agreement = ctx.ed(name)
         matches = ed == st["oracle"]
         out.append({"instance": st["name"], "route": route,
                     "matches_oracle": matches,
@@ -190,16 +184,16 @@ def cmd_product_ed(d, args):
                     "fusion": ed.to_json()})
         if not (matches and agreement in (True, None)):
             worst = EXIT_FAIL
-    return {"suite": "product_ed", "instance": d["name"],
+    return {"suite": "product_ed", "instance": ctx.d["name"],
             "products": out}, worst
 
 
-def cmd_verify_ed(d, args):
+def cmd_verify_ed(ctx, args):
     out, worst = [], EXIT_OK
-    for name in _products_of(d, args):
-        st = inst.product_setup(d, name)
-        ed, route, agreement = _compute_ed(st)
-        comparisons = (pr.enumerate_subnormal_subsystems(st["F"])
+    for name in _products_of(ctx.d, args):
+        st = ctx.product(name)
+        ed, route, agreement = ctx.ed(name)
+        comparisons = (ctx.subnormal_subsystems
                        if st["enumerate_minimality"] else None)
         rep = pr.verify_ed(st["F"], st["E"], st["D"], ed,
                            instance=st["name"], route=route,
@@ -211,25 +205,24 @@ def cmd_verify_ed(d, args):
         if not (pr.ed_ok(rep) and rj["matches_oracle"]
                 and agreement in (True, None)):
             worst = EXIT_FAIL
-    return {"suite": "verify_ed", "instance": d["name"],
+    return {"suite": "verify_ed", "instance": ctx.d["name"],
             "products": out}, worst
 
 
-def cmd_suite(d, args):
-    steps = [("locality_validate", cmd_locality_validate),
-             ("saturate_check", cmd_fusion_saturate)]
+def cmd_suite(ctx, args):
+    d = ctx.d
+    steps = [cmd_locality_validate, cmd_fusion_saturate]
     if d.get("theorem1"):
-        steps.append(("theorem1", cmd_theorem1))
+        steps.append(cmd_theorem1)
     if d.get("theorem2"):
-        steps.append(("theorem2", cmd_theorem2))
+        steps.append(cmd_theorem2)
     if d.get("restriction"):
-        steps.append(("restriction", cmd_restriction))
+        steps.append(cmd_restriction)
     if d.get("fusion_products"):
-        steps.append(("product_ed", cmd_product_ed))
-        steps.append(("verify_ed", cmd_verify_ed))
+        steps += [cmd_product_ed, cmd_verify_ed]
     reports, worst = [], EXIT_OK
-    for _name, fn in steps:
-        rep, code = fn(d, args)
+    for fn in steps:
+        rep, code = fn(ctx, args)
         reports.append(rep)
         worst = max(worst, code)
     return {"suite": "suite", "instance": d["name"],
@@ -263,12 +256,12 @@ def _emit(report: dict, args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.morphism_cap:
-        fu.DEFAULT_MORPHISM_CAP = args.morphism_cap
     handler = HANDLERS[(args.command, getattr(args, "sub", None))]
     try:
-        d = inst.load_descriptor(args.descriptor)
-        report, code = handler(d, args)
+        ctx = inst.Instance(inst.load_descriptor(args.descriptor),
+                            group_cap=args.group_cap,
+                            morphism_cap=args.morphism_cap)
+        report, code = handler(ctx, args)
     except SizeCapExceeded as e:
         _emit({"error": str(e), "kind": type(e).__name__,
                "seed": args.seed}, args)

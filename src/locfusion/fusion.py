@@ -9,6 +9,11 @@ into the representation, and Hom(P, Q) is derived by filtering.
 Morphism sets are closed under composition, restriction and inverses;
 equality of fusion systems is literal equality of graph sets over the
 same underlying p-group.
+
+Every closure runs under a morphism cap.  A system keeps the cap it was
+built under, and closures inside it (normal closures, products,
+subsystem enumeration) and its normalizer systems inherit that cap, so
+a caller sets it once where it builds the ambient system.
 """
 
 from __future__ import annotations
@@ -98,12 +103,17 @@ def subgroup_lattice(S: Subgroup) -> list[Subgroup]:
 
 
 class FusionSystem:
-    """Fusion system over the p-group S, given by its morphism graphs."""
+    """Fusion system over the p-group S, given by its morphism graphs.
 
-    def __init__(self, S: Subgroup, p: int, maps: Iterable[FMap]):
+    ``morphism_cap`` bounds the closures computed inside this system; it
+    takes no part in equality."""
+
+    def __init__(self, S: Subgroup, p: int, maps: Iterable[FMap],
+                 morphism_cap: int = DEFAULT_MORPHISM_CAP):
         self.S = S
         self.p = p
         self.maps = frozenset(maps)
+        self.morphism_cap = morphism_cap
         self.subgroups = subgroup_lattice(S)
         self._sub_by_set = {P.eset: P for P in self.subgroups}
         self._index: Optional[SIndex] = None
@@ -234,14 +244,13 @@ def inner_fusion(S: Subgroup, p: int) -> FusionSystem:
 
 
 def close(S: Subgroup, p: int, generators: Iterable[FMap],
-          cap: Optional[int] = None) -> FusionSystem:
+          cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """Least fusion system over S containing the generators.
 
     Saturates composition, restriction and inversion over the inner maps
-    and the generators until a fixed point.
+    and the generators until a fixed point; raises MorphismCapExceeded
+    once it holds more than ``cap`` maps.  The result keeps ``cap``.
     """
-    if cap is None:
-        cap = DEFAULT_MORPHISM_CAP
     lattice = subgroup_lattice(S)
     subs_inside = {P.eset: [Q.eset for Q in lattice if Q.eset <= P.eset]
                    for P in lattice}
@@ -279,21 +288,23 @@ def close(S: Subgroup, p: int, generators: Iterable[FMap],
                 push(m.then(other))
             if other.img <= m.src:
                 push(other.then(m))
-    return FusionSystem(S, p, maps)
+    return FusionSystem(S, p, maps, cap)
 
 
 def fusion_of_group(G: FiniteGroup, S: Subgroup,
-                    acting: Optional[Iterable] = None, p: int = 0) -> FusionSystem:
+                    acting: Optional[Iterable] = None, p: int = 0,
+                    cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """F_S(G): Hom(P, Q) = conjugation maps by elements of G.
 
     ``acting`` narrows the conjugating elements to a subgroup M of G,
     yielding F_{S}(M)-style systems (S must then be a subset of M closed
-    appropriately; the caller is responsible for S <= M).
+    appropriately; the caller is responsible for S <= M).  ``cap`` is
+    the morphism cap of closures inside the result.
     """
     if p == 0:
         p = _infer_p(S)
     acting = G.elements if acting is None else acting
-    return FusionSystem(S, p, _conjugation_maps(S, acting))
+    return FusionSystem(S, p, _conjugation_maps(S, acting), cap)
 
 
 def _infer_p(S: Subgroup) -> int:
@@ -306,7 +317,8 @@ def _infer_p(S: Subgroup) -> int:
     return p
 
 
-def fusion_of_partial_subgroup(L, H: Iterable[int]) -> FusionSystem:
+def fusion_of_partial_subgroup(L, H: Iterable[int],
+                               cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """F_{S∩H}(H): generated by the conjugation maps between subgroups
     of S∩H induced by elements of H."""
     from .locality import Locality
@@ -326,7 +338,7 @@ def fusion_of_partial_subgroup(L, H: Iterable[int]) -> FusionSystem:
         # dom is a subgroup of S∩H: conjugation is multiplicative on S_h
         gens.append(FMap((sh_label[i], sh_label[L.s_ids[ph[L._s_pos[i]]]])
                          for i in dom))
-    return close(Ssub, L.p, gens)
+    return close(Ssub, L.p, gens, cap)
 
 
 def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
@@ -345,10 +357,11 @@ def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
     return G.subgroup(elems), to_perm
 
 
-def fusion_of_locality(L) -> FusionSystem:
-    """F_S(L), cached on the locality."""
+def fusion_of_locality(L, cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
+    """F_S(L), cached on the locality (``cap`` bounds the first call's
+    closure)."""
     if L._fusion is None:
-        L._fusion = fusion_of_partial_subgroup(L, range(L.n))
+        L._fusion = fusion_of_partial_subgroup(L, range(L.n), cap)
     return L._fusion
 
 
@@ -455,7 +468,7 @@ def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
             if P.eset <= M:
                 out.add(psi.restrict(P.eset))
     sub = Subgroup(F.S.parent, NS, check=False)
-    return FusionSystem(sub, F.p, out)
+    return FusionSystem(sub, F.p, out, F.morphism_cap)
 
 
 def is_normal_subgroup_in(F: FusionSystem, Q: Subgroup) -> bool:
@@ -614,7 +627,7 @@ def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
         for psi in F.maps:
             if phi.src | phi.img <= psi.src:
                 gens.add(_conjugate_map(psi, phi))
-    return close(That, F.p, gens)
+    return close(That, F.p, gens, F.morphism_cap)
 
 
 def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem,

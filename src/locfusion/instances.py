@@ -5,18 +5,27 @@ a permutation group, a prime, a Sylow subgroup (explicit or discovered),
 an object-set rule, and named subgroup data used by the verification
 suites: partial normal subgroups N, choices of K, and fusion-product
 configurations (E, D, K, oracle).
+
+``Instance`` is one run's context over a descriptor: it holds the caps
+and builds each shared object once, through the public builders below.
+Called without a context, those builders return fresh objects.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
+from . import fusion as fu
+from . import products as pr
 from .locality import (Locality, delta_min_order, locality_from_group)
-from .permgroup import (FiniteGroup, SizeCapExceeded, Subgroup,
-                        all_subgroups, generated_subgroup, sylow_subgroup)
+from .permgroup import (DEFAULT_GROUP_CAP, FiniteGroup, SizeCapExceeded,
+                        Subgroup, all_subgroups, generated_subgroup,
+                        sylow_subgroup)
+from .report import PreconditionError
 
 BUNDLED = ("instance-a", "instance-b", "product-24", "product-48",
            "group-8", "group-60")
@@ -65,9 +74,10 @@ def _perm(images: list[int], degree: int) -> tuple:
     return tuple(x - 1 for x in images)
 
 
-def group_of(d: dict) -> FiniteGroup:
+def group_of(d: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
+    """The descriptor's group; its closure stops past ``cap`` elements."""
     try:
-        return FiniteGroup.from_descriptor(d["group"])
+        return FiniteGroup.from_descriptor(d["group"], max_size=cap)
     except SizeCapExceeded:
         raise
     except Exception as e:
@@ -117,13 +127,15 @@ def named_subgroup(d: dict, G: FiniteGroup, spec) -> Subgroup:
 
 
 def build_locality(d: dict, validate: bool = False,
-                   max_word_length: Optional[int] = None) -> Locality:
-    G = group_of(d)
-    S = sylow_of(d, G)
-    delta = delta_of(d, G, S)
+                   max_word_length: Optional[int] = None,
+                   ctx: Optional[Instance] = None) -> Locality:
+    """L_delta(G) of the descriptor, over the G and S of ``ctx`` (a fresh
+    context by default)."""
+    ctx = ctx or Instance(d)
+    delta = delta_of(d, ctx.G, ctx.S)
     mwl = max_word_length or d.get("max_word_length", 4)
-    return locality_from_group(G, S, delta, d["p"], validate=validate,
-                               max_word_length=mwl)
+    return locality_from_group(ctx.G, ctx.S, delta, d["p"],
+                               validate=validate, max_word_length=mwl)
 
 
 def resolve_ids(L: Locality, sub: Subgroup) -> frozenset:
@@ -139,9 +151,10 @@ def k_choice(d: dict, L: Locality, name: str) -> frozenset:
     return resolve_ids(L, named_subgroup(d, L.realization, spec))
 
 
-def product_setup(d: dict, name: str) -> dict:
-    """Assemble everything a product verification needs from a descriptor."""
-    from . import fusion as fu
+def product_setup(d: dict, name: str,
+                  ctx: Optional[Instance] = None) -> dict:
+    """Assemble everything a product verification needs from a descriptor,
+    sharing G, S, F and L with ``ctx`` (a fresh context by default)."""
     try:
         spec = d["fusion_products"][name]
     except KeyError:
@@ -151,15 +164,14 @@ def product_setup(d: dict, name: str) -> dict:
     _require_keys(spec["E"], ("over", "acting"), f"{what} 'E'")
     _require_keys(spec["D"], ("kind",), f"{what} 'D'")
     _require_keys(spec["oracle"], ("over", "acting"), f"{what} 'oracle'")
-    G = group_of(d)
-    S = sylow_of(d, G)
+    ctx = ctx or Instance(d)
+    G, S, F, cap = ctx.G, ctx.S, ctx.F, ctx.morphism_cap
     p = d["p"]
-    F = fu.fusion_of_group(G, S, p=p)
     E_over = generated_subgroup(G, [_perm(x, G.degree)
                                     for x in spec["E"]["over"]])
     E_act = generated_subgroup(G, [_perm(x, G.degree)
                                    for x in spec["E"]["acting"]])
-    E = fu.fusion_of_group(G, E_over, acting=E_act.elements, p=p)
+    E = fu.fusion_of_group(G, E_over, acting=E_act.elements, p=p, cap=cap)
     T = F.subgroup(E_over.eset)
 
     dd = spec["D"]
@@ -172,7 +184,7 @@ def product_setup(d: dict, name: str) -> dict:
     else:
         raise DescriptorError(f"unknown D kind {dd['kind']!r}")
 
-    L = build_locality(d)
+    L = ctx.L
     N_ids = resolve_ids(L, named_subgroup(d, G, spec["N"]))
     if spec["K"] == "all":
         K_ids = frozenset(range(L.n))
@@ -180,16 +192,91 @@ def product_setup(d: dict, name: str) -> dict:
         K_ids = resolve_ids(L, named_subgroup(d, G, spec["K"]))
 
     osp = spec["oracle"]
-    o_over = S if osp["over"] == "sylow" else generated_subgroup(
-        G, [_perm(x, G.degree) for x in osp["over"]])
-    o_act = G.elements if osp["acting"] == "all" else generated_subgroup(
-        G, [_perm(x, G.degree) for x in osp["acting"]]).elements
-    oracle = fu.fusion_of_group(G, o_over, acting=o_act, p=p)
+    if osp["over"] == "sylow" and osp["acting"] == "all":
+        oracle = F
+    else:
+        o_over = S if osp["over"] == "sylow" else generated_subgroup(
+            G, [_perm(x, G.degree) for x in osp["over"]])
+        o_act = G.elements if osp["acting"] == "all" else generated_subgroup(
+            G, [_perm(x, G.degree) for x in osp["acting"]]).elements
+        oracle = fu.fusion_of_group(G, o_over, acting=o_act, p=p, cap=cap)
 
     return {"G": G, "S": S, "F": F, "E": E, "T": T, "D": D, "L": L,
             "N_ids": N_ids, "K_ids": K_ids, "oracle": oracle,
             "enumerate_minimality": bool(spec.get("enumerate_minimality")),
             "name": f"{d['name']}:{name}"}
+
+
+class Instance:
+    """One run's context over a descriptor: the caps, and the objects the
+    CLI handlers share, each built on first use and then kept.
+
+    These are G and S; L with its object set Δ; F = F_S(G); per product
+    name its ``product_setup`` dict and its product E·D; and the
+    subnormal subsystems of F, enumerated only when a product asks for
+    minimality.  Each is built by the public function of its module,
+    looked up by name at call time, so a traced run sees every build.
+    Building nothing in ``__init__`` keeps a run's set-up to the
+    descriptor load.
+    """
+
+    def __init__(self, d: dict, group_cap: int = DEFAULT_GROUP_CAP,
+                 morphism_cap: int = fu.DEFAULT_MORPHISM_CAP):
+        self.d = d
+        self.group_cap = group_cap
+        self.morphism_cap = morphism_cap
+        self._setups: dict[str, dict] = {}
+        self._eds: dict[str, tuple] = {}
+
+    @cached_property
+    def G(self) -> FiniteGroup:
+        return group_of(self.d, self.group_cap)
+
+    @cached_property
+    def S(self) -> Subgroup:
+        return sylow_of(self.d, self.G)
+
+    @cached_property
+    def L(self) -> Locality:
+        return build_locality(self.d, ctx=self)
+
+    @cached_property
+    def F(self) -> fu.FusionSystem:
+        return fu.fusion_of_group(self.G, self.S, p=self.d["p"],
+                                  cap=self.morphism_cap)
+
+    @cached_property
+    def subnormal_subsystems(self) -> list[fu.FusionSystem]:
+        return pr.enumerate_subnormal_subsystems(self.F)
+
+    def product(self, name: str) -> dict:
+        """The ``product_setup`` dict of a named product."""
+        if name not in self._setups:
+            self._setups[name] = product_setup(self.d, name, ctx=self)
+        return self._setups[name]
+
+    def ed(self, name: str) -> tuple:
+        """(ED, route, cross_route_agreement) of a named product.
+
+        The generation formula gives ED where it applies, and the
+        locality route, where defined, is compared against it; for D
+        subnormal but not normal the locality route alone gives ED."""
+        if name not in self._eds:
+            st = self.product(name)
+            args = (st["L"], st["N_ids"], st["K_ids"], self.morphism_cap)
+            agreement = None
+            try:
+                ed = pr.product_ED(st["F"], st["E"], st["D"])
+                route = "formula_e"
+                try:
+                    agreement = ed == pr.product_ed_via_locality(*args)
+                except PreconditionError:
+                    pass
+            except pr.NormalityRequired:
+                ed = pr.product_ed_via_locality(*args)
+                route = "locality"
+            self._eds[name] = ed, route, agreement
+        return self._eds[name]
 
 
 def bundled_groups() -> list[tuple[str, FiniteGroup, int]]:

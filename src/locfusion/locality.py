@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
+from .fusion import DEFAULT_MORPHISM_CAP
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
                         bit_positions, cayley_group, image_mask, is_p_group,
                         _p_part)
@@ -106,7 +107,8 @@ class Locality:
     The tables (carrier, inversion, product, S and delta) are not
     mutated after construction: the partial maps ``_pm`` built from
     them, the preimage cache behind ``s_mask`` and the ``_verdicts`` memo
-    of the partial-subgroup predicates all rely on that.
+    of the partial-subgroup predicates and of the locality-route
+    precondition of ``products`` all rely on that.
     """
 
     def __init__(self, labels: Sequence, identity: int, inv: Sequence[int],
@@ -131,7 +133,7 @@ class Locality:
         self._pre: dict[tuple[int, int], int] = {}  # (f, mask) -> preimage
         self._lattice: Optional[list[int]] = None
         self._fusion = None  # cached F_S(L)
-        self._verdicts: dict = {}  # memo of the partial_subgroups predicates
+        self._verdicts: dict = {}  # memo of set-level verdicts on L
 
     # -- construction helpers ----------------------------------------------
 
@@ -679,14 +681,17 @@ def local_group(L: Locality, P: frozenset[int]) -> Optional[tuple[FiniteGroup, d
     return cayley_group(elems, lambda a, b: L.prod[(a, b)])
 
 
-def is_linking_locality(L: Locality) -> tuple[bool, dict]:
-    """Saturated fusion, F^cr inside delta, all N_L(P) of characteristic p."""
+def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
+                        ) -> tuple[bool, dict]:
+    """Saturated fusion, F^cr inside delta, all N_L(P) of characteristic p.
+
+    ``cap`` is the morphism cap of F_S(L)."""
     from .fusion import (fusion_of_locality, is_saturated, centric_radicals)
     from .permgroup import is_characteristic_p
 
     report: dict = {"saturated": None, "centric_radicals_in_delta": None,
                     "local_groups_characteristic_p": None, "witness": None}
-    F = fusion_of_locality(L)
+    F = fusion_of_locality(L, cap)
     report["saturated"] = is_saturated(F)
 
     dsets = {L.label_set(L.ids_of(d)) for d in L.delta}

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .fusion import (FMap, FusionSystem, close, conj_map, fusion_of_locality,
+from .fusion import (DEFAULT_MORPHISM_CAP, FMap, FusionSystem, close,
+                     conj_map, fusion_of_locality,
                      fusion_of_partial_subgroup, inner_fusion, is_centric,
                      is_normal_subsystem, is_saturated, is_strongly_closed,
                      is_subnormal_subsystem, is_subsystem, normalizer_system,
@@ -96,7 +97,7 @@ def product_ER(F: FusionSystem, E: FusionSystem, R: Subgroup,
     if check and not is_normal_subsystem(F, E):
         raise PreconditionError("E is not normal in F")
     TR = _tr_subgroup(F, E.S.eset, R.eset)
-    return close(TR, F.p, _er_generators(F, E, TR.eset))
+    return close(TR, F.p, _er_generators(F, E, TR.eset), F.morphism_cap)
 
 
 def d_status(F: FusionSystem, T: Subgroup, D: FusionSystem) -> str:
@@ -128,14 +129,14 @@ def product_ED(F: FusionSystem, E: FusionSystem,
     TR = _tr_subgroup(F, T.eset, D.S.eset)
     gens = _er_generators(F, E, TR.eset)
     gens |= _er_generators(NFT, D, TR.eset)
-    return close(TR, F.p, gens)
+    return close(TR, F.p, gens, F.morphism_cap)
 
 
-def product_ed_via_locality(L, N: Iterable[int],
-                            K: Iterable[int]) -> FusionSystem:
+def product_ed_via_locality(L, N: Iterable[int], K: Iterable[int],
+                            cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """The product through a linking locality: the fusion system of the
-    partial subgroup NK over T·(S∩K)."""
-    from .locality import is_linking_locality, normalizer_carrier
+    partial subgroup NK over T·(S∩K).  ``cap`` bounds its closures."""
+    from .locality import normalizer_carrier
     from .partial_subgroups import (is_partial_normal, is_partial_subgroup,
                                     is_subnormal, set_product)
     N = frozenset(N)
@@ -149,18 +150,30 @@ def product_ed_via_locality(L, N: Iterable[int],
     sub_ok, _chain = is_subnormal(L, K, ambient=nlt)
     if not sub_ok:
         raise PreconditionError("K is not subnormal in the normalizer of T")
-    linking, rep = is_linking_locality(L)
-    if not linking:
-        raise PreconditionError("locality is not a linking locality")
-    F = fusion_of_locality(L)
-    for P in subcentric_subgroups(F):
-        if L.mask_of(L.id_of[x] for x in P.eset) not in L.delta:
-            raise PreconditionError(
-                "object set does not contain every subcentric subgroup")
+    fault = _locality_route_fault(L, cap)
+    if fault:
+        raise PreconditionError(fault)
     nk = set_product(L, N, K)
     if not is_partial_subgroup(L, nk):
         raise PreconditionError("NK is not a partial subgroup")
-    return fusion_of_partial_subgroup(L, nk)
+    return fusion_of_partial_subgroup(L, nk, cap)
+
+
+def _locality_route_fault(L, cap: int) -> Optional[str]:
+    """Why L cannot carry the locality route, or None: L must be a
+    linking locality whose object set holds every subcentric subgroup.
+    Neither part depends on N or K, so the answer is memoized on L."""
+    from .locality import is_linking_locality
+    key = ("locality_route",)
+    if key not in L._verdicts:
+        fault = None
+        if not is_linking_locality(L, cap)[0]:
+            fault = "locality is not a linking locality"
+        elif any(L.mask_of(L.id_of[x] for x in P.eset) not in L.delta
+                 for P in subcentric_subgroups(fusion_of_locality(L, cap))):
+            fault = "object set does not contain every subcentric subgroup"
+        L._verdicts[key] = fault
+    return L._verdicts[key]
 
 
 def enumerate_subnormal_subsystems(F: FusionSystem,
@@ -174,7 +187,7 @@ def enumerate_subnormal_subsystems(F: FusionSystem,
         extra = sorted(m for m in inside if m not in inner)
         seen: set[frozenset] = set()
         systems = []
-        frontier = [close(T, F.p, [])]
+        frontier = [close(T, F.p, [], F.morphism_cap)]
         seen.add(frontier[0].maps)
         systems.append(frontier[0])
         while frontier:
@@ -182,7 +195,7 @@ def enumerate_subnormal_subsystems(F: FusionSystem,
             for m in extra:
                 if m in cur.maps:
                     continue
-                nxt = close(T, F.p, set(cur.maps) | {m})
+                nxt = close(T, F.p, set(cur.maps) | {m}, F.morphism_cap)
                 if nxt.maps <= frozenset(inside) and nxt.maps not in seen:
                     seen.add(nxt.maps)
                     systems.append(nxt)

@@ -191,3 +191,52 @@ def test_restriction_non_overgroup_closed_delta_exits_2(tmp_path, capsys):
                                         "overgroup-closed: missing overgroup "
                                         "of order 8")
     assert "Traceback" not in err
+
+
+def test_morphism_cap_lasts_one_run(capsys):
+    assert run(["fusion", "build", "instance-a", "--morphism-cap", "5"]) == 3
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep["kind"] == "MorphismCapExceeded"
+    assert rep["error"] == "fusion closure exceeded 5 morphisms"
+    assert "Traceback" not in err
+    assert run(["fusion", "build", "instance-a"]) == 0
+
+
+def test_morphism_cap_reaches_product_closures(capsys):
+    # F_S(G) is built without a closure; the cap fires in the product's
+    assert run(["product-ed", "product-24", "--product", "i",
+                "--morphism-cap", "5"]) == 3
+    assert json.loads(capsys.readouterr().out)["kind"] == \
+        "MorphismCapExceeded"
+    assert run(["product-ed", "product-24", "--product", "i"]) == 0
+
+
+@pytest.mark.parametrize("cap,code", [("50", 3), ("120", 0)])
+def test_group_cap_flag(cap, code, capsys):
+    assert run(["group", "info", "instance-b", "--group-cap", cap]) == code
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    if code == 3:
+        assert rep["kind"] == "SizeCapExceeded"
+        assert rep["error"] == "closure exceeds cap of 50 elements"
+    else:
+        assert rep["order"] == 120
+    assert "Traceback" not in err
+
+
+def test_group_cap_default_is_10000(tmp_path, capsys):
+    d = {"name": "s8", "p": 2,
+         "group": {"degree": 8, "generators": [[2, 3, 4, 5, 6, 7, 8, 1],
+                                               [2, 1, 3, 4, 5, 6, 7, 8]]}}
+    assert run(["group", "info", _write(tmp_path, d)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "closure exceeds cap of 10000 elements"
+
+
+@pytest.mark.parametrize("flag", ["--group-cap", "--morphism-cap"])
+def test_non_positive_cap_exits_2(flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["group", "info", "instance-a", flag, "0"])
+    assert e.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Golden gate: the ``suite`` report bytes of every bundled descriptor,
-and the ``theorem1`` / ``restriction`` report bytes on the S6 benchmark
-descriptor.
+the ``theorem1`` / ``restriction`` report bytes on the S6 benchmark
+descriptor, and the bytes of the standalone product, locality and fusion
+commands.
 
 The suite digests were recorded from the element-wise implementation
 before the S-indexed kernel replaced it, the S6 digests from the
-word-map implementation of S_w before the preimage walk replaced it;
+word-map implementation of S_w before the preimage walk replaced it,
+and the standalone digests from the handlers that rebuilt G, S, F and L
+for every command before the per-run ``Instance`` context shared them;
 any change to a verdict, a morphism list or the JSON layout shows here.
 """
 
@@ -53,3 +56,30 @@ def test_s6_report_bytes_unchanged(command, tmp_path):
     out = tmp_path / f"{command}.json"
     assert main([command, str(S6_DESCRIPTOR), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == S6_SHA256[command]
+
+
+# (command line, SHA-256 of the report); every one exits 0.
+COMMAND_SHA256 = [
+    (["product-ed", "product-24"],
+     "4c26e01a559874c3dc1ccb1c978bb5c763a9a9607cb164da802dccf29733bf39"),
+    (["product-ed", "product-48"],
+     "e0db6108e59ed10eabecf1e05dd67f2196252fb79f038ab2123982d76d49bffd"),
+    (["verify-ed", "product-24"],
+     "880416818d8c29b28d5ad14301a3f4551101565f2dbb069ea51c36f288b2fdae"),
+    (["verify-ed", "product-48"],
+     "71bfdb44abf3f886e57203b669a995d8d4fbf12f9c2f813a26efb21fe25f9f58"),
+    (["verify-ed", "product-24", "--product", "subn"],
+     "102deb4c827b49561c48f6ce3bc83629d8524506ad5e594be5b26599782114e8"),
+    (["locality", "build", "instance-b"],
+     "c119f1c9168cf771a85ac8c51a225d786de66c68ec4b4d8508da9bb63d28b229"),
+    (["fusion", "build", "instance-b"],
+     "40309b870944c00295092bdb08ef137fffe677ceda4a217d0c1b5bb783fa455f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", COMMAND_SHA256,
+                         ids=[" ".join(a) for a, _ in COMMAND_SHA256])
+def test_command_report_bytes_unchanged(argv, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
