@@ -8,7 +8,13 @@ into the representation, and Hom(P, Q) is derived by filtering.
 
 Morphism sets are closed under composition, restriction and inverses;
 equality of fusion systems is literal equality of graph sets over the
-same underlying p-group.
+same underlying p-group.  ``close`` computes that closure, and closes
+onto an already closed system incrementally.
+
+The subgroup predicates run on the positions of S (``SIndex``): a system
+keeps its maps as source masks with image positions, the images of each
+point, and the masks of its subgroups, all built on first use.  O_p is
+searched only above a subgroup it is known to contain.
 
 Every closure runs under a morphism cap.  A system keeps the cap it was
 built under, and closures inside it (normal closures, products,
@@ -18,10 +24,12 @@ a caller sets it once where it builds the ambient system.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
-                        cayley_group, compose, conjugate, inverse, _p_part)
+                        bit_positions, cayley_group, compose, conjugate,
+                        image_mask, inverse, _p_part)
 
 DEFAULT_MORPHISM_CAP = 1_000_000
 
@@ -117,7 +125,11 @@ class FusionSystem:
         self.subgroups = subgroup_lattice(S)
         self._sub_by_set = {P.eset: P for P in self.subgroups}
         self._index: Optional[SIndex] = None
-        self._gen_cache: dict[frozenset, frozenset] = {}
+        self._by_mask: Optional[dict[int, list[tuple[int, ...]]]] = None
+        self._joins: dict[tuple[int, int], int] = {}
+        self._ups: dict[int, list[int]] = {}
+        self._lattice_masks: Optional[list[int]] = None
+        self._reach: Optional[list[int]] = None
         self.by_src: dict[frozenset, tuple[FMap, ...]] = {}
         grouped: dict[frozenset, list[FMap]] = {}
         for m in self.maps:
@@ -130,15 +142,6 @@ class FusionSystem:
             return self._sub_by_set[frozenset(eset)]
         except KeyError:
             raise FusionError("not a subgroup of S") from None
-
-    def generated(self, xs: frozenset) -> frozenset:
-        """Subgroup of S generated by xs: smallest lattice member over it."""
-        xs = frozenset(xs)
-        if xs not in self._gen_cache:
-            best = min((P for P in self.subgroups if xs <= P.eset),
-                       key=lambda P: P.order)
-            self._gen_cache[xs] = best.eset
-        return self._gen_cache[xs]
 
     def hom(self, P: Subgroup, Q: Subgroup) -> list[FMap]:
         return [m for m in self.by_src.get(P.eset, ())
@@ -162,6 +165,61 @@ class FusionSystem:
         if self._index is None:
             self._index = SIndex(self.S)
         return self._index
+
+    def maps_by_mask(self) -> dict[int, list[tuple[int, ...]]]:
+        """The maps grouped by the mask of their source, each given by the
+        positions of its images over all of S (-1 outside the source);
+        built on first use."""
+        if self._by_mask is None:
+            pos = self.index.pos
+            out: dict[int, list[tuple[int, ...]]] = {}
+            for m in self.maps:
+                img = [-1] * len(pos)
+                src = 0
+                for x, y in m.pairs:
+                    img[pos[x]] = pos[y]
+                    src |= 1 << pos[x]
+                out.setdefault(src, []).append(tuple(img))
+            self._by_mask = out
+        return self._by_mask
+
+    def point_images(self) -> list[int]:
+        """For each position of S, the mask of its images under the maps
+        defined at it; built on first use."""
+        if self._reach is None:
+            reach = [0] * len(self.index.elements)
+            for src, imgs in self.maps_by_mask().items():
+                for i in bit_positions(src):
+                    for img in imgs:
+                        reach[i] |= 1 << img[i]
+            self._reach = reach
+        return self._reach
+
+    @property
+    def lattice_masks(self) -> list[int]:
+        """Masks of ``subgroups``, in the same order; built on first use."""
+        if self._lattice_masks is None:
+            mask = self.index.mask
+            self._lattice_masks = [mask(P.elements) for P in self.subgroups]
+        return self._lattice_masks
+
+    def join(self, a: int, b: int) -> int:
+        """Mask of the subgroup generated by the subgroup mask ``a`` and
+        any mask ``b``: the first overgroup of ``a``, in order of size,
+        that holds ``b``; memoized, as are the overgroups of ``a``."""
+        key = (a, b)
+        j = self._joins.get(key)
+        if j is None:
+            if a & b == b:
+                j = a
+            else:
+                ups = self._ups.get(a)
+                if ups is None:
+                    ups = self._ups[a] = [m for m in self.lattice_masks
+                                          if m & a == a]
+                j = next(m for m in ups if m & b == b)
+            self._joins[key] = j
+        return j
 
     def normalizer_in_s(self, P: Subgroup) -> frozenset:
         """N_S(P) as an element set."""
@@ -244,29 +302,27 @@ def inner_fusion(S: Subgroup, p: int) -> FusionSystem:
 
 
 def close(S: Subgroup, p: int, generators: Iterable[FMap],
-          cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
-    """Least fusion system over S containing the generators.
+          cap: int = DEFAULT_MORPHISM_CAP,
+          base: Optional[FusionSystem] = None) -> FusionSystem:
+    """Least fusion system over S containing ``base`` (the inner maps of
+    S by default) and the generators.
 
-    Saturates composition, restriction and inversion over the inner maps
-    and the generators until a fixed point; raises MorphismCapExceeded
-    once it holds more than ``cap`` maps.  The result keeps ``cap``.
+    ``base`` must be closed under composition, restriction and inversion,
+    as every ``FusionSystem`` built here is, and the inner maps are.  A
+    map composed, restricted or inverted from closed maps alone is
+    already present, so only the generators and the maps they give rise
+    to are queued, and each queued map is composed with every map found
+    so far; the fixed point is the closure of the base and the generators
+    whatever the base is.  Raises MorphismCapExceeded once it holds more
+    than ``cap`` maps.  The result keeps ``cap``.
     """
+    if base is not None and base.S.eset != S.eset:
+        raise FusionError("base system lives over another subgroup")
     lattice = subgroup_lattice(S)
-    subs_inside = {P.eset: [Q.eset for Q in lattice if Q.eset <= P.eset]
+    subs_inside = {P.eset: [Q.eset for Q in lattice if Q.eset < P.eset]
                    for P in lattice}
-    maps = set(inner_maps(S))
-    queue = list(maps)
-    for g in generators:
-        if not (g.src <= S.eset and g.img <= S.eset):
-            raise FusionError("generator does not live inside S")
-        _check_homomorphism(g)
-        if g not in maps:
-            maps.add(g)
-            queue.append(g)
-
-    by_src: dict[frozenset, list[FMap]] = {}
-    for m in maps:
-        by_src.setdefault(m.src, []).append(m)
+    maps = set(inner_maps(S) if base is None else base.maps)
+    queue: list[FMap] = []
 
     def push(m: FMap):
         if m not in maps:
@@ -274,15 +330,18 @@ def close(S: Subgroup, p: int, generators: Iterable[FMap],
             if len(maps) > cap:
                 raise MorphismCapExceeded(
                     f"fusion closure exceeded {cap} morphisms")
-            by_src.setdefault(m.src, []).append(m)
             queue.append(m)
 
+    for g in generators:
+        if not (g.src <= S.eset and g.img <= S.eset):
+            raise FusionError("generator does not live inside S")
+        _check_homomorphism(g)
+        push(g)
     while queue:
         m = queue.pop()
         push(m.inv())
         for sub in subs_inside[m.src]:
-            if sub != m.src:
-                push(m.restrict(sub))
+            push(m.restrict(sub))
         for other in list(maps):
             if m.img <= other.src:
                 push(m.then(other))
@@ -368,29 +427,27 @@ def fusion_of_locality(L, cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
 # -- predicates on subgroups -------------------------------------------------
 
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
-    for m in F.maps:
-        for x in T.eset & m.src:
-            if m.d[x] not in T.eset:
-                return False
-    return True
+    """No map sends a point of T outside T: read from the images of
+    each point of T (``point_images``)."""
+    t = F.index.mask(T.eset)
+    reach = F.point_images()
+    return not any(reach[i] & ~t for i in bit_positions(t))
 
 
 def strong_closure(F: FusionSystem, T: Subgroup) -> Subgroup:
-    """Smallest strongly F-closed subgroup containing T."""
-    X = set(T.eset)
-    changed = True
-    while changed:
-        changed = False
-        for m in F.maps:
-            for x in list(X & m.src):
-                if m.d[x] not in X:
-                    X.add(m.d[x])
-                    changed = True
-        gen = set(F.generated(frozenset(X)))
-        if gen != X:
-            X = gen
-            changed = True
-    return F.subgroup(frozenset(X))
+    """Smallest strongly F-closed subgroup containing T: add the images
+    of its points (``point_images``) and take the subgroup they generate,
+    until neither adds anything."""
+    reach = F.point_images()
+    x = F.index.mask(T.eset)
+    while True:
+        y = x
+        for i in bit_positions(x):
+            y |= reach[i]
+        y = F.join(1, y)  # mask 1 is the trivial subgroup
+        if y == x:
+            return F.subgroup(frozenset(F.index.members(x)))
+        x = y
 
 
 def centralizer_in(sub: Iterable, of: Iterable) -> frozenset:
@@ -454,54 +511,116 @@ def fully_normalized_conjugate(F: FusionSystem, P: Subgroup) -> Subgroup:
     return next(Q for Q in conj if nsize(Q) == best)
 
 
+def _picker(mask: int):
+    """The function taking a tuple over the positions of S to the tuple
+    of its entries at the positions of ``mask``."""
+    ps = bit_positions(mask)
+    if len(ps) == 1:
+        return lambda t, i=ps[0]: (t[i],)
+    return itemgetter(*ps)
+
+
 def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    """N_F(Q) over N_S(Q): restrictions of Q-preserving morphisms."""
-    NS = F.normalizer_in_s(Q)
-    NSsub = F.subgroup(NS)
-    lattice = [P for P in subgroup_lattice(F.S) if P.eset <= NS]
-    out = set()
-    for psi in F.maps:
-        if not (Q.eset <= psi.src and psi.image_of(Q.eset) == Q.eset):
+    """N_F(Q) over N_S(Q): restrictions of Q-preserving morphisms.
+
+    On the positions of S: each map psi of F with Q <= src(psi) and
+    psi(Q) = Q is restricted to every subgroup of N_S(Q) inside its
+    source, and each distinct (source, images) pair becomes one map.
+    Such a psi sends src(psi) ∩ N_S(Q) into N_S(psi(Q)) = N_S(Q), so
+    every restriction lands in N_S(Q)."""
+    idx = F.index
+    q = idx.mask(Q.eset)
+    qs = bit_positions(q)
+    ns = idx.normalizer(q)
+    subs = [(m, _picker(m)) for m in F.lattice_masks if m & ns == m]
+    graphs = set()
+    for src, imgs in F.maps_by_mask().items():
+        if src & q != q:
             continue
-        M = frozenset(x for x in psi.src & NS if psi.d[x] in NS)
-        for P in lattice:
-            if P.eset <= M:
-                out.add(psi.restrict(P.eset))
-    sub = Subgroup(F.S.parent, NS, check=False)
+        inside = [(m, on_m) for m, on_m in subs if m & src == m]
+        for img in imgs:
+            if image_mask(img, qs) == q:
+                graphs.update((m, on_m(img)) for m, on_m in inside)
+    els = idx.elements
+    out = {FMap(zip(idx.members(m), [els[j] for j in images]))
+           for m, images in graphs}
+    sub = Subgroup(F.S.parent, idx.members(ns), check=False)
     return FusionSystem(sub, F.p, out, F.morphism_cap)
 
 
-def is_normal_subgroup_in(F: FusionSystem, Q: Subgroup) -> bool:
-    """Q normal in F: every morphism extends to one preserving Q."""
+def _normality_fault(F: FusionSystem, Q: Subgroup) -> Optional[str]:
+    """The first clause of normality in F that Q fails, or None.
+
+    "strong_closure": some map sends a point of Q outside Q.
+    "extension": some map phi is not the restriction of a map of F on
+    <src(phi), Q>.  Once Q is strongly closed, every map defined on Q
+    maps Q into Q, and so onto Q, being injective: the extension then
+    preserves Q with no further test.  On the positions of S: each map
+    is its source mask and image positions (``maps_by_mask``), <src, Q>
+    is a memoized ``join``, and the maps over one source are checked
+    together against the restrictions of the maps over <src, Q>.
+    """
     if not is_strongly_closed(F, Q):
-        return False
-    for phi in F.maps:
-        pq = F.generated(phi.src | Q.eset)
-        found = False
-        for psi in F.by_src.get(pq, ()):
-            if psi.image_of(Q.eset) == Q.eset \
-                    and all(psi.d[x] == phi.d[x] for x in phi.src):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+        return "strong_closure"
+    q = F.index.mask(Q.eset)
+    groups = F.maps_by_mask()
+    for src, imgs in groups.items():
+        on_src = _picker(src)
+        keep = set(map(on_src, groups.get(F.join(src, q), ())))
+        if not keep.issuperset(map(on_src, imgs)):
+            return "extension"
+    return None
 
 
-def op_core(F: FusionSystem) -> Subgroup:
-    """O_p(F): the largest subgroup normal in F."""
-    normals = [Q for Q in F.subgroups if is_normal_subgroup_in(F, Q)]
+def is_normal_subgroup_in(F: FusionSystem, Q: Subgroup) -> bool:
+    """Q normal in F: Q is strongly closed, and every morphism extends to
+    one on <src, Q> that maps Q onto Q."""
+    return _normality_fault(F, Q) is None
+
+
+def _op_core_over(F: FusionSystem, floor: Subgroup) -> Subgroup:
+    """The largest subgroup normal in F, searched only among the
+    subgroups that contain ``floor``, which must lie in O_p(F).
+
+    Exact for any system closed under restriction: the product of two
+    normal subgroups is normal, so O_p(F) is the product of all of them
+    and contains every one, ``floor`` included.  The uniqueness check
+    refuses a set of maps that is not such a system.
+    """
+    normals = [Q for Q in F.subgroups
+               if floor.eset <= Q.eset and is_normal_subgroup_in(F, Q)]
     best = max(normals, key=lambda Q: Q.order)  # the first of largest order
     if any(not Q.eset <= best.eset for Q in normals):
         raise FusionError("normal subgroups do not have a unique maximum")
     return best
 
 
+def op_core(F: FusionSystem) -> Subgroup:
+    """O_p(F): the largest subgroup normal in F.
+
+    The product of two normal subgroups is normal, so this is the one
+    normal subgroup containing all others; the search starts from the
+    trivial subgroup."""
+    return _op_core_over(F, F.subgroups[0])
+
+
 def is_subcentric(F: FusionSystem, P: Subgroup) -> bool:
-    """O_p(N_F(Q)) is centric, for a fully normalized conjugate Q of P."""
+    """O_p(N_F(Q)) is F-centric, for a fully normalized conjugate Q of P.
+
+    Two lemmas, exact for any system closed under restriction, bound the
+    work:
+    - Q is normal in N_F(Q), and the product of two normal subgroups is
+      normal, so Q <= O_p(N_F(Q)): O_p is searched only among the
+      subgroups of N_S(Q) that contain Q.
+    - Overgroups of F-centric subgroups are F-centric, so with Q <=
+      O_p(N_F(Q)) an F-centric P is subcentric, and no normalizer system
+      is built for it.
+    """
+    if is_centric(F, P):
+        return True
     Q = fully_normalized_conjugate(F, P)
     NQ = normalizer_system(F, Q)
-    R = op_core(NQ)
+    R = _op_core_over(NQ, NQ.subgroup(Q.eset))
     return is_centric(F, F.subgroup(R.eset))
 
 

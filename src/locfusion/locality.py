@@ -440,17 +440,9 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
     rep = ValidationReport(max_word_length=max_word_length)
     add = rep.checks.append
 
-    # S is a subgroup of the carrier with a total product
-    ok, wit = True, None
-    sset = set(L.s_ids)
-    if L.identity not in sset:
-        ok, wit = False, "identity not in S"
-    else:
-        for a, b in itertools.product(L.s_ids, repeat=2):
-            if L.prod.get((a, b)) not in sset:
-                ok, wit = False, f"S not product-closed at ({a},{b})"
-                break
-    add(CheckResult("s_subgroup", ok, wit))
+    # S is a group under a total product: the S-lattice is built from it
+    s_wit = _s_group_fault(L)
+    add(CheckResult("s_subgroup", s_wit is None, s_wit))
 
     # identity and inversion laws
     ok, wit = True, None
@@ -487,8 +479,12 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
             break
     add(CheckResult("objectivity_len2", ok, wit))
 
-    # delta closure properties
-    bad = _check_delta_closures(L.lattice, L.delta, zip(L._pm, L._sf))
+    # delta closure properties, on the S-lattice, which is only built
+    # from an S-table that passed ``s_subgroup``
+    if s_wit is None:
+        bad = _check_delta_closures(L.lattice, L.delta, zip(L._pm, L._sf))
+    else:
+        bad = f"not checked: s_subgroup failed ({s_wit})"
     add(CheckResult("delta_closure", bad is None, bad))
 
     # domain words: folds defined, splitting/associativity, S_w transport
@@ -543,6 +539,27 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
 
     rep.bounded_only = L.realization is None
     return rep
+
+
+def _s_group_fault(L: Locality) -> Optional[str]:
+    """Why the product on S is not a group table, or None: S holds the
+    identity, is closed under the product and inversion, and the product
+    on it has the identity and inversion laws and is associative."""
+    sset, prod, e = set(L.s_ids), L.prod, L.identity
+    if e not in sset:
+        return "identity not in S"
+    for a, b in itertools.product(L.s_ids, repeat=2):
+        if prod.get((a, b)) not in sset:
+            return f"S not product-closed at ({a},{b})"
+    for a in L.s_ids:
+        if prod[(e, a)] != a or prod[(a, e)] != a:
+            return f"identity law fails in S at {a}"
+        if L.inv[a] not in sset or prod[(a, L.inv[a])] != e:
+            return f"inversion fails in S at {a}"
+    for a, b, c in itertools.product(L.s_ids, repeat=3):
+        if prod[(prod[(a, b)], c)] != prod[(a, prod[(b, c)])]:
+            return f"product on S not associative at ({a},{b},{c})"
+    return None
 
 
 def _check_s_maximal(L: Locality) -> CheckResult:

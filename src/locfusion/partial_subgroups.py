@@ -9,13 +9,13 @@ Conjugation is decided on masks: (f^-1, n, f) is in the domain exactly
 when the preimage of S_f under n and then f^-1 is in delta, read from
 the locality's preimage cache, and the word is folded only then.
 ``is_partial_subgroup`` and ``is_partial_normal`` memoize their
-verdicts on the locality (partial normality together with its first
-violating pair), so a set asked about again costs one dict lookup.
+verdicts on the locality, each together with its first fault, so a set
+asked about again costs one dict lookup.
 
 The harnesses check the two structure theorems about NK (normal and
 subnormal K) and the restriction-compatibility lemma on concrete
-instances, clause by clause; a failed normality, equality or
-decomposition clause carries a witness.
+instances, clause by clause; a failed partial-subgroup, normality,
+equality or decomposition clause carries a witness.
 """
 
 from __future__ import annotations
@@ -54,22 +54,42 @@ def partial_subgroup(L: Locality, ids: Iterable[int]) -> PartialSubgroup:
     return PartialSubgroup(L, ids)
 
 
+def partial_subgroup_witness(L: Locality, X: Iterable[int],
+                             max_word_length: int = 4) -> Optional[dict]:
+    """The first way X fails to be a partial subgroup, or None.
+
+    In order: the identity missing, the first element in id order whose
+    inverse is outside X, the first domain word over X (from the
+    word-state explorer) whose fold is undefined or leaves X.  Memoized on
+    L per (X, bound).
+    """
+    X = frozenset(X)
+    key = ("subgroup", X, max_word_length)
+    if key not in L._verdicts:
+        fault = None
+        if L.identity not in X:
+            fault = {"identity_missing": L.identity}
+        else:
+            x = next((x for x in sorted(X) if L.inv[x] not in X), None)
+            if x is not None:
+                fault = {"inverse_outside": {"x": x, "x^-1": L.inv[x]}}
+            else:
+                failures = _word_states(L, max_word_length, X)[1]
+                if failures:
+                    fault = {"word": list(failures[0])}
+        L._verdicts[key] = fault
+    return L._verdicts[key]
+
+
 def is_partial_subgroup(L: Locality, X: Iterable[int],
                         max_word_length: int = 4) -> bool:
     """Inversion-closed, contains 1, and folds of domain words stay in X.
 
     Words over X are explored through (product, map) states up to the
     bound, by the explorer of the locality validator.  The verdict is
-    memoized on L per (X, bound).
+    memoized on L per (X, bound), with its first fault.
     """
-    X = frozenset(X)
-    key = ("subgroup", X, max_word_length)
-    ok = L._verdicts.get(key)
-    if ok is None:
-        ok = (L.identity in X and all(L.inv[x] in X for x in X)
-              and not _word_states(L, max_word_length, X)[1])
-        L._verdicts[key] = ok
-    return ok
+    return partial_subgroup_witness(L, X, max_word_length) is None
 
 
 def _conjugates(L: Locality, f: int, xs: Iterable[int]):
@@ -267,7 +287,8 @@ def verify_theorem_nk_normal(L: Locality, N: Iterable[int], K: Iterable[int],
     KN = set_product(L, sorted(Kset), sorted(Nset))
     rep.set("nk_equals_kn", set(NK) == set(KN),
             None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
-    rep.set("nk_partial_subgroup", is_partial_subgroup(L, NK))
+    wit = partial_subgroup_witness(L, NK)
+    rep.set("nk_partial_subgroup", wit is None, wit)
     ok = is_partial_normal(L, NK)
     rep.set("nk_partial_normal", ok,
             None if ok else _normality_witness(L, NK))
@@ -307,7 +328,8 @@ def verify_theorem_nk_subnormal(L: Locality, N: Iterable[int],
     KN = set_product(L, sorted(Kset), sorted(Nset))
     rep.set("nk_equals_kn", set(NK) == set(KN),
             None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
-    rep.set("nk_partial_subgroup", is_partial_subgroup(L, NK))
+    wit = partial_subgroup_witness(L, NK)
+    rep.set("nk_partial_subgroup", wit is None, wit)
     ok, chain = is_subnormal(L, NK)
     rep.set("nk_subnormal", ok, None if ok else [len(c) for c in chain])
     rep.extra["nk_chain_lengths"] = [len(c) for c in chain]

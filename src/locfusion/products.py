@@ -179,10 +179,12 @@ def _locality_route_fault(L, cap: int) -> Optional[str]:
 def enumerate_subnormal_subsystems(F: FusionSystem,
                                    cap: int = 2000) -> list[FusionSystem]:
     """All subnormal subsystems of F, by exhausting closed subsystems over
-    each subgroup of S and filtering with the chain search."""
+    each subgroup of S and filtering with the chain search.  Each
+    candidate is closed incrementally from the closed system it extends
+    by one map."""
     out = []
     for T in subgroup_lattice(F.S):
-        inside = [m for m in F.maps if m.src | m.img <= T.eset]
+        inside = frozenset(m for m in F.maps if m.src | m.img <= T.eset)
         inner = set(inner_fusion(T, F.p).maps)
         extra = sorted(m for m in inside if m not in inner)
         seen: set[frozenset] = set()
@@ -195,8 +197,8 @@ def enumerate_subnormal_subsystems(F: FusionSystem,
             for m in extra:
                 if m in cur.maps:
                     continue
-                nxt = close(T, F.p, set(cur.maps) | {m}, F.morphism_cap)
-                if nxt.maps <= frozenset(inside) and nxt.maps not in seen:
+                nxt = close(T, F.p, [m], F.morphism_cap, base=cur)
+                if nxt.maps <= inside and nxt.maps not in seen:
                     seen.add(nxt.maps)
                     systems.append(nxt)
                     frontier.append(nxt)

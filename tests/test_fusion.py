@@ -4,7 +4,8 @@ from the ambient groups."""
 import pytest
 
 from locfusion import fusion as fu
-from locfusion.fusion import (FMap, FusionError, close, conj_map,
+from locfusion.fusion import (FMap, FusionError, MorphismCapExceeded, close,
+                              conj_map,
                               fusion_of_group, fusion_of_locality,
                               fusion_of_partial_subgroup, inner_fusion,
                               is_centric, is_centric_radical,
@@ -80,6 +81,26 @@ def test_saturated_on_bundled_groups():
     for name, G, p in bundled_groups():
         S = sylow_subgroup(G, p)
         assert is_saturated(fusion_of_group(G, S, p=p)), name
+
+
+def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
+    """Closing onto a closed base: the morphism cap, the generator checks,
+    and a base over another subgroup are all refused."""
+    base = inner_fusion(s4_sylow, 2)
+    extra = next(m for m in sorted(F.maps) if m not in base.maps)
+    assert close(s4_sylow, 2, [extra], base=base) == \
+        close(s4_sylow, 2, [extra])
+    with pytest.raises(MorphismCapExceeded):
+        close(s4_sylow, 2, [extra], cap=len(base.maps), base=base)
+    three = generated_subgroup(s4, [from_cycles(4, (1, 2, 3))])
+    with pytest.raises(FusionError, match="inside S"):
+        close(s4_sylow, 2, [conj_map(three.eset, s4.identity)], base=base)
+    e, a, b, c = klein.elements
+    with pytest.raises(FusionError, match="not a homomorphism"):
+        close(s4_sylow, 2, [FMap([(e, a), (a, e), (b, b), (c, c)])],
+              base=base)
+    with pytest.raises(FusionError, match="another subgroup"):
+        close(s4_sylow, 2, [], base=inner_fusion(klein, 2))
 
 
 def test_not_saturated_handmade(s4, klein):

@@ -1,9 +1,12 @@
 """The S-indexed kernel against the element-wise code it replaced.
 
 The ``ref_*`` functions are the element-wise implementations of the
-S-lattice, of F_S(G) and of the Delta-closure check, with conjugation
-computed as g^-1 * x * g from two compositions.  They are kept here only
-as oracles: the library computes all three through ``SIndex``.
+S-lattice, of F_S(G), of the Delta-closure check, of normalizer systems,
+of strong closure and of normality in a fusion system, with conjugation computed as
+g^-1 * x * g from two compositions, and the full-scan O_p and the
+unshortcut subcentric test built on them.  They are kept here only as
+oracles: the library computes all of these through ``SIndex``, and
+searches O_p only above a subgroup it is known to contain.
 """
 
 import functools
@@ -11,11 +14,16 @@ import functools
 import pytest
 
 from locfusion import instances as inst
-from locfusion.fusion import (FMap, fusion_of_group, inner_maps,
-                              is_receptive)
+from locfusion.fusion import (FMap, _normality_fault, _op_core_over,
+                              fully_normalized_conjugate, fusion_of_group,
+                              fusion_of_locality, inner_maps, is_centric,
+                              is_normal_subgroup_in, is_receptive,
+                              is_strongly_closed, is_subcentric,
+                              normalizer_system, op_core, strong_closure,
+                              subcentric_subgroups, subgroup_lattice)
 from locfusion.locality import LocalityError, _check_delta_closures
 from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _closure,
-                                 all_subgroups, compose, from_cycles,
+                                 all_subgroups, center, compose, from_cycles,
                                  generated_subgroup, inverse, sylow_subgroup)
 
 
@@ -109,6 +117,74 @@ def ref_check_delta_closures(G, S, dsets):
                     "delta is not closed under conjugation maps into S")
 
 
+def ref_normalizer_system(F, Q):
+    """N_F(Q): every Q-preserving map restricted to every subgroup of
+    N_S(Q) inside the points it keeps in N_S(Q), on element sets."""
+    NS = ref_normalizer_in_s(F.S, Q)
+    lattice = [P for P in subgroup_lattice(F.S) if P.eset <= NS]
+    out = set()
+    for psi in F.maps:
+        if not (Q.eset <= psi.src and psi.image_of(Q.eset) == Q.eset):
+            continue
+        M = frozenset(x for x in psi.src & NS if psi.d[x] in NS)
+        out |= {psi.restrict(P.eset) for P in lattice if P.eset <= M}
+    return type(F)(Subgroup(F.S.parent, NS, check=False), F.p, out,
+                   F.morphism_cap)
+
+
+def ref_is_strongly_closed(F, Q):
+    return all(m.d[x] in Q.eset for m in F.maps for x in Q.eset & m.src)
+
+
+def ref_generated(F, xs):
+    """The smallest member of the S-lattice over the set xs."""
+    return min((P for P in F.subgroups if xs <= P.eset),
+               key=lambda P: P.order).eset
+
+
+def ref_strong_closure(F, T):
+    """Add the images of points until none is new, then generate; repeat
+    until both are stable."""
+    X = set(T.eset)
+    while True:
+        for m in F.maps:
+            X |= {m.d[x] for x in X & m.src}
+        gen = ref_generated(F, frozenset(X))
+        if gen == X:
+            return gen
+        X = set(gen)
+
+
+def ref_is_normal_subgroup_in(F, Q):
+    """Strongly closed, and each map extends over <src, Q> to a map of F
+    sending Q onto Q, tested point by point."""
+    if not ref_is_strongly_closed(F, Q):
+        return False
+    for phi in F.maps:
+        pq = ref_generated(F, phi.src | Q.eset)
+        if not any(psi.image_of(Q.eset) == Q.eset
+                   and all(psi.d[x] == phi.d[x] for x in phi.src)
+                   for psi in F.by_src.get(pq, ())):
+            return False
+    return True
+
+
+def ref_op_core(F):
+    """O_p(F) from a normality test on every subgroup of S."""
+    normals = [Q for Q in F.subgroups if ref_is_normal_subgroup_in(F, Q)]
+    best = max(normals, key=lambda Q: Q.order)
+    assert all(Q.eset <= best.eset for Q in normals)
+    return best
+
+
+def ref_is_subcentric(F, P):
+    """O_p(N_F(Q)) centric for a fully normalized conjugate Q of P, with
+    N_F(Q) and its O_p built for every P, centric or not."""
+    Q = fully_normalized_conjugate(F, P)
+    R = ref_op_core(ref_normalizer_system(F, Q))
+    return is_centric(F, F.subgroup(R.eset))
+
+
 # -- groups -------------------------------------------------------------------
 
 def _s4():
@@ -123,6 +199,16 @@ def _s3xs3():
 def _a5():
     return FiniteGroup(5, [from_cycles(5, (1, 2, 3, 4, 5)),
                            from_cycles(5, (1, 2, 3))])
+
+
+def _s5():
+    return FiniteGroup(5, [from_cycles(5, (1, 2, 3, 4, 5)),
+                           from_cycles(5, (1, 2))])
+
+
+def _s6():
+    return FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
+                           from_cycles(6, (1, 2))])
 
 
 EXTRA = [("S4", _s4, 2), ("S4", _s4, 3), ("S3xS3", _s3xs3, 2),
@@ -270,3 +356,71 @@ def test_delta_closure_check_matches_element_wise(label, G, S):
         assert got == _outcome(ref_check_delta_closures, G, S, dsets)
         outcomes.add(got)
     assert None in outcomes
+
+
+# -- O_p, normality and subcentric subgroups -----------------------------------
+
+SUBCENTRIC_GROUPS = {"S4": (_s4, (2, 3)), "S3xS3": (_s3xs3, (2, 3)),
+                     "A5": (_a5, (2, 3, 5)), "S5": (_s5, (2, 3, 5)),
+                     "S6": (_s6, (2,))}
+SUBCENTRIC_IDS = (["product-24:F_S(L)", "product-48:F_S(L)"]
+                  + [f"{name}:p={p}" for name, (_, ps) in
+                     SUBCENTRIC_GROUPS.items() for p in ps])
+
+
+@functools.lru_cache(maxsize=None)
+def _subcentric_system(label):
+    """F_S(L) of a product suite's locality, or F_S(G) of a named group."""
+    name, _, rest = label.partition(":")
+    if rest == "F_S(L)":
+        return fusion_of_locality(inst.Instance(inst.load_descriptor(name)).L)
+    make, _ = SUBCENTRIC_GROUPS[name]
+    G = make()
+    return fusion_of_group(G, sylow_subgroup(G, int(rest[2:])))
+
+
+@pytest.mark.parametrize("label", SUBCENTRIC_IDS)
+def test_subcentric_search_matches_full_scan(label):
+    """For every class, on the normalizer system of its fully normalized
+    member: N_F(Q), each subgroup's normality verdict, O_p, and O_p
+    searched above Q, against the element-wise full scan; then the
+    subcentric verdict and the subcentric list."""
+    F = _subcentric_system(label)
+    assert op_core(F) == ref_op_core(F)
+    verdicts = {}
+    for P in F.subgroups:
+        if P.eset in verdicts:
+            continue
+        Q = fully_normalized_conjugate(F, P)
+        NQ = normalizer_system(F, Q)
+        assert NQ == ref_normalizer_system(F, Q)
+        for R in NQ.subgroups:
+            assert is_strongly_closed(NQ, R) == ref_is_strongly_closed(NQ, R)
+            assert strong_closure(NQ, R).eset == ref_strong_closure(NQ, R)
+            assert is_normal_subgroup_in(NQ, R) == \
+                ref_is_normal_subgroup_in(NQ, R)
+        R = ref_op_core(NQ)
+        assert op_core(NQ) == R
+        assert _op_core_over(NQ, NQ.subgroup(Q.eset)) == R
+        v = is_centric(F, F.subgroup(R.eset))
+        assert is_subcentric(F, P) == v == ref_is_subcentric(F, P)
+        verdicts.update((C.eset, v) for C in F.conjugates(P))
+    assert subcentric_subgroups(F) == \
+        [P for P in F.subgroups if verdicts[P.eset]]
+
+
+def test_each_normality_clause_fires(s4, s4_sylow, klein):
+    """Z(S) is moved out of itself by fusion: strong closure fails.  S is
+    strongly closed, but the map fusing the central involution with a
+    non-central one has no extension to S: the extension clause fails.
+    The Klein four-group O_2(S4) passes both."""
+    F = fusion_of_group(s4, s4_sylow)
+    Z = F.subgroup(center(s4_sylow).eset)
+    S = F.subgroup(s4_sylow.eset)
+    assert _normality_fault(F, Z) == "strong_closure"
+    assert not ref_is_strongly_closed(F, Z)
+    assert ref_is_strongly_closed(F, S)
+    assert _normality_fault(F, S) == "extension"
+    assert not ref_is_normal_subgroup_in(F, S)
+    assert _normality_fault(F, F.subgroup(klein.eset)) is None
+    assert op_core(F).eset == klein.eset

@@ -1,6 +1,7 @@
 """Locality construction and axiom checks against group-side oracles."""
 
 import itertools
+import random
 
 import pytest
 
@@ -300,3 +301,35 @@ def test_s_mask_walk_matches_composite_on_corrupted_table(loc_b):
         pytest.fail("no corruption broke the inverse rows")
     assert not validate_locality(L, max_word_length=2).ok
     _check_walk_against_composite(L, 3)
+
+
+# -- the validator is total on corrupted tables --------------------------------
+
+def test_validator_reports_every_corrupted_product_entry(loc_b):
+    """200 corruptions of one product entry each of instance-b, taken as
+    an abstract descriptor: every one gives a report, none raises.  When
+    the S-table is not a group table, the S-lattice is not built and
+    ``delta_closure`` fails with the ``s_subgroup`` witness.  (Some
+    corruptions still pass at length 3: the associativity check follows
+    one representative word per state, which is a separate defect.)"""
+    d = locality_to_descriptor(loc_b)
+    rng = random.Random(1)
+    s_faults = []
+    for _ in range(200):
+        i = rng.randrange(len(d["products"]))
+        a, b, old = d["products"][i]
+        new = rng.choice([x for x in range(d["carrier"]) if x != old])
+        bad = dict(d, products=list(d["products"]))
+        bad["products"][i] = [a, b, new]
+        rep = validate_locality(locality_from_descriptor(bad),
+                                max_word_length=3)
+        checks = {c.name: c for c in rep.checks}
+        if not checks["s_subgroup"].passed:
+            s_faults.append(checks["s_subgroup"].witness.split(" at ")[0])
+            assert not checks["delta_closure"].passed
+            assert checks["s_subgroup"].witness in \
+                checks["delta_closure"].witness
+    assert len(s_faults) == 21
+    assert set(s_faults) == {"S not product-closed",
+                             "identity law fails in S",
+                             "product on S not associative"}

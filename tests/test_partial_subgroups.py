@@ -7,14 +7,18 @@ import pytest
 from locfusion.instances import (build_locality, delta_of, k_choice,
                                  load_descriptor, named_subgroup, resolve_ids,
                                  sylow_of)
-from locfusion.locality import delta_min_order, normalizer_carrier
+from locfusion.locality import (_word_states, delta_min_order,
+                                locality_from_descriptor,
+                                locality_to_descriptor, normalizer_carrier)
 from locfusion.partial_subgroups import (_conjugates, _partial_normal_clause,
                                          decompose,
                                          enumerate_partial_normals,
                                          is_partial_normal,
                                          is_partial_subgroup, is_subnormal,
                                          partial_normal_closure,
-                                         partial_normal_witness, set_product,
+                                         partial_normal_witness,
+                                         partial_subgroup_witness,
+                                         set_product,
                                          verify_restriction_product,
                                          verify_theorem_nk_normal,
                                          verify_theorem_nk_subnormal)
@@ -289,3 +293,50 @@ def test_subgroup_memo_keys_on_word_length(bounds):
     X = {L.identity, f, L.inv[f]}  # f of order 4: f^2 is missing
     for bound in bounds + bounds:
         assert is_partial_subgroup(L, X, bound) is (bound == 1), bound
+
+
+# -- the witness of a failed partial-subgroup test -----------------------------
+
+def test_partial_subgroup_witness_kinds(lb):
+    e = lb.identity
+    f = next(i for i in range(lb.n) if lb.inv[i] != i)
+    assert partial_subgroup_witness(lb, {f, lb.inv[f]}) == \
+        {"identity_missing": e}
+    assert partial_subgroup_witness(lb, {e, f}) == \
+        {"inverse_outside": {"x": f, "x^-1": lb.inv[f]}}
+    g = next(g for g in range(lb.n)
+             if lb.prod.get((g, g)) not in (None, e, g, lb.inv[g]))
+    X = {e, g, lb.inv[g]}  # g*g is defined and outside X
+    wit = partial_subgroup_witness(lb, X)
+    assert set(wit) == {"word"}
+    assert lb.fold(tuple(wit["word"])) not in X
+    assert not is_partial_subgroup(lb, X)
+    assert partial_subgroup_witness(lb, range(lb.n)) is None
+
+
+def test_nk_partial_subgroup_clause_carries_the_first_failing_word():
+    """S6 at p=2 with one product entry removed, chosen so that N = alt,
+    K = S still meet every precondition: both harnesses fail
+    ``nk_partial_subgroup`` with a domain word over NK whose fold is
+    undefined, the first one the word-state explorer reports, and the
+    witness is the memoized one."""
+    d = load_descriptor(str(S6_DESCRIPTOR))
+    L = build_locality(d)
+    N, _, ks = _n_and_k_choices(d, L)
+    K = ks["s"]
+    NK = set(set_product(L, sorted(N), sorted(K)))
+    sset = set(L.s_ids)
+    ab = locality_to_descriptor(L)
+    idx = next(i for i, (a, b, _) in enumerate(ab["products"])
+               if a in NK and b in NK and not sset & {a, b}
+               and not {a, b} <= N and not {a, b} <= K)
+    bad = locality_from_descriptor(
+        dict(ab, products=ab["products"][:idx] + ab["products"][idx + 1:]))
+    for verify in (verify_theorem_nk_normal, verify_theorem_nk_subnormal):
+        rep = verify(bad, N, K)
+        assert rep.clauses["nk_partial_subgroup"] is False
+        wit = rep.witnesses["nk_partial_subgroup"]
+        assert bad.fold(tuple(wit["word"])) is None
+        assert wit == partial_subgroup_witness(bad, NK)
+        assert tuple(wit["word"]) == _word_states(bad, 4, NK)[1][0]
+    assert verify_theorem_nk_normal(L, N, K).clauses["nk_partial_subgroup"]

@@ -3,8 +3,9 @@
 import pytest
 
 from locfusion import products as pr
-from locfusion.fusion import (fusion_of_group, inner_fusion,
-                              normalizer_system, subgroup_lattice)
+from locfusion.fusion import (close, fusion_of_group, inner_fusion,
+                              inner_maps, normalizer_system,
+                              subgroup_lattice)
 from locfusion.instances import load_descriptor, product_setup
 from locfusion.permgroup import from_cycles, generated_subgroup
 from locfusion.report import PreconditionError
@@ -163,3 +164,29 @@ def test_ed_report_json_schema(setups):
     assert set(j["clauses"]) == {"over_TR", "E_normal_in_ED", "D_status",
                                  "ED_normal_in_F", "N_ED_T_identity",
                                  "minimality"}
+
+
+def test_incremental_close_matches_scratch_along_enumeration(setups):
+    """Every step of the subnormal-subsystem enumeration of product-24's
+    F: closing one more map onto the closed system ``cur`` gives the
+    system that closing ``cur.maps`` and the map from scratch gives."""
+    F = setups["i"]["F"]
+    cap = F.morphism_cap
+    steps = 0
+    for T in subgroup_lattice(F.S):
+        inside = frozenset(m for m in F.maps if m.src | m.img <= T.eset)
+        extra = sorted(inside - inner_maps(T))
+        start = close(T, F.p, [], cap)
+        seen, frontier = {start.maps}, [start]
+        while frontier:
+            cur = frontier.pop()
+            for m in extra:
+                if m in cur.maps:
+                    continue
+                nxt = close(T, F.p, [m], cap, base=cur)
+                assert nxt == close(T, F.p, cur.maps | {m}, cap)
+                steps += 1
+                if nxt.maps <= inside and nxt.maps not in seen:
+                    seen.add(nxt.maps)
+                    frontier.append(nxt)
+    assert steps > 50
