@@ -19,7 +19,7 @@ from pathlib import Path
 from . import fusion as fu
 from . import instances as inst
 from . import products as pr
-from .fusion import MorphismCapExceeded
+from .fusion import FusionError, MorphismCapExceeded
 from .locality import LocalityError, validate_locality
 from .partial_subgroups import (verify_restriction_product,
                                 verify_theorem_nk_normal,
@@ -262,19 +262,15 @@ def main(argv=None) -> int:
                             group_cap=args.group_cap,
                             morphism_cap=args.morphism_cap)
         report, code = handler(ctx, args)
-    except SizeCapExceeded as e:
+    except (SizeCapExceeded, MorphismCapExceeded) as e:
         _emit({"error": str(e), "kind": type(e).__name__,
                "seed": args.seed}, args)
         return EXIT_CAP
     except (inst.DescriptorError, LocalityError, PreconditionError,
-            GroupError) as e:
+            GroupError, FusionError) as e:
         _emit({"error": str(e), "kind": type(e).__name__,
                "seed": args.seed}, args)
         return EXIT_INPUT
-    except MorphismCapExceeded as e:
-        _emit({"error": str(e), "kind": type(e).__name__,
-               "seed": args.seed}, args)
-        return EXIT_CAP
     report["seed"] = args.seed
     if report.get("ok") is None and code == EXIT_OK:
         report["ok"] = True

@@ -11,10 +11,16 @@ equality of fusion systems is literal equality of graph sets over the
 same underlying p-group.  ``close`` computes that closure, and closes
 onto an already closed system incrementally.
 
-The subgroup predicates run on the positions of S (``SIndex``): a system
-keeps its maps as source masks with image positions, the images of each
-point, and the masks of its subgroups, all built on first use.  O_p is
-searched only above a subgroup it is known to contain.
+The subgroup predicates run on the positions of S, through the one
+``SIndex`` of S that its parent group keeps (``FiniteGroup.sindex``),
+with the lattice masks and joins memoized there: a system keeps its maps
+as source masks with image positions and the images of each point, both
+built on first use.  O_p is searched only above a subgroup it is known
+to contain.
+
+Aut_F(P) is an ordinary permutation group on the elements of P
+(``aut_group``), so p-cores, element orders and generated subgroups of
+automorphisms come from ``permgroup``.
 
 Every closure runs under a morphism cap.  A system keeps the cap it was
 built under, and closures inside it (normal closures, products,
@@ -25,11 +31,11 @@ a caller sets it once where it builds the ambient system.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
-                        bit_positions, cayley_group, compose, conjugate,
-                        image_mask, inverse, _p_part)
+                        bit_positions, compose, conjugate, image_mask,
+                        inverse, p_core, _p_part)
 
 DEFAULT_MORPHISM_CAP = 1_000_000
 
@@ -100,14 +106,13 @@ def _check_homomorphism(phi: FMap):
                 raise FusionError("graph is not a homomorphism on a subgroup")
 
 
-_lattice_cache: dict = {}
-
-
 def subgroup_lattice(S: Subgroup) -> list[Subgroup]:
-    key = (S.parent.degree, S.eset)
-    if key not in _lattice_cache:
-        _lattice_cache[key] = all_subgroups(S.parent, within=S)
-    return _lattice_cache[key]
+    """Every subgroup of S, canonically ordered; built once and kept on
+    the index of S."""
+    idx = S.parent.sindex(S)
+    if idx.subgroups is None:
+        idx.subgroups = all_subgroups(S.parent, within=S)
+    return idx.subgroups
 
 
 class FusionSystem:
@@ -124,11 +129,7 @@ class FusionSystem:
         self.morphism_cap = morphism_cap
         self.subgroups = subgroup_lattice(S)
         self._sub_by_set = {P.eset: P for P in self.subgroups}
-        self._index: Optional[SIndex] = None
         self._by_mask: Optional[dict[int, list[tuple[int, ...]]]] = None
-        self._joins: dict[tuple[int, int], int] = {}
-        self._ups: dict[int, list[int]] = {}
-        self._lattice_masks: Optional[list[int]] = None
         self._reach: Optional[list[int]] = None
         self.by_src: dict[frozenset, tuple[FMap, ...]] = {}
         grouped: dict[frozenset, list[FMap]] = {}
@@ -142,10 +143,6 @@ class FusionSystem:
             return self._sub_by_set[frozenset(eset)]
         except KeyError:
             raise FusionError("not a subgroup of S") from None
-
-    def hom(self, P: Subgroup, Q: Subgroup) -> list[FMap]:
-        return [m for m in self.by_src.get(P.eset, ())
-                if m.img <= Q.eset]
 
     def aut(self, P: Subgroup) -> list[FMap]:
         return [m for m in self.by_src.get(P.eset, ())
@@ -161,10 +158,8 @@ class FusionSystem:
 
     @property
     def index(self) -> SIndex:
-        """S indexed by positions, built on first use."""
-        if self._index is None:
-            self._index = SIndex(self.S)
-        return self._index
+        """S indexed by positions: the index its parent group keeps."""
+        return self.S.parent.sindex(self.S)
 
     def maps_by_mask(self) -> dict[int, list[tuple[int, ...]]]:
         """The maps grouped by the mask of their source, each given by the
@@ -194,32 +189,6 @@ class FusionSystem:
                         reach[i] |= 1 << img[i]
             self._reach = reach
         return self._reach
-
-    @property
-    def lattice_masks(self) -> list[int]:
-        """Masks of ``subgroups``, in the same order; built on first use."""
-        if self._lattice_masks is None:
-            mask = self.index.mask
-            self._lattice_masks = [mask(P.elements) for P in self.subgroups]
-        return self._lattice_masks
-
-    def join(self, a: int, b: int) -> int:
-        """Mask of the subgroup generated by the subgroup mask ``a`` and
-        any mask ``b``: the first overgroup of ``a``, in order of size,
-        that holds ``b``; memoized, as are the overgroups of ``a``."""
-        key = (a, b)
-        j = self._joins.get(key)
-        if j is None:
-            if a & b == b:
-                j = a
-            else:
-                ups = self._ups.get(a)
-                if ups is None:
-                    ups = self._ups[a] = [m for m in self.lattice_masks
-                                          if m & a == a]
-                j = next(m for m in ups if m & b == b)
-            self._joins[key] = j
-        return j
 
     def normalizer_in_s(self, P: Subgroup) -> frozenset:
         """N_S(P) as an element set."""
@@ -278,9 +247,8 @@ def _conjugation_maps(S: Subgroup, acting: Iterable) -> set[FMap]:
     P <= dom(g) is one mask comparison, and each distinct
     (P, images) map is built once.
     """
-    idx = SIndex(S)
-    subs = [(m, idx.positions(m))
-            for m in (idx.mask(P.elements) for P in subgroup_lattice(S))]
+    idx = S.parent.sindex(S)
+    subs = [(m, idx.positions(m)) for m in idx.lattice()]
     graphs = set()
     for g in acting:
         images, dom = idx.action(g)
@@ -444,7 +412,7 @@ def strong_closure(F: FusionSystem, T: Subgroup) -> Subgroup:
         y = x
         for i in bit_positions(x):
             y |= reach[i]
-        y = F.join(1, y)  # mask 1 is the trivial subgroup
+        y = F.index.join(1, y)  # mask 1 is the trivial subgroup
         if y == x:
             return F.subgroup(frozenset(F.index.members(x)))
         x = y
@@ -468,39 +436,30 @@ def is_centric(F: FusionSystem, P: Subgroup) -> bool:
     return True
 
 
-def _aut_perm_group(auts: Sequence[FMap]) -> tuple[FiniteGroup, dict]:
-    return cayley_group(sorted(auts), lambda a, b: a.then(b))
+def aut_group(F: FusionSystem, P: Subgroup) -> tuple[FiniteGroup, dict]:
+    """Aut_F(P) as a permutation group of degree |P|, with the map from
+    each automorphism to its permutation: phi moves the element at
+    position i of P (in canonical order) to the position of its image.
+    Composition matches: ``phi.then(psi)`` goes to the product of the
+    two permutations."""
+    pos = {x: i for i, x in enumerate(P.elements)}
+    to_perm = {phi: tuple([pos[phi.d[x]] for x in P.elements])
+               for phi in F.aut(P)}
+    return FiniteGroup(P.order, to_perm.values(),
+                       max_size=max(len(to_perm), 1)), to_perm
 
 
 def is_centric_radical(F: FusionSystem, P: Subgroup) -> bool:
-    """Centric with O_p(Out_F(P)) trivial."""
+    """Centric with O_p(Out_F(P)) trivial.
+
+    Inn(P) is a normal p-subgroup of Aut_F(P), so O_p(Out_F(P)) is
+    O_p(Aut_F(P))/Inn(P), and it is trivial exactly when
+    |O_p(Aut_F(P))| = |Inn(P)| = |P : Z(P)|."""
     if not is_centric(F, P):
         return False
-    auts = sorted(F.aut(P))
-    GA, to_perm = _aut_perm_group(auts)
-    inn = {conj_map(P.eset, x) for x in P.eset}
-    inn_perms = GA.subgroup([to_perm[a] for a in inn], check=False)
-    quotient, _ = _quotient_group(GA, inn_perms)
-    from .permgroup import p_core
-    return p_core(quotient, F.p).order == 1
-
-
-def _quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, dict]:
-    cosets = {}
-    for g in G.elements:
-        cs = frozenset(compose(n, g) for n in N.eset)
-        cosets.setdefault(cs, min(cs))
-    keys = sorted(cosets)
-    rep = {k: cosets[k] for k in keys}
-    coset_of = {}
-    for k in keys:
-        for g in k:
-            coset_of[g] = k
-
-    def mul(a, b):
-        return coset_of[compose(rep[a], rep[b])]
-    Q, to_perm = cayley_group(keys, mul)
-    return Q, to_perm
+    A, _ = aut_group(F, P)
+    return p_core(A, F.p).order * len(centralizer_in(P.eset, P.eset)) \
+        == P.order
 
 
 def fully_normalized_conjugate(F: FusionSystem, P: Subgroup) -> Subgroup:
@@ -532,7 +491,7 @@ def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     q = idx.mask(Q.eset)
     qs = bit_positions(q)
     ns = idx.normalizer(q)
-    subs = [(m, _picker(m)) for m in F.lattice_masks if m & ns == m]
+    subs = [(m, _picker(m)) for m in idx.lattice() if m & ns == m]
     graphs = set()
     for src, imgs in F.maps_by_mask().items():
         if src & q != q:
@@ -544,7 +503,7 @@ def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     els = idx.elements
     out = {FMap(zip(idx.members(m), [els[j] for j in images]))
            for m, images in graphs}
-    sub = Subgroup(F.S.parent, idx.members(ns), check=False)
+    sub = F.subgroup(idx.members(ns))
     return FusionSystem(sub, F.p, out, F.morphism_cap)
 
 
@@ -557,7 +516,7 @@ def _normality_fault(F: FusionSystem, Q: Subgroup) -> Optional[str]:
     maps Q into Q, and so onto Q, being injective: the extension then
     preserves Q with no further test.  On the positions of S: each map
     is its source mask and image positions (``maps_by_mask``), <src, Q>
-    is a memoized ``join``, and the maps over one source are checked
+    is the memoized ``SIndex.join``, and the maps over one source are checked
     together against the restrictions of the maps over <src, Q>.
     """
     if not is_strongly_closed(F, Q):
@@ -566,7 +525,7 @@ def _normality_fault(F: FusionSystem, Q: Subgroup) -> Optional[str]:
     groups = F.maps_by_mask()
     for src, imgs in groups.items():
         on_src = _picker(src)
-        keep = set(map(on_src, groups.get(F.join(src, q), ())))
+        keep = set(map(on_src, groups.get(F.index.join(src, q), ())))
         if not keep.issuperset(map(on_src, imgs)):
             return "extension"
     return None
@@ -749,8 +708,7 @@ def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
     return close(That, F.p, gens, F.morphism_cap)
 
 
-def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem,
-                           max_steps: int = 32
+def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
                            ) -> tuple[bool | str, list[FusionSystem]]:
     """Chain search by descending normal closures.
 
@@ -764,7 +722,9 @@ def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem,
         return True, [F]
     chain = [F]
     cur = F
-    for _ in range(max_steps):
+    # each normal closure is a subsystem of the last, so the chain
+    # descends until it stops, and the loop ends on its own
+    while True:
         nxt = normal_closure(cur, E)
         if nxt == cur:
             break

@@ -126,16 +126,13 @@ def named_subgroup(d: dict, G: FiniteGroup, spec) -> Subgroup:
     raise DescriptorError(f"bad subgroup spec {spec!r}")
 
 
-def build_locality(d: dict, validate: bool = False,
-                   max_word_length: Optional[int] = None,
-                   ctx: Optional[Instance] = None) -> Locality:
+def build_locality(d: dict, ctx: Optional[Instance] = None) -> Locality:
     """L_delta(G) of the descriptor, over the G and S of ``ctx`` (a fresh
-    context by default)."""
+    context by default), not validated: ``locality validate`` runs the
+    validator on it."""
     ctx = ctx or Instance(d)
     delta = delta_of(d, ctx.G, ctx.S)
-    mwl = max_word_length or d.get("max_word_length", 4)
-    return locality_from_group(ctx.G, ctx.S, delta, d["p"],
-                               validate=validate, max_word_length=mwl)
+    return locality_from_group(ctx.G, ctx.S, delta, d["p"], validate=False)
 
 
 def resolve_ids(L: Locality, sub: Subgroup) -> frozenset:
@@ -167,18 +164,24 @@ def product_setup(d: dict, name: str,
     ctx = ctx or Instance(d)
     G, S, F, cap = ctx.G, ctx.S, ctx.F, ctx.morphism_cap
     p = d["p"]
-    E_over = generated_subgroup(G, [_perm(x, G.degree)
-                                    for x in spec["E"]["over"]])
+
+    def inside_s(field: str, rows) -> Subgroup:
+        H = generated_subgroup(G, [_perm(x, G.degree) for x in rows])
+        try:
+            return F.subgroup(H.eset)
+        except fu.FusionError:
+            raise DescriptorError(
+                f"{what} {field} does not generate a subgroup of S") from None
+
+    T = inside_s("'E' 'over'", spec["E"]["over"])
     E_act = generated_subgroup(G, [_perm(x, G.degree)
                                    for x in spec["E"]["acting"]])
-    E = fu.fusion_of_group(G, E_over, acting=E_act.elements, p=p, cap=cap)
-    T = F.subgroup(E_over.eset)
+    E = fu.fusion_of_group(G, T, acting=E_act.elements, p=p, cap=cap)
 
     dd = spec["D"]
     if dd["kind"] == "inner":
         _require_keys(dd, ("over",), f"{what} 'D'")
-        R = generated_subgroup(G, [_perm(x, G.degree) for x in dd["over"]])
-        D = fu.inner_fusion(F.subgroup(R.eset), p)
+        D = fu.inner_fusion(inside_s("'D' 'over'", dd["over"]), p)
     elif dd["kind"] == "normalizer":
         D = fu.normalizer_system(F, T)
     else:

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
 from .fusion import DEFAULT_MORPHISM_CAP
-from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
-                        bit_positions, cayley_group, image_mask, is_p_group,
-                        _p_part)
+from .permgroup import (FiniteGroup, Subgroup, all_subgroups, bit_positions,
+                        cayley_group, compose, image_mask, inverse,
+                        is_p_group, _p_part)
 
 Word = tuple[int, ...]
 
@@ -182,7 +182,7 @@ class Locality:
         computed on first use and kept."""
         if self._lattice is None:
             G, to = self.group_on(self.s_ids)
-            six = SIndex(Subgroup(G, to.values(), check=False))
+            six = G.sindex(Subgroup(G, to.values(), check=False))
             bit = {six.pos[to[s]]: b for s, b in zip(self.s_ids, self._bits)}
             self._lattice = sorted(
                 (sum(bit[j] for j in bit_positions(m)) for m in six.lattice()),
@@ -292,7 +292,7 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     unless ``validate`` is disabled.
     """
     delta = list(delta)
-    six = SIndex(S)
+    six = S.parent.sindex(S)
     dmasks = {_mask(six.pos, P.elements) for P in delta}
 
     # the carrier: g with S_g = S cap S^(g^-1) in delta.  Its maps are
@@ -316,7 +316,7 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     idx = {g: i for i, g in enumerate(labels)}
     s_ids = tuple(idx[s] for s in S.elements)
     identity = idx[G.identity]
-    inv = tuple(idx[G.inv(g)] for g in labels)
+    inv = tuple(idx[inverse(g)] for g in labels)
 
     # (f,g) is composable iff S_(f,g) = {s in S_f : s^f in S_g} is in
     # delta; S_g takes few values, so this is decided once per (f, S_g)
@@ -334,7 +334,7 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
             composable[dom_g] = sw in dmasks
         for j, dom_g in enumerate(doms):
             if composable[dom_g]:
-                prod[(i, j)] = idx[G.mul(f, labels[j])]
+                prod[(i, j)] = idx[compose(f, labels[j])]
 
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
     L = Locality(labels, identity, inv, prod, s_ids, p, delta_ids,
@@ -529,10 +529,9 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
 
     # realization oracle
     if L.realization is not None:
-        G = L.realization
         ok, wit = True, None
         for (i, j), k in L.prod.items():
-            if G.mul(L.labels[i], L.labels[j]) != L.labels[k]:
+            if compose(L.labels[i], L.labels[j]) != L.labels[k]:
                 ok, wit = False, f"pair ({i},{j}) disagrees with the ambient product"
                 break
         add(CheckResult("realization_oracle", ok, wit))

@@ -47,13 +47,6 @@ class PartialSubgroup:
         return len(self.ids)
 
 
-def partial_subgroup(L: Locality, ids: Iterable[int]) -> PartialSubgroup:
-    ids = tuple(sorted(set(ids)))
-    if not is_partial_subgroup(L, ids):
-        raise LocalityError("element set is not a partial subgroup")
-    return PartialSubgroup(L, ids)
-
-
 def partial_subgroup_witness(L: Locality, X: Iterable[int],
                              max_word_length: int = 4) -> Optional[dict]:
     """The first way X fails to be a partial subgroup, or None.
@@ -275,6 +268,23 @@ def _check_nk_preconditions(L: Locality, N: Iterable[int], K: Iterable[int],
     return T, nlt
 
 
+def _nk_clauses(rep: Report, L: Locality, Nset: frozenset, Kset: frozenset,
+                T: Sequence[int]) -> tuple[int, ...]:
+    """Set the clauses both theorems share: NK = KN, NK is a partial
+    subgroup, and NK ∩ S = T(K ∩ S).  Returns NK."""
+    NK = set_product(L, sorted(Nset), sorted(Kset))
+    KN = set_product(L, sorted(Kset), sorted(Nset))
+    rep.set("nk_equals_kn", set(NK) == set(KN),
+            None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
+    wit = partial_subgroup_witness(L, NK)
+    rep.set("nk_partial_subgroup", wit is None, wit)
+    lhs = frozenset(NK) & frozenset(L.s_ids)
+    rhs = group_product_in_s(L, T, set(Kset) & set(L.s_ids))
+    rep.set("nk_cap_s_equals_t_times_k_cap_s", lhs == rhs,
+            None if lhs == rhs else sorted(lhs ^ rhs))
+    return NK
+
+
 def verify_theorem_nk_normal(L: Locality, N: Iterable[int], K: Iterable[int],
                              instance: str = "") -> Report:
     """NK is partial normal, NK = KN, NK ∩ S = T(K ∩ S), and every
@@ -283,20 +293,10 @@ def verify_theorem_nk_normal(L: Locality, N: Iterable[int], K: Iterable[int],
     Nset, Kset = frozenset(N), frozenset(K)
     T, _ = _check_nk_preconditions(L, Nset, Kset, require_normal_k=True)
 
-    NK = set_product(L, sorted(Nset), sorted(Kset))
-    KN = set_product(L, sorted(Kset), sorted(Nset))
-    rep.set("nk_equals_kn", set(NK) == set(KN),
-            None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
-    wit = partial_subgroup_witness(L, NK)
-    rep.set("nk_partial_subgroup", wit is None, wit)
+    NK = _nk_clauses(rep, L, Nset, Kset, T)
     ok = is_partial_normal(L, NK)
     rep.set("nk_partial_normal", ok,
             None if ok else _normality_witness(L, NK))
-
-    lhs = frozenset(NK) & frozenset(L.s_ids)
-    rhs = group_product_in_s(L, T, set(Kset) & set(L.s_ids))
-    rep.set("nk_cap_s_equals_t_times_k_cap_s", lhs == rhs,
-            None if lhs == rhs else sorted(lhs ^ rhs))
 
     bad = None
     for g in NK:
@@ -324,20 +324,10 @@ def verify_theorem_nk_subnormal(L: Locality, N: Iterable[int],
         raise PreconditionError("K is not subnormal in N_L(T)")
     rep.extra["k_chain_lengths"] = [len(c) for c in chain_k]
 
-    NK = set_product(L, sorted(Nset), sorted(Kset))
-    KN = set_product(L, sorted(Kset), sorted(Nset))
-    rep.set("nk_equals_kn", set(NK) == set(KN),
-            None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
-    wit = partial_subgroup_witness(L, NK)
-    rep.set("nk_partial_subgroup", wit is None, wit)
+    NK = _nk_clauses(rep, L, Nset, Kset, T)
     ok, chain = is_subnormal(L, NK)
     rep.set("nk_subnormal", ok, None if ok else [len(c) for c in chain])
     rep.extra["nk_chain_lengths"] = [len(c) for c in chain]
-
-    lhs = frozenset(NK) & frozenset(L.s_ids)
-    rhs = group_product_in_s(L, T, set(Kset) & set(L.s_ids))
-    rep.set("nk_cap_s_equals_t_times_k_cap_s", lhs == rhs,
-            None if lhs == rhs else sorted(lhs ^ rhs))
     return rep
 
 

@@ -19,6 +19,9 @@ of each ``s^g`` (or -1 when it leaves S) and the domain mask
 ``S ∩ S^(g^-1)``; callers compute it once per g and drop it.  The
 S-lattice is the join-closure of the cyclic subgroups on bitmasks
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
+A group keeps one index per subgroup element set (``FiniteGroup.sindex``),
+and the index keeps its lattice and its joins, so a run indexes each
+subgroup once.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class FiniteGroup:
     """A finite permutation group with its full element set."""
 
     __slots__ = ("degree", "generators", "elements", "eset", "identity",
-                 "_index")
+                 "_sindexes")
 
     def __init__(self, degree: int, generators: Iterable[Perm],
                  max_size: int = DEFAULT_GROUP_CAP):
@@ -135,7 +138,7 @@ class FiniteGroup:
             sorted(_closure(gens, degree, max_size)))
         self.eset = frozenset(self.elements)
         self.identity = identity_perm(degree)
-        self._index = {x: i for i, x in enumerate(self.elements)}
+        self._sindexes: dict[frozenset, SIndex] = {}
 
     @property
     def order(self) -> int:
@@ -150,14 +153,13 @@ class FiniteGroup:
     def __contains__(self, x) -> bool:
         return x in self.eset
 
-    def index(self, x: Perm) -> int:
-        return self._index[x]
-
-    def mul(self, a: Perm, b: Perm) -> Perm:
-        return compose(a, b)
-
-    def inv(self, a: Perm) -> Perm:
-        return inverse(a)
+    def sindex(self, H: "Subgroup") -> "SIndex":
+        """The :class:`SIndex` of the subgroup H, built once per element
+        set and kept."""
+        idx = self._sindexes.get(H.eset)
+        if idx is None:
+            idx = self._sindexes[H.eset] = SIndex(H)
+        return idx
 
     def subgroup(self, elems: Iterable[Perm], check: bool = True) -> "Subgroup":
         return Subgroup(self, elems, check=check)
@@ -258,17 +260,25 @@ class SIndex:
     Subsets of S are ``int`` bitmasks over positions.  Positions follow
     the canonical order, so the members of a mask come out sorted, and
     position 0 is the identity (the least permutation).  Columns of the
-    Cayley table and the conjugation action of S on itself are filled on
-    first use; the index lives as long as its caller keeps it.
+    Cayley table, the conjugation action of S on itself, the lattice
+    masks and the joins are filled on first use, as is ``subgroups``, the
+    lattice as :class:`Subgroup` objects (``fusion.subgroup_lattice``).
+    Obtain the index of a subgroup through ``FiniteGroup.sindex``, which
+    keeps it on the group.
     """
 
-    __slots__ = ("elements", "pos", "_cols", "_inner")
+    __slots__ = ("elements", "pos", "subgroups", "_cols", "_inner",
+                 "_lattice", "_joins", "_ups")
 
     def __init__(self, S: Subgroup):
         self.elements = S.elements
         self.pos = {x: i for i, x in enumerate(S.elements)}
+        self.subgroups: Optional[list[Subgroup]] = None
         self._cols: dict[int, tuple[int, ...]] = {}
         self._inner: Optional[list[tuple[int, ...]]] = None
+        self._lattice: Optional[list[int]] = None
+        self._joins: dict[tuple[int, int], int] = {}
+        self._ups: dict[int, list[int]] = {}
 
     def mask(self, xs: Iterable[Perm]) -> int:
         """Bitmask of a subset of S (KeyError for an element outside S)."""
@@ -328,12 +338,15 @@ class SIndex:
                                          for a in self.elements])
         return col
 
-    def join(self, h: int, gens: Iterable[int]) -> int:
-        """Mask of the subgroup generated by the subgroup ``h`` and ``gens``.
+    def _span(self, h: int, gens: Iterable[int]) -> int:
+        """Mask of the subgroup generated by ``gens``, given the mask ``h``
+        of a subgroup H that is generated by some of ``gens``.
 
         Walks right cosets of H: the coset Hr times a generator g is the
         coset H(rg), so it lies inside the result or is disjoint from it,
-        and one lookup per (coset, generator) decides which.
+        and one lookup per (coset, generator) decides which.  The walk
+        yields H·<gens>, which is the subgroup <gens> only under that
+        precondition.
         """
         cols = [self.right(g) for g in gens]
         seen = h
@@ -349,12 +362,15 @@ class SIndex:
         return seen
 
     def lattice(self) -> list[int]:
-        """Masks of every subgroup of S, ordered by (order, members).
+        """Masks of every subgroup of S, ordered by (order, members);
+        computed on first use and kept.
 
         Join-closure of the cyclic subgroups: every subgroup is the join
         of the cyclic subgroups it contains, so joining each subgroup
         found with each cyclic subgroup outside it reaches all of them.
         """
+        if self._lattice is not None:
+            return self._lattice
         cyclic: dict[int, int] = {}  # mask -> one generator's position
         for x in range(1, len(self.elements)):
             col, m, y = self.right(x), 1, x
@@ -370,11 +386,32 @@ class SIndex:
             gens = subs[h]
             for x in cyclic.values():
                 if not h >> x & 1:
-                    j = self.join(h, gens + (x,))
+                    j = self._span(h, gens + (x,))
                     if j not in subs:
                         subs[j] = gens + (x,)
                         todo.append(j)
-        return sorted(subs, key=lambda m: (m.bit_count(), self.positions(m)))
+        self._lattice = sorted(
+            subs, key=lambda m: (m.bit_count(), self.positions(m)))
+        return self._lattice
+
+    def join(self, a: int, b: int) -> int:
+        """Mask of the subgroup generated by the subgroup mask ``a`` and
+        any mask ``b``: the first overgroup of ``a`` in the lattice, which
+        is ordered by size, that holds ``b``.  Memoized, as are the
+        overgroups of ``a``."""
+        key = (a, b)
+        j = self._joins.get(key)
+        if j is None:
+            if a & b == b:
+                j = a
+            else:
+                ups = self._ups.get(a)
+                if ups is None:
+                    ups = self._ups[a] = [m for m in self.lattice()
+                                          if m & a == a]
+                j = next(m for m in ups if m & b == b)
+            self._joins[key] = j
+        return j
 
 
 def image_mask(images: tuple[int, ...], positions: Iterable[int]) -> int:
@@ -394,27 +431,16 @@ def all_subgroups(G: FiniteGroup, within: Optional[Subgroup] = None,
     H = within if within is not None else G.full_subgroup()
     if len(H) > cap:
         raise SizeCapExceeded(f"subgroup enumeration cap {cap} exceeded")
-    idx = SIndex(H)
+    idx = G.sindex(H)
     return [Subgroup(G, idx.members(m), check=False) for m in idx.lattice()]
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups, via join-closure of normal closures of elements."""
-    closures: set[frozenset] = {frozenset((G.identity,))}
-    for x in G.elements:
-        cls = {conjugate(x, g) for g in G.elements}
-        closures.add(frozenset(_closure(cls, G.degree, len(G))))
-    normals = set(closures)
-    worklist = list(closures)
-    while worklist:
-        a = worklist.pop()
-        for b in list(normals):
-            join = frozenset(_closure(a | b, G.degree, len(G)))
-            if join not in normals:
-                normals.add(join)
-                worklist.append(join)
-    return sorted((Subgroup(G, s, check=False) for s in normals),
-                  key=lambda H: (H.order, H.elements))
+    """All normal subgroups, canonically ordered: the members of the
+    lattice of G that every generator of G conjugates onto themselves."""
+    return [H for H in all_subgroups(G)
+            if all(conjugate(h, g) in H.eset
+                   for g in G.generators for h in H.elements)]
 
 
 # -- local analysis ---------------------------------------------------------

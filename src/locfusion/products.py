@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .fusion import (DEFAULT_MORPHISM_CAP, FMap, FusionSystem, close,
-                     conj_map, fusion_of_locality,
-                     fusion_of_partial_subgroup, inner_fusion, is_centric,
-                     is_normal_subsystem, is_saturated, is_strongly_closed,
+from .fusion import (DEFAULT_MORPHISM_CAP, FMap, FusionSystem, aut_group,
+                     close, fusion_of_locality, fusion_of_partial_subgroup,
+                     inner_fusion, is_centric, is_normal_subsystem,
                      is_subnormal_subsystem, is_subsystem, normalizer_system,
                      subcentric_subgroups, subgroup_lattice)
-from .permgroup import Subgroup, compose, inverse
+from .permgroup import (Subgroup, compose, generated_subgroup, inverse,
+                        perm_order)
 from .report import PreconditionError, Report
 
 
@@ -27,47 +27,25 @@ class NormalityRequired(PreconditionError):
     """The generation formula only covers D normal in the normalizer system."""
 
 
-def _aut_group_closure(seed: Iterable[FMap], amb: Sequence[FMap]) -> set[FMap]:
-    """Subgroup of the automorphism group ``amb`` generated by ``seed``."""
-    ident = next(a for a in amb if a.is_identity())
-    out = {ident} | set(seed)
-    frontier = list(out)
-    while frontier:
-        a = frontier.pop()
-        for b in list(out):
-            for c in (a.then(b), b.then(a)):
-                if c not in out:
-                    out.add(c)
-                    frontier.append(c)
-    return out
-
-
-def _map_order(phi: FMap) -> int:
-    n = 1
-    cur = phi
-    while not cur.is_identity():
-        cur = cur.then(phi)
-        n += 1
-    return n
-
-
 def a_fe(F: FusionSystem, E: FusionSystem, P: Subgroup) -> set[FMap]:
     """Automorphisms of P generated by p'-elements that centralize P
-    modulo P∩T and restrict into E on P∩T."""
+    modulo P∩T and restrict into E on P∩T, generated inside Aut_F(P) as
+    a permutation group (``aut_group``)."""
     T = E.S.eset
     pt = P.eset & T
-    auts = F.aut(P)
+    A, to_perm = aut_group(F, P)
     good = []
-    for phi in auts:
-        if _map_order(phi) % F.p == 0:
+    for phi, x in to_perm.items():
+        if perm_order(x) % F.p == 0:
             continue
-        commutators = {compose(inverse(x), phi.d[x]) for x in P.eset}
+        commutators = {compose(inverse(y), phi.d[y]) for y in P.eset}
         if not commutators <= pt:  # pt is a subgroup: holds their closure
             continue
         if phi.restrict(frozenset(pt)) not in E.maps:
             continue
-        good.append(phi)
-    return _aut_group_closure(good, auts)
+        good.append(x)
+    of_perm = {x: phi for phi, x in to_perm.items()}
+    return {of_perm[x] for x in generated_subgroup(A, good)}
 
 
 def _tr_subgroup(F: FusionSystem, T: frozenset, R: frozenset) -> Subgroup:

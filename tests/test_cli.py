@@ -179,6 +179,39 @@ def test_product_without_e_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["E", "D"])
+def test_product_over_outside_s_exits_2(field, tmp_path, capsys):
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("product-24")
+    d["fusion_products"]["i"][field]["over"] = [[2, 3, 1, 4]]  # a 3-cycle
+    path = _write(tmp_path, d)
+    assert run(["product-ed", path, "--product", "i"]) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep["kind"] == "DescriptorError"
+    assert rep["error"] == (f"product 'i' '{field}' 'over' does not "
+                            "generate a subgroup of S")
+    assert "Traceback" not in err
+    # the cap still exits 3 where the descriptor is sound
+    assert run(["product-ed", "product-24", "--product", "i",
+                "--morphism-cap", "5"]) == 3
+    assert json.loads(capsys.readouterr().out)["kind"] == \
+        "MorphismCapExceeded"
+
+
+def test_other_fusion_error_exits_2(monkeypatch, capsys):
+    from locfusion import cli
+    from locfusion.fusion import FusionError
+
+    def broken(ctx, args):
+        raise FusionError("not a subgroup of S")
+    monkeypatch.setitem(cli.HANDLERS, ("group", "info"), broken)
+    assert run(["group", "info", "instance-a"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["kind"] == "FusionError"
+    assert "Traceback" not in err
+
+
 def test_restriction_non_overgroup_closed_delta_exits_2(tmp_path, capsys):
     from locfusion.instances import load_descriptor
     d = load_descriptor("instance-b")

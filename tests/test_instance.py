@@ -5,11 +5,15 @@ Every function below is wrapped under each name that binds it in a
 ``suite`` runs in-process.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from locfusion import fusion, instances, locality, products
+import locfusion
+from locfusion import fusion, instances, locality, permgroup, products
 from locfusion.cli import main
 
 
@@ -67,3 +71,44 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     assert linking and _most_per_object(linking) == 1
     assert 1 <= len(via_loc) <= n_products
     assert _most_per_object(enums) <= 1
+
+
+def test_suite_indexes_each_subgroup_once(monkeypatch, tmp_path):
+    """Every SIndex comes from the group that keeps it, so a run builds
+    at most one per element set."""
+    built = _record_calls(monkeypatch, permgroup, "SIndex")
+    assert main(["suite", "product-24", "--out", str(tmp_path / "r.json")]) \
+        == 0
+    keys = [args[0].eset for args, _ in built]
+    assert keys and len(keys) == len(set(keys))
+
+
+_STATE_CHECK = """
+import copy, sys
+import locfusion.cli
+mods = [m for k, m in sorted(sys.modules.items())
+        if k.startswith("locfusion") and m is not None]
+def state():
+    return {(m.__name__, k): copy.deepcopy(v) for m in mods
+            for k, v in vars(m).items()
+            if not k.startswith("__") and type(v) in (dict, list, set)}
+before = state()
+assert before
+code = locfusion.cli.main(["suite", sys.argv[1], "--out", sys.argv[2]])
+after = state()
+changed = sorted(k for k in before if after[k] != before[k])
+print(code, changed)
+"""
+
+
+@pytest.mark.parametrize("name", ["product-24", "instance-b"])
+def test_suite_leaves_module_state_unchanged(name, tmp_path):
+    """A fresh interpreter, so that what an earlier test built cannot
+    hide a module-level cache: no module-level dict, list or set of
+    ``locfusion`` changes during a ``suite`` run."""
+    src = str(Path(locfusion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _STATE_CHECK, name, str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "0 []"

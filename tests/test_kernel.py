@@ -7,6 +7,11 @@ g^-1 * x * g from two compositions, and the full-scan O_p and the
 unshortcut subcentric test built on them.  They are kept here only as
 oracles: the library computes all of these through ``SIndex``, and
 searches O_p only above a subgroup it is known to contain.
+
+``ref_is_centric_radical`` and ``ref_a_fe`` are the automorphism-group
+code that the permutation group of ``fusion.aut_group`` replaced: a
+Cayley group of Aut_F(P) and a second one on the cosets of Inn(P), and a
+closure of ``FMap`` compositions.
 """
 
 import functools
@@ -15,16 +20,20 @@ import pytest
 
 from locfusion import instances as inst
 from locfusion.fusion import (FMap, _normality_fault, _op_core_over,
+                              centric_radicals, conj_map,
                               fully_normalized_conjugate, fusion_of_group,
                               fusion_of_locality, inner_maps, is_centric,
-                              is_normal_subgroup_in, is_receptive,
-                              is_strongly_closed, is_subcentric,
-                              normalizer_system, op_core, strong_closure,
-                              subcentric_subgroups, subgroup_lattice)
+                              is_centric_radical, is_normal_subgroup_in,
+                              is_receptive, is_strongly_closed,
+                              is_subcentric, normalizer_system, op_core,
+                              strong_closure, subcentric_subgroups,
+                              subgroup_lattice)
 from locfusion.locality import LocalityError, _check_delta_closures
 from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _closure,
-                                 all_subgroups, center, compose, from_cycles,
-                                 generated_subgroup, inverse, sylow_subgroup)
+                                 all_subgroups, cayley_group, center,
+                                 compose, from_cycles, generated_subgroup,
+                                 inverse, p_core, sylow_subgroup)
+from locfusion.products import _tr_subgroup, a_fe
 
 
 def ref_conjugate(x, g):
@@ -185,6 +194,51 @@ def ref_is_subcentric(F, P):
     return is_centric(F, F.subgroup(R.eset))
 
 
+def ref_is_centric_radical(F, P):
+    """Centric, and O_p of Aut_F(P)/Inn(P) trivial, with both groups
+    realized by their regular actions."""
+    if not is_centric(F, P):
+        return False
+    GA, to_perm = cayley_group(sorted(F.aut(P)), lambda a, b: a.then(b))
+    inn = {to_perm[conj_map(P.eset, x)] for x in P.eset}
+    cosets = {}
+    for g in GA.elements:
+        cs = frozenset(compose(n, g) for n in inn)
+        cosets.setdefault(cs, min(cs))
+    coset_of = {g: k for k in cosets for g in k}
+    quotient, _ = cayley_group(
+        sorted(cosets),
+        lambda a, b: coset_of[compose(cosets[a], cosets[b])])
+    return p_core(quotient, F.p).order == 1
+
+
+def ref_a_fe(F, E, P):
+    """The p'-automorphisms of P that centralize P modulo P∩T and
+    restrict into E, closed under composition of ``FMap`` graphs."""
+    pt = P.eset & E.S.eset
+    auts = F.aut(P)
+
+    def order(phi):
+        n, cur = 1, phi
+        while not cur.is_identity():
+            cur, n = cur.then(phi), n + 1
+        return n
+    out = {a for a in auts if a.is_identity()}
+    out |= {phi for phi in auts
+            if order(phi) % F.p
+            and {compose(inverse(x), phi.d[x]) for x in P.eset} <= pt
+            and phi.restrict(frozenset(pt)) in E.maps}
+    frontier = list(out)
+    while frontier:
+        a = frontier.pop()
+        for b in list(out):
+            for c in (a.then(b), b.then(a)):
+                if c not in out:
+                    out.add(c)
+                    frontier.append(c)
+    return out
+
+
 # -- groups -------------------------------------------------------------------
 
 def _s4():
@@ -209,6 +263,18 @@ def _s5():
 def _s6():
     return FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                            from_cycles(6, (1, 2))])
+
+
+def _s4xs2():
+    return FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4)),
+                           from_cycles(6, (1, 2)), from_cycles(6, (5, 6))])
+
+
+def _s4xs4():
+    return FiniteGroup(8, [from_cycles(8, (1, 2, 3, 4)),
+                           from_cycles(8, (1, 2)),
+                           from_cycles(8, (5, 6, 7, 8)),
+                           from_cycles(8, (5, 6))])
 
 
 EXTRA = [("S4", _s4, 2), ("S4", _s4, 3), ("S3xS3", _s3xs3, 2),
@@ -424,3 +490,88 @@ def test_each_normality_clause_fires(s4, s4_sylow, klein):
     assert not ref_is_normal_subgroup_in(F, S)
     assert _normality_fault(F, F.subgroup(klein.eset)) is None
     assert op_core(F).eset == klein.eset
+
+
+# -- Aut_F(P) as a permutation group ------------------------------------------
+
+AUT_GROUPS = {"S4": (_s4, (2, 3)), "S3xS3": (_s3xs3, (2, 3)),
+              "A5": (_a5, (2, 3, 5)), "S5": (_s5, (2, 3, 5)),
+              "S6": (_s6, (2, 3, 5)), "S4xS2": (_s4xs2, (2, 3)),
+              "S4xS4": (_s4xs4, (2,))}
+AUT_IDS = ([f"{name}:p={p}" for name, (_, ps) in AUT_GROUPS.items()
+            for p in ps]
+           + [f"{name}:F_S(L)" for name in inst.BUNDLED])
+
+
+@functools.lru_cache(maxsize=None)
+def _aut_system(label):
+    """F_S(G) of a named group at a prime, or F_S(L) of a bundled
+    locality."""
+    name, _, rest = label.partition(":")
+    if rest == "F_S(L)":
+        return fusion_of_locality(inst.Instance(inst.load_descriptor(name)).L)
+    G = AUT_GROUPS[name][0]()
+    return fusion_of_group(G, sylow_subgroup(G, int(rest[2:])))
+
+
+@pytest.mark.parametrize("label", AUT_IDS)
+def test_aut_group_matches_cayley_route(label):
+    """On every subgroup P: the centric-radical verdict against the
+    Cayley quotient, and A(P) with E = F (the subgroup of Aut_F(P)
+    generated by its p'-elements) against the FMap closure."""
+    F = _aut_system(label)
+    verdicts = []
+    for P in F.subgroups:
+        v = is_centric_radical(F, P)
+        assert v == ref_is_centric_radical(F, P), P.elements
+        verdicts.append(v)
+        assert a_fe(F, F, P) == ref_a_fe(F, F, P), P.elements
+    assert centric_radicals(F) == \
+        [P for P, v in zip(F.subgroups, verdicts) if v]
+    assert any(verdicts)
+
+
+def _product_systems():
+    for dname in ("product-24", "product-48"):
+        ctx = inst.Instance(inst.load_descriptor(dname))
+        for pname in sorted(ctx.d["fusion_products"]):
+            st = ctx.product(pname)
+            yield f"{dname}:{pname}", st["F"], st["E"], st["T"], st["D"]
+
+
+PRODUCT_SYSTEMS = list(_product_systems())
+
+
+@pytest.mark.parametrize("label,F,E,T,D", PRODUCT_SYSTEMS,
+                         ids=[p[0] for p in PRODUCT_SYSTEMS])
+def test_a_fe_matches_fmap_closure_over_tr(label, F, E, T, D):
+    """A(P) for every P <= TR, of E inside F and of D inside N_F(T), as
+    the product formula takes them."""
+    tr = _tr_subgroup(F, T.eset, D.S.eset).eset
+    NFT = normalizer_system(F, T)
+    for ambient, sub in ((F, E), (NFT, D)):
+        for P in ambient.subgroups:
+            if P.eset <= tr:
+                assert a_fe(ambient, sub, P) == ref_a_fe(ambient, sub, P)
+
+
+# -- joins in the S-lattice ---------------------------------------------------
+
+def test_sindex_join_is_generated_subgroup(s4):
+    """join(a, b) is <a, b> for every pair of subgroup masks of D8,
+    against the closure of their elements; and <(13)> joined with
+    (12)(34) is all of D8, where the right-coset walk gives only
+    <(13)>·<(12)(34)>."""
+    D8 = generated_subgroup(s4, [from_cycles(4, (1, 2, 3, 4)),
+                                 from_cycles(4, (1, 3))])
+    idx = s4.sindex(D8)
+    lattice = idx.lattice()
+    assert len(lattice) == 10
+    for a in lattice:
+        for b in lattice:
+            closure = _closure(idx.members(a | b), 4, 8)
+            assert set(idx.members(idx.join(a, b))) == closure
+    r = idx.mask(generated_subgroup(s4, [from_cycles(4, (1, 3))]))
+    x = idx.mask([from_cycles(4, (1, 2), (3, 4))])
+    assert idx.join(r, x) == (1 << 8) - 1
+    assert idx._span(r, idx.positions(x)).bit_count() == 4
