@@ -132,7 +132,7 @@ def build_locality(d: dict, ctx: Optional[Instance] = None) -> Locality:
     validator on it."""
     ctx = ctx or Instance(d)
     delta = delta_of(d, ctx.G, ctx.S)
-    return locality_from_group(ctx.G, ctx.S, delta, d["p"], validate=False)
+    return locality_from_group(ctx.G, ctx.S, delta, d["p"])
 
 
 def resolve_ids(L: Locality, sub: Subgroup) -> frozenset:

@@ -22,12 +22,22 @@ exhaustive validation up to a word-length bound tractable.  One
 explorer (``_word_states``) walks those states and one check
 (``_check_delta_closures``) decides whether a family of masks is an
 object set.
+
+The explorer groups the letters by their domain S_f.  A state extends
+by a whole group at once when the preimage of S_f, walked back along
+the state's representative word, is in delta; this is the same set
+identity as S_w, so it holds for any tables.  Each state composes its
+map once into a getter (``operator.itemgetter`` over the map), and each
+transition is then one call of that getter on the letter's map.  The
+split check of the validator admits right states by the same walk,
+grouped by (length, domain).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Collection, Iterable, Optional, Sequence
 
 from .fusion import DEFAULT_MORPHISM_CAP
@@ -69,9 +79,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
     def to_json(self) -> dict:
         return {
@@ -163,19 +170,6 @@ class Locality:
         """Mask of the positions where the map m is defined."""
         return sum(itertools.compress(self._bits, map(_defined, m)))
 
-    def _extends_in_delta(self, m: tuple[int, ...],
-                          reps: dict[int, tuple[int, ...]]) -> dict[int, bool]:
-        """For each mask d of ``reps``: is {i : m[i] in d} in delta?
-
-        ``reps[d]`` is any map with domain d; the set is the domain of m
-        followed by it.  The domain of a word w followed by a letter or
-        word depends only on the latter's domain, so callers test once
-        per distinct domain instead of once per extension.
-        """
-        dom, delta = self._dom, self.delta
-        return {d: dom(tuple(map(r.__getitem__, m))) in delta
-                for d, r in reps.items()}
-
     @property
     def lattice(self) -> list[int]:
         """Masks of every subgroup of S, ordered by (order, members);
@@ -219,16 +213,19 @@ class Locality:
             self._pre[key] = pre
         return pre
 
-    def s_mask(self, w: Word) -> int:
-        """S_w as a mask; S itself for the empty word.
-
-        S_w = pre_{w1}(pre_{w2}(... pre_{wk}(S))), which is the domain
-        of the composite map along w for any tables, valid or not.
-        """
-        mask = self._full
+    def preimage_along(self, w: Word, mask: int) -> int:
+        """pre_{w1}(pre_{w2}(... pre_{wk}(mask))): the positions whose
+        image along w is defined and in ``mask``, for any tables, valid
+        or not.  For a word w followed by a letter or word with domain
+        d, the domain of the whole is ``preimage_along(w, d)``."""
         for f in reversed(w):
             mask = self.preimage(f, mask)
         return mask
+
+    def s_mask(self, w: Word) -> int:
+        """S_w as a mask; S itself for the empty word.  It is the domain
+        of the composite map along w."""
+        return self.preimage_along(w, self._full)
 
     def s_of_word(self, w: Word) -> frozenset[int]:
         """S_w as a set of carrier ids; S itself for the empty word."""
@@ -283,13 +280,12 @@ def delta_min_order(G: FiniteGroup, S: Subgroup, min_order: int) -> list[Subgrou
 
 
 def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
-                        p: int, validate: bool = True,
-                        max_word_length: int = 4) -> Locality:
+                        p: int) -> Locality:
     """The standard realization L_delta(G) = {g : S cap S^(g^-1) in delta}.
 
     delta must be overgroup-closed in S and closed under the conjugation
-    maps of G between subgroups of S; the result is validated post hoc
-    unless ``validate`` is disabled.
+    maps of G between subgroups of S (LocalityError otherwise).  The
+    result is not validated here; ``validate_locality`` checks it.
     """
     delta = list(delta)
     six = S.parent.sindex(S)
@@ -320,33 +316,28 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
 
     # (f,g) is composable iff S_(f,g) = {s in S_f : s^f in S_g} is in
     # delta; S_g takes few values, so this is decided once per (f, S_g)
+    # and the row visits only the g of the composable buckets, in order
+    by_dom: dict[int, list[int]] = {}
+    for j, (_, dom) in enumerate(actions):
+        by_dom.setdefault(dom, []).append(j)
     prod: dict[tuple[int, int], int] = {}
-    doms = [dom for _, dom in actions]
-    dom_values = set(doms)
     for i, (f, (images, dom_f)) in enumerate(zip(labels, actions)):
         fpos = bit_positions(dom_f)
-        composable = {}
-        for dom_g in dom_values:
+        row = []
+        for dom_g, js in by_dom.items():
             sw = 0
             for k in fpos:
                 if dom_g >> images[k] & 1:
                     sw |= 1 << k
-            composable[dom_g] = sw in dmasks
-        for j, dom_g in enumerate(doms):
-            if composable[dom_g]:
-                prod[(i, j)] = idx[compose(f, labels[j])]
+            if sw in dmasks:
+                row += js
+        row.sort()
+        prod.update(((i, j), idx[compose(f, labels[j])]) for j in row)
 
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
     L = Locality(labels, identity, inv, prod, s_ids, p, delta_ids,
                  realization=G)
     L._lattice = lattice  # s_ids follow the positions of six
-    if validate:
-        report = validate_locality(L, max_word_length=max_word_length)
-        if not report.ok:
-            bad = report.failures()[0]
-            raise LocalityError(
-                f"constructed object fails the locality axioms: "
-                f"{bad.name} ({bad.witness})")
     return L
 
 
@@ -395,11 +386,15 @@ def _word_states(L: Locality, max_len: int,
     Returns ``(states, failures)``: ``states`` maps each state to its
     minimal length and a representative word, and ``failures`` lists the
     domain words whose left fold is undefined or leaves the letters.
+    A state's word w extends by f exactly when the preimage of S_f along
+    w is in delta, decided once per distinct S_f.
     """
     letters = range(L.n) if letters is None else sorted(letters)
     inside = set(letters)
-    pm, sf, prod = L._pm, L._sf, L.prod
-    reps = {sf[f]: pm[f] for f in letters}
+    pm, sf, prod, delta = L._pm, L._sf, L.prod, L.delta
+    by_dom: dict[int, list[int]] = {}
+    for f in letters:
+        by_dom.setdefault(sf[f], []).append(f)
     states = {}
     failures = []
     frontier = {}
@@ -413,16 +408,19 @@ def _word_states(L: Locality, max_len: int,
         length += 1
         new = {}
         for (pi, m), word in frontier.items():
-            ok = L._extends_in_delta(m, reps)
-            for f in letters:
-                if not ok[sf[f]]:
-                    continue
-                m2 = tuple(map(pm[f].__getitem__, m))
+            groups = [fs for d, fs in by_dom.items()
+                      if L.preimage_along(word, d) in delta]
+            if len(groups) < len(by_dom):  # back into letter order
+                nexts = sorted(itertools.chain.from_iterable(groups))
+            else:
+                nexts = letters
+            after = itemgetter(*m)  # m has |S| + 1 >= 2 entries
+            for f in nexts:
                 pi2 = prod.get((pi, f))
                 if pi2 is None or pi2 not in inside:
                     failures.append(word + (f,))
                     continue
-                st = (pi2, m2)
+                st = (pi2, after(pm[f]))
                 if st not in states:
                     states[st] = (length, word + (f,))
                     new[st] = word + (f,)
@@ -464,18 +462,19 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
     add(CheckResult("s_f_in_delta", bad is None,
                     None if bad is None else f"element {bad}"))
 
-    # objectivity at length 2: (f,g) defined iff S_(f,g) in delta
+    # objectivity at length 2: (f,g) defined iff S_(f,g) = pre_f(S_g)
+    # in delta, compared a row at a time
     ok, wit = True, None
-    reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
+    doms = set(L._sf)
     for f in range(L.n):
-        in_delta = L._extends_in_delta(L._pm[f], reps)
-        for g in range(L.n):
-            defined = (f, g) in L.prod
-            obj = in_delta[L._sf[g]]
-            if defined != obj:
-                ok, wit = False, f"pair ({f},{g}): defined={defined}, S_w in delta={obj}"
-                break
-        if not ok:
+        in_delta = {d: L.preimage(f, d) in L.delta for d in doms}
+        objs = list(map(in_delta.__getitem__, L._sf))
+        defined = list(map(L.prod.__contains__,
+                           zip(itertools.repeat(f), range(L.n))))
+        if objs != defined:
+            g = next(g for g in range(L.n) if objs[g] != defined[g])
+            ok, wit = False, (f"pair ({f},{g}): defined={defined[g]}, "
+                              f"S_w in delta={objs[g]}")
             break
     add(CheckResult("objectivity_len2", ok, wit))
 
@@ -503,14 +502,20 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
             break
     add(CheckResult("s_w_through_product", ok, wit))
 
+    # every split u|v of a domain word into two states: the right states
+    # are grouped by (length, S_v), each group admitted at once by the
+    # preimage of S_v along u, and visited in state order
     ok, wit = True, None
-    items = [(p, L._dom(m), m, v) for (p, m), v in states.items()]
-    reps = {d: m for _, d, m, _ in items}
-    for p1, _, m1, (l1, w1) in items:
-        in_delta = L._extends_in_delta(m1, reps)
-        for p2, d2, _, (l2, w2) in items:
-            if l1 + l2 > max_word_length or not in_delta[d2]:
-                continue
+    items = list(states.items())
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, ((_, m), (length, _)) in enumerate(items):
+        groups.setdefault((length, L._dom(m)), []).append(k)
+    for (p1, _), (l1, w1) in items:
+        right = sorted(itertools.chain.from_iterable(
+            ks for (l2, d2), ks in groups.items()
+            if l1 + l2 <= max_word_length
+            and L.preimage_along(w1, d2) in L.delta))
+        for (p2, _), (_, w2) in map(items.__getitem__, right):
             pi = L.prod.get((p1, p2))
             q = p1
             for f in w2:

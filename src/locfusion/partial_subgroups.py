@@ -10,7 +10,8 @@ when the preimage of S_f under n and then f^-1 is in delta, read from
 the locality's preimage cache, and the word is folded only then.
 ``is_partial_subgroup`` and ``is_partial_normal`` memoize their
 verdicts on the locality, each together with its first fault, so a set
-asked about again costs one dict lookup.
+asked about again costs one dict lookup; ``decompose`` likewise indexes
+the matched pairs of N x K by product once per (N, K).
 
 The harnesses check the two structure theorems about NK (normal and
 subnormal K) and the restriction-compatibility lemma on concrete
@@ -197,29 +198,39 @@ class DecompositionNotFound(LocalityError):
     """No (n, k) pair with g = nk and S_g = S_(n,k); a violation of the product structure."""
 
 
+def _matched_pairs(L: Locality, A: Sequence[int], B: Sequence[int]
+                   ) -> dict[int, tuple[int, int]]:
+    """c -> the first (a, b) in id order with ab = c and S_(a,b) = S_c."""
+    out: dict[int, tuple[int, int]] = {}
+    for a in A:
+        for b in B:
+            c = L.prod.get((a, b))
+            if c is not None and c not in out \
+                    and L.s_mask((a, b)) == L.s_mask((c,)):
+                out[c] = (a, b)
+    return out
+
+
 def decompose(L: Locality, N: Iterable[int], K: Iterable[int],
               g: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(n, k) and (k', n') with g = nk = k'n' and S_g = S_(n,k) = S_(k',n').
 
-    Exhaustive search over the pairs in id order; the S_g condition is
-    recomputed for the returned pair, never assumed.
+    Each pair is the first in id order with that product and S_(a,b) =
+    S_g, recomputed from the tables, never assumed.  The pairs are
+    indexed by product once per (N, K), memoized on L.
     """
-    sg = L.s_mask((g,))
-    Ns, Ks = sorted(set(N)), sorted(set(K))
-
-    def search(A, B):
-        for a in A:
-            for b in B:
-                if L.prod.get((a, b)) == g and L.s_mask((a, b)) == sg:
-                    return a, b
-        return None
-    nk = search(Ns, Ks)
-    kn = search(Ks, Ns)
+    Nset, Kset = frozenset(N), frozenset(K)
+    key = ("decompose", Nset, Kset)
+    if key not in L._verdicts:
+        L._verdicts[key] = (_matched_pairs(L, sorted(Nset), sorted(Kset)),
+                            _matched_pairs(L, sorted(Kset), sorted(Nset)))
+    nks, kns = L._verdicts[key]
+    nk, kn = nks.get(g), kns.get(g)
     if nk is None or kn is None:
         raise DecompositionNotFound(
             f"element {g} admits no matched decomposition "
             f"(nk found: {nk is not None}, kn found: {kn is not None})")
-    return nk, (kn[0], kn[1])
+    return nk, kn
 
 
 # -- theorem harnesses -------------------------------------------------------

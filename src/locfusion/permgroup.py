@@ -26,6 +26,7 @@ subgroup once.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Optional
 
 Perm = tuple[int, ...]
@@ -49,7 +50,9 @@ def identity_perm(degree: int) -> Perm:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """Apply a, then b."""
-    return tuple(b[x] for x in a)
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    return tuple(b[x] for x in a)  # itemgetter of one index gives a scalar
 
 
 def inverse(a: Perm) -> Perm:

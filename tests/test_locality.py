@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from locfusion.locality import (LocalityError, delta_min_order,
+from locfusion.locality import (LocalityError, _word_states, delta_min_order,
                                 is_linking_locality, local_group,
                                 locality_from_descriptor, locality_from_group,
                                 locality_to_descriptor, normalizer_carrier,
@@ -56,8 +56,7 @@ def test_partial_domain_on_larger_symmetric_group():
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
-    L = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2,
-                            validate=False)
+    L = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2)
     assert L.n == 80
     found = None
     for f, g in itertools.product(range(L.n), repeat=2):
@@ -148,7 +147,7 @@ def test_linking_locality_false_with_central_3_factor():
                         from_cycles(7, (5, 6, 7))])
     s = sylow_subgroup(g, 2)
     delta = all_subgroups(g, within=s)
-    L = locality_from_group(g, s, delta, 2, validate=False)
+    L = locality_from_group(g, s, delta, 2)
     ok, _rep = is_linking_locality(L)
     assert not ok
 
@@ -171,8 +170,7 @@ def test_delta_min_order_members(s4, s4_sylow):
 # -- the one Delta-closure check, from each caller --------------------------
 
 def test_validator_reports_missing_overgroup(s4, s4_sylow):
-    L = locality_from_group(s4, s4_sylow, delta_min_order(s4, s4_sylow, 2),
-                            2, validate=False)
+    L = locality_from_group(s4, s4_sylow, delta_min_order(s4, s4_sylow, 2), 2)
     d = locality_to_descriptor(L)
     d["delta"].remove(next(m for m in d["delta"] if len(m) == 4))
     rep = validate_locality(locality_from_descriptor(d), max_word_length=3)
@@ -238,7 +236,7 @@ def test_s_w_matches_element_wise_on_partial_domain():
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
     delta = delta_min_order(s6, s, 8)
-    L = locality_from_group(s6, s, delta, 2, validate=False)
+    L = locality_from_group(s6, s, delta, 2)
     dsets = {P.eset for P in delta}
     assert _check_s_w_oracle(L, s, dsets, 2) == {True, False}
 
@@ -271,8 +269,7 @@ def test_s_mask_walk_matches_composite_on_partial_domain():
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
-    L = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2,
-                            validate=False)
+    L = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2)
     assert _check_walk_against_composite(L, 2) == {True, False}
 
 
@@ -333,3 +330,163 @@ def test_validator_reports_every_corrupted_product_entry(loc_b):
     assert set(s_faults) == {"S not product-closed",
                              "identity law fails in S",
                              "product on S not associative"}
+
+
+# -- the explorer and the validator against the tuple-composing oracle --------
+
+def _oracle_extends_in_delta(L, m, reps):
+    """For each mask d of ``reps`` (d -> a map with domain d): is the
+    domain of m followed by ``reps[d]``, composed as tuples, in delta?"""
+    return {d: L._dom(tuple(map(r.__getitem__, m))) in L.delta
+            for d, r in reps.items()}
+
+
+def _oracle_word_states(L, max_len, letters=None):
+    """The explorer with one composed map per state and letter."""
+    letters = range(L.n) if letters is None else sorted(letters)
+    inside = set(letters)
+    pm, sf = L._pm, L._sf
+    reps = {sf[f]: pm[f] for f in letters}
+    states, failures, frontier = {}, [], {}
+    for f in letters:
+        st = (f, pm[f])
+        if st not in states:
+            states[st] = (1, (f,))
+            frontier[st] = (f,)
+    length = 1
+    while frontier and length < max_len:
+        length += 1
+        new = {}
+        for (pi, m), word in frontier.items():
+            ok = _oracle_extends_in_delta(L, m, reps)
+            for f in letters:
+                if not ok[sf[f]]:
+                    continue
+                m2 = tuple(map(pm[f].__getitem__, m))
+                pi2 = L.prod.get((pi, f))
+                if pi2 is None or pi2 not in inside:
+                    failures.append(word + (f,))
+                    continue
+                st = (pi2, m2)
+                if st not in states:
+                    states[st] = (length, word + (f,))
+                    new[st] = word + (f,)
+        frontier = new
+    return states, failures
+
+
+def _oracle_checks(L, max_len):
+    """objectivity_len2, fold_defined_on_domain and the split check over
+    all pairs of states, each with composed maps; name -> (passed,
+    witness)."""
+    out = {}
+    ok, wit = True, None
+    reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
+    for f in range(L.n):
+        in_delta = _oracle_extends_in_delta(L, L._pm[f], reps)
+        for g in range(L.n):
+            defined, obj = (f, g) in L.prod, in_delta[L._sf[g]]
+            if defined != obj:
+                ok, wit = False, (f"pair ({f},{g}): defined={defined}, "
+                                  f"S_w in delta={obj}")
+                break
+        if not ok:
+            break
+    out["objectivity_len2"] = (ok, wit)
+    states, failures = _oracle_word_states(L, max_len)
+    out["fold_defined_on_domain"] = (
+        not failures, f"word {failures[0]!r}" if failures else None)
+    ok, wit = True, None
+    items = [(p, L._dom(m), m, v) for (p, m), v in states.items()]
+    reps = {d: m for _, d, m, _ in items}
+    for p1, _, m1, (l1, w1) in items:
+        in_delta = _oracle_extends_in_delta(L, m1, reps)
+        for p2, d2, _, (l2, w2) in items:
+            if l1 + l2 > max_len or not in_delta[d2]:
+                continue
+            pi, q = L.prod.get((p1, p2)), p1
+            for f in w2:
+                q = L.prod.get((q, f))
+                if q is None:
+                    break
+            if pi is None or q is None or pi != q:
+                ok, wit = False, f"split {w1!r}|{w2!r}: fold != Pi(u)Pi(v)"
+                break
+        if not ok:
+            break
+    out["associativity_by_splitting"] = (ok, wit)
+    return out
+
+
+def _assert_matches_oracle(L, max_len):
+    states, failures = _word_states(L, max_len)
+    want_states, want_failures = _oracle_word_states(L, max_len)
+    assert list(states.items()) == list(want_states.items())
+    assert failures == want_failures
+    got = validate_locality(L, max_word_length=max_len).to_json()
+    want = _oracle_checks(L, max_len)
+    for c in got["checks"]:
+        if c["name"] in want:
+            assert (c["passed"], c.get("witness")) == want[c["name"]], \
+                c["name"]
+    assert want.keys() <= {c["name"] for c in got["checks"]}
+
+
+@pytest.mark.parametrize("name", ["instance-a", "instance-b", "product-24",
+                                  "product-48", "group-8", "group-60"])
+def test_explorer_matches_oracle_on_bundled(name):
+    from locfusion import instances as inst
+    L = inst.build_locality(inst.load_descriptor(name))
+    for max_len in (2, 3, 4):
+        _assert_matches_oracle(L, max_len)
+
+
+def test_explorer_matches_oracle_on_s6():
+    from pathlib import Path
+    from locfusion import instances as inst
+    path = Path(__file__).resolve().parents[1] / "perfbench/instances/s6.json"
+    _assert_matches_oracle(inst.build_locality(
+        inst.load_descriptor(str(path))), 4)
+
+
+def _corruptions(L, seed, count=200):
+    """``count`` descriptors of L, each with one product entry changed."""
+    d = locality_to_descriptor(L)
+    rng = random.Random(seed)
+    for _ in range(count):
+        i = rng.randrange(len(d["products"]))
+        a, b, old = d["products"][i]
+        new = rng.choice([x for x in range(d["carrier"]) if x != old])
+        bad = dict(d, products=list(d["products"]))
+        bad["products"][i] = [a, b, new]
+        yield locality_from_descriptor(bad)
+
+
+@pytest.mark.parametrize("fixture,seed", [("loc_b", 1), ("loc_a", 7)])
+def test_explorer_matches_oracle_on_corruptions(fixture, seed, request):
+    """The preimage walk is a set identity and the getter composes the
+    same maps, so states, failures and reports agree with the oracle
+    also on tables that break the axioms."""
+    for L in _corruptions(request.getfixturevalue(fixture), seed):
+        for max_len in (2, 3, 4):
+            _assert_matches_oracle(L, max_len)
+
+
+def test_partial_subgroup_witness_matches_oracle(loc_b):
+    from locfusion.partial_subgroups import partial_subgroup_witness
+    s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
+                         from_cycles(6, (1, 2))])
+    s = sylow_subgroup(s6, 2)
+    partial = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2)
+    rng = random.Random(3)
+    seen = set()
+    for L in (loc_b, partial):
+        for _ in range(60):
+            X = {L.identity}
+            for f in rng.sample(range(L.n), rng.randrange(1, 8)):
+                X |= {f, L.inv[f]}
+            failures = _oracle_word_states(L, 4, X)[1]
+            want = {"word": list(failures[0])} if failures else None
+            assert partial_subgroup_witness(L, X) == want
+            seen.add(want is None)
+    assert seen == {True, False}

@@ -10,8 +10,8 @@ from locfusion.instances import (build_locality, delta_of, k_choice,
 from locfusion.locality import (_word_states, delta_min_order,
                                 locality_from_descriptor,
                                 locality_to_descriptor, normalizer_carrier)
-from locfusion.partial_subgroups import (_conjugates, _partial_normal_clause,
-                                         decompose,
+from locfusion.partial_subgroups import (DecompositionNotFound, _conjugates,
+                                         _partial_normal_clause, decompose,
                                          enumerate_partial_normals,
                                          is_partial_normal,
                                          is_partial_subgroup, is_subnormal,
@@ -113,6 +113,31 @@ def test_decompose_both_orders(desc_b, lb, n_alt):
     assert lb.product((n, k)) == g
     assert lb.product((k2, n2)) == g
     assert lb.s_of_word((g,)) == lb.s_of_word((n, k))
+
+
+def _scan_decompose(L, N, K, g):
+    """Brute force: the first matched pair of N x K and of K x N in id
+    order, scanned afresh for g; None for an order without one."""
+    sg = L.s_mask((g,))
+
+    def search(A, B):
+        return next(((a, b) for a in sorted(A) for b in sorted(B)
+                     if L.prod.get((a, b)) == g
+                     and L.s_mask((a, b)) == sg), None)
+    return search(N, K), search(K, N)
+
+
+def test_decompose_matches_scan_on_every_g(desc_b, lb, n_alt):
+    K = k_choice(desc_b, lb, "order12")
+    for g in set_product(lb, n_alt, K):
+        assert decompose(lb, n_alt, K, g) == _scan_decompose(lb, n_alt, K, g)
+    # a g outside NK has no matched pair in either order
+    g = next(g for g in range(lb.n)
+             if _scan_decompose(lb, n_alt, K, g) == (None, None))
+    with pytest.raises(DecompositionNotFound) as exc:
+        decompose(lb, n_alt, K, g)
+    assert str(exc.value) == (f"element {g} admits no matched decomposition "
+                              "(nk found: False, kn found: False)")
 
 
 def test_restriction_lemma(desc_b, lb, n_alt):

@@ -23,6 +23,16 @@ def test_compose_and_inverse():
     assert perm_order(a) == 4 and perm_order(b) == 2
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 7])
+def test_compose_matches_pointwise_definition(degree):
+    perms = list(itertools.permutations(range(degree)))
+    pairs = itertools.product(perms, repeat=2) if degree <= 2 else \
+        zip(perms[::97], perms[::-113])
+    for a, b in pairs:
+        ab = compose(a, b)
+        assert type(ab) is tuple and ab == tuple(b[x] for x in a)
+
+
 def test_conjugate_matches_definition():
     a = from_cycles(5, (1, 2, 3))
     g = from_cycles(5, (3, 4, 5))
