@@ -31,7 +31,7 @@ a caller sets it once where it builds the ambient system.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
                         bit_positions, compose, conjugate, image_mask,
@@ -239,22 +239,29 @@ class FusionSystem:
 
 # -- constructions -----------------------------------------------------------
 
-def _conjugation_maps(S: Subgroup, acting: Iterable) -> set[FMap]:
+def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[FMap]:
     """Graphs of the maps P -> P^g for P in the S-lattice and g in
     ``acting`` with P^g <= S.
 
-    The action of each g on S is computed once and dropped; the test
-    P <= dom(g) is one mask comparison, and each distinct
+    The actions come from ``SIndex.actions``, one coset of S at a time.
+    The subgroups inside dom(g) are listed once per distinct dom, the
+    images of each are read by one getter, and each distinct
     (P, images) map is built once.
     """
     idx = S.parent.sindex(S)
-    subs = [(m, idx.positions(m)) for m in idx.lattice()]
+    # a getter of one index gives a scalar: only the trivial subgroup
+    # has one, and it always maps onto itself
+    subs = [(m, itemgetter(*idx.positions(m)) if m != 1
+             else lambda images: (0,)) for m in idx.lattice()]
+    inside: dict[int, list] = {}
     graphs = set()
-    for g in acting:
-        images, dom = idx.action(g)
-        for m, ps in subs:
-            if m & dom == m:
-                graphs.add((m, tuple([images[i] for i in ps])))
+    for _, images, dom in idx.actions(acting):
+        subs_in = inside.get(dom)
+        if subs_in is None:
+            subs_in = inside[dom] = [(m, get) for m, get in subs
+                                     if m & dom == m]
+        for m, get in subs_in:
+            graphs.add((m, get(images)))
     els = idx.elements
     return {FMap(zip(idx.members(m), [els[j] for j in images]))
             for m, images in graphs}
@@ -319,7 +326,7 @@ def close(S: Subgroup, p: int, generators: Iterable[FMap],
 
 
 def fusion_of_group(G: FiniteGroup, S: Subgroup,
-                    acting: Optional[Iterable] = None, p: int = 0,
+                    acting: Optional[Sequence] = None, p: int = 0,
                     cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """F_S(G): Hom(P, Q) = conjugation maps by elements of G.
 

@@ -50,9 +50,45 @@ def load_descriptor(name_or_path: str) -> dict:
         d = json.loads(text)
     except json.JSONDecodeError as e:
         raise DescriptorError(f"descriptor is not valid JSON: {e}") from e
+    _check_schema(d)
+    return d
+
+
+def _check_schema(d) -> None:
+    """The shape of every section present, checked once on load, so that
+    a malformed section is an input error before any group is built."""
     _require_keys(d, ("name", "group", "p"), "descriptor")
     _require_int(d["p"], "'p'")
-    return d
+    for key in ("normal_subgroups", "k_choices", "fusion_products"):
+        _require_keys(d.get(key, {}), (), repr(key))
+    deltas = [d.get("delta")]
+    subgroups = [*d.get("normal_subgroups", {}).values(),
+                 *d.get("k_choices", {}).values()]
+    for key, keys in (("theorem1", ("n", "k")), ("theorem2", ("n", "k")),
+                      ("restriction", ("delta", "n", "k"))):
+        if d.get(key):
+            _require_keys(d[key], keys, repr(key))
+            deltas.append(d[key].get("delta"))
+            subgroups.append(d[key]["n"])
+    for spec in deltas:
+        if spec is not None:
+            _require_keys(spec, (), "delta")
+            if not spec.get("all") and "min_order" in spec:
+                _require_int(spec["min_order"], "delta 'min_order'")
+    for name, spec in d.get("fusion_products", {}).items():
+        what = f"product {name!r}"
+        _require_keys(spec, ("E", "D", "N", "K", "oracle"), what)
+        _require_keys(spec["E"], ("over", "acting"), f"{what} 'E'")
+        _require_keys(spec["D"], ("kind",), f"{what} 'D'")
+        if spec["D"]["kind"] == "inner":
+            _require_keys(spec["D"], ("over",), f"{what} 'D'")
+        _require_keys(spec["oracle"], ("over", "acting"), f"{what} 'oracle'")
+        subgroups += [spec["N"]] + ([] if spec["K"] == "all" else [spec["K"]])
+    for spec in subgroups:
+        if not isinstance(spec, str) and not (
+                isinstance(spec, dict)
+                and ("generators" in spec or "elements" in spec)):
+            raise DescriptorError(f"bad subgroup spec {spec!r}")
 
 
 def _require_int(value, what: str) -> None:
@@ -101,7 +137,6 @@ def delta_of(d: dict, G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     if spec.get("all"):
         return all_subgroups(G, within=S)
     if "min_order" in spec:
-        _require_int(spec["min_order"], "delta 'min_order'")
         return delta_min_order(G, S, spec["min_order"])
     if "explicit" in spec:
         out = []
@@ -157,10 +192,6 @@ def product_setup(d: dict, name: str,
     except KeyError:
         raise DescriptorError(f"unknown product {name!r}") from None
     what = f"product {name!r}"
-    _require_keys(spec, ("E", "D", "N", "K", "oracle"), what)
-    _require_keys(spec["E"], ("over", "acting"), f"{what} 'E'")
-    _require_keys(spec["D"], ("kind",), f"{what} 'D'")
-    _require_keys(spec["oracle"], ("over", "acting"), f"{what} 'oracle'")
     ctx = ctx or Instance(d)
     G, S, F, cap = ctx.G, ctx.S, ctx.F, ctx.morphism_cap
     p = d["p"]
@@ -180,7 +211,6 @@ def product_setup(d: dict, name: str,
 
     dd = spec["D"]
     if dd["kind"] == "inner":
-        _require_keys(dd, ("over",), f"{what} 'D'")
         D = fu.inner_fusion(inside_s("'D' 'over'", dd["over"]), p)
     elif dd["kind"] == "normalizer":
         D = fu.normalizer_system(F, T)

@@ -295,12 +295,10 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     # all the Delta-closure check needs: a member inside S_g for g
     # outside the carrier would miss the overgroup S_g, which the check
     # reports first.
-    labels, actions = [], []
-    for g in G.elements:
-        images, dom = six.action(g)
-        if dom in dmasks:
-            labels.append(g)
-            actions.append((images, dom))
+    # (actions come coset by coset; sorting restores the order of G)
+    carrier = sorted(a for a in six.actions(G.elements) if a[2] in dmasks)
+    labels = [g for g, _, _ in carrier]
+    actions = [(images, dom) for _, images, dom in carrier]
     lattice = six.lattice()
     bad = _check_delta_closures(lattice, dmasks, actions)
     if bad is not None:

@@ -16,7 +16,13 @@ bitmasks over those positions, and products in S are lookups in a
 lazily filled Cayley table.  ``SIndex.action(g)`` conjugates all of S by
 one element g of the ambient group in a single pass, giving the position
 of each ``s^g`` (or -1 when it leaves S) and the domain mask
-``S ∩ S^(g^-1)``; callers compute it once per g and drop it.  The
+``S ∩ S^(g^-1)``.  Conjugation is a homomorphism, so whole-group passes
+go through ``SIndex.actions``: it conjugates directly only the first
+element r met of each right coset rS, and reads the action of r·t off
+that of r through the inner action of t, one coset at a time.  The same
+fact keeps ``sylow_subgroup`` from building normalizers: an element
+normalizes P exactly when it conjugates the generators adjoined so far
+into P, so each step is one scan of the p-elements of G.  The
 S-lattice is the join-closure of the cyclic subgroups on bitmasks
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
 A group keeps one index per subgroup element set (``FiniteGroup.sindex``),
@@ -27,7 +33,7 @@ subgroup once.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -314,6 +320,34 @@ class SIndex:
                 dom |= 1 << i
         return images, dom
 
+    def actions(self, elements: Sequence[Perm]
+                ) -> Iterator[tuple[Perm, tuple[int, ...], int]]:
+        """``(g, images, dom)`` as from ``action(g)``, for each g of
+        ``elements`` once, coset by coset.
+
+        Only the first element r met of each right coset rS is conjugated
+        directly.  For g = r·t with t in S, s^g = (s^r)^t and
+        S^(t^-1) = S, so ``images(g)`` is ``images(r)`` read through
+        ``inner(t)`` (with a trailing -1 for the points without an image)
+        and ``dom(g) = dom(r)``.  ``elements`` need not be a union of
+        cosets; members of a coset outside it are skipped.
+        """
+        if len(self.elements) == 1:  # a getter of one index gives a scalar
+            yield from ((g, *self.action(g)) for g in dict.fromkeys(elements))
+            return
+        todo = set(elements)
+        ext = [self.inner(t) + (-1,) for t in range(len(self.elements))]
+        for r in elements:
+            if r not in todo:
+                continue
+            images, dom = self.action(r)
+            through = itemgetter(*images)
+            for t, x in enumerate(self.elements):
+                g = compose(r, x)
+                if g in todo:
+                    todo.discard(g)
+                    yield g, through(ext[t]), dom
+
     def inner(self, s: int) -> tuple[int, ...]:
         """Conjugation by the element at position s: a permutation of
         positions."""
@@ -448,12 +482,6 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 # -- local analysis ---------------------------------------------------------
 
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    elems = [g for g in G.elements
-             if all(conjugate(h, g) in H.eset for h in H.elements)]
-    return Subgroup(G, elems, check=False)
-
-
 def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     elems = [g for g in G.elements
              if all(conjugate(h, g) == h for h in H.elements)]
@@ -482,20 +510,26 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """One Sylow p-subgroup, grown deterministically by p-element adjunction.
 
     At each step the canonically least p-element of N_G(P) outside P is
-    adjoined; P < Sylow always admits one, so the result is Sylow.
-    Returns the trivial subgroup when p does not divide |G|.
+    adjoined; P < Sylow always admits one, so the result is Sylow.  N_G(P)
+    is never built: the p-elements of G are listed once, and each step
+    takes the first one outside P that conjugates the elements adjoined so
+    far, which generate P, into P.  Returns the trivial subgroup when p
+    does not divide |G|.
     """
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise GroupError(f"{p} is not prime")
-    P = G.trivial_subgroup()
+    p_elements = [y for y in G.elements
+                  if _p_part(n := perm_order(y), p) == n]
+    P, gens = G.trivial_subgroup(), []
     while True:
-        N = normalizer(G, P)
-        x = next((y for y in N.elements
-                  if y not in P.eset and _p_part(perm_order(y), p) == perm_order(y)),
-                 None)
-        if x is None:
+        for y in p_elements:
+            if y not in P.eset and all(conjugate(a, y) in P.eset
+                                       for a in gens):
+                break
+        else:
             return P
-        P = generated_subgroup(G, set(P.elements) | {x})
+        gens.append(y)
+        P = generated_subgroup(G, gens)
 
 
 def p_core(G: FiniteGroup, p: int) -> Subgroup:

@@ -179,6 +179,40 @@ def test_product_without_e_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _no_closure(*args):
+    raise AssertionError("a group was built before the schema check")
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("product-24", lambda d: d["fusion_products"]["ii"]["D"].pop("kind"),
+     "product 'ii' 'D' missing 'kind'"),
+    ("product-24", lambda d: d["fusion_products"]["subn"]["D"].pop("over"),
+     "product 'subn' 'D' missing 'over'"),
+    ("product-48", lambda d: d["fusion_products"].update(iv=[]),
+     "product 'iv' must be an object, not []"),
+    ("instance-b", lambda d: d["restriction"]["delta"].update(min_order="8"),
+     "delta 'min_order' must be an integer, not '8'"),
+    ("instance-b", lambda d: d["k_choices"].update(u2=5),
+     "bad subgroup spec 5"),
+], ids=["d-kind", "inner-over", "product-not-object", "restriction-delta",
+        "k-choice"])
+def test_malformed_section_exits_2_before_any_group(name, edit, message,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+    """Every section is checked on load, including sections the command
+    never reads: ``group info`` reads none of these."""
+    from locfusion import permgroup
+    from locfusion.instances import load_descriptor
+    d = load_descriptor(name)
+    edit(d)
+    path = _write(tmp_path, d)
+    monkeypatch.setattr(permgroup, "_closure", _no_closure)
+    assert run(["group", "info", path]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == message
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", ["E", "D"])
 def test_product_over_outside_s_exits_2(field, tmp_path, capsys):
     from locfusion.instances import load_descriptor

@@ -15,6 +15,7 @@ closure of ``FMap`` compositions.
 """
 
 import functools
+import random
 
 import pytest
 
@@ -270,6 +271,16 @@ def _s4xs2():
                            from_cycles(6, (1, 2)), from_cycles(6, (5, 6))])
 
 
+def _s7():
+    return FiniteGroup(7, [from_cycles(7, (1, 2, 3, 4, 5, 6, 7)),
+                           from_cycles(7, (1, 2))])
+
+
+def _s6xc2():
+    return FiniteGroup(8, [from_cycles(8, (1, 2, 3, 4, 5, 6)),
+                           from_cycles(8, (1, 2)), from_cycles(8, (7, 8))])
+
+
 def _s4xs4():
     return FiniteGroup(8, [from_cycles(8, (1, 2, 3, 4)),
                            from_cycles(8, (1, 2)),
@@ -340,6 +351,63 @@ def test_action_agrees_with_conjugate(label, G, S):
             expected = idx.pos.get(ref_conjugate(s, g), -1)
             assert images[i] == expected
             assert bool(dom >> i & 1) == (expected >= 0)
+
+
+ACTION_GROUPS = {"S4": _s4, "S6": _s6, "S7": _s7, "S6xC2": _s6xc2,
+                 "product-24": lambda: inst.group_of(
+                     inst.load_descriptor("product-24"))}
+
+ACTION_CASES = [f"{name}:{kind}" for name, primes in
+                [("S4", (2, 3)), ("S6", (2, 3, 5)), ("S7", (2, 3, 5, 7)),
+                 ("S6xC2", (2, 3, 5))]
+                for kind in [f"sylow-{p}" for p in primes] + ["trivial"]]
+ACTION_CASES += ["S4:klein", "product-24:E-acting-on-S",
+                 "product-24:E-acting-on-T", "S7:random-third",
+                 "S6xC2:random-third"]
+
+
+def _action_case(label):
+    """(S, elements) of a case: S a Sylow, trivial or Klein subgroup,
+    acted on by all of G, by product-24's E.acting (which is not a union
+    of right cosets of its Sylow subgroup), or by a seeded random third
+    of G."""
+    name, kind = label.split(":")
+    G = ACTION_GROUPS[name]()
+    if kind.startswith("sylow-"):
+        return sylow_subgroup(G, int(kind[6:])), G.elements
+    if kind == "trivial":
+        return G.trivial_subgroup(), G.elements
+    if kind == "klein":
+        return generated_subgroup(G, [from_cycles(4, (1, 2), (3, 4)),
+                                      from_cycles(4, (1, 3), (2, 4))]), \
+            G.elements
+    if kind == "random-third":
+        return sylow_subgroup(G, 2), tuple(
+            random.Random(0).sample(G.elements, len(G) // 3))
+    spec = inst.load_descriptor(name)["fusion_products"]["i"]["E"]
+
+    def gen(rows):
+        return generated_subgroup(G, [inst._perm(x, G.degree) for x in rows])
+    over = sylow_subgroup(G, 2) if kind.endswith("S") else gen(spec["over"])
+    return over, gen(spec["acting"]).elements
+
+
+@pytest.mark.parametrize("label", ACTION_CASES)
+def test_actions_match_action(label):
+    """``SIndex.actions`` yields each element once, with exactly the
+    action computed directly."""
+    S, elements = _action_case(label)
+    idx = SIndex(S)
+    got = list(idx.actions(elements))
+    assert len(got) == len(set(elements))
+    assert sorted(got) == sorted((g, *idx.action(g)) for g in set(elements))
+
+
+def test_action_subset_cases_are_not_unions_of_cosets():
+    for label in ("product-24:E-acting-on-S", "S7:random-third"):
+        S, elements = _action_case(label)
+        eset = set(elements)
+        assert any(compose(g, s) not in eset for g in elements for s in S)
 
 
 @pytest.mark.parametrize("label,G,S", CASES, ids=IDS)

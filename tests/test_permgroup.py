@@ -1,16 +1,44 @@
-"""Group-core checks against independent brute-force oracles."""
+"""Group-core checks against independent brute-force oracles.
 
+``normalizer`` and ``ref_sylow_subgroup`` are the Sylow search the
+library replaced: N_G(P) built by conjugating every element of P by
+every element of G, and the least p-element of it outside P adjoined at
+each step.  They are kept here only as oracles.
+"""
+
+import functools
 import itertools
 
 import pytest
 
+from locfusion import permgroup
+from locfusion.instances import Instance, load_descriptor
+from locfusion.locality import local_group
 from locfusion.permgroup import (FiniteGroup, GroupError, SizeCapExceeded,
                                  Subgroup, all_subgroups, cayley_group,
                                  center, centralizer, compose, conjugate,
                                  from_cycles, generated_subgroup, identity_perm,
                                  inverse, is_characteristic_p, is_p_group,
-                                 normal_subgroups, normalizer, p_core,
-                                 perm_order, sylow_subgroup)
+                                 normal_subgroups, p_core, perm_order,
+                                 sylow_subgroup)
+
+
+def normalizer(G, H):
+    elems = [g for g in G.elements
+             if all(conjugate(h, g) in H.eset for h in H.elements)]
+    return Subgroup(G, elems, check=False)
+
+
+def ref_sylow_subgroup(G, p):
+    P = G.trivial_subgroup()
+    while True:
+        N = normalizer(G, P)
+        x = next((y for y in N.elements if y not in P.eset
+                  and perm_order(y) == permgroup._p_part(perm_order(y), p)),
+                 None)
+        if x is None:
+            return P
+        P = generated_subgroup(G, set(P.elements) | {x})
 
 
 def test_compose_and_inverse():
@@ -109,6 +137,70 @@ def test_normalizer_centralizer_brute_force(s4, klein):
     c_oracle = {g for g in s4
                 if all(compose(g, x) == compose(x, g) for x in klein)}
     assert centralizer(s4, klein).eset == frozenset(c_oracle)
+
+
+def _group(degree, *gens):
+    return FiniteGroup(degree, [from_cycles(degree, *c) for c in gens])
+
+
+SYLOW_GROUPS = {
+    "S4": lambda: _group(4, [(1, 2, 3, 4)], [(1, 2)]),
+    "S5": lambda: _group(5, [(1, 2, 3, 4, 5)], [(1, 2)]),
+    "A5": lambda: _group(5, [(1, 2, 3, 4, 5)], [(1, 2, 3)]),
+    "S6": lambda: _group(6, [(1, 2, 3, 4, 5, 6)], [(1, 2)]),
+    "S3xS3": lambda: _group(6, [(1, 2, 3)], [(1, 2)], [(4, 5, 6)],
+                            [(4, 5)]),
+    "S4xS2": lambda: _group(6, [(1, 2, 3, 4)], [(1, 2)], [(5, 6)]),
+    "S6xC2": lambda: _group(8, [(1, 2, 3, 4, 5, 6)], [(1, 2)], [(7, 8)]),
+    "S7": lambda: _group(7, [(1, 2, 3, 4, 5, 6, 7)], [(1, 2)]),
+}
+
+
+@functools.cache
+def _sylow_group(name):
+    return SYLOW_GROUPS[name]()
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+SYLOW_CASES = [(name, p) for name in SYLOW_GROUPS
+               for p in _primes(len(_sylow_group(name)))]
+
+
+@pytest.mark.parametrize("name,p", SYLOW_CASES,
+                         ids=[f"{n}:p={p}" for n, p in SYLOW_CASES])
+def test_sylow_matches_normalizer_growth(name, p):
+    G = _sylow_group(name)
+    P = sylow_subgroup(G, p)
+    assert P.elements == ref_sylow_subgroup(G, p).elements
+    assert P.order == permgroup._p_part(G.order, p)
+
+
+def test_sylow_of_group_without_p():
+    assert sylow_subgroup(_sylow_group("S4"), 5).order == 1
+
+
+@pytest.mark.parametrize("dname", ["product-24", "product-48"])
+def test_local_group_p_core_matches_reference_sylow(dname, monkeypatch):
+    """On every N_L(P) of the localities of the descriptor's products."""
+    ctx = Instance(load_descriptor(dname))
+    localities = {id(L): L for L in (ctx.product(name)["L"]
+                                     for name in ctx.d["fusion_products"])}
+    groups = []
+    for L in localities.values():
+        for d in sorted(L.delta):
+            res = local_group(L, L.ids_of(d))
+            if res is not None:
+                groups.append((res[0], L.p))
+    assert groups
+    mine = [(p_core(H, p).elements, is_characteristic_p(H, p))
+            for H, p in groups]
+    monkeypatch.setattr(permgroup, "sylow_subgroup", ref_sylow_subgroup)
+    assert mine == [(p_core(H, p).elements, is_characteristic_p(H, p))
+                    for H, p in groups]
 
 
 def test_center_of_d8():
