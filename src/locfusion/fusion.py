@@ -1,31 +1,26 @@
 """Explicit saturated fusion systems over small p-groups.
 
-A fusion system is stored as the set of *graphs* of its morphisms:
-injective homomorphisms between subgroups of S given by their full
-element maps.  A graph phi: P -> phi(P) stands for every morphism
-P -> Q with phi(P) <= Q, so divisibility and corestriction are built
-into the representation, and Hom(P, Q) is derived by filtering.
+A morphism lives on the positions of S (``permgroup.SIndex``): the pair
+``(src, images)`` of its source mask and, for every position of S, the
+position of its image, or -1 off the source.  A morphism P -> phi(P)
+stands for every P -> Q with phi(P) <= Q, so Hom(P, Q) is derived by
+filtering.  Element graphs appear only at the edges: ``from_graph``
+checks one and turns it into a morphism, and ``FusionSystem.to_json``
+writes each morphism back as one.
 
 Morphism sets are closed under composition, restriction and inverses;
-equality of fusion systems is literal equality of graph sets over the
-same underlying p-group.  ``close`` computes that closure, and closes
-onto an already closed system incrementally.
-
-The subgroup predicates run on the positions of S, through the one
-``SIndex`` of S that its parent group keeps (``FiniteGroup.sindex``),
-with the lattice masks and joins memoized there: a system keeps its maps
-as source masks with image positions and the images of each point, both
-built on first use.  O_p is searched only above a subgroup it is known
-to contain.
-
-Aut_F(P) is an ordinary permutation group on the elements of P
-(``aut_group``), so p-cores, element orders and generated subgroups of
-automorphisms come from ``permgroup``.
+equality of fusion systems is equality of morphism sets over the same
+p-group.  ``close`` computes that closure, each composite one
+``itemgetter`` call, also onto an already closed base.  Systems over
+different subgroups (E over T inside F over S, N_F(Q) over N_S(Q)) meet
+through ``embedding``, the positions of a subgroup among those of S.
+The lattice, joins, N_S(P) and Aut_S(P) are memoized on the index of S,
+and O_p is searched only above a subgroup it is known to contain.
+Aut_F(P) is a permutation group on the elements of P (``aut_group``).
 
 Every closure runs under a morphism cap.  A system keeps the cap it was
-built under, and closures inside it (normal closures, products,
-subsystem enumeration) and its normalizer systems inherit that cap, so
-a caller sets it once where it builds the ambient system.
+built under, and the closures inside it and its normalizer systems
+inherit it, so a caller sets it once, where it builds the ambient system.
 """
 
 from __future__ import annotations
@@ -34,10 +29,14 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
-                        bit_positions, compose, conjugate, image_mask,
-                        inverse, p_core, _p_part)
+                        bit_positions, compose, image_mask, inverse, p_core,
+                        _p_part)
 
 DEFAULT_MORPHISM_CAP = 1_000_000
+
+# A morphism: (source mask, image position of every point of S or -1).
+Morphism = tuple[int, tuple[int, ...]]
+_NONE = (-1,)  # appended to images, so that a -1 entry reads -1
 
 
 class FusionError(ValueError):
@@ -48,80 +47,97 @@ class MorphismCapExceeded(FusionError):
     pass
 
 
-class FMap:
-    """Graph of an injective homomorphism between subgroups of S."""
-
-    __slots__ = ("pairs", "src", "img", "d")
-
-    def __init__(self, pairs: Iterable[tuple]):
-        self.pairs = tuple(sorted(pairs))
-        self.d = dict(self.pairs)
-        self.src = frozenset(self.d)
-        self.img = frozenset(self.d.values())
-        if len(self.img) != len(self.src):
-            raise FusionError("map is not injective")
-
-    def __call__(self, x):
-        return self.d[x]
-
-    def __eq__(self, other):
-        return isinstance(other, FMap) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __lt__(self, other):
-        return self.pairs < other.pairs
-
-    def restrict(self, subset: frozenset) -> "FMap":
-        return FMap((x, y) for x, y in self.pairs if x in subset)
-
-    def then(self, other: "FMap") -> "FMap":
-        """Apply self, then other; requires img(self) <= src(other)."""
-        return FMap((x, other.d[y]) for x, y in self.pairs)
-
-    def inv(self) -> "FMap":
-        return FMap((y, x) for x, y in self.pairs)
-
-    def is_identity(self) -> bool:
-        return all(x == y for x, y in self.pairs)
-
-    def image_of(self, xs: Iterable) -> frozenset:
-        return frozenset(self.d[x] for x in xs)
-
-    def __repr__(self):
-        return f"FMap(|P|={len(self.src)})"
+def _getter(ps: Sequence[int]):
+    """Tuple of the entries at ``ps`` (one index: not a scalar)."""
+    if len(ps) == 1:
+        return lambda t, i=ps[0]: (t[i],)
+    return itemgetter(*ps)
 
 
-def conj_map(dom: Iterable, g) -> FMap:
-    """Graph of x -> x^g on the given domain."""
-    return FMap((x, conjugate(x, g)) for x in dom)
+def _keep(mask: int, n: int):
+    """Images of a map over n positions, ended by -1, restricted to mask."""
+    return _getter([i if mask >> i & 1 else n for i in range(n)])
 
 
-def _check_homomorphism(phi: FMap):
-    for x in phi.src:
-        for y in phi.src:
-            z = compose(x, y)
-            if z not in phi.src or phi.d[z] != compose(phi.d[x], phi.d[y]):
+def _target(m: Morphism) -> int:  # the mask of the image
+    return image_mask(m[1], bit_positions(m[0]))
+
+
+def _mask_of(images: tuple[int, ...]) -> int:
+    return sum(1 << i for i, j in enumerate(images) if j >= 0)
+
+
+def from_graph(S: Subgroup, graph: Iterable[tuple]) -> Morphism:
+    """The morphism of S with the element graph ``graph``, checked here
+    and only here: every point and image lies in S, the map is injective,
+    and its points form a subgroup on which it is a homomorphism."""
+    idx = S.parent.sindex(S)
+    images = [-1] * len(idx.elements)
+    try:
+        for x, y in graph:
+            images[idx.pos[x]] = idx.pos[y]
+    except KeyError:
+        raise FusionError("map does not live inside S") from None
+    src = _mask_of(images)
+    ps = bit_positions(src)
+    if len({images[i] for i in ps}) != len(ps):
+        raise FusionError("map is not injective")
+    for j in ps:
+        col, img_col = idx.right(j), idx.right(images[j])
+        for i in ps:
+            if images[col[i]] != img_col[images[i]]:
                 raise FusionError("graph is not a homomorphism on a subgroup")
+    return src, tuple(images)
 
 
 def subgroup_lattice(S: Subgroup) -> list[Subgroup]:
-    """Every subgroup of S, canonically ordered; built once and kept on
-    the index of S."""
+    """Every subgroup of S, canonically ordered; kept on the index of S."""
     idx = S.parent.sindex(S)
     if idx.subgroups is None:
         idx.subgroups = all_subgroups(S.parent, within=S)
     return idx.subgroups
 
 
+def embedding(S: Subgroup, T: Subgroup) -> tuple[tuple[int, ...],
+                                                 tuple[int, ...]]:
+    """T <= S on the positions of S: ``(up, down)``, where position i of
+    T is position ``up[i]`` of S, and position j of S is position
+    ``down[j]`` of T, or -1 off T.  Kept on the index of S."""
+    idx = S.parent.sindex(S)
+    emb = idx.embeddings.get(T.eset)
+    if emb is None:
+        up = tuple(bit_positions(idx.mask(T.eset)))
+        down = [-1] * len(idx.elements)
+        for i, j in enumerate(up):
+            down[j] = i
+        emb = idx.embeddings[T.eset] = (up, tuple(down))
+    return emb
+
+
+def _carry(maps: Iterable[Morphism], new_of_old: tuple,
+           old_of_new: tuple) -> set[Morphism]:
+    """The maps on other positions: new position i is old position
+    ``old_of_new[i]``, old position j is new position ``new_of_old[j]``
+    (-1 for none).  Points with a new position must map to such points,
+    so the new source depends on the old one alone."""
+    pick = _getter(old_of_new)
+    ext = new_of_old + _NONE
+    srcs: dict[int, int] = {}
+    out = set()
+    for src, images in maps:
+        new = _getter(pick(images + _NONE))(ext)
+        if src not in srcs:
+            srcs[src] = _mask_of(new)
+        out.add((srcs[src], new))
+    return out
+
+
 class FusionSystem:
-    """Fusion system over the p-group S, given by its morphism graphs.
+    """Fusion system over the p-group S, each morphism held once, on the
+    positions of S.  ``morphism_cap`` bounds the closures computed inside
+    it; it takes no part in equality."""
 
-    ``morphism_cap`` bounds the closures computed inside this system; it
-    takes no part in equality."""
-
-    def __init__(self, S: Subgroup, p: int, maps: Iterable[FMap],
+    def __init__(self, S: Subgroup, p: int, maps: Iterable[Morphism],
                  morphism_cap: int = DEFAULT_MORPHISM_CAP):
         self.S = S
         self.p = p
@@ -131,12 +147,8 @@ class FusionSystem:
         self._sub_by_set = {P.eset: P for P in self.subgroups}
         self._by_mask: Optional[dict[int, list[tuple[int, ...]]]] = None
         self._reach: Optional[list[int]] = None
-        self.by_src: dict[frozenset, tuple[FMap, ...]] = {}
-        grouped: dict[frozenset, list[FMap]] = {}
-        for m in self.maps:
-            grouped.setdefault(m.src, []).append(m)
-        for k, v in grouped.items():
-            self.by_src[k] = tuple(sorted(v))
+        self._classes: dict[frozenset, list[Subgroup]] = {}
+        self._over: dict[frozenset, frozenset] = {}
 
     def subgroup(self, eset: frozenset) -> Subgroup:
         try:
@@ -144,43 +156,42 @@ class FusionSystem:
         except KeyError:
             raise FusionError("not a subgroup of S") from None
 
-    def aut(self, P: Subgroup) -> list[FMap]:
-        return [m for m in self.by_src.get(P.eset, ())
-                if m.img == P.eset]
-
-    def isos_from(self, P: Subgroup) -> tuple[FMap, ...]:
-        return self.by_src.get(P.eset, ())
-
-    def conjugates(self, P: Subgroup) -> list[Subgroup]:
-        seen = {m.img for m in self.isos_from(P)} | {P.eset}
-        return sorted((self.subgroup(s) for s in seen),
-                      key=lambda H: H.elements)
-
     @property
     def index(self) -> SIndex:
         """S indexed by positions: the index its parent group keeps."""
         return self.S.parent.sindex(self.S)
 
     def maps_by_mask(self) -> dict[int, list[tuple[int, ...]]]:
-        """The maps grouped by the mask of their source, each given by the
-        positions of its images over all of S (-1 outside the source);
-        built on first use."""
+        """The images of the maps by the mask of their source; kept."""
         if self._by_mask is None:
-            pos = self.index.pos
-            out: dict[int, list[tuple[int, ...]]] = {}
-            for m in self.maps:
-                img = [-1] * len(pos)
-                src = 0
-                for x, y in m.pairs:
-                    img[pos[x]] = pos[y]
-                    src |= 1 << pos[x]
-                out.setdefault(src, []).append(tuple(img))
-            self._by_mask = out
+            self._by_mask = {}
+            for src, images in self.maps:
+                self._by_mask.setdefault(src, []).append(images)
         return self._by_mask
 
+    def aut(self, P: Subgroup) -> list[tuple[int, ...]]:
+        """Aut_F(P), as the images of each automorphism."""
+        m = self.index.mask(P.eset)
+        ps = bit_positions(m)
+        return [img for img in self.maps_by_mask().get(m, ())
+                if image_mask(img, ps) == m]
+
+    def conjugates(self, P: Subgroup) -> list[Subgroup]:
+        """The F-conjugates of P, canonically ordered; kept per member."""
+        cls = self._classes.get(P.eset)
+        if cls is None:
+            idx = self.index
+            m = idx.mask(P.eset)
+            ps = bit_positions(m)
+            masks = {image_mask(img, ps)
+                     for img in self.maps_by_mask().get(m, ())} | {m}
+            cls = self._classes[P.eset] = [
+                self.subgroup(idx.members(c))
+                for c in sorted(masks, key=bit_positions)]
+        return cls
+
     def point_images(self) -> list[int]:
-        """For each position of S, the mask of its images under the maps
-        defined at it; built on first use."""
+        """For each position of S, the mask of its images; kept."""
         if self._reach is None:
             reach = [0] * len(self.index.elements)
             for src, imgs in self.maps_by_mask().items():
@@ -190,24 +201,16 @@ class FusionSystem:
             self._reach = reach
         return self._reach
 
-    def normalizer_in_s(self, P: Subgroup) -> frozenset:
-        """N_S(P) as an element set."""
-        idx = self.index
-        return frozenset(idx.members(idx.normalizer(idx.mask(P.eset))))
-
-    def _aut_s_images(self, P: Subgroup) -> set[tuple[int, ...]]:
-        """Aut_S(P) as image tuples over the positions of P."""
-        idx = self.index
-        m = idx.mask(P.eset)
-        ps = idx.positions(m)
-        return {tuple([idx.inner(s)[i] for i in ps])
-                for s in idx.positions(idx.normalizer(m))}
-
-    def aut_s(self, P: Subgroup) -> set[FMap]:
-        els = self.index.elements
-        dom = sorted(P.eset)
-        return {FMap(zip(dom, [els[j] for j in images]))
-                for images in self._aut_s_images(P)}
+    def maps_over(self, S: Subgroup) -> frozenset:
+        """The maps on the positions of S, an overgroup of this system's
+        own S (``embedding``); kept per overgroup."""
+        if S.eset == self.S.eset:
+            return self.maps
+        got = self._over.get(S.eset)
+        if got is None:
+            up, down = embedding(S, self.S)
+            got = self._over[S.eset] = frozenset(_carry(self.maps, up, down))
+        return got
 
     def __eq__(self, other):
         return (isinstance(other, FusionSystem) and self.p == other.p
@@ -216,43 +219,50 @@ class FusionSystem:
     def __hash__(self):
         return hash((self.p, self.S.eset, self.maps))
 
-    def __contains__(self, m: FMap):
-        return m in self.maps
-
     def __repr__(self):
         return f"FusionSystem(|S|={self.S.order}, maps={len(self.maps)})"
 
     def to_json(self) -> dict:
-        subs = sorted({m.src for m in self.maps} | {P.eset for P in self.subgroups},
-                      key=lambda s: (len(s), sorted(s)))
-        sub_idx = {s: i for i, s in enumerate(subs)}
+        """Each morphism as its element graph, in the order of the graphs:
+        (source, image) position pairs by source, which is element order."""
+        idx = self.index
+        els = idx.elements
+        subs = sorted({src for src, _ in self.maps} | set(idx.lattice()),
+                      key=lambda m: (m.bit_count(), bit_positions(m)))
+        sub_idx = {m: i for i, m in enumerate(subs)}
+        graphs = sorted(([(i, images[i]) for i in bit_positions(src)], src,
+                         images) for src, images in self.maps)
         return {
             "p": self.p,
-            "subgroups": [sorted(map(list, s)) for s in subs],
+            "subgroups": [[list(x) for x in idx.members(m)] for m in subs],
             "morphisms": [
-                {"src": sub_idx[m.src], "tgt": sub_idx[m.img],
-                 "map": [[list(x), list(y)] for x, y in m.pairs]}
-                for m in sorted(self.maps)
+                {"src": sub_idx[src], "tgt": sub_idx[_target((src, images))],
+                 "map": [[list(els[i]), list(els[j])] for i, j in pairs]}
+                for pairs, src, images in graphs
             ],
         }
 
 
+def maps_inside(F: FusionSystem, T: Subgroup,
+                maps: Iterable[Morphism]) -> set[Morphism]:
+    """The maps on the positions of F.S whose source and image lie in T,
+    on the positions of T (``embedding``)."""
+    t = F.index.mask(T.eset)
+    up, down = embedding(F.S, T)
+    inside = [m for m in maps if (m[0] | _target(m)) & ~t == 0]
+    return _carry(inside, down, up)
+
+
 # -- constructions -----------------------------------------------------------
 
-def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[FMap]:
-    """Graphs of the maps P -> P^g for P in the S-lattice and g in
-    ``acting`` with P^g <= S.
-
-    The actions come from ``SIndex.actions``, one coset of S at a time.
-    The subgroups inside dom(g) are listed once per distinct dom, the
-    images of each are read by one getter, and each distinct
-    (P, images) map is built once.
-    """
+def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[Morphism]:
+    """The maps P -> P^g for P in the S-lattice and g in ``acting`` with
+    P^g <= S, from ``SIndex.actions``.  The subgroups inside dom(g) are
+    listed once per dom, the images of each are read by one getter, and
+    each distinct (P, images) pair is spread over S once."""
     idx = S.parent.sindex(S)
-    # a getter of one index gives a scalar: only the trivial subgroup
-    # has one, and it always maps onto itself
-    subs = [(m, itemgetter(*idx.positions(m)) if m != 1
-             else lambda images: (0,)) for m in idx.lattice()]
+    n = len(idx.elements)
+    subs = [(m, _getter(bit_positions(m))) for m in idx.lattice()]
     inside: dict[int, list] = {}
     graphs = set()
     for _, images, dom in idx.actions(acting):
@@ -262,12 +272,14 @@ def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[FMap]:
                                      if m & dom == m]
         for m, get in subs_in:
             graphs.add((m, get(images)))
-    els = idx.elements
-    return {FMap(zip(idx.members(m), [els[j] for j in images]))
-            for m, images in graphs}
+    # position j of S is entry |m below j| of a tuple over m, or the -1
+    spread = {m: _getter([(m & ((1 << j) - 1)).bit_count() if m >> j & 1
+                          else m.bit_count() for j in range(n)])
+              for m in idx.lattice()}
+    return {(m, spread[m](images + _NONE)) for m, images in graphs}
 
 
-def inner_maps(S: Subgroup) -> set[FMap]:
+def inner_maps(S: Subgroup) -> set[Morphism]:
     return _conjugation_maps(S, S.elements)
 
 
@@ -276,65 +288,76 @@ def inner_fusion(S: Subgroup, p: int) -> FusionSystem:
     return FusionSystem(S, p, inner_maps(S))
 
 
-def close(S: Subgroup, p: int, generators: Iterable[FMap],
+def close(S: Subgroup, p: int, generators: Iterable[Morphism],
           cap: int = DEFAULT_MORPHISM_CAP,
           base: Optional[FusionSystem] = None) -> FusionSystem:
-    """Least fusion system over S containing ``base`` (the inner maps of
-    S by default) and the generators.
+    """Least fusion system over the p-group S containing ``base`` (the
+    inner maps of S by default) and the generators, morphisms on the
+    positions of S (``from_graph`` checks them).
 
     ``base`` must be closed under composition, restriction and inversion,
-    as every ``FusionSystem`` built here is, and the inner maps are.  A
-    map composed, restricted or inverted from closed maps alone is
-    already present, so only the generators and the maps they give rise
-    to are queued, and each queued map is composed with every map found
-    so far; the fixed point is the closure of the base and the generators
-    whatever the base is.  Raises MorphismCapExceeded once it holds more
-    than ``cap`` maps.  The result keeps ``cap``.
+    as every ``FusionSystem`` is, so only the generators and the maps
+    they give rise to are queued.  Each is inverted, restricted to the
+    subgroups of index p in its source (every subgroup of a p-group ends
+    a chain of these), and followed by every map found so far whose
+    source is its image: a composite through a larger source is one
+    through a restriction.  If b is found after a is taken, a·b is the
+    inverse of b^-1·a^-1, formed when b^-1 is taken.  Raises
+    MorphismCapExceeded past ``cap`` maps; the result keeps ``cap``.
     """
     if base is not None and base.S.eset != S.eset:
         raise FusionError("base system lives over another subgroup")
-    lattice = subgroup_lattice(S)
-    subs_inside = {P.eset: [Q.eset for Q in lattice if Q.eset < P.eset]
-                   for P in lattice}
-    maps = set(inner_maps(S) if base is None else base.maps)
-    queue: list[FMap] = []
+    idx = S.parent.sindex(S)
+    n = len(idx.elements)
+    maps: set[Morphism] = set()
+    by_src: dict[int, list] = {}  # source -> images, with a trailing -1
+    below: dict[int, list] = {}  # source -> its subgroups of index p
+    queue: list[Morphism] = []
 
-    def push(m: FMap):
+    def add(m: Morphism):
+        maps.add(m)
+        by_src.setdefault(m[0], []).append(m[1] + _NONE)
+
+    def push(m: Morphism):
         if m not in maps:
-            maps.add(m)
+            add(m)
+            queue.append(m)
             if len(maps) > cap:
                 raise MorphismCapExceeded(
                     f"fusion closure exceeded {cap} morphisms")
-            queue.append(m)
 
+    for m in (inner_maps(S) if base is None else base.maps):
+        add(m)
     for g in generators:
-        if not (g.src <= S.eset and g.img <= S.eset):
+        if len(g[1]) != n or g[0] >> n:
             raise FusionError("generator does not live inside S")
-        _check_homomorphism(g)
         push(g)
     while queue:
-        m = queue.pop()
-        push(m.inv())
-        for sub in subs_inside[m.src]:
-            push(m.restrict(sub))
-        for other in list(maps):
-            if m.img <= other.src:
-                push(m.then(other))
-            if other.img <= m.src:
-                push(other.then(m))
+        src, images = queue.pop()
+        t = _target((src, images))
+        inv = [-1] * n
+        for i in bit_positions(src):
+            inv[images[i]] = i
+        push((t, tuple(inv)))
+        subs = below.get(src)
+        if subs is None:
+            size = src.bit_count() // p
+            subs = below[src] = [(m, _keep(m, n)) for m in idx.lattice()
+                                 if m & src == m and m.bit_count() == size]
+        for m, keep in subs:
+            push((m, keep(images + _NONE)))
+        then = _getter(images)
+        for other in tuple(by_src.get(t, ())):
+            push((src, then(other)))
     return FusionSystem(S, p, maps, cap)
 
 
 def fusion_of_group(G: FiniteGroup, S: Subgroup,
                     acting: Optional[Sequence] = None, p: int = 0,
                     cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
-    """F_S(G): Hom(P, Q) = conjugation maps by elements of G.
-
-    ``acting`` narrows the conjugating elements to a subgroup M of G,
-    yielding F_{S}(M)-style systems (S must then be a subset of M closed
-    appropriately; the caller is responsible for S <= M).  ``cap`` is
-    the morphism cap of closures inside the result.
-    """
+    """F_S(G): Hom(P, Q) = conjugation maps by elements of G, or only by
+    ``acting``, a subgroup M >= S of G, for F_S(M).  ``cap`` is the
+    morphism cap of closures inside the result."""
     if p == 0:
         p = _infer_p(S)
     acting = G.elements if acting is None else acting
@@ -354,25 +377,21 @@ def _infer_p(S: Subgroup) -> int:
 def fusion_of_partial_subgroup(L, H: Iterable[int],
                                cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """F_{S∩H}(H): generated by the conjugation maps between subgroups
-    of S∩H induced by elements of H."""
+    of S∩H induced by elements of H, each distinct graph checked once."""
     from .locality import Locality
     assert isinstance(L, Locality)
     Hset = frozenset(H)
     sh_ids = sorted(set(L.s_ids) & Hset)
-    Ssub, to_perm = _s_cap_h_subgroup(L, sh_ids)
-    sh_label = {i: to_perm[i] for i in sh_ids}
-    gens = []
+    Ssub, label = _s_cap_h_subgroup(L, sh_ids)
+    graphs = set()
     for h in sorted(Hset):
         ph = L._pm[h]
-        dom = []
-        for i in sh_ids:
-            v = ph[L._s_pos[i]]
-            if v >= 0 and L.s_ids[v] in sh_ids:
-                dom.append(i)
-        # dom is a subgroup of S∩H: conjugation is multiplicative on S_h
-        gens.append(FMap((sh_label[i], sh_label[L.s_ids[ph[L._s_pos[i]]]])
-                         for i in dom))
-    return close(Ssub, L.p, gens, cap)
+        # the points of S∩H sent into S∩H form a subgroup: conjugation is
+        # multiplicative on S_h
+        images = ((i, ph[L._s_pos[i]]) for i in sh_ids)
+        graphs.add(tuple((label[i], label[L.s_ids[v]]) for i, v in images
+                         if v >= 0 and L.s_ids[v] in label))
+    return close(Ssub, L.p, [from_graph(Ssub, g) for g in graphs], cap)
 
 
 def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
@@ -384,16 +403,13 @@ def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
         G, to_perm = L.group_on(L.s_ids)
         to_perm = {i: to_perm[i] for i in sh_ids}
     elems = frozenset(to_perm.values())
-    for a in elems:
-        for b in elems:
-            if compose(a, b) not in elems:
-                raise FusionError("S∩H is not a subgroup")
+    if any(compose(a, b) not in elems for a in elems for b in elems):
+        raise FusionError("S∩H is not a subgroup")
     return G.subgroup(elems), to_perm
 
 
 def fusion_of_locality(L, cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
-    """F_S(L), cached on the locality (``cap`` bounds the first call's
-    closure)."""
+    """F_S(L), kept on the locality; ``cap`` bounds the first closure."""
     if L._fusion is None:
         L._fusion = fusion_of_partial_subgroup(L, range(L.n), cap)
     return L._fusion
@@ -411,8 +427,7 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
 
 def strong_closure(F: FusionSystem, T: Subgroup) -> Subgroup:
     """Smallest strongly F-closed subgroup containing T: add the images
-    of its points (``point_images``) and take the subgroup they generate,
-    until neither adds anything."""
+    of its points and take the subgroup they generate, until stable."""
     reach = F.point_images()
     x = F.index.mask(T.eset)
     while True:
@@ -431,37 +446,45 @@ def centralizer_in(sub: Iterable, of: Iterable) -> frozenset:
                      if all(compose(s, x) == compose(x, s) for x in of))
 
 
-def product_subgroup(F: FusionSystem, A: frozenset, B: frozenset) -> Subgroup:
-    prod = frozenset(compose(a, b) for a in A for b in B)
-    return F.subgroup(prod)
-
-
 def is_centric(F: FusionSystem, P: Subgroup) -> bool:
-    for Q in F.conjugates(P):
-        if not centralizer_in(F.S, Q.eset) <= Q.eset:
-            return False
-    return True
+    return all(centralizer_in(F.S, Q.eset) <= Q.eset
+               for Q in F.conjugates(P))
 
 
 def aut_group(F: FusionSystem, P: Subgroup) -> tuple[FiniteGroup, dict]:
     """Aut_F(P) as a permutation group of degree |P|, with the map from
-    each automorphism to its permutation: phi moves the element at
-    position i of P (in canonical order) to the position of its image.
-    Composition matches: ``phi.then(psi)`` goes to the product of the
-    two permutations."""
-    pos = {x: i for i, x in enumerate(P.elements)}
-    to_perm = {phi: tuple([pos[phi.d[x]] for x in P.elements])
-               for phi in F.aut(P)}
+    the images of each automorphism to its permutation, which moves the
+    i-th element of P to the position of its image in P.  Composition
+    matches: phi then psi goes to the product of the permutations."""
+    ps = bit_positions(F.index.mask(P.eset))
+    rank = {j: i for i, j in enumerate(ps)}
+    to_perm = {images: tuple([rank[images[j]] for j in ps])
+               for images in F.aut(P)}
     return FiniteGroup(P.order, to_perm.values(),
                        max_size=max(len(to_perm), 1)), to_perm
+
+
+def restriction(F: FusionSystem, images: tuple[int, ...],
+                Q: Subgroup) -> Morphism:
+    """The map with these images, restricted to Q."""
+    q = F.index.mask(Q.eset)
+    return q, _keep(q, len(images))(images + _NONE)
+
+
+def trivial_modulo(F: FusionSystem, images: tuple[int, ...], P: Subgroup,
+                   N: Subgroup) -> bool:
+    """The map with these images sends each x of P into xN."""
+    idx = F.index
+    els = idx.elements
+    return all(compose(inverse(x), els[images[idx.pos[x]]]) in N.eset
+               for x in P.elements)
 
 
 def is_centric_radical(F: FusionSystem, P: Subgroup) -> bool:
     """Centric with O_p(Out_F(P)) trivial.
 
     Inn(P) is a normal p-subgroup of Aut_F(P), so O_p(Out_F(P)) is
-    O_p(Aut_F(P))/Inn(P), and it is trivial exactly when
-    |O_p(Aut_F(P))| = |Inn(P)| = |P : Z(P)|."""
+    O_p(Aut_F(P))/Inn(P), trivial iff |O_p(Aut_F(P))| = |P : Z(P)|."""
     if not is_centric(F, P):
         return False
     A, _ = aut_group(F, P)
@@ -470,68 +493,53 @@ def is_centric_radical(F: FusionSystem, P: Subgroup) -> bool:
 
 
 def fully_normalized_conjugate(F: FusionSystem, P: Subgroup) -> Subgroup:
-    def nsize(Q):
-        return len(F.normalizer_in_s(Q))
-    conj = F.conjugates(P)
-    best = max(nsize(Q) for Q in conj)
-    return next(Q for Q in conj if nsize(Q) == best)
-
-
-def _picker(mask: int):
-    """The function taking a tuple over the positions of S to the tuple
-    of its entries at the positions of ``mask``."""
-    ps = bit_positions(mask)
-    if len(ps) == 1:
-        return lambda t, i=ps[0]: (t[i],)
-    return itemgetter(*ps)
+    """The first conjugate of P with the largest normalizer in S."""
+    idx = F.index
+    return max(F.conjugates(P),
+               key=lambda Q: idx.normalizer(idx.mask(Q.eset)).bit_count())
 
 
 def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    """N_F(Q) over N_S(Q): restrictions of Q-preserving morphisms.
-
-    On the positions of S: each map psi of F with Q <= src(psi) and
-    psi(Q) = Q is restricted to every subgroup of N_S(Q) inside its
-    source, and each distinct (source, images) pair becomes one map.
-    Such a psi sends src(psi) ∩ N_S(Q) into N_S(psi(Q)) = N_S(Q), so
-    every restriction lands in N_S(Q)."""
+    """N_F(Q) over N_S(Q): each map psi of F with Q <= src(psi) and
+    psi(Q) = Q, restricted to every subgroup of N_S(Q) in its source and
+    carried onto the positions of N_S(Q).  Such a psi sends
+    src(psi) ∩ N_S(Q) into N_S(psi(Q)) = N_S(Q)."""
     idx = F.index
+    n = len(idx.elements)
     q = idx.mask(Q.eset)
     qs = bit_positions(q)
     ns = idx.normalizer(q)
-    subs = [(m, _picker(m)) for m in idx.lattice() if m & ns == m]
-    graphs = set()
+    subs = [(m, _keep(m, n)) for m in idx.lattice() if m & ns == m]
+    restricted = set()
     for src, imgs in F.maps_by_mask().items():
         if src & q != q:
             continue
-        inside = [(m, on_m) for m, on_m in subs if m & src == m]
+        inside = [(m, keep) for m, keep in subs if m & src == m]
         for img in imgs:
             if image_mask(img, qs) == q:
-                graphs.update((m, on_m(img)) for m, on_m in inside)
-    els = idx.elements
-    out = {FMap(zip(idx.members(m), [els[j] for j in images]))
-           for m, images in graphs}
-    sub = F.subgroup(idx.members(ns))
-    return FusionSystem(sub, F.p, out, F.morphism_cap)
+                ext = img + _NONE
+                restricted.update((m, keep(ext)) for m, keep in inside)
+    N = F.subgroup(idx.members(ns))
+    up, down = embedding(F.S, N)
+    return FusionSystem(N, F.p, _carry(restricted, down, up), F.morphism_cap)
 
 
 def _normality_fault(F: FusionSystem, Q: Subgroup) -> Optional[str]:
     """The first clause of normality in F that Q fails, or None.
-
     "strong_closure": some map sends a point of Q outside Q.
     "extension": some map phi is not the restriction of a map of F on
     <src(phi), Q>.  Once Q is strongly closed, every map defined on Q
     maps Q into Q, and so onto Q, being injective: the extension then
-    preserves Q with no further test.  On the positions of S: each map
-    is its source mask and image positions (``maps_by_mask``), <src, Q>
-    is the memoized ``SIndex.join``, and the maps over one source are checked
-    together against the restrictions of the maps over <src, Q>.
+    preserves Q with no further test.  <src, Q> is ``SIndex.join``, and
+    the maps over one source are checked together against the
+    restrictions of the maps over <src, Q>.
     """
     if not is_strongly_closed(F, Q):
         return "strong_closure"
     q = F.index.mask(Q.eset)
     groups = F.maps_by_mask()
     for src, imgs in groups.items():
-        on_src = _picker(src)
+        on_src = _getter(bit_positions(src))
         keep = set(map(on_src, groups.get(F.index.join(src, q), ())))
         if not keep.issuperset(map(on_src, imgs)):
             return "extension"
@@ -545,13 +553,10 @@ def is_normal_subgroup_in(F: FusionSystem, Q: Subgroup) -> bool:
 
 
 def _op_core_over(F: FusionSystem, floor: Subgroup) -> Subgroup:
-    """The largest subgroup normal in F, searched only among the
-    subgroups that contain ``floor``, which must lie in O_p(F).
-
-    Exact for any system closed under restriction: the product of two
-    normal subgroups is normal, so O_p(F) is the product of all of them
-    and contains every one, ``floor`` included.  The uniqueness check
-    refuses a set of maps that is not such a system.
+    """The largest subgroup normal in F, searched only above ``floor``,
+    which must lie in O_p(F).  Exact for any system closed under
+    restriction: the product of two normal subgroups is normal, so O_p(F)
+    contains every one.  The uniqueness check refuses other map sets.
     """
     normals = [Q for Q in F.subgroups
                if floor.eset <= Q.eset and is_normal_subgroup_in(F, Q)]
@@ -562,25 +567,19 @@ def _op_core_over(F: FusionSystem, floor: Subgroup) -> Subgroup:
 
 
 def op_core(F: FusionSystem) -> Subgroup:
-    """O_p(F): the largest subgroup normal in F.
-
-    The product of two normal subgroups is normal, so this is the one
-    normal subgroup containing all others; the search starts from the
-    trivial subgroup."""
+    """O_p(F): the largest subgroup normal in F, which contains all the
+    others (``_op_core_over`` from the trivial subgroup)."""
     return _op_core_over(F, F.subgroups[0])
 
 
 def is_subcentric(F: FusionSystem, P: Subgroup) -> bool:
     """O_p(N_F(Q)) is F-centric, for a fully normalized conjugate Q of P.
 
-    Two lemmas, exact for any system closed under restriction, bound the
-    work:
-    - Q is normal in N_F(Q), and the product of two normal subgroups is
-      normal, so Q <= O_p(N_F(Q)): O_p is searched only among the
-      subgroups of N_S(Q) that contain Q.
-    - Overgroups of F-centric subgroups are F-centric, so with Q <=
-      O_p(N_F(Q)) an F-centric P is subcentric, and no normalizer system
-      is built for it.
+    Q is normal in N_F(Q), and the product of two normal subgroups is
+    normal, so Q <= O_p(N_F(Q)): O_p is searched only above Q.  Overgroups
+    of F-centric subgroups are F-centric, so an F-centric P is subcentric
+    with no normalizer system built.  Both hold for any system closed
+    under restriction.
     """
     if is_centric(F, P):
         return True
@@ -593,11 +592,9 @@ def is_subcentric(F: FusionSystem, P: Subgroup) -> bool:
 def subcentric_subgroups(F: FusionSystem) -> list[Subgroup]:
     verdicts: dict[frozenset, bool] = {}
     for P in F.subgroups:
-        if P.eset in verdicts:
-            continue
-        v = is_subcentric(F, P)
-        for Q in F.conjugates(P):  # class-invariant property
-            verdicts[Q.eset] = v
+        if P.eset not in verdicts:  # a class-invariant property
+            v = is_subcentric(F, P)
+            verdicts.update((Q.eset, v) for Q in F.conjugates(P))
     return [P for P in F.subgroups if verdicts[P.eset]]
 
 
@@ -608,34 +605,35 @@ def centric_radicals(F: FusionSystem) -> list[Subgroup]:
 # -- saturation --------------------------------------------------------------
 
 def is_fully_automized(F: FusionSystem, P: Subgroup) -> bool:
-    return len(F._aut_s_images(P)) == _p_part(len(F.aut(P)), F.p)
+    aut_s = F.index.aut_s(F.index.mask(P.eset))
+    return len(aut_s) == _p_part(len(F.aut(P)), F.p)
 
 
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
-    """Every iso phi: Q -> P in F extends to N_phi, the g in N_S(Q) whose
-    conjugation phi^-1 c_g phi lies in Aut_S(P)."""
+    """Every iso phi: Q -> P in F extends to N_phi, the g in N_S(Q) with
+    phi^-1 c_g phi in Aut_S(P) (``SIndex.aut_s``)."""
     idx = F.index
-    pos = idx.pos
-    aut_s_p = F._aut_s_images(P)
-    ps = [pos[x] for x in sorted(P.eset)]
+    by_mask = F.maps_by_mask()
+    p = idx.mask(P.eset)
+    ps = bit_positions(p)
+    aut_s_p = idx.aut_s(p)
     for Q in F.conjugates(P):
-        nsq = idx.positions(idx.normalizer(idx.mask(Q.eset)))
-        for phi in F.isos_from(Q):
-            if phi.img != P.eset:
+        q = idx.mask(Q.eset)
+        qs = bit_positions(q)
+        on_q = _getter(qs)
+        nsq = bit_positions(idx.normalizer(q))
+        for phi in by_mask.get(q, ()):
+            if image_mask(phi, qs) != p:
                 continue
-            fwd = {pos[x]: pos[y] for x, y in phi.pairs}
-            preimage = {v: k for k, v in fwd.items()}
+            preimage = {phi[i]: i for i in qs}
             back = [preimage[i] for i in ps]
             nphi = 0
             for g in nsq:
                 cg = idx.inner(g)
-                if tuple([fwd[cg[j]] for j in back]) in aut_s_p:
+                if tuple([phi[cg[j]] for j in back]) in aut_s_p:
                     nphi |= 1 << g
-            nset = frozenset(idx.members(nphi))
-            ok = any(psi.image_of(Q.eset) == P.eset
-                     and all(psi.d[x] == phi.d[x] for x in Q.eset)
-                     for psi in F.by_src.get(nset, ()))
-            if not ok:
+            on_phi = on_q(phi)
+            if not any(on_q(psi) == on_phi for psi in by_mask.get(nphi, ())):
                 return False
     return True
 
@@ -644,25 +642,28 @@ def is_saturated(F: FusionSystem) -> bool:
     """Every conjugacy class contains a fully automized receptive member."""
     seen: set[frozenset] = set()
     for P in F.subgroups:
-        if P.eset in seen:
-            continue
-        cls = F.conjugates(P)
-        seen |= {Q.eset for Q in cls}
-        if not any(is_fully_automized(F, Q) and is_receptive(F, Q)
-                   for Q in cls):
-            return False
+        if P.eset not in seen:
+            cls = F.conjugates(P)
+            seen |= {Q.eset for Q in cls}
+            if not any(is_fully_automized(F, Q) and is_receptive(F, Q)
+                       for Q in cls):
+                return False
     return True
 
 
 # -- subsystems --------------------------------------------------------------
 
 def is_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
-    return (E.p == F.p and E.S.eset <= F.S.eset and E.maps <= F.maps)
+    return (E.p == F.p and E.S.eset <= F.S.eset
+            and E.maps_over(F.S) <= F.maps)
 
 
-def _conjugate_map(psi: FMap, phi: FMap) -> FMap:
+def _conjugate_map(psi: tuple[int, ...], phi: Morphism) -> Morphism:
     """psi-conjugate of phi: x -> psi(phi(psi^-1(x))) on psi(src(phi))."""
-    return FMap((psi.d[x], psi.d[phi.d[x]]) for x in phi.src)
+    images = [-1] * len(psi)
+    for i in bit_positions(phi[0]):
+        images[psi[i]] = psi[phi[1][i]]
+    return _mask_of(images), tuple(images)
 
 
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
@@ -671,33 +672,32 @@ def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
     if not is_subsystem(F, E):
         return False
     T = F.subgroup(E.S.eset)
-    if not is_strongly_closed(F, T):
+    if not (is_strongly_closed(F, T) and is_saturated(E)):
         return False
-    if not is_saturated(E):
-        return False
+    idx = F.index
+    t = idx.mask(T.eset)
+    in_e = E.maps_over(F.S)
     # strong invariance
-    for psi in F.maps:
-        if not psi.src <= T.eset:
-            continue
-        for phi in E.maps:
-            if phi.src | phi.img <= psi.src:
-                if _conjugate_map(psi, phi) not in E.maps:
+    spans = [(m[0] | _target(m), m) for m in in_e]
+    for src, imgs in F.maps_by_mask().items():
+        if src & t == src:
+            for psi in imgs:
+                if any(span & src == span and _conjugate_map(psi, phi)
+                       not in in_e for span, phi in spans):
                     return False
     # extension condition on T C_S(T)
     C = centralizer_in(F.S, T.eset)
-    TC = product_subgroup(F, T.eset, C)
+    tc = idx.mask(compose(a, b) for a in T.eset for b in C)
     ZT = centralizer_in(T.eset, T.eset)
-    for alpha in E.aut(T):
-        ok = False
-        for psi in F.by_src.get(TC.eset, ()):
-            if psi.img != TC.eset:
-                continue
-            if not all(psi.d[x] == alpha.d[x] for x in T.eset):
-                continue
-            if all(compose(inverse(x), psi.d[x]) in ZT for x in C):
-                ok = True
-                break
-        if not ok:
+    els = idx.elements
+    cs = [idx.pos[x] for x in C]
+    on_t = _getter(bit_positions(t))
+    tcs = bit_positions(tc)
+    exts = [psi for psi in F.maps_by_mask().get(tc, ())
+            if image_mask(psi, tcs) == tc
+            and all(compose(inverse(els[c]), els[psi[c]]) in ZT for c in cs)]
+    for src, alpha in in_e:
+        if src == t and not any(on_t(psi) == on_t(alpha) for psi in exts):
             return False
     return True
 
@@ -706,13 +706,14 @@ def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
     """Subsystem of F generated by all F-conjugates of E's morphisms,
     over the strong closure of E's Sylow."""
     That = strong_closure(F, F.subgroup(E.S.eset))
-    gens = set()
-    for phi in E.maps:
-        gens.add(phi)
-        for psi in F.maps:
-            if phi.src | phi.img <= psi.src:
-                gens.add(_conjugate_map(psi, phi))
-    return close(That, F.p, gens, F.morphism_cap)
+    in_e = E.maps_over(F.S)
+    gens = set(in_e)
+    spans = [(m[0] | _target(m), m) for m in in_e]
+    for src, imgs in F.maps_by_mask().items():
+        for span, phi in spans:
+            if span & src == span:
+                gens.update(_conjugate_map(psi, phi) for psi in imgs)
+    return close(That, F.p, maps_inside(F, That, gens), F.morphism_cap)
 
 
 def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
@@ -728,16 +729,10 @@ def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
     if E == F:
         return True, [F]
     chain = [F]
-    cur = F
-    # each normal closure is a subsystem of the last, so the chain
-    # descends until it stops, and the loop ends on its own
-    while True:
-        nxt = normal_closure(cur, E)
-        if nxt == cur:
-            break
+    # each normal closure is a subsystem of the last: the chain descends
+    while (nxt := normal_closure(chain[-1], E)) != chain[-1]:
         chain.append(nxt)
-        cur = nxt
-    if cur != E:
+    if chain[-1] != E:
         return False, list(reversed(chain))
     for below, above in zip(chain[1:], chain):
         if not is_normal_subsystem(above, below):

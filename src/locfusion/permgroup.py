@@ -270,24 +270,28 @@ class SIndex:
     the canonical order, so the members of a mask come out sorted, and
     position 0 is the identity (the least permutation).  Columns of the
     Cayley table, the conjugation action of S on itself, the lattice
-    masks and the joins are filled on first use, as is ``subgroups``, the
-    lattice as :class:`Subgroup` objects (``fusion.subgroup_lattice``).
-    Obtain the index of a subgroup through ``FiniteGroup.sindex``, which
-    keeps it on the group.
+    masks, the joins, N_S(P) and Aut_S(P) are filled on first use, as
+    are ``subgroups`` (``fusion.subgroup_lattice``) and ``embeddings``
+    (``fusion.embedding``).  Obtain the index of a subgroup through
+    ``FiniteGroup.sindex``, which keeps it on the group.
     """
 
-    __slots__ = ("elements", "pos", "subgroups", "_cols", "_inner",
-                 "_lattice", "_joins", "_ups")
+    __slots__ = ("elements", "pos", "subgroups", "embeddings", "_cols",
+                 "_inner", "_lattice", "_joins", "_ups", "_normalizers",
+                 "_aut_s")
 
     def __init__(self, S: Subgroup):
         self.elements = S.elements
         self.pos = {x: i for i, x in enumerate(S.elements)}
         self.subgroups: Optional[list[Subgroup]] = None
+        self.embeddings: dict[frozenset, tuple] = {}
         self._cols: dict[int, tuple[int, ...]] = {}
         self._inner: Optional[list[tuple[int, ...]]] = None
         self._lattice: Optional[list[int]] = None
         self._joins: dict[tuple[int, int], int] = {}
         self._ups: dict[int, list[int]] = {}
+        self._normalizers: dict[int, int] = {}
+        self._aut_s: dict[int, frozenset] = {}
 
     def mask(self, xs: Iterable[Perm]) -> int:
         """Bitmask of a subset of S (KeyError for an element outside S)."""
@@ -356,14 +360,23 @@ class SIndex:
         return self._inner[s]
 
     def normalizer(self, mask: int) -> int:
-        """Mask of N_S(P) for the subgroup P with the given mask."""
-        ps = self.positions(mask)
-        out = 0
-        for s in range(len(self.elements)):
-            img = self.inner(s)
-            if all(mask >> img[i] & 1 for i in ps):
-                out |= 1 << s
-        return out
+        """Mask of N_S(P) for the subgroup P with the given mask; memoized."""
+        if mask not in self._normalizers:
+            ps = self.positions(mask)
+            self._normalizers[mask] = sum(
+                1 << s for s in range(len(self.elements))
+                if all(mask >> self.inner(s)[i] & 1 for i in ps))
+        return self._normalizers[mask]
+
+    def aut_s(self, mask: int) -> frozenset:
+        """Aut_S(P) for the subgroup P with the given mask: the images of
+        P's positions under each element of N_S(P); memoized."""
+        if mask not in self._aut_s:
+            ps = self.positions(mask)
+            self._aut_s[mask] = frozenset(
+                tuple([self.inner(s)[i] for i in ps])
+                for s in self.positions(self.normalizer(mask)))
+        return self._aut_s[mask]
 
     def right(self, g: int) -> tuple[int, ...]:
         """Column g of the Cayley table: the position of s_i * s_g for

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .fusion import (DEFAULT_MORPHISM_CAP, FMap, FusionSystem, aut_group,
+from .fusion import (DEFAULT_MORPHISM_CAP, FusionSystem, Morphism, aut_group,
                      close, fusion_of_locality, fusion_of_partial_subgroup,
-                     inner_fusion, is_centric, is_normal_subsystem,
-                     is_subnormal_subsystem, is_subsystem, normalizer_system,
-                     subcentric_subgroups, subgroup_lattice)
-from .permgroup import (Subgroup, compose, generated_subgroup, inverse,
-                        perm_order)
+                     inner_maps, is_centric, is_normal_subsystem,
+                     is_subnormal_subsystem, is_subsystem, maps_inside,
+                     normalizer_system, restriction, subcentric_subgroups,
+                     subgroup_lattice, trivial_modulo)
+from .permgroup import Subgroup, compose, generated_subgroup, perm_order
 from .report import PreconditionError, Report
 
 
@@ -27,25 +27,19 @@ class NormalityRequired(PreconditionError):
     """The generation formula only covers D normal in the normalizer system."""
 
 
-def a_fe(F: FusionSystem, E: FusionSystem, P: Subgroup) -> set[FMap]:
+def a_fe(F: FusionSystem, E: FusionSystem, P: Subgroup) -> set[Morphism]:
     """Automorphisms of P generated by p'-elements that centralize P
     modulo P∩T and restrict into E on P∩T, generated inside Aut_F(P) as
     a permutation group (``aut_group``)."""
-    T = E.S.eset
-    pt = P.eset & T
+    pt = F.subgroup(P.eset & E.S.eset)
+    in_e = E.maps_over(F.S)
     A, to_perm = aut_group(F, P)
-    good = []
-    for phi, x in to_perm.items():
-        if perm_order(x) % F.p == 0:
-            continue
-        commutators = {compose(inverse(y), phi.d[y]) for y in P.eset}
-        if not commutators <= pt:  # pt is a subgroup: holds their closure
-            continue
-        if phi.restrict(frozenset(pt)) not in E.maps:
-            continue
-        good.append(x)
+    good = [x for phi, x in to_perm.items()
+            if perm_order(x) % F.p and trivial_modulo(F, phi, P, pt)
+            and restriction(F, phi, pt) in in_e]
     of_perm = {x: phi for phi, x in to_perm.items()}
-    return {of_perm[x] for x in generated_subgroup(A, good)}
+    return {restriction(F, of_perm[x], P)
+            for x in generated_subgroup(A, good)}
 
 
 def _tr_subgroup(F: FusionSystem, T: frozenset, R: frozenset) -> Subgroup:
@@ -56,17 +50,13 @@ def _tr_subgroup(F: FusionSystem, T: frozenset, R: frozenset) -> Subgroup:
 
 
 def _er_generators(F: FusionSystem, E: FusionSystem,
-                   tr: frozenset) -> set[FMap]:
-    T = E.S.eset
-    gens: set[FMap] = set()
+                   TR: Subgroup) -> set[Morphism]:
+    """The A(P) families of E inside F, on the positions of TR."""
+    gens: set[Morphism] = set()
     for P in subgroup_lattice(F.S):
-        if not P.eset <= tr:
-            continue
-        pt = P.eset & T
-        if not is_centric(E, E.subgroup(pt)):
-            continue
-        gens |= a_fe(F, E, P)
-    return gens
+        if P.eset <= TR.eset and is_centric(E, E.subgroup(P.eset & E.S.eset)):
+            gens |= a_fe(F, E, P)
+    return maps_inside(F, TR, gens)
 
 
 def product_ER(F: FusionSystem, E: FusionSystem, R: Subgroup,
@@ -75,12 +65,11 @@ def product_ER(F: FusionSystem, E: FusionSystem, R: Subgroup,
     if check and not is_normal_subsystem(F, E):
         raise PreconditionError("E is not normal in F")
     TR = _tr_subgroup(F, E.S.eset, R.eset)
-    return close(TR, F.p, _er_generators(F, E, TR.eset), F.morphism_cap)
+    return close(TR, F.p, _er_generators(F, E, TR), F.morphism_cap)
 
 
 def d_status(F: FusionSystem, T: Subgroup, D: FusionSystem) -> str:
-    """Status of D inside the normalizer system of T: normal, subnormal,
-    or fail."""
+    """Status of D in the normalizer system of T: normal, subnormal, fail."""
     NFT = normalizer_system(F, T)
     if not is_subsystem(NFT, D):
         return "fail"
@@ -105,8 +94,7 @@ def product_ED(F: FusionSystem, E: FusionSystem,
         raise NormalityRequired(
             "D is subnormal but not normal; use the locality route")
     TR = _tr_subgroup(F, T.eset, D.S.eset)
-    gens = _er_generators(F, E, TR.eset)
-    gens |= _er_generators(NFT, D, TR.eset)
+    gens = _er_generators(F, E, TR) | _er_generators(NFT, D, TR)
     return close(TR, F.p, gens, F.morphism_cap)
 
 
@@ -162,9 +150,8 @@ def enumerate_subnormal_subsystems(F: FusionSystem,
     by one map."""
     out = []
     for T in subgroup_lattice(F.S):
-        inside = frozenset(m for m in F.maps if m.src | m.img <= T.eset)
-        inner = set(inner_fusion(T, F.p).maps)
-        extra = sorted(m for m in inside if m not in inner)
+        inside = frozenset(maps_inside(F, T, F.maps))
+        extra = sorted(inside - inner_maps(T))
         seen: set[frozenset] = set()
         systems = []
         frontier = [close(T, F.p, [], F.morphism_cap)]
@@ -237,7 +224,7 @@ def verify_ed(F: FusionSystem, E: FusionSystem, D: FusionSystem,
                 continue
             if is_subnormal_subsystem(ndt, D)[0] is not True:
                 continue
-            if not (ED.S.eset <= other.S.eset and ED.maps <= other.maps):
+            if not is_subsystem(other, ED):
                 ok = False
                 break
         rep.set("minimality", ok)

@@ -113,7 +113,8 @@ def test_criterion_7_product_against_group_oracle(product_setups):
     assert ed_ii == st_ii["F"] == st_ii["oracle"]
     ed_iii = pr.product_ED(st_iii["F"], st_iii["E"], st_iii["D"])
     assert ed_iii == st_iii["oracle"]
-    assert st_iii["E"].maps < ed_iii.maps and ed_iii != st_iii["F"]
+    assert st_iii["E"].maps_over(ed_iii.S) < ed_iii.maps
+    assert ed_iii != st_iii["F"]
 
 
 def test_criterion_8_product_clause_suite(product_setups):

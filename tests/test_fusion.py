@@ -4,9 +4,8 @@ from the ambient groups."""
 import pytest
 
 from locfusion import fusion as fu
-from locfusion.fusion import (FMap, FusionError, MorphismCapExceeded, close,
-                              conj_map,
-                              fusion_of_group, fusion_of_locality,
+from locfusion.fusion import (FusionError, MorphismCapExceeded, close,
+                              from_graph, fusion_of_group, fusion_of_locality,
                               fusion_of_partial_subgroup, inner_fusion,
                               is_centric, is_centric_radical,
                               is_normal_subsystem, is_saturated,
@@ -18,6 +17,8 @@ from locfusion.instances import (bundled_groups, build_locality,
                                  named_subgroup)
 from locfusion.permgroup import (conjugate, from_cycles, generated_subgroup,
                                  sylow_subgroup)
+
+from graph_oracle import graphs
 
 
 @pytest.fixture(scope="module")
@@ -41,26 +42,29 @@ def _oracle_homs(G, S, P):
 
 
 def test_fusion_of_group_matches_oracle(s4, s4_sylow, F):
+    by_src = {}
+    for m in graphs(F):
+        by_src.setdefault(m.src, set()).add(m.pairs)
     for P in subgroup_lattice(s4_sylow):
-        got = {m.pairs for m in F.by_src.get(P.eset, ())}
-        assert got == _oracle_homs(s4.elements, s4_sylow, P)
+        assert by_src[P.eset] == _oracle_homs(s4.elements, s4_sylow, P)
 
 
-def test_fmap_rejects_non_homomorphism():
+def test_fmap_rejects_non_homomorphism(klein):
+    """The graph constructor is where the homomorphism check runs."""
     a = from_cycles(4, (1, 2), (3, 4))
     b = from_cycles(4, (1, 3), (2, 4))
     c = from_cycles(4, (1, 4), (2, 3))
     e = tuple(range(4))
     # moves the identity: cannot be a homomorphism
-    bad = FMap([(e, a), (a, e), (b, b), (c, c)])
-    from locfusion.fusion import _check_homomorphism
-    with pytest.raises(FusionError):
-        _check_homomorphism(bad)
+    with pytest.raises(FusionError, match="not a homomorphism"):
+        from_graph(klein, [(e, a), (a, e), (b, b), (c, c)])
+    with pytest.raises(FusionError, match="not injective"):
+        from_graph(klein, [(e, e), (a, b), (b, b)])
 
 
 def test_closure_of_group_conjugations_equals_group_fusion(s4, s4_sylow, F):
-    gens = [conj_map(P.eset, g) for P in subgroup_lattice(s4_sylow)
-            for g in s4
+    gens = [from_graph(s4_sylow, [(x, conjugate(x, g)) for x in P.eset])
+            for P in subgroup_lattice(s4_sylow) for g in s4
             if all(conjugate(x, g) in s4_sylow.eset for x in P.eset)]
     assert close(s4_sylow, 2, gens) == F
 
@@ -84,8 +88,10 @@ def test_saturated_on_bundled_groups():
 
 
 def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
-    """Closing onto a closed base: the morphism cap, the generator checks,
-    and a base over another subgroup are all refused."""
+    """Closing onto a closed base: the morphism cap, a generator on the
+    positions of another group, and a base over another subgroup are all
+    refused; a graph outside S or not a homomorphism is refused by the
+    graph constructor before it can become a generator."""
     base = inner_fusion(s4_sylow, 2)
     extra = next(m for m in sorted(F.maps) if m not in base.maps)
     assert close(s4_sylow, 2, [extra], base=base) == \
@@ -93,12 +99,15 @@ def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
     with pytest.raises(MorphismCapExceeded):
         close(s4_sylow, 2, [extra], cap=len(base.maps), base=base)
     three = generated_subgroup(s4, [from_cycles(4, (1, 2, 3))])
+    on_three = [(x, x) for x in three.elements]
     with pytest.raises(FusionError, match="inside S"):
-        close(s4_sylow, 2, [conj_map(three.eset, s4.identity)], base=base)
+        from_graph(s4_sylow, on_three)
+    with pytest.raises(FusionError, match="inside S"):
+        close(s4_sylow, 2, [from_graph(s4.full_subgroup(), on_three)],
+              base=base)
     e, a, b, c = klein.elements
     with pytest.raises(FusionError, match="not a homomorphism"):
-        close(s4_sylow, 2, [FMap([(e, a), (a, e), (b, b), (c, c)])],
-              base=base)
+        from_graph(s4_sylow, [(e, a), (a, e), (b, b), (c, c)])
     with pytest.raises(FusionError, match="another subgroup"):
         close(s4_sylow, 2, [], base=inner_fusion(klein, 2))
 
@@ -111,7 +120,7 @@ def test_not_saturated_handmade(s4, klein):
     e = tuple(range(4))
     a = next(iter(u1.eset - {e}))
     b = next(iter(u2.eset - {e}))
-    phi = FMap([(e, e), (a, b)])
+    phi = from_graph(klein, [(e, e), (a, b)])
     Fbad = close(klein, 2, [phi])
     assert not is_saturated(Fbad)
 

@@ -1,17 +1,22 @@
 """The S-indexed kernel against the element-wise code it replaced.
 
 The ``ref_*`` functions are the element-wise implementations of the
-S-lattice, of F_S(G), of the Delta-closure check, of normalizer systems,
-of strong closure and of normality in a fusion system, with conjugation computed as
-g^-1 * x * g from two compositions, and the full-scan O_p and the
-unshortcut subcentric test built on them.  They are kept here only as
-oracles: the library computes all of these through ``SIndex``, and
-searches O_p only above a subgroup it is known to contain.
+S-lattice and of F_S(G) (both in ``graph_oracle``), of the Delta-closure
+check, of normalizer systems, of strong closure and of normality in a
+fusion system, with conjugation computed as g^-1 * x * g from two
+compositions, and the full-scan O_p and the unshortcut subcentric test
+built on them.  They are kept here only as oracles: the library computes
+all of these through ``SIndex``, and searches O_p only above a subgroup
+it is known to contain.
 
 ``ref_is_centric_radical`` and ``ref_a_fe`` are the automorphism-group
 code that the permutation group of ``fusion.aut_group`` replaced: a
 Cayley group of Aut_F(P) and a second one on the cosets of Inn(P), and a
-closure of ``FMap`` compositions.
+closure of graph compositions.
+
+Every oracle works on element graphs (``graph_oracle``), the morphism
+form the library held before it moved to the positions of S; ``close``
+is checked against the graph closure that composes every pair.
 """
 
 import functools
@@ -20,8 +25,8 @@ import random
 import pytest
 
 from locfusion import instances as inst
-from locfusion.fusion import (FMap, _normality_fault, _op_core_over,
-                              centric_radicals, conj_map,
+from locfusion.fusion import (FusionSystem, _normality_fault, _op_core_over,
+                              centric_radicals, close, from_graph,
                               fully_normalized_conjugate, fusion_of_group,
                               fusion_of_locality, inner_maps, is_centric,
                               is_centric_radical, is_normal_subgroup_in,
@@ -36,45 +41,20 @@ from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _closure,
                                  inverse, p_core, sylow_subgroup)
 from locfusion.products import _tr_subgroup, a_fe
 
-
-def ref_conjugate(x, g):
-    return compose(compose(inverse(g), x), g)
-
-
-def ref_all_subgroups(G, within=None):
-    """Pairwise join-closure of the cyclic subgroups, on element sets."""
-    ambient = within.elements if within is not None else G.elements
-    seeds = {frozenset((G.identity,)): ()}
-    for x in ambient:
-        cyc, y = set(), x
-        while y not in cyc:
-            cyc.add(y)
-            y = compose(y, x)
-        seeds.setdefault(frozenset(cyc), (x,))
-    subs = dict(seeds)
-    worklist = list(seeds.items())
-    while worklist:
-        key_a, gens_a = worklist.pop()
-        for key_b, gens_b in list(subs.items()):
-            if key_a <= key_b or key_b <= key_a:
-                continue
-            gens = tuple(sorted(set(gens_a + gens_b)))
-            join = frozenset(_closure(gens, G.degree, len(ambient)))
-            if join not in subs:
-                subs[join] = gens
-                worklist.append((join, gens))
-    return sorted((Subgroup(G, s, check=False) for s in subs),
-                  key=lambda H: (H.order, H.elements))
+from graph_oracle import (conj_graph, graph_of, graphs, ref_all_subgroups,
+                          ref_close, ref_conjugate, ref_fusion_maps)
 
 
-def ref_fusion_maps(G, S, acting):
-    maps = set()
-    for P in ref_all_subgroups(G, within=S):
-        for g in acting:
-            img = {ref_conjugate(x, g) for x in P.eset}
-            if img <= S.eset:
-                maps.add(FMap((x, ref_conjugate(x, g)) for x in P.eset))
-    return maps
+_graphs = functools.lru_cache(maxsize=None)(graphs)
+
+
+@functools.lru_cache(maxsize=None)
+def _graphs_by_src(F):
+    """The graphs of F's maps, grouped by source."""
+    out = {}
+    for m in _graphs(F):
+        out.setdefault(m.src, []).append(m)
+    return out
 
 
 def ref_normalizer_in_s(S, P):
@@ -83,24 +63,24 @@ def ref_normalizer_in_s(S, P):
 
 
 def ref_aut_s(S, P):
-    return {FMap((x, ref_conjugate(x, s)) for x in P.eset)
-            for s in ref_normalizer_in_s(S, P)}
+    return {conj_graph(P.eset, s) for s in ref_normalizer_in_s(S, P)}
 
 
 def ref_is_receptive(F, P):
     aut_s_p = ref_aut_s(F.S, P)
+    by_src = _graphs_by_src(F)
     for Q in F.conjugates(P):
-        for phi in F.isos_from(Q):
+        for phi in by_src[Q.eset]:
             if phi.img != P.eset:
                 continue
             nphi = set()
             for g in ref_normalizer_in_s(F.S, Q):
-                c_g = FMap((x, ref_conjugate(x, g)) for x in Q.eset)
+                c_g = conj_graph(Q.eset, g)
                 if phi.inv().then(c_g).then(phi) in aut_s_p:
                     nphi.add(g)
             if not any(psi.image_of(Q.eset) == P.eset
                        and all(psi.d[x] == phi.d[x] for x in Q.eset)
-                       for psi in F.by_src.get(frozenset(nphi), ())):
+                       for psi in by_src.get(frozenset(nphi), ())):
                 return False
     return True
 
@@ -133,17 +113,18 @@ def ref_normalizer_system(F, Q):
     NS = ref_normalizer_in_s(F.S, Q)
     lattice = [P for P in subgroup_lattice(F.S) if P.eset <= NS]
     out = set()
-    for psi in F.maps:
+    for psi in _graphs(F):
         if not (Q.eset <= psi.src and psi.image_of(Q.eset) == Q.eset):
             continue
         M = frozenset(x for x in psi.src & NS if psi.d[x] in NS)
         out |= {psi.restrict(P.eset) for P in lattice if P.eset <= M}
-    return type(F)(Subgroup(F.S.parent, NS, check=False), F.p, out,
-                   F.morphism_cap)
+    N = Subgroup(F.S.parent, NS, check=False)
+    return FusionSystem(N, F.p, {from_graph(N, m.pairs) for m in out},
+                        F.morphism_cap)
 
 
 def ref_is_strongly_closed(F, Q):
-    return all(m.d[x] in Q.eset for m in F.maps for x in Q.eset & m.src)
+    return all(m.d[x] in Q.eset for m in _graphs(F) for x in Q.eset & m.src)
 
 
 def ref_generated(F, xs):
@@ -157,7 +138,7 @@ def ref_strong_closure(F, T):
     until both are stable."""
     X = set(T.eset)
     while True:
-        for m in F.maps:
+        for m in _graphs(F):
             X |= {m.d[x] for x in X & m.src}
         gen = ref_generated(F, frozenset(X))
         if gen == X:
@@ -170,11 +151,12 @@ def ref_is_normal_subgroup_in(F, Q):
     sending Q onto Q, tested point by point."""
     if not ref_is_strongly_closed(F, Q):
         return False
-    for phi in F.maps:
+    by_src = _graphs_by_src(F)
+    for phi in _graphs(F):
         pq = ref_generated(F, phi.src | Q.eset)
         if not any(psi.image_of(Q.eset) == Q.eset
                    and all(psi.d[x] == phi.d[x] for x in phi.src)
-                   for psi in F.by_src.get(pq, ())):
+                   for psi in by_src.get(pq, ())):
             return False
     return True
 
@@ -200,8 +182,9 @@ def ref_is_centric_radical(F, P):
     realized by their regular actions."""
     if not is_centric(F, P):
         return False
-    GA, to_perm = cayley_group(sorted(F.aut(P)), lambda a, b: a.then(b))
-    inn = {to_perm[conj_map(P.eset, x)] for x in P.eset}
+    auts = [m for m in _graphs_by_src(F)[P.eset] if m.img == P.eset]
+    GA, to_perm = cayley_group(sorted(auts), lambda a, b: a.then(b))
+    inn = {to_perm[conj_graph(P.eset, x)] for x in P.eset}
     cosets = {}
     for g in GA.elements:
         cs = frozenset(compose(n, g) for n in inn)
@@ -215,9 +198,10 @@ def ref_is_centric_radical(F, P):
 
 def ref_a_fe(F, E, P):
     """The p'-automorphisms of P that centralize P modulo P∩T and
-    restrict into E, closed under composition of ``FMap`` graphs."""
+    restrict into E, closed under composition of graphs."""
     pt = P.eset & E.S.eset
-    auts = F.aut(P)
+    auts = [m for m in _graphs_by_src(F)[P.eset] if m.img == P.eset]
+    in_e = _graphs(E)
 
     def order(phi):
         n, cur = 1, phi
@@ -228,7 +212,7 @@ def ref_a_fe(F, E, P):
     out |= {phi for phi in auts
             if order(phi) % F.p
             and {compose(inverse(x), phi.d[x]) for x in P.eset} <= pt
-            and phi.restrict(frozenset(pt)) in E.maps}
+            and phi.restrict(frozenset(pt)) in in_e}
     frontier = list(out)
     while frontier:
         a = frontier.pop()
@@ -424,12 +408,28 @@ def test_whole_group_lattice_matches_element_wise(make):
         [P.elements for P in ref_all_subgroups(G)]
 
 
-@pytest.mark.parametrize("label,G,S", CASES, ids=IDS)
+S6_CASES = [(f"S6:p={p}", G, sylow_subgroup(G, p))
+            for G in [_s6()] for p in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("label,G,S", CASES + S6_CASES,
+                         ids=IDS + [c[0] for c in S6_CASES])
 def test_fusion_of_group_matches_element_wise(label, G, S):
+    """F_S(G) and the inner maps against the conjugation graphs; then
+    ``close`` against the graph closure, from a seeded sample of the
+    outer maps and from all of them, onto the inner maps."""
     if S.order == 1:
         pytest.skip("no fusion over the trivial group")
-    assert fusion_of_group(G, S).maps == ref_fusion_maps(G, S, G.elements)
-    assert inner_maps(S) == ref_fusion_maps(G, S, S.elements)
+    F = fusion_of_group(G, S)
+    ref = ref_fusion_maps(G, S, G.elements)
+    inner = ref_fusion_maps(G, S, S.elements)
+    assert graphs(F) == ref
+    assert {graph_of(S, m) for m in inner_maps(S)} == inner
+    outer = sorted(ref - inner)
+    for gens in (random.Random(0).sample(outer, min(3, len(outer))), outer):
+        got = close(S, F.p, [from_graph(S, m.pairs) for m in gens])
+        assert graphs(got) == ref_close(S, gens, inner)
+    assert got == F
 
 
 @pytest.mark.parametrize("label,G,S", CASES, ids=IDS)
@@ -438,9 +438,13 @@ def test_scans_inside_s_match_element_wise(label, G, S):
     if S.order == 1:
         pytest.skip("no fusion over the trivial group")
     F = fusion_of_group(G, S)
+    idx = F.index
     for P in F.subgroups:
-        assert F.normalizer_in_s(P) == ref_normalizer_in_s(S, P)
-        assert F.aut_s(P) == ref_aut_s(S, P)
+        m = idx.mask(P.eset)
+        assert frozenset(idx.members(idx.normalizer(m))) == \
+            ref_normalizer_in_s(S, P)
+        assert idx.aut_s(m) == {tuple(idx.pos[a.d[x]] for x in P.elements)
+                                for a in ref_aut_s(S, P)}
         assert is_receptive(F, P) == ref_is_receptive(F, P)
 
 
@@ -453,7 +457,7 @@ def test_bundled_fusion_constructions_cover_products():
                          ids=[f[0] for f in FUSION])
 def test_bundled_fusion_constructions_match(label, G, over, acting):
     F = fusion_of_group(G, over, acting=acting)
-    assert F.maps == ref_fusion_maps(G, over, acting)
+    assert graphs(F) == ref_fusion_maps(G, over, acting)
 
 
 def check_delta_closures(G, S, dsets):
@@ -586,14 +590,15 @@ def _aut_system(label):
 def test_aut_group_matches_cayley_route(label):
     """On every subgroup P: the centric-radical verdict against the
     Cayley quotient, and A(P) with E = F (the subgroup of Aut_F(P)
-    generated by its p'-elements) against the FMap closure."""
+    generated by its p'-elements) against the graph closure."""
     F = _aut_system(label)
     verdicts = []
     for P in F.subgroups:
         v = is_centric_radical(F, P)
         assert v == ref_is_centric_radical(F, P), P.elements
         verdicts.append(v)
-        assert a_fe(F, F, P) == ref_a_fe(F, F, P), P.elements
+        assert {graph_of(F.S, m) for m in a_fe(F, F, P)} == \
+            ref_a_fe(F, F, P), P.elements
     assert centric_radicals(F) == \
         [P for P, v in zip(F.subgroups, verdicts) if v]
     assert any(verdicts)
@@ -620,7 +625,9 @@ def test_a_fe_matches_fmap_closure_over_tr(label, F, E, T, D):
     for ambient, sub in ((F, E), (NFT, D)):
         for P in ambient.subgroups:
             if P.eset <= tr:
-                assert a_fe(ambient, sub, P) == ref_a_fe(ambient, sub, P)
+                assert {graph_of(ambient.S, m)
+                        for m in a_fe(ambient, sub, P)} == \
+                    ref_a_fe(ambient, sub, P)
 
 
 # -- joins in the S-lattice ---------------------------------------------------

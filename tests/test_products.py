@@ -4,11 +4,12 @@ import pytest
 
 from locfusion import products as pr
 from locfusion.fusion import (close, fusion_of_group, inner_fusion,
-                              inner_maps, normalizer_system,
-                              subgroup_lattice)
+                              inner_maps, maps_inside, subgroup_lattice)
 from locfusion.instances import load_descriptor, product_setup
 from locfusion.permgroup import from_cycles, generated_subgroup
 from locfusion.report import PreconditionError
+
+from graph_oracle import graph_of
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +39,13 @@ def test_a_fe_order_three(F, E, klein):
 def test_a_fe_trivial_when_aut_is_p_group(F, E, s4_sylow):
     # Aut of the full Sylow is a 2-group: no nontrivial odd-order parts
     A = pr.a_fe(F, E, F.subgroup(s4_sylow.eset))
-    assert all(m.is_identity() for m in A)
+    assert all(graph_of(F.S, m).is_identity() for m in A)
 
 
 def test_a_fe_trivial_when_p_cap_t_trivial(F, E, s4):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2))])
     A = pr.a_fe(F, E, F.subgroup(u.eset))
-    assert all(m.is_identity() for m in A)
+    assert all(graph_of(F.S, m).is_identity() for m in A)
 
 
 def test_product_er_recovers_e(F, E, s4):
@@ -78,7 +79,7 @@ def test_product_ed_identity_cases(setups):
 def test_product_ed_strictly_between(setups):
     st = setups["iii"]
     ed = pr.product_ED(st["F"], st["E"], st["D"])
-    assert st["E"].maps < ed.maps
+    assert st["E"].maps_over(ed.S) < ed.maps
     assert ed != st["F"]
 
 
@@ -174,7 +175,7 @@ def test_incremental_close_matches_scratch_along_enumeration(setups):
     cap = F.morphism_cap
     steps = 0
     for T in subgroup_lattice(F.S):
-        inside = frozenset(m for m in F.maps if m.src | m.img <= T.eset)
+        inside = frozenset(maps_inside(F, T, F.maps))
         extra = sorted(inside - inner_maps(T))
         start = close(T, F.p, [], cap)
         seen, frontier = {start.maps}, [start]

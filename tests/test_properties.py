@@ -1,0 +1,50 @@
+"""Property test: fusion systems of random small permutation groups
+against the element-graph oracle.
+
+Each example is a group of degree at most 6 on one to three random
+generators, taken at every prime dividing its order.  Through the graph
+edge (``graph_oracle.graph_of`` and ``fusion.from_graph``), F_S(G) must
+equal the conjugation graphs, closing its outer maps onto the inner maps
+must give F_S(G) back, and its report must be byte for byte the report
+written from the graphs.
+"""
+
+import json
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from locfusion.fusion import close, fusion_of_group, inner_maps  # noqa: E402
+from locfusion.permgroup import FiniteGroup, sylow_subgroup  # noqa: E402
+
+from graph_oracle import (graphs, ref_fusion_maps,  # noqa: E402
+                          ref_to_json)
+
+
+@st.composite
+def groups(draw):
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)),
+                         min_size=1, max_size=3))
+    return FiniteGroup(degree, gens)
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(groups())
+def test_fusion_of_group_against_graph_oracle(G):
+    for p in _primes(G.order):
+        S = sylow_subgroup(G, p)
+        F = fusion_of_group(G, S, p=p)
+        ref = ref_fusion_maps(G, S, G.elements)
+        assert graphs(F) == ref
+        assert close(S, p, sorted(F.maps - inner_maps(S))) == F
+        assert json.dumps(F.to_json(), sort_keys=True) == \
+            json.dumps(ref_to_json(S, p, ref), sort_keys=True)
