@@ -6,6 +6,18 @@ delta of subgroups of S.  A word lies in the domain of the partial
 product exactly when the subgroup S_w it carries through S belongs to
 delta; the n-ary product is the left fold of the binary one.
 
+The binary product is one row table, ``Locality.rows``: n + 1 tuples of
+n + 1 ids, ``rows[i][j]`` the id of i·j, or -1 where (i, j) is not in
+the domain.  Every row ends in -1 and the last row is all -1, so a
+product read at -1 is -1 again and a left fold needs no test per step.
+It costs (n + 1)² pointers: 2.5 MB for the 560 elements of L_delta(S7)
+at p = 2, where a dict keyed by pairs takes 10.5 MB for its 94,464
+pairs (5.2 MB of table and 5.3 MB of key tuples).  The
+construction, the validator and the partial-subgroup predicates work a
+row at a time, through ``map`` and ``operator.itemgetter`` in C;
+``Locality.prod`` is a read-only pair-keyed view of the rows for
+callers outside the package.
+
 Inside a locality, S is indexed as positions ``0..|S|-1`` in the order of
 ``s_ids`` (for a group-realized locality this is the order of
 ``SIndex(S)``), and every subset of S is an ``int`` bitmask over those
@@ -17,32 +29,32 @@ Domain questions are answered without building that composite: the
 preimage of a mask under one letter's map is cached per (letter, mask),
 and S_w is the preimage of S walked through w from the right.
 Words with the same (left-fold value, composite map) pair behave
-identically under every check performed here, which is what makes
-exhaustive validation up to a word-length bound tractable.  One
-explorer (``_word_states``) walks those states and one check
-(``_check_delta_closures``) decides whether a family of masks is an
-object set.
+identically under the checks performed here, and one explorer
+(``_word_states``) walks those states up to a word-length bound, keeping
+one representative word per state.  One check (``_check_delta_closures``)
+decides whether a family of masks is an object set.
 
 The explorer groups the letters by their domain S_f.  A state extends
 by a whole group at once when the preimage of S_f, walked back along
 the state's representative word, is in delta; this is the same set
-identity as S_w, so it holds for any tables.  Each state composes its
-map once into a getter (``operator.itemgetter`` over the map), and each
-transition is then one call of that getter on the letter's map.  The
-split check of the validator admits right states by the same walk,
-grouped by (length, domain).
+identity as S_w, so it holds for any tables.  The split check of the
+validator admits right states by the same walk, grouped by (length,
+domain), and folds each group's representative words column by column.
+It follows one representative word per right state, so it can miss a
+corrupted entry that only other words of that state reach.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import getitem, itemgetter, ne, not_
 from typing import Collection, Iterable, Optional, Sequence
 
 from .fusion import DEFAULT_MORPHISM_CAP
 from .permgroup import (FiniteGroup, Subgroup, all_subgroups, bit_positions,
-                        cayley_group, compose, image_mask, inverse,
+                        cayley_group, composer, image_mask, inverse,
                         is_p_group, _p_part)
 
 Word = tuple[int, ...]
@@ -102,8 +114,53 @@ def _mask(pos: dict, xs: Iterable) -> int:
     return m
 
 
+class _ProductView(Mapping):
+    """Read-only view of the rows as {(i, j): i·j} over the pairs of D.
+
+    Nothing in the package loops over it: it serves ``len()`` (counted
+    once, at construction) and pair-keyed reads from outside."""
+
+    __slots__ = ("_rows", "_n", "_len")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], n: int):
+        self._rows, self._n = rows, n
+        self._len = n * (n + 1) - sum(r.count(-1) for r in rows[:n])
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        i, j = key
+        if 0 <= i < self._n and 0 <= j < self._n and self._rows[i][j] >= 0:
+            return self._rows[i][j]
+        raise KeyError(key)
+
+    def __iter__(self):
+        cols = range(self._n)
+        for i, row in zip(cols, self._rows):
+            for j in itertools.compress(cols, map(_defined, row)):
+                yield i, j
+
+    def __len__(self) -> int:
+        return self._len
+
+
+def _check_ids(n: int, what: str, xs: Sequence[int]) -> None:
+    """LocalityError naming the first entry of ``xs`` outside range(n)."""
+    ids = range(n)
+    for k, x in enumerate(xs):
+        if x not in ids:
+            raise LocalityError(
+                f"{what} entry {k} holds {x!r}, not an id in range({n})")
+
+
 class Locality:
-    """(L, delta, S) with partial product given by a binary table.
+    """(L, delta, S) with partial product given by a row table.
+
+    ``rows[i][j]`` is the id of i·j, or -1 where (i, j) is not in the
+    domain D.  The table is stored as n + 1 tuples of n + 1 ids: every
+    row ends in -1 and row n is all -1, so ``rows[-1]`` is that row and
+    an undefined step stays undefined when it is read again
+    (``rows[rows[i][j]][k]`` is -1 whenever i·j is).  It costs (n + 1)²
+    machine words, one pointer per entry (2.5 MB at n = 560).  ``prod``
+    is a read-only pair-keyed view of the same rows.
 
     ``labels`` are stable hashable names for the carrier elements
     (ambient permutations for group-realized instances); set-valued
@@ -119,15 +176,28 @@ class Locality:
     """
 
     def __init__(self, labels: Sequence, identity: int, inv: Sequence[int],
-                 prod: dict[tuple[int, int], int], s_ids: Iterable[int],
+                 rows: Iterable[Iterable[int]], s_ids: Iterable[int],
                  p: int, delta: Iterable[Iterable[int]],
                  realization: Optional[FiniteGroup] = None):
+        """``rows`` holds n rows of n entries, each an id or -1; the
+        identity, the inverse table and S must hold ids in range(n)
+        (LocalityError naming the entry otherwise)."""
         self.labels = tuple(labels)
-        self.n = len(self.labels)
+        n = self.n = len(self.labels)
         self.identity = identity
         self.inv = tuple(inv)
-        self.prod = dict(prod)
+        s_ids = tuple(s_ids)
+        if identity not in range(n):
+            raise LocalityError(f"identity {identity!r} is not an id in "
+                                f"range({n})")
+        if len(self.inv) != n:
+            raise LocalityError(
+                f"inverse table has {len(self.inv)} entries for {n} ids")
+        _check_ids(n, "inverse table", self.inv)
+        _check_ids(n, "S", s_ids)
         self.s_ids = tuple(sorted(s_ids))
+        self.rows = tuple((*r, -1) for r in rows) + ((-1,) * (n + 1),)
+        self.prod = _ProductView(self.rows, n)
         self.p = p
         self._s_pos = {s: i for i, s in enumerate(self.s_ids)}
         self.delta = frozenset(self.mask_of(P) for P in delta)
@@ -148,23 +218,20 @@ class Locality:
         """pm[f][i] = position of s_i^f in S, or -1 when undefined.
 
         s^f is evaluated as the left fold of (f^-1, s, f) through the
-        binary table; in a valid locality this agrees with the n-ary
-        product on that word.  Every map on positions here, rows and
-        composites alike, carries one extra entry -1 at the end, so that
-        ``pf[-1] == -1`` and composing by indexing keeps undefined
-        points undefined.
+        rows, a row of f^-1 at a time; in a valid locality this agrees
+        with the n-ary product on that word.  Every map on positions
+        here, rows and composites alike, carries one extra entry -1 at
+        the end, so that ``pf[-1] == -1`` and composing by indexing keeps
+        undefined points undefined.
         """
-        maps = []
-        for f in range(self.n):
-            fi = self.inv[f]
-            row = []
-            for s in self.s_ids:
-                t = self.prod.get((fi, s))
-                u = self.prod.get((t, f)) if t is not None else None
-                row.append(self._s_pos.get(u, -1) if u is not None else -1)
-            row.append(-1)
-            maps.append(tuple(row))
-        return tuple(maps)
+        rows, s_ids = self.rows, self.s_ids
+        pos = [-1] * (self.n + 1)  # id -> position in S, or -1
+        for i, s in enumerate(s_ids):
+            pos[s] = i
+        return tuple(
+            (*map(pos.__getitem__, map(itemgetter(f), map(
+                rows.__getitem__, map(rows[fi].__getitem__, s_ids)))), -1)
+            for f, fi in enumerate(self.inv))
 
     def _dom(self, m: tuple[int, ...]) -> int:
         """Mask of the positions where the map m is defined."""
@@ -190,9 +257,6 @@ class Locality:
 
     def ids_of_labels(self, labs: Iterable) -> tuple[int, ...]:
         return tuple(sorted(self.id_of[l] for l in labs))
-
-    def s_label_set(self) -> frozenset:
-        return self.label_set(self.s_ids)
 
     def mask_of(self, ids: Iterable[int]) -> int:
         """Mask of a set of ids of S (LocalityError for an id outside S)."""
@@ -227,21 +291,13 @@ class Locality:
         of the composite map along w."""
         return self.preimage_along(w, self._full)
 
-    def s_of_word(self, w: Word) -> frozenset[int]:
-        """S_w as a set of carrier ids; S itself for the empty word."""
-        return self.ids_of(self.s_mask(w))
-
-    def in_domain(self, w: Word) -> bool:
-        return self.s_mask(w) in self.delta
-
     def fold(self, w: Word) -> Optional[int]:
-        """Left fold of the binary product; None when a step is undefined."""
-        x = self.identity
+        """Left fold of the binary product; None when a step is undefined
+        (-1 stays -1 through the all -1 row)."""
+        x, rows = self.identity, self.rows
         for f in w:
-            x = self.prod.get((x, f))
-            if x is None:
-                return None
-        return x
+            x = rows[x][f]
+        return x if x >= 0 else None
 
     def product(self, w: Word) -> int:
         sw = self.s_mask(w)
@@ -262,14 +318,14 @@ class Locality:
         if self.realization is not None:
             return (self.realization,
                     {i: self.labels[i] for i in ids})
-        elems = list(ids)
+        rows = self.rows
 
         def mul(a, b):
-            c = self.prod.get((a, b))
-            if c is None:
+            c = rows[a][b]
+            if c < 0:
                 raise LocalityError("subset is not product-total")
             return c
-        G, to_perm = cayley_group(elems, mul)
+        G, to_perm = cayley_group(ids, mul)
         return G, {i: to_perm[i] for i in ids}
 
 
@@ -313,27 +369,31 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     inv = tuple(idx[inverse(g)] for g in labels)
 
     # (f,g) is composable iff S_(f,g) = {s in S_f : s^f in S_g} is in
-    # delta; S_g takes few values, so this is decided once per (f, S_g)
-    # and the row visits only the g of the composable buckets, in order
+    # delta; S_g takes few values, so this is decided once per (f, S_g),
+    # and the row of f is filled bucket by bucket with the products f·g
+    # of the composable g, composed and looked up in C
     by_dom: dict[int, list[int]] = {}
     for j, (_, dom) in enumerate(actions):
         by_dom.setdefault(dom, []).append(j)
-    prod: dict[tuple[int, int], int] = {}
-    for i, (f, (images, dom_f)) in enumerate(zip(labels, actions)):
+    n = len(labels)
+    rows = []
+    for f, (images, dom_f) in zip(labels, actions):
         fpos = bit_positions(dom_f)
-        row = []
+        times_f = composer(f)
+        row = [-1] * n
         for dom_g, js in by_dom.items():
             sw = 0
             for k in fpos:
                 if dom_g >> images[k] & 1:
                     sw |= 1 << k
             if sw in dmasks:
-                row += js
-        row.sort()
-        prod.update(((i, j), idx[compose(f, labels[j])]) for j in row)
+                for j, v in zip(js, map(idx.__getitem__, map(
+                        times_f, map(labels.__getitem__, js)))):
+                    row[j] = v
+        rows.append(row)
 
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
-    L = Locality(labels, identity, inv, prod, s_ids, p, delta_ids,
+    L = Locality(labels, identity, inv, rows, s_ids, p, delta_ids,
                  realization=G)
     L._lattice = lattice  # s_ids follow the positions of six
     return L
@@ -382,56 +442,88 @@ def _word_states(L: Locality, max_len: int,
     over ``letters`` (the whole carrier by default), up to ``max_len``.
 
     Returns ``(states, failures)``: ``states`` maps each state to its
-    minimal length and a representative word, and ``failures`` lists the
-    domain words whose left fold is undefined or leaves the letters.
+    minimal length and a representative word, in the order the states
+    are first reached, and ``failures`` lists the domain words whose
+    left fold is undefined or leaves the letters.
+
     A state's word w extends by f exactly when the preimage of S_f along
-    w is in delta, decided once per distinct S_f.
+    w is in delta, decided once per distinct S_f.  The fold values of
+    its extensions are read from the state's row.  Composite maps are
+    few (69 on S7 at length 3, against 1,136 states), so each gets an
+    id, and each map id is composed once with each distinct letter map;
+    the map of an extension is then two list reads, and states are
+    looked up as (fold value, map id) pairs.
     """
     letters = range(L.n) if letters is None else sorted(letters)
-    inside = set(letters)
-    pm, sf, prod, delta = L._pm, L._sf, L.prod, L.delta
+    inside = [False] * (L.n + 1)  # inside[-1] is False, for an undefined fold
+    for f in letters:
+        inside[f] = True
+    pm, sf, rows, delta = L._pm, L._sf, L.rows, L.delta
     by_dom: dict[int, list[int]] = {}
     for f in letters:
         by_dom.setdefault(sf[f], []).append(f)
-    states = {}
+    ids: dict[tuple[int, ...], int] = {}  # composite map -> map id
+    maps: list[tuple[int, ...]] = []  # map id -> composite map
+    steps: list = []  # map id -> map ids of it followed by each letter map
+
+    def map_id(m: tuple[int, ...]) -> int:
+        if m not in ids:
+            ids[m] = len(maps)
+            maps.append(m)
+            steps.append(None)
+        return ids[m]
+
+    letter_id = [map_id(m) for m in pm]  # the letter maps take the first ids
+    letter_maps = maps[:]
+
+    seen: dict[tuple[int, int], tuple[int, Word]] = {}
     failures = []
     frontier = {}
     for f in letters:
-        st = (f, pm[f])
-        if st not in states:
-            states[st] = (1, (f,))
+        st = (f, letter_id[f])
+        if st not in seen:
+            seen[st] = (1, (f,))
             frontier[st] = (f,)
     length = 1
     while frontier and length < max_len:
         length += 1
         new = {}
-        for (pi, m), word in frontier.items():
+        for (pi, mid), word in frontier.items():
             groups = [fs for d, fs in by_dom.items()
                       if L.preimage_along(word, d) in delta]
             if len(groups) < len(by_dom):  # back into letter order
                 nexts = sorted(itertools.chain.from_iterable(groups))
             else:
                 nexts = letters
-            after = itemgetter(*m)  # m has |S| + 1 >= 2 entries
-            for f in nexts:
-                pi2 = prod.get((pi, f))
-                if pi2 is None or pi2 not in inside:
-                    failures.append(word + (f,))
-                    continue
-                st = (pi2, after(pm[f]))
-                if st not in states:
-                    states[st] = (length, word + (f,))
-                    new[st] = word + (f,)
+            pis = list(map(rows[pi].__getitem__, nexts))
+            if not all(map(inside.__getitem__, pis)):
+                ok = list(map(inside.__getitem__, pis))
+                failures += [word + (f,) for f, k in zip(nexts, ok) if not k]
+                nexts = list(itertools.compress(nexts, ok))
+                pis = list(itertools.compress(pis, ok))
+            if steps[mid] is None:
+                after = itemgetter(*maps[mid])
+                steps[mid] = [map_id(after(m)) for m in letter_maps]
+            sts = list(zip(pis, map(steps[mid].__getitem__,
+                                    map(letter_id.__getitem__, nexts))))
+            # the membership test runs lazily, after the states before it
+            # were added, so the first word reaching a state names it
+            for st, f in itertools.compress(
+                    zip(sts, nexts), map(not_, map(seen.__contains__, sts))):
+                seen[st] = (length, word + (f,))
+                new[st] = word + (f,)
         frontier = new
-    return states, failures
+    return {(pi, maps[mid]): v for (pi, mid), v in seen.items()}, failures
 
 
 def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport:
-    """Check the locality axioms on all words up to the length bound.
+    """Check the locality axioms on the words up to the length bound.
 
-    Words are explored through (product, map) states, which is
-    equivalent to exhaustive enumeration: every check applied to a word
-    depends only on its state, and every state is visited.
+    Words are explored through (product, map) states, one
+    representative word each, and every state is visited.  The fold and
+    S_w checks depend only on a word's state; the split check folds the
+    left factor along the representative of the right state only, so it
+    is not exhaustive.
     """
     rep = ValidationReport(max_word_length=max_word_length)
     add = rep.checks.append
@@ -442,15 +534,15 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
 
     # identity and inversion laws
     ok, wit = True, None
+    rows, inv, e = L.rows, L.inv, L.identity
     for f in range(L.n):
-        if L.inv[L.inv[f]] != f:
+        if inv[inv[f]] != f:
             ok, wit = False, f"inversion not involutive at {f}"
             break
-        if L.prod.get((L.identity, f)) != f or L.prod.get((f, L.identity)) != f:
+        if rows[e][f] != f or rows[f][e] != f:
             ok, wit = False, f"identity law fails at {f}"
             break
-        if L.prod.get((f, L.inv[f])) != L.identity \
-                or L.prod.get((L.inv[f], f)) != L.identity:
+        if rows[f][inv[f]] != e or rows[inv[f]][f] != e:
             ok, wit = False, f"inversion law fails at {f}"
             break
     add(CheckResult("identity_and_inversion", ok, wit))
@@ -464,14 +556,12 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
     # in delta, compared a row at a time
     ok, wit = True, None
     doms = set(L._sf)
-    for f in range(L.n):
+    for f, row in zip(range(L.n), rows):
         in_delta = {d: L.preimage(f, d) in L.delta for d in doms}
         objs = list(map(in_delta.__getitem__, L._sf))
-        defined = list(map(L.prod.__contains__,
-                           zip(itertools.repeat(f), range(L.n))))
-        if objs != defined:
-            g = next(g for g in range(L.n) if objs[g] != defined[g])
-            ok, wit = False, (f"pair ({f},{g}): defined={defined[g]}, "
+        if any(map(ne, objs, map(_defined, row))):
+            g = next(g for g in range(L.n) if objs[g] != (row[g] >= 0))
+            ok, wit = False, (f"pair ({f},{g}): defined={row[g] >= 0}, "
                               f"S_w in delta={objs[g]}")
             break
     add(CheckResult("objectivity_len2", ok, wit))
@@ -500,41 +590,22 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
             break
     add(CheckResult("s_w_through_product", ok, wit))
 
-    # every split u|v of a domain word into two states: the right states
-    # are grouped by (length, S_v), each group admitted at once by the
-    # preimage of S_v along u, and visited in state order
-    ok, wit = True, None
-    items = list(states.items())
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, ((_, m), (length, _)) in enumerate(items):
-        groups.setdefault((length, L._dom(m)), []).append(k)
-    for (p1, _), (l1, w1) in items:
-        right = sorted(itertools.chain.from_iterable(
-            ks for (l2, d2), ks in groups.items()
-            if l1 + l2 <= max_word_length
-            and L.preimage_along(w1, d2) in L.delta))
-        for (p2, _), (_, w2) in map(items.__getitem__, right):
-            pi = L.prod.get((p1, p2))
-            q = p1
-            for f in w2:
-                q = L.prod.get((q, f))
-                if q is None:
-                    break
-            if pi is None or q is None or pi != q:
-                ok, wit = False, f"split {w1!r}|{w2!r}: fold != Pi(u)Pi(v)"
-                break
-        if not ok:
-            break
-    add(CheckResult("associativity_by_splitting", ok, wit))
+    wit = _split_fault(L, states, max_word_length)
+    add(CheckResult("associativity_by_splitting", wit is None, wit))
 
     # maximality of S among p-subgroups of the carrier
     add(_check_s_maximal(L))
 
-    # realization oracle
+    # realization oracle, a row at a time over the defined pairs
     if L.realization is not None:
         ok, wit = True, None
-        for (i, j), k in L.prod.items():
-            if compose(L.labels[i], L.labels[j]) != L.labels[k]:
+        labels, cols = L.labels, range(L.n)
+        for i, row in zip(cols, rows):
+            js = list(itertools.compress(cols, map(_defined, row)))
+            got = list(map(composer(labels[i]), map(labels.__getitem__, js)))
+            want = list(map(labels.__getitem__, map(row.__getitem__, js)))
+            if got != want:
+                j = next(j for j, a, b in zip(js, got, want) if a != b)
                 ok, wit = False, f"pair ({i},{j}) disagrees with the ambient product"
                 break
         add(CheckResult("realization_oracle", ok, wit))
@@ -543,23 +614,74 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
     return rep
 
 
+def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:
+    """The first split u|v of a domain word into two states whose fold
+    differs from Pi(u)Pi(v), or None.
+
+    The right states are grouped by (length, S_v), and each group is
+    admitted for a left state at once, by the preimage of S_v along u.
+    The representative words of an admitted group are folded from Pi(u)
+    column by column through the rows, and compared with the row of
+    Pi(u) at the Pi(v).  Only a group holding a mismatch or an undefined
+    step is scanned word by word, in state order, to name the first
+    witness.
+    """
+    rows, delta = L.rows, L.delta
+    items = list(states.items())
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, ((_, m), (length, _)) in enumerate(items):
+        groups.setdefault((length, L._dom(m)), []).append(k)
+    blocks = []  # (length, S_v, state indices, the Pi(v), letter columns)
+    for (l2, d2), ks in groups.items():
+        words = [items[k][1][1] for k in ks]
+        blocks.append((l2, d2, ks, [items[k][0][0] for k in ks],
+                       list(zip(*words))))
+    doms = {d2 for _, d2 in groups}
+    for (p1, _), (l1, w1) in items:
+        row = rows[p1]
+        admitted = {d: L.preimage_along(w1, d) in delta for d in doms}
+        bad = []
+        for l2, d2, ks, p2s, cols in blocks:
+            if l1 + l2 > max_len or not admitted[d2]:
+                continue
+            q = map(row.__getitem__, cols[0])
+            for col in cols[1:]:
+                q = map(getitem, map(rows.__getitem__, q), col)
+            q = list(q)
+            if -1 in q or q != list(map(row.__getitem__, p2s)):
+                bad += ks
+        for (p2, _), (_, w2) in map(items.__getitem__, sorted(bad)):
+            q = p1
+            for f in w2:
+                q = rows[q][f]
+            if q < 0 or row[p2] != q:
+                return f"split {w1!r}|{w2!r}: fold != Pi(u)Pi(v)"
+    return None
+
+
 def _s_group_fault(L: Locality) -> Optional[str]:
     """Why the product on S is not a group table, or None: S holds the
     identity, is closed under the product and inversion, and the product
-    on it has the identity and inversion laws and is associative."""
-    sset, prod, e = set(L.s_ids), L.prod, L.identity
+    on it has the identity and inversion laws and is associative.  Each
+    law is checked a row of S at a time."""
+    s_ids, rows, e = L.s_ids, L.rows, L.identity
+    sset = set(s_ids)
     if e not in sset:
         return "identity not in S"
-    for a, b in itertools.product(L.s_ids, repeat=2):
-        if prod.get((a, b)) not in sset:
+    for a in s_ids:
+        if not sset.issuperset(map(rows[a].__getitem__, s_ids)):
+            b = next(b for b in s_ids if rows[a][b] not in sset)
             return f"S not product-closed at ({a},{b})"
-    for a in L.s_ids:
-        if prod[(e, a)] != a or prod[(a, e)] != a:
+    for a in s_ids:
+        if rows[e][a] != a or rows[a][e] != a:
             return f"identity law fails in S at {a}"
-        if L.inv[a] not in sset or prod[(a, L.inv[a])] != e:
+        if L.inv[a] not in sset or rows[a][L.inv[a]] != e:
             return f"inversion fails in S at {a}"
-    for a, b, c in itertools.product(L.s_ids, repeat=3):
-        if prod[(prod[(a, b)], c)] != prod[(a, prod[(b, c)])]:
+    for a, b in itertools.product(s_ids, repeat=2):
+        left = rows[rows[a][b]]  # (ab)c, against a(bc), for every c
+        right = list(map(rows[a].__getitem__, map(rows[b].__getitem__, s_ids)))
+        if list(map(left.__getitem__, s_ids)) != right:
+            c = next(c for c, r in zip(s_ids, right) if left[c] != r)
             return f"product on S not associative at ({a},{b},{c})"
     return None
 
@@ -584,8 +706,8 @@ def _check_s_maximal(L: Locality) -> CheckResult:
             ext.add(x)
             for y in list(ext):
                 for a, b in ((x, y), (y, x)):
-                    z = L.prod.get((a, b))
-                    if z is None:
+                    z = L.rows[a][b]
+                    if z < 0:
                         is_p = False
                         break
                     if z not in ext:
@@ -600,26 +722,31 @@ def _check_s_maximal(L: Locality) -> CheckResult:
 
 # -- restriction and normalizer localities ----------------------------------
 
-def _sub_locality(L: Locality, carrier_ids: list[int], delta: Iterable[int],
-                  restrict_prod_to_delta: bool) -> Locality:
+def _sub_locality(L: Locality, carrier_ids: list[int],
+                  delta: Iterable[int]) -> Locality:
     """The sub-locality on ``carrier_ids`` with object set ``delta``
-    (masks of L).  Ids are renumbered in order, so S keeps its
-    positions, and with them the masks and the S-lattice of L."""
+    (masks of L), keeping the pairs (i, j) of L with i, j and i·j in the
+    carrier and S_(i,j) in ``delta``.  Ids are renumbered in order, so S
+    keeps its positions, and with them the masks and the S-lattice of
+    L."""
     carrier_ids = sorted(carrier_ids)
-    old_to_new = {old: new for new, old in enumerate(carrier_ids)}
+    new_id = [-1] * (L.n + 1)  # -1 off the carrier and for -1 itself
+    for new, old in enumerate(carrier_ids):
+        new_id[old] = new
     labels = [L.labels[i] for i in carrier_ids]
     delta = set(delta)
-    cset = set(carrier_ids)
-    prod = {}
-    for (i, j), k in L.prod.items():
-        if i in cset and j in cset and k in cset:
-            if restrict_prod_to_delta and L.s_mask((i, j)) not in delta:
-                continue
-            prod[(old_to_new[i], old_to_new[j])] = old_to_new[k]
-    new_delta = [[old_to_new[x] for x in L.ids_of(d)] for d in delta]
-    sub = Locality(labels, old_to_new[L.identity],
-                   [old_to_new[L.inv[i]] for i in carrier_ids],
-                   prod, [old_to_new[s] for s in L.s_ids], L.p, new_delta,
+    sf = [L._sf[j] for j in carrier_ids]
+    rows = []
+    for i in carrier_ids:
+        # S_(i,j) = pre_i(S_j), decided once per distinct S_j
+        keep = {d: L.preimage(i, d) in delta for d in set(sf)}
+        rows.append([k if ok else -1 for k, ok in zip(
+            map(new_id.__getitem__, map(L.rows[i].__getitem__, carrier_ids)),
+            map(keep.__getitem__, sf))])
+    new_delta = [[new_id[x] for x in L.ids_of(d)] for d in delta]
+    sub = Locality(labels, new_id[L.identity],
+                   [new_id[L.inv[i]] for i in carrier_ids],
+                   rows, [new_id[s] for s in L.s_ids], L.p, new_delta,
                    realization=L.realization)
     sub._lattice = L._lattice
     return sub
@@ -638,7 +765,7 @@ def restriction(Lplus: Locality, delta: Iterable[frozenset[int]]) -> Locality:
     if bad is not None:
         raise LocalityError(f"restriction {bad}")
     carrier = [f for f in range(Lplus.n) if Lplus._sf[f] in dmasks]
-    return _sub_locality(Lplus, carrier, dmasks, restrict_prod_to_delta=True)
+    return _sub_locality(Lplus, carrier, dmasks)
 
 
 def strongly_closed_in_carrier(L: Locality, t_ids: Iterable[int]) -> bool:
@@ -672,32 +799,20 @@ def normalizer_carrier(L: Locality, t_ids: Iterable[int]) -> list[int]:
     return out
 
 
-def normalizer_locality(L: Locality, t_ids: Iterable[int]) -> Locality:
-    """(N_L(T), delta, S) for T <= S strongly closed in F_S(L)."""
-    t_ids = sorted(t_ids)
-    if not strongly_closed_in_carrier(L, t_ids):
-        raise LocalityError("T is not strongly closed in F_S(L)")
-    carrier = normalizer_carrier(L, t_ids)
-    return _sub_locality(L, carrier, L.delta, restrict_prod_to_delta=False)
-
-
 # -- linking localities ------------------------------------------------------
 
 def local_group(L: Locality, P: frozenset[int]) -> Optional[tuple[FiniteGroup, dict]]:
     """N_L(P) as a finite group, or None when its product is not total."""
     ids = normalizer_carrier(L, P)
-    idset = set(ids)
+    idset, rows = set(ids), L.rows
     for a in ids:
-        for b in ids:
-            c = L.prod.get((a, b))
-            if c is None or c not in idset:
-                return None
+        if not idset.issuperset(map(rows[a].__getitem__, ids)):
+            return None
     if L.realization is not None:
         H = FiniteGroup(L.realization.degree, [L.labels[i] for i in ids],
                         max_size=max(len(ids), 1))
         return H, {i: L.labels[i] for i in ids}
-    elems = sorted(ids)
-    return cayley_group(elems, lambda a, b: L.prod[(a, b)])
+    return cayley_group(ids, lambda a, b: rows[a][b])
 
 
 def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
@@ -744,17 +859,30 @@ def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
 # -- abstract descriptor interchange ----------------------------------------
 
 def locality_from_descriptor(d: dict) -> Locality:
-    """Abstract carrier descriptor; must pass validate_locality afterwards."""
+    """Abstract carrier descriptor; must pass validate_locality afterwards.
+
+    Each product triple [i, j, k] sets i·j = k (a later triple for the
+    same pair wins); a triple holding an id outside range(n) raises
+    LocalityError, since -1 would read as undefined and a negative id
+    would index another row."""
     n = d["carrier"]
-    prod = {(i, j): k for i, j, k in d["products"]}
-    L = Locality(labels=tuple(range(n)), identity=d["identity"],
-                 inv=tuple(d["inverse"]), prod=prod, s_ids=d["S"],
-                 p=d["p"], delta=[frozenset(x) for x in d["delta"]])
-    return L
+    ids = range(n)
+    rows = [[-1] * n for _ in ids]
+    for t in d["products"]:
+        i, j, k = t
+        if i not in ids or j not in ids or k not in ids:
+            raise LocalityError(
+                f"product entry {list(t)} holds an id outside range({n})")
+        rows[i][j] = k
+    return Locality(labels=tuple(ids), identity=d["identity"],
+                    inv=tuple(d["inverse"]), rows=rows, s_ids=d["S"],
+                    p=d["p"], delta=[frozenset(x) for x in d["delta"]])
 
 
 def locality_to_descriptor(L: Locality) -> dict:
+    cols = range(L.n)
     return {"carrier": L.n, "identity": L.identity, "inverse": list(L.inv),
-            "products": sorted([i, j, k] for (i, j), k in L.prod.items()),
+            "products": [[i, j, row[j]] for i, row in zip(cols, L.rows)
+                         for j in itertools.compress(cols, map(_defined, row))],
             "S": list(L.s_ids), "p": L.p,
             "delta": sorted(sorted(L.ids_of(d)) for d in L.delta)}

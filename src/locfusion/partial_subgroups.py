@@ -11,7 +11,8 @@ the locality's preimage cache, and the word is folded only then.
 ``is_partial_subgroup`` and ``is_partial_normal`` memoize their
 verdicts on the locality, each together with its first fault, so a set
 asked about again costs one dict lookup; ``decompose`` likewise indexes
-the matched pairs of N x K by product once per (N, K).
+the matched pairs of N x K by product once per (N, K).  Set products and
+closures read the locality's product rows, one row per left factor.
 
 The harnesses check the two structure theorems about NK (normal and
 subnormal K) and the restriction-compatibility lemma on concrete
@@ -137,12 +138,11 @@ def partial_normal_closure(L: Locality, seed: Iterable[int],
             if ix not in X:
                 X.add(ix)
                 changed = True
-        for x in list(X):
-            for y in list(X):
-                z = L.prod.get((x, y))
-                if z is not None and z not in X:
-                    X.add(z)
-                    changed = True
+        zs = _products(L, X, X)
+        zs.discard(-1)
+        if not zs <= X:
+            X |= zs
+            changed = True
         for f in amb:
             for _, z in _conjugates(L, f, list(X)):
                 if z not in X:
@@ -178,20 +178,30 @@ def is_subnormal(L: Locality, H: Iterable[int],
     return False, list(reversed(chain))
 
 
-def set_product(L: Locality, X: Iterable[int], Y: Iterable[int]) -> tuple[int, ...]:
-    """Pi(X, Y): products of composable pairs only, no closure."""
+def _products(L: Locality, X: Iterable[int], Y: Iterable[int]) -> set[int]:
+    """{x·y : x in X, y in Y}, a row of X at a time, with -1 standing for
+    the undefined pairs."""
+    Y = list(Y)
     out = set()
     for x in X:
-        for y in Y:
-            z = L.prod.get((x, y))
-            if z is not None:
-                out.add(z)
+        out.update(map(L.rows[x].__getitem__, Y))
+    return out
+
+
+def set_product(L: Locality, X: Iterable[int], Y: Iterable[int]) -> tuple[int, ...]:
+    """Pi(X, Y): products of composable pairs only, no closure."""
+    out = _products(L, X, Y)
+    out.discard(-1)
     return tuple(sorted(out))
 
 
 def group_product_in_s(L: Locality, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
-    """Product set of two subsets of S (the product is total on S)."""
-    return frozenset(L.prod[(a, b)] for a in A for b in B)
+    """Product set of two subsets of S (LocalityError when the product
+    is not total on them)."""
+    out = _products(L, A, B)
+    if -1 in out:
+        raise LocalityError("the product is not total on S")
+    return frozenset(out)
 
 
 class DecompositionNotFound(LocalityError):
@@ -202,11 +212,11 @@ def _matched_pairs(L: Locality, A: Sequence[int], B: Sequence[int]
                    ) -> dict[int, tuple[int, int]]:
     """c -> the first (a, b) in id order with ab = c and S_(a,b) = S_c."""
     out: dict[int, tuple[int, int]] = {}
+    sf, pre = L._sf, L.preimage
     for a in A:
-        for b in B:
-            c = L.prod.get((a, b))
-            if c is not None and c not in out \
-                    and L.s_mask((a, b)) == L.s_mask((c,)):
+        for b, c in zip(B, map(L.rows[a].__getitem__, B)):
+            # S_(a,b) = pre_a(S_b), and S_c is the domain of c
+            if c >= 0 and c not in out and pre(a, sf[b]) == sf[c]:
                 out[c] = (a, b)
     return out
 
@@ -252,7 +262,7 @@ def _partial_normal_clause(L: Locality, X: Iterable[int],
     """(verdict, witness) of: X is a partial subgroup, partial normal in
     the ambient set (all of L by default)."""
     if not is_partial_subgroup(L, X):
-        return False, "not a partial subgroup"
+        return False, partial_subgroup_witness(L, X)  # a memo hit
     if not is_partial_normal(L, X, ambient):
         return False, _normality_witness(L, X, ambient)
     return True, None

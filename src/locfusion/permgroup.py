@@ -32,8 +32,9 @@ subgroup once.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -59,6 +60,11 @@ def compose(a: Perm, b: Perm) -> Perm:
     if len(a) > 1:
         return itemgetter(*a)(b)
     return tuple(b[x] for x in a)  # itemgetter of one index gives a scalar
+
+
+def composer(a: Perm) -> Callable[[Perm], Perm]:
+    """b -> compose(a, b), as one getter in C when the degree is > 1."""
+    return itemgetter(*a) if len(a) > 1 else partial(compose, a)
 
 
 def inverse(a: Perm) -> Perm:

@@ -5,15 +5,33 @@ import random
 
 import pytest
 
-from locfusion.locality import (LocalityError, _word_states, delta_min_order,
-                                is_linking_locality, local_group,
-                                locality_from_descriptor, locality_from_group,
-                                locality_to_descriptor, normalizer_carrier,
-                                normalizer_locality, restriction,
-                                validate_locality)
+from locfusion.locality import (Locality, LocalityError, _s_group_fault,
+                                _sub_locality, _word_states,
+                                delta_min_order, is_linking_locality,
+                                local_group, locality_from_descriptor,
+                                locality_from_group, locality_to_descriptor,
+                                normalizer_carrier, restriction,
+                                strongly_closed_in_carrier, validate_locality)
 from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
                                  conjugate, from_cycles, generated_subgroup,
                                  inverse, sylow_subgroup)
+
+
+def s_of_word(L, w):
+    """S_w as a set of carrier ids; S itself for the empty word."""
+    return L.ids_of(L.s_mask(w))
+
+
+def in_domain(L, w):
+    return L.s_mask(w) in L.delta
+
+
+def normalizer_locality(L, t_ids):
+    """(N_L(T), delta, S) for T <= S strongly closed in F_S(L)."""
+    t_ids = sorted(t_ids)
+    if not strongly_closed_in_carrier(L, t_ids):
+        raise LocalityError("T is not strongly closed in F_S(L)")
+    return _sub_locality(L, normalizer_carrier(L, t_ids), L.delta)
 
 
 def _oracle_s_g(G, S, g):
@@ -39,7 +57,7 @@ def test_carrier_b_is_proper(loc_b, s5, s5_sylow):
 
 def test_s_of_word_oracle(loc_b, s5, s5_sylow):
     t12 = loc_b.id_of[from_cycles(5, (1, 2))]
-    sw = loc_b.s_of_word((t12,))
+    sw = s_of_word(loc_b, (t12,))
     oracle = _oracle_s_g(s5, s5_sylow, from_cycles(5, (1, 2)))
     assert loc_b.label_set(sw) == oracle
     assert len(sw) == 4
@@ -47,7 +65,7 @@ def test_s_of_word_oracle(loc_b, s5, s5_sylow):
 
 def test_in_domain_examples(loc_b):
     t12 = loc_b.id_of[from_cycles(5, (1, 2))]
-    assert loc_b.in_domain((t12, t12))
+    assert in_domain(loc_b, (t12, t12))
 
 
 def test_partial_domain_on_larger_symmetric_group():
@@ -60,17 +78,17 @@ def test_partial_domain_on_larger_symmetric_group():
     assert L.n == 80
     found = None
     for f, g in itertools.product(range(L.n), repeat=2):
-        if len(L.s_of_word((f, g))) < 8:
+        if len(s_of_word(L, (f, g))) < 8:
             found = (f, g)
             break
     assert found is not None
-    assert not L.in_domain(found)
+    assert not in_domain(L, found)
     assert validate_locality(L, max_word_length=3).ok
 
 
 def test_product_matches_group_oracle(loc_a, s4):
     for f, g in itertools.product(range(loc_a.n), repeat=2):
-        if loc_a.in_domain((f, g)):
+        if in_domain(loc_a, (f, g)):
             h = loc_a.product((f, g))
             assert loc_a.labels[h] == compose(loc_a.labels[f], loc_a.labels[g])
 
@@ -102,12 +120,33 @@ def test_restriction_to_sylow_only(loc_b, s5, s5_sylow):
     sub = restriction(loc_b, [s_ids])
     # oracle: carrier of the restriction is N_L(S)
     oracle = {loc_b.labels[f] for f in range(loc_b.n)
-              if loc_b.s_of_word((f,)) == s_ids}
+              if s_of_word(loc_b, (f,)) == s_ids}
     assert set(sub.labels) == oracle
     nls = {g for g in s5
            if g in loc_b.id_of
            and all(conjugate(s, g) in s5_sylow.eset for s in s5_sylow)}
     assert oracle == nls
+
+
+def test_restriction_product_matches_pair_keyed_filter():
+    """The rows of a restriction hold exactly the pairs of L+ with both
+    factors and the product in the new carrier and S_(i,j) in the new
+    object set, renumbered through the labels."""
+    s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
+                         from_cycles(6, (1, 2))])
+    s = sylow_subgroup(s6, 2)
+    Lp = locality_from_group(s6, s, delta_min_order(s6, s, 4), 2)
+    small = [Lp.ids_of(d) for d in Lp.delta if d.bit_count() >= 8]
+    sub = restriction(Lp, small)
+    masks = {Lp.mask_of(d) for d in small}
+    carrier = {Lp.labels[f] for f in range(Lp.n) if Lp._sf[f] in masks}
+    lab = Lp.labels
+    want = {(lab[i], lab[j], lab[k]) for (i, j), k in Lp.prod.items()
+            if {lab[i], lab[j], lab[k]} <= carrier
+            and Lp.s_mask((i, j)) in masks}
+    got = {(sub.labels[i], sub.labels[j], sub.labels[k])
+           for (i, j), k in sub.prod.items()}
+    assert got == want and len(sub.prod) < len(Lp.prod)
 
 
 def test_restriction_requires_subfamily(loc_b):
@@ -194,6 +233,49 @@ def test_constructor_rejects_delta_id_outside_s(loc_a):
         locality_from_descriptor(d)
 
 
+# -- ids the rows cannot hold ----------------------------------------------------
+
+@pytest.mark.parametrize("entry", ["undefined", "past_end", "row_past_end"])
+def test_constructor_rejects_product_id_outside_carrier(loc_a, entry):
+    """-1 would read as undefined and n as the trailing -1 of a row."""
+    d = locality_to_descriptor(loc_a)
+    n = d["carrier"]
+    i, j, k = d["products"][5]
+    bad = {"undefined": [i, j, -1], "past_end": [i, j, n],
+           "row_past_end": [n, j, k]}[entry]
+    d["products"][5] = bad
+    with pytest.raises(LocalityError,
+                       match=rf"product entry \[{bad[0]}, {bad[1]}, {bad[2]}\]"):
+        locality_from_descriptor(d)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("inverse", -2, "inverse table entry 3 holds -2"),
+    ("inverse", 24, "inverse table entry 3 holds 24"),
+    ("S", -1, "S entry 0 holds -1"),
+    ("S", 24, "S entry 0 holds 24"),
+])
+def test_constructor_rejects_table_id_outside_carrier(loc_a, field, value,
+                                                      message):
+    d = locality_to_descriptor(loc_a)
+    d[field] = list(d[field])
+    d[field][3 if field == "inverse" else 0] = value
+    with pytest.raises(LocalityError, match=message):
+        locality_from_descriptor(d)
+
+
+def test_product_view_reads_the_rows(loc_b):
+    """``prod`` is a pair-keyed view of the rows, with one entry per
+    defined pair."""
+    pairs = {(i, j): k for i, row in enumerate(loc_b.rows[:-1])
+             for j, k in enumerate(row) if k >= 0}
+    assert dict(loc_b.prod) == pairs
+    assert len(loc_b.prod) == len(pairs)
+    assert (loc_b.n, 0) not in loc_b.prod and (0, -1) not in loc_b.prod
+    assert loc_b.rows[-1] == (-1,) * (loc_b.n + 1)
+    assert all(row[-1] == -1 for row in loc_b.rows)
+
+
 # -- S_w as a mask against the element-wise definition ------------------------
 
 def _element_wise_s_w(L, S, w):
@@ -212,8 +294,8 @@ def _check_s_w_oracle(L, S, dsets, max_len):
     for k in range(max_len + 1):
         for w in itertools.product(range(L.n), repeat=k):
             s_w = _element_wise_s_w(L, S, w)
-            assert L.label_set(L.s_of_word(w)) == s_w, w
-            assert L.in_domain(w) == (s_w in dsets), w
+            assert L.label_set(s_of_word(L, w)) == s_w, w
+            assert in_domain(L, w) == (s_w in dsets), w
             seen.add(s_w in dsets)
     return seen
 
@@ -306,9 +388,9 @@ def test_validator_reports_every_corrupted_product_entry(loc_b):
     """200 corruptions of one product entry each of instance-b, taken as
     an abstract descriptor: every one gives a report, none raises.  When
     the S-table is not a group table, the S-lattice is not built and
-    ``delta_closure`` fails with the ``s_subgroup`` witness.  (Some
-    corruptions still pass at length 3: the associativity check follows
-    one representative word per state, which is a separate defect.)"""
+    ``delta_closure`` fails with the ``s_subgroup`` witness.  (Which
+    corruptions still pass at length 3 is pinned by
+    ``test_validator_rejects_what_brute_force_rejects``.)"""
     d = locality_to_descriptor(loc_b)
     rng = random.Random(1)
     s_faults = []
@@ -489,4 +571,123 @@ def test_partial_subgroup_witness_matches_oracle(loc_b):
             want = {"word": list(failures[0])} if failures else None
             assert partial_subgroup_witness(L, X) == want
             seen.add(want is None)
+    assert seen == {True, False}
+
+
+# -- the brute-force associativity oracle -----------------------------------------
+
+def _pair_fold(L, w):
+    """Left fold through the pair-keyed view; None when a step is
+    undefined."""
+    x = L.identity
+    for f in w:
+        x = L.prod.get((x, f))
+        if x is None:
+            return None
+    return x
+
+
+def _brute_force_split_fault(L, max_len):
+    """The first domain word up to ``max_len`` (by length, then letters)
+    whose fold is undefined or differs from Pi(u)Pi(v) in some split
+    u|v; None when there is none.  Every word is folded in every split,
+    with S_w the domain of the composite map along w."""
+    for k in range(1, max_len + 1):
+        for w in itertools.product(range(L.n), repeat=k):
+            if _composite_s_w(L, w) not in L.delta:
+                continue
+            x = _pair_fold(L, w)
+            if x is None:
+                return w
+            for i in range(1, k):
+                u, v = _pair_fold(L, w[:i]), _pair_fold(L, w[i:])
+                if u is None or v is None or L.prod.get((u, v)) != x:
+                    return w
+    return None
+
+
+@pytest.mark.parametrize("name", ["instance-a", "instance-b"])
+def test_brute_force_oracle_accepts_bundled(name):
+    from locfusion import instances as inst
+    L = inst.build_locality(inst.load_descriptor(name))
+    assert _brute_force_split_fault(L, 3) is None
+
+
+# Draws of ``_corruptions(loc_b, 1)`` that the validator passes at length 3
+# and the oracle rejects: the split check follows one representative word
+# per right state, so an entry reached only through other words of the
+# same state is never compared.
+FALSE_PASSES = (19, 21, 30, 104, 148, 149, 158, 173)
+
+
+@pytest.fixture(scope="module")
+def corrupted_b(loc_b):
+    return list(_corruptions(loc_b, 1))
+
+
+@pytest.mark.parametrize("draw", [
+    pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 1"))
+    if k in FALSE_PASSES else k for k in range(200)])
+def test_validator_rejects_what_brute_force_rejects(draw, corrupted_b):
+    """A table the validator passes at length 3 passes the oracle."""
+    L = corrupted_b[draw]
+    if validate_locality(L, max_word_length=3).ok:
+        assert _brute_force_split_fault(L, 3) is None
+
+
+# -- row-wise checks against their pair-keyed references ------------------------
+
+def _pair_keyed_s_group_fault(L):
+    """``_s_group_fault`` one pair and one triple at a time."""
+    sset, prod, e = set(L.s_ids), L.prod, L.identity
+    if e not in sset:
+        return "identity not in S"
+    for a, b in itertools.product(L.s_ids, repeat=2):
+        if prod.get((a, b)) not in sset:
+            return f"S not product-closed at ({a},{b})"
+    for a in L.s_ids:
+        if prod[(e, a)] != a or prod[(a, e)] != a:
+            return f"identity law fails in S at {a}"
+        if L.inv[a] not in sset or prod[(a, L.inv[a])] != e:
+            return f"inversion fails in S at {a}"
+    for a, b, c in itertools.product(L.s_ids, repeat=3):
+        if prod[(prod[(a, b)], c)] != prod[(a, prod[(b, c)])]:
+            return f"product on S not associative at ({a},{b},{c})"
+    return None
+
+
+@pytest.mark.parametrize("fixture,seed", [("loc_b", 1), ("loc_a", 7)])
+def test_s_group_fault_matches_pair_keyed(fixture, seed, request):
+    seen = set()
+    for L in _corruptions(request.getfixturevalue(fixture), seed):
+        want = _pair_keyed_s_group_fault(L)
+        assert _s_group_fault(L) == want
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_realization_oracle_matches_pair_keyed(loc_b):
+    """Group-realized tables with up to two product entries changed: the
+    row-wise oracle names the first disagreeing pair in (i, j) order."""
+    rng = random.Random(5)
+    pairs = list(loc_b.prod)
+    delta = [loc_b.ids_of(d) for d in loc_b.delta]
+    seen = set()
+    for _ in range(40):
+        rows = [list(r[:-1]) for r in loc_b.rows[:-1]]
+        for _ in range(rng.randrange(3)):
+            i, j = rng.choice(pairs)
+            rows[i][j] = rng.randrange(loc_b.n)
+        L = Locality(loc_b.labels, loc_b.identity, loc_b.inv, rows,
+                     loc_b.s_ids, loc_b.p, delta,
+                     realization=loc_b.realization)
+        want = next((f"pair ({i},{j}) disagrees with the ambient product"
+                     for (i, j), k in L.prod.items()
+                     if compose(L.labels[i], L.labels[j]) != L.labels[k]),
+                    None)
+        check = next(c for c in validate_locality(L, 2).checks
+                     if c.name == "realization_oracle")
+        assert (check.passed, check.witness) == (want is None, want)
+        seen.add(want is None)
     assert seen == {True, False}

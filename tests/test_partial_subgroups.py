@@ -7,12 +7,13 @@ import pytest
 from locfusion.instances import (build_locality, delta_of, k_choice,
                                  load_descriptor, named_subgroup, resolve_ids,
                                  sylow_of)
-from locfusion.locality import (_word_states, delta_min_order,
+from locfusion.locality import (LocalityError, _word_states, delta_min_order,
                                 locality_from_descriptor,
                                 locality_to_descriptor, normalizer_carrier)
 from locfusion.partial_subgroups import (DecompositionNotFound, _conjugates,
                                          _partial_normal_clause, decompose,
                                          enumerate_partial_normals,
+                                         group_product_in_s,
                                          is_partial_normal,
                                          is_partial_subgroup, is_subnormal,
                                          partial_normal_closure,
@@ -77,6 +78,17 @@ def test_set_product_matches_group_oracle(loc_a):
     assert got == oracle
 
 
+def test_group_product_in_s_requires_a_total_product(loc_a):
+    d = locality_to_descriptor(loc_a)
+    S = set(d["S"]) - {d["identity"]}
+    a, b, _ = next(t for t in d["products"] if t[0] in S and t[1] in S)
+    d["products"] = [t for t in d["products"] if t[:2] != [a, b]]
+    L = locality_from_descriptor(d)
+    assert group_product_in_s(L, [a], [L.identity]) == {a}
+    with pytest.raises(LocalityError, match="not total"):
+        group_product_in_s(L, [a], [b])
+
+
 def test_theorem1_all_k_choices(desc_b, lb, n_alt):
     for kname in ("trivial", "t", "order12", "nlt"):
         K = k_choice(desc_b, lb, kname)
@@ -112,7 +124,7 @@ def test_decompose_both_orders(desc_b, lb, n_alt):
     (n, k), (k2, n2) = decompose(lb, n_alt, K, g)
     assert lb.product((n, k)) == g
     assert lb.product((k2, n2)) == g
-    assert lb.s_of_word((g,)) == lb.s_of_word((n, k))
+    assert lb.s_mask((g,)) == lb.s_mask((n, k))
 
 
 def _scan_decompose(L, N, K, g):
@@ -307,7 +319,7 @@ def test_normality_witness_violates_definition(desc_b):
     assert B.violations(S, range(L.n))[0] == (f, n)
     g = next(i for i in range(L.n) if L.inv[i] != i)
     assert _partial_normal_clause(L, {L.identity, g}) == \
-        (False, "not a partial subgroup")
+        (False, {"inverse_outside": {"x": g, "x^-1": L.inv[g]}})
 
 
 @pytest.mark.parametrize("bounds", [(1, 4), (4, 1)])
