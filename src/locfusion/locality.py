@@ -151,6 +151,22 @@ def _check_ids(n: int, what: str, xs: Sequence[int]) -> None:
                 f"{what} entry {k} holds {x!r}, not an id in range({n})")
 
 
+def _check_rows(n: int, rows: Sequence[tuple[int, ...]]) -> None:
+    """LocalityError naming the first row that does not hold n entries,
+    each an id in range(n) or -1 (each row here carries its trailing
+    -1)."""
+    if len(rows) != n:
+        raise LocalityError(f"product table has {len(rows)} rows for {n} ids")
+    for i, r in enumerate(rows):
+        if len(r) != n + 1:
+            raise LocalityError(
+                f"product row {i} has {len(r) - 1} entries for {n} ids")
+        if min(r) < -1 or max(r) >= n:
+            j = next(j for j, k in enumerate(r) if not -1 <= k < n)
+            raise LocalityError(f"product row {i} entry {j} holds {r[j]!r}, "
+                                f"not an id in range({n}) or -1")
+
+
 class Locality:
     """(L, delta, S) with partial product given by a row table.
 
@@ -179,9 +195,9 @@ class Locality:
                  rows: Iterable[Iterable[int]], s_ids: Iterable[int],
                  p: int, delta: Iterable[Iterable[int]],
                  realization: Optional[FiniteGroup] = None):
-        """``rows`` holds n rows of n entries, each an id or -1; the
-        identity, the inverse table and S must hold ids in range(n)
-        (LocalityError naming the entry otherwise)."""
+        """``rows`` holds n rows of n entries, each an id in range(n) or
+        -1; the identity, the inverse table and S must hold ids in
+        range(n) (LocalityError naming the row or entry otherwise)."""
         self.labels = tuple(labels)
         n = self.n = len(self.labels)
         self.identity = identity
@@ -196,7 +212,9 @@ class Locality:
         _check_ids(n, "inverse table", self.inv)
         _check_ids(n, "S", s_ids)
         self.s_ids = tuple(sorted(s_ids))
-        self.rows = tuple((*r, -1) for r in rows) + ((-1,) * (n + 1),)
+        rows = tuple((*r, -1) for r in rows)
+        _check_rows(n, rows)
+        self.rows = rows + ((-1,) * (n + 1),)
         self.prod = _ProductView(self.rows, n)
         self.p = p
         self._s_pos = {s: i for i, s in enumerate(self.s_ids)}
@@ -450,8 +468,8 @@ def _word_states(L: Locality, max_len: int,
     w is in delta, decided once per distinct S_f.  The fold values of
     its extensions are read from the state's row.  Composite maps are
     few (69 on S7 at length 3, against 1,136 states), so each gets an
-    id, and each map id is composed once with each distinct letter map;
-    the map of an extension is then two list reads, and states are
+    id, and each map id is composed once with each distinct map of the
+    letters; the map of an extension is then two reads, and states are
     looked up as (fold value, map id) pairs.
     """
     letters = range(L.n) if letters is None else sorted(letters)
@@ -473,7 +491,8 @@ def _word_states(L: Locality, max_len: int,
             steps.append(None)
         return ids[m]
 
-    letter_id = [map_id(m) for m in pm]  # the letter maps take the first ids
+    # the distinct maps of the letters take the first ids
+    letter_id = dict(zip(letters, map(map_id, map(pm.__getitem__, letters))))
     letter_maps = maps[:]
 
     seen: dict[tuple[int, int], tuple[int, Word]] = {}
@@ -622,9 +641,8 @@ def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:
     admitted for a left state at once, by the preimage of S_v along u.
     The representative words of an admitted group are folded from Pi(u)
     column by column through the rows, and compared with the row of
-    Pi(u) at the Pi(v).  Only a group holding a mismatch or an undefined
-    step is scanned word by word, in state order, to name the first
-    witness.
+    Pi(u) at the Pi(v); the witness is the first right state, in state
+    order, whose fold is undefined or differs.
     """
     rows, delta = L.rows, L.delta
     items = list(states.items())
@@ -648,14 +666,11 @@ def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:
             for col in cols[1:]:
                 q = map(getitem, map(rows.__getitem__, q), col)
             q = list(q)
-            if -1 in q or q != list(map(row.__getitem__, p2s)):
-                bad += ks
-        for (p2, _), (_, w2) in map(items.__getitem__, sorted(bad)):
-            q = p1
-            for f in w2:
-                q = rows[q][f]
-            if q < 0 or row[p2] != q:
-                return f"split {w1!r}|{w2!r}: fold != Pi(u)Pi(v)"
+            want = list(map(row.__getitem__, p2s))
+            if -1 in q or q != want:
+                bad += [k for k, a, b in zip(ks, q, want) if a < 0 or a != b]
+        if bad:
+            return f"split {w1!r}|{items[min(bad)][1][1]!r}: fold != Pi(u)Pi(v)"
     return None
 
 

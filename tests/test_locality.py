@@ -264,6 +264,31 @@ def test_constructor_rejects_table_id_outside_carrier(loc_a, field, value,
         locality_from_descriptor(d)
 
 
+@pytest.mark.parametrize("change,message", [
+    ("minus_two", r"product row 2 entry 5 holds -2, not an id in range\(24\)"),
+    ("past_end", r"product row 2 entry 5 holds 24, not an id in range\(24\)"),
+    ("short_row", "product row 2 has 23 entries for 24 ids"),
+    ("missing_row", "product table has 23 rows for 24 ids"),
+])
+def test_constructor_rejects_rows_outside_carrier(loc_a, change, message):
+    """Rows given directly are checked too: -2 would read row n - 1, n
+    the all -1 row, and a short row would move its trailing -1 into a
+    column."""
+    assert loc_a.n == 24
+    rows = [list(r[:-1]) for r in loc_a.rows[:-1]]
+    if change == "minus_two":
+        rows[2][5] = -2
+    elif change == "past_end":
+        rows[2][5] = 24
+    elif change == "short_row":
+        del rows[2][-1]
+    else:
+        del rows[-1]
+    with pytest.raises(LocalityError, match=message):
+        Locality(loc_a.labels, loc_a.identity, loc_a.inv, rows, loc_a.s_ids,
+                 loc_a.p, [loc_a.ids_of(d) for d in loc_a.delta])
+
+
 def test_product_view_reads_the_rows(loc_b):
     """``prod`` is a pair-keyed view of the rows, with one entry per
     defined pair."""
