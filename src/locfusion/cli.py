@@ -40,8 +40,6 @@ def _positive_int(text: str) -> int:
 def _common(sub: argparse.ArgumentParser):
     sub.add_argument("descriptor", help="bundled instance name or JSON path")
     sub.add_argument("--out", help="write the JSON report to this path")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-word-len", type=int, default=None)
     sub.add_argument("--group-cap", type=_positive_int,
                      default=DEFAULT_GROUP_CAP,
                      help="largest order a group closure may reach "
@@ -52,6 +50,13 @@ def _common(sub: argparse.ArgumentParser):
                           "(default %(default)s)")
     sub.add_argument("--json", action="store_true",
                      help="echo the report to stdout even when --out is set")
+    return sub
+
+
+def _word_len(sub: argparse.ArgumentParser):
+    sub.add_argument("--max-word-len", type=_positive_int, default=None,
+                     help="longest word the locality validator explores "
+                          "(default: the descriptor's max_word_length, or 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     loc = top.add_parser("locality").add_subparsers(dest="sub", required=True)
     _common(loc.add_parser("build"))
-    _common(loc.add_parser("validate"))
+    _word_len(_common(loc.add_parser("validate")))
 
     for name in ("theorem1", "theorem2", "restriction"):
         _common(top.add_parser(name))
@@ -80,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--product", default=None,
                        help="product name from the descriptor (default: all)")
 
-    _common(top.add_parser("suite"))
+    _word_len(_common(top.add_parser("suite")))
     return ap
 
 
@@ -101,7 +106,9 @@ def cmd_locality_build(ctx, args):
 
 
 def cmd_locality_validate(ctx, args):
-    mwl = args.max_word_len or ctx.d.get("max_word_length", 4)
+    mwl = args.max_word_len
+    if mwl is None:
+        mwl = ctx.d.get("max_word_length", 4)
     rep = validate_locality(ctx.L, max_word_length=mwl)
     out = {"suite": "locality_validate", "instance": ctx.d["name"],
            **rep.to_json()}
@@ -263,15 +270,12 @@ def main(argv=None) -> int:
                             morphism_cap=args.morphism_cap)
         report, code = handler(ctx, args)
     except (SizeCapExceeded, MorphismCapExceeded) as e:
-        _emit({"error": str(e), "kind": type(e).__name__,
-               "seed": args.seed}, args)
+        _emit({"error": str(e), "kind": type(e).__name__}, args)
         return EXIT_CAP
     except (inst.DescriptorError, LocalityError, PreconditionError,
             GroupError, FusionError) as e:
-        _emit({"error": str(e), "kind": type(e).__name__,
-               "seed": args.seed}, args)
+        _emit({"error": str(e), "kind": type(e).__name__}, args)
         return EXIT_INPUT
-    report["seed"] = args.seed
     if report.get("ok") is None and code == EXIT_OK:
         report["ok"] = True
     _emit(report, args)

@@ -25,12 +25,11 @@ inherit it, so a caller sets it once, where it builds the ambient system.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
-                        bit_positions, compose, image_mask, inverse, p_core,
-                        _p_part)
+                        bit_positions, centralizer_in, compose, domain_mask,
+                        getter, image_mask, inverse, p_core, _p_part)
 
 DEFAULT_MORPHISM_CAP = 1_000_000
 
@@ -47,24 +46,13 @@ class MorphismCapExceeded(FusionError):
     pass
 
 
-def _getter(ps: Sequence[int]):
-    """Tuple of the entries at ``ps`` (one index: not a scalar)."""
-    if len(ps) == 1:
-        return lambda t, i=ps[0]: (t[i],)
-    return itemgetter(*ps)
-
-
 def _keep(mask: int, n: int):
     """Images of a map over n positions, ended by -1, restricted to mask."""
-    return _getter([i if mask >> i & 1 else n for i in range(n)])
+    return getter([i if mask >> i & 1 else n for i in range(n)])
 
 
 def _target(m: Morphism) -> int:  # the mask of the image
     return image_mask(m[1], bit_positions(m[0]))
-
-
-def _mask_of(images: tuple[int, ...]) -> int:
-    return sum(1 << i for i, j in enumerate(images) if j >= 0)
 
 
 def from_graph(S: Subgroup, graph: Iterable[tuple]) -> Morphism:
@@ -78,7 +66,7 @@ def from_graph(S: Subgroup, graph: Iterable[tuple]) -> Morphism:
             images[idx.pos[x]] = idx.pos[y]
     except KeyError:
         raise FusionError("map does not live inside S") from None
-    src = _mask_of(images)
+    src = domain_mask(images)
     ps = bit_positions(src)
     if len({images[i] for i in ps}) != len(ps):
         raise FusionError("map is not injective")
@@ -120,14 +108,14 @@ def _carry(maps: Iterable[Morphism], new_of_old: tuple,
     ``old_of_new[i]``, old position j is new position ``new_of_old[j]``
     (-1 for none).  Points with a new position must map to such points,
     so the new source depends on the old one alone."""
-    pick = _getter(old_of_new)
+    pick = getter(old_of_new)
     ext = new_of_old + _NONE
     srcs: dict[int, int] = {}
     out = set()
     for src, images in maps:
-        new = _getter(pick(images + _NONE))(ext)
+        new = getter(pick(images + _NONE))(ext)
         if src not in srcs:
-            srcs[src] = _mask_of(new)
+            srcs[src] = domain_mask(new)
         out.add((srcs[src], new))
     return out
 
@@ -262,7 +250,7 @@ def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[Morphism]:
     each distinct (P, images) pair is spread over S once."""
     idx = S.parent.sindex(S)
     n = len(idx.elements)
-    subs = [(m, _getter(bit_positions(m))) for m in idx.lattice()]
+    subs = [(m, getter(bit_positions(m))) for m in idx.lattice()]
     inside: dict[int, list] = {}
     graphs = set()
     for _, images, dom in idx.actions(acting):
@@ -273,7 +261,7 @@ def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[Morphism]:
         for m, get in subs_in:
             graphs.add((m, get(images)))
     # position j of S is entry |m below j| of a tuple over m, or the -1
-    spread = {m: _getter([(m & ((1 << j) - 1)).bit_count() if m >> j & 1
+    spread = {m: getter([(m & ((1 << j) - 1)).bit_count() if m >> j & 1
                           else m.bit_count() for j in range(n)])
               for m in idx.lattice()}
     return {(m, spread[m](images + _NONE)) for m, images in graphs}
@@ -346,7 +334,7 @@ def close(S: Subgroup, p: int, generators: Iterable[Morphism],
                                  if m & src == m and m.bit_count() == size]
         for m, keep in subs:
             push((m, keep(images + _NONE)))
-        then = _getter(images)
+        then = getter(images)
         for other in tuple(by_src.get(t, ())):
             push((src, then(other)))
     return FusionSystem(S, p, maps, cap)
@@ -376,10 +364,9 @@ def _infer_p(S: Subgroup) -> int:
 
 def fusion_of_partial_subgroup(L, H: Iterable[int],
                                cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
-    """F_{S∩H}(H): generated by the conjugation maps between subgroups
-    of S∩H induced by elements of H, each distinct graph checked once."""
-    from .locality import Locality
-    assert isinstance(L, Locality)
+    """F_{S∩H}(H) for a partial subgroup H of the locality L (ids of L):
+    generated by the conjugation maps between subgroups of S∩H induced by
+    elements of H, each distinct graph checked once."""
     Hset = frozenset(H)
     sh_ids = sorted(set(L.s_ids) & Hset)
     Ssub, label = _s_cap_h_subgroup(L, sh_ids)
@@ -395,17 +382,13 @@ def fusion_of_partial_subgroup(L, H: Iterable[int],
 
 
 def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
-    """S∩H as a Subgroup, with the id -> element-label map."""
-    if L.realization is not None:
-        G = L.realization
-        to_perm = {i: L.labels[i] for i in sh_ids}
-    else:
-        G, to_perm = L.group_on(L.s_ids)
-        to_perm = {i: to_perm[i] for i in sh_ids}
-    elems = frozenset(to_perm.values())
-    if any(compose(a, b) not in elems for a in elems for b in elems):
+    """S∩H as a Subgroup of ``L.group_on(S)``, with the id -> element
+    map; S∩H is a subgroup when its mask is in the S-lattice."""
+    if L.mask_of(sh_ids) not in L.lattice:
         raise FusionError("S∩H is not a subgroup")
-    return G.subgroup(elems), to_perm
+    G, to_perm = L.group_on(L.s_ids)
+    to_perm = {i: to_perm[i] for i in sh_ids}
+    return G.subgroup(to_perm.values(), check=False), to_perm
 
 
 def fusion_of_locality(L, cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
@@ -438,12 +421,6 @@ def strong_closure(F: FusionSystem, T: Subgroup) -> Subgroup:
         if y == x:
             return F.subgroup(frozenset(F.index.members(x)))
         x = y
-
-
-def centralizer_in(sub: Iterable, of: Iterable) -> frozenset:
-    of = list(of)
-    return frozenset(s for s in sub
-                     if all(compose(s, x) == compose(x, s) for x in of))
 
 
 def is_centric(F: FusionSystem, P: Subgroup) -> bool:
@@ -539,7 +516,7 @@ def _normality_fault(F: FusionSystem, Q: Subgroup) -> Optional[str]:
     q = F.index.mask(Q.eset)
     groups = F.maps_by_mask()
     for src, imgs in groups.items():
-        on_src = _getter(bit_positions(src))
+        on_src = getter(bit_positions(src))
         keep = set(map(on_src, groups.get(F.index.join(src, q), ())))
         if not keep.issuperset(map(on_src, imgs)):
             return "extension"
@@ -620,7 +597,7 @@ def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
     for Q in F.conjugates(P):
         q = idx.mask(Q.eset)
         qs = bit_positions(q)
-        on_q = _getter(qs)
+        on_q = getter(qs)
         nsq = bit_positions(idx.normalizer(q))
         for phi in by_mask.get(q, ()):
             if image_mask(phi, qs) != p:
@@ -663,7 +640,7 @@ def _conjugate_map(psi: tuple[int, ...], phi: Morphism) -> Morphism:
     images = [-1] * len(psi)
     for i in bit_positions(phi[0]):
         images[psi[i]] = psi[phi[1][i]]
-    return _mask_of(images), tuple(images)
+    return domain_mask(images), tuple(images)
 
 
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
@@ -691,7 +668,7 @@ def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
     ZT = centralizer_in(T.eset, T.eset)
     els = idx.elements
     cs = [idx.pos[x] for x in C]
-    on_t = _getter(bit_positions(t))
+    on_t = getter(bit_positions(t))
     tcs = bit_positions(tc)
     exts = [psi for psi in F.maps_by_mask().get(tc, ())
             if image_mask(psi, tcs) == tc

@@ -24,7 +24,7 @@ from . import products as pr
 from .locality import (Locality, delta_min_order, locality_from_group)
 from .permgroup import (DEFAULT_GROUP_CAP, FiniteGroup, SizeCapExceeded,
                         Subgroup, all_subgroups, generated_subgroup,
-                        sylow_subgroup)
+                        is_prime, sylow_subgroup, _p_part)
 from .report import PreconditionError
 
 BUNDLED = ("instance-a", "instance-b", "product-24", "product-48",
@@ -59,6 +59,13 @@ def _check_schema(d) -> None:
     a malformed section is an input error before any group is built."""
     _require_keys(d, ("name", "group", "p"), "descriptor")
     _require_int(d["p"], "'p'")
+    if not is_prime(d["p"]):
+        raise DescriptorError(f"'p' must be a prime, not {d['p']}")
+    if "max_word_length" in d:
+        _require_int(d["max_word_length"], "'max_word_length'")
+        if d["max_word_length"] < 1:
+            raise DescriptorError("'max_word_length' must be at least 1, "
+                                  f"not {d['max_word_length']}")
     for key in ("normal_subgroups", "k_choices", "fusion_products"):
         _require_keys(d.get(key, {}), (), repr(key))
     deltas = [d.get("delta")]
@@ -126,7 +133,6 @@ def sylow_of(d: dict, G: FiniteGroup) -> Subgroup:
         return sylow_subgroup(G, d["p"])
     gens = [_perm(x, G.degree) for x in spec]
     S = generated_subgroup(G, gens)
-    from .permgroup import _p_part
     if S.order != _p_part(G.order, d["p"]):
         raise DescriptorError("explicit sylow has wrong order")
     return S
@@ -310,35 +316,3 @@ class Instance:
                 route = "locality"
             self._eds[name] = ed, route, agreement
         return self._eds[name]
-
-
-def bundled_groups() -> list[tuple[str, FiniteGroup, int]]:
-    """The shipped test groups (orders 8, 24, 48, 60, 120) with their p."""
-    out = []
-    for name in ("group-8", "instance-a", "product-48", "group-60",
-                 "instance-b"):
-        d = load_descriptor(name)
-        out.append((d["name"], group_of(d), d["p"]))
-    return out
-
-
-def net_triples() -> list[tuple[str, Locality, frozenset, frozenset]]:
-    """Bundled (L, H, T) data for the normalizer-of-strongly-closed-T
-    fusion identity: H a partial subgroup given by carrier ids, T by
-    element labels."""
-    out = []
-    da = load_descriptor("instance-a")
-    La = build_locality(da)
-    Ta = named_subgroup(da, La.realization,
-                        {"generators": [[2, 1, 4, 3], [3, 4, 1, 2]]})
-    out.append(("instance-a:carrier", La, frozenset(range(La.n)),
-                frozenset(Ta.eset)))
-    db = load_descriptor("instance-b")
-    Lb = build_locality(db)
-    Tb = named_subgroup(db, Lb.realization,
-                        {"generators": [[2, 1, 4, 3, 5], [3, 4, 1, 2, 5]]})
-    alt = resolve_ids(Lb, named_subgroup(db, Lb.realization, "alt"))
-    out.append(("instance-b:carrier", Lb, frozenset(range(Lb.n)),
-                frozenset(Tb.eset)))
-    out.append(("instance-b:alt", Lb, alt, frozenset(Tb.eset)))
-    return out

@@ -52,10 +52,11 @@ from dataclasses import dataclass, field
 from operator import getitem, itemgetter, ne, not_
 from typing import Collection, Iterable, Optional, Sequence
 
-from .fusion import DEFAULT_MORPHISM_CAP
+from .fusion import (DEFAULT_MORPHISM_CAP, centric_radicals,
+                     fusion_of_locality, is_saturated)
 from .permgroup import (FiniteGroup, Subgroup, all_subgroups, bit_positions,
-                        cayley_group, composer, image_mask, inverse,
-                        is_p_group, _p_part)
+                        cayley_group, domain_mask, getter, image_mask,
+                        inverse, is_characteristic_p, is_p_group, _p_part)
 
 Word = tuple[int, ...]
 
@@ -64,15 +65,6 @@ _defined = (0).__le__  # v -> v >= 0, for a position or -1
 
 class LocalityError(ValueError):
     """Invalid locality construction or precondition."""
-
-
-class DomainError(LocalityError):
-    """A word was multiplied outside the domain of the partial product."""
-
-    def __init__(self, word: Word, s_w: frozenset):
-        self.word = word
-        self.s_w = s_w
-        super().__init__(f"word {word!r} is not in the domain (|S_w|={len(s_w)})")
 
 
 @dataclass(frozen=True)
@@ -223,7 +215,7 @@ class Locality:
         self.id_of = {lab: i for i, lab in enumerate(self.labels)}
         self._bits = tuple(1 << i for i in range(len(self.s_ids)))
         self._pm = self._build_partial_maps()
-        self._sf = tuple(self._dom(m) for m in self._pm)
+        self._sf = tuple(map(domain_mask, self._pm))
         self._full = (1 << len(self.s_ids)) - 1
         self._pre: dict[tuple[int, int], int] = {}  # (f, mask) -> preimage
         self._lattice: Optional[list[int]] = None
@@ -250,10 +242,6 @@ class Locality:
             (*map(pos.__getitem__, map(itemgetter(f), map(
                 rows.__getitem__, map(rows[fi].__getitem__, s_ids)))), -1)
             for f, fi in enumerate(self.inv))
-
-    def _dom(self, m: tuple[int, ...]) -> int:
-        """Mask of the positions where the map m is defined."""
-        return sum(itertools.compress(self._bits, map(_defined, m)))
 
     @property
     def lattice(self) -> list[int]:
@@ -317,20 +305,15 @@ class Locality:
             x = rows[x][f]
         return x if x >= 0 else None
 
-    def product(self, w: Word) -> int:
-        sw = self.s_mask(w)
-        x = self.fold(w) if sw in self.delta else None
-        if x is None:
-            raise DomainError(w, self.ids_of(sw))
-        return x
-
     # -- local subgroups as genuine groups ----------------------------------
 
     def group_on(self, ids: Iterable[int]) -> tuple[FiniteGroup, dict]:
-        """Realize a product-total subset as a permutation group.
+        """A permutation group holding the elements ``ids``, and the
+        id -> permutation map.
 
-        Uses the ambient realization when present, the regular action
-        otherwise.  Returns (group, id -> permutation map).
+        This is the one place that chooses: the ambient realization when
+        there is one, else the regular action of ``ids``, which must then
+        be product-total.
         """
         ids = sorted(ids)
         if self.realization is not None:
@@ -397,7 +380,7 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     rows = []
     for f, (images, dom_f) in zip(labels, actions):
         fpos = bit_positions(dom_f)
-        times_f = composer(f)
+        times_f = getter(f)
         row = [-1] * n
         for dom_g, js in by_dom.items():
             sw = 0
@@ -621,7 +604,7 @@ def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport
         labels, cols = L.labels, range(L.n)
         for i, row in zip(cols, rows):
             js = list(itertools.compress(cols, map(_defined, row)))
-            got = list(map(composer(labels[i]), map(labels.__getitem__, js)))
+            got = list(map(getter(labels[i]), map(labels.__getitem__, js)))
             want = list(map(labels.__getitem__, map(row.__getitem__, js)))
             if got != want:
                 j = next(j for j, a, b in zip(js, got, want) if a != b)
@@ -648,7 +631,7 @@ def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:
     items = list(states.items())
     groups: dict[tuple[int, int], list[int]] = {}
     for k, ((_, m), (length, _)) in enumerate(items):
-        groups.setdefault((length, L._dom(m)), []).append(k)
+        groups.setdefault((length, domain_mask(m)), []).append(k)
     blocks = []  # (length, S_v, state indices, the Pi(v), letter columns)
     for (l2, d2), ks in groups.items():
         words = [items[k][1][1] for k in ks]
@@ -823,11 +806,9 @@ def local_group(L: Locality, P: frozenset[int]) -> Optional[tuple[FiniteGroup, d
     for a in ids:
         if not idset.issuperset(map(rows[a].__getitem__, ids)):
             return None
-    if L.realization is not None:
-        H = FiniteGroup(L.realization.degree, [L.labels[i] for i in ids],
-                        max_size=max(len(ids), 1))
-        return H, {i: L.labels[i] for i in ids}
-    return cayley_group(ids, lambda a, b: rows[a][b])
+    G, to_perm = L.group_on(ids)
+    return FiniteGroup(G.degree, to_perm.values(),
+                       max_size=max(len(ids), 1)), to_perm
 
 
 def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
@@ -835,9 +816,6 @@ def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
     """Saturated fusion, F^cr inside delta, all N_L(P) of characteristic p.
 
     ``cap`` is the morphism cap of F_S(L)."""
-    from .fusion import (fusion_of_locality, is_saturated, centric_radicals)
-    from .permgroup import is_characteristic_p
-
     report: dict = {"saturated": None, "centric_radicals_in_delta": None,
                     "local_groups_characteristic_p": None, "witness": None}
     F = fusion_of_locality(L, cap)

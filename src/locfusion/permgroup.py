@@ -32,7 +32,7 @@ subgroup once.
 
 from __future__ import annotations
 
-from functools import partial
+import math
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -55,16 +55,27 @@ def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
 
+def getter(ps: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """t -> the tuple of the entries of t at ``ps``, one getter in C; for
+    one index or none too, where ``itemgetter`` gives a scalar or fails."""
+    if len(ps) == 1:
+        i = ps[0]
+        return lambda t: (t[i],)
+    return itemgetter(*ps) if ps else lambda t: ()
+
+
 def compose(a: Perm, b: Perm) -> Perm:
-    """Apply a, then b."""
-    if len(a) > 1:
-        return itemgetter(*a)(b)
-    return tuple(b[x] for x in a)  # itemgetter of one index gives a scalar
+    """Apply a, then b: ``getter(a)`` applied to b."""
+    return getter(a)(b)
 
 
-def composer(a: Perm) -> Callable[[Perm], Perm]:
-    """b -> compose(a, b), as one getter in C when the degree is > 1."""
-    return itemgetter(*a) if len(a) > 1 else partial(compose, a)
+def domain_mask(images: Iterable[int]) -> int:
+    """Mask of the positions i where ``images[i]`` is a position, not -1."""
+    m = 0
+    for i, j in enumerate(images):
+        if j >= 0:
+            m |= 1 << i
+    return m
 
 
 def inverse(a: Perm) -> Perm:
@@ -191,10 +202,6 @@ class FiniteGroup:
         degree = d["degree"]
         gens = [tuple(i - 1 for i in row) for row in d.get("generators", [])]
         return cls(degree, gens, max_size=max_size)
-
-    def to_descriptor(self) -> dict:
-        return {"degree": self.degree,
-                "generators": [[i + 1 for i in g] for g in self.generators]}
 
     def __repr__(self):
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
@@ -324,11 +331,7 @@ class SIndex:
         get = self.pos.get
         images = tuple([get(tuple([g[x[k]] for k in gi]), -1)
                         for x in self.elements])
-        dom = 0
-        for i, j in enumerate(images):
-            if j >= 0:
-                dom |= 1 << i
-        return images, dom
+        return images, domain_mask(images)
 
     def actions(self, elements: Sequence[Perm]
                 ) -> Iterator[tuple[Perm, tuple[int, ...], int]]:
@@ -342,16 +345,13 @@ class SIndex:
         and ``dom(g) = dom(r)``.  ``elements`` need not be a union of
         cosets; members of a coset outside it are skipped.
         """
-        if len(self.elements) == 1:  # a getter of one index gives a scalar
-            yield from ((g, *self.action(g)) for g in dict.fromkeys(elements))
-            return
         todo = set(elements)
         ext = [self.inner(t) + (-1,) for t in range(len(self.elements))]
         for r in elements:
             if r not in todo:
                 continue
             images, dom = self.action(r)
-            through = itemgetter(*images)
+            through = getter(images)
             for t, x in enumerate(self.elements):
                 g = compose(r, x)
                 if g in todo:
@@ -501,16 +501,24 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 # -- local analysis ---------------------------------------------------------
 
+def centralizer_in(sub: Iterable[Perm], of: Iterable[Perm]) -> frozenset:
+    """The elements of ``sub`` that commute with every element of ``of``."""
+    of = [(x, getter(x)) for x in of]
+    out = []
+    for s in sub:
+        s_then = getter(s)
+        if all(s_then(x) == x_then(s) for x, x_then in of):
+            out.append(s)
+    return frozenset(out)
+
+
 def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    elems = [g for g in G.elements
-             if all(conjugate(h, g) == h for h in H.elements)]
-    return Subgroup(G, elems, check=False)
+    return Subgroup(G, centralizer_in(G.elements, H.elements), check=False)
 
 
 def center(H: Subgroup) -> Subgroup:
-    elems = [z for z in H.elements
-             if all(compose(z, h) == compose(h, z) for h in H.elements)]
-    return Subgroup(H.parent, elems, check=False)
+    return Subgroup(H.parent, centralizer_in(H.elements, H.elements),
+                    check=False)
 
 
 def _p_part(n: int, p: int) -> int:
@@ -519,6 +527,11 @@ def _p_part(n: int, p: int) -> int:
         n //= p
         m *= p
     return m
+
+
+def is_prime(p: int) -> bool:
+    """Trial division up to the square root of p."""
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def is_p_group(H: Subgroup, p: int) -> bool:
@@ -535,7 +548,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     far, which generate P, into P.  Returns the trivial subgroup when p
     does not divide |G|.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     p_elements = [y for y in G.elements
                   if _p_part(n := perm_order(y), p) == n]

@@ -19,6 +19,9 @@ from .fusion import (DEFAULT_MORPHISM_CAP, FusionSystem, Morphism, aut_group,
                      is_subnormal_subsystem, is_subsystem, maps_inside,
                      normalizer_system, restriction, subcentric_subgroups,
                      subgroup_lattice, trivial_modulo)
+from .locality import Locality, is_linking_locality, normalizer_carrier
+from .partial_subgroups import (is_partial_normal, is_partial_subgroup,
+                                is_subnormal, set_product)
 from .permgroup import Subgroup, compose, generated_subgroup, perm_order
 from .report import PreconditionError, Report
 
@@ -59,15 +62,6 @@ def _er_generators(F: FusionSystem, E: FusionSystem,
     return maps_inside(F, TR, gens)
 
 
-def product_ER(F: FusionSystem, E: FusionSystem, R: Subgroup,
-               check: bool = True) -> FusionSystem:
-    """Subsystem over TR generated by the A(P) families of E inside F."""
-    if check and not is_normal_subsystem(F, E):
-        raise PreconditionError("E is not normal in F")
-    TR = _tr_subgroup(F, E.S.eset, R.eset)
-    return close(TR, F.p, _er_generators(F, E, TR), F.morphism_cap)
-
-
 def d_status(F: FusionSystem, T: Subgroup, D: FusionSystem) -> str:
     """Status of D in the normalizer system of T: normal, subnormal, fail."""
     NFT = normalizer_system(F, T)
@@ -98,13 +92,10 @@ def product_ED(F: FusionSystem, E: FusionSystem,
     return close(TR, F.p, gens, F.morphism_cap)
 
 
-def product_ed_via_locality(L, N: Iterable[int], K: Iterable[int],
+def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int],
                             cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """The product through a linking locality: the fusion system of the
     partial subgroup NK over T·(S∩K).  ``cap`` bounds its closures."""
-    from .locality import normalizer_carrier
-    from .partial_subgroups import (is_partial_normal, is_partial_subgroup,
-                                    is_subnormal, set_product)
     N = frozenset(N)
     K = frozenset(K)
     if not is_partial_normal(L, N):
@@ -125,11 +116,10 @@ def product_ed_via_locality(L, N: Iterable[int], K: Iterable[int],
     return fusion_of_partial_subgroup(L, nk, cap)
 
 
-def _locality_route_fault(L, cap: int) -> Optional[str]:
+def _locality_route_fault(L: Locality, cap: int) -> Optional[str]:
     """Why L cannot carry the locality route, or None: L must be a
     linking locality whose object set holds every subcentric subgroup.
     Neither part depends on N or K, so the answer is memoized on L."""
-    from .locality import is_linking_locality
     key = ("locality_route",)
     if key not in L._verdicts:
         fault = None

@@ -7,16 +7,17 @@ import pytest
 
 from locfusion import fusion as fu
 from locfusion import products as pr
-from locfusion.instances import (build_locality, bundled_groups, delta_of,
-                                 k_choice, load_descriptor, named_subgroup,
-                                 net_triples, product_setup, resolve_ids,
-                                 sylow_of)
+from locfusion.instances import (build_locality, delta_of, k_choice,
+                                 load_descriptor, named_subgroup,
+                                 product_setup, resolve_ids, sylow_of)
 from locfusion.locality import (normalizer_carrier, validate_locality)
 from locfusion.partial_subgroups import (set_product,
                                          verify_restriction_product,
                                          verify_theorem_nk_normal,
                                          verify_theorem_nk_subnormal)
 from locfusion.permgroup import sylow_subgroup
+
+from bundled import bundled_groups, net_triples
 
 
 @pytest.fixture(scope="module")

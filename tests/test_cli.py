@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, report files, determinism."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -112,9 +114,87 @@ def test_json_echo_with_out(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_seed_recorded(capsys):
-    run(["group", "info", "instance-a", "--seed", "7"])
-    assert json.loads(capsys.readouterr().out)["seed"] == 7
+def test_seed_rejected(capsys):
+    # nothing in the program is random, so there is no --seed flag
+    with pytest.raises(SystemExit) as e:
+        run(["group", "info", "instance-a", "--seed", "7"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
+    "instances" / "s6.json"
+
+
+@pytest.mark.parametrize("p,sylow", [(4, "explicit"), (1, "auto"),
+                                     (1000003 * 1000033, "auto")])
+@pytest.mark.parametrize("command", [["group", "info"],
+                                     ["fusion", "saturate-check"]])
+def test_non_prime_p_exits_2(p, sylow, command, tmp_path, capsys):
+    d = json.loads(S6_DESCRIPTOR.read_text())
+    d["name"], d["p"] = "s6-p", p
+    if sylow == "auto":
+        d["sylow"] = "auto"
+    start = time.perf_counter()
+    assert run(command + [_write(tmp_path, d)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == f"'p' must be a prime, not {p}"
+    assert "Traceback" not in err
+
+
+def test_large_prime_p_is_quick(tmp_path, capsys):
+    # 10^9 + 7 is prime and does not divide |S6|: S is trivial
+    d = json.loads(S6_DESCRIPTOR.read_text())
+    d["name"], d["p"], d["sylow"] = "s6-p", 1000000007, "auto"
+    start = time.perf_counter()
+    assert run(["group", "info", _write(tmp_path, d)]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["sylow_order"] == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+@pytest.mark.parametrize("command", [["locality", "validate"], ["suite"]])
+def test_bad_max_word_len_exits_2(value, command, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(command + ["instance-a", "--max-word-len", value])
+    assert e.value.code == 2
+    assert "--max-word-len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["group", "info"], ["locality", "build"],
+                                     ["theorem1"], ["theorem2"],
+                                     ["restriction"], ["fusion", "build"],
+                                     ["fusion", "saturate-check"],
+                                     ["product-ed"], ["verify-ed"]])
+def test_max_word_len_only_where_read(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(command + ["instance-b", "--max-word-len", "3"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --max-word-len" in \
+        capsys.readouterr().err
+
+
+def test_max_word_len_flag_overrides_descriptor(capsys):
+    # instance-a's descriptor says 5; the flag wins, down to length 1
+    for flag, want in (([], 5), (["--max-word-len", "1"], 1)):
+        assert run(["locality", "validate", "instance-a", *flag]) == 0
+        assert json.loads(capsys.readouterr().out)["max_word_length"] == want
+
+
+@pytest.mark.parametrize("value,message", [
+    ("x", "'max_word_length' must be an integer, not 'x'"),
+    (True, "'max_word_length' must be an integer, not True"),
+    (0, "'max_word_length' must be at least 1, not 0"),
+    (-1, "'max_word_length' must be at least 1, not -1")])
+def test_bad_max_word_length_key_exits_2(value, message, tmp_path, capsys):
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("instance-a")
+    d["max_word_length"] = value
+    assert run(["locality", "validate", _write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == message
+    assert "Traceback" not in err
 
 
 def _write(tmp_path, d):

@@ -12,12 +12,12 @@ from locfusion.fusion import (FusionError, MorphismCapExceeded, close,
                               is_strongly_closed, is_subnormal_subsystem,
                               normalizer_system, op_core, strong_closure,
                               subcentric_subgroups, subgroup_lattice)
-from locfusion.instances import (bundled_groups, build_locality,
-                                 load_descriptor, net_triples, resolve_ids,
-                                 named_subgroup)
+from locfusion.instances import (build_locality, load_descriptor,
+                                 resolve_ids, named_subgroup)
 from locfusion.permgroup import (conjugate, from_cycles, generated_subgroup,
                                  sylow_subgroup)
 
+from bundled import bundled_groups, net_triples
 from graph_oracle import graphs
 
 
@@ -193,6 +193,16 @@ def test_subnormal_rejects_non_subsystem(F, s5, s5_sylow):
     other = fusion_of_group(s5, s5_sylow)
     verdict, chain = is_subnormal_subsystem(F, other)
     assert verdict is False
+
+
+def test_partial_subgroup_with_s_cap_h_not_a_subgroup_raises(loc_a):
+    # S∩H = {1, a, b} for two distinct involutions a, b of S: not closed
+    e = loc_a.identity
+    inv = [s for s in loc_a.s_ids if s != e and loc_a.rows[s][s] == e]
+    H = {e, inv[0], inv[1]}
+    with pytest.raises(FusionError, match="S∩H is not a subgroup"):
+        fusion_of_partial_subgroup(loc_a, H)
+    assert fusion_of_partial_subgroup(loc_a, {e, inv[0]}).S.order == 2
 
 
 def test_net_identity_on_bundled_triples():

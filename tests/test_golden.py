@@ -11,6 +11,9 @@ L for every command before the per-run ``Instance`` context shared them,
 and the rest of the command table with its exit codes before the
 automorphism groups and subgroup indexes were rebuilt; any change to a
 verdict, an exit code, a morphism list or the JSON layout shows here.
+Every digest was re-recorded once when the ``"seed"`` key left the
+reports, after checking that each output differed from the one before
+by that key alone.
 """
 
 import hashlib
@@ -25,24 +28,24 @@ S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
 
 S6_SHA256 = {
     "theorem1":
-        "a2789dd9a5a61d5b8098496ad4a57f5c92a273dcb6708c63ab0c8dd244c5b547",
+        "54b5e202f995265a75dace0756d44ec103d901d8854bb64c3e233bbb62995bcd",
     "restriction":
-        "6fd7998a05bfd339dea85d72a27cd8b5249c6011dd35d82b07b50dc9461745d6",
+        "006531d689e6f6fa98d164c291b6b24a1fac214bdbb8a93ac548221997e40861",
 }
 
 SUITE_SHA256 = {
     "instance-a":
-        "55739de54c3574dacbb53a3daa0b86dadc74c76cdaa2461cde6ba961bc39bf5e",
+        "f9a31ff6e155b780b985c7872170be75459cb967dc656a79e78860a12d96c390",
     "instance-b":
-        "1415466e75091d0b1b74302fea9052ada1ba23d2eafd7a2c0bf5170d39d825f1",
+        "c86537c23b221e5e8847f51cc5e83656fc70a088c65eb7a5f9f174051072ae7d",
     "product-24":
-        "f64f018af8f04257df621bc4cc8f265f85e4a37478977c664d2299f1b6e24936",
+        "9133b02607be1f5a6ade7cf04c8e8a060f51bbcde3915f6ef4bc4bb2eada065b",
     "product-48":
-        "ff5f41944eb64227444b00a5f12e57deb127bf7628391b5440d5e2011feddb94",
+        "759a4898a736d047ec5733b7f2c0e5385aac716f0a1cf20353b1ba9bec52e311",
     "group-8":
-        "1ca5aa9c7bbbb9a847edf976db2baa6716f14cda0cca3dfb0bed20a123f10c89",
+        "70147d7901ca8f8e28f8eb6c052c3199d2a9f92b85b352928e9f280dea6d4387",
     "group-60":
-        "00f46b388da4f7e495f0d3902a49c55bdf885c0da9d9b2557c9c8195506570ef",
+        "599722ffa9258f32c4899c512caf03caa44b4f42fef26b643dad7edeab5f3cc7",
 }
 
 
@@ -67,139 +70,139 @@ def test_s6_report_bytes_unchanged(command, tmp_path):
 # the descriptor; its report is the error message.
 COMMANDS = [
     (["group", "info", "instance-a"], 0,
-     "a213ea441b304fd2cf7702d8f74843afad06ca78392fb9252a35849de985483b"),
+     "6298e62382b4a72c3496cb2a1285be2edb6fc6c5b51ef35bdcdf4ad2f0549002"),
     (["locality", "build", "instance-a"], 0,
-     "b57aad48af76a793f09d137cfbd17b74c288761fa6bd09594ca798a475b63242"),
+     "d3f09aec02e51ed3d456363a81bc6d5b29256305c3a16e30ab93c79af8bd6cc9"),
     (["locality", "validate", "instance-a"], 0,
-     "b9848b95c967ef68d2986a0dd0c46c2833b436041de0a2fc309f502dc050379d"),
+     "36f6b20f1f5568dc9d5059bcbcf5b4c673b52a102fe2e022ff3f9b47a32cbb24"),
     (["theorem1", "instance-a"], 2,
-     "dbeb9029ccebc48bec965fdb12c844b9f668fbd95539e5890628755d03550010"),
+     "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "instance-a"], 2,
-     "7c6201438fbbf7f6da3b12f5ebf529701932ab9819393830738cff9e41471e90"),
+     "b7abb58c5128c4b78ad3920042dcb8e033d96c3e88961b917cf0dcd6fb214a68"),
     (["restriction", "instance-a"], 2,
-     "f8b183e18ddd92b4b0a3109075e66ac08e3bf3c0254cfada5b40cfec3f2f60d6"),
+     "e7499cfb466031dbbc9e2b26c262941538a3c499d01fa6fcab8dd1fff38541bc"),
     (["fusion", "build", "instance-a"], 0,
-     "4699eec7385bc265f790d821c1e38a4dd3aa95b570fe3dccf72fcba891120b69"),
+     "cc8d0df272b29eceb24b0721166eafa394a3b67105e50c5aed96013576fd1e21"),
     (["fusion", "saturate-check", "instance-a"], 0,
-     "9f33bb1ade3630e4c6941acf357b5ae9dd2417b095c87678e84ca6985e15219c"),
+     "e06b6bfa04ec255a35b76122dbc87463c6c94dd9870e756c6784df78b753ea27"),
     (["product-ed", "instance-a"], 2,
-     "fda0cc29d760ec0c4d5cb9c1881bb1b30aa5963bbfec50b4ba17293cf9978c19"),
+     "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["verify-ed", "instance-a"], 2,
-     "fda0cc29d760ec0c4d5cb9c1881bb1b30aa5963bbfec50b4ba17293cf9978c19"),
+     "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["suite", "instance-a"], 0,
-     "55739de54c3574dacbb53a3daa0b86dadc74c76cdaa2461cde6ba961bc39bf5e"),
+     "f9a31ff6e155b780b985c7872170be75459cb967dc656a79e78860a12d96c390"),
     (["group", "info", "instance-b"], 0,
-     "7af0f898c8f77ddec93754d73383ebddc55b04ce327e7fa173e6f34de1d4b86a"),
+     "2c733e9296a4c69e4d4c91fbeab6c94b6cdfdc3c9cb78eba7dd952bce932eda9"),
     (["locality", "build", "instance-b"], 0,
-     "c119f1c9168cf771a85ac8c51a225d786de66c68ec4b4d8508da9bb63d28b229"),
+     "d31f42e1556b6f317ea29d70e70e5c51eeec4073ef5a0cb30009b182ee597edf"),
     (["locality", "validate", "instance-b"], 0,
-     "25428e5ee87c3376a7a0e8eb8d66bafa0e46ed545207f1bc1181719b11e472f5"),
+     "67932e1f0c65c5cc0111590b118c5c3e2de6f370966e03ff3922e79e389e5222"),
     (["theorem1", "instance-b"], 0,
-     "b92475e8d6621d6364b2019fe227429e446f877056829ff5e201c879eb96f16d"),
+     "f860f020e2186f6bf7f01d37cfb96428e931a63d4b409edb475301f41751270c"),
     (["theorem2", "instance-b"], 0,
-     "820d909e0c431eebb4393b8857e2fe69f7b33cd07a7de4805b081d4c239a0e28"),
+     "49dde4c5b5ef713d9c68b481a31037efd641b664b314d97265116a0887d1fdac"),
     (["restriction", "instance-b"], 0,
-     "97c0bc5def194557b71fb378a423377777bb74275448d1ecb502df6be379347c"),
+     "6817ac4289c0445b00d40740ad4e0f5c040b107b7ae21bec109f7ed43da23000"),
     (["fusion", "build", "instance-b"], 0,
-     "40309b870944c00295092bdb08ef137fffe677ceda4a217d0c1b5bb783fa455f"),
+     "68307ac030e49f8fc33002e051df8b79b0ae9c1caad1a11a2764c06dbda8f85e"),
     (["fusion", "saturate-check", "instance-b"], 0,
-     "81135ee1d324b8fb90abafe387b397efe8c42844cc55a7829a05badce2737e1a"),
+     "bd4ca847f2819a3e3296759e26690a679a00eb1ac99441a91189be69c45a04dc"),
     (["product-ed", "instance-b"], 2,
-     "fda0cc29d760ec0c4d5cb9c1881bb1b30aa5963bbfec50b4ba17293cf9978c19"),
+     "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["verify-ed", "instance-b"], 2,
-     "fda0cc29d760ec0c4d5cb9c1881bb1b30aa5963bbfec50b4ba17293cf9978c19"),
+     "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["suite", "instance-b"], 0,
-     "1415466e75091d0b1b74302fea9052ada1ba23d2eafd7a2c0bf5170d39d825f1"),
+     "c86537c23b221e5e8847f51cc5e83656fc70a088c65eb7a5f9f174051072ae7d"),
     (["group", "info", "product-24"], 0,
-     "c437dc954ded1efd41b3b21ecb16ab3a869491522e48cc9fc792ef43b0304753"),
+     "bddabf2536ae7050386cfc81b3c139300c47b07ccf31ed13722d593168553a32"),
     (["locality", "build", "product-24"], 0,
-     "81ff6cc97a2a32ea91fd91de5c90368d1b75339dbc38eed4178345b2cade3697"),
+     "88634789c9cc12de17041d59f85bcffae9d755986659bdde3614c02094914df2"),
     (["locality", "validate", "product-24"], 0,
-     "917f8ddd38f8a73e81b49957f363fce9debb72f20b64d08d9419c9c207318a27"),
+     "896b1c5d4c9ecb5804df2b785b8320e75b3e8e181d271ef684ced5774bc082c7"),
     (["theorem1", "product-24"], 2,
-     "dbeb9029ccebc48bec965fdb12c844b9f668fbd95539e5890628755d03550010"),
+     "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "product-24"], 2,
-     "7c6201438fbbf7f6da3b12f5ebf529701932ab9819393830738cff9e41471e90"),
+     "b7abb58c5128c4b78ad3920042dcb8e033d96c3e88961b917cf0dcd6fb214a68"),
     (["restriction", "product-24"], 2,
-     "f8b183e18ddd92b4b0a3109075e66ac08e3bf3c0254cfada5b40cfec3f2f60d6"),
+     "e7499cfb466031dbbc9e2b26c262941538a3c499d01fa6fcab8dd1fff38541bc"),
     (["fusion", "build", "product-24"], 0,
-     "8f38807b4d07ea06c158c6a79c4b68df64da4ae1c644bd689350d314804cd3b5"),
+     "8235a62a63aede2d9941bda59bcab0eb8a35f687a7fc33e6d37a59a44118ee9c"),
     (["fusion", "saturate-check", "product-24"], 0,
-     "0ac349dd2cf642053a60620b6dd37b3180642d909fe344fc266e359736795f90"),
+     "a45ba23a705c003869dc5a603686826a03da0c006978f885bb5a0f043c102a8b"),
     (["product-ed", "product-24"], 0,
-     "4c26e01a559874c3dc1ccb1c978bb5c763a9a9607cb164da802dccf29733bf39"),
+     "1a57d63df158343b4adca5eb86dcd612ec251557e249420e4c131b202a1b3a31"),
     (["verify-ed", "product-24"], 0,
-     "880416818d8c29b28d5ad14301a3f4551101565f2dbb069ea51c36f288b2fdae"),
+     "8b5118f614e2157873ba75a9c05f6d707f82603629b038a5067016dcbc94c017"),
     (["suite", "product-24"], 0,
-     "f64f018af8f04257df621bc4cc8f265f85e4a37478977c664d2299f1b6e24936"),
+     "9133b02607be1f5a6ade7cf04c8e8a060f51bbcde3915f6ef4bc4bb2eada065b"),
     (["group", "info", "product-48"], 0,
-     "fad563239dd0164eda8e1a73a20b755acfd6dd74aae70731fc23f08174b07c8a"),
+     "3d454b1551aeced530d9e05ed402cd57ecdbc527de82d3a726b9f3d7d45782e3"),
     (["locality", "build", "product-48"], 0,
-     "eeda3663ee5654f4d781e576593a6c84a8eb6adc768361e4d5df5e2ff7888056"),
+     "210cd2a06f9800044e2176e4920b11dcee5e181217fb71f851fde9fcf7fa3e25"),
     (["locality", "validate", "product-48"], 0,
-     "e2a23f0acf8f74a450461e94866af4b9e07592f987e762483d051a9766edca2f"),
+     "fd74c4ec6de0efa47bed5ec39f7a3d3e347e2a1a73436e25a0b7b8b95d121394"),
     (["theorem1", "product-48"], 2,
-     "dbeb9029ccebc48bec965fdb12c844b9f668fbd95539e5890628755d03550010"),
+     "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "product-48"], 2,
-     "7c6201438fbbf7f6da3b12f5ebf529701932ab9819393830738cff9e41471e90"),
+     "b7abb58c5128c4b78ad3920042dcb8e033d96c3e88961b917cf0dcd6fb214a68"),
     (["restriction", "product-48"], 2,
-     "f8b183e18ddd92b4b0a3109075e66ac08e3bf3c0254cfada5b40cfec3f2f60d6"),
+     "e7499cfb466031dbbc9e2b26c262941538a3c499d01fa6fcab8dd1fff38541bc"),
     (["fusion", "build", "product-48"], 0,
-     "599e2249388995b8d60c614d3c502953f17e33a0ca9611733183153f0ff69a15"),
+     "e81a968e50c9b7e96fdaa8d33e996044333df34ee8879828e4d9723ade0027ee"),
     (["fusion", "saturate-check", "product-48"], 0,
-     "83b1fa4008417b98a5baa6a96b7a1c16ab785a9b847e5926dea825c30042c01b"),
+     "021b15081149f3b72b9909695d49e522fb06bfb9786284ea6323513090565887"),
     (["product-ed", "product-48"], 0,
-     "e0db6108e59ed10eabecf1e05dd67f2196252fb79f038ab2123982d76d49bffd"),
+     "26c1a01ab891542492f40784e6845be64e070f72ae9405fd4997d8b616cd906a"),
     (["verify-ed", "product-48"], 0,
-     "71bfdb44abf3f886e57203b669a995d8d4fbf12f9c2f813a26efb21fe25f9f58"),
+     "5b854b2c56ad1a300a54c46b7191e419c397092fec7d0f15b717a810c3f8da72"),
     (["suite", "product-48"], 0,
-     "ff5f41944eb64227444b00a5f12e57deb127bf7628391b5440d5e2011feddb94"),
+     "759a4898a736d047ec5733b7f2c0e5385aac716f0a1cf20353b1ba9bec52e311"),
     (["group", "info", "group-8"], 0,
-     "87d0e12b23b0be774e5f432223d257d47c2ce0acb57b6e3d0d48f53dc4be924d"),
+     "95a863e30b4938fc3eaa0efb1edd11c76d1feb22acd6011dd9512de1aede52b0"),
     (["locality", "build", "group-8"], 0,
-     "016362b854f95904bf26886c6afa6545cd118421d598335a664448ab96d82205"),
+     "e429cd48bf68cec4c9d0dac1971d67ed0184da879710f9eb976e59250c03cbb3"),
     (["locality", "validate", "group-8"], 0,
-     "7a632762bd8dbdff55ec91783e6faa9a0bc6f22a7db7a1cb350b7c00cf9d02fe"),
+     "f142a7ba2c6fb25683e009d7b979be8e62652d232e385667f9b6b4644a82d68b"),
     (["theorem1", "group-8"], 2,
-     "dbeb9029ccebc48bec965fdb12c844b9f668fbd95539e5890628755d03550010"),
+     "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "group-8"], 2,
-     "7c6201438fbbf7f6da3b12f5ebf529701932ab9819393830738cff9e41471e90"),
+     "b7abb58c5128c4b78ad3920042dcb8e033d96c3e88961b917cf0dcd6fb214a68"),
     (["restriction", "group-8"], 2,
-     "f8b183e18ddd92b4b0a3109075e66ac08e3bf3c0254cfada5b40cfec3f2f60d6"),
+     "e7499cfb466031dbbc9e2b26c262941538a3c499d01fa6fcab8dd1fff38541bc"),
     (["fusion", "build", "group-8"], 0,
-     "0107f7ae162c4980b1c61bca45c1a5c757619ee91fe0a4e5474c169f35686f00"),
+     "d739c0aa4f6476e040818401dc55253bfac9d1845b2bf1f72a59895ade981782"),
     (["fusion", "saturate-check", "group-8"], 0,
-     "1cf8346179ca862e4ba466806fd6b335622b4cc57b842008635d91af385d047c"),
+     "02eea968c87e4c268b243abc7e0859ff577be5a055706dd21bd3b578600e11e9"),
     (["product-ed", "group-8"], 2,
-     "fda0cc29d760ec0c4d5cb9c1881bb1b30aa5963bbfec50b4ba17293cf9978c19"),
+     "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["verify-ed", "group-8"], 2,
-     "fda0cc29d760ec0c4d5cb9c1881bb1b30aa5963bbfec50b4ba17293cf9978c19"),
+     "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["suite", "group-8"], 0,
-     "1ca5aa9c7bbbb9a847edf976db2baa6716f14cda0cca3dfb0bed20a123f10c89"),
+     "70147d7901ca8f8e28f8eb6c052c3199d2a9f92b85b352928e9f280dea6d4387"),
     (["group", "info", "group-60"], 0,
-     "0c7b7b5bbb2acb5ace77154d18bbc84d8e861fbff0125908fa21c6f5112a1f9d"),
+     "b7e7b026c89042ac1503bb64c370b12670d1e23dd9955547d5f661074f4d2075"),
     (["locality", "build", "group-60"], 0,
-     "7c7453536fb1e10346fe347dc8a5fc5fe5f05cfd63369ad24ebcf634cbd0fe08"),
+     "98522b74ecbd43239b789278338271c152fa45ab39f5b683da18eaa70cf3ae39"),
     (["locality", "validate", "group-60"], 0,
-     "d0b0890c39d154848b94ad7a41b9dceb2da680868f18338ff7261d21de436bf4"),
+     "0660bcb08ce28b76e8a6ad5acddbdc566d0648526f1dbd915e99bdd771e9a4ac"),
     (["theorem1", "group-60"], 2,
-     "dbeb9029ccebc48bec965fdb12c844b9f668fbd95539e5890628755d03550010"),
+     "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "group-60"], 2,
-     "7c6201438fbbf7f6da3b12f5ebf529701932ab9819393830738cff9e41471e90"),
+     "b7abb58c5128c4b78ad3920042dcb8e033d96c3e88961b917cf0dcd6fb214a68"),
     (["restriction", "group-60"], 2,
-     "f8b183e18ddd92b4b0a3109075e66ac08e3bf3c0254cfada5b40cfec3f2f60d6"),
+     "e7499cfb466031dbbc9e2b26c262941538a3c499d01fa6fcab8dd1fff38541bc"),
     (["fusion", "build", "group-60"], 0,
-     "2d5aff18c4713fd490e5b6efa3d16fbe78495a87f48551d524165a8657f02222"),
+     "0152d5fc7079654d0630b8daf87518f0fec1e6c1d57244e1a84fdaa0a4335d8c"),
     (["fusion", "saturate-check", "group-60"], 0,
-     "2656bc267f5c945e7eb0feb8139de081bf893b4ce73a50813f741bc85f8a5742"),
+     "2a038b9c8dfdd482b9802acdea9463399d14c64942fcc77a8e6bb0f5834a07c0"),
     (["product-ed", "group-60"], 2,
-     "fda0cc29d760ec0c4d5cb9c1881bb1b30aa5963bbfec50b4ba17293cf9978c19"),
+     "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["verify-ed", "group-60"], 2,
-     "fda0cc29d760ec0c4d5cb9c1881bb1b30aa5963bbfec50b4ba17293cf9978c19"),
+     "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["suite", "group-60"], 0,
-     "00f46b388da4f7e495f0d3902a49c55bdf885c0da9d9b2557c9c8195506570ef"),
+     "599722ffa9258f32c4899c512caf03caa44b4f42fef26b643dad7edeab5f3cc7"),
     (["verify-ed", "product-24", "--product", "subn"], 0,
-     "102deb4c827b49561c48f6ce3bc83629d8524506ad5e594be5b26599782114e8"),
+     "375d7555289740853907c3fd187cf91e33b5019b66456d5ef8ca793af6206df8"),
 ]
 
 

@@ -13,8 +13,8 @@ from locfusion.locality import (Locality, LocalityError, _s_group_fault,
                                 normalizer_carrier, restriction,
                                 strongly_closed_in_carrier, validate_locality)
 from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
-                                 conjugate, from_cycles, generated_subgroup,
-                                 inverse, sylow_subgroup)
+                                 conjugate, domain_mask, from_cycles,
+                                 generated_subgroup, inverse, sylow_subgroup)
 
 
 def s_of_word(L, w):
@@ -89,7 +89,7 @@ def test_partial_domain_on_larger_symmetric_group():
 def test_product_matches_group_oracle(loc_a, s4):
     for f, g in itertools.product(range(loc_a.n), repeat=2):
         if in_domain(loc_a, (f, g)):
-            h = loc_a.product((f, g))
+            h = loc_a.fold((f, g))
             assert loc_a.labels[h] == compose(loc_a.labels[f], loc_a.labels[g])
 
 
@@ -444,7 +444,7 @@ def test_validator_reports_every_corrupted_product_entry(loc_b):
 def _oracle_extends_in_delta(L, m, reps):
     """For each mask d of ``reps`` (d -> a map with domain d): is the
     domain of m followed by ``reps[d]``, composed as tuples, in delta?"""
-    return {d: L._dom(tuple(map(r.__getitem__, m))) in L.delta
+    return {d: domain_mask(tuple(map(r.__getitem__, m))) in L.delta
             for d, r in reps.items()}
 
 
@@ -504,7 +504,7 @@ def _oracle_checks(L, max_len):
     out["fold_defined_on_domain"] = (
         not failures, f"word {failures[0]!r}" if failures else None)
     ok, wit = True, None
-    items = [(p, L._dom(m), m, v) for (p, m), v in states.items()]
+    items = [(p, domain_mask(m), m, v) for (p, m), v in states.items()]
     reps = {d: m for _, d, m, _ in items}
     for p1, _, m1, (l1, w1) in items:
         in_delta = _oracle_extends_in_delta(L, m1, reps)

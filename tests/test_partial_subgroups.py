@@ -122,8 +122,8 @@ def test_decompose_both_orders(desc_b, lb, n_alt):
     nk = set_product(lb, n_alt, K)
     g = sorted(nk)[len(nk) // 2]
     (n, k), (k2, n2) = decompose(lb, n_alt, K, g)
-    assert lb.product((n, k)) == g
-    assert lb.product((k2, n2)) == g
+    for w in ((n, k), (k2, n2)):
+        assert lb.s_mask(w) in lb.delta and lb.fold(w) == g
     assert lb.s_mask((g,)) == lb.s_mask((n, k))
 
 

@@ -19,8 +19,8 @@ from locfusion.permgroup import (FiniteGroup, GroupError, SizeCapExceeded,
                                  center, centralizer, compose, conjugate,
                                  from_cycles, generated_subgroup, identity_perm,
                                  inverse, is_characteristic_p, is_p_group,
-                                 normal_subgroups, p_core, perm_order,
-                                 sylow_subgroup)
+                                 is_prime, normal_subgroups, p_core,
+                                 perm_order, sylow_subgroup)
 
 
 def normalizer(G, H):
@@ -225,17 +225,19 @@ def test_characteristic_p(s4):
     assert not is_characteristic_p(g, 2)
 
 
+def test_is_prime_matches_full_trial_division(s4):
+    for n in range(-2, 400):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
+    assert is_prime(1000000007)
+    assert not is_prime(1000003 * 1000033)
+    with pytest.raises(GroupError, match="4 is not prime"):
+        sylow_subgroup(s4, 4)
+
+
 def test_is_p_group(s4, klein, s4_sylow):
     assert is_p_group(klein, 2)
     assert is_p_group(s4_sylow, 2)
     assert not is_p_group(s4.full_subgroup(), 2)
-
-
-def test_descriptor_roundtrip(s4):
-    d = s4.to_descriptor()
-    assert d["degree"] == 4
-    back = FiniteGroup.from_descriptor(d)
-    assert back.eset == s4.eset
 
 
 def test_generated_subgroup_rejects_outsiders(s4):

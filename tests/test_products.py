@@ -48,19 +48,6 @@ def test_a_fe_trivial_when_p_cap_t_trivial(F, E, s4):
     assert all(graph_of(F.S, m).is_identity() for m in A)
 
 
-def test_product_er_recovers_e(F, E, s4):
-    assert pr.product_ER(F, E, s4.trivial_subgroup()) == E
-
-
-def test_product_er_r_equal_t_same_as_trivial(F, E, klein):
-    assert pr.product_ER(F, E, klein) == \
-        pr.product_ER(F, E, klein.parent.trivial_subgroup())
-
-
-def test_product_er_full(F, s4_sylow):
-    assert pr.product_ER(F, F, s4_sylow, check=False) == F
-
-
 def test_product_ed_instances_match_oracle(setups):
     for name, st in setups.items():
         if name == "subn":

@@ -1,16 +1,26 @@
-"""The benchmark's trace targets still name functions of the program.
+"""Checks on the shape of the code rather than on its verdicts.
 
 ``perfbench/layers.py`` wraps functions by (module, attribute) and only
 lists the ones it cannot find, so a rename would silently drop a span
-from traced runs.  This resolves every target with plain ``getattr``,
-without installing any wrapper.
+from traced runs.  ``test_every_trace_target_resolves`` resolves every
+target with plain ``getattr``, without installing any wrapper.
+
+``test_imports_are_one_way`` keeps the modules of ``src/locfusion`` in
+layers: each imports only the modules before it in ``MODULE_ORDER``, and
+only at module level.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
+PACKAGE = ROOT / "src" / "locfusion"
+
+MODULE_ORDER = ["permgroup", "report", "fusion", "locality",
+                "partial_subgroups", "products", "instances", "cli"]
 
 # Targets kept in the benchmark for older versions of the program.
 RETIRED = ["locality._check_delta_of_locality"]
@@ -34,3 +44,41 @@ def test_every_trace_target_resolves():
         if not callable(obj):
             missing.append(f"{modname}.{attr}")
     assert missing == RETIRED
+
+
+def _package_imports(node: ast.AST) -> list[str]:
+    """The modules of the package that an import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            parts = (node.module or "").split(".")
+            if parts[0] != "locfusion":
+                return []
+            parts = parts[1:]
+        else:
+            parts = (node.module or "").split(".") if node.module else []
+        if parts:
+            return [parts[0]]
+        return [alias.name for alias in node.names]  # from . import x
+    return [alias.name.split(".")[1] for alias in node.names
+            if alias.name.startswith("locfusion.")]
+
+
+def test_imports_are_one_way():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert {f.stem for f in files} == set(MODULE_ORDER) | {"__init__"}
+    problems = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top_level = set(map(id, tree.body))
+        before = MODULE_ORDER[:MODULE_ORDER.index(path.stem)] \
+            if path.stem in MODULE_ORDER else []
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            if id(node) not in top_level:
+                problems.append(f"{where}: import below module level")
+            for mod in _package_imports(node):
+                if mod not in before:
+                    problems.append(f"{where}: {path.stem} imports {mod}")
+    assert problems == []
