@@ -20,7 +20,8 @@ from . import fusion as fu
 from . import instances as inst
 from . import products as pr
 from .fusion import FusionError, MorphismCapExceeded
-from .locality import LocalityError, validate_locality
+from .locality import (DEFAULT_MAX_WORD_LENGTH, LocalityError,
+                       validate_locality)
 from .partial_subgroups import (verify_restriction_product,
                                 verify_theorem_nk_normal,
                                 verify_theorem_nk_subnormal)
@@ -56,7 +57,8 @@ def _common(sub: argparse.ArgumentParser):
 def _word_len(sub: argparse.ArgumentParser):
     sub.add_argument("--max-word-len", type=_positive_int, default=None,
                      help="longest word the locality validator explores "
-                          "(default: the descriptor's max_word_length, or 4)")
+                          "(default: the descriptor's max_word_length, or "
+                          f"{DEFAULT_MAX_WORD_LENGTH})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +110,7 @@ def cmd_locality_build(ctx, args):
 def cmd_locality_validate(ctx, args):
     mwl = args.max_word_len
     if mwl is None:
-        mwl = ctx.d.get("max_word_length", 4)
+        mwl = ctx.d.get("max_word_length", DEFAULT_MAX_WORD_LENGTH)
     rep = validate_locality(ctx.L, max_word_length=mwl)
     out = {"suite": "locality_validate", "instance": ctx.d["name"],
            **rep.to_json()}

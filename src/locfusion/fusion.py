@@ -382,11 +382,11 @@ def fusion_of_partial_subgroup(L, H: Iterable[int],
 
 
 def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
-    """S∩H as a Subgroup of ``L.group_on(S)``, with the id -> element
+    """S∩H as a Subgroup of ``L.s_group()``, with the id -> element
     map; S∩H is a subgroup when its mask is in the S-lattice."""
     if L.mask_of(sh_ids) not in L.lattice:
         raise FusionError("S∩H is not a subgroup")
-    G, to_perm = L.group_on(L.s_ids)
+    G, to_perm = L.s_group()
     to_perm = {i: to_perm[i] for i in sh_ids}
     return G.subgroup(to_perm.values(), check=False), to_perm
 

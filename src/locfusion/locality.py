@@ -62,6 +62,9 @@ Word = tuple[int, ...]
 
 _defined = (0).__le__  # v -> v >= 0, for a position or -1
 
+# the word-length bound of the validator and the partial-subgroup predicates
+DEFAULT_MAX_WORD_LENGTH = 4
+
 
 class LocalityError(ValueError):
     """Invalid locality construction or precondition."""
@@ -78,7 +81,7 @@ class CheckResult:
 class ValidationReport:
     checks: list[CheckResult] = field(default_factory=list)
     bounded_only: bool = True
-    max_word_length: int = 4
+    max_word_length: int = DEFAULT_MAX_WORD_LENGTH
 
     @property
     def ok(self) -> bool:
@@ -178,9 +181,9 @@ class Locality:
 
     The tables (carrier, inversion, product, S and delta) are not
     mutated after construction: the partial maps ``_pm`` built from
-    them, the preimage cache behind ``s_mask`` and the ``_verdicts`` memo
-    of the partial-subgroup predicates and of the locality-route
-    precondition of ``products`` all rely on that.
+    them, the preimage cache behind ``s_mask``, ``s_group`` and the
+    ``_verdicts`` memo of the partial-subgroup predicates and of the
+    locality-route precondition of ``products`` all rely on that.
     """
 
     def __init__(self, labels: Sequence, identity: int, inv: Sequence[int],
@@ -219,6 +222,8 @@ class Locality:
         self._full = (1 << len(self.s_ids)) - 1
         self._pre: dict[tuple[int, int], int] = {}  # (f, mask) -> preimage
         self._lattice: Optional[list[int]] = None
+        self._s_group: Optional[tuple[FiniteGroup, dict]] = None
+        self._id_of_perm: dict = {}  # element of s_group -> id of S
         self._fusion = None  # cached F_S(L)
         self._verdicts: dict = {}  # memo of set-level verdicts on L
 
@@ -248,11 +253,10 @@ class Locality:
         """Masks of every subgroup of S, ordered by (order, members);
         computed on first use and kept."""
         if self._lattice is None:
-            G, to = self.group_on(self.s_ids)
+            G, to = self.s_group()
             six = G.sindex(Subgroup(G, to.values(), check=False))
-            bit = {six.pos[to[s]]: b for s, b in zip(self.s_ids, self._bits)}
             self._lattice = sorted(
-                (sum(bit[j] for j in bit_positions(m)) for m in six.lattice()),
+                map(self.mask_of_perms, map(six.members, six.lattice())),
                 key=lambda m: (m.bit_count(), bit_positions(m)))
         return self._lattice
 
@@ -304,6 +308,21 @@ class Locality:
         for f in w:
             x = rows[x][f]
         return x if x >= 0 else None
+
+    def s_group(self) -> tuple[FiniteGroup, dict]:
+        """S as a permutation group (``group_on``) and the id ->
+        permutation map; built on first use and kept, with the inverse
+        map that ``mask_of_perms`` reads."""
+        if self._s_group is None:
+            self._s_group = G, to_perm = self.group_on(self.s_ids)
+            self._id_of_perm = {x: i for i, x in to_perm.items()}
+        return self._s_group
+
+    def mask_of_perms(self, xs: Iterable) -> int:
+        """Mask of a subset of S given by its elements in ``s_group``,
+        as the subgroups of F_S(L) are."""
+        self.s_group()
+        return self.mask_of(map(self._id_of_perm.__getitem__, xs))
 
     # -- local subgroups as genuine groups ----------------------------------
 
@@ -518,7 +537,8 @@ def _word_states(L: Locality, max_len: int,
     return {(pi, maps[mid]): v for (pi, mid), v in seen.items()}, failures
 
 
-def validate_locality(L: Locality, max_word_length: int = 4) -> ValidationReport:
+def validate_locality(L: Locality, max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+                      ) -> ValidationReport:
     """Check the locality axioms on the words up to the length bound.
 
     Words are explored through (product, map) states, one
@@ -821,10 +841,9 @@ def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
     F = fusion_of_locality(L, cap)
     report["saturated"] = is_saturated(F)
 
-    dsets = {L.label_set(L.ids_of(d)) for d in L.delta}
     ok_cr = True
     for P in centric_radicals(F):
-        if P.eset not in dsets:
+        if L.mask_of_perms(P.eset) not in L.delta:
             ok_cr = False
             report["witness"] = f"centric radical of order {P.order} not in delta"
             break

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .locality import (Locality, LocalityError, _word_states,
-                       normalizer_carrier, restriction,
+from .locality import (DEFAULT_MAX_WORD_LENGTH, Locality, LocalityError,
+                       _word_states, normalizer_carrier, restriction,
                        strongly_closed_in_carrier)
 from .report import PreconditionError, Report
 
@@ -50,7 +50,8 @@ class PartialSubgroup:
 
 
 def partial_subgroup_witness(L: Locality, X: Iterable[int],
-                             max_word_length: int = 4) -> Optional[dict]:
+                             max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+                             ) -> Optional[dict]:
     """The first way X fails to be a partial subgroup, or None.
 
     In order: the identity missing, the first element in id order whose
@@ -77,7 +78,7 @@ def partial_subgroup_witness(L: Locality, X: Iterable[int],
 
 
 def is_partial_subgroup(L: Locality, X: Iterable[int],
-                        max_word_length: int = 4) -> bool:
+                        max_word_length: int = DEFAULT_MAX_WORD_LENGTH) -> bool:
     """Inversion-closed, contains 1, and folds of domain words stay in X.
 
     Words over X are explored through (product, map) states up to the
@@ -289,6 +290,19 @@ def _check_nk_preconditions(L: Locality, N: Iterable[int], K: Iterable[int],
     return T, nlt
 
 
+def check_theorem2_hypotheses(L: Locality, N: frozenset, K: frozenset
+                              ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Theorem 2's setting on (L, N, K), or PreconditionError naming the
+    first hypothesis that fails: N partial normal in L with T = S ∩ N
+    strongly closed, and K a partial subgroup subnormal in N_L(T).
+    Returns T and the subnormal chain of K up to N_L(T)."""
+    T, nlt = _check_nk_preconditions(L, N, K, require_normal_k=False)
+    ok, chain = is_subnormal(L, K, ambient=nlt)
+    if not ok:
+        raise PreconditionError("K is not subnormal in N_L(T)")
+    return T, chain
+
+
 def _nk_clauses(rep: Report, L: Locality, Nset: frozenset, Kset: frozenset,
                 T: Sequence[int]) -> tuple[int, ...]:
     """Set the clauses both theorems share: NK = KN, NK is a partial
@@ -339,10 +353,7 @@ def verify_theorem_nk_subnormal(L: Locality, N: Iterable[int],
     rep = Report(suite="nk_subnormal", instance=instance)
     rep.flags.append("regularity_not_certified")
     Nset, Kset = frozenset(N), frozenset(K)
-    T, nlt = _check_nk_preconditions(L, Nset, Kset, require_normal_k=False)
-    ok_sub, chain_k = is_subnormal(L, Kset, ambient=nlt)
-    if not ok_sub:
-        raise PreconditionError("K is not subnormal in N_L(T)")
+    T, chain_k = check_theorem2_hypotheses(L, Nset, Kset)
     rep.extra["k_chain_lengths"] = [len(c) for c in chain_k]
 
     NK = _nk_clauses(rep, L, Nset, Kset, T)

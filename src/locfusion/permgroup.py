@@ -32,7 +32,6 @@ subgroup once.
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -314,8 +313,6 @@ class SIndex:
             m |= 1 << pos[x]
         return m
 
-    positions = staticmethod(bit_positions)
-
     def members(self, mask: int) -> tuple[Perm, ...]:
         els = self.elements
         return tuple(els[i] for i in range(len(els)) if mask >> i & 1)
@@ -368,7 +365,7 @@ class SIndex:
     def normalizer(self, mask: int) -> int:
         """Mask of N_S(P) for the subgroup P with the given mask; memoized."""
         if mask not in self._normalizers:
-            ps = self.positions(mask)
+            ps = bit_positions(mask)
             self._normalizers[mask] = sum(
                 1 << s for s in range(len(self.elements))
                 if all(mask >> self.inner(s)[i] & 1 for i in ps))
@@ -378,10 +375,10 @@ class SIndex:
         """Aut_S(P) for the subgroup P with the given mask: the images of
         P's positions under each element of N_S(P); memoized."""
         if mask not in self._aut_s:
-            ps = self.positions(mask)
+            ps = bit_positions(mask)
             self._aut_s[mask] = frozenset(
                 tuple([self.inner(s)[i] for i in ps])
-                for s in self.positions(self.normalizer(mask)))
+                for s in bit_positions(self.normalizer(mask)))
         return self._aut_s[mask]
 
     def right(self, g: int) -> tuple[int, ...]:
@@ -406,7 +403,7 @@ class SIndex:
         """
         cols = [self.right(g) for g in gens]
         seen = h
-        todo = [self.positions(h)]
+        todo = [bit_positions(h)]
         while todo:
             coset = todo.pop()
             for col in cols:
@@ -447,7 +444,7 @@ class SIndex:
                         subs[j] = gens + (x,)
                         todo.append(j)
         self._lattice = sorted(
-            subs, key=lambda m: (m.bit_count(), self.positions(m)))
+            subs, key=lambda m: (m.bit_count(), bit_positions(m)))
         return self._lattice
 
     def join(self, a: int, b: int) -> int:
@@ -529,9 +526,34 @@ def _p_part(n: int, p: int) -> int:
     return m
 
 
+# Miller-Rabin on these bases decides primality exactly below the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Trial division up to the square root of p."""
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin on the first 13 prime bases, exact below
+    ``_MR_BOUND`` (about 3.3e24).  A larger p raises GroupError: no group
+    that can be enumerated has an order it divides."""
+    if p >= _MR_BOUND:
+        raise GroupError(f"p = {p} is too large: primality is decided "
+                         f"only below {_MR_BOUND}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^r, d odd
+    d = (p - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_p_group(H: Subgroup, p: int) -> bool:

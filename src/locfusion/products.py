@@ -19,9 +19,9 @@ from .fusion import (DEFAULT_MORPHISM_CAP, FusionSystem, Morphism, aut_group,
                      is_subnormal_subsystem, is_subsystem, maps_inside,
                      normalizer_system, restriction, subcentric_subgroups,
                      subgroup_lattice, trivial_modulo)
-from .locality import Locality, is_linking_locality, normalizer_carrier
-from .partial_subgroups import (is_partial_normal, is_partial_subgroup,
-                                is_subnormal, set_product)
+from .locality import Locality, is_linking_locality
+from .partial_subgroups import (check_theorem2_hypotheses, is_partial_subgroup,
+                                set_product)
 from .permgroup import Subgroup, compose, generated_subgroup, perm_order
 from .report import PreconditionError, Report
 
@@ -62,15 +62,12 @@ def _er_generators(F: FusionSystem, E: FusionSystem,
     return maps_inside(F, TR, gens)
 
 
-def d_status(F: FusionSystem, T: Subgroup, D: FusionSystem) -> str:
-    """Status of D in the normalizer system of T: normal, subnormal, fail."""
-    NFT = normalizer_system(F, T)
-    if not is_subsystem(NFT, D):
-        return "fail"
-    if is_normal_subsystem(NFT, D):
+def _status(N: FusionSystem, D: FusionSystem) -> str:
+    """Status of D in the system N: normal, subnormal or fail (also when
+    D is not a subsystem of N)."""
+    if is_normal_subsystem(N, D):
         return "normal"
-    verdict, _ = is_subnormal_subsystem(NFT, D)
-    return "subnormal" if verdict is True else "fail"
+    return "subnormal" if is_subnormal_subsystem(N, D)[0] is True else "fail"
 
 
 def product_ED(F: FusionSystem, E: FusionSystem,
@@ -81,7 +78,7 @@ def product_ED(F: FusionSystem, E: FusionSystem,
         raise PreconditionError("E is not normal in F")
     T = F.subgroup(E.S.eset)
     NFT = normalizer_system(F, T)
-    status = d_status(F, T, D)
+    status = _status(NFT, D)
     if status == "fail":
         raise PreconditionError("D is not subnormal in the normalizer system")
     if status != "normal":
@@ -95,18 +92,11 @@ def product_ED(F: FusionSystem, E: FusionSystem,
 def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int],
                             cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """The product through a linking locality: the fusion system of the
-    partial subgroup NK over T·(S∩K).  ``cap`` bounds its closures."""
+    partial subgroup NK over T·(S∩K), in the setting of Theorem 2
+    (``check_theorem2_hypotheses``).  ``cap`` bounds its closures."""
     N = frozenset(N)
     K = frozenset(K)
-    if not is_partial_normal(L, N):
-        raise PreconditionError("N is not partial normal in L")
-    T = frozenset(L.s_ids) & N
-    nlt = frozenset(normalizer_carrier(L, T))
-    if not K <= nlt:
-        raise PreconditionError("K does not normalize T")
-    sub_ok, _chain = is_subnormal(L, K, ambient=nlt)
-    if not sub_ok:
-        raise PreconditionError("K is not subnormal in the normalizer of T")
+    check_theorem2_hypotheses(L, N, K)
     fault = _locality_route_fault(L, cap)
     if fault:
         raise PreconditionError(fault)
@@ -125,7 +115,7 @@ def _locality_route_fault(L: Locality, cap: int) -> Optional[str]:
         fault = None
         if not is_linking_locality(L, cap)[0]:
             fault = "locality is not a linking locality"
-        elif any(L.mask_of(L.id_of[x] for x in P.eset) not in L.delta
+        elif any(L.mask_of_perms(P.eset) not in L.delta
                  for P in subcentric_subgroups(fusion_of_locality(L, cap))):
             fault = "object set does not contain every subcentric subgroup"
         L._verdicts[key] = fault
@@ -182,49 +172,35 @@ def verify_ed(F: FusionSystem, E: FusionSystem, D: FusionSystem,
     rep.set("over_TR", ED.S.eset == tr)
     rep.set("E_normal_in_ED", is_normal_subsystem(ED, E))
 
-    status = d_status(F, T, D)
-    if status == "fail":
-        rep.set("D_status", "fail")
-    else:
-        ted = ED.subgroup(T.eset)
-        if status == "normal":
-            same = is_normal_subsystem(normalizer_system(ED, ted), D)
-        else:
-            verdict, _ = is_subnormal_subsystem(normalizer_system(ED, ted), D)
-            same = verdict is True
-        rep.set("D_status", status if same else "fail")
+    # D keeps its status in N_ED(T) when it is at least as close to
+    # normal there: a D subnormal in N_F(T) may be normal in N_ED(T)
+    NFT = normalizer_system(F, T)
+    NEDT = normalizer_system(ED, ED.subgroup(T.eset))
+    status = _status(NFT, D)
+    kept = status != "fail" and _status(NEDT, D) in (status, "normal")
+    rep.set("D_status", status if kept else "fail")
 
     rep.set("ED_normal_in_F",
             is_normal_subsystem(F, ED) if status == "normal" else None)
 
-    rep.set("N_ED_T_identity", _normalizer_identity(F, E, D, ED, T))
+    rep.set("N_ED_T_identity", _normalizer_identity(NFT, NEDT, E, D, T))
 
     if comparisons is None:
         rep.set("minimality", "not_enumerable")
     else:
-        ok = True
-        for other in comparisons:
-            if not (E.S.eset <= other.S.eset and T.eset <= other.S.eset):
-                continue
-            if is_subnormal_subsystem(other, E)[0] is not True:
-                continue
-            tout = other.subgroup(T.eset)
-            ndt = normalizer_system(other, tout)
-            if not is_subsystem(ndt, D):
-                continue
-            if is_subnormal_subsystem(ndt, D)[0] is not True:
-                continue
-            if not is_subsystem(other, ED):
-                ok = False
-                break
-        rep.set("minimality", ok)
+        # ED lies in every system with E subnormal in it and D subnormal
+        # in its normalizer of T (each chain search first asks whether
+        # the smaller system is a subsystem at all)
+        rep.set("minimality", all(
+            is_subsystem(other, ED) for other in comparisons
+            if is_subnormal_subsystem(other, E)[0] is True
+            and is_subnormal_subsystem(normalizer_system(
+                other, other.subgroup(T.eset)), D)[0] is True))
     return rep
 
 
-def _normalizer_identity(F, E, D, ED, T):
-    """N_{ED}(T) against the product of N_E(T) and D inside N_F(T)."""
-    lhs = normalizer_system(ED, ED.subgroup(T.eset))
-    NFT = normalizer_system(F, T)
+def _normalizer_identity(NFT, NEDT, E, D, T):
+    """N_ED(T) against the product of N_E(T) and D inside N_F(T)."""
     NET = normalizer_system(E, E.subgroup(T.eset))
     try:
         rhs = product_ED(NFT, NET, D)
@@ -232,7 +208,7 @@ def _normalizer_identity(F, E, D, ED, T):
         return None  # formula not applicable for subnormal D
     except PreconditionError:
         return "unknown"
-    return lhs == rhs
+    return NEDT == rhs
 
 
 def ed_ok(rep: Report) -> bool:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 
 @dataclass
@@ -19,10 +18,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(v is True for v in self.clauses.values())
-
-    @property
-    def unknown(self) -> bool:
-        return any(v == "unknown" for v in self.clauses.values())
 
     def set(self, name: str, value, witness=None):
         self.clauses[name] = value
@@ -39,9 +34,6 @@ class Report:
         if self.extra:
             out["extra"] = dict(sorted(self.extra.items()))
         return out
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
 class PreconditionError(ValueError):

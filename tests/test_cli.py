@@ -127,7 +127,8 @@ S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
 
 
 @pytest.mark.parametrize("p,sylow", [(4, "explicit"), (1, "auto"),
-                                     (1000003 * 1000033, "auto")])
+                                     (1000003 * 1000033, "auto"),
+                                     (100000007 * 100000037, "auto")])
 @pytest.mark.parametrize("command", [["group", "info"],
                                      ["fusion", "saturate-check"]])
 def test_non_prime_p_exits_2(p, sylow, command, tmp_path, capsys):
@@ -140,6 +141,15 @@ def test_non_prime_p_exits_2(p, sylow, command, tmp_path, capsys):
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == f"'p' must be a prime, not {p}"
+    assert "Traceback" not in err
+
+
+def test_p_beyond_exact_primality_exits_2(tmp_path, capsys):
+    d = json.loads(S6_DESCRIPTOR.read_text())
+    d["name"], d["p"] = "s6-p", 10 ** 25
+    assert run(["group", "info", _write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert "is too large" in json.loads(out)["error"]
     assert "Traceback" not in err
 
 

@@ -36,9 +36,10 @@ from locfusion.fusion import (FusionSystem, _normality_fault, _op_core_over,
                               subgroup_lattice)
 from locfusion.locality import LocalityError, _check_delta_closures
 from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _closure,
-                                 all_subgroups, cayley_group, center,
-                                 compose, from_cycles, generated_subgroup,
-                                 inverse, p_core, sylow_subgroup)
+                                 all_subgroups, bit_positions, cayley_group,
+                                 center, compose, from_cycles,
+                                 generated_subgroup, inverse, p_core,
+                                 sylow_subgroup)
 from locfusion.products import _tr_subgroup, a_fe
 
 from graph_oracle import (conj_graph, graph_of, graphs, ref_all_subgroups,
@@ -649,4 +650,4 @@ def test_sindex_join_is_generated_subgroup(s4):
     r = idx.mask(generated_subgroup(s4, [from_cycles(4, (1, 3))]))
     x = idx.mask([from_cycles(4, (1, 2), (3, 4))])
     assert idx.join(r, x) == (1 << 8) - 1
-    assert idx._span(r, idx.positions(x)).bit_count() == 4
+    assert idx._span(r, bit_positions(x)).bit_count() == 4

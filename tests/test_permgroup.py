@@ -8,6 +8,7 @@ each step.  They are kept here only as oracles.
 
 import functools
 import itertools
+import time
 
 import pytest
 
@@ -232,6 +233,30 @@ def test_is_prime_matches_full_trial_division(s4):
     assert not is_prime(1000003 * 1000033)
     with pytest.raises(GroupError, match="4 is not prime"):
         sylow_subgroup(s4, 4)
+
+
+def test_is_prime_matches_a_sieve_below_10_5():
+    n = 100_000
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, n, d))
+    assert [is_prime(k) for k in range(n)] == sieve
+
+
+@pytest.mark.parametrize("n", [561, 1105, 41041, 2047, 3215031751,
+                               1000003 * 1000033, 10000019 * 10000079,
+                               100000007 * 100000037])
+def test_is_prime_rejects_pseudoprimes_and_composites_without_small_factors(n):
+    start = time.perf_counter()
+    assert not is_prime(n)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_is_prime_refuses_p_beyond_its_exact_range():
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    with pytest.raises(GroupError, match="too large"):
+        is_prime(permgroup._MR_BOUND)
 
 
 def test_is_p_group(s4, klein, s4_sylow):

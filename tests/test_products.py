@@ -3,9 +3,14 @@
 import pytest
 
 from locfusion import products as pr
-from locfusion.fusion import (close, fusion_of_group, inner_fusion,
-                              inner_maps, maps_inside, subgroup_lattice)
-from locfusion.instances import load_descriptor, product_setup
+from locfusion.fusion import (DEFAULT_MORPHISM_CAP, close, fusion_of_group,
+                              inner_fusion, inner_maps, maps_inside,
+                              subgroup_lattice)
+from locfusion.instances import (build_locality, load_descriptor,
+                                 named_subgroup, product_setup, resolve_ids)
+from locfusion.locality import (is_linking_locality, locality_from_descriptor,
+                                locality_to_descriptor)
+from locfusion.partial_subgroups import verify_theorem_nk_subnormal
 from locfusion.permgroup import from_cycles, generated_subgroup
 from locfusion.report import PreconditionError
 
@@ -178,3 +183,58 @@ def test_incremental_close_matches_scratch_along_enumeration(setups):
                     seen.add(nxt.maps)
                     frontier.append(nxt)
     assert steps > 50
+
+
+def _abstract(L):
+    return locality_from_descriptor(locality_to_descriptor(L))
+
+
+@pytest.mark.parametrize("dname", ["instance-a", "instance-b", "product-24",
+                                   "product-48"])
+def test_abstract_copy_gives_the_realized_verdicts(dname):
+    """An abstract copy of L carries the same ids but realizes S by its
+    own Cayley group, so F_S(L)'s subgroups are not label sets of L."""
+    d = load_descriptor(dname)
+    L = build_locality(d)
+    A = _abstract(L)
+    assert A.realization is None
+    assert is_linking_locality(A) == is_linking_locality(L)
+    cap = DEFAULT_MORPHISM_CAP
+    assert pr._locality_route_fault(A, cap) == pr._locality_route_fault(L, cap)
+    for pname in sorted(d.get("fusion_products", {})):
+        st = product_setup(d, pname)
+        want = pr.product_ed_via_locality(st["L"], st["N_ids"], st["K_ids"])
+        got = pr.product_ed_via_locality(_abstract(st["L"]), st["N_ids"],
+                                         st["K_ids"])
+        assert (got.S.order, len(got.maps)) == \
+            (want.S.order, len(want.maps)), pname
+
+
+def _ids(d, L, *generators):
+    return resolve_ids(L, named_subgroup(d, L.realization,
+                                         {"generators": list(generators)}))
+
+
+def test_route_and_theorem2_share_their_hypotheses():
+    """Each hypothesis of Theorem 2 that fails on its own on product-24's
+    L (S4 at p = 2, Δ all) stops the locality route with the message
+    Theorem 2 gives."""
+    d = load_descriptor("product-24")
+    L = build_locality(d)
+    alt = resolve_ids(L, named_subgroup(d, L.realization, "alt"))
+    klein = _ids(d, L, [2, 1, 4, 3], [3, 4, 1, 2])
+    every = frozenset(range(L.n))
+    cases = [
+        (alt - {L.identity}, klein, "N is not a partial subgroup"),
+        (_ids(d, L, [2, 1, 4, 3]), klein, "N is not partial normal in L"),
+        # N = L: T = S, and N_L(S) = S
+        (every, every, "K does not lie in N_L(T)"),
+        (alt, klein - {L.identity}, "K is not a partial subgroup"),
+        (alt, _ids(d, L, [2, 1, 3, 4]), "K is not subnormal in N_L(T)"),
+    ]
+    for N, K, message in cases:
+        with pytest.raises(PreconditionError) as route:
+            pr.product_ed_via_locality(L, N, K)
+        with pytest.raises(PreconditionError) as theorem:
+            verify_theorem_nk_subnormal(L, N, K)
+        assert str(route.value) == str(theorem.value) == message
