@@ -110,7 +110,7 @@ def cmd_locality_build(ctx, args):
 def cmd_locality_validate(ctx, args):
     mwl = args.max_word_len
     if mwl is None:
-        mwl = ctx.d.get("max_word_length", DEFAULT_MAX_WORD_LENGTH)
+        mwl = ctx.max_word_length
     rep = validate_locality(ctx.L, max_word_length=mwl)
     out = {"suite": "locality_validate", "instance": ctx.d["name"],
            **rep.to_json()}
@@ -129,7 +129,8 @@ def _theorem_reports(ctx, which: str):
     reports = []
     for kname in cfg["k"]:
         K = inst.k_choice(d, L, kname)
-        rep = verify(L, N, K, instance=f"{d['name']}:{kname}")
+        rep = verify(L, N, K, instance=f"{d['name']}:{kname}",
+                     max_word_length=ctx.max_word_length)
         reports.append(rep.to_json())
     ok = all(r["ok"] for r in reports)
     return {"suite": which, "instance": d["name"],
@@ -155,7 +156,8 @@ def cmd_restriction(ctx, args):
     delta_ids = [frozenset(L.id_of[g] for g in P.eset) for P in sub_delta]
     N = inst.resolve_ids(L, inst.named_subgroup(d, G, cfg["n"]))
     K = inst.k_choice(d, L, cfg["k"])
-    rep = verify_restriction_product(L, delta_ids, N, K, instance=d["name"])
+    rep = verify_restriction_product(L, delta_ids, N, K, instance=d["name"],
+                                     max_word_length=ctx.max_word_length)
     return rep.to_json() | {"suite": "restriction"}, \
         EXIT_OK if rep.ok else EXIT_FAIL
 

@@ -21,7 +21,8 @@ from typing import Iterable, Optional
 
 from . import fusion as fu
 from . import products as pr
-from .locality import (Locality, delta_min_order, locality_from_group)
+from .locality import (DEFAULT_MAX_WORD_LENGTH, Locality, delta_min_order,
+                       locality_from_group)
 from .permgroup import (DEFAULT_GROUP_CAP, FiniteGroup, SizeCapExceeded,
                         Subgroup, all_subgroups, generated_subgroup,
                         is_prime, sylow_subgroup, _p_part)
@@ -267,6 +268,12 @@ class Instance:
         self._setups: dict[str, dict] = {}
         self._eds: dict[str, tuple] = {}
 
+    @property
+    def max_word_length(self) -> int:
+        """The descriptor's word-length bound, for the validator and the
+        partial-subgroup predicates."""
+        return self.d.get("max_word_length", DEFAULT_MAX_WORD_LENGTH)
+
     @cached_property
     def G(self) -> FiniteGroup:
         return group_of(self.d, self.group_cap)
@@ -302,7 +309,8 @@ class Instance:
         subnormal but not normal the locality route alone gives ED."""
         if name not in self._eds:
             st = self.product(name)
-            args = (st["L"], st["N_ids"], st["K_ids"], self.morphism_cap)
+            args = (st["L"], st["N_ids"], st["K_ids"], self.morphism_cap,
+                    self.max_word_length)
             agreement = None
             try:
                 ed = pr.product_ED(st["F"], st["E"], st["D"])

@@ -25,23 +25,28 @@ positions: delta is a set of masks, S_w is a mask, and the S-lattice is
 a list of masks computed once per locality.  Each carrier element f
 induces the partial injective map s -> s^f on positions wherever the
 conjugate stays in S; S_w is the domain of the composite map along w.
-Domain questions are answered without building that composite: the
-preimage of a mask under one letter's map is cached per (letter, mask),
-and S_w is the preimage of S walked through w from the right.
+Elements with the same map form a class (``Locality._cls``: 20 classes
+for the 208 elements of L_delta(S6) at p = 2, 44 for the 560 of S7), and
+S_w depends on the letters of w only through their classes, so every
+domain question is decided once per class.  The classes are read off
+the tables, valid or not, so this holds for any tables.  Domain
+questions are answered without building the composite: the preimage of
+a mask under one class's map is cached per (class, mask), and S_w is
+the preimage of S walked through w from the right.
 Words with the same (left-fold value, composite map) pair behave
 identically under the checks performed here, and one explorer
 (``_word_states``) walks those states up to a word-length bound, keeping
 one representative word per state.  One check (``_check_delta_closures``)
 decides whether a family of masks is an object set.
 
-The explorer groups the letters by their domain S_f.  A state extends
-by a whole group at once when the preimage of S_f, walked back along
-the state's representative word, is in delta; this is the same set
-identity as S_w, so it holds for any tables.  The split check of the
-validator admits right states by the same walk, grouped by (length,
-domain), and folds each group's representative words column by column.
-It follows one representative word per right state, so it can miss a
-corrupted entry that only other words of that state reach.
+The letters a state extends by depend only on its composite map, so the
+explorer decides them once per composite map, by the domain of that map
+followed by each letter class.  The split check of the validator admits
+groups of right states, grouped by (length, domain), once per composite
+map of the left state, and folds each group's representative words
+column by column.  It follows one representative word per right state,
+so it can miss a corrupted entry that only other words of that state
+reach.
 """
 
 from __future__ import annotations
@@ -137,6 +142,12 @@ class _ProductView(Mapping):
         return self._len
 
 
+def _preimage_under(m: Sequence[int], mask: int) -> int:
+    """Mask of the positions i with ``m[i]`` defined (not -1) and in
+    ``mask``: the preimage of ``mask`` under a map on positions."""
+    return sum(1 << i for i, v in enumerate(m) if v >= 0 and mask >> v & 1)
+
+
 def _check_ids(n: int, what: str, xs: Sequence[int]) -> None:
     """LocalityError naming the first entry of ``xs`` outside range(n)."""
     ids = range(n)
@@ -181,9 +192,10 @@ class Locality:
 
     The tables (carrier, inversion, product, S and delta) are not
     mutated after construction: the partial maps ``_pm`` built from
-    them, the preimage cache behind ``s_mask``, ``s_group`` and the
-    ``_verdicts`` memo of the partial-subgroup predicates and of the
-    locality-route precondition of ``products`` all rely on that.
+    them and their classes ``_cls``, the preimage cache behind
+    ``s_mask``, ``s_group`` and the ``_verdicts`` memo of the
+    partial-subgroup predicates and of the locality-route precondition
+    of ``products`` all rely on that.
     """
 
     def __init__(self, labels: Sequence, identity: int, inv: Sequence[int],
@@ -216,11 +228,17 @@ class Locality:
         self.delta = frozenset(self.mask_of(P) for P in delta)
         self.realization = realization
         self.id_of = {lab: i for i, lab in enumerate(self.labels)}
-        self._bits = tuple(1 << i for i in range(len(self.s_ids)))
-        self._pm = self._build_partial_maps()
-        self._sf = tuple(map(domain_mask, self._pm))
+        # the class of f: the id of its distinct partial map, in the
+        # order of first appearance; elements of a class share the tuple
+        cls: dict[tuple[int, ...], int] = {}
+        self._cls = tuple(cls.setdefault(m, len(cls))
+                          for m in self._build_partial_maps())
+        self._cmaps = tuple(cls)  # class -> its partial map
+        self._pm = tuple(map(self._cmaps.__getitem__, self._cls))
+        self._csf = tuple(map(domain_mask, self._cmaps))  # class -> S_f
+        self._sf = tuple(map(self._csf.__getitem__, self._cls))
         self._full = (1 << len(self.s_ids)) - 1
-        self._pre: dict[tuple[int, int], int] = {}  # (f, mask) -> preimage
+        self._pre: dict[tuple[int, int], int] = {}  # (class, mask) -> preimage
         self._lattice: Optional[list[int]] = None
         self._s_group: Optional[tuple[FiniteGroup, dict]] = None
         self._id_of_perm: dict = {}  # element of s_group -> id of S
@@ -278,28 +296,23 @@ class Locality:
 
     def preimage(self, f: int, mask: int) -> int:
         """Mask of the positions i with s_i^f defined and in ``mask``;
-        cached per (f, mask)."""
-        key = (f, mask)
+        cached per (class of f, mask), since it depends on f only
+        through its map."""
+        key = (self._cls[f], mask)
         pre = self._pre.get(key)
         if pre is None:
-            pre = sum(b for b, v in zip(self._bits, self._pm[f])
-                      if v >= 0 and mask >> v & 1)
-            self._pre[key] = pre
+            pre = self._pre[key] = _preimage_under(self._pm[f], mask)
         return pre
 
-    def preimage_along(self, w: Word, mask: int) -> int:
-        """pre_{w1}(pre_{w2}(... pre_{wk}(mask))): the positions whose
-        image along w is defined and in ``mask``, for any tables, valid
-        or not.  For a word w followed by a letter or word with domain
-        d, the domain of the whole is ``preimage_along(w, d)``."""
+    def s_mask(self, w: Word) -> int:
+        """S_w as a mask; S itself for the empty word.  It is the preimage
+        of S walked through w from the right, pre_{w1}(... pre_{wk}(S)),
+        which is the domain of the composite map along w for any tables,
+        valid or not."""
+        mask = self._full
         for f in reversed(w):
             mask = self.preimage(f, mask)
         return mask
-
-    def s_mask(self, w: Word) -> int:
-        """S_w as a mask; S itself for the empty word.  It is the domain
-        of the composite map along w."""
-        return self.preimage_along(w, self._full)
 
     def fold(self, w: Word) -> Optional[int]:
         """Left fold of the binary product; None when a step is undefined
@@ -389,27 +402,25 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     inv = tuple(idx[inverse(g)] for g in labels)
 
     # (f,g) is composable iff S_(f,g) = {s in S_f : s^f in S_g} is in
-    # delta; S_g takes few values, so this is decided once per (f, S_g),
-    # and the row of f is filled bucket by bucket with the products f·g
-    # of the composable g, composed and looked up in C
+    # delta.  That depends on f only through its conjugation map and on g
+    # only through S_g, so the composable columns are listed once per
+    # distinct map, a bucket of equal S_g at a time, and the row of f is
+    # filled with the products f·g there, composed and looked up in C
     by_dom: dict[int, list[int]] = {}
     for j, (_, dom) in enumerate(actions):
         by_dom.setdefault(dom, []).append(j)
     n = len(labels)
+    cols_of: dict[tuple[int, ...], tuple[list[int], list]] = {}
     rows = []
-    for f, (images, dom_f) in zip(labels, actions):
-        fpos = bit_positions(dom_f)
-        times_f = getter(f)
+    for f, (images, _) in zip(labels, actions):
+        if images not in cols_of:
+            js = [j for dom_g, bucket in by_dom.items()
+                  if _preimage_under(images, dom_g) in dmasks for j in bucket]
+            cols_of[images] = js, list(map(labels.__getitem__, js))
+        js, right = cols_of[images]
         row = [-1] * n
-        for dom_g, js in by_dom.items():
-            sw = 0
-            for k in fpos:
-                if dom_g >> images[k] & 1:
-                    sw |= 1 << k
-            if sw in dmasks:
-                for j, v in zip(js, map(idx.__getitem__, map(
-                        times_f, map(labels.__getitem__, js)))):
-                    row[j] = v
+        for j, v in zip(js, map(idx.__getitem__, map(getter(f), right))):
+            row[j] = v
         rows.append(row)
 
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
@@ -466,42 +477,49 @@ def _word_states(L: Locality, max_len: int,
     are first reached, and ``failures`` lists the domain words whose
     left fold is undefined or leaves the letters.
 
-    A state's word w extends by f exactly when the preimage of S_f along
-    w is in delta, decided once per distinct S_f.  The fold values of
-    its extensions are read from the state's row.  Composite maps are
-    few (69 on S7 at length 3, against 1,136 states), so each gets an
-    id, and each map id is composed once with each distinct map of the
-    letters; the map of an extension is then two reads, and states are
-    looked up as (fold value, map id) pairs.
+    Composite maps are few (69 on S7 at length 3, against 1,136 states),
+    so each gets an id; the maps of the classes of L take the first ids.
+    A word with composite map m extends by f exactly when the domain of
+    m followed by the map of f, which is the preimage of S_f under m,
+    is in delta.  So the letters a state extends by, and the map ids of
+    the extensions, depend only on its map id: they are decided once
+    per map id, one composition and one delta test per letter class.
+    The fold values of the extensions are read from the state's row, and
+    states are looked up as (fold value, map id) pairs.
     """
     letters = range(L.n) if letters is None else sorted(letters)
     inside = [False] * (L.n + 1)  # inside[-1] is False, for an undefined fold
     for f in letters:
         inside[f] = True
-    pm, sf, rows, delta = L._pm, L._sf, L.rows, L.delta
-    by_dom: dict[int, list[int]] = {}
-    for f in letters:
-        by_dom.setdefault(sf[f], []).append(f)
-    ids: dict[tuple[int, ...], int] = {}  # composite map -> map id
-    maps: list[tuple[int, ...]] = []  # map id -> composite map
-    steps: list = []  # map id -> map ids of it followed by each letter map
+    cls, cmaps, rows, delta = L._cls, L._cmaps, L.rows, L.delta
+    letter_cls = list(map(cls.__getitem__, letters))
+    classes = sorted(set(letter_cls))
+    ids = {m: c for c, m in enumerate(cmaps)}  # composite map -> map id
+    maps = list(cmaps)  # map id -> composite map
+    doms = list(L._csf)  # map id -> domain of the map
+    exts: list = [None] * len(maps)  # map id -> (letters, map ids after)
 
     def map_id(m: tuple[int, ...]) -> int:
         if m not in ids:
             ids[m] = len(maps)
             maps.append(m)
-            steps.append(None)
+            doms.append(domain_mask(m))
+            exts.append(None)
         return ids[m]
 
-    # the distinct maps of the letters take the first ids
-    letter_id = dict(zip(letters, map(map_id, map(pm.__getitem__, letters))))
-    letter_maps = maps[:]
+    def extensions(mid: int) -> tuple[list[int], list[int]]:
+        after = itemgetter(*maps[mid])
+        step = {c: map_id(after(cmaps[c])) for c in classes}
+        ok = {c: doms[s] in delta for c, s in step.items()}
+        nexts = list(itertools.compress(letters,
+                                        map(ok.__getitem__, letter_cls)))
+        return nexts, [step[cls[f]] for f in nexts]
 
     seen: dict[tuple[int, int], tuple[int, Word]] = {}
     failures = []
     frontier = {}
     for f in letters:
-        st = (f, letter_id[f])
+        st = (f, cls[f])
         if st not in seen:
             seen[st] = (1, (f,))
             frontier[st] = (f,)
@@ -510,23 +528,17 @@ def _word_states(L: Locality, max_len: int,
         length += 1
         new = {}
         for (pi, mid), word in frontier.items():
-            groups = [fs for d, fs in by_dom.items()
-                      if L.preimage_along(word, d) in delta]
-            if len(groups) < len(by_dom):  # back into letter order
-                nexts = sorted(itertools.chain.from_iterable(groups))
-            else:
-                nexts = letters
+            if exts[mid] is None:
+                exts[mid] = extensions(mid)
+            nexts, mids = exts[mid]
             pis = list(map(rows[pi].__getitem__, nexts))
             if not all(map(inside.__getitem__, pis)):
                 ok = list(map(inside.__getitem__, pis))
                 failures += [word + (f,) for f, k in zip(nexts, ok) if not k]
                 nexts = list(itertools.compress(nexts, ok))
+                mids = list(itertools.compress(mids, ok))
                 pis = list(itertools.compress(pis, ok))
-            if steps[mid] is None:
-                after = itemgetter(*maps[mid])
-                steps[mid] = [map_id(after(m)) for m in letter_maps]
-            sts = list(zip(pis, map(steps[mid].__getitem__,
-                                    map(letter_id.__getitem__, nexts))))
+            sts = list(zip(pis, mids))
             # the membership test runs lazily, after the states before it
             # were added, so the first word reaching a state names it
             for st, f in itertools.compress(
@@ -575,13 +587,21 @@ def validate_locality(L: Locality, max_word_length: int = DEFAULT_MAX_WORD_LENGT
                     None if bad is None else f"element {bad}"))
 
     # objectivity at length 2: (f,g) defined iff S_(f,g) = pre_f(S_g)
-    # in delta, compared a row at a time
+    # in delta.  That is decided once per (class of f, S_g), and a row is
+    # read at the columns its class admits (no -1 there) and at the
+    # others (only -1 there)
     ok, wit = True, None
-    doms = set(L._sf)
-    for f, row in zip(range(L.n), rows):
-        in_delta = {d: L.preimage(f, d) in L.delta for d in doms}
-        objs = list(map(in_delta.__getitem__, L._sf))
-        if any(map(ne, objs, map(_defined, row))):
+    cols = range(L.n)
+    objs_of = []  # class of f -> ([(f,g) in D? for each g], the two reads)
+    for m in L._cmaps:
+        objs = list(map({d: _preimage_under(m, d) in L.delta
+                         for d in set(L._csf)}.__getitem__, L._sf))
+        ins = list(itertools.compress(cols, objs))
+        outs = list(itertools.compress(cols, map(not_, objs)))
+        objs_of.append((objs, getter(ins), getter(outs), len(outs)))
+    for f, row in zip(cols, rows):
+        objs, at_in, at_out, n_out = objs_of[L._cls[f]]
+        if -1 in at_in(row) or at_out(row).count(-1) != n_out:
             g = next(g for g in range(L.n) if objs[g] != (row[g] >= 0))
             ok, wit = False, (f"pair ({f},{g}): defined={row[g] >= 0}, "
                               f"S_w in delta={objs[g]}")
@@ -591,7 +611,8 @@ def validate_locality(L: Locality, max_word_length: int = DEFAULT_MAX_WORD_LENGT
     # delta closure properties, on the S-lattice, which is only built
     # from an S-table that passed ``s_subgroup``
     if s_wit is None:
-        bad = _check_delta_closures(L.lattice, L.delta, zip(L._pm, L._sf))
+        bad = _check_delta_closures(L.lattice, L.delta,
+                                    zip(L._cmaps, L._csf))
     else:
         bad = f"not checked: s_subgroup failed ({s_wit})"
     add(CheckResult("delta_closure", bad is None, bad))
@@ -618,15 +639,22 @@ def validate_locality(L: Locality, max_word_length: int = DEFAULT_MAX_WORD_LENGT
     # maximality of S among p-subgroups of the carrier
     add(_check_s_maximal(L))
 
-    # realization oracle, a row at a time over the defined pairs
+    # realization oracle, a row at a time over the defined pairs, a point
+    # at a time: (i·j)[x] = j[i[x]], so at each point x the x-th
+    # coordinates of the products must be the i[x]-th ones of the j
     if L.realization is not None:
         ok, wit = True, None
         labels, cols = L.labels, range(L.n)
+        coords = list(zip(*labels))  # point -> its coordinate in each id
         for i, row in zip(cols, rows):
             js = list(itertools.compress(cols, map(_defined, row)))
-            got = list(map(getter(labels[i]), map(labels.__getitem__, js)))
-            want = list(map(labels.__getitem__, map(row.__getitem__, js)))
-            if got != want:
+            at_j, at_k = getter(js), getter(list(map(row.__getitem__, js)))
+            if any(map(ne, map(at_k, coords),
+                       map(at_j, map(coords.__getitem__, labels[i])))):
+                got = list(map(getter(labels[i]),
+                               map(labels.__getitem__, js)))
+                want = list(map(labels.__getitem__,
+                                map(row.__getitem__, js)))
                 j = next(j for j, a, b in zip(js, got, want) if a != b)
                 ok, wit = False, f"pair ({i},{j}) disagrees with the ambient product"
                 break
@@ -641,7 +669,8 @@ def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:
     differs from Pi(u)Pi(v), or None.
 
     The right states are grouped by (length, S_v), and each group is
-    admitted for a left state at once, by the preimage of S_v along u.
+    admitted for a left state at once, by the preimage of S_v under the
+    composite map of u, decided once per distinct map of the left states.
     The representative words of an admitted group are folded from Pi(u)
     column by column through the rows, and compared with the row of
     Pi(u) at the Pi(v); the witness is the first right state, in state
@@ -658,9 +687,13 @@ def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:
         blocks.append((l2, d2, ks, [items[k][0][0] for k in ks],
                        list(zip(*words))))
     doms = {d2 for _, d2 in groups}
-    for (p1, _), (l1, w1) in items:
+    admits: dict[tuple[int, ...], dict[int, bool]] = {}  # map -> S_v -> ok
+    for (p1, m1), (l1, w1) in items:
         row = rows[p1]
-        admitted = {d: L.preimage_along(w1, d) in delta for d in doms}
+        admitted = admits.get(m1)
+        if admitted is None:
+            admitted = admits[m1] = {d: _preimage_under(m1, d) in delta
+                                     for d in doms}
         bad = []
         for l2, d2, ks, p2s, cols in blocks:
             if l1 + l2 > max_len or not admitted[d2]:
@@ -754,13 +787,17 @@ def _sub_locality(L: Locality, carrier_ids: list[int],
     labels = [L.labels[i] for i in carrier_ids]
     delta = set(delta)
     sf = [L._sf[j] for j in carrier_ids]
+    # S_(i,j) = pre_i(S_j), decided once per (class of i, distinct S_j)
+    keeps: dict[int, list[bool]] = {}  # class of i -> keep column j?
     rows = []
     for i in carrier_ids:
-        # S_(i,j) = pre_i(S_j), decided once per distinct S_j
-        keep = {d: L.preimage(i, d) in delta for d in set(sf)}
+        c = L._cls[i]
+        if c not in keeps:
+            keeps[c] = list(map({d: L.preimage(i, d) in delta
+                                 for d in set(sf)}.__getitem__, sf))
         rows.append([k if ok else -1 for k, ok in zip(
             map(new_id.__getitem__, map(L.rows[i].__getitem__, carrier_ids)),
-            map(keep.__getitem__, sf))])
+            keeps[c])])
     new_delta = [[new_id[x] for x in L.ids_of(d)] for d in delta]
     sub = Locality(labels, new_id[L.identity],
                    [new_id[L.inv[i]] for i in carrier_ids],
@@ -779,7 +816,7 @@ def restriction(Lplus: Locality, delta: Iterable[frozenset[int]]) -> Locality:
             f"delta member of size {bad.bit_count()} not in the object set")
     # overgroup closure and F_S(L+)-conjugacy closure
     bad = _check_delta_closures(Lplus.lattice, dmasks,
-                                zip(Lplus._pm, Lplus._sf))
+                                zip(Lplus._cmaps, Lplus._csf))
     if bad is not None:
         raise LocalityError(f"restriction {bad}")
     carrier = [f for f in range(Lplus.n) if Lplus._sf[f] in dmasks]
@@ -795,8 +832,7 @@ def strongly_closed_in_carrier(L: Locality, t_ids: Iterable[int]) -> bool:
     tset = set(t_ids)
     if not tset <= set(L.s_ids):
         return False
-    for f in range(L.n):
-        pf = L._pm[f]
+    for pf in L._cmaps:  # one map per class
         for t in tset:
             v = pf[L._s_pos[t]]
             if v >= 0 and L.s_ids[v] not in tset:
@@ -805,16 +841,12 @@ def strongly_closed_in_carrier(L: Locality, t_ids: Iterable[int]) -> bool:
 
 
 def normalizer_carrier(L: Locality, t_ids: Iterable[int]) -> list[int]:
-    """N_L(T) = {f : T <= S_f and T^f = T}."""
+    """N_L(T) = {f : T <= S_f and T^f = T}, decided once per class."""
     tpos = [L._s_pos[t] for t in sorted(t_ids)]
     timgs = frozenset(L._s_pos[t] for t in t_ids)
-    out = []
-    for f in range(L.n):
-        pf = L._pm[f]
-        if all(pf[i] >= 0 for i in tpos) \
-                and frozenset(pf[i] for i in tpos) == timgs:
-            out.append(f)
-    return out
+    ok = [all(pf[i] >= 0 for i in tpos)
+          and frozenset(pf[i] for i in tpos) == timgs for pf in L._cmaps]
+    return list(itertools.compress(range(L.n), map(ok.__getitem__, L._cls)))
 
 
 # -- linking localities ------------------------------------------------------

@@ -6,8 +6,10 @@ ones of the enclosing locality.  This keeps N_L(T)-relative statements
 free of re-indexing.
 
 Conjugation is decided on masks: (f^-1, n, f) is in the domain exactly
-when the preimage of S_f under n and then f^-1 is in delta, read from
-the locality's preimage cache, and the word is folded only then.
+when the preimage of S_f under n and then f^-1 is in delta.  That
+depends only on (class of f^-1, S_f) and on the class of n, so the n
+admitted for f are listed once per such pair, one delta test per class
+of n, and the conjugates of all of them are read off two rows at once.
 ``is_partial_subgroup`` and ``is_partial_normal`` memoize their
 verdicts on the locality, each together with its first fault, so a set
 asked about again costs one dict lookup; ``decompose`` likewise indexes
@@ -22,7 +24,9 @@ equality or decomposition clause carries a witness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .locality import (DEFAULT_MAX_WORD_LENGTH, Locality, LocalityError,
@@ -88,16 +92,36 @@ def is_partial_subgroup(L: Locality, X: Iterable[int],
     return partial_subgroup_witness(L, X, max_word_length) is None
 
 
-def _conjugates(L: Locality, f: int, xs: Iterable[int]):
-    """(x, x^f) for the x in xs with (f^-1, x, f) in the domain.
+def _conjugates(L: Locality, fs: Iterable[int], xs: Iterable[int]):
+    """For each f of ``fs`` in order: f, the x of ``xs`` (in their order)
+    with (f^-1, x, f) in the domain, and their x^f (-1 where the fold
+    is undefined).
 
-    S_(f^-1, x, f) is the preimage of S_f under x and then f^-1; the
-    word is folded only when that mask is in delta.
+    S_(f^-1, x, f) is the preimage of S_f under x and then f^-1, so the
+    admitted x depend on f only through (class of f^-1, S_f), and on x
+    only through its class: each list is decided once per such pair,
+    one delta test per class of ``xs``.  The conjugates of f are then
+    read a row at a time: the row of 1·f^-1 (where the fold of
+    (f^-1, x, f) starts) at the admitted x, and column f at the results.
     """
-    fi, sf, pre, delta = L.inv[f], L._sf[f], L.preimage, L.delta
-    for x in xs:
-        if pre(fi, pre(x, sf)) in delta:
-            yield x, L.fold((fi, x, f))
+    cls, inv, sf, rows, delta = L._cls, L.inv, L._sf, L.rows, L.delta
+    pre = L.preimage
+    xs = list(xs)
+    x_cls = list(map(cls.__getitem__, xs))
+    reps = dict(zip(x_cls, xs))  # class -> an x of it
+    admitted: dict[tuple[int, int], list[int]] = {}
+    start = rows[L.identity]
+    for f in fs:
+        fi = inv[f]
+        key = (cls[fi], sf[f])
+        if key not in admitted:
+            ok = {c: pre(fi, pre(x, sf[f])) in delta for c, x in reps.items()}
+            admitted[key] = list(itertools.compress(
+                xs, map(ok.__getitem__, x_cls)))
+        ys = admitted[key]
+        row = rows[start[fi]]
+        yield f, ys, list(map(itemgetter(f), map(rows.__getitem__,
+                                                 map(row.__getitem__, ys))))
 
 
 def partial_normal_witness(L: Locality, N: Iterable[int],
@@ -105,15 +129,19 @@ def partial_normal_witness(L: Locality, N: Iterable[int],
                            ) -> Optional[tuple[int, int]]:
     """The first (f, n) in id order with f in the ambient set, (f^-1, n, f)
     defined and n^f outside N; None when there is none.  Memoized on L
-    per (N, ambient set)."""
+    per (N, ambient set).
+
+    The conjugates of N by one f are tested against N at once; only a
+    failing f is scanned, to name its first n."""
     Nset = frozenset(N)
     amb = None if ambient is None else frozenset(ambient)
     key = ("normal", Nset, amb)
     if key not in L._verdicts:
-        ns = sorted(Nset)
+        fs = range(L.n) if amb is None else sorted(amb)
         L._verdicts[key] = next(
-            ((f, n) for f in (range(L.n) if amb is None else sorted(amb))
-             for n, z in _conjugates(L, f, ns) if z not in Nset), None)
+            ((f, next(n for n, z in zip(ns, zs) if z not in Nset))
+             for f, ns, zs in _conjugates(L, fs, sorted(Nset))
+             if not Nset.issuperset(zs)), None)
     return L._verdicts[key]
 
 
@@ -140,15 +168,12 @@ def partial_normal_closure(L: Locality, seed: Iterable[int],
                 X.add(ix)
                 changed = True
         zs = _products(L, X, X)
+        for _, _, conj in _conjugates(L, amb, sorted(X)):
+            zs.update(conj)
         zs.discard(-1)
         if not zs <= X:
             X |= zs
             changed = True
-        for f in amb:
-            for _, z in _conjugates(L, f, list(X)):
-                if z not in X:
-                    X.add(z)
-                    changed = True
     return frozenset(X)
 
 
@@ -216,7 +241,8 @@ def _matched_pairs(L: Locality, A: Sequence[int], B: Sequence[int]
     sf, pre = L._sf, L.preimage
     for a in A:
         for b, c in zip(B, map(L.rows[a].__getitem__, B)):
-            # S_(a,b) = pre_a(S_b), and S_c is the domain of c
+            # S_(a,b) = pre_a(S_b), cached per (class of a, S_b), and S_c
+            # is the domain of c
             if c >= 0 and c not in out and pre(a, sf[b]) == sf[c]:
                 out[c] = (a, b)
     return out
@@ -259,21 +285,24 @@ def _normality_witness(L: Locality, X: Iterable[int],
 
 
 def _partial_normal_clause(L: Locality, X: Iterable[int],
-                           ambient: Optional[Iterable[int]] = None):
-    """(verdict, witness) of: X is a partial subgroup, partial normal in
-    the ambient set (all of L by default)."""
-    if not is_partial_subgroup(L, X):
-        return False, partial_subgroup_witness(L, X)  # a memo hit
+                           ambient: Optional[Iterable[int]] = None,
+                           max_word_length: int = DEFAULT_MAX_WORD_LENGTH):
+    """(verdict, witness) of: X is a partial subgroup (words up to the
+    bound), partial normal in the ambient set (all of L by default)."""
+    wit = partial_subgroup_witness(L, X, max_word_length)
+    if wit is not None:
+        return False, wit
     if not is_partial_normal(L, X, ambient):
         return False, _normality_witness(L, X, ambient)
     return True, None
 
 
 def _check_nk_preconditions(L: Locality, N: Iterable[int], K: Iterable[int],
-                            require_normal_k: bool) -> tuple[tuple[int, ...], list[int]]:
+                            require_normal_k: bool, max_word_length: int
+                            ) -> tuple[tuple[int, ...], list[int]]:
     Nset = frozenset(N)
     Kset = frozenset(K)
-    if not is_partial_subgroup(L, Nset):
+    if not is_partial_subgroup(L, Nset, max_word_length):
         raise PreconditionError("N is not a partial subgroup")
     if not is_partial_normal(L, Nset):
         raise PreconditionError("N is not partial normal in L")
@@ -283,20 +312,22 @@ def _check_nk_preconditions(L: Locality, N: Iterable[int], K: Iterable[int],
     nlt = normalizer_carrier(L, T)
     if not Kset <= set(nlt):
         raise PreconditionError("K does not lie in N_L(T)")
-    if not is_partial_subgroup(L, Kset):
+    if not is_partial_subgroup(L, Kset, max_word_length):
         raise PreconditionError("K is not a partial subgroup")
     if require_normal_k and not is_partial_normal(L, Kset, ambient=nlt):
         raise PreconditionError("K is not partial normal in N_L(T)")
     return T, nlt
 
 
-def check_theorem2_hypotheses(L: Locality, N: frozenset, K: frozenset
+def check_theorem2_hypotheses(L: Locality, N: frozenset, K: frozenset,
+                              max_word_length: int = DEFAULT_MAX_WORD_LENGTH
                               ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """Theorem 2's setting on (L, N, K), or PreconditionError naming the
     first hypothesis that fails: N partial normal in L with T = S ∩ N
-    strongly closed, and K a partial subgroup subnormal in N_L(T).
+    strongly closed, and K a partial subgroup subnormal in N_L(T), the
+    partial subgroups tested on words up to ``max_word_length``.
     Returns T and the subnormal chain of K up to N_L(T)."""
-    T, nlt = _check_nk_preconditions(L, N, K, require_normal_k=False)
+    T, nlt = _check_nk_preconditions(L, N, K, False, max_word_length)
     ok, chain = is_subnormal(L, K, ambient=nlt)
     if not ok:
         raise PreconditionError("K is not subnormal in N_L(T)")
@@ -304,14 +335,14 @@ def check_theorem2_hypotheses(L: Locality, N: frozenset, K: frozenset
 
 
 def _nk_clauses(rep: Report, L: Locality, Nset: frozenset, Kset: frozenset,
-                T: Sequence[int]) -> tuple[int, ...]:
+                T: Sequence[int], max_word_length: int) -> tuple[int, ...]:
     """Set the clauses both theorems share: NK = KN, NK is a partial
     subgroup, and NK ∩ S = T(K ∩ S).  Returns NK."""
     NK = set_product(L, sorted(Nset), sorted(Kset))
     KN = set_product(L, sorted(Kset), sorted(Nset))
     rep.set("nk_equals_kn", set(NK) == set(KN),
             None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
-    wit = partial_subgroup_witness(L, NK)
+    wit = partial_subgroup_witness(L, NK, max_word_length)
     rep.set("nk_partial_subgroup", wit is None, wit)
     lhs = frozenset(NK) & frozenset(L.s_ids)
     rhs = group_product_in_s(L, T, set(Kset) & set(L.s_ids))
@@ -321,14 +352,17 @@ def _nk_clauses(rep: Report, L: Locality, Nset: frozenset, Kset: frozenset,
 
 
 def verify_theorem_nk_normal(L: Locality, N: Iterable[int], K: Iterable[int],
-                             instance: str = "") -> Report:
+                             instance: str = "",
+                             max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+                             ) -> Report:
     """NK is partial normal, NK = KN, NK ∩ S = T(K ∩ S), and every
-    element of NK decomposes in both orders with matching S_g."""
+    element of NK decomposes in both orders with matching S_g.  Partial
+    subgroups are tested on words up to ``max_word_length``."""
     rep = Report(suite="nk_normal", instance=instance)
     Nset, Kset = frozenset(N), frozenset(K)
-    T, _ = _check_nk_preconditions(L, Nset, Kset, require_normal_k=True)
+    T, _ = _check_nk_preconditions(L, Nset, Kset, True, max_word_length)
 
-    NK = _nk_clauses(rep, L, Nset, Kset, T)
+    NK = _nk_clauses(rep, L, Nset, Kset, T, max_word_length)
     ok = is_partial_normal(L, NK)
     rep.set("nk_partial_normal", ok,
             None if ok else _normality_witness(L, NK))
@@ -346,17 +380,20 @@ def verify_theorem_nk_normal(L: Locality, N: Iterable[int], K: Iterable[int],
 
 
 def verify_theorem_nk_subnormal(L: Locality, N: Iterable[int],
-                                K: Iterable[int], instance: str = "") -> Report:
+                                K: Iterable[int], instance: str = "",
+                                max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+                                ) -> Report:
     """NK = KN is partial subnormal with exhibited chain and
     S ∩ NK = T(S ∩ K).  The regularity hypothesis of the subnormal
-    statement is not certified at this scale; the report says so."""
+    statement is not certified at this scale; the report says so.
+    Partial subgroups are tested on words up to ``max_word_length``."""
     rep = Report(suite="nk_subnormal", instance=instance)
     rep.flags.append("regularity_not_certified")
     Nset, Kset = frozenset(N), frozenset(K)
-    T, chain_k = check_theorem2_hypotheses(L, Nset, Kset)
+    T, chain_k = check_theorem2_hypotheses(L, Nset, Kset, max_word_length)
     rep.extra["k_chain_lengths"] = [len(c) for c in chain_k]
 
-    NK = _nk_clauses(rep, L, Nset, Kset, T)
+    NK = _nk_clauses(rep, L, Nset, Kset, T, max_word_length)
     ok, chain = is_subnormal(L, NK)
     rep.set("nk_subnormal", ok, None if ok else [len(c) for c in chain])
     rep.extra["nk_chain_lengths"] = [len(c) for c in chain]
@@ -365,13 +402,16 @@ def verify_theorem_nk_subnormal(L: Locality, N: Iterable[int],
 
 def verify_restriction_product(Lplus: Locality, delta: Iterable[frozenset[int]],
                                Nplus: Iterable[int], Kplus: Iterable[int],
-                               instance: str = "") -> Report:
+                               instance: str = "",
+                               max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+                               ) -> Report:
     """Compatibility of NK with restriction:
     Pi+(N+, K+) ∩ L = Pi(N, K) where L is the restriction, N = N+ ∩ L,
-    K = K+ ∩ L; additionally N ⊴ L and K ⊴ N_L(T)."""
+    K = K+ ∩ L; additionally N ⊴ L and K ⊴ N_L(T).  Partial subgroups
+    are tested on words up to ``max_word_length``."""
     rep = Report(suite="restriction_product", instance=instance)
     Np, Kp = frozenset(Nplus), frozenset(Kplus)
-    _check_nk_preconditions(Lplus, Np, Kp, require_normal_k=True)
+    _check_nk_preconditions(Lplus, Np, Kp, True, max_word_length)
 
     L = restriction(Lplus, delta)
     keep = L.ids_of_labels  # map back through labels
@@ -380,7 +420,8 @@ def verify_restriction_product(Lplus: Locality, delta: Iterable[frozenset[int]],
     N = keep(lab(Np) & carrier_labels)
     K = keep(lab(Kp) & carrier_labels)
 
-    rep.set("n_restricted_partial_normal", *_partial_normal_clause(L, N))
+    rep.set("n_restricted_partial_normal",
+            *_partial_normal_clause(L, N, None, max_word_length))
     T = _t_of(L, N)
     nlt = normalizer_carrier(L, T)
     outside = sorted(set(K) - set(nlt))
@@ -388,7 +429,7 @@ def verify_restriction_product(Lplus: Locality, delta: Iterable[frozenset[int]],
         rep.set("k_restricted_normal_in_nlt", False, {"outside_nlt": outside})
     else:
         rep.set("k_restricted_normal_in_nlt",
-                *_partial_normal_clause(L, K, nlt))
+                *_partial_normal_clause(L, K, nlt, max_word_length))
 
     big = Lplus.label_set(set_product(Lplus, sorted(Np), sorted(Kp)))
     small = L.label_set(set_product(L, sorted(N), sorted(K)))

@@ -32,6 +32,7 @@ subgroup once.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -110,13 +111,17 @@ def from_cycles(degree: int, *cycles: tuple[int, ...]) -> Perm:
 
 
 def perm_order(a: Perm) -> int:
-    n = 1
-    x = a
-    e = identity_perm(len(a))
-    while x != e:
-        x = compose(x, a)
-        n += 1
-    return n
+    """The lcm of the cycle lengths of a."""
+    order, seen = 1, [False] * len(a)
+    for i in range(len(a)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = a[j]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
 
 
 def _closure(gens: Iterable[Perm], degree: int, cap: int) -> set[Perm]:

@@ -19,7 +19,7 @@ from .fusion import (DEFAULT_MORPHISM_CAP, FusionSystem, Morphism, aut_group,
                      is_subnormal_subsystem, is_subsystem, maps_inside,
                      normalizer_system, restriction, subcentric_subgroups,
                      subgroup_lattice, trivial_modulo)
-from .locality import Locality, is_linking_locality
+from .locality import DEFAULT_MAX_WORD_LENGTH, Locality, is_linking_locality
 from .partial_subgroups import (check_theorem2_hypotheses, is_partial_subgroup,
                                 set_product)
 from .permgroup import Subgroup, compose, generated_subgroup, perm_order
@@ -90,18 +90,21 @@ def product_ED(F: FusionSystem, E: FusionSystem,
 
 
 def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int],
-                            cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
+                            cap: int = DEFAULT_MORPHISM_CAP,
+                            max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+                            ) -> FusionSystem:
     """The product through a linking locality: the fusion system of the
     partial subgroup NK over T·(S∩K), in the setting of Theorem 2
-    (``check_theorem2_hypotheses``).  ``cap`` bounds its closures."""
+    (``check_theorem2_hypotheses``).  ``cap`` bounds its closures, and
+    partial subgroups are tested on words up to ``max_word_length``."""
     N = frozenset(N)
     K = frozenset(K)
-    check_theorem2_hypotheses(L, N, K)
+    check_theorem2_hypotheses(L, N, K, max_word_length)
     fault = _locality_route_fault(L, cap)
     if fault:
         raise PreconditionError(fault)
     nk = set_product(L, N, K)
-    if not is_partial_subgroup(L, nk):
+    if not is_partial_subgroup(L, nk, max_word_length):
         raise PreconditionError("NK is not a partial subgroup")
     return fusion_of_partial_subgroup(L, nk, cap)
 

@@ -397,3 +397,19 @@ def test_non_positive_cap_exits_2(flag, capsys):
         run(["group", "info", "instance-a", flag, "0"])
     assert e.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,command", [
+    ("instance-b", "theorem1"), ("instance-b", "theorem2"),
+    ("instance-b", "restriction"), ("product-24", "verify-ed")])
+def test_predicates_explore_to_the_descriptor_bound(name, command):
+    """A descriptor's ``max_word_length`` bounds the partial-subgroup
+    tests of the theorem and restriction harnesses and of the locality
+    route: with bound 3, every memoized subgroup verdict on L is for
+    words up to 3, and none for the default 4."""
+    from locfusion import cli, instances as inst
+    ctx = inst.Instance({**inst.load_descriptor(name), "max_word_length": 3})
+    args = cli.build_parser().parse_args([command, name])
+    cli.HANDLERS[(args.command, getattr(args, "sub", None))](ctx, args)
+    bounds = {key[2] for key in ctx.L._verdicts if key[0] == "subgroup"}
+    assert bounds == {3}

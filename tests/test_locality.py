@@ -661,6 +661,86 @@ def test_validator_rejects_what_brute_force_rejects(draw, corrupted_b):
         assert _brute_force_split_fault(L, 3) is None
 
 
+# -- the class index, and the class-keyed paths on corrupted tables ----------
+
+@pytest.mark.parametrize("name,n,classes", [
+    ("instance-b", 24, 8), ("perfbench/instances/s6.json", 208, 20),
+    ("perfbench/instances/s7.json", 560, 44)])
+def test_class_index(name, n, classes):
+    """``_cls[f]`` numbers the distinct partial maps in the order they
+    first appear, and each class holds the map of its elements."""
+    from pathlib import Path
+    from locfusion import instances as inst
+    if name.startswith("perfbench"):
+        name = str(Path(__file__).resolve().parents[1] / name)
+    L = inst.build_locality(inst.load_descriptor(name))
+    assert (L.n, len(L._cmaps)) == (n, classes)
+    pm = L._build_partial_maps()
+    assert [L._cmaps[c] for c in L._cls] == list(pm)
+    assert list(dict.fromkeys(L._cls)) == list(range(classes))
+    assert list(L._sf) == [domain_mask(m) for m in pm]
+
+
+def _element_wise_normal_witness(L, N, ambient):
+    """The first (f, n) with (f^-1, n, f) in D and n^f outside N, with
+    S_w from the maps of the word composed as tuples, and n^f its fold."""
+    N = set(N)
+    return next(((f, n) for f in sorted(ambient) for n in sorted(N)
+                 if _composite_s_w(L, (L.inv[f], n, f)) in L.delta
+                 and L.fold((L.inv[f], n, f)) not in N), None)
+
+
+def test_class_keyed_paths_match_element_wise_on_corruptions(corrupted_b,
+                                                             loc_b):
+    """On each of the 200 corruptions of instance-b: partial normality
+    (first witness), the conjugates, the normalizer carrier and the
+    explorer over a subset of the carrier agree with element-wise
+    oracles.  (The explorer over the whole carrier and the validator are
+    compared with theirs on the same draws by
+    ``test_explorer_matches_oracle_on_corruptions``.)  In 167 draws the
+    corrupted row shares its class with rows that are not corrupted, so
+    a class-keyed answer is read for rows that differ, and in 85 the
+    corruption changes the partition into classes."""
+    from locfusion.instances import (load_descriptor, named_subgroup,
+                                     resolve_ids)
+    from locfusion.partial_subgroups import (_conjugates,
+                                             partial_normal_witness)
+    alt = resolve_ids(loc_b, named_subgroup(
+        load_descriptor("instance-b"), loc_b.realization, "alt"))
+    rng = random.Random(2)
+    whole = range(loc_b.n)
+    shared = repartitioned = 0
+    seen = set()
+    for L in corrupted_b:
+        i = next(i for i in whole if L.rows[i] != loc_b.rows[i])
+        shared += L._cls.count(L._cls[i]) > 1
+        repartitioned += L._cls != loc_b._cls
+        amb = sorted(rng.sample(whole, 12))
+        for N in (alt, frozenset(L.s_ids),
+                  frozenset(rng.sample(whole, 8)) | {L.identity}):
+            for ambient in (None, amb):
+                want = _element_wise_normal_witness(
+                    L, N, whole if ambient is None else ambient)
+                assert partial_normal_witness(L, N, ambient) == want
+                seen.add(want is None)
+        for f, xs, zs in _conjugates(L, whole, whole):
+            fi = L.inv[f]
+            want = {x: L.fold((fi, x, f)) for x in whole
+                    if _composite_s_w(L, (fi, x, f)) in L.delta}
+            assert xs == sorted(want)
+            assert zs == [-1 if z is None else z for z in want.values()]
+        pm = L._build_partial_maps()
+        tpos = {L._s_pos[t] for t in alt & set(L.s_ids)}
+        assert normalizer_carrier(L, alt & set(L.s_ids)) == [
+            f for f in whole if {pm[f][i] for i in tpos} == tpos]
+        states, failures = _word_states(L, 3, alt)
+        want_states, want_failures = _oracle_word_states(L, 3, alt)
+        assert list(states.items()) == list(want_states.items())
+        assert failures == want_failures
+    assert seen == {True, False}
+    assert (shared, repartitioned) == (167, 85)
+
+
 # -- row-wise checks against their pair-keyed references ------------------------
 
 def _pair_keyed_s_group_fault(L):

@@ -62,6 +62,16 @@ def test_compose_matches_pointwise_definition(degree):
         assert type(ab) is tuple and ab == tuple(b[x] for x in a)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 5, 6])
+def test_perm_order_matches_repeated_composition(degree):
+    e = identity_perm(degree)
+    for a in itertools.permutations(range(degree)):
+        n, x = 1, a
+        while x != e:
+            x, n = compose(x, a), n + 1
+        assert perm_order(a) == n, a
+
+
 def test_conjugate_matches_definition():
     a = from_cycles(5, (1, 2, 3))
     g = from_cycles(5, (3, 4, 5))
