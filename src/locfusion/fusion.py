@@ -21,6 +21,17 @@ Aut_F(P) is a permutation group on the elements of P (``aut_group``).
 Every closure runs under a morphism cap.  A system keeps the cap it was
 built under, and the closures inside it and its normalizer systems
 inherit it, so a caller sets it once, where it builds the ambient system.
+
+A system keeps the answers to the questions asked of it
+(``FusionSystem._verdicts``): N_F(Q) per Q, whether F is saturated, and,
+per subsystem E (which hashes by its content), whether E is normal in F
+and the subnormal chain search.  A system is never changed after it is
+built and these answers depend on its maps alone, so they are kept on
+the object itself: they live as long as the system does, a run's systems
+take their answers with them when they are dropped, and no module holds
+state.  Normal closures, and the normalizer systems of the subcentric
+test (one per class), are not kept: few are asked for twice, and
+keeping them would only hold systems in memory.
 """
 
 from __future__ import annotations
@@ -123,7 +134,7 @@ def _carry(maps: Iterable[Morphism], new_of_old: tuple,
 class FusionSystem:
     """Fusion system over the p-group S, each morphism held once, on the
     positions of S.  ``morphism_cap`` bounds the closures computed inside
-    it; it takes no part in equality."""
+    it; it takes no part in equality, nor do the answers kept on it."""
 
     def __init__(self, S: Subgroup, p: int, maps: Iterable[Morphism],
                  morphism_cap: int = DEFAULT_MORPHISM_CAP):
@@ -137,6 +148,7 @@ class FusionSystem:
         self._reach: Optional[list[int]] = None
         self._classes: dict[frozenset, list[Subgroup]] = {}
         self._over: dict[frozenset, frozenset] = {}
+        self._verdicts: dict = {}  # the answers kept on F (module docstring)
 
     def subgroup(self, eset: frozenset) -> Subgroup:
         try:
@@ -366,13 +378,15 @@ def fusion_of_partial_subgroup(L, H: Iterable[int],
                                cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
     """F_{S∩H}(H) for a partial subgroup H of the locality L (ids of L):
     generated by the conjugation maps between subgroups of S∩H induced by
-    elements of H, each distinct graph checked once."""
+    elements of H.  The map of h depends on h only through its class
+    (``Locality._cls``), so one graph is built per class present in H,
+    and each distinct graph is checked once."""
     Hset = frozenset(H)
     sh_ids = sorted(set(L.s_ids) & Hset)
     Ssub, label = _s_cap_h_subgroup(L, sh_ids)
     graphs = set()
-    for h in sorted(Hset):
-        ph = L._pm[h]
+    for c in sorted({L._cls[h] for h in Hset}):
+        ph = L._cmaps[c]
         # the points of S∩H sent into S∩H form a subgroup: conjugation is
         # multiplicative on S_h
         images = ((i, ph[L._s_pos[i]]) for i in sh_ids)
@@ -477,28 +491,53 @@ def fully_normalized_conjugate(F: FusionSystem, P: Subgroup) -> Subgroup:
 
 
 def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    """N_F(Q) over N_S(Q): each map psi of F with Q <= src(psi) and
-    psi(Q) = Q, restricted to every subgroup of N_S(Q) in its source and
-    carried onto the positions of N_S(Q).  Such a psi sends
-    src(psi) ∩ N_S(Q) into N_S(psi(Q)) = N_S(Q)."""
+    """N_F(Q) over N_S(Q), built once per Q and kept on F.
+
+    By definition, a map phi: P -> P' between subgroups of N_S(Q) lies
+    in N_F(Q) when it extends to a map of F on PQ that sends Q onto Q.
+    F is closed under restriction, so N_F(Q) consists of the maps psi of
+    F on the sources R with Q <= R <= N_S(Q) and psi(Q) = Q, each
+    restricted to the P <= N_S(Q) with PQ = R (``SIndex.join``): every
+    P <= N_S(Q) is counted under exactly one R.  The maps are carried
+    onto the positions of N_S(Q).  When the result is F itself (Q normal
+    in F), F is returned, so that the answers kept on F serve for it;
+    the result keeps N_{N_F(Q)}(Q) = N_F(Q) in its own store.
+    """
+    key = ("normalizer", Q.eset)
+    if key not in F._verdicts:
+        N = F._verdicts[key] = _normalizer_system(F, Q)
+        N._verdicts[key] = N
+    return F._verdicts[key]
+
+
+def _normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     idx = F.index
     n = len(idx.elements)
     q = idx.mask(Q.eset)
     qs = bit_positions(q)
     ns = idx.normalizer(q)
-    subs = [(m, _keep(m, n)) for m in idx.lattice() if m & ns == m]
-    restricted = set()
-    for src, imgs in F.maps_by_mask().items():
-        if src & q != q:
-            continue
-        inside = [(m, keep) for m, keep in subs if m & src == m]
-        for img in imgs:
-            if image_mask(img, qs) == q:
-                ext = img + _NONE
-                restricted.update((m, keep(ext)) for m, keep in inside)
     N = F.subgroup(idx.members(ns))
     up, down = embedding(F.S, N)
-    return FusionSystem(N, F.p, _carry(restricted, down, up), F.morphism_cap)
+    # each P <= N_S(Q) under R = PQ: its mask on the positions of N_S(Q)
+    # and the getter of the points of P among them (n reads the -1)
+    under: dict[int, list] = {}
+    for m in idx.lattice():
+        if m & ns == m:
+            keep = [i if m >> i & 1 else n for i in up]
+            under.setdefault(idx.join(q, m), []).append(
+                (sum(1 << j for j, i in enumerate(keep) if i < n),
+                 getter(keep)))
+    ext = down + _NONE
+    by_mask = F.maps_by_mask()
+    maps = set()
+    for r, subs in under.items():
+        for img in by_mask.get(r, ()):
+            if image_mask(img, qs) == q:
+                on_n = getter(img)(ext) + _NONE  # images on N_S(Q)
+                maps.update((m, keep(on_n)) for m, keep in subs)
+    if ns == (1 << n) - 1 and maps == F.maps:
+        return F
+    return FusionSystem(N, F.p, maps, F.morphism_cap)
 
 
 def _normality_fault(F: FusionSystem, Q: Subgroup) -> Optional[str]:
@@ -561,7 +600,9 @@ def is_subcentric(F: FusionSystem, P: Subgroup) -> bool:
     if is_centric(F, P):
         return True
     Q = fully_normalized_conjugate(F, P)
-    NQ = normalizer_system(F, Q)
+    # built, not kept on F: ``subcentric_subgroups`` asks once per class,
+    # and keeping one normalizer system per class only holds memory
+    NQ = _normalizer_system(F, Q)
     R = _op_core_over(NQ, NQ.subgroup(Q.eset))
     return is_centric(F, F.subgroup(R.eset))
 
@@ -616,7 +657,15 @@ def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
 
 
 def is_saturated(F: FusionSystem) -> bool:
-    """Every conjugacy class contains a fully automized receptive member."""
+    """Every conjugacy class contains a fully automized receptive member.
+    Decided once and kept on F."""
+    key = ("saturated",)
+    if key not in F._verdicts:
+        F._verdicts[key] = _is_saturated(F)
+    return F._verdicts[key]
+
+
+def _is_saturated(F: FusionSystem) -> bool:
     seen: set[frozenset] = set()
     for P in F.subgroups:
         if P.eset not in seen:
@@ -645,7 +694,15 @@ def _conjugate_map(psi: tuple[int, ...], phi: Morphism) -> Morphism:
 
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
     """T strongly closed, E saturated, strongly F-invariant, and the
-    automorphism extension condition on T C_S(T)."""
+    automorphism extension condition on T C_S(T).  Decided once per E
+    and kept on F."""
+    key = ("normal", E)
+    if key not in F._verdicts:
+        F._verdicts[key] = _is_normal_subsystem(F, E)
+    return F._verdicts[key]
+
+
+def _is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
     if not is_subsystem(F, E):
         return False
     T = F.subgroup(E.S.eset)
@@ -694,24 +751,33 @@ def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
 
 
 def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
-                           ) -> tuple[bool | str, list[FusionSystem]]:
+                           ) -> tuple[bool | str, tuple[FusionSystem, ...]]:
     """Chain search by descending normal closures.
 
     Returns (verdict, chain from E up to F); verdict is True, False, or
     "unknown" when a descending link fails the normality audit (the
-    weak closure need not be saturated in general).
+    weak closure need not be saturated in general).  Searched once per E
+    and kept on F, so the chain is a tuple.
     """
+    key = ("subnormal", E)
+    if key not in F._verdicts:
+        F._verdicts[key] = _is_subnormal_subsystem(F, E)
+    return F._verdicts[key]
+
+
+def _is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
+                            ) -> tuple[bool | str, tuple[FusionSystem, ...]]:
     if not is_subsystem(F, E):
-        return False, []
+        return False, ()
     if E == F:
-        return True, [F]
+        return True, (F,)
     chain = [F]
     # each normal closure is a subsystem of the last: the chain descends
     while (nxt := normal_closure(chain[-1], E)) != chain[-1]:
         chain.append(nxt)
     if chain[-1] != E:
-        return False, list(reversed(chain))
+        return False, tuple(reversed(chain))
     for below, above in zip(chain[1:], chain):
         if not is_normal_subsystem(above, below):
-            return "unknown", list(reversed(chain))
-    return True, list(reversed(chain))
+            return "unknown", tuple(reversed(chain))
+    return True, tuple(reversed(chain))

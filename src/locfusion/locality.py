@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from operator import getitem, itemgetter, ne, not_
 from typing import Collection, Iterable, Optional, Sequence
 
-from .fusion import (DEFAULT_MORPHISM_CAP, centric_radicals,
+from .fusion import (DEFAULT_MORPHISM_CAP, FusionError, centric_radicals,
                      fusion_of_locality, is_saturated)
 from .permgroup import (FiniteGroup, Subgroup, all_subgroups, bit_positions,
                         cayley_group, domain_mask, getter, image_mask,
@@ -867,6 +867,15 @@ def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
                         ) -> tuple[bool, dict]:
     """Saturated fusion, F^cr inside delta, all N_L(P) of characteristic p.
 
+    N_L(P) is built and tested once per F_S(L)-class of delta, for its
+    first object in (order, members) order.  For P in delta and f in L
+    with P <= S_f, conjugation by f maps N_L(P) onto N_L(P^f) (Chermak,
+    "Fusion systems and localities", Acta Math. 2013), and the maps of
+    F_S(L) are composites of restrictions of such conjugations: so the
+    objects of one class have isomorphic normalizers, and the first
+    object to fail is the first of its class.  Each witness names only
+    the object's order and |N_L(P)|, which are the same across a class.
+
     ``cap`` is the morphism cap of F_S(L)."""
     report: dict = {"saturated": None, "centric_radicals_in_delta": None,
                     "local_groups_characteristic_p": None, "witness": None}
@@ -882,8 +891,18 @@ def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
     report["centric_radicals_in_delta"] = ok_cr
 
     ok_loc = True
+    to_perm = L.s_group()[1]
+    done: set[int] = set()  # the objects of the classes already tested
     for d in sorted(L.delta, key=lambda m: (m.bit_count(), bit_positions(m))):
-        res = local_group(L, L.ids_of(d))
+        if d in done:
+            continue
+        ids = L.ids_of(d)
+        try:
+            cls = F.conjugates(F.subgroup(map(to_perm.__getitem__, ids)))
+        except FusionError:  # d is no subgroup of S: tested on its own
+            cls = ()
+        done.update(L.mask_of_perms(Q.eset) for Q in cls)
+        res = local_group(L, ids)
         if res is None:
             ok_loc = False
             report["witness"] = (f"N_L(P) not a group for object of order "

@@ -1,0 +1,75 @@
+"""Direct forms of two answers the library derives more cheaply, kept as
+oracles.
+
+``normalizer_by_sources`` builds N_F(Q) from every map of F whose source
+contains Q and which sends Q onto Q, restricted to every subgroup of
+N_S(Q) inside its source; the library takes only the maps on sources
+between Q and N_S(Q) and restricts each to the P with PQ equal to its
+source.  ``linking_per_object`` is the linking certificate with N_L(P)
+built and tested for every object of delta; the library tests one
+object per F_S(L)-class.
+"""
+
+from locfusion.fusion import (FusionSystem, _NONE, _carry, _keep,
+                              centric_radicals, embedding, fusion_of_locality,
+                              is_saturated)
+from locfusion.locality import local_group
+from locfusion.permgroup import bit_positions, image_mask, is_characteristic_p
+
+
+def normalizer_by_sources(F, Q):
+    """N_F(Q) over N_S(Q): each map psi of F with Q <= src(psi) and
+    psi(Q) = Q, restricted to every subgroup of N_S(Q) in its source and
+    carried onto the positions of N_S(Q).  Always a new system."""
+    idx = F.index
+    n = len(idx.elements)
+    q = idx.mask(Q.eset)
+    qs = bit_positions(q)
+    ns = idx.normalizer(q)
+    subs = [(m, _keep(m, n)) for m in idx.lattice() if m & ns == m]
+    restricted = set()
+    for src, imgs in F.maps_by_mask().items():
+        if src & q != q:
+            continue
+        inside = [(m, keep) for m, keep in subs if m & src == m]
+        for img in imgs:
+            if image_mask(img, qs) == q:
+                ext = img + _NONE
+                restricted.update((m, keep(ext)) for m, keep in inside)
+    N = F.subgroup(idx.members(ns))
+    up, down = embedding(F.S, N)
+    return FusionSystem(N, F.p, _carry(restricted, down, up), F.morphism_cap)
+
+
+def linking_per_object(L):
+    """(verdict, report) of the linking certificate, with N_L(P) built
+    and tested for every object of delta in (order, members) order."""
+    report = {"saturated": None, "centric_radicals_in_delta": None,
+              "local_groups_characteristic_p": None, "witness": None}
+    F = fusion_of_locality(L)
+    report["saturated"] = is_saturated(F)
+
+    ok_cr = True
+    for P in centric_radicals(F):
+        if L.mask_of_perms(P.eset) not in L.delta:
+            ok_cr = False
+            report["witness"] = f"centric radical of order {P.order} not in delta"
+            break
+    report["centric_radicals_in_delta"] = ok_cr
+
+    ok_loc = True
+    for d in sorted(L.delta, key=lambda m: (m.bit_count(), bit_positions(m))):
+        res = local_group(L, L.ids_of(d))
+        if res is None:
+            ok_loc = False
+            report["witness"] = (f"N_L(P) not a group for object of order "
+                                 f"{d.bit_count()}")
+            break
+        H, _ = res
+        if not is_characteristic_p(H, L.p):
+            ok_loc = False
+            report["witness"] = (f"N_L(P) of order {H.order} is not of "
+                                 f"characteristic {L.p}")
+            break
+    report["local_groups_characteristic_p"] = ok_loc
+    return bool(report["saturated"]) and ok_cr and ok_loc, report

@@ -43,6 +43,13 @@ def _most_per_object(calls):
     return max(counts.values(), default=0)
 
 
+def _each_once(calls, key):
+    """No two calls ask the same question of one system: the first
+    argument by identity, the rest through ``key``."""
+    asked = [(id(args[0]), key(*args[1:])) for args, _ in calls]
+    return len(asked) == len(set(asked))
+
+
 @pytest.mark.parametrize("name", ["product-24", "product-48"])
 def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     d = instances.load_descriptor(name)
@@ -57,6 +64,11 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     via_loc = _record_calls(monkeypatch, products, "product_ed_via_locality")
     enums = _record_calls(monkeypatch, products,
                           "enumerate_subnormal_subsystems")
+    # the questions a system keeps its answers to, where each is answered
+    normalizers = _record_calls(monkeypatch, fusion, "_normalizer_system")
+    normals = _record_calls(monkeypatch, fusion, "_is_normal_subsystem")
+    subnormals = _record_calls(monkeypatch, fusion, "_is_subnormal_subsystem")
+    saturations = _record_calls(monkeypatch, fusion, "_is_saturated")
 
     assert main(["suite", name, "--out", str(tmp_path / "r.json")]) == 0
 
@@ -71,6 +83,10 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     assert linking and _most_per_object(linking) == 1
     assert 1 <= len(via_loc) <= n_products
     assert _most_per_object(enums) <= 1
+    assert normalizers and _each_once(normalizers, lambda Q: Q.eset)
+    assert normals and _each_once(normals, lambda E: E)
+    assert _each_once(subnormals, lambda E: E)
+    assert saturations and _each_once(saturations, lambda: None)
 
 
 def test_suite_indexes_each_subgroup_once(monkeypatch, tmp_path):

@@ -42,6 +42,7 @@ from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _closure,
                                  sylow_subgroup)
 from locfusion.products import _tr_subgroup, a_fe
 
+from answer_oracles import normalizer_by_sources
 from graph_oracle import (conj_graph, graph_of, graphs, ref_all_subgroups,
                           ref_close, ref_conjugate, ref_fusion_maps)
 
@@ -546,6 +547,36 @@ def test_subcentric_search_matches_full_scan(label):
         verdicts.update((C.eset, v) for C in F.conjugates(P))
     assert subcentric_subgroups(F) == \
         [P for P in F.subgroups if verdicts[P.eset]]
+
+
+NORMALIZER_GROUPS = {"S4": (_s4, (2, 3)), "S3xS3": (_s3xs3, (2, 3)),
+                     "A5": (_a5, (2, 3, 5)), "S6": (_s6, (2, 3, 5))}
+NORMALIZER_IDS = ([f"{name}:F" for name in inst.BUNDLED]
+                  + [f"{name}:p={p}" for name, (_, ps) in
+                     NORMALIZER_GROUPS.items() for p in ps])
+
+
+@pytest.mark.parametrize("label", NORMALIZER_IDS)
+def test_normalizer_system_matches_build_from_every_source(label):
+    """N_F(Q) from its definition equals the build that restricts every
+    Q-preserving map whose source holds Q, for every subgroup Q of S, on
+    F_S(G) of each bundled descriptor and of the named groups at each
+    prime.  A normalizer equal to F is F itself, and each is kept."""
+    name, _, rest = label.partition(":")
+    if rest == "F":
+        ctx = inst.Instance(inst.load_descriptor(name))
+        F = fusion_of_group(ctx.G, ctx.S, p=ctx.d["p"])
+    else:
+        make, _ = NORMALIZER_GROUPS[name]
+        G = make()
+        p = int(rest[2:])
+        F = fusion_of_group(G, sylow_subgroup(G, p), p=p)
+    for Q in F.subgroups:
+        NQ = normalizer_system(F, Q)
+        assert NQ == normalizer_by_sources(F, Q), Q.order
+        assert (NQ is F) == (NQ == F)
+        assert normalizer_system(F, Q) is NQ
+        assert normalizer_system(NQ, NQ.subgroup(Q.eset)) is NQ
 
 
 def test_each_normality_clause_fires(s4, s4_sylow, klein):

@@ -5,6 +5,9 @@ import random
 
 import pytest
 
+from locfusion import locality
+from locfusion.fusion import fusion_of_locality
+from locfusion.instances import BUNDLED, build_locality, load_descriptor
 from locfusion.locality import (Locality, LocalityError, _s_group_fault,
                                 _sub_locality, _word_states,
                                 delta_min_order, is_linking_locality,
@@ -15,6 +18,8 @@ from locfusion.locality import (Locality, LocalityError, _s_group_fault,
 from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
                                  conjugate, domain_mask, from_cycles,
                                  generated_subgroup, inverse, sylow_subgroup)
+
+from answer_oracles import linking_per_object
 
 
 def s_of_word(L, w):
@@ -187,8 +192,65 @@ def test_linking_locality_false_with_central_3_factor():
     s = sylow_subgroup(g, 2)
     delta = all_subgroups(g, within=s)
     L = locality_from_group(g, s, delta, 2)
-    ok, _rep = is_linking_locality(L)
+    ok, rep = is_linking_locality(L)
+    assert (ok, rep) == linking_per_object(L)
     assert not ok
+    assert rep["witness"] == "N_L(P) of order 72 is not of characteristic 2"
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_linking_certificate_matches_per_object_on_bundled(name):
+    L = build_locality(load_descriptor(name))
+    assert is_linking_locality(L) == linking_per_object(L)
+
+
+def test_linking_certificate_tests_a_non_subgroup_object_on_its_own(loc_a):
+    """A delta member that is no subgroup of S has no F_S(L)-class: the
+    certificate still gives the per-object answer, not an error."""
+    d = locality_to_descriptor(loc_a)
+    s = [x for x in d["S"] if x != d["identity"]]
+    d["delta"].insert(0, s[:2])
+    A = locality_from_descriptor(d)
+    assert is_linking_locality(A) == linking_per_object(A)
+
+
+def test_linking_certificate_tests_one_object_per_class(monkeypatch):
+    """On S6, p = 2, delta = order >= 4: the per-object verdict and
+    report, with N_L(P) built for one object of each F_S(L)-class."""
+    G = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
+                        from_cycles(6, (1, 2))])
+    S = sylow_subgroup(G, 2)
+    L = locality_from_group(G, S, delta_min_order(G, S, 4), 2)
+    F = fusion_of_locality(L)
+    classes = {frozenset(L.mask_of_perms(Q.eset) for Q in F.conjugates(P))
+               for P in F.subgroups if L.mask_of_perms(P.eset) in L.delta}
+    built = []
+    monkeypatch.setattr(locality, "local_group",
+                        lambda L, P: built.append(L.mask_of(P))
+                        or local_group(L, P))
+    assert is_linking_locality(L) == linking_per_object(L)
+    assert len(classes) < len(L.delta)
+    assert sorted(len(c & set(built)) for c in classes) == [1] * len(classes)
+    assert len(built) == len(classes)
+
+
+@pytest.mark.parametrize("gens", [
+    # S3 wr C2: the swap fuses <(1 2)> and <(4 5)>
+    [[(1, 2)], [(1, 2, 3)], [(1, 4), (2, 5), (3, 6)]],
+    # S3 x S3
+    [[(1, 2)], [(1, 2, 3)], [(4, 5)], [(4, 5, 6)]],
+], ids=["S3wrC2", "S3xS3"])
+def test_linking_certificate_names_the_per_object_witness(gens):
+    """Delta = order >= 2 holds <(1 2)>, whose N_L(P) = <(1 2)> x Sym{4,5,6}
+    is not of characteristic 2: the per-class certificate fails with the
+    per-object verdict, report and witness."""
+    G = FiniteGroup(6, [from_cycles(6, *g) for g in gens])
+    S = sylow_subgroup(G, 2)
+    L = locality_from_group(G, S, delta_min_order(G, S, 2), 2)
+    ok, rep = is_linking_locality(L)
+    assert (ok, rep) == linking_per_object(L)
+    assert not ok
+    assert rep["witness"] == "N_L(P) of order 12 is not of characteristic 2"
 
 
 def test_descriptor_roundtrip(loc_a):

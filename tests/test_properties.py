@@ -6,7 +6,8 @@ generators, taken at every prime dividing its order.  Through the graph
 edge (``graph_oracle.graph_of`` and ``fusion.from_graph``), F_S(G) must
 equal the conjugation graphs, closing its outer maps onto the inner maps
 must give F_S(G) back, and its report must be byte for byte the report
-written from the graphs.
+written from the graphs.  For every subgroup Q of S, N_F(Q) must equal
+the build from every Q-preserving map (``answer_oracles``).
 """
 
 import json
@@ -16,9 +17,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from locfusion.fusion import close, fusion_of_group, inner_maps  # noqa: E402
+from locfusion.fusion import (close, fusion_of_group, inner_maps,  # noqa: E402
+                              normalizer_system)
 from locfusion.permgroup import FiniteGroup, sylow_subgroup  # noqa: E402
 
+from answer_oracles import normalizer_by_sources  # noqa: E402
 from graph_oracle import (graphs, ref_fusion_maps,  # noqa: E402
                           ref_to_json)
 
@@ -48,3 +51,5 @@ def test_fusion_of_group_against_graph_oracle(G):
         assert close(S, p, sorted(F.maps - inner_maps(S))) == F
         assert json.dumps(F.to_json(), sort_keys=True) == \
             json.dumps(ref_to_json(S, p, ref), sort_keys=True)
+        for Q in F.subgroups:
+            assert normalizer_system(F, Q) == normalizer_by_sources(F, Q)
