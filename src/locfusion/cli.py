@@ -108,10 +108,7 @@ def cmd_locality_build(ctx, args):
 
 
 def cmd_locality_validate(ctx, args):
-    mwl = args.max_word_len
-    if mwl is None:
-        mwl = ctx.max_word_length
-    rep = validate_locality(ctx.L, max_word_length=mwl)
+    rep = validate_locality(ctx.L, max_word_length=args.max_word_len)
     out = {"suite": "locality_validate", "instance": ctx.d["name"],
            **rep.to_json()}
     return out, EXIT_OK if rep.ok else EXIT_FAIL
@@ -129,8 +126,7 @@ def _theorem_reports(ctx, which: str):
     reports = []
     for kname in cfg["k"]:
         K = inst.k_choice(d, L, kname)
-        rep = verify(L, N, K, instance=f"{d['name']}:{kname}",
-                     max_word_length=ctx.max_word_length)
+        rep = verify(L, N, K, instance=f"{d['name']}:{kname}")
         reports.append(rep.to_json())
     ok = all(r["ok"] for r in reports)
     return {"suite": which, "instance": d["name"],
@@ -156,14 +152,13 @@ def cmd_restriction(ctx, args):
     delta_ids = [frozenset(L.id_of[g] for g in P.eset) for P in sub_delta]
     N = inst.resolve_ids(L, inst.named_subgroup(d, G, cfg["n"]))
     K = inst.k_choice(d, L, cfg["k"])
-    rep = verify_restriction_product(L, delta_ids, N, K, instance=d["name"],
-                                     max_word_length=ctx.max_word_length)
+    rep = verify_restriction_product(L, delta_ids, N, K, instance=d["name"])
     return rep.to_json() | {"suite": "restriction"}, \
         EXIT_OK if rep.ok else EXIT_FAIL
 
 
 def cmd_fusion_build(ctx, args):
-    F = fu.fusion_of_locality(ctx.L, ctx.morphism_cap)
+    F = fu.fusion_of_locality(ctx.L)
     return {"suite": "fusion_build", "instance": ctx.d["name"],
             **F.to_json()}, EXIT_OK
 

@@ -21,6 +21,9 @@ Aut_F(P) is a permutation group on the elements of P (``aut_group``).
 Every closure runs under a morphism cap.  A system keeps the cap it was
 built under, and the closures inside it and its normalizer systems
 inherit it, so a caller sets it once, where it builds the ambient system.
+A locality likewise keeps the run's cap (``Locality.morphism_cap``), with
+its word bound, and F_S(L) and the systems of its partial subgroups are
+closed under it.
 
 A system keeps the answers to the questions asked of it
 (``FusionSystem._verdicts``): N_F(Q) per Q, whether F is saturated, and,
@@ -374,13 +377,12 @@ def _infer_p(S: Subgroup) -> int:
     return p
 
 
-def fusion_of_partial_subgroup(L, H: Iterable[int],
-                               cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
-    """F_{S∩H}(H) for a partial subgroup H of the locality L (ids of L):
-    generated by the conjugation maps between subgroups of S∩H induced by
-    elements of H.  The map of h depends on h only through its class
-    (``Locality._cls``), so one graph is built per class present in H,
-    and each distinct graph is checked once."""
+def fusion_of_partial_subgroup(L, H: Iterable[int]) -> FusionSystem:
+    """F_{S∩H}(H) for a partial subgroup H of the locality L (ids of L),
+    under L's cap: generated by the conjugation maps between subgroups of
+    S∩H induced by elements of H.  The map of h depends on h only through
+    its class (``Locality._cls``), so one graph is built per class present
+    in H, and each distinct graph is checked once."""
     Hset = frozenset(H)
     sh_ids = sorted(set(L.s_ids) & Hset)
     Ssub, label = _s_cap_h_subgroup(L, sh_ids)
@@ -392,7 +394,8 @@ def fusion_of_partial_subgroup(L, H: Iterable[int],
         images = ((i, ph[L._s_pos[i]]) for i in sh_ids)
         graphs.add(tuple((label[i], label[L.s_ids[v]]) for i, v in images
                          if v >= 0 and L.s_ids[v] in label))
-    return close(Ssub, L.p, [from_graph(Ssub, g) for g in graphs], cap)
+    return close(Ssub, L.p, [from_graph(Ssub, g) for g in graphs],
+                 L.morphism_cap)
 
 
 def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
@@ -405,10 +408,10 @@ def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
     return G.subgroup(to_perm.values(), check=False), to_perm
 
 
-def fusion_of_locality(L, cap: int = DEFAULT_MORPHISM_CAP) -> FusionSystem:
-    """F_S(L), kept on the locality; ``cap`` bounds the first closure."""
+def fusion_of_locality(L) -> FusionSystem:
+    """F_S(L), kept on the locality."""
     if L._fusion is None:
-        L._fusion = fusion_of_partial_subgroup(L, range(L.n), cap)
+        L._fusion = fusion_of_partial_subgroup(L, range(L.n))
     return L._fusion
 
 

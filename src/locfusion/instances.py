@@ -57,16 +57,19 @@ def load_descriptor(name_or_path: str) -> dict:
 
 def _check_schema(d) -> None:
     """The shape of every section present, checked once on load, so that
-    a malformed section is an input error before any group is built."""
+    a malformed section is an input error before any group is built:
+    required keys, objects, integers, a string name, and every field read
+    as a list (permutations, subgroup elements, K names) a list of them."""
     _require_keys(d, ("name", "group", "p"), "descriptor")
-    _require_int(d["p"], "'p'")
+    _require(isinstance(d["name"], str), "'name'", "a string", d["name"])
+    _require(_is_int(d["p"]), "'p'", "an integer", d["p"])
     if not is_prime(d["p"]):
         raise DescriptorError(f"'p' must be a prime, not {d['p']}")
     if "max_word_length" in d:
-        _require_int(d["max_word_length"], "'max_word_length'")
-        if d["max_word_length"] < 1:
-            raise DescriptorError("'max_word_length' must be at least 1, "
-                                  f"not {d['max_word_length']}")
+        mwl = d["max_word_length"]
+        _require(_is_int(mwl), "'max_word_length'", "an integer", mwl)
+        _require(mwl >= 1, "'max_word_length'", "at least 1", mwl)
+    _require_perms(d.get("sylow", "auto"), "'sylow'", "auto")
     for key in ("normal_subgroups", "k_choices", "fusion_products"):
         _require_keys(d.get(key, {}), (), repr(key))
     deltas = [d.get("delta")]
@@ -76,32 +79,74 @@ def _check_schema(d) -> None:
                       ("restriction", ("delta", "n", "k"))):
         if d.get(key):
             _require_keys(d[key], keys, repr(key))
+            k = d[key]["k"]
+            names = [k] if key == "restriction" else k
+            _require(isinstance(names, list) and all(
+                isinstance(x, str) for x in names), f"{key!r} 'k'",
+                "a name" if key == "restriction" else "a list of names", k)
             deltas.append(d[key].get("delta"))
             subgroups.append(d[key]["n"])
     for spec in deltas:
         if spec is not None:
             _require_keys(spec, (), "delta")
-            if not spec.get("all") and "min_order" in spec:
-                _require_int(spec["min_order"], "delta 'min_order'")
+            if spec.get("all"):
+                continue
+            if "min_order" in spec:
+                _require(_is_int(spec["min_order"]), "delta 'min_order'",
+                         "an integer", spec["min_order"])
+            elif "explicit" in spec:
+                _require(isinstance(spec["explicit"], list) and all(
+                    map(_is_perms, spec["explicit"])), "delta 'explicit'",
+                    "a list of element lists", spec["explicit"])
+            else:
+                raise DescriptorError(f"unrecognized delta rule {spec!r}")
     for name, spec in d.get("fusion_products", {}).items():
         what = f"product {name!r}"
         _require_keys(spec, ("E", "D", "N", "K", "oracle"), what)
         _require_keys(spec["E"], ("over", "acting"), f"{what} 'E'")
         _require_keys(spec["D"], ("kind",), f"{what} 'D'")
+        _require(spec["D"]["kind"] in ("inner", "normalizer"),
+                 f"{what} 'D' 'kind'", "'inner' or 'normalizer'",
+                 spec["D"]["kind"])
+        _require_keys(spec["oracle"], ("over", "acting"), f"{what} 'oracle'")
+        fields = [("E", "over", None), ("E", "acting", None),
+                  ("oracle", "over", "sylow"), ("oracle", "acting", "all")]
         if spec["D"]["kind"] == "inner":
             _require_keys(spec["D"], ("over",), f"{what} 'D'")
-        _require_keys(spec["oracle"], ("over", "acting"), f"{what} 'oracle'")
+            fields.append(("D", "over", None))
+        for part, key, word in fields:
+            _require_perms(spec[part][key], f"{what} {part!r} {key!r}", word)
         subgroups += [spec["N"]] + ([] if spec["K"] == "all" else [spec["K"]])
     for spec in subgroups:
-        if not isinstance(spec, str) and not (
-                isinstance(spec, dict)
-                and ("generators" in spec or "elements" in spec)):
+        if isinstance(spec, dict) and ("generators" in spec
+                                       or "elements" in spec):
+            key = "generators" if "generators" in spec else "elements"
+            _require_perms(spec[key], f"subgroup {key!r}")
+        elif not isinstance(spec, str):
             raise DescriptorError(f"bad subgroup spec {spec!r}")
 
 
-def _require_int(value, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DescriptorError(f"{what} must be an integer, not {value!r}")
+def _require(ok: bool, what: str, kind: str, value) -> None:
+    if not ok:
+        raise DescriptorError(f"{what} must be {kind}, not {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_perms(value) -> bool:
+    """A list of permutations, each a list of integers; ``_perms`` checks
+    each against the degree where it is read."""
+    return isinstance(value, list) and all(
+        isinstance(x, list) and all(map(_is_int, x)) for x in value)
+
+
+def _require_perms(value, what: str, word: Optional[str] = None) -> None:
+    """A list of permutations, or ``word`` when one is given."""
+    _require(value == word or _is_perms(value), what,
+             (f"{word!r} or " if word else "") + "a list of permutations",
+             value)
 
 
 def _require_keys(spec, keys: Iterable[str], what: str) -> None:
@@ -112,10 +157,14 @@ def _require_keys(spec, keys: Iterable[str], what: str) -> None:
             raise DescriptorError(f"{what} missing {key!r}")
 
 
-def _perm(images: list[int], degree: int) -> tuple:
-    if sorted(images) != list(range(1, degree + 1)):
-        raise DescriptorError(f"{images!r} is not a permutation of 1..{degree}")
-    return tuple(x - 1 for x in images)
+def _perms(rows: list[list[int]], G: FiniteGroup) -> list[tuple]:
+    """Each row, a permutation of 1..degree of G, as a 0-indexed element
+    (DescriptorError naming the first row that is not one)."""
+    for images in rows:
+        if sorted(images) != list(range(1, G.degree + 1)):
+            raise DescriptorError(
+                f"{images!r} is not a permutation of 1..{G.degree}")
+    return [tuple(x - 1 for x in images) for images in rows]
 
 
 def group_of(d: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
@@ -132,8 +181,7 @@ def sylow_of(d: dict, G: FiniteGroup) -> Subgroup:
     spec = d.get("sylow", "auto")
     if spec == "auto":
         return sylow_subgroup(G, d["p"])
-    gens = [_perm(x, G.degree) for x in spec]
-    S = generated_subgroup(G, gens)
+    S = generated_subgroup(G, _perms(spec, G))
     if S.order != _p_part(G.order, d["p"]):
         raise DescriptorError("explicit sylow has wrong order")
     return S
@@ -145,12 +193,7 @@ def delta_of(d: dict, G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
         return all_subgroups(G, within=S)
     if "min_order" in spec:
         return delta_min_order(G, S, spec["min_order"])
-    if "explicit" in spec:
-        out = []
-        for elems in spec["explicit"]:
-            out.append(G.subgroup([_perm(x, G.degree) for x in elems]))
-        return out
-    raise DescriptorError(f"unrecognized delta rule {spec!r}")
+    return [G.subgroup(_perms(elems, G)) for elems in spec["explicit"]]
 
 
 def named_subgroup(d: dict, G: FiniteGroup, spec) -> Subgroup:
@@ -161,10 +204,9 @@ def named_subgroup(d: dict, G: FiniteGroup, spec) -> Subgroup:
         except KeyError:
             raise DescriptorError(f"unknown subgroup name {spec!r}") from None
     if "generators" in spec:
-        return generated_subgroup(G, [_perm(x, G.degree)
-                                      for x in spec["generators"]])
+        return generated_subgroup(G, _perms(spec["generators"], G))
     if "elements" in spec:
-        return G.subgroup([_perm(x, G.degree) for x in spec["elements"]])
+        return G.subgroup(_perms(spec["elements"], G))
     raise DescriptorError(f"bad subgroup spec {spec!r}")
 
 
@@ -174,7 +216,10 @@ def build_locality(d: dict, ctx: Optional[Instance] = None) -> Locality:
     validator on it."""
     ctx = ctx or Instance(d)
     delta = delta_of(d, ctx.G, ctx.S)
-    return locality_from_group(ctx.G, ctx.S, delta, d["p"])
+    return locality_from_group(
+        ctx.G, ctx.S, delta, d["p"],
+        max_word_length=d.get("max_word_length", DEFAULT_MAX_WORD_LENGTH),
+        morphism_cap=ctx.morphism_cap)
 
 
 def resolve_ids(L: Locality, sub: Subgroup) -> frozenset:
@@ -204,7 +249,7 @@ def product_setup(d: dict, name: str,
     p = d["p"]
 
     def inside_s(field: str, rows) -> Subgroup:
-        H = generated_subgroup(G, [_perm(x, G.degree) for x in rows])
+        H = generated_subgroup(G, _perms(rows, G))
         try:
             return F.subgroup(H.eset)
         except fu.FusionError:
@@ -212,17 +257,14 @@ def product_setup(d: dict, name: str,
                 f"{what} {field} does not generate a subgroup of S") from None
 
     T = inside_s("'E' 'over'", spec["E"]["over"])
-    E_act = generated_subgroup(G, [_perm(x, G.degree)
-                                   for x in spec["E"]["acting"]])
+    E_act = generated_subgroup(G, _perms(spec["E"]["acting"], G))
     E = fu.fusion_of_group(G, T, acting=E_act.elements, p=p, cap=cap)
 
     dd = spec["D"]
     if dd["kind"] == "inner":
         D = fu.inner_fusion(inside_s("'D' 'over'", dd["over"]), p)
-    elif dd["kind"] == "normalizer":
-        D = fu.normalizer_system(F, T)
     else:
-        raise DescriptorError(f"unknown D kind {dd['kind']!r}")
+        D = fu.normalizer_system(F, T)
 
     L = ctx.L
     N_ids = resolve_ids(L, named_subgroup(d, G, spec["N"]))
@@ -236,9 +278,9 @@ def product_setup(d: dict, name: str,
         oracle = F
     else:
         o_over = S if osp["over"] == "sylow" else generated_subgroup(
-            G, [_perm(x, G.degree) for x in osp["over"]])
+            G, _perms(osp["over"], G))
         o_act = G.elements if osp["acting"] == "all" else generated_subgroup(
-            G, [_perm(x, G.degree) for x in osp["acting"]]).elements
+            G, _perms(osp["acting"], G)).elements
         oracle = fu.fusion_of_group(G, o_over, acting=o_act, p=p, cap=cap)
 
     return {"G": G, "S": S, "F": F, "E": E, "T": T, "D": D, "L": L,
@@ -267,12 +309,6 @@ class Instance:
         self.morphism_cap = morphism_cap
         self._setups: dict[str, dict] = {}
         self._eds: dict[str, tuple] = {}
-
-    @property
-    def max_word_length(self) -> int:
-        """The descriptor's word-length bound, for the validator and the
-        partial-subgroup predicates."""
-        return self.d.get("max_word_length", DEFAULT_MAX_WORD_LENGTH)
 
     @cached_property
     def G(self) -> FiniteGroup:
@@ -309,8 +345,7 @@ class Instance:
         subnormal but not normal the locality route alone gives ED."""
         if name not in self._eds:
             st = self.product(name)
-            args = (st["L"], st["N_ids"], st["K_ids"], self.morphism_cap,
-                    self.max_word_length)
+            args = (st["L"], st["N_ids"], st["K_ids"])
             agreement = None
             try:
                 ed = pr.product_ED(st["F"], st["E"], st["D"])

@@ -176,13 +176,9 @@ def _check_rows(n: int, rows: Sequence[tuple[int, ...]]) -> None:
 class Locality:
     """(L, delta, S) with partial product given by a row table.
 
-    ``rows[i][j]`` is the id of i·j, or -1 where (i, j) is not in the
-    domain D.  The table is stored as n + 1 tuples of n + 1 ids: every
-    row ends in -1 and row n is all -1, so ``rows[-1]`` is that row and
-    an undefined step stays undefined when it is read again
-    (``rows[rows[i][j]][k]`` is -1 whenever i·j is).  It costs (n + 1)²
-    machine words, one pointer per entry (2.5 MB at n = 560).  ``prod``
-    is a read-only pair-keyed view of the same rows.
+    ``rows`` is the row table of the module docstring: ``rows[i][j]`` is
+    the id of i·j, or -1 off the domain D, and ``rows[rows[i][j]][k]`` is
+    -1 whenever i·j is.  ``prod`` is a read-only pair-keyed view of it.
 
     ``labels`` are stable hashable names for the carrier elements
     (ambient permutations for group-realized instances); set-valued
@@ -196,15 +192,24 @@ class Locality:
     ``s_mask``, ``s_group`` and the ``_verdicts`` memo of the
     partial-subgroup predicates and of the locality-route precondition
     of ``products`` all rely on that.
+
+    L keeps its run's bounds, as a fusion system keeps its cap:
+    ``max_word_length`` for the validator and the partial-subgroup
+    predicates, ``morphism_cap`` for F_S(L) and its partial subgroups'
+    systems.  Sub-localities inherit both.
     """
 
     def __init__(self, labels: Sequence, identity: int, inv: Sequence[int],
                  rows: Iterable[Iterable[int]], s_ids: Iterable[int],
                  p: int, delta: Iterable[Iterable[int]],
-                 realization: Optional[FiniteGroup] = None):
+                 realization: Optional[FiniteGroup] = None,
+                 max_word_length: int = DEFAULT_MAX_WORD_LENGTH,
+                 morphism_cap: int = DEFAULT_MORPHISM_CAP):
         """``rows`` holds n rows of n entries, each an id in range(n) or
         -1; the identity, the inverse table and S must hold ids in
         range(n) (LocalityError naming the row or entry otherwise)."""
+        self.max_word_length = max_word_length
+        self.morphism_cap = morphism_cap
         self.labels = tuple(labels)
         n = self.n = len(self.labels)
         self.identity = identity
@@ -369,7 +374,8 @@ def delta_min_order(G: FiniteGroup, S: Subgroup, min_order: int) -> list[Subgrou
 
 
 def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
-                        p: int) -> Locality:
+                        p: int, max_word_length: int = DEFAULT_MAX_WORD_LENGTH,
+                        morphism_cap: int = DEFAULT_MORPHISM_CAP) -> Locality:
     """The standard realization L_delta(G) = {g : S cap S^(g^-1) in delta}.
 
     delta must be overgroup-closed in S and closed under the conjugation
@@ -425,7 +431,8 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
 
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
     L = Locality(labels, identity, inv, rows, s_ids, p, delta_ids,
-                 realization=G)
+                 realization=G, max_word_length=max_word_length,
+                 morphism_cap=morphism_cap)
     L._lattice = lattice  # s_ids follow the positions of six
     return L
 
@@ -549,9 +556,10 @@ def _word_states(L: Locality, max_len: int,
     return {(pi, maps[mid]): v for (pi, mid), v in seen.items()}, failures
 
 
-def validate_locality(L: Locality, max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+def validate_locality(L: Locality, max_word_length: Optional[int] = None
                       ) -> ValidationReport:
-    """Check the locality axioms on the words up to the length bound.
+    """Check the locality axioms on the words up to the length bound:
+    ``max_word_length`` when given, else L's own.
 
     Words are explored through (product, map) states, one
     representative word each, and every state is visited.  The fold and
@@ -559,6 +567,8 @@ def validate_locality(L: Locality, max_word_length: int = DEFAULT_MAX_WORD_LENGT
     left factor along the representative of the right state only, so it
     is not exhaustive.
     """
+    if max_word_length is None:
+        max_word_length = L.max_word_length
     rep = ValidationReport(max_word_length=max_word_length)
     add = rep.checks.append
 
@@ -779,7 +789,7 @@ def _sub_locality(L: Locality, carrier_ids: list[int],
     (masks of L), keeping the pairs (i, j) of L with i, j and i·j in the
     carrier and S_(i,j) in ``delta``.  Ids are renumbered in order, so S
     keeps its positions, and with them the masks and the S-lattice of
-    L."""
+    L, and its bounds."""
     carrier_ids = sorted(carrier_ids)
     new_id = [-1] * (L.n + 1)  # -1 off the carrier and for -1 itself
     for new, old in enumerate(carrier_ids):
@@ -802,7 +812,9 @@ def _sub_locality(L: Locality, carrier_ids: list[int],
     sub = Locality(labels, new_id[L.identity],
                    [new_id[L.inv[i]] for i in carrier_ids],
                    rows, [new_id[s] for s in L.s_ids], L.p, new_delta,
-                   realization=L.realization)
+                   realization=L.realization,
+                   max_word_length=L.max_word_length,
+                   morphism_cap=L.morphism_cap)
     sub._lattice = L._lattice
     return sub
 
@@ -863,8 +875,7 @@ def local_group(L: Locality, P: frozenset[int]) -> Optional[tuple[FiniteGroup, d
                        max_size=max(len(ids), 1)), to_perm
 
 
-def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
-                        ) -> tuple[bool, dict]:
+def is_linking_locality(L: Locality) -> tuple[bool, dict]:
     """Saturated fusion, F^cr inside delta, all N_L(P) of characteristic p.
 
     N_L(P) is built and tested once per F_S(L)-class of delta, for its
@@ -874,12 +885,10 @@ def is_linking_locality(L: Locality, cap: int = DEFAULT_MORPHISM_CAP
     F_S(L) are composites of restrictions of such conjugations: so the
     objects of one class have isomorphic normalizers, and the first
     object to fail is the first of its class.  Each witness names only
-    the object's order and |N_L(P)|, which are the same across a class.
-
-    ``cap`` is the morphism cap of F_S(L)."""
+    the object's order and |N_L(P)|, which are the same across a class."""
     report: dict = {"saturated": None, "centric_radicals_in_delta": None,
                     "local_groups_characteristic_p": None, "witness": None}
-    F = fusion_of_locality(L, cap)
+    F = fusion_of_locality(L)
     report["saturated"] = is_saturated(F)
 
     ok_cr = True
@@ -939,7 +948,9 @@ def locality_from_descriptor(d: dict) -> Locality:
         rows[i][j] = k
     return Locality(labels=tuple(ids), identity=d["identity"],
                     inv=tuple(d["inverse"]), rows=rows, s_ids=d["S"],
-                    p=d["p"], delta=[frozenset(x) for x in d["delta"]])
+                    p=d["p"], delta=[frozenset(x) for x in d["delta"]],
+                    max_word_length=d.get("max_word_length",
+                                          DEFAULT_MAX_WORD_LENGTH))
 
 
 def locality_to_descriptor(L: Locality) -> dict:
@@ -948,4 +959,5 @@ def locality_to_descriptor(L: Locality) -> dict:
             "products": [[i, j, row[j]] for i, row in zip(cols, L.rows)
                          for j in itertools.compress(cols, map(_defined, row))],
             "S": list(L.s_ids), "p": L.p,
-            "delta": sorted(sorted(L.ids_of(d)) for d in L.delta)}
+            "delta": sorted(sorted(L.ids_of(d)) for d in L.delta),
+            "max_word_length": L.max_word_length}

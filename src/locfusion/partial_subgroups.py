@@ -25,46 +25,28 @@ equality or decomposition clause carries a witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .locality import (DEFAULT_MAX_WORD_LENGTH, Locality, LocalityError,
-                       _word_states, normalizer_carrier, restriction,
+from .locality import (Locality, LocalityError, _word_states,
+                       normalizer_carrier, restriction,
                        strongly_closed_in_carrier)
 from .report import PreconditionError, Report
 
-DEFAULT_ENUM_CAP = 400
+# the largest carrier whose partial normal subgroups are enumerated
+ENUM_CAP = 400
 
 
-@dataclass(frozen=True)
-class PartialSubgroup:
-    locality: Locality
-    ids: tuple[int, ...]
-
-    @property
-    def eset(self) -> frozenset[int]:
-        return frozenset(self.ids)
-
-    def labels(self) -> frozenset:
-        return self.locality.label_set(self.ids)
-
-    def __len__(self):
-        return len(self.ids)
-
-
-def partial_subgroup_witness(L: Locality, X: Iterable[int],
-                             max_word_length: int = DEFAULT_MAX_WORD_LENGTH
-                             ) -> Optional[dict]:
+def partial_subgroup_witness(L: Locality, X: Iterable[int]) -> Optional[dict]:
     """The first way X fails to be a partial subgroup, or None.
 
     In order: the identity missing, the first element in id order whose
     inverse is outside X, the first domain word over X (from the
-    word-state explorer) whose fold is undefined or leaves X.  Memoized on
-    L per (X, bound).
+    word-state explorer, up to L's word bound) whose fold is undefined
+    or leaves X.  Memoized on L per X.
     """
     X = frozenset(X)
-    key = ("subgroup", X, max_word_length)
+    key = ("subgroup", X)
     if key not in L._verdicts:
         fault = None
         if L.identity not in X:
@@ -74,22 +56,21 @@ def partial_subgroup_witness(L: Locality, X: Iterable[int],
             if x is not None:
                 fault = {"inverse_outside": {"x": x, "x^-1": L.inv[x]}}
             else:
-                failures = _word_states(L, max_word_length, X)[1]
+                failures = _word_states(L, L.max_word_length, X)[1]
                 if failures:
                     fault = {"word": list(failures[0])}
         L._verdicts[key] = fault
     return L._verdicts[key]
 
 
-def is_partial_subgroup(L: Locality, X: Iterable[int],
-                        max_word_length: int = DEFAULT_MAX_WORD_LENGTH) -> bool:
+def is_partial_subgroup(L: Locality, X: Iterable[int]) -> bool:
     """Inversion-closed, contains 1, and folds of domain words stay in X.
 
-    Words over X are explored through (product, map) states up to the
-    bound, by the explorer of the locality validator.  The verdict is
-    memoized on L per (X, bound), with its first fault.
+    Words over X are explored through (product, map) states up to L's
+    word bound, by the explorer of the locality validator.  The verdict
+    is memoized on L per X, with its first fault.
     """
-    return partial_subgroup_witness(L, X, max_word_length) is None
+    return partial_subgroup_witness(L, X) is None
 
 
 def _conjugates(L: Locality, fs: Iterable[int], xs: Iterable[int]):
@@ -159,22 +140,15 @@ def partial_normal_closure(L: Locality, seed: Iterable[int],
     amb = sorted(set(ambient))
     X = set(seed)
     X.add(L.identity)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(X):
-            ix = L.inv[x]
-            if ix not in X:
-                X.add(ix)
-                changed = True
+    while True:
+        X.update([L.inv[x] for x in X])
         zs = _products(L, X, X)
         for _, _, conj in _conjugates(L, amb, sorted(X)):
             zs.update(conj)
         zs.discard(-1)
-        if not zs <= X:
-            X |= zs
-            changed = True
-    return frozenset(X)
+        if zs <= X:
+            return frozenset(X)
+        X |= zs
 
 
 def is_subnormal(L: Locality, H: Iterable[int],
@@ -191,17 +165,11 @@ def is_subnormal(L: Locality, H: Iterable[int],
     amb = frozenset(range(L.n) if ambient is None else ambient)
     if not Hset <= amb:
         raise LocalityError("H must lie inside the ambient set")
-    chain = [tuple(sorted(amb))]
-    cur = amb
-    while True:
-        nxt = partial_normal_closure(L, Hset, cur)
-        if nxt == cur:
-            break
+    chain, cur = [tuple(sorted(amb))], amb
+    while (nxt := partial_normal_closure(L, Hset, cur)) != cur:
         chain.append(tuple(sorted(nxt)))
         cur = nxt
-    if cur == Hset:
-        return True, list(reversed(chain))
-    return False, list(reversed(chain))
+    return cur == Hset, list(reversed(chain))
 
 
 def _products(L: Locality, X: Iterable[int], Y: Iterable[int]) -> set[int]:
@@ -285,11 +253,10 @@ def _normality_witness(L: Locality, X: Iterable[int],
 
 
 def _partial_normal_clause(L: Locality, X: Iterable[int],
-                           ambient: Optional[Iterable[int]] = None,
-                           max_word_length: int = DEFAULT_MAX_WORD_LENGTH):
-    """(verdict, witness) of: X is a partial subgroup (words up to the
-    bound), partial normal in the ambient set (all of L by default)."""
-    wit = partial_subgroup_witness(L, X, max_word_length)
+                           ambient: Optional[Iterable[int]] = None):
+    """(verdict, witness) of: X is a partial subgroup, partial normal in
+    the ambient set (all of L by default)."""
+    wit = partial_subgroup_witness(L, X)
     if wit is not None:
         return False, wit
     if not is_partial_normal(L, X, ambient):
@@ -298,11 +265,11 @@ def _partial_normal_clause(L: Locality, X: Iterable[int],
 
 
 def _check_nk_preconditions(L: Locality, N: Iterable[int], K: Iterable[int],
-                            require_normal_k: bool, max_word_length: int
+                            require_normal_k: bool
                             ) -> tuple[tuple[int, ...], list[int]]:
     Nset = frozenset(N)
     Kset = frozenset(K)
-    if not is_partial_subgroup(L, Nset, max_word_length):
+    if not is_partial_subgroup(L, Nset):
         raise PreconditionError("N is not a partial subgroup")
     if not is_partial_normal(L, Nset):
         raise PreconditionError("N is not partial normal in L")
@@ -312,22 +279,20 @@ def _check_nk_preconditions(L: Locality, N: Iterable[int], K: Iterable[int],
     nlt = normalizer_carrier(L, T)
     if not Kset <= set(nlt):
         raise PreconditionError("K does not lie in N_L(T)")
-    if not is_partial_subgroup(L, Kset, max_word_length):
+    if not is_partial_subgroup(L, Kset):
         raise PreconditionError("K is not a partial subgroup")
     if require_normal_k and not is_partial_normal(L, Kset, ambient=nlt):
         raise PreconditionError("K is not partial normal in N_L(T)")
     return T, nlt
 
 
-def check_theorem2_hypotheses(L: Locality, N: frozenset, K: frozenset,
-                              max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+def check_theorem2_hypotheses(L: Locality, N: frozenset, K: frozenset
                               ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """Theorem 2's setting on (L, N, K), or PreconditionError naming the
     first hypothesis that fails: N partial normal in L with T = S ∩ N
-    strongly closed, and K a partial subgroup subnormal in N_L(T), the
-    partial subgroups tested on words up to ``max_word_length``.
+    strongly closed, and K a partial subgroup subnormal in N_L(T).
     Returns T and the subnormal chain of K up to N_L(T)."""
-    T, nlt = _check_nk_preconditions(L, N, K, False, max_word_length)
+    T, nlt = _check_nk_preconditions(L, N, K, False)
     ok, chain = is_subnormal(L, K, ambient=nlt)
     if not ok:
         raise PreconditionError("K is not subnormal in N_L(T)")
@@ -335,14 +300,14 @@ def check_theorem2_hypotheses(L: Locality, N: frozenset, K: frozenset,
 
 
 def _nk_clauses(rep: Report, L: Locality, Nset: frozenset, Kset: frozenset,
-                T: Sequence[int], max_word_length: int) -> tuple[int, ...]:
+                T: Sequence[int]) -> tuple[int, ...]:
     """Set the clauses both theorems share: NK = KN, NK is a partial
     subgroup, and NK ∩ S = T(K ∩ S).  Returns NK."""
     NK = set_product(L, sorted(Nset), sorted(Kset))
     KN = set_product(L, sorted(Kset), sorted(Nset))
     rep.set("nk_equals_kn", set(NK) == set(KN),
             None if set(NK) == set(KN) else sorted(set(NK) ^ set(KN)))
-    wit = partial_subgroup_witness(L, NK, max_word_length)
+    wit = partial_subgroup_witness(L, NK)
     rep.set("nk_partial_subgroup", wit is None, wit)
     lhs = frozenset(NK) & frozenset(L.s_ids)
     rhs = group_product_in_s(L, T, set(Kset) & set(L.s_ids))
@@ -352,17 +317,14 @@ def _nk_clauses(rep: Report, L: Locality, Nset: frozenset, Kset: frozenset,
 
 
 def verify_theorem_nk_normal(L: Locality, N: Iterable[int], K: Iterable[int],
-                             instance: str = "",
-                             max_word_length: int = DEFAULT_MAX_WORD_LENGTH
-                             ) -> Report:
+                             instance: str = "") -> Report:
     """NK is partial normal, NK = KN, NK ∩ S = T(K ∩ S), and every
-    element of NK decomposes in both orders with matching S_g.  Partial
-    subgroups are tested on words up to ``max_word_length``."""
+    element of NK decomposes in both orders with matching S_g."""
     rep = Report(suite="nk_normal", instance=instance)
     Nset, Kset = frozenset(N), frozenset(K)
-    T, _ = _check_nk_preconditions(L, Nset, Kset, True, max_word_length)
+    T, _ = _check_nk_preconditions(L, Nset, Kset, True)
 
-    NK = _nk_clauses(rep, L, Nset, Kset, T, max_word_length)
+    NK = _nk_clauses(rep, L, Nset, Kset, T)
     ok = is_partial_normal(L, NK)
     rep.set("nk_partial_normal", ok,
             None if ok else _normality_witness(L, NK))
@@ -380,20 +342,17 @@ def verify_theorem_nk_normal(L: Locality, N: Iterable[int], K: Iterable[int],
 
 
 def verify_theorem_nk_subnormal(L: Locality, N: Iterable[int],
-                                K: Iterable[int], instance: str = "",
-                                max_word_length: int = DEFAULT_MAX_WORD_LENGTH
-                                ) -> Report:
+                                K: Iterable[int], instance: str = "") -> Report:
     """NK = KN is partial subnormal with exhibited chain and
     S ∩ NK = T(S ∩ K).  The regularity hypothesis of the subnormal
-    statement is not certified at this scale; the report says so.
-    Partial subgroups are tested on words up to ``max_word_length``."""
+    statement is not certified at this scale; the report says so."""
     rep = Report(suite="nk_subnormal", instance=instance)
     rep.flags.append("regularity_not_certified")
     Nset, Kset = frozenset(N), frozenset(K)
-    T, chain_k = check_theorem2_hypotheses(L, Nset, Kset, max_word_length)
+    T, chain_k = check_theorem2_hypotheses(L, Nset, Kset)
     rep.extra["k_chain_lengths"] = [len(c) for c in chain_k]
 
-    NK = _nk_clauses(rep, L, Nset, Kset, T, max_word_length)
+    NK = _nk_clauses(rep, L, Nset, Kset, T)
     ok, chain = is_subnormal(L, NK)
     rep.set("nk_subnormal", ok, None if ok else [len(c) for c in chain])
     rep.extra["nk_chain_lengths"] = [len(c) for c in chain]
@@ -402,16 +361,13 @@ def verify_theorem_nk_subnormal(L: Locality, N: Iterable[int],
 
 def verify_restriction_product(Lplus: Locality, delta: Iterable[frozenset[int]],
                                Nplus: Iterable[int], Kplus: Iterable[int],
-                               instance: str = "",
-                               max_word_length: int = DEFAULT_MAX_WORD_LENGTH
-                               ) -> Report:
+                               instance: str = "") -> Report:
     """Compatibility of NK with restriction:
     Pi+(N+, K+) ∩ L = Pi(N, K) where L is the restriction, N = N+ ∩ L,
-    K = K+ ∩ L; additionally N ⊴ L and K ⊴ N_L(T).  Partial subgroups
-    are tested on words up to ``max_word_length``."""
+    K = K+ ∩ L; additionally N ⊴ L and K ⊴ N_L(T)."""
     rep = Report(suite="restriction_product", instance=instance)
     Np, Kp = frozenset(Nplus), frozenset(Kplus)
-    _check_nk_preconditions(Lplus, Np, Kp, True, max_word_length)
+    _check_nk_preconditions(Lplus, Np, Kp, True)
 
     L = restriction(Lplus, delta)
     keep = L.ids_of_labels  # map back through labels
@@ -421,7 +377,7 @@ def verify_restriction_product(Lplus: Locality, delta: Iterable[frozenset[int]],
     K = keep(lab(Kp) & carrier_labels)
 
     rep.set("n_restricted_partial_normal",
-            *_partial_normal_clause(L, N, None, max_word_length))
+            *_partial_normal_clause(L, N))
     T = _t_of(L, N)
     nlt = normalizer_carrier(L, T)
     outside = sorted(set(K) - set(nlt))
@@ -429,7 +385,7 @@ def verify_restriction_product(Lplus: Locality, delta: Iterable[frozenset[int]],
         rep.set("k_restricted_normal_in_nlt", False, {"outside_nlt": outside})
     else:
         rep.set("k_restricted_normal_in_nlt",
-                *_partial_normal_clause(L, K, nlt, max_word_length))
+                *_partial_normal_clause(L, K, nlt))
 
     big = Lplus.label_set(set_product(Lplus, sorted(Np), sorted(Kp)))
     small = L.label_set(set_product(L, sorted(N), sorted(K)))
@@ -439,12 +395,11 @@ def verify_restriction_product(Lplus: Locality, delta: Iterable[frozenset[int]],
     return rep
 
 
-def enumerate_partial_normals(L: Locality,
-                              cap: int = DEFAULT_ENUM_CAP) -> list[PartialSubgroup]:
-    """All partial normal subgroups: join-closure of the normal closures
-    of single elements."""
-    if L.n > cap:
-        raise LocalityError(f"carrier size {L.n} exceeds cap {cap}")
+def enumerate_partial_normals(L: Locality) -> list[tuple[int, ...]]:
+    """The ids of every partial normal subgroup, by size: join-closure of
+    the normal closures of single elements."""
+    if L.n > ENUM_CAP:
+        raise LocalityError(f"carrier size {L.n} exceeds cap {ENUM_CAP}")
     amb = range(L.n)
     seeds = {partial_normal_closure(L, {f}, amb) for f in amb}
     seeds.add(frozenset({L.identity}))
@@ -459,5 +414,5 @@ def enumerate_partial_normals(L: Locality,
             if join not in normals:
                 normals.add(join)
                 worklist.append(join)
-    return [PartialSubgroup(L, tuple(sorted(x)))
-            for x in sorted(normals, key=lambda s: (len(s), sorted(s)))]
+    return sorted((tuple(sorted(x)) for x in normals),
+                  key=lambda ids: (len(ids), ids))

@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 Perm = tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 10_000
+SUBGROUP_ENUM_CAP = 10_000  # the largest group whose subgroups are listed
 
 
 class GroupError(ValueError):
@@ -482,13 +483,14 @@ def image_mask(images: tuple[int, ...], positions: Iterable[int]) -> int:
 
 # -- subgroup enumeration ---------------------------------------------------
 
-def all_subgroups(G: FiniteGroup, within: Optional[Subgroup] = None,
-                  cap: int = DEFAULT_GROUP_CAP) -> list[Subgroup]:
+def all_subgroups(G: FiniteGroup, within: Optional[Subgroup] = None
+                  ) -> list[Subgroup]:
     """Every subgroup of G (or of ``within``), canonically ordered, from
     the bitmask lattice of :class:`SIndex`."""
     H = within if within is not None else G.full_subgroup()
-    if len(H) > cap:
-        raise SizeCapExceeded(f"subgroup enumeration cap {cap} exceeded")
+    if len(H) > SUBGROUP_ENUM_CAP:
+        raise SizeCapExceeded(
+            f"subgroup enumeration cap {SUBGROUP_ENUM_CAP} exceeded")
     idx = G.sindex(H)
     return [Subgroup(G, idx.members(m), check=False) for m in idx.lattice()]
 

@@ -13,17 +13,21 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .fusion import (DEFAULT_MORPHISM_CAP, FusionSystem, Morphism, aut_group,
-                     close, fusion_of_locality, fusion_of_partial_subgroup,
+from .fusion import (FusionSystem, Morphism, aut_group, close,
+                     fusion_of_locality, fusion_of_partial_subgroup,
                      inner_maps, is_centric, is_normal_subsystem,
                      is_subnormal_subsystem, is_subsystem, maps_inside,
                      normalizer_system, restriction, subcentric_subgroups,
                      subgroup_lattice, trivial_modulo)
-from .locality import DEFAULT_MAX_WORD_LENGTH, Locality, is_linking_locality
+from .locality import Locality, is_linking_locality
 from .partial_subgroups import (check_theorem2_hypotheses, is_partial_subgroup,
                                 set_product)
-from .permgroup import Subgroup, compose, generated_subgroup, perm_order
+from .permgroup import (SizeCapExceeded, Subgroup, compose, generated_subgroup,
+                        perm_order)
 from .report import PreconditionError, Report
+
+# the most closed subsystems enumerated over one subgroup of S
+SUBSYSTEM_ENUM_CAP = 2000
 
 
 class NormalityRequired(PreconditionError):
@@ -89,57 +93,51 @@ def product_ED(F: FusionSystem, E: FusionSystem,
     return close(TR, F.p, gens, F.morphism_cap)
 
 
-def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int],
-                            cap: int = DEFAULT_MORPHISM_CAP,
-                            max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int]
                             ) -> FusionSystem:
     """The product through a linking locality: the fusion system of the
     partial subgroup NK over T·(S∩K), in the setting of Theorem 2
-    (``check_theorem2_hypotheses``).  ``cap`` bounds its closures, and
-    partial subgroups are tested on words up to ``max_word_length``."""
+    (``check_theorem2_hypotheses``), under L's word bound and cap."""
     N = frozenset(N)
     K = frozenset(K)
-    check_theorem2_hypotheses(L, N, K, max_word_length)
-    fault = _locality_route_fault(L, cap)
+    check_theorem2_hypotheses(L, N, K)
+    fault = _locality_route_fault(L)
     if fault:
         raise PreconditionError(fault)
     nk = set_product(L, N, K)
-    if not is_partial_subgroup(L, nk, max_word_length):
+    if not is_partial_subgroup(L, nk):
         raise PreconditionError("NK is not a partial subgroup")
-    return fusion_of_partial_subgroup(L, nk, cap)
+    return fusion_of_partial_subgroup(L, nk)
 
 
-def _locality_route_fault(L: Locality, cap: int) -> Optional[str]:
+def _locality_route_fault(L: Locality) -> Optional[str]:
     """Why L cannot carry the locality route, or None: L must be a
     linking locality whose object set holds every subcentric subgroup.
     Neither part depends on N or K, so the answer is memoized on L."""
     key = ("locality_route",)
     if key not in L._verdicts:
         fault = None
-        if not is_linking_locality(L, cap)[0]:
+        if not is_linking_locality(L)[0]:
             fault = "locality is not a linking locality"
         elif any(L.mask_of_perms(P.eset) not in L.delta
-                 for P in subcentric_subgroups(fusion_of_locality(L, cap))):
+                 for P in subcentric_subgroups(fusion_of_locality(L))):
             fault = "object set does not contain every subcentric subgroup"
         L._verdicts[key] = fault
     return L._verdicts[key]
 
 
-def enumerate_subnormal_subsystems(F: FusionSystem,
-                                   cap: int = 2000) -> list[FusionSystem]:
+def enumerate_subnormal_subsystems(F: FusionSystem) -> list[FusionSystem]:
     """All subnormal subsystems of F, by exhausting closed subsystems over
-    each subgroup of S and filtering with the chain search.  Each
-    candidate is closed incrementally from the closed system it extends
-    by one map."""
+    each subgroup of S (SizeCapExceeded past ``SUBSYSTEM_ENUM_CAP`` over
+    one) and filtering with the chain search.  Each candidate is closed
+    incrementally from the closed system it extends by one map."""
     out = []
     for T in subgroup_lattice(F.S):
         inside = frozenset(maps_inside(F, T, F.maps))
         extra = sorted(inside - inner_maps(T))
-        seen: set[frozenset] = set()
-        systems = []
-        frontier = [close(T, F.p, [], F.morphism_cap)]
-        seen.add(frontier[0].maps)
-        systems.append(frontier[0])
+        systems = [close(T, F.p, [], F.morphism_cap)]
+        seen = {systems[0].maps}
+        frontier = list(systems)
         while frontier:
             cur = frontier.pop()
             for m in extra:
@@ -150,13 +148,12 @@ def enumerate_subnormal_subsystems(F: FusionSystem,
                     seen.add(nxt.maps)
                     systems.append(nxt)
                     frontier.append(nxt)
-                    if len(seen) > cap:
-                        raise PreconditionError(
-                            "subsystem enumeration cap exceeded")
-        for cand in systems:
-            verdict, _ = is_subnormal_subsystem(F, cand)
-            if verdict is True:
-                out.append(cand)
+                    if len(seen) > SUBSYSTEM_ENUM_CAP:
+                        raise SizeCapExceeded(
+                            "subsystem enumeration exceeded "
+                            f"{SUBSYSTEM_ENUM_CAP} closed subsystems over "
+                            "one subgroup of S")
+        out += [X for X in systems if is_subnormal_subsystem(F, X)[0] is True]
     return sorted(out, key=lambda X: (X.S.order, X.S.elements,
                                       len(X.maps), sorted(X.maps)))
 

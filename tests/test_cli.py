@@ -284,8 +284,39 @@ def _no_closure(*args):
      "delta 'min_order' must be an integer, not '8'"),
     ("instance-b", lambda d: d["k_choices"].update(u2=5),
      "bad subgroup spec 5"),
+    ("instance-b", lambda d: d.update(sylow=5),
+     "'sylow' must be 'auto' or a list of permutations, not 5"),
+    ("instance-a", lambda d: d.update(delta={"explicit": 5}),
+     "delta 'explicit' must be a list of element lists, not 5"),
+    ("instance-a", lambda d: d.update(delta={"explicit": [5]}),
+     "delta 'explicit' must be a list of element lists, not [5]"),
+    ("instance-a", lambda d: d.update(delta={"every": True}),
+     "unrecognized delta rule {'every': True}"),
+    ("product-24", lambda d: d["fusion_products"]["ii"]["D"].update(kind="x"),
+     "product 'ii' 'D' 'kind' must be 'inner' or 'normalizer', not 'x'"),
+    ("instance-b", lambda d: d["theorem1"].update(k=5),
+     "'theorem1' 'k' must be a list of names, not 5"),
+    ("instance-b", lambda d: d["restriction"].update(k=["order12"]),
+     "'restriction' 'k' must be a name, not ['order12']"),
+    ("instance-b", lambda d: d["k_choices"].update(u2={"elements": 5}),
+     "subgroup 'elements' must be a list of permutations, not 5"),
+    ("instance-b", lambda d: d["k_choices"].update(u2={"generators": [5]}),
+     "subgroup 'generators' must be a list of permutations, not [5]"),
+    ("product-24", lambda d: d["fusion_products"]["i"]["E"].update(over=5),
+     "product 'i' 'E' 'over' must be a list of permutations, not 5"),
+    ("product-24", lambda d: d["fusion_products"]["i"]["E"].update(acting=5),
+     "product 'i' 'E' 'acting' must be a list of permutations, not 5"),
+    ("product-24",
+     lambda d: d["fusion_products"]["i"]["oracle"].update(acting=5),
+     "product 'i' 'oracle' 'acting' must be 'all' or a list of "
+     "permutations, not 5"),
+    ("instance-a", lambda d: d.update(name=[1]),
+     "'name' must be a string, not [1]"),
 ], ids=["d-kind", "inner-over", "product-not-object", "restriction-delta",
-        "k-choice"])
+        "k-choice", "sylow", "explicit-delta", "explicit-delta-member",
+        "delta-rule", "d-kind-unknown",
+        "theorem1-k", "restriction-k", "elements", "generators", "e-over",
+        "e-acting", "oracle-acting", "name"])
 def test_malformed_section_exits_2_before_any_group(name, edit, message,
                                                     tmp_path, capsys,
                                                     monkeypatch):
@@ -369,6 +400,18 @@ def test_morphism_cap_reaches_product_closures(capsys):
     assert run(["product-ed", "product-24", "--product", "i"]) == 0
 
 
+def test_subsystem_enumeration_cap_exits_3(monkeypatch, capsys):
+    from locfusion import products
+    monkeypatch.setattr(products, "SUBSYSTEM_ENUM_CAP", 1)
+    assert run(["verify-ed", "product-24"]) == 3
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep["kind"] == "SizeCapExceeded"
+    assert rep["error"] == ("subsystem enumeration exceeded 1 closed "
+                            "subsystems over one subgroup of S")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cap,code", [("50", 3), ("120", 0)])
 def test_group_cap_flag(cap, code, capsys):
     assert run(["group", "info", "instance-b", "--group-cap", cap]) == code
@@ -402,14 +445,23 @@ def test_non_positive_cap_exits_2(flag, capsys):
 @pytest.mark.parametrize("name,command", [
     ("instance-b", "theorem1"), ("instance-b", "theorem2"),
     ("instance-b", "restriction"), ("product-24", "verify-ed")])
-def test_predicates_explore_to_the_descriptor_bound(name, command):
+def test_predicates_explore_to_the_descriptor_bound(name, command,
+                                                    monkeypatch):
     """A descriptor's ``max_word_length`` bounds the partial-subgroup
     tests of the theorem and restriction harnesses and of the locality
-    route: with bound 3, every memoized subgroup verdict on L is for
-    words up to 3, and none for the default 4."""
-    from locfusion import cli, instances as inst
+    route: with bound 3, every word-state exploration stops at 3, none
+    at the default 4, also on the restricted locality."""
+    from locfusion import cli, instances as inst, locality, partial_subgroups
+    bounds = []
+
+    def recording(explore):
+        def states(L, max_len, letters=None):
+            bounds.append(max_len)
+            return explore(L, max_len, letters)
+        return states
+    for mod in (locality, partial_subgroups):
+        monkeypatch.setattr(mod, "_word_states", recording(mod._word_states))
     ctx = inst.Instance({**inst.load_descriptor(name), "max_word_length": 3})
     args = cli.build_parser().parse_args([command, name])
     cli.HANDLERS[(args.command, getattr(args, "sub", None))](ctx, args)
-    bounds = {key[2] for key in ctx.L._verdicts if key[0] == "subgroup"}
-    assert bounds == {3}
+    assert bounds and set(bounds) == {3}

@@ -310,8 +310,7 @@ def _bundled_fusion_constructions():
         out.append((f"{name}:F", G, S, G.elements))
 
         def gen(rows):
-            return generated_subgroup(G, [inst._perm(x, G.degree)
-                                          for x in rows])
+            return generated_subgroup(G, inst._perms(rows, G))
         for pname, spec in sorted(d.get("fusion_products", {}).items()):
             out.append((f"{name}:{pname}:E", G, gen(spec["E"]["over"]),
                         gen(spec["E"]["acting"]).elements))
@@ -373,7 +372,7 @@ def _action_case(label):
     spec = inst.load_descriptor(name)["fusion_products"]["i"]["E"]
 
     def gen(rows):
-        return generated_subgroup(G, [inst._perm(x, G.degree) for x in rows])
+        return generated_subgroup(G, inst._perms(rows, G))
     over = sylow_subgroup(G, 2) if kind.endswith("S") else gen(spec["over"])
     return over, gen(spec["acting"]).elements
 

@@ -3,9 +3,8 @@
 import pytest
 
 from locfusion import products as pr
-from locfusion.fusion import (DEFAULT_MORPHISM_CAP, close, fusion_of_group,
-                              inner_fusion, inner_maps, maps_inside,
-                              subgroup_lattice)
+from locfusion.fusion import (close, fusion_of_group, inner_fusion,
+                              inner_maps, maps_inside, subgroup_lattice)
 from locfusion.instances import (build_locality, load_descriptor,
                                  named_subgroup, product_setup, resolve_ids)
 from locfusion.locality import (is_linking_locality, locality_from_descriptor,
@@ -198,9 +197,10 @@ def test_abstract_copy_gives_the_realized_verdicts(dname):
     L = build_locality(d)
     A = _abstract(L)
     assert A.realization is None
+    assert A.max_word_length == L.max_word_length == \
+        (5 if dname == "instance-a" else 4)
     assert is_linking_locality(A) == is_linking_locality(L)
-    cap = DEFAULT_MORPHISM_CAP
-    assert pr._locality_route_fault(A, cap) == pr._locality_route_fault(L, cap)
+    assert pr._locality_route_fault(A) == pr._locality_route_fault(L)
     for pname in sorted(d.get("fusion_products", {})):
         st = product_setup(d, pname)
         want = pr.product_ed_via_locality(st["L"], st["N_ids"], st["K_ids"])

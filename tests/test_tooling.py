@@ -82,3 +82,37 @@ def test_imports_are_one_way():
                 if mod not in before:
                     problems.append(f"{where}: {path.stem} imports {mod}")
     assert problems == []
+
+
+# Parameters that set a word bound or a cap, and the functions that may
+# take one: the builders, where a run sets its bounds on the objects it
+# builds, the validator's optional override of the word bound, and the
+# word explorer with the validator's split check, which run under it.
+BOUND_PARAMS = {"cap", "group_cap", "morphism_cap", "max_word_length",
+                "max_len", "max_size"}
+BOUND_TAKERS = {
+    "permgroup._closure", "permgroup.FiniteGroup.__init__",
+    "permgroup.FiniteGroup.from_descriptor",
+    "fusion.FusionSystem.__init__", "fusion.close", "fusion.fusion_of_group",
+    "locality.Locality.__init__", "locality.locality_from_group",
+    "locality.validate_locality", "locality._word_states",
+    "locality._split_fault", "instances.group_of",
+    "instances.Instance.__init__"}
+
+
+def test_bounds_are_set_where_objects_are_built():
+    """A locality keeps its word bound and morphism cap, and a fusion
+    system its cap, so no other function takes one per call."""
+    takers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(node, path.stem) for node in tree.body]
+        while scopes:
+            node, where = scopes.pop()
+            if isinstance(node, ast.ClassDef):
+                scopes += [(n, f"{where}.{node.name}") for n in node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.args + node.args.kwonlyargs
+                if BOUND_PARAMS & {a.arg for a in args}:
+                    takers.add(f"{where}.{node.name}")
+    assert takers == BOUND_TAKERS
