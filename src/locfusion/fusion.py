@@ -260,21 +260,23 @@ def maps_inside(F: FusionSystem, T: Subgroup,
 
 def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[Morphism]:
     """The maps P -> P^g for P in the S-lattice and g in ``acting`` with
-    P^g <= S, from ``SIndex.actions``.  The subgroups inside dom(g) are
-    listed once per dom, the images of each are read by one getter, and
-    each distinct (P, images) pair is spread over S once."""
+    P^g <= S, a right coset gS at a time (``SIndex.cosets``).  The
+    subgroups inside dom(g) are listed once per dom, the images of each
+    are read by one getter, and each distinct (P, images) pair is spread
+    over S once."""
     idx = S.parent.sindex(S)
     n = len(idx.elements)
     subs = [(m, getter(bit_positions(m))) for m in idx.lattice()]
     inside: dict[int, list] = {}
     graphs = set()
-    for _, images, dom in idx.actions(acting):
+    for first, dom, members in idx.cosets(acting):
         subs_in = inside.get(dom)
         if subs_in is None:
             subs_in = inside[dom] = [(m, get) for m, get in subs
                                      if m & dom == m]
-        for m, get in subs_in:
-            graphs.add((m, get(images)))
+        for images in idx.member_images(first, [t for t, _ in members]):
+            for m, get in subs_in:
+                graphs.add((m, get(images)))
     # position j of S is entry |m below j| of a tuple over m, or the -1
     spread = {m: getter([(m & ((1 << j) - 1)).bit_count() if m >> j & 1
                           else m.bit_count() for j in range(n)])

@@ -47,6 +47,14 @@ map of the left state, and folds each group's representative words
 column by column.  It follows one representative word per right state,
 so it can miss a corrupted entry that only other words of that state
 reach.
+
+A locality realized by a group G is built a right coset of S at a time
+(``locality_from_group``): S_(r·t) = S_r for t in S, so the carrier is a
+union of cosets, and a row's block over a coset is read off the Cayley
+table of S from one product with the coset's first element.  Its
+realization oracle checks the rows a class at a time: a row defined on
+exactly the columns its class admits reads them with the class's
+getter, and only other rows find their own.
 """
 
 from __future__ import annotations
@@ -55,13 +63,14 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import getitem, itemgetter, ne, not_
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .fusion import (DEFAULT_MORPHISM_CAP, FusionError, centric_radicals,
                      fusion_of_locality, is_saturated)
-from .permgroup import (FiniteGroup, Subgroup, all_subgroups, bit_positions,
-                        cayley_group, domain_mask, getter, image_mask,
-                        inverse, is_characteristic_p, is_p_group, _p_part)
+from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
+                        bit_positions, cayley_group, domain_mask, getter,
+                        image_mask, inverse, is_characteristic_p, is_p_group,
+                        _p_part)
 
 Word = tuple[int, ...]
 
@@ -163,11 +172,12 @@ def _check_rows(n: int, rows: Sequence[tuple[int, ...]]) -> None:
     -1)."""
     if len(rows) != n:
         raise LocalityError(f"product table has {len(rows)} rows for {n} ids")
+    entries = frozenset(range(-1, n))
     for i, r in enumerate(rows):
         if len(r) != n + 1:
             raise LocalityError(
                 f"product row {i} has {len(r) - 1} entries for {n} ids")
-        if min(r) < -1 or max(r) >= n:
+        if not entries.issuperset(r):
             j = next(j for j, k in enumerate(r) if not -1 <= k < n)
             raise LocalityError(f"product row {i} entry {j} holds {r[j]!r}, "
                                 f"not an id in range({n}) or -1")
@@ -381,60 +391,94 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     delta must be overgroup-closed in S and closed under the conjugation
     maps of G between subgroups of S (LocalityError otherwise).  The
     result is not validated here; ``validate_locality`` checks it.
+
+    The carrier is built a right coset of S at a time: S_(r·t) = S_r for
+    t in S, so S_r in delta is tested once per coset (``SIndex.cosets``),
+    and the maps of the elements are derived for the carrier cosets
+    only.  The rows come from ``_coset_rows``.
     """
     delta = list(delta)
     six = S.parent.sindex(S)
     dmasks = {_mask(six.pos, P.elements) for P in delta}
 
-    # the carrier: g with S_g = S cap S^(g^-1) in delta.  Its maps are
-    # all the Delta-closure check needs: a member inside S_g for g
-    # outside the carrier would miss the overgroup S_g, which the check
-    # reports first.
-    # (actions come coset by coset; sorting restores the order of G)
-    carrier = sorted(a for a in six.actions(G.elements) if a[2] in dmasks)
-    labels = [g for g, _, _ in carrier]
-    actions = [(images, dom) for _, images, dom in carrier]
+    # per carrier coset rS: S_r, its members r·s_t in t order, and their
+    # maps.  The maps are all the Delta-closure check needs: a member
+    # inside S_g for g outside the carrier would miss the overgroup S_g,
+    # which the check reports first.
+    doms, members, maps = [], [], []
+    for images, dom, coset in six.cosets(G.elements):
+        if dom in dmasks:
+            doms.append(dom)
+            members.append([g for _, g in coset])
+            # G holds each coset whole, so t runs over all positions of S
+            maps.append(six.member_images(images, range(len(coset))))
     lattice = six.lattice()
-    bad = _check_delta_closures(lattice, dmasks, actions)
+    bad = _check_delta_closures(lattice, dmasks, [
+        (m, dom) for dom, ms in zip(doms, maps) for m in ms])
     if bad is not None:
         raise LocalityError(bad)
     if not is_p_group(S, p):
         raise LocalityError("S must be a p-group")
 
-    labels = tuple(labels)
+    labels = tuple(sorted(itertools.chain.from_iterable(members)))
     idx = {g: i for i, g in enumerate(labels)}
     s_ids = tuple(idx[s] for s in S.elements)
     identity = idx[G.identity]
     inv = tuple(idx[inverse(g)] for g in labels)
-
-    # (f,g) is composable iff S_(f,g) = {s in S_f : s^f in S_g} is in
-    # delta.  That depends on f only through its conjugation map and on g
-    # only through S_g, so the composable columns are listed once per
-    # distinct map, a bucket of equal S_g at a time, and the row of f is
-    # filled with the products f·g there, composed and looked up in C
-    by_dom: dict[int, list[int]] = {}
-    for j, (_, dom) in enumerate(actions):
-        by_dom.setdefault(dom, []).append(j)
-    n = len(labels)
-    cols_of: dict[tuple[int, ...], tuple[list[int], list]] = {}
-    rows = []
-    for f, (images, _) in zip(labels, actions):
-        if images not in cols_of:
-            js = [j for dom_g, bucket in by_dom.items()
-                  if _preimage_under(images, dom_g) in dmasks for j in bucket]
-            cols_of[images] = js, list(map(labels.__getitem__, js))
-        js, right = cols_of[images]
-        row = [-1] * n
-        for j, v in zip(js, map(idx.__getitem__, map(getter(f), right))):
-            row[j] = v
-        rows.append(row)
-
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
+    rows = _coset_rows(six, dmasks, labels, idx, doms, members, maps)
+    del idx, doms, members, maps  # the rows hold them until the last one
+
     L = Locality(labels, identity, inv, rows, s_ids, p, delta_ids,
                  realization=G, max_word_length=max_word_length,
                  morphism_cap=morphism_cap)
     L._lattice = lattice  # s_ids follow the positions of six
     return L
+
+
+def _coset_rows(six: SIndex, dmasks: Collection[int], labels: Sequence,
+                idx: dict, doms: Sequence[int], members: Sequence[list],
+                maps: Sequence[list]) -> Iterator[tuple[int, ...]]:
+    """The product rows of L_delta(G), n entries each, in id order.
+
+    ``labels`` are the carrier elements in id order (``idx`` inverts
+    them), and ``doms``, ``members`` and ``maps`` hold, per carrier coset
+    rS, S_r, the members r·s_t in t order and their maps on the
+    positions of S (``six``).  The rows are made one at a time as they
+    are read, so ``Locality`` never holds them next to its padded copy,
+    and the tables here are freed once the last row is read.
+
+    (f, r·s_t) is composable iff pre_f(S_r) is in delta, which depends
+    on f only through its map: the composable cosets are listed once per
+    map.  If f·r = r'·s_u, then f·(r·s_t) = r'·(s_u·s_t) for every t,
+    so the block of f's row over rS is the ids of r'S read through row u
+    of the Cayley table of S: one composition per row and composable
+    coset, in place of one per product pair.  The row is assembled in
+    coset order and put in id order by one getter.
+    """
+    ns = len(six.elements)
+    where = {g: (c, t) for c, gs in enumerate(members)
+             for t, g in enumerate(gs)}  # r·s_t -> (its coset, t)
+    ids = [tuple(map(idx.__getitem__, gs)) for gs in members]
+    # row u of the Cayley table: the positions of s_u·s_t, t in order
+    times = [getter([six.right(t)[u] for t in range(ns)]) for u in range(ns)]
+    # a row in coset order (block c, entry t) -> the row in id order
+    order = getter([c * ns + t for c, t in map(where.__getitem__, labels)])
+    empty = [-1] * len(labels)
+    admitted: dict = {}  # map -> (composable cosets, their first members)
+    for f in labels:
+        c, t = where[f]
+        images = maps[c][t]
+        if images not in admitted:
+            ok = {d: _preimage_under(images, d) in dmasks for d in set(doms)}
+            cs = [c2 for c2, d in enumerate(doms) if ok[d]]
+            admitted[images] = cs, [members[c2][0] for c2 in cs]
+        cs, firsts = admitted[images]
+        row = empty.copy()
+        for c2, (c3, u) in zip(cs, map(where.__getitem__,
+                                       map(getter(f), firsts))):
+            row[c2 * ns:(c2 + 1) * ns] = times[u](ids[c3])
+        yield order(row)
 
 
 def _check_delta_closures(lattice: Sequence[int], delta: Collection[int],
@@ -599,7 +643,7 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     # objectivity at length 2: (f,g) defined iff S_(f,g) = pre_f(S_g)
     # in delta.  That is decided once per (class of f, S_g), and a row is
     # read at the columns its class admits (no -1 there) and at the
-    # others (only -1 there)
+    # others (only -1 there): ``fits[f]`` when it passes both
     ok, wit = True, None
     cols = range(L.n)
     objs_of = []  # class of f -> ([(f,g) in D? for each g], the two reads)
@@ -609,13 +653,15 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
         ins = list(itertools.compress(cols, objs))
         outs = list(itertools.compress(cols, map(not_, objs)))
         objs_of.append((objs, getter(ins), getter(outs), len(outs)))
-    for f, row in zip(cols, rows):
-        objs, at_in, at_out, n_out = objs_of[L._cls[f]]
-        if -1 in at_in(row) or at_out(row).count(-1) != n_out:
-            g = next(g for g in range(L.n) if objs[g] != (row[g] >= 0))
-            ok, wit = False, (f"pair ({f},{g}): defined={row[g] >= 0}, "
-                              f"S_w in delta={objs[g]}")
-            break
+    fits = [-1 not in at_in(row) and at_out(row).count(-1) == n_out
+            for (_, at_in, at_out, n_out), row
+            in zip(map(objs_of.__getitem__, L._cls), rows)]
+    if not all(fits):
+        f = fits.index(False)
+        objs, row = objs_of[L._cls[f]][0], rows[f]
+        g = next(g for g in cols if objs[g] != (row[g] >= 0))
+        ok, wit = False, (f"pair ({f},{g}): defined={row[g] >= 0}, "
+                          f"S_w in delta={objs[g]}")
     add(CheckResult("objectivity_len2", ok, wit))
 
     # delta closure properties, on the S-lattice, which is only built
@@ -649,29 +695,54 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     # maximality of S among p-subgroups of the carrier
     add(_check_s_maximal(L))
 
-    # realization oracle, a row at a time over the defined pairs, a point
-    # at a time: (i·j)[x] = j[i[x]], so at each point x the x-th
-    # coordinates of the products must be the i[x]-th ones of the j
+    # realization oracle, with the columns each class admits
     if L.realization is not None:
-        ok, wit = True, None
-        labels, cols = L.labels, range(L.n)
-        coords = list(zip(*labels))  # point -> its coordinate in each id
-        for i, row in zip(cols, rows):
-            js = list(itertools.compress(cols, map(_defined, row)))
-            at_j, at_k = getter(js), getter(list(map(row.__getitem__, js)))
-            if any(map(ne, map(at_k, coords),
-                       map(at_j, map(coords.__getitem__, labels[i])))):
-                got = list(map(getter(labels[i]),
-                               map(labels.__getitem__, js)))
-                want = list(map(labels.__getitem__,
-                                map(row.__getitem__, js)))
-                j = next(j for j, a, b in zip(js, got, want) if a != b)
-                ok, wit = False, f"pair ({i},{j}) disagrees with the ambient product"
-                break
-        add(CheckResult("realization_oracle", ok, wit))
+        wit = _realization_fault(L, fits, [o[1] for o in objs_of])
+        add(CheckResult("realization_oracle", wit is None, wit))
 
     rep.bounded_only = L.realization is None
     return rep
+
+
+def _realization_fault(L: Locality, fits: Sequence[bool],
+                       at_class: Sequence) -> Optional[str]:
+    """The first defined pair (i, j), in (i, j) order, whose product id
+    is not the product of the labels in the realization, or None.
+
+    It is decided a point at a time: (i·j)[x] = j[i[x]], so at each
+    point x the x-th coordinates of the products in row i must be the
+    i[x]-th coordinates of the j.  A row that ``fits`` its class is
+    defined on the columns the class admits, read by the getter
+    ``at_class[c]``, so the rows of a class are checked together, and
+    the coordinates of those columns at each point are read once per
+    class; any other row finds its own defined columns.
+    """
+    rows, labels, cols = L.rows, L.labels, range(L.n)
+    coords = list(zip(*labels))  # point -> its coordinate in each id
+    groups: dict = {}  # class, or (i,) for a row that does not fit it
+    for i, (c, fit) in enumerate(zip(L._cls, fits)):
+        if fit:
+            groups.setdefault(c, (at_class[c], []))[1].append(i)
+        else:
+            groups[(i,)] = (getter(list(itertools.compress(
+                cols, map(_defined, rows[i])))), [i])
+    bad = []  # the first disagreeing row of each group
+    for at_j, ids in groups.values():
+        at = list(map(at_j, coords))  # point y -> the y-th coordinates
+        i = next((i for i in ids if any(map(
+            ne, map(getter(at_j(rows[i])), coords),
+            map(at.__getitem__, labels[i])))), None)
+        if i is not None:
+            bad.append(i)
+    if not bad:
+        return None
+    i = min(bad)
+    row = rows[i]
+    js = list(itertools.compress(cols, map(_defined, row)))
+    got = list(map(getter(labels[i]), map(labels.__getitem__, js)))
+    want = list(map(labels.__getitem__, map(row.__getitem__, js)))
+    j = next(j for j, a, b in zip(js, got, want) if a != b)
+    return f"pair ({i},{j}) disagrees with the ambient product"
 
 
 def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:

@@ -17,9 +17,10 @@ lazily filled Cayley table.  ``SIndex.action(g)`` conjugates all of S by
 one element g of the ambient group in a single pass, giving the position
 of each ``s^g`` (or -1 when it leaves S) and the domain mask
 ``S ∩ S^(g^-1)``.  Conjugation is a homomorphism, so whole-group passes
-go through ``SIndex.actions``: it conjugates directly only the first
-element r met of each right coset rS, and reads the action of r·t off
-that of r through the inner action of t, one coset at a time.  The same
+go through ``SIndex.cosets``: it conjugates directly only the first
+element r met of each right coset rS, and ``member_images`` reads the
+action of r·t off that of r through the inner action of t, for the
+cosets a caller keeps.  The same
 fact keeps ``sylow_subgroup`` from building normalizers: an element
 normalizes P exactly when it conjugates the generators adjoined so far
 into P, so each step is one scan of the p-elements of G.  The
@@ -336,30 +337,39 @@ class SIndex:
                         for x in self.elements])
         return images, domain_mask(images)
 
-    def actions(self, elements: Sequence[Perm]
-                ) -> Iterator[tuple[Perm, tuple[int, ...], int]]:
-        """``(g, images, dom)`` as from ``action(g)``, for each g of
-        ``elements`` once, coset by coset.
+    def cosets(self, elements: Sequence[Perm]
+               ) -> Iterator[tuple[tuple[int, ...], int,
+                                   list[tuple[int, Perm]]]]:
+        """The right cosets rS that meet ``elements``, in the order met.
 
-        Only the first element r met of each right coset rS is conjugated
-        directly.  For g = r·t with t in S, s^g = (s^r)^t and
-        S^(t^-1) = S, so ``images(g)`` is ``images(r)`` read through
-        ``inner(t)`` (with a trailing -1 for the points without an image)
-        and ``dom(g) = dom(r)``.  ``elements`` need not be a union of
-        cosets; members of a coset outside it are skipped.
+        Yields ``(images, dom, members)`` per coset: ``(images, dom)`` is
+        ``action(r)`` for the first element r met, the only one
+        conjugated directly, and ``members`` lists the pairs
+        ``(t, r·s_t)`` of the coset that lie in ``elements``, t
+        ascending, so ``(0, r)`` comes first.  For g = r·s_t,
+        S^(g^-1) = S^(r^-1), so ``dom`` is the domain of every member;
+        ``member_images`` gives their images.  ``elements`` need not be a
+        union of cosets; members of a coset outside it are skipped.
         """
         todo = set(elements)
-        ext = [self.inner(t) + (-1,) for t in range(len(self.elements))]
         for r in elements:
             if r not in todo:
                 continue
             images, dom = self.action(r)
-            through = getter(images)
-            for t, x in enumerate(self.elements):
-                g = compose(r, x)
+            members = []
+            for t, g in enumerate(map(getter(r), self.elements)):
                 if g in todo:
                     todo.discard(g)
-                    yield g, through(ext[t]), dom
+                    members.append((t, g))
+            yield images, dom, members
+
+    def member_images(self, images: tuple[int, ...], ts: Iterable[int]
+                      ) -> list[tuple[int, ...]]:
+        """The images of r·s_t for each position t of ``ts``, from the
+        ``images`` of r: s^(r·s_t) = (s^r)^(s_t), so they are ``images``
+        read through ``inner(t)``, with -1 kept where s^r leaves S."""
+        through = getter(images)
+        return [through(self.inner(t) + (-1,)) for t in ts]
 
     def inner(self, s: int) -> tuple[int, ...]:
         """Conjugation by the element at position s: a permutation of

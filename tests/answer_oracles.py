@@ -1,5 +1,5 @@
-"""Direct forms of two answers the library derives more cheaply, kept as
-oracles.
+"""Direct forms of three answers the library derives more cheaply, kept
+as oracles.
 
 ``normalizer_by_sources`` builds N_F(Q) from every map of F whose source
 contains Q and which sends Q onto Q, restricted to every subgroup of
@@ -7,14 +7,19 @@ N_S(Q) inside its source; the library takes only the maps on sources
 between Q and N_S(Q) and restricts each to the P with PQ equal to its
 source.  ``linking_per_object`` is the linking certificate with N_L(P)
 built and tested for every object of delta; the library tests one
-object per F_S(L)-class.
+object per F_S(L)-class.  ``locality_tables_by_pairs`` builds the
+tables of L_delta(G) a product pair at a time, conjugating every element
+of G directly and looking each product up by its permutation; the
+library conjugates one element per right coset of S and reads a row a
+coset at a time off the Cayley table of S.
 """
 
 from locfusion.fusion import (FusionSystem, _NONE, _carry, _keep,
                               centric_radicals, embedding, fusion_of_locality,
                               is_saturated)
-from locfusion.locality import local_group
-from locfusion.permgroup import bit_positions, image_mask, is_characteristic_p
+from locfusion.locality import _preimage_under, local_group
+from locfusion.permgroup import (SIndex, bit_positions, compose, image_mask,
+                                 inverse, is_characteristic_p)
 
 
 def normalizer_by_sources(F, Q):
@@ -73,3 +78,31 @@ def linking_per_object(L):
             break
     report["local_groups_characteristic_p"] = ok_loc
     return bool(report["saturated"]) and ok_cr and ok_loc, report
+
+
+def locality_tables_by_pairs(G, S, delta):
+    """(labels, inv, s_ids, rows) of L_delta(G): the carrier is the g of
+    G with S cap S^(g^-1) in delta, in the order of G, and row f holds
+    the id of f·g, or -1, for every g, where (f, g) is composable
+    exactly when the preimage of S_g under the conjugation map of f is
+    in delta.  Each product is composed and looked up by its
+    permutation."""
+    six = SIndex(S)
+    dmasks = {six.mask(P.elements) for P in delta}
+    carrier = [(g, *six.action(g)) for g in G.elements]
+    carrier = [(g, images, dom) for g, images, dom in carrier
+               if dom in dmasks]
+    labels = tuple(g for g, _, _ in carrier)
+    idx = {g: i for i, g in enumerate(labels)}
+    rows = tuple(tuple(idx[compose(f, g)]
+                       if _preimage_under(images, dom) in dmasks else -1
+                       for g, _, dom in carrier)
+                 for f, images, _ in carrier)
+    return (labels, tuple(idx[inverse(g)] for g in labels),
+            tuple(idx[s] for s in S.elements), rows)
+
+
+def locality_tables(L):
+    """(labels, inv, s_ids, rows) of L, each row without its trailing -1,
+    as ``locality_tables_by_pairs`` gives them."""
+    return L.labels, L.inv, L.s_ids, tuple(r[:-1] for r in L.rows[:-1])

@@ -379,13 +379,29 @@ def _action_case(label):
 
 @pytest.mark.parametrize("label", ACTION_CASES)
 def test_actions_match_action(label):
-    """``SIndex.actions`` yields each element once, with exactly the
-    action computed directly."""
+    """``SIndex.cosets`` meets each element once, in the right coset of
+    the first element of it met, cosets in the order met; the action it
+    gives the coset and ``member_images`` gives each member are exactly
+    the actions computed directly."""
     S, elements = _action_case(label)
     idx = SIndex(S)
-    got = list(idx.actions(elements))
-    assert len(got) == len(set(elements))
-    assert sorted(got) == sorted((g, *idx.action(g)) for g in set(elements))
+    first = {}
+    for k, g in enumerate(elements):
+        first.setdefault(g, k)
+    met, firsts = [], []
+    for images, dom, members in idx.cosets(elements):
+        ts = [t for t, _ in members]
+        r = members[0][1]
+        assert ts[0] == 0 and ts == sorted(set(ts))
+        assert (images, dom) == idx.action(r)
+        assert first[r] == min(first[g] for _, g in members)
+        for (t, g), imgs in zip(members, idx.member_images(images, ts)):
+            assert g == compose(r, S.elements[t])
+            assert (imgs, dom) == idx.action(g)
+        met += [g for _, g in members]
+        firsts.append(first[r])
+    assert firsts == sorted(firsts)
+    assert len(met) == len(set(met)) and set(met) == set(elements)
 
 
 def test_action_subset_cases_are_not_unions_of_cosets():

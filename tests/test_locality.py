@@ -7,7 +7,8 @@ import pytest
 
 from locfusion import locality
 from locfusion.fusion import fusion_of_locality
-from locfusion.instances import BUNDLED, build_locality, load_descriptor
+from locfusion.instances import (BUNDLED, Instance, build_locality,
+                                 delta_of, load_descriptor)
 from locfusion.locality import (Locality, LocalityError, _s_group_fault,
                                 _sub_locality, _word_states,
                                 delta_min_order, is_linking_locality,
@@ -19,7 +20,8 @@ from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
                                  conjugate, domain_mask, from_cycles,
                                  generated_subgroup, inverse, sylow_subgroup)
 
-from answer_oracles import linking_per_object
+from answer_oracles import (linking_per_object, locality_tables,
+                            locality_tables_by_pairs)
 
 
 def s_of_word(L, w):
@@ -251,6 +253,39 @@ def test_linking_certificate_names_the_per_object_witness(gens):
     assert (ok, rep) == linking_per_object(L)
     assert not ok
     assert rep["witness"] == "N_L(P) of order 12 is not of characteristic 2"
+
+
+# -- the coset-wise product rows against the pair-wise build ---------------
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_rows_match_pair_oracle_on_bundled(name):
+    d = load_descriptor(name)
+    ctx = Instance(d)
+    L = build_locality(d, ctx)
+    assert locality_tables(L) == \
+        locality_tables_by_pairs(ctx.G, ctx.S, delta_of(d, ctx.G, ctx.S))
+
+
+ROW_GROUPS = {
+    "S4": [[(1, 2, 3, 4)], [(1, 2)]],
+    "S3wrC2": [[(1, 2)], [(1, 2, 3)], [(1, 4), (2, 5), (3, 6)]],
+    "S6": [[(1, 2, 3, 4, 5, 6)], [(1, 2)]],
+    "S7": [[(1, 2, 3, 4, 5, 6, 7)], [(1, 2)]],
+}
+
+
+@pytest.mark.parametrize("name,min_order", [
+    ("S4", 2), ("S3wrC2", 2), ("S6", 4), ("S6", 8), ("S7", 4)])
+def test_rows_match_pair_oracle(name, min_order):
+    """Labels, inverses, S and every row of L_delta(G), Delta = order >=
+    ``min_order`` at p = 2, equal the pair-wise build."""
+    gens = ROW_GROUPS[name]
+    degree = max(max(c) for g in gens for c in g)
+    G = FiniteGroup(degree, [from_cycles(degree, *g) for g in gens])
+    S = sylow_subgroup(G, 2)
+    delta = delta_min_order(G, S, min_order)
+    L = locality_from_group(G, S, delta, 2)
+    assert locality_tables(L) == locality_tables_by_pairs(G, S, delta)
 
 
 def test_descriptor_roundtrip(loc_a):
@@ -835,26 +870,49 @@ def test_s_group_fault_matches_pair_keyed(fixture, seed, request):
 
 
 def test_realization_oracle_matches_pair_keyed(loc_b):
-    """Group-realized tables with up to two product entries changed: the
-    row-wise oracle names the first disagreeing pair in (i, j) order."""
-    rng = random.Random(5)
-    pairs = list(loc_b.prod)
-    delta = [loc_b.ids_of(d) for d in loc_b.delta]
-    seen = set()
-    for _ in range(40):
-        rows = [list(r[:-1]) for r in loc_b.rows[:-1]]
-        for _ in range(rng.randrange(3)):
-            i, j = rng.choice(pairs)
-            rows[i][j] = rng.randrange(loc_b.n)
-        L = Locality(loc_b.labels, loc_b.identity, loc_b.inv, rows,
-                     loc_b.s_ids, loc_b.p, delta,
-                     realization=loc_b.realization)
-        want = next((f"pair ({i},{j}) disagrees with the ambient product"
-                     for (i, j), k in L.prod.items()
-                     if compose(L.labels[i], L.labels[j]) != L.labels[k]),
-                    None)
-        check = next(c for c in validate_locality(L, 2).checks
-                     if c.name == "realization_oracle")
-        assert (check.passed, check.witness) == (want is None, want)
-        seen.add(want is None)
-    assert seen == {True, False}
+    """Group-realized tables with up to two product entries changed, on
+    instance-b and on S6 at Delta = order >= 4: the oracle names the
+    first disagreeing pair in (i, j) order.  Some changes define an entry
+    off the domain or undefine one on it, so that the row no longer fits
+    its class and the oracle reads it on its own; witnesses are named on
+    both paths."""
+    s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
+                         from_cycles(6, (1, 2))])
+    s = sylow_subgroup(s6, 2)
+    for base in (loc_b, locality_from_group(s6, s, delta_min_order(s6, s, 4),
+                                            2)):
+        rng = random.Random(5)
+        pairs = list(base.prod)
+        off = [(i, j) for i in range(base.n) for j in range(base.n)
+               if base.rows[i][j] < 0]
+        delta = [base.ids_of(d) for d in base.delta]
+        seen, paths = set(), set()
+        for _ in range(40):
+            rows = [list(r[:-1]) for r in base.rows[:-1]]
+            for _ in range(rng.randrange(3)):
+                change = rng.randrange(3)
+                if change == 2 or (change == 1 and not off):
+                    i, j = rng.choice(pairs)
+                    rows[i][j] = -1
+                else:
+                    i, j = rng.choice(off if change == 1 else pairs)
+                    rows[i][j] = rng.randrange(base.n)
+            L = Locality(base.labels, base.identity, base.inv, rows,
+                         base.s_ids, base.p, delta,
+                         realization=base.realization)
+            bad = next(((i, j) for (i, j), k in L.prod.items()
+                        if compose(L.labels[i], L.labels[j]) != L.labels[k]),
+                       None)
+            want = None if bad is None else (
+                f"pair ({bad[0]},{bad[1]}) disagrees with the ambient product")
+            check = next(c for c in validate_locality(L, 2).checks
+                         if c.name == "realization_oracle")
+            assert (check.passed, check.witness) == (want is None, want)
+            seen.add(want is None)
+            if bad is not None:  # does the row of the witness fit its class?
+                i = bad[0]
+                paths.add([L.preimage(i, L._sf[g]) in L.delta
+                           for g in range(L.n)]
+                          == [k >= 0 for k in L.rows[i][:-1]])
+        assert seen == {True, False}
+        assert paths == {True, False}

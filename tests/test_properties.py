@@ -7,7 +7,9 @@ edge (``graph_oracle.graph_of`` and ``fusion.from_graph``), F_S(G) must
 equal the conjugation graphs, closing its outer maps onto the inner maps
 must give F_S(G) back, and its report must be byte for byte the report
 written from the graphs.  For every subgroup Q of S, N_F(Q) must equal
-the build from every Q-preserving map (``answer_oracles``).
+the build from every Q-preserving map (``answer_oracles``).  The tables
+of L_delta(G), for delta the subgroups of S of order at least |S|/p,
+must equal the pair-wise build (``answer_oracles``).
 """
 
 import json
@@ -19,9 +21,12 @@ st = hypothesis.strategies
 
 from locfusion.fusion import (close, fusion_of_group, inner_maps,  # noqa: E402
                               normalizer_system)
+from locfusion.locality import (delta_min_order,  # noqa: E402
+                                locality_from_group)
 from locfusion.permgroup import FiniteGroup, sylow_subgroup  # noqa: E402
 
-from answer_oracles import normalizer_by_sources  # noqa: E402
+from answer_oracles import (locality_tables,  # noqa: E402
+                            locality_tables_by_pairs, normalizer_by_sources)
 from graph_oracle import (graphs, ref_fusion_maps,  # noqa: E402
                           ref_to_json)
 
@@ -53,3 +58,14 @@ def test_fusion_of_group_against_graph_oracle(G):
             json.dumps(ref_to_json(S, p, ref), sort_keys=True)
         for Q in F.subgroups:
             assert normalizer_system(F, Q) == normalizer_by_sources(F, Q)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(groups())
+def test_locality_rows_against_pair_oracle(G):
+    for p in _primes(G.order):
+        S = sylow_subgroup(G, p)
+        delta = delta_min_order(G, S, S.order // p)
+        L = locality_from_group(G, S, delta, p)
+        assert locality_tables(L) == locality_tables_by_pairs(G, S, delta)
