@@ -606,7 +606,8 @@ def is_subcentric(F: FusionSystem, P: Subgroup) -> bool:
         return True
     Q = fully_normalized_conjugate(F, P)
     # built, not kept on F: ``subcentric_subgroups`` asks once per class,
-    # and keeping one normalizer system per class only holds memory
+    # the locality route once per class outside its object set, and
+    # keeping one normalizer system per class only holds memory
     NQ = _normalizer_system(F, Q)
     R = _op_core_over(NQ, NQ.subgroup(Q.eset))
     return is_centric(F, F.subgroup(R.eset))

@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 from .fusion import (FusionSystem, Morphism, aut_group, close,
                      fusion_of_locality, fusion_of_partial_subgroup,
                      inner_maps, is_centric, is_normal_subsystem,
-                     is_subnormal_subsystem, is_subsystem, maps_inside,
-                     normalizer_system, restriction, subcentric_subgroups,
+                     is_subcentric, is_subnormal_subsystem, is_subsystem,
+                     maps_inside, normalizer_system, restriction,
                      subgroup_lattice, trivial_modulo)
 from .locality import Locality, is_linking_locality
 from .partial_subgroups import (check_theorem2_hypotheses, is_partial_subgroup,
@@ -113,15 +113,30 @@ def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int]
 def _locality_route_fault(L: Locality) -> Optional[str]:
     """Why L cannot carry the locality route, or None: L must be a
     linking locality whose object set holds every subcentric subgroup.
-    Neither part depends on N or K, so the answer is memoized on L."""
+    Neither part depends on N or K, so the answer is memoized on L.
+
+    A subgroup in delta never breaks the second part, so subcentricity
+    is decided only for subgroups outside delta: once per F_S(L)-class,
+    since it is a property of the class, and only up to the first
+    subcentric one.  When delta holds every subgroup of S, no
+    normalizer system is built."""
     key = ("locality_route",)
     if key not in L._verdicts:
         fault = None
         if not is_linking_locality(L)[0]:
             fault = "locality is not a linking locality"
-        elif any(L.mask_of_perms(P.eset) not in L.delta
-                 for P in subcentric_subgroups(fusion_of_locality(L))):
-            fault = "object set does not contain every subcentric subgroup"
+        else:
+            F = fusion_of_locality(L)
+            tested: set[frozenset] = set()
+            for P in F.subgroups:
+                if (P.eset in tested
+                        or L.mask_of_perms(P.eset) in L.delta):
+                    continue
+                if is_subcentric(F, P):
+                    fault = ("object set does not contain every subcentric "
+                             "subgroup")
+                    break
+                tested.update(Q.eset for Q in F.conjugates(P))
         L._verdicts[key] = fault
     return L._verdicts[key]
 

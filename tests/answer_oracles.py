@@ -1,4 +1,4 @@
-"""Direct forms of three answers the library derives more cheaply, kept
+"""Direct forms of four answers the library derives more cheaply, kept
 as oracles.
 
 ``normalizer_by_sources`` builds N_F(Q) from every map of F whose source
@@ -6,8 +6,11 @@ contains Q and which sends Q onto Q, restricted to every subgroup of
 N_S(Q) inside its source; the library takes only the maps on sources
 between Q and N_S(Q) and restricts each to the P with PQ equal to its
 source.  ``linking_per_object`` is the linking certificate with N_L(P)
-built and tested for every object of delta; the library tests one
-object per F_S(L)-class.  ``locality_tables_by_pairs`` builds the
+built as a permutation group (``local_group``) and tested by a Sylow
+search for every object of delta; the library tests one object per
+F_S(L)-class, on the product rows.  ``locality_route_fault_by_lattice``
+asks of every subgroup of S whether it is subcentric; the library asks
+once per class outside delta.  ``locality_tables_by_pairs`` builds the
 tables of L_delta(G) a product pair at a time, conjugating every element
 of G directly and looking each product up by its permutation; the
 library conjugates one element per right coset of S and reads a row a
@@ -16,10 +19,10 @@ coset at a time off the Cayley table of S.
 
 from locfusion.fusion import (FusionSystem, _NONE, _carry, _keep,
                               centric_radicals, embedding, fusion_of_locality,
-                              is_saturated)
-from locfusion.locality import _preimage_under, local_group
-from locfusion.permgroup import (SIndex, bit_positions, compose, image_mask,
-                                 inverse, is_characteristic_p)
+                              is_saturated, subcentric_subgroups)
+from locfusion.locality import _preimage_under, normalizer_carrier
+from locfusion.permgroup import (FiniteGroup, SIndex, bit_positions, compose,
+                                 image_mask, inverse, is_characteristic_p)
 
 
 def normalizer_by_sources(F, Q):
@@ -44,6 +47,19 @@ def normalizer_by_sources(F, Q):
     N = F.subgroup(idx.members(ns))
     up, down = embedding(F.S, N)
     return FusionSystem(N, F.p, _carry(restricted, down, up), F.morphism_cap)
+
+
+def local_group(L, P):
+    """N_L(P) as a finite group and its id -> permutation map, or None
+    when its product is not total."""
+    ids = normalizer_carrier(L, P)
+    idset, rows = set(ids), L.rows
+    for a in ids:
+        if not idset.issuperset(map(rows[a].__getitem__, ids)):
+            return None
+    G, to_perm = L.group_on(ids)
+    return FiniteGroup(G.degree, to_perm.values(),
+                       max_size=max(len(ids), 1)), to_perm
 
 
 def linking_per_object(L):
@@ -78,6 +94,18 @@ def linking_per_object(L):
             break
     report["local_groups_characteristic_p"] = ok_loc
     return bool(report["saturated"]) and ok_cr and ok_loc, report
+
+
+def locality_route_fault_by_lattice(L):
+    """The locality route's precondition fault, or None, from the
+    per-object linking certificate and every subcentric subgroup of
+    F_S(L)."""
+    if not linking_per_object(L)[0]:
+        return "locality is not a linking locality"
+    if any(L.mask_of_perms(P.eset) not in L.delta
+           for P in subcentric_subgroups(fusion_of_locality(L))):
+        return "object set does not contain every subcentric subgroup"
+    return None
 
 
 def locality_tables_by_pairs(G, S, delta):

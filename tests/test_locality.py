@@ -6,22 +6,22 @@ import random
 import pytest
 
 from locfusion import locality
-from locfusion.fusion import fusion_of_locality
+from locfusion.fusion import centric_radicals, fusion_of_locality, is_saturated
 from locfusion.instances import (BUNDLED, Instance, build_locality,
                                  delta_of, load_descriptor)
 from locfusion.locality import (Locality, LocalityError, _s_group_fault,
                                 _sub_locality, _word_states,
                                 delta_min_order, is_linking_locality,
-                                local_group, locality_from_descriptor,
+                                local_p_core, locality_from_descriptor,
                                 locality_from_group, locality_to_descriptor,
                                 normalizer_carrier, restriction,
                                 strongly_closed_in_carrier, validate_locality)
 from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
-                                 conjugate, domain_mask, from_cycles,
-                                 generated_subgroup, inverse, sylow_subgroup)
+                                 conjugate, domain_mask, from_cycles, inverse,
+                                 p_core, sylow_subgroup)
 
-from answer_oracles import (linking_per_object, locality_tables,
-                            locality_tables_by_pairs)
+from answer_oracles import (linking_per_object, local_group,
+                            locality_tables, locality_tables_by_pairs)
 
 
 def s_of_word(L, w):
@@ -216,24 +216,113 @@ def test_linking_certificate_tests_a_non_subgroup_object_on_its_own(loc_a):
     assert is_linking_locality(A) == linking_per_object(A)
 
 
-def test_linking_certificate_tests_one_object_per_class(monkeypatch):
-    """On S6, p = 2, delta = order >= 4: the per-object verdict and
-    report, with N_L(P) built for one object of each F_S(L)-class."""
+def _s6_locality(min_order, p=2):
     G = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                         from_cycles(6, (1, 2))])
-    S = sylow_subgroup(G, 2)
-    L = locality_from_group(G, S, delta_min_order(G, S, 4), 2)
+    S = sylow_subgroup(G, p)
+    return locality_from_group(G, S, delta_min_order(G, S, min_order), p)
+
+
+def test_linking_certificate_tests_one_object_per_class(monkeypatch):
+    """On S6, p = 2, delta = order >= 4: the per-object verdict and
+    report, with N_L(P) and its O_p read for one object of each
+    F_S(L)-class."""
+    L = _s6_locality(4)
     F = fusion_of_locality(L)
     classes = {frozenset(L.mask_of_perms(Q.eset) for Q in F.conjugates(P))
                for P in F.subgroups if L.mask_of_perms(P.eset) in L.delta}
     built = []
-    monkeypatch.setattr(locality, "local_group",
+    monkeypatch.setattr(locality, "local_p_core",
                         lambda L, P: built.append(L.mask_of(P))
-                        or local_group(L, P))
+                        or local_p_core(L, P))
     assert is_linking_locality(L) == linking_per_object(L)
     assert len(classes) < len(L.delta)
     assert sorted(len(c & set(built)) for c in classes) == [1] * len(classes)
     assert len(built) == len(classes)
+
+
+def test_linking_certificate_grows_a_sylow_subgroup_on_the_table(monkeypatch):
+    """On S6, p = 2, delta = order >= 4, some tested N_L(P) has S ∩ N_L(P)
+    short of Sylow: the certificate grows it on the rows, and the verdict
+    and report are the per-object ones."""
+    L = _s6_locality(4)
+    grown = []
+    grow = locality._sylow_on_table
+
+    def sylow_on_table(L, ids, X, order):
+        Y = grow(L, ids, X, order)
+        grown.append((len(X), len(Y), order))
+        return Y
+    monkeypatch.setattr(locality, "_sylow_on_table", sylow_on_table)
+    assert is_linking_locality(L) == linking_per_object(L)
+    assert grown
+    assert all(x < y == order for x, y, order in grown)
+
+
+@pytest.mark.parametrize("min_order", [1, 4])
+def test_linking_certificate_builds_no_group_for_n_l_p(min_order,
+                                                        monkeypatch):
+    """The only permutation groups the certificate builds are the
+    Aut_F(P) of the centric-radical test: none for any N_L(P)."""
+    L = _s6_locality(min_order)
+    F = fusion_of_locality(L)
+    is_saturated(F)
+    built = []
+    init = FiniteGroup.__init__
+    monkeypatch.setattr(FiniteGroup, "__init__", lambda self, *args, **kw:
+                        built.append(args[0]) or init(self, *args, **kw))
+    centric_radicals(F)
+    radicals = list(built)
+    built.clear()
+    is_linking_locality(L)
+    assert built == radicals
+
+
+@pytest.mark.parametrize("min_order,p", [(1, 2), (4, 2), (1, 3)])
+def test_sylow_on_table_is_a_sylow_subgroup(min_order, p):
+    """Grown from the trivial subgroup and from S ∩ N_L(P), for every
+    object P of S6: a subgroup of N_L(P), closed under the product, of
+    the p-part of |N_L(P)|, holding the subgroup it grew."""
+    L = _s6_locality(min_order, p)
+    grown = 0
+    for d in sorted(L.delta):
+        ids = normalizer_carrier(L, L.ids_of(d))
+        order = len(sylow_subgroup(local_group(L, L.ids_of(d))[0], p))
+        for X in ({L.identity}, set(ids) & set(L.s_ids)):
+            if len(X) == order:
+                continue
+            Y = locality._sylow_on_table(L, ids, X, order)
+            assert X <= Y <= set(ids) and len(Y) == order
+            assert {L.rows[a][b] for a in Y for b in Y} == Y
+            grown += 1
+    assert grown
+
+
+def _p_core_as_ids(L, P):
+    H, to_perm = local_group(L, P)
+    of_perm = {x: i for i, x in to_perm.items()}
+    return frozenset(of_perm[x] for x in p_core(H, L.p).elements)
+
+
+@pytest.mark.parametrize("source", ["product-24", "product-48", "S6"])
+def test_table_p_core_matches_permutation_group(source):
+    """On every object of the localities of the descriptor's products, and
+    of S6 at p = 2, delta = order >= 4 (where some S ∩ N_L(P) is short of
+    Sylow), O_p(N_L(P)) read off the rows is the p-core of N_L(P) built
+    as a permutation group."""
+    if source == "S6":
+        localities = [_s6_locality(4)]
+    else:
+        ctx = Instance(load_descriptor(source))
+        localities = list({id(L): L for L in (
+            ctx.product(name)["L"] for name in ctx.d["fusion_products"])
+        }.values())
+    for L in localities:
+        for d in sorted(L.delta):
+            P = L.ids_of(d)
+            ids, core = local_p_core(L, P)
+            assert ids == normalizer_carrier(L, P)
+            assert core == _p_core_as_ids(L, P)
 
 
 @pytest.mark.parametrize("gens", [

@@ -3,16 +3,20 @@
 import pytest
 
 from locfusion import products as pr
-from locfusion.fusion import (close, fusion_of_group, inner_fusion,
-                              inner_maps, maps_inside, subgroup_lattice)
+from locfusion.fusion import (close, fusion_of_group, fusion_of_locality,
+                              inner_fusion, inner_maps, is_subcentric,
+                              maps_inside, subgroup_lattice)
 from locfusion.instances import (build_locality, load_descriptor,
                                  named_subgroup, product_setup, resolve_ids)
-from locfusion.locality import (is_linking_locality, locality_from_descriptor,
+from locfusion.locality import (delta_min_order, is_linking_locality,
+                                locality_from_descriptor, locality_from_group,
                                 locality_to_descriptor)
 from locfusion.partial_subgroups import verify_theorem_nk_subnormal
-from locfusion.permgroup import from_cycles, generated_subgroup
+from locfusion.permgroup import (FiniteGroup, from_cycles, generated_subgroup,
+                                 sylow_subgroup)
 from locfusion.report import PreconditionError
 
+from answer_oracles import linking_per_object, locality_route_fault_by_lattice
 from graph_oracle import graph_of
 
 
@@ -238,3 +242,98 @@ def test_route_and_theorem2_share_their_hypotheses():
         with pytest.raises(PreconditionError) as theorem:
             verify_theorem_nk_subnormal(L, N, K)
         assert str(route.value) == str(theorem.value) == message
+
+
+ROUTE_GROUPS = {
+    "S4": [[(1, 2, 3, 4)], [(1, 2)]],
+    "S3xS3": [[(1, 2)], [(1, 2, 3)], [(4, 5)], [(4, 5, 6)]],
+    "A5": [[(1, 2, 3, 4, 5)], [(1, 2, 3)]],
+    "S6": [[(1, 2, 3, 4, 5, 6)], [(1, 2)]],
+}
+
+
+def _locality_at(name, min_order):
+    """L_delta(G) at p = 2, delta = the subgroups of S of order >=
+    ``min_order``."""
+    gens = ROUTE_GROUPS[name]
+    degree = max(max(c) for g in gens for c in g)
+    G = FiniteGroup(degree, [from_cycles(degree, *g) for g in gens])
+    S = sylow_subgroup(G, 2)
+    return locality_from_group(G, S, delta_min_order(G, S, min_order), 2)
+
+
+@pytest.mark.parametrize("name,min_order,fault", [
+    ("S4", 2, "object set does not contain every subcentric subgroup"),
+    ("S6", 2, None),
+    ("S3xS3", 1, "locality is not a linking locality"),
+])
+def test_route_subcentric_clause(name, min_order, fault, monkeypatch):
+    """The route's fault is the whole-lattice one, and subcentricity is
+    asked only outside delta, once per F_S(L)-class, up to the first
+    subcentric subgroup."""
+    L = _locality_at(name, min_order)
+    asked = []
+
+    def subcentric(F, P):
+        v = is_subcentric(F, P)
+        asked.append((P, v))
+        return v
+    monkeypatch.setattr(pr, "is_subcentric", subcentric)
+    assert pr._locality_route_fault(L) == fault
+    assert locality_route_fault_by_lattice(_locality_at(name, min_order)) \
+        == fault
+    F = fusion_of_locality(L)
+    outside = {frozenset(Q.eset for Q in F.conjugates(P))
+               for P in F.subgroups
+               if L.mask_of_perms(P.eset) not in L.delta}
+    assert all(L.mask_of_perms(P.eset) not in L.delta for P, _ in asked)
+    assert len({frozenset(Q.eset for Q in F.conjugates(P))
+                for P, _ in asked}) == len(asked)
+    verdicts = [v for _, v in asked]
+    if fault is None:  # every class outside delta asked, none subcentric
+        assert outside and len(asked) == len(outside)
+        assert not any(verdicts)
+    elif fault.startswith("object set"):
+        assert verdicts[-1] and not any(verdicts[:-1])
+    else:
+        assert asked == []
+
+
+@pytest.mark.parametrize("name,min_order", [
+    (name, m) for name in ROUTE_GROUPS for m in (1, 2, 4, 8)
+    if not (m == 8 and name in ("S3xS3", "A5"))])  # |S| = 4 there
+def test_route_preconditions_match_per_object_and_lattice(name, min_order):
+    """The linking certificate and the route's fault equal the per-object
+    certificate and the whole-lattice subcentric test."""
+    L = _locality_at(name, min_order)
+    A = _locality_at(name, min_order)
+    assert is_linking_locality(L) == linking_per_object(A)
+    assert pr._locality_route_fault(L) == locality_route_fault_by_lattice(A)
+
+
+@pytest.mark.parametrize("dname", ["product-24", "product-48"])
+def test_route_builds_no_normalizer_system_when_delta_is_all(dname,
+                                                            monkeypatch):
+    """Delta holds every subgroup of S, so no subgroup is asked whether it
+    is subcentric."""
+    L = build_locality(load_descriptor(dname))
+    assert len(L.delta) == len(L.lattice)
+    monkeypatch.setattr(pr, "is_subcentric", None)
+    assert pr._locality_route_fault(L) is None
+
+
+def test_route_asks_each_class_outside_delta_once(monkeypatch):
+    """With every answer "not subcentric", the route walks all of the
+    subgroups outside delta (S6, delta = order >= 8) and asks one member
+    of each F_S(L)-class."""
+    L = _locality_at("S6", 8)
+    F = fusion_of_locality(L)
+    asked = []
+    monkeypatch.setattr(pr, "is_subcentric",
+                        lambda F, P: asked.append(P.eset) and False)
+    assert pr._locality_route_fault(L) is None
+    classes = {frozenset(Q.eset for Q in F.conjugates(P))
+               for P in F.subgroups
+               if L.mask_of_perms(P.eset) not in L.delta}
+    assert sorted(len(c & set(asked)) for c in classes) == [1] * len(classes)
+    assert len(asked) == len(classes) < sum(map(len, classes))
