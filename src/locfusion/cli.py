@@ -262,6 +262,15 @@ def _emit(report: dict, args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _verdict(args)
+    except OSError as e:  # --out or the descriptor file: an input error
+        args.out = None
+        _emit({"error": str(e), "kind": type(e).__name__}, args)
+        return EXIT_INPUT
+
+
+def _verdict(args) -> int:
     handler = HANDLERS[(args.command, getattr(args, "sub", None))]
     try:
         ctx = inst.Instance(inst.load_descriptor(args.descriptor),

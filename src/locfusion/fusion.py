@@ -4,9 +4,9 @@ A morphism lives on the positions of S (``permgroup.SIndex``): the pair
 ``(src, images)`` of its source mask and, for every position of S, the
 position of its image, or -1 off the source.  A morphism P -> phi(P)
 stands for every P -> Q with phi(P) <= Q, so Hom(P, Q) is derived by
-filtering.  Element graphs appear only at the edges: ``from_graph``
-checks one and turns it into a morphism, and ``FusionSystem.to_json``
-writes each morphism back as one.
+filtering.  A map is checked once, on its image positions
+(``checked_morphism``); ``from_graph`` reads an element graph into one,
+and ``FusionSystem.to_json`` writes each morphism as its element graph.
 
 Morphism sets are closed under composition, restriction and inverses;
 equality of fusion systems is equality of morphism sets over the same
@@ -70,9 +70,8 @@ def _target(m: Morphism) -> int:  # the mask of the image
 
 
 def from_graph(S: Subgroup, graph: Iterable[tuple]) -> Morphism:
-    """The morphism of S with the element graph ``graph``, checked here
-    and only here: every point and image lies in S, the map is injective,
-    and its points form a subgroup on which it is a homomorphism."""
+    """The morphism of S with the element graph ``graph``: every point
+    and image must lie in S, and the map pass ``checked_morphism``."""
     idx = S.parent.sindex(S)
     images = [-1] * len(idx.elements)
     try:
@@ -80,6 +79,13 @@ def from_graph(S: Subgroup, graph: Iterable[tuple]) -> Morphism:
             images[idx.pos[x]] = idx.pos[y]
     except KeyError:
         raise FusionError("map does not live inside S") from None
+    return checked_morphism(idx, images)
+
+
+def checked_morphism(idx: SIndex, images: Sequence[int]) -> Morphism:
+    """The morphism with these image positions in S (``idx``), -1 off its
+    points, checked: the map is injective, and its points form a
+    subgroup on which it is a homomorphism."""
     src = domain_mask(images)
     ps = bit_positions(src)
     if len({images[i] for i in ps}) != len(ps):
@@ -288,17 +294,12 @@ def inner_maps(S: Subgroup) -> set[Morphism]:
     return _conjugation_maps(S, S.elements)
 
 
-def inner_fusion(S: Subgroup, p: int) -> FusionSystem:
-    """F_S(S): conjugation maps by elements of S only."""
-    return FusionSystem(S, p, inner_maps(S))
-
-
 def close(S: Subgroup, p: int, generators: Iterable[Morphism],
           cap: int = DEFAULT_MORPHISM_CAP,
           base: Optional[FusionSystem] = None) -> FusionSystem:
     """Least fusion system over the p-group S containing ``base`` (the
     inner maps of S by default) and the generators, morphisms on the
-    positions of S (``from_graph`` checks them).
+    positions of S (``checked_morphism`` checks them).
 
     ``base`` must be closed under composition, restriction and inversion,
     as every ``FusionSystem`` is, so only the generators and the maps
@@ -382,32 +383,25 @@ def _infer_p(S: Subgroup) -> int:
 def fusion_of_partial_subgroup(L, H: Iterable[int]) -> FusionSystem:
     """F_{S∩H}(H) for a partial subgroup H of the locality L (ids of L),
     under L's cap: generated by the conjugation maps between subgroups of
-    S∩H induced by elements of H.  The map of h depends on h only through
-    its class (``Locality._cls``), so one graph is built per class present
-    in H, and each distinct graph is checked once."""
-    Hset = frozenset(H)
-    sh_ids = sorted(set(L.s_ids) & Hset)
-    Ssub, label = _s_cap_h_subgroup(L, sh_ids)
-    graphs = set()
-    for c in sorted({L._cls[h] for h in Hset}):
-        ph = L._cmaps[c]
-        # the points of S∩H sent into S∩H form a subgroup: conjugation is
-        # multiplicative on S_h
-        images = ((i, ph[L._s_pos[i]]) for i in sh_ids)
-        graphs.add(tuple((label[i], label[L.s_ids[v]]) for i, v in images
-                         if v >= 0 and L.s_ids[v] in label))
-    return close(Ssub, L.p, [from_graph(Ssub, g) for g in graphs],
-                 L.morphism_cap)
+    S∩H induced by elements of H.
 
-
-def _s_cap_h_subgroup(L, sh_ids: list[int]) -> tuple[Subgroup, dict]:
-    """S∩H as a Subgroup of ``L.s_group()``, with the id -> element
-    map; S∩H is a subgroup when its mask is in the S-lattice."""
-    if L.mask_of(sh_ids) not in L.lattice:
+    L orders S as its index does (``Locality.s_index``), so the map of
+    each class present in H (``Locality._cmaps``) is read onto the
+    positions of S∩H through ``embedding``; points sent outside S∩H drop
+    out, and the rest form a subgroup, since conjugation is
+    multiplicative on S_h.  Each distinct map is checked once."""
+    H = frozenset(H)
+    S, idx = L.s_group(), L.s_index
+    sh = L.mask_of(H.intersection(L.s_ids))
+    if sh not in idx.lattice():
         raise FusionError("S∩H is not a subgroup")
-    G, to_perm = L.s_group()
-    to_perm = {i: to_perm[i] for i in sh_ids}
-    return G.subgroup(to_perm.values(), check=False), to_perm
+    T = S.parent.subgroup(idx.members(sh), check=False)
+    up, down = embedding(S, T)
+    pick, ext = getter(up), down + _NONE
+    maps = {getter(pick(L._cmaps[c]))(ext) for c in {L._cls[h] for h in H}}
+    on_t = T.parent.sindex(T)
+    return close(T, L.p, [checked_morphism(on_t, m) for m in maps],
+                 L.morphism_cap)
 
 
 def fusion_of_locality(L) -> FusionSystem:

@@ -262,7 +262,7 @@ def product_setup(d: dict, name: str,
 
     dd = spec["D"]
     if dd["kind"] == "inner":
-        D = fu.inner_fusion(inside_s("'D' 'over'", dd["over"]), p)
+        D = fu.close(inside_s("'D' 'over'", dd["over"]), p, [], cap)
     else:
         D = fu.normalizer_system(F, T)
 

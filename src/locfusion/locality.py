@@ -19,10 +19,12 @@ row at a time, through ``map`` and ``operator.itemgetter`` in C;
 callers outside the package.
 
 Inside a locality, S is indexed as positions ``0..|S|-1`` in the order of
-``s_ids`` (for a group-realized locality this is the order of
-``SIndex(S)``), and every subset of S is an ``int`` bitmask over those
-positions: delta is a set of masks, S_w is a mask, and the S-lattice is
-a list of masks computed once per locality.  Each carrier element f
+``s_ids``: the identity first, then ascending ids.  That is the order of
+``Locality.s_index``, the index of S in its permutation group
+(``group_on``), so L and F_S(L) share the positions of S and no mask is
+translated between them.  Every subset of S is an ``int`` bitmask over
+those positions: delta is a set of masks, S_w is a mask, and the
+S-lattice is the list of masks of the index.  Each carrier element f
 induces the partial injective map s -> s^f on positions wherever the
 conjugate stays in S; S_w is the domain of the composite map along w.
 Elements with the same map form a class (``Locality._cls``: 20 classes
@@ -233,7 +235,7 @@ class Locality:
                 f"inverse table has {len(self.inv)} entries for {n} ids")
         _check_ids(n, "inverse table", self.inv)
         _check_ids(n, "S", s_ids)
-        self.s_ids = tuple(sorted(s_ids))
+        self.s_ids = tuple(sorted(s_ids, key=lambda s: (s != identity, s)))
         rows = tuple((*r, -1) for r in rows)
         _check_rows(n, rows)
         self.rows = rows + ((-1,) * (n + 1),)
@@ -254,9 +256,7 @@ class Locality:
         self._sf = tuple(map(self._csf.__getitem__, self._cls))
         self._full = (1 << len(self.s_ids)) - 1
         self._pre: dict[tuple[int, int], int] = {}  # (class, mask) -> preimage
-        self._lattice: Optional[list[int]] = None
-        self._s_group: Optional[tuple[FiniteGroup, dict]] = None
-        self._id_of_perm: dict = {}  # element of s_group -> id of S
+        self._s: Optional[Subgroup] = None  # S in its permutation group
         self._fusion = None  # cached F_S(L)
         self._verdicts: dict = {}  # memo of set-level verdicts on L
 
@@ -283,15 +283,9 @@ class Locality:
 
     @property
     def lattice(self) -> list[int]:
-        """Masks of every subgroup of S, ordered by (order, members);
-        computed on first use and kept."""
-        if self._lattice is None:
-            G, to = self.s_group()
-            six = G.sindex(Subgroup(G, to.values(), check=False))
-            self._lattice = sorted(
-                map(self.mask_of_perms, map(six.members, six.lattice())),
-                key=lambda m: (m.bit_count(), bit_positions(m)))
-        return self._lattice
+        """Masks of every subgroup of S, ordered by (order, members): the
+        lattice of ``s_index``, computed on first use and kept there."""
+        return self.s_index.lattice()
 
     # -- basic queries -------------------------------------------------------
 
@@ -337,20 +331,27 @@ class Locality:
             x = rows[x][f]
         return x if x >= 0 else None
 
-    def s_group(self) -> tuple[FiniteGroup, dict]:
-        """S as a permutation group (``group_on``) and the id ->
-        permutation map; built on first use and kept, with the inverse
-        map that ``mask_of_perms`` reads."""
-        if self._s_group is None:
-            self._s_group = G, to_perm = self.group_on(self.s_ids)
-            self._id_of_perm = {x: i for i, x in to_perm.items()}
-        return self._s_group
+    def s_group(self) -> Subgroup:
+        """S as a subgroup of its permutation group (``group_on``), built
+        on first use and kept.  Its index must hold ``s_ids[i]`` at
+        position i, which fails (LocalityError) only when the identity of
+        the S-table is not L's, a fault ``s_subgroup`` reports."""
+        if self._s is None:
+            G, to_perm = self.group_on(self.s_ids)
+            S = Subgroup(G, to_perm.values(), check=False)
+            if G.sindex(S).elements != tuple(map(to_perm.__getitem__,
+                                                 self.s_ids)):
+                raise LocalityError("S is not indexed in the order of its "
+                                    "ids: the identity of S is not L's")
+            self._s = S
+        return self._s
 
-    def mask_of_perms(self, xs: Iterable) -> int:
-        """Mask of a subset of S given by its elements in ``s_group``,
-        as the subgroups of F_S(L) are."""
-        self.s_group()
-        return self.mask_of(map(self._id_of_perm.__getitem__, xs))
+    @property
+    def s_index(self) -> SIndex:
+        """The index of S (``s_group``), kept on its group: position i is
+        ``s_ids[i]``, so the masks of L are the masks of the index."""
+        S = self.s_group()
+        return S.parent.sindex(S)
 
     # -- local subgroups as genuine groups ----------------------------------
 
@@ -360,9 +361,11 @@ class Locality:
 
         This is the one place that chooses: the ambient realization when
         there is one, else the regular action of ``ids``, which must then
-        be product-total.
+        be product-total.  Its points are ``ids`` with the identity first,
+        so the permutation of x starts with the point of x, and the
+        canonical order of the permutations is the order of the points.
         """
-        ids = sorted(ids)
+        ids = sorted(ids, key=lambda i: (i != self.identity, i))
         if self.realization is not None:
             return (self.realization,
                     {i: self.labels[i] for i in ids})
@@ -412,8 +415,7 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
             members.append([g for _, g in coset])
             # G holds each coset whole, so t runs over all positions of S
             maps.append(six.member_images(images, range(len(coset))))
-    lattice = six.lattice()
-    bad = _check_delta_closures(lattice, dmasks, [
+    bad = _check_delta_closures(six.lattice(), dmasks, [
         (m, dom) for dom, ms in zip(doms, maps) for m in ms])
     if bad is not None:
         raise LocalityError(bad)
@@ -429,11 +431,9 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     rows = _coset_rows(six, dmasks, labels, idx, doms, members, maps)
     del idx, doms, members, maps  # the rows hold them until the last one
 
-    L = Locality(labels, identity, inv, rows, s_ids, p, delta_ids,
-                 realization=G, max_word_length=max_word_length,
-                 morphism_cap=morphism_cap)
-    L._lattice = lattice  # s_ids follow the positions of six
-    return L
+    return Locality(labels, identity, inv, rows, s_ids, p, delta_ids,
+                    realization=G, max_word_length=max_word_length,
+                    morphism_cap=morphism_cap)
 
 
 def _coset_rows(six: SIndex, dmasks: Collection[int], labels: Sequence,
@@ -880,14 +880,12 @@ def _sub_locality(L: Locality, carrier_ids: list[int],
             map(new_id.__getitem__, map(L.rows[i].__getitem__, carrier_ids)),
             keeps[c])])
     new_delta = [[new_id[x] for x in L.ids_of(d)] for d in delta]
-    sub = Locality(labels, new_id[L.identity],
-                   [new_id[L.inv[i]] for i in carrier_ids],
-                   rows, [new_id[s] for s in L.s_ids], L.p, new_delta,
-                   realization=L.realization,
-                   max_word_length=L.max_word_length,
-                   morphism_cap=L.morphism_cap)
-    sub._lattice = L._lattice
-    return sub
+    return Locality(labels, new_id[L.identity],
+                    [new_id[L.inv[i]] for i in carrier_ids],
+                    rows, [new_id[s] for s in L.s_ids], L.p, new_delta,
+                    realization=L.realization,
+                    max_word_length=L.max_word_length,
+                    morphism_cap=L.morphism_cap)
 
 
 def restriction(Lplus: Locality, delta: Iterable[frozenset[int]]) -> Locality:
@@ -1016,7 +1014,7 @@ def is_linking_locality(L: Locality) -> tuple[bool, dict]:
 
     ok_cr = True
     for P in centric_radicals(F):
-        if L.mask_of_perms(P.eset) not in L.delta:
+        if F.index.mask(P.eset) not in L.delta:
             ok_cr = False
             report["witness"] = f"centric radical of order {P.order} not in delta"
             break
@@ -1024,18 +1022,16 @@ def is_linking_locality(L: Locality) -> tuple[bool, dict]:
 
     ok_loc = True
     rows = L.rows
-    to_perm = L.s_group()[1]
     done: set[int] = set()  # the objects of the classes already tested
     for d in sorted(L.delta, key=lambda m: (m.bit_count(), bit_positions(m))):
         if d in done:
             continue
-        ids = L.ids_of(d)
         try:
-            cls = F.conjugates(F.subgroup(map(to_perm.__getitem__, ids)))
+            cls = F.conjugates(F.subgroup(F.index.members(d)))
         except FusionError:  # d is no subgroup of S: tested on its own
             cls = ()
-        done.update(L.mask_of_perms(Q.eset) for Q in cls)
-        res = local_p_core(L, ids)
+        done.update(F.index.mask(Q.eset) for Q in cls)
+        res = local_p_core(L, L.ids_of(d))
         if res is None:
             ok_loc = False
             report["witness"] = (f"N_L(P) not a group for object of order "

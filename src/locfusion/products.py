@@ -130,7 +130,7 @@ def _locality_route_fault(L: Locality) -> Optional[str]:
             tested: set[frozenset] = set()
             for P in F.subgroups:
                 if (P.eset in tested
-                        or L.mask_of_perms(P.eset) in L.delta):
+                        or F.index.mask(P.eset) in L.delta):
                     continue
                 if is_subcentric(F, P):
                     fault = ("object set does not contain every subcentric "

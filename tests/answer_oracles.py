@@ -72,7 +72,7 @@ def linking_per_object(L):
 
     ok_cr = True
     for P in centric_radicals(F):
-        if L.mask_of_perms(P.eset) not in L.delta:
+        if F.index.mask(P.eset) not in L.delta:
             ok_cr = False
             report["witness"] = f"centric radical of order {P.order} not in delta"
             break
@@ -102,8 +102,9 @@ def locality_route_fault_by_lattice(L):
     F_S(L)."""
     if not linking_per_object(L)[0]:
         return "locality is not a linking locality"
-    if any(L.mask_of_perms(P.eset) not in L.delta
-           for P in subcentric_subgroups(fusion_of_locality(L))):
+    F = fusion_of_locality(L)
+    if any(F.index.mask(P.eset) not in L.delta
+           for P in subcentric_subgroups(F)):
         return "object set does not contain every subcentric subgroup"
     return None
 

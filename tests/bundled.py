@@ -1,9 +1,11 @@
 """Data built from the bundled descriptors, shared by several test
-modules: the shipped groups with their primes, and (L, H, T) triples
-for the normalizer-of-strongly-closed-T fusion identity."""
+modules: the shipped groups with their primes, (L, H, T) triples for
+the normalizer-of-strongly-closed-T fusion identity, and relabelled
+abstract copies of a locality."""
 
 from locfusion.instances import (build_locality, group_of, load_descriptor,
                                  named_subgroup, resolve_ids)
+from locfusion.locality import locality_from_descriptor, locality_to_descriptor
 
 
 def bundled_groups():
@@ -36,3 +38,21 @@ def net_triples():
                 frozenset(Tb.eset)))
     out.append(("instance-b:alt", Lb, alt, frozenset(Tb.eset)))
     return out
+
+
+def relabelled_copy(L):
+    """An abstract copy of L with every id i renamed n - 1 - i.  The
+    identity of a realized L is id 0, the least, so in the copy it is
+    the largest id of S."""
+    d = locality_to_descriptor(L)
+    n = d["carrier"]
+
+    def new(xs):
+        return [n - 1 - x for x in xs]
+    return locality_from_descriptor({
+        "carrier": n, "identity": n - 1 - d["identity"],
+        "inverse": new(reversed(d["inverse"])),
+        "products": [new(t) for t in d["products"]],
+        "S": new(d["S"]), "p": d["p"],
+        "delta": [new(P) for P in d["delta"]],
+        "max_word_length": d["max_word_length"]})

@@ -381,6 +381,29 @@ def test_restriction_non_overgroup_closed_delta_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    """An --out that cannot be written is an input error: exit 2, the
+    error on stdout as for the other input errors, and no file."""
+    out = tmp_path / "missing" / "r.json"
+    assert run(["group", "info", "group-8", "--out", str(out)]) == 2
+    got, err = capsys.readouterr()
+    rep = json.loads(got)
+    assert rep["kind"] == "FileNotFoundError"
+    assert str(out) in rep["error"]
+    assert err == ""
+    assert not out.parent.exists()
+
+
+def test_unreadable_descriptor_exits_2(tmp_path, capsys):
+    """A descriptor path that names a directory is an input error too."""
+    d = tmp_path / "d.json"
+    d.mkdir()
+    assert run(["group", "info", str(d)]) == 2
+    got, err = capsys.readouterr()
+    assert json.loads(got)["kind"] == "IsADirectoryError"
+    assert err == ""
+
+
 def test_morphism_cap_lasts_one_run(capsys):
     assert run(["fusion", "build", "instance-a", "--morphism-cap", "5"]) == 3
     out, err = capsys.readouterr()

@@ -6,7 +6,7 @@ import pytest
 from locfusion import fusion as fu
 from locfusion.fusion import (FusionError, MorphismCapExceeded, close,
                               from_graph, fusion_of_group, fusion_of_locality,
-                              fusion_of_partial_subgroup, inner_fusion,
+                              fusion_of_partial_subgroup,
                               is_centric, is_centric_radical,
                               is_normal_subsystem, is_saturated,
                               is_strongly_closed, is_subnormal_subsystem,
@@ -92,7 +92,7 @@ def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
     positions of another group, and a base over another subgroup are all
     refused; a graph outside S or not a homomorphism is refused by the
     graph constructor before it can become a generator."""
-    base = inner_fusion(s4_sylow, 2)
+    base = close(s4_sylow, 2, [])
     extra = next(m for m in sorted(F.maps) if m not in base.maps)
     assert close(s4_sylow, 2, [extra], base=base) == \
         close(s4_sylow, 2, [extra])
@@ -109,7 +109,7 @@ def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
     with pytest.raises(FusionError, match="not a homomorphism"):
         from_graph(s4_sylow, [(e, a), (a, e), (b, b), (c, c)])
     with pytest.raises(FusionError, match="another subgroup"):
-        close(s4_sylow, 2, [], base=inner_fusion(klein, 2))
+        close(s4_sylow, 2, [], base=close(klein, 2, []))
 
 
 def test_not_saturated_handmade(s4, klein):
@@ -126,7 +126,7 @@ def test_not_saturated_handmade(s4, klein):
 
 
 def test_inner_fusion_saturated(s4_sylow):
-    assert is_saturated(inner_fusion(s4_sylow, 2))
+    assert is_saturated(close(s4_sylow, 2, []))
 
 
 def test_strongly_closed(F, s4, klein):
@@ -169,12 +169,12 @@ def test_op_core(F, klein):
 
 def test_normal_subsystem_true_cases(F, E, klein):
     assert is_normal_subsystem(F, E)
-    assert is_normal_subsystem(F, inner_fusion(F.subgroup(klein.eset), 2))
+    assert is_normal_subsystem(F, close(F.subgroup(klein.eset), 2, []))
 
 
 def test_normal_subsystem_false_case(F, s4):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
-    assert not is_normal_subsystem(F, inner_fusion(F.subgroup(u.eset), 2))
+    assert not is_normal_subsystem(F, close(F.subgroup(u.eset), 2, []))
 
 
 def test_normal_implies_strongly_closed(F, E):
@@ -183,7 +183,7 @@ def test_normal_implies_strongly_closed(F, E):
 
 def test_subnormal_chain_depth_two(F, s4):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
-    Eu = inner_fusion(F.subgroup(u.eset), 2)
+    Eu = close(F.subgroup(u.eset), 2, [])
     verdict, chain = is_subnormal_subsystem(F, Eu)
     assert verdict is True
     assert [c.S.order for c in chain] == [2, 4, 8]

@@ -128,3 +128,15 @@ def test_suite_leaves_module_state_unchanged(name, tmp_path):
         [sys.executable, "-c", _STATE_CHECK, name, str(tmp_path / "r.json")],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "0 []"
+
+
+def test_every_product_d_keeps_the_run_cap():
+    """D of every bundled product, the inner ones as the normalizer one,
+    is built under the run's morphism cap, as E and F are."""
+    for name in ("product-24", "product-48"):
+        d = instances.load_descriptor(name)
+        ctx = instances.Instance(d, morphism_cap=5000)
+        for product in sorted(d["fusion_products"]):
+            st = ctx.product(product)
+            assert (st["D"].morphism_cap, st["E"].morphism_cap,
+                    st["F"].morphism_cap) == (5000, 5000, 5000), product

@@ -22,6 +22,7 @@ from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
 
 from answer_oracles import (linking_per_object, local_group,
                             locality_tables, locality_tables_by_pairs)
+from bundled import relabelled_copy
 
 
 def s_of_word(L, w):
@@ -229,8 +230,8 @@ def test_linking_certificate_tests_one_object_per_class(monkeypatch):
     F_S(L)-class."""
     L = _s6_locality(4)
     F = fusion_of_locality(L)
-    classes = {frozenset(L.mask_of_perms(Q.eset) for Q in F.conjugates(P))
-               for P in F.subgroups if L.mask_of_perms(P.eset) in L.delta}
+    classes = {frozenset(F.index.mask(Q.eset) for Q in F.conjugates(P))
+               for P in F.subgroups if F.index.mask(P.eset) in L.delta}
     built = []
     monkeypatch.setattr(locality, "local_p_core",
                         lambda L, P: built.append(L.mask_of(P))
@@ -1005,3 +1006,54 @@ def test_realization_oracle_matches_pair_keyed(loc_b):
                           == [k >= 0 for k in L.rows[i][:-1]])
         assert seen == {True, False}
         assert paths == {True, False}
+
+
+# -- one index of S for L and F_S(L) -----------------------------------------
+
+def _copies(name):
+    L = build_locality(load_descriptor(name))
+    return L, locality_from_descriptor(locality_to_descriptor(L)), \
+        relabelled_copy(L)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_s_index_holds_s_ids_in_order(name):
+    """Position i of ``s_index`` is the element of ``s_ids[i]`` in S's
+    permutation group, for L, its abstract copy, and a relabelled copy
+    whose identity is the largest id of S."""
+    L, A, R = _copies(name)
+    assert L.s_index.elements == tuple(L.labels[s] for s in L.s_ids)
+    assert R.identity == max(R.s_ids) > min(R.s_ids)
+    for X in (L, A, R):
+        _, to_perm = X.group_on(X.s_ids)
+        assert X.s_ids[0] == X.identity
+        assert X.s_index.elements == tuple(map(to_perm.__getitem__,
+                                               X.s_ids))
+        assert X.lattice == X.s_index.lattice()
+
+
+def test_s_index_refuses_an_s_table_whose_identity_is_not_ls():
+    """C2 on ids {0, 1} with identity 1 in its table, declared with
+    identity 0: the validator's ``s_subgroup`` check names the fault, and
+    S cannot be indexed in the order of its ids."""
+    L = locality_from_descriptor({
+        "carrier": 2, "identity": 0, "inverse": [0, 1],
+        "products": [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]],
+        "S": [0, 1], "p": 2, "delta": [[0, 1]]})
+    s_check = validate_locality(L, 3).checks[0]
+    assert (s_check.name, s_check.passed) == ("s_subgroup", False)
+    with pytest.raises(LocalityError, match="identity of S is not L's"):
+        L.s_index
+
+
+def test_s_maximal_check_fires():
+    """S4 over its normal Klein four V, delta every subgroup of V: the
+    carrier is all of S4, and element 1, a transposition, extends V to a
+    Sylow 2-subgroup.  Every other check passes at length 3."""
+    G = FiniteGroup(4, [from_cycles(4, (1, 2, 3, 4)), from_cycles(4, (1, 2))])
+    V = G.subgroup([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
+    L = locality_from_group(G, V, all_subgroups(G, within=V), 2)
+    rep = validate_locality(L, 3)
+    failed = [(c.name, c.witness) for c in rep.checks if not c.passed]
+    assert failed == [("s_maximal_p_subgroup",
+                       "element 1 extends S to a p-subgroup")]

@@ -4,19 +4,20 @@ import pytest
 
 from locfusion import products as pr
 from locfusion.fusion import (close, fusion_of_group, fusion_of_locality,
-                              inner_fusion, inner_maps, is_subcentric,
-                              maps_inside, subgroup_lattice)
+                              inner_maps, is_subcentric, maps_inside,
+                              subgroup_lattice)
 from locfusion.instances import (build_locality, load_descriptor,
                                  named_subgroup, product_setup, resolve_ids)
 from locfusion.locality import (delta_min_order, is_linking_locality,
                                 locality_from_descriptor, locality_from_group,
-                                locality_to_descriptor)
+                                locality_to_descriptor, validate_locality)
 from locfusion.partial_subgroups import verify_theorem_nk_subnormal
-from locfusion.permgroup import (FiniteGroup, from_cycles, generated_subgroup,
-                                 sylow_subgroup)
+from locfusion.permgroup import (FiniteGroup, bit_positions, from_cycles,
+                                 generated_subgroup, sylow_subgroup)
 from locfusion.report import PreconditionError
 
 from answer_oracles import linking_per_object, locality_route_fault_by_lattice
+from bundled import relabelled_copy
 from graph_oracle import graph_of
 
 
@@ -86,7 +87,7 @@ def test_product_ed_requires_normal_d(setups):
 
 def test_product_ed_rejects_non_normal_e(F, s4):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
-    Eu = inner_fusion(F.subgroup(u.eset), 2)
+    Eu = close(F.subgroup(u.eset), 2, [])
     with pytest.raises(PreconditionError):
         pr.product_ED(F, Eu, Eu)
 
@@ -214,6 +215,35 @@ def test_abstract_copy_gives_the_realized_verdicts(dname):
             (want.S.order, len(want.maps)), pname
 
 
+def _on_positions(images, src, pos):
+    """A map of S carried through ``pos``, position i to ``pos[i]``."""
+    out = [-1] * len(pos)
+    for i in bit_positions(src):
+        out[pos[i]] = pos[images[i]]
+    return sum(1 << pos[i] for i in bit_positions(src)), tuple(out)
+
+
+@pytest.mark.parametrize("dname", ["instance-b", "product-24"])
+def test_relabelled_copy_gives_the_realized_verdicts_and_maps(dname):
+    """A copy of L whose identity is the largest id of S, not the least,
+    gives L's validator, linking and route verdicts, and F_S(L) with
+    the same maps once the positions of S are matched through the
+    relabelling."""
+    L = build_locality(load_descriptor(dname))
+    R = relabelled_copy(L)
+    assert R.identity == max(R.s_ids)
+    realized = [(c.name, c.passed) for c in validate_locality(L).checks
+                if c.name != "realization_oracle"]
+    assert [(c.name, c.passed) for c in validate_locality(R).checks] == \
+        realized
+    assert is_linking_locality(R) == is_linking_locality(L)
+    assert pr._locality_route_fault(R) == pr._locality_route_fault(L)
+    pos = [L.s_ids.index(R.n - 1 - s) for s in R.s_ids]
+    FL, FR = fusion_of_locality(L), fusion_of_locality(R)
+    assert {_on_positions(images, src, pos) for src, images in FR.maps} \
+        == FL.maps
+
+
 def _ids(d, L, *generators):
     return resolve_ids(L, named_subgroup(d, L.realization,
                                          {"generators": list(generators)}))
@@ -285,8 +315,8 @@ def test_route_subcentric_clause(name, min_order, fault, monkeypatch):
     F = fusion_of_locality(L)
     outside = {frozenset(Q.eset for Q in F.conjugates(P))
                for P in F.subgroups
-               if L.mask_of_perms(P.eset) not in L.delta}
-    assert all(L.mask_of_perms(P.eset) not in L.delta for P, _ in asked)
+               if F.index.mask(P.eset) not in L.delta}
+    assert all(F.index.mask(P.eset) not in L.delta for P, _ in asked)
     assert len({frozenset(Q.eset for Q in F.conjugates(P))
                 for P, _ in asked}) == len(asked)
     verdicts = [v for _, v in asked]
@@ -334,6 +364,6 @@ def test_route_asks_each_class_outside_delta_once(monkeypatch):
     assert pr._locality_route_fault(L) is None
     classes = {frozenset(Q.eset for Q in F.conjugates(P))
                for P in F.subgroups
-               if L.mask_of_perms(P.eset) not in L.delta}
+               if F.index.mask(P.eset) not in L.delta}
     assert sorted(len(c & set(asked)) for c in classes) == [1] * len(classes)
     assert len(asked) == len(classes) < sum(map(len, classes))
