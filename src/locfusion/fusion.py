@@ -5,8 +5,8 @@ A morphism lives on the positions of S (``permgroup.SIndex``): the pair
 position of its image, or -1 off the source.  A morphism P -> phi(P)
 stands for every P -> Q with phi(P) <= Q, so Hom(P, Q) is derived by
 filtering.  A map is checked once, on its image positions
-(``checked_morphism``); ``from_graph`` reads an element graph into one,
-and ``FusionSystem.to_json`` writes each morphism as its element graph.
+(``checked_morphism``), and ``FusionSystem.to_json`` writes each
+morphism as its element graph.
 
 Morphism sets are closed under composition, restriction and inverses;
 equality of fusion systems is equality of morphism sets over the same
@@ -67,19 +67,6 @@ def _keep(mask: int, n: int):
 
 def _target(m: Morphism) -> int:  # the mask of the image
     return image_mask(m[1], bit_positions(m[0]))
-
-
-def from_graph(S: Subgroup, graph: Iterable[tuple]) -> Morphism:
-    """The morphism of S with the element graph ``graph``: every point
-    and image must lie in S, and the map pass ``checked_morphism``."""
-    idx = S.parent.sindex(S)
-    images = [-1] * len(idx.elements)
-    try:
-        for x, y in graph:
-            images[idx.pos[x]] = idx.pos[y]
-    except KeyError:
-        raise FusionError("map does not live inside S") from None
-    return checked_morphism(idx, images)
 
 
 def checked_morphism(idx: SIndex, images: Sequence[int]) -> Morphism:
@@ -629,7 +616,8 @@ def is_fully_automized(F: FusionSystem, P: Subgroup) -> bool:
 
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
     """Every iso phi: Q -> P in F extends to N_phi, the g in N_S(Q) with
-    phi^-1 c_g phi in Aut_S(P) (``SIndex.aut_s``)."""
+    phi^-1 c_g phi in Aut_S(P).  N_phi is a union of the classes of
+    ``SIndex.aut_s(Q)``, so it takes one test per c_g in Aut_S(Q)."""
     idx = F.index
     by_mask = F.maps_by_mask()
     p = idx.mask(P.eset)
@@ -639,17 +627,17 @@ def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
         q = idx.mask(Q.eset)
         qs = bit_positions(q)
         on_q = getter(qs)
-        nsq = bit_positions(idx.normalizer(q))
+        aut_s_q = idx.aut_s(q).items()
         for phi in by_mask.get(q, ()):
             if image_mask(phi, qs) != p:
                 continue
-            preimage = {phi[i]: i for i in qs}
+            # the index in qs of the preimage of each point of P
+            preimage = {phi[i]: k for k, i in enumerate(qs)}
             back = [preimage[i] for i in ps]
             nphi = 0
-            for g in nsq:
-                cg = idx.inner(g)
-                if tuple([phi[cg[j]] for j in back]) in aut_s_p:
-                    nphi |= 1 << g
+            for cg, induced in aut_s_q:
+                if tuple([phi[cg[k]] for k in back]) in aut_s_p:
+                    nphi |= induced
             on_phi = on_q(phi)
             if not any(on_q(psi) == on_phi for psi in by_mask.get(nphi, ())):
                 return False

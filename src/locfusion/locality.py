@@ -415,12 +415,12 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
             members.append([g for _, g in coset])
             # G holds each coset whole, so t runs over all positions of S
             maps.append(six.member_images(images, range(len(coset))))
+    if not is_p_group(S, p):  # before the lattice, which needs a p-group
+        raise LocalityError("S must be a p-group")
     bad = _check_delta_closures(six.lattice(), dmasks, [
         (m, dom) for dom, ms in zip(doms, maps) for m in ms])
     if bad is not None:
         raise LocalityError(bad)
-    if not is_p_group(S, p):
-        raise LocalityError("S must be a p-group")
 
     labels = tuple(sorted(itertools.chain.from_iterable(members)))
     idx = {g: i for i, g in enumerate(labels)}
@@ -616,7 +616,7 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     rep = ValidationReport(max_word_length=max_word_length)
     add = rep.checks.append
 
-    # S is a group under a total product: the S-lattice is built from it
+    # S is a p-group under a total product: the S-lattice is built from it
     s_wit = _s_group_fault(L)
     add(CheckResult("s_subgroup", s_wit is None, s_wit))
 
@@ -792,10 +792,10 @@ def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:
 
 
 def _s_group_fault(L: Locality) -> Optional[str]:
-    """Why the product on S is not a group table, or None: S holds the
-    identity, is closed under the product and inversion, and the product
-    on it has the identity and inversion laws and is associative.  Each
-    law is checked a row of S at a time."""
+    """Why the product on S is not a p-group table, or None: S holds the
+    identity, is closed under the product and inversion, the product on
+    it has the identity and inversion laws and is associative, and |S|
+    is a power of p.  Each law is checked a row of S at a time."""
     s_ids, rows, e = L.s_ids, L.rows, L.identity
     sset = set(s_ids)
     if e not in sset:
@@ -815,6 +815,8 @@ def _s_group_fault(L: Locality) -> Optional[str]:
         if list(map(left.__getitem__, s_ids)) != right:
             c = next(c for c, r in zip(s_ids, right) if left[c] != r)
             return f"product on S not associative at ({a},{b},{c})"
+    if _p_part(len(s_ids), L.p) != len(s_ids):
+        return f"S of order {len(s_ids)} is not a {L.p}-group"
     return None
 
 

@@ -23,19 +23,25 @@ action of r·t off that of r through the inner action of t, for the
 cosets a caller keeps.  The same
 fact keeps ``sylow_subgroup`` from building normalizers: an element
 normalizes P exactly when it conjugates the generators adjoined so far
-into P, so each step is one scan of the p-elements of G.  The
-S-lattice is the join-closure of the cyclic subgroups on bitmasks
-(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
-A group keeps one index per subgroup element set (``FiniteGroup.sindex``),
-and the index keeps its lattice and its joins, so a run indexes each
-subgroup once.
+into P, so each step is one scan of the p-elements of G.  S must be
+a p-group for its lattice: every subgroup J > 1 of a p-group extends a
+normal subgroup of index p by one element of its normalizer, so the
+S-lattice is built one order at a time, each J as a union of right
+cosets (Aschbacher, Kessar and Oliver, *Fusion Systems in Algebra and
+Topology*, 2011, §I.2).  N_S(P) is a union of right cosets of P, so it
+is found by testing one element per coset, and Aut_S(P) is kept with
+the elements of N_S(P) that induce each map.  A group keeps one index
+per subgroup element set (``FiniteGroup.sindex``), and the index keeps
+its lattice and its joins, so a run indexes each subgroup once.
 """
 
 from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import (Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 Perm = tuple[int, ...]
 
@@ -289,10 +295,13 @@ class SIndex:
     the canonical order, so the members of a mask come out sorted, and
     position 0 is the identity (the least permutation).  Columns of the
     Cayley table, the conjugation action of S on itself, the lattice
-    masks, the joins, N_S(P) and Aut_S(P) are filled on first use, as
-    are ``subgroups`` (``fusion.subgroup_lattice``) and ``embeddings``
-    (``fusion.embedding``).  Obtain the index of a subgroup through
-    ``FiniteGroup.sindex``, which keeps it on the group.
+    masks, the joins, N_S(P) and Aut_S(P) by classes of inducing
+    elements are filled on first use, as are ``subgroups``
+    (``fusion.subgroup_lattice``) and ``embeddings``
+    (``fusion.embedding``).  The lattice, and so the joins, exist only
+    when S is a p-group; the rest holds for any S.  Obtain the index of
+    a subgroup through ``FiniteGroup.sindex``, which keeps it on the
+    group.
     """
 
     __slots__ = ("elements", "pos", "subgroups", "embeddings", "_cols",
@@ -310,7 +319,7 @@ class SIndex:
         self._joins: dict[tuple[int, int], int] = {}
         self._ups: dict[int, list[int]] = {}
         self._normalizers: dict[int, int] = {}
-        self._aut_s: dict[int, frozenset] = {}
+        self._aut_s: dict[int, Mapping[tuple[int, ...], int]] = {}
 
     def mask(self, xs: Iterable[Perm]) -> int:
         """Bitmask of a subset of S (KeyError for an element outside S)."""
@@ -379,23 +388,38 @@ class SIndex:
         return self._inner[s]
 
     def normalizer(self, mask: int) -> int:
-        """Mask of N_S(P) for the subgroup P with the given mask; memoized."""
-        if mask not in self._normalizers:
-            ps = bit_positions(mask)
-            self._normalizers[mask] = sum(
-                1 << s for s in range(len(self.elements))
-                if all(mask >> self.inner(s)[i] & 1 for i in ps))
-        return self._normalizers[mask]
+        """Mask of N_S(P) for the subgroup P with the given mask; memoized.
 
-    def aut_s(self, mask: int) -> frozenset:
-        """Aut_S(P) for the subgroup P with the given mask: the images of
-        P's positions under each element of N_S(P); memoized."""
-        if mask not in self._aut_s:
+        P normalizes itself, so a right coset Ps lies wholly in N_S(P) or
+        misses it: one member s of each coset is tested, P^s = P.
+        """
+        got = self._normalizers.get(mask)
+        if got is None:
             ps = bit_positions(mask)
-            self._aut_s[mask] = frozenset(
-                tuple([self.inner(s)[i] for i in ps])
-                for s in bit_positions(self.normalizer(mask)))
-        return self._aut_s[mask]
+            got, todo = 0, (1 << len(self.elements)) - 1
+            while todo:
+                s = (todo & -todo).bit_length() - 1
+                coset = image_mask(self.right(s), ps)
+                todo &= ~coset
+                if image_mask(self.inner(s), ps) == mask:
+                    got |= coset
+            self._normalizers[mask] = got
+        return got
+
+    def aut_s(self, mask: int) -> Mapping[tuple[int, ...], int]:
+        """Aut_S(P) for the subgroup P with the given mask, by classes:
+        each automorphism, as the images of P's positions, mapped to the
+        mask of the elements of N_S(P) that induce it (a coset of
+        C_S(P)).  Memoized, behind a read-only view."""
+        got = self._aut_s.get(mask)
+        if got is None:
+            on_p = getter(bit_positions(mask))
+            classes: dict[tuple[int, ...], int] = {}
+            for s in bit_positions(self.normalizer(mask)):
+                a = on_p(self.inner(s))
+                classes[a] = classes.get(a, 0) | 1 << s
+            got = self._aut_s[mask] = MappingProxyType(classes)
+        return got
 
     def right(self, g: int) -> tuple[int, ...]:
         """Column g of the Cayley table: the position of s_i * s_g for
@@ -407,58 +431,49 @@ class SIndex:
                                          for a in self.elements])
         return col
 
-    def _span(self, h: int, gens: Iterable[int]) -> int:
-        """Mask of the subgroup generated by ``gens``, given the mask ``h``
-        of a subgroup H that is generated by some of ``gens``.
-
-        Walks right cosets of H: the coset Hr times a generator g is the
-        coset H(rg), so it lies inside the result or is disjoint from it,
-        and one lookup per (coset, generator) decides which.  The walk
-        yields H·<gens>, which is the subgroup <gens> only under that
-        precondition.
-        """
-        cols = [self.right(g) for g in gens]
-        seen = h
-        todo = [bit_positions(h)]
-        while todo:
-            coset = todo.pop()
-            for col in cols:
-                if not seen >> col[coset[0]] & 1:
-                    new = [col[c] for c in coset]
-                    for c in new:
-                        seen |= 1 << c
-                    todo.append(new)
-        return seen
-
     def lattice(self) -> list[int]:
         """Masks of every subgroup of S, ordered by (order, members);
-        computed on first use and kept.
+        computed on first use and kept.  S must be a p-group: GroupError
+        otherwise, never a partial lattice.
 
-        Join-closure of the cyclic subgroups: every subgroup is the join
-        of the cyclic subgroups it contains, so joining each subgroup
-        found with each cyclic subgroup outside it reaches all of them.
+        One order at a time.  A subgroup J > 1 of a p-group has a normal
+        subgroup H of index p, and J = H ∪ Hx ∪ ... ∪ Hx^(p-1) for any x
+        in J outside H.  So each subgroup H of the last order found is
+        extended by each x of N_S(H) outside H with x^p in H, a right
+        coset of H at a time, and the members of each J found are not
+        tried again as x.
         """
         if self._lattice is not None:
             return self._lattice
-        cyclic: dict[int, int] = {}  # mask -> one generator's position
-        for x in range(1, len(self.elements)):
-            col, m, y = self.right(x), 1, x
-            while y:
-                m |= 1 << y
+        n = len(self.elements)
+        p = next((d for d in range(2, n + 1) if n % d == 0), 1)  # least prime
+        if n > 1 and _p_part(n, p) != n:
+            raise GroupError(f"the subgroup lattice is built only for "
+                             f"p-groups, and {n} is not a prime power")
+        powers = []  # the position of x^p, for each position x
+        for x in range(n):
+            col, y = self.right(x), x
+            for _ in range(p - 1):
                 y = col[y]
-            cyclic.setdefault(m, x)
-        subs: dict[int, tuple[int, ...]] = {1: ()}
-        subs.update((m, (x,)) for m, x in cyclic.items())
-        todo = list(subs)
-        while todo:
-            h = todo.pop()
-            gens = subs[h]
-            for x in cyclic.values():
-                if not h >> x & 1:
-                    j = self._span(h, gens + (x,))
-                    if j not in subs:
-                        subs[j] = gens + (x,)
-                        todo.append(j)
+            powers.append(y)
+        subs, level = [1], [1]
+        while level:
+            found: set[int] = set()
+            for h in level:
+                hs = bit_positions(h)
+                todo = self.normalizer(h) & ~h
+                while todo:
+                    x = (todo & -todo).bit_length() - 1
+                    todo &= todo - 1
+                    if h >> powers[x] & 1:
+                        col, j, coset = self.right(x), h, hs
+                        for _ in range(p - 1):  # the coset H x^k
+                            coset = list(map(col.__getitem__, coset))
+                            j |= sum(map((1).__lshift__, coset))
+                        todo &= ~j
+                        found.add(j)
+            level = list(found)
+            subs += level
         self._lattice = sorted(
             subs, key=lambda m: (m.bit_count(), bit_positions(m)))
         return self._lattice
@@ -496,21 +511,14 @@ def image_mask(images: tuple[int, ...], positions: Iterable[int]) -> int:
 def all_subgroups(G: FiniteGroup, within: Optional[Subgroup] = None
                   ) -> list[Subgroup]:
     """Every subgroup of G (or of ``within``), canonically ordered, from
-    the bitmask lattice of :class:`SIndex`."""
+    the bitmask lattice of :class:`SIndex`; the group must be a p-group
+    (GroupError otherwise)."""
     H = within if within is not None else G.full_subgroup()
     if len(H) > SUBGROUP_ENUM_CAP:
         raise SizeCapExceeded(
             f"subgroup enumeration cap {SUBGROUP_ENUM_CAP} exceeded")
     idx = G.sindex(H)
     return [Subgroup(G, idx.members(m), check=False) for m in idx.lattice()]
-
-
-def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups, canonically ordered: the members of the
-    lattice of G that every generator of G conjugates onto themselves."""
-    return [H for H in all_subgroups(G)
-            if all(conjugate(h, g) in H.eset
-                   for g in G.generators for h in H.elements)]
 
 
 # -- local analysis ---------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Direct forms of four answers the library derives more cheaply, kept
-as oracles.
+"""Direct forms of answers the library derives more cheaply, kept as
+oracles.
 
 ``normalizer_by_sources`` builds N_F(Q) from every map of F whose source
 contains Q and which sends Q onto Q, restricted to every subgroup of
@@ -15,13 +15,23 @@ tables of L_delta(G) a product pair at a time, conjugating every element
 of G directly and looking each product up by its permutation; the
 library conjugates one element per right coset of S and reads a row a
 coset at a time off the Cayley table of S.
+
+``join_closure_lattice`` is the subgroup lattice as the join-closure of
+the cyclic subgroups on bitmasks (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005), which holds for any group; the
+library extends each subgroup of a p-group by elements of its
+normalizer, one index-p step at a time.  ``normal_subgroups`` filters
+that lattice for normality.  ``normalizer_by_elements`` and
+``aut_s_by_elements`` test every element of S; the library tests one
+element per right coset of P, and groups N_S(P) by the map it induces.
 """
 
 from locfusion.fusion import (FusionSystem, _NONE, _carry, _keep,
                               centric_radicals, embedding, fusion_of_locality,
                               is_saturated, subcentric_subgroups)
 from locfusion.locality import _preimage_under, normalizer_carrier
-from locfusion.permgroup import (FiniteGroup, SIndex, bit_positions, compose,
+from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup,
+                                 bit_positions, compose, conjugate,
                                  image_mask, inverse, is_characteristic_p)
 
 
@@ -135,3 +145,82 @@ def locality_tables(L):
     """(labels, inv, s_ids, rows) of L, each row without its trailing -1,
     as ``locality_tables_by_pairs`` gives them."""
     return L.labels, L.inv, L.s_ids, tuple(r[:-1] for r in L.rows[:-1])
+
+
+def coset_span(idx, h, gens):
+    """Mask of the subgroup generated by ``gens``, given the mask ``h``
+    of a subgroup H that is generated by some of ``gens``.
+
+    Walks right cosets of H: the coset Hr times a generator g is the
+    coset H(rg), so it lies inside the result or is disjoint from it,
+    and one lookup per (coset, generator) decides which.  The walk
+    yields H·<gens>, which is the subgroup <gens> only under that
+    precondition.
+    """
+    cols = [idx.right(g) for g in gens]
+    seen = h
+    todo = [bit_positions(h)]
+    while todo:
+        coset = todo.pop()
+        for col in cols:
+            if not seen >> col[coset[0]] & 1:
+                new = [col[c] for c in coset]
+                for c in new:
+                    seen |= 1 << c
+                todo.append(new)
+    return seen
+
+
+def join_closure_lattice(idx):
+    """Masks of every subgroup of the group indexed by ``idx``, ordered
+    by (order, members); any finite group, not only a p-group.
+
+    Join-closure of the cyclic subgroups: every subgroup is the join
+    of the cyclic subgroups it contains, so joining each subgroup
+    found with each cyclic subgroup outside it reaches all of them.
+    """
+    cyclic = {}  # mask -> one generator's position
+    for x in range(1, len(idx.elements)):
+        col, m, y = idx.right(x), 1, x
+        while y:
+            m |= 1 << y
+            y = col[y]
+        cyclic.setdefault(m, x)
+    subs = {1: ()}
+    subs.update((m, (x,)) for m, x in cyclic.items())
+    todo = list(subs)
+    while todo:
+        h = todo.pop()
+        gens = subs[h]
+        for x in cyclic.values():
+            if not h >> x & 1:
+                j = coset_span(idx, h, gens + (x,))
+                if j not in subs:
+                    subs[j] = gens + (x,)
+                    todo.append(j)
+    return sorted(subs, key=lambda m: (m.bit_count(), bit_positions(m)))
+
+
+def normal_subgroups(G):
+    """All normal subgroups, canonically ordered: the members of the
+    lattice of G that every generator of G conjugates onto themselves."""
+    idx = G.sindex(G.full_subgroup())
+    subs = [Subgroup(G, idx.members(m), check=False)
+            for m in join_closure_lattice(idx)]
+    return [H for H in subs
+            if all(conjugate(h, g) in H.eset
+                   for g in G.generators for h in H.elements)]
+
+
+def normalizer_by_elements(idx, mask):
+    """Mask of N_S(P), testing P^s = P for every s in S."""
+    ps = bit_positions(mask)
+    return sum(1 << s for s in range(len(idx.elements))
+               if all(mask >> idx.inner(s)[i] & 1 for i in ps))
+
+
+def aut_s_by_elements(idx, mask):
+    """Aut_S(P): the images of P's positions under each s in N_S(P)."""
+    ps = bit_positions(mask)
+    return frozenset(tuple([idx.inner(s)[i] for i in ps])
+                     for s in bit_positions(normalizer_by_elements(idx, mask)))

@@ -7,10 +7,11 @@ by element.  ``ref_all_subgroups`` is the element-wise S-lattice and
 ``ref_close`` closes a set of graphs by composing every pair it finds,
 and ``ref_to_json`` writes a set of graphs in the layout of
 ``FusionSystem.to_json``.  ``graph_of`` reads a morphism of the library
-back as its graph; the other way is ``fusion.from_graph``.
+back as its graph; ``from_graph`` is the other way, through
+``fusion.checked_morphism``.
 """
 
-from locfusion.fusion import subgroup_lattice
+from locfusion.fusion import FusionError, checked_morphism, subgroup_lattice
 from locfusion.permgroup import Subgroup, _closure, compose, inverse
 
 
@@ -100,6 +101,19 @@ def graph_of(S, m):
     """The graph of a morphism on the positions of S."""
     els = S.elements
     return Graph((els[i], els[j]) for i, j in enumerate(m[1]) if j >= 0)
+
+
+def from_graph(S, graph):
+    """The morphism of S with the element graph ``graph``: every point
+    and image must lie in S, and the map pass ``checked_morphism``."""
+    idx = S.parent.sindex(S)
+    images = [-1] * len(idx.elements)
+    try:
+        for x, y in graph:
+            images[idx.pos[x]] = idx.pos[y]
+    except KeyError:
+        raise FusionError("map does not live inside S") from None
+    return checked_morphism(idx, images)
 
 
 def graphs(F):

@@ -5,7 +5,7 @@ import pytest
 
 from locfusion import fusion as fu
 from locfusion.fusion import (FusionError, MorphismCapExceeded, close,
-                              from_graph, fusion_of_group, fusion_of_locality,
+                              fusion_of_group, fusion_of_locality,
                               fusion_of_partial_subgroup,
                               is_centric, is_centric_radical,
                               is_normal_subsystem, is_saturated,
@@ -18,7 +18,7 @@ from locfusion.permgroup import (conjugate, from_cycles, generated_subgroup,
                                  sylow_subgroup)
 
 from bundled import bundled_groups, net_triples
-from graph_oracle import graphs
+from graph_oracle import from_graph, graphs
 
 
 @pytest.fixture(scope="module")

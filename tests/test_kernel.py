@@ -26,7 +26,7 @@ import pytest
 
 from locfusion import instances as inst
 from locfusion.fusion import (FusionSystem, _normality_fault, _op_core_over,
-                              centric_radicals, close, from_graph,
+                              centric_radicals, close,
                               fully_normalized_conjugate, fusion_of_group,
                               fusion_of_locality, inner_maps, is_centric,
                               is_centric_radical, is_normal_subgroup_in,
@@ -35,16 +35,18 @@ from locfusion.fusion import (FusionSystem, _normality_fault, _op_core_over,
                               strong_closure, subcentric_subgroups,
                               subgroup_lattice)
 from locfusion.locality import LocalityError, _check_delta_closures
-from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _closure,
-                                 all_subgroups, bit_positions, cayley_group,
-                                 center, compose, from_cycles,
+from locfusion.permgroup import (FiniteGroup, GroupError, SIndex, Subgroup,
+                                 _closure, all_subgroups, bit_positions,
+                                 cayley_group, center, compose, from_cycles,
                                  generated_subgroup, inverse, p_core,
                                  sylow_subgroup)
 from locfusion.products import _tr_subgroup, a_fe
 
-from answer_oracles import normalizer_by_sources
-from graph_oracle import (conj_graph, graph_of, graphs, ref_all_subgroups,
-                          ref_close, ref_conjugate, ref_fusion_maps)
+from answer_oracles import (coset_span, join_closure_lattice,
+                            normalizer_by_sources)
+from graph_oracle import (conj_graph, from_graph, graph_of, graphs,
+                          ref_all_subgroups, ref_close, ref_conjugate,
+                          ref_fusion_maps)
 
 
 _graphs = functools.lru_cache(maxsize=None)(graphs)
@@ -420,9 +422,24 @@ def test_lattice_matches_element_wise(label, G, S):
 @pytest.mark.parametrize("make", [_s4, _s3xs3, _a5],
                          ids=["S4", "S3xS3", "A5"])
 def test_whole_group_lattice_matches_element_wise(make):
+    """The join-closure oracle, which takes any group, against the
+    element-wise lattice on groups that are not p-groups."""
     G = make()
-    assert [P.elements for P in all_subgroups(G)] == \
+    idx = G.sindex(G.full_subgroup())
+    assert [idx.members(m) for m in join_closure_lattice(idx)] == \
         [P.elements for P in ref_all_subgroups(G)]
+
+
+@pytest.mark.parametrize("make", [_s4, _s3xs3, _a5],
+                         ids=["S4", "S3xS3", "A5"])
+def test_lattice_of_a_non_p_group_raises(make):
+    """The index-p walk is complete only for p-groups, so the lattice
+    of any other group is refused, never returned in part."""
+    G = make()
+    with pytest.raises(GroupError, match="not a prime power"):
+        all_subgroups(G)
+    with pytest.raises(GroupError, match="not a prime power"):
+        G.sindex(G.full_subgroup()).lattice()
 
 
 S6_CASES = [(f"S6:p={p}", G, sylow_subgroup(G, p))
@@ -460,8 +477,9 @@ def test_scans_inside_s_match_element_wise(label, G, S):
         m = idx.mask(P.eset)
         assert frozenset(idx.members(idx.normalizer(m))) == \
             ref_normalizer_in_s(S, P)
-        assert idx.aut_s(m) == {tuple(idx.pos[a.d[x]] for x in P.elements)
-                                for a in ref_aut_s(S, P)}
+        assert idx.aut_s(m).keys() == {
+            tuple(idx.pos[a.d[x]] for x in P.elements)
+            for a in ref_aut_s(S, P)}
         assert is_receptive(F, P) == ref_is_receptive(F, P)
 
 
@@ -682,8 +700,8 @@ def test_a_fe_matches_fmap_closure_over_tr(label, F, E, T, D):
 def test_sindex_join_is_generated_subgroup(s4):
     """join(a, b) is <a, b> for every pair of subgroup masks of D8,
     against the closure of their elements; and <(13)> joined with
-    (12)(34) is all of D8, where the right-coset walk gives only
-    <(13)>·<(12)(34)>."""
+    (12)(34) is all of D8, where the right-coset walk of the oracle
+    (``coset_span``) gives only <(13)>·<(12)(34)>."""
     D8 = generated_subgroup(s4, [from_cycles(4, (1, 2, 3, 4)),
                                  from_cycles(4, (1, 3))])
     idx = s4.sindex(D8)
@@ -696,4 +714,4 @@ def test_sindex_join_is_generated_subgroup(s4):
     r = idx.mask(generated_subgroup(s4, [from_cycles(4, (1, 3))]))
     x = idx.mask([from_cycles(4, (1, 2), (3, 4))])
     assert idx.join(r, x) == (1 << 8) - 1
-    assert idx._span(r, bit_positions(x)).bit_count() == 4
+    assert coset_span(idx, r, bit_positions(x)).bit_count() == 4

@@ -1046,6 +1046,27 @@ def test_s_index_refuses_an_s_table_whose_identity_is_not_ls():
         L.s_index
 
 
+def test_validator_refuses_an_s_that_is_not_a_p_group():
+    """C3 declared at p = 2: ``s_subgroup`` names the order, and the
+    S-lattice, which is built only for p-groups, is not asked for."""
+    L = locality_from_descriptor({
+        "carrier": 3, "identity": 0, "inverse": [0, 2, 1],
+        "products": [[a, b, (a + b) % 3] for a in range(3) for b in range(3)],
+        "S": [0, 1, 2], "p": 2, "delta": [[0, 1, 2]]})
+    checks = {c.name: c for c in validate_locality(L, 3).checks}
+    assert checks["s_subgroup"].witness == "S of order 3 is not a 2-group"
+    assert checks["delta_closure"].witness == \
+        "not checked: s_subgroup failed (S of order 3 is not a 2-group)"
+
+
+def test_locality_from_group_refuses_an_s_that_is_not_a_p_group():
+    """All of S4 as S at p = 2 is refused before its lattice is built."""
+    G = FiniteGroup(4, [from_cycles(4, (1, 2, 3, 4)), from_cycles(4, (1, 2))])
+    S = G.full_subgroup()
+    with pytest.raises(LocalityError, match="S must be a p-group"):
+        locality_from_group(G, S, [S], 2)
+
+
 def test_s_maximal_check_fires():
     """S4 over its normal Klein four V, delta every subgroup of V: the
     carrier is all of S4, and element 1, a transposition, extends V to a

@@ -170,7 +170,7 @@ def test_enumerate_partial_normals_b(lb):
 
 
 def test_enumerate_partial_normals_matches_group_side(loc_a, s4):
-    from locfusion.permgroup import normal_subgroups
+    from answer_oracles import normal_subgroups
     oracle = {frozenset(N.eset) for N in normal_subgroups(s4)}
     got = {loc_a.label_set(P) for P in enumerate_partial_normals(loc_a)}
     assert got == oracle

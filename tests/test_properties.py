@@ -3,10 +3,10 @@ against the element-graph oracle.
 
 Each example is a group of degree at most 6 on one to three random
 generators, taken at every prime dividing its order.  Through the graph
-edge (``graph_oracle.graph_of`` and ``fusion.from_graph``), F_S(G) must
-equal the conjugation graphs, closing its outer maps onto the inner maps
-must give F_S(G) back, and its report must be byte for byte the report
-written from the graphs.  For every subgroup Q of S, N_F(Q) must equal
+edge (``graph_oracle.graph_of`` and ``graph_oracle.from_graph``), F_S(G)
+must equal the conjugation graphs, closing its outer maps onto the inner
+maps must give F_S(G) back, and its report must be byte for byte the
+report written from the graphs.  For every subgroup Q of S, N_F(Q) must equal
 the build from every Q-preserving map (``answer_oracles``).  The tables
 of L_delta(G), for delta the subgroups of S of order at least |S|/p,
 must equal the pair-wise build (``answer_oracles``).
