@@ -11,12 +11,16 @@ morphism as its element graph.
 Morphism sets are closed under composition, restriction and inverses;
 equality of fusion systems is equality of morphism sets over the same
 p-group.  ``close`` computes that closure, each composite one
-``itemgetter`` call, also onto an already closed base.  Systems over
+``itemgetter`` call, also onto an already closed base: a normal closure
+over E's own Sylow T (T strongly closed) is closed onto E.  A system is
+closed under restriction, so a map is conjugated only by the maps on the
+join of its source and image (``normal_closure``).  Systems over
 different subgroups (E over T inside F over S, N_F(Q) over N_S(Q)) meet
 through ``embedding``, the positions of a subgroup among those of S.
-The lattice, joins, N_S(P) and Aut_S(P) are memoized on the index of S,
-and O_p is searched only above a subgroup it is known to contain.
-Aut_F(P) is a permutation group on the elements of P (``aut_group``).
+The lattice, joins, N_S(P), Aut_S(P) and the inner maps of S are
+memoized on the index of S, and O_p is searched only above a subgroup it
+is known to contain.  Aut_F(P) is a permutation group on the elements of
+P (``aut_group``).
 
 Every closure runs under a morphism cap.  A system keeps the cap it was
 built under, and the closures inside it and its normalizer systems
@@ -277,8 +281,13 @@ def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[Morphism]:
     return {(m, spread[m](images + _NONE)) for m, images in graphs}
 
 
-def inner_maps(S: Subgroup) -> set[Morphism]:
-    return _conjugation_maps(S, S.elements)
+def inner_maps(S: Subgroup) -> frozenset:
+    """The maps P -> P^s for P in the S-lattice and s in S; built once and
+    kept on the index of S."""
+    idx = S.parent.sindex(S)
+    if idx.inner_maps is None:
+        idx.inner_maps = frozenset(_conjugation_maps(S, S.elements))
+    return idx.inner_maps
 
 
 def close(S: Subgroup, p: int, generators: Iterable[Morphism],
@@ -680,6 +689,35 @@ def _conjugate_map(psi: tuple[int, ...], phi: Morphism) -> Morphism:
     return domain_mask(images), tuple(images)
 
 
+def _by_join(F: FusionSystem, maps: Iterable[Morphism]
+             ) -> dict[int, list[Morphism]]:
+    """The maps phi on the positions of F.S, grouped by the join
+    J = <src(phi), phi(src(phi))> (``SIndex.join``)."""
+    idx = F.index
+    out: dict[int, list[Morphism]] = {}
+    for m in maps:
+        out.setdefault(idx.join(m[0], _target(m)), []).append(m)
+    return out
+
+
+def _is_strongly_invariant(F: FusionSystem, in_e: frozenset) -> bool:
+    """Every F-conjugate of a map of E (``in_e``, on the positions of F.S)
+    lies in E.
+
+    A conjugate psi.phi.psi^-1 reads psi only on src(phi) and its image
+    (``_conjugate_map``), so only on J = <src(phi), phi(src(phi))>.  F is
+    closed under restriction, so every psi of F whose source contains J
+    gives the conjugate that its restriction to J, a map of F on J, gives;
+    and those maps on J are among them.  So phi is conjugated by the maps
+    of F on J alone."""
+    by_mask = F.maps_by_mask()
+    for j, phis in _by_join(F, in_e).items():
+        for psi in by_mask.get(j, ()):
+            if any(_conjugate_map(psi, phi) not in in_e for phi in phis):
+                return False
+    return True
+
+
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
     """T strongly closed, E saturated, strongly F-invariant, and the
     automorphism extension condition on T C_S(T).  Decided once per E
@@ -699,14 +737,8 @@ def _is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
     idx = F.index
     t = idx.mask(T.eset)
     in_e = E.maps_over(F.S)
-    # strong invariance
-    spans = [(m[0] | _target(m), m) for m in in_e]
-    for src, imgs in F.maps_by_mask().items():
-        if src & t == src:
-            for psi in imgs:
-                if any(span & src == span and _conjugate_map(psi, phi)
-                       not in in_e for span, phi in spans):
-                    return False
+    if not _is_strongly_invariant(F, in_e):
+        return False
     # extension condition on T C_S(T)
     C = centralizer_in(F.S, T.eset)
     tc = idx.mask(compose(a, b) for a in T.eset for b in C)
@@ -726,16 +758,29 @@ def _is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
 
 def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
     """Subsystem of F generated by all F-conjugates of E's morphisms,
-    over the strong closure of E's Sylow."""
-    That = strong_closure(F, F.subgroup(E.S.eset))
+    over the strong closure of E's Sylow T.
+
+    A conjugate psi.phi.psi^-1 reads psi only on src(phi) and its image
+    (``_conjugate_map``), so only on J = <src(phi), phi(src(phi))>.  F is
+    closed under restriction, so every psi of F whose source contains J
+    gives the conjugate that its restriction to J, a map of F on J, gives;
+    and those maps on J are among them.  So phi is conjugated by the maps
+    of F on J alone (``_by_join``), as ``normalizer_system`` takes the
+    maps on each join PQ alone.
+
+    When T is strongly closed, the closure lies over T itself, and E is
+    closed and holds Inn(T), so it is taken onto E (``close`` with
+    ``base``): only the conjugates outside E are queued."""
+    T = F.subgroup(E.S.eset)
+    That = strong_closure(F, T)
     in_e = E.maps_over(F.S)
+    by_mask = F.maps_by_mask()
     gens = set(in_e)
-    spans = [(m[0] | _target(m), m) for m in in_e]
-    for src, imgs in F.maps_by_mask().items():
-        for span, phi in spans:
-            if span & src == span:
-                gens.update(_conjugate_map(psi, phi) for psi in imgs)
-    return close(That, F.p, maps_inside(F, That, gens), F.morphism_cap)
+    for j, phis in _by_join(F, in_e).items():
+        for psi in by_mask.get(j, ()):
+            gens.update(_conjugate_map(psi, phi) for phi in phis)
+    return close(That, F.p, maps_inside(F, That, gens), F.morphism_cap,
+                 base=E if That.eset == T.eset else None)
 
 
 def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem

@@ -58,8 +58,9 @@ def load_descriptor(name_or_path: str) -> dict:
 def _check_schema(d) -> None:
     """The shape of every section present, checked once on load, so that
     a malformed section is an input error before any group is built:
-    required keys, objects, integers, a string name, and every field read
-    as a list (permutations, subgroup elements, K names) a list of them."""
+    required keys, objects, integers, a string name, a boolean
+    ``enumerate_minimality``, and every field read as a list
+    (permutations, subgroup elements, K names) a list of them."""
     _require_keys(d, ("name", "group", "p"), "descriptor")
     _require(isinstance(d["name"], str), "'name'", "a string", d["name"])
     _require(_is_int(d["p"]), "'p'", "an integer", d["p"])
@@ -109,6 +110,10 @@ def _check_schema(d) -> None:
                  f"{what} 'D' 'kind'", "'inner' or 'normalizer'",
                  spec["D"]["kind"])
         _require_keys(spec["oracle"], ("over", "acting"), f"{what} 'oracle'")
+        if "enumerate_minimality" in spec:
+            _require(isinstance(spec["enumerate_minimality"], bool),
+                     f"{what} 'enumerate_minimality'", "a boolean",
+                     spec["enumerate_minimality"])
         fields = [("E", "over", None), ("E", "acting", None),
                   ("oracle", "over", "sylow"), ("oracle", "acting", "all")]
         if spec["D"]["kind"] == "inner":
@@ -285,7 +290,7 @@ def product_setup(d: dict, name: str,
 
     return {"G": G, "S": S, "F": F, "E": E, "T": T, "D": D, "L": L,
             "N_ids": N_ids, "K_ids": K_ids, "oracle": oracle,
-            "enumerate_minimality": bool(spec.get("enumerate_minimality")),
+            "enumerate_minimality": spec.get("enumerate_minimality", False),
             "name": f"{d['name']}:{name}"}
 
 

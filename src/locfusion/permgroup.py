@@ -297,21 +297,22 @@ class SIndex:
     Cayley table, the conjugation action of S on itself, the lattice
     masks, the joins, N_S(P) and Aut_S(P) by classes of inducing
     elements are filled on first use, as are ``subgroups``
-    (``fusion.subgroup_lattice``) and ``embeddings``
-    (``fusion.embedding``).  The lattice, and so the joins, exist only
-    when S is a p-group; the rest holds for any S.  Obtain the index of
-    a subgroup through ``FiniteGroup.sindex``, which keeps it on the
-    group.
+    (``fusion.subgroup_lattice``), ``inner_maps`` (``fusion.inner_maps``)
+    and ``embeddings`` (``fusion.embedding``).  The lattice, and so the
+    joins, exist only when S is a p-group; the rest holds for any S.
+    Obtain the index of a subgroup through ``FiniteGroup.sindex``, which
+    keeps it on the group.
     """
 
-    __slots__ = ("elements", "pos", "subgroups", "embeddings", "_cols",
-                 "_inner", "_lattice", "_joins", "_ups", "_normalizers",
-                 "_aut_s")
+    __slots__ = ("elements", "pos", "subgroups", "inner_maps", "embeddings",
+                 "_cols", "_inner", "_lattice", "_joins", "_ups",
+                 "_normalizers", "_aut_s")
 
     def __init__(self, S: Subgroup):
         self.elements = S.elements
         self.pos = {x: i for i, x in enumerate(S.elements)}
         self.subgroups: Optional[list[Subgroup]] = None
+        self.inner_maps: Optional[frozenset] = None
         self.embeddings: dict[frozenset, tuple] = {}
         self._cols: dict[int, tuple[int, ...]] = {}
         self._inner: Optional[list[tuple[int, ...]]] = None

@@ -5,10 +5,17 @@ oracles.
 contains Q and which sends Q onto Q, restricted to every subgroup of
 N_S(Q) inside its source; the library takes only the maps on sources
 between Q and N_S(Q) and restricts each to the P with PQ equal to its
-source.  ``linking_per_object`` is the linking certificate with N_L(P)
-built as a permutation group (``local_group``) and tested by a Sylow
-search for every object of delta; the library tests one object per
-F_S(L)-class, on the product rows.  ``locality_route_fault_by_lattice``
+source.  ``normal_closure_by_all_maps`` and
+``strongly_invariant_by_all_maps`` conjugate each map phi of E by every
+map of F whose source contains phi's source and image, and the normal
+closure is closed from the inner maps; the library conjugates phi only
+by the maps on the join of its source and image, and closes onto E
+when E's Sylow is strongly closed.
+
+``linking_per_object`` is the linking certificate with N_L(P) built as
+a permutation group (``local_group``) and tested by a Sylow search for
+every object of delta; the library tests one object per F_S(L)-class,
+on the product rows.  ``locality_route_fault_by_lattice``
 asks of every subgroup of S whether it is subcentric; the library asks
 once per class outside delta.  ``locality_tables_by_pairs`` builds the
 tables of L_delta(G) a product pair at a time, conjugating every element
@@ -26,9 +33,11 @@ that lattice for normality.  ``normalizer_by_elements`` and
 element per right coset of P, and groups N_S(P) by the map it induces.
 """
 
-from locfusion.fusion import (FusionSystem, _NONE, _carry, _keep,
-                              centric_radicals, embedding, fusion_of_locality,
-                              is_saturated, subcentric_subgroups)
+from locfusion.fusion import (FusionSystem, _NONE, _carry, _conjugate_map,
+                              _keep, _target, centric_radicals, close,
+                              embedding, fusion_of_locality, is_saturated,
+                              maps_inside, strong_closure,
+                              subcentric_subgroups)
 from locfusion.locality import _preimage_under, normalizer_carrier
 from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup,
                                  bit_positions, compose, conjugate,
@@ -57,6 +66,38 @@ def normalizer_by_sources(F, Q):
     N = F.subgroup(idx.members(ns))
     up, down = embedding(F.S, N)
     return FusionSystem(N, F.p, _carry(restricted, down, up), F.morphism_cap)
+
+
+def normal_closure_by_all_maps(F, E):
+    """Subsystem of F generated by all F-conjugates of E's morphisms,
+    over the strong closure of E's Sylow: each map of E conjugated by
+    every map of F whose source contains its source and image, closed
+    from the inner maps."""
+    That = strong_closure(F, F.subgroup(E.S.eset))
+    in_e = E.maps_over(F.S)
+    gens = set(in_e)
+    spans = [(m[0] | _target(m), m) for m in in_e]
+    for src, imgs in F.maps_by_mask().items():
+        for span, phi in spans:
+            if span & src == span:
+                gens.update(_conjugate_map(psi, phi) for psi in imgs)
+    return close(That, F.p, maps_inside(F, That, gens), F.morphism_cap)
+
+
+def strongly_invariant_by_all_maps(F, E):
+    """Every F-conjugate of a map of E lies in E: each map of E
+    conjugated by every map of F on a subgroup of E's Sylow T whose
+    source contains its source and image."""
+    t = F.index.mask(E.S.eset)
+    in_e = E.maps_over(F.S)
+    spans = [(m[0] | _target(m), m) for m in in_e]
+    for src, imgs in F.maps_by_mask().items():
+        if src & t == src:
+            for psi in imgs:
+                if any(span & src == span and _conjugate_map(psi, phi)
+                       not in in_e for span, phi in spans):
+                    return False
+    return True
 
 
 def local_group(L, P):

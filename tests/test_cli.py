@@ -488,3 +488,16 @@ def test_predicates_explore_to_the_descriptor_bound(name, command,
     args = cli.build_parser().parse_args([command, name])
     cli.HANDLERS[(args.command, getattr(args, "sub", None))](ctx, args)
     assert bounds and set(bounds) == {3}
+
+
+@pytest.mark.parametrize("value", ["yes", 1, []])
+def test_non_boolean_enumerate_minimality_exits_2(value, tmp_path, capsys):
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("product-24")
+    d["fusion_products"]["i"]["enumerate_minimality"] = value
+    assert run(["suite", _write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == (
+        f"product 'i' 'enumerate_minimality' must be a boolean, "
+        f"not {value!r}")
+    assert "Traceback" not in err

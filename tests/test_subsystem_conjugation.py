@@ -1,0 +1,144 @@
+"""Normal closures and strong invariance against their every-map forms,
+and the inner maps kept on the index of S.
+
+``normal_closure`` and the strong-invariance test conjugate each map phi
+of E only by the maps of F on the join of phi's source and image, and a
+normal closure over a strongly closed T is closed onto E;
+``normal_closure_by_all_maps`` and ``strongly_invariant_by_all_maps``
+conjugate phi by every map of F whose source contains that join, and
+close from the inner maps.  The cases are every candidate subsystem
+that ``enumerate_subnormal_subsystems`` builds for the F of product-24
+and of product-48, and a derandomized sample of systems generated by
+maps of F_S(G) inside a subgroup T of S, for S4, S3×S3 and S6×C2 at
+p = 2.
+"""
+
+import json
+
+import pytest
+
+from locfusion import fusion
+from locfusion import products as pr
+from locfusion.cli import main
+from locfusion.fusion import (_conjugation_maps, _is_strongly_invariant,
+                              close, fusion_of_group, inner_maps, maps_inside,
+                              normal_closure, strong_closure,
+                              subgroup_lattice)
+from locfusion.instances import load_descriptor, product_setup
+from locfusion.permgroup import FiniteGroup, from_cycles, sylow_subgroup
+
+from answer_oracles import (normal_closure_by_all_maps,
+                            strongly_invariant_by_all_maps)
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # only the sampled test needs it
+    hypothesis = None
+
+BUNDLED = ("group-8", "group-60", "instance-a", "instance-b", "product-24",
+           "product-48")
+
+
+def check_against_oracles(F, E):
+    """Equal normal closures, over the same subgroup, and equal
+    strong-invariance verdicts; returns whether E's Sylow is strongly
+    closed, the case closed onto E."""
+    got = normal_closure(F, E)
+    want = normal_closure_by_all_maps(F, E)
+    assert got.S.eset == want.S.eset and got.maps == want.maps
+    assert _is_strongly_invariant(F, E.maps_over(F.S)) == \
+        strongly_invariant_by_all_maps(F, E)
+    return strong_closure(F, F.subgroup(E.S.eset)).eset == E.S.eset
+
+
+def enumeration_candidates(F, monkeypatch):
+    """Every closed subsystem ``enumerate_subnormal_subsystems`` builds
+    for F, recorded where it asks for the subnormal chain (which is not
+    searched here: each candidate is refused)."""
+    seen = []
+
+    def record(G, X):
+        assert G is F
+        seen.append(X)
+        return False, ()
+    monkeypatch.setattr(pr, "is_subnormal_subsystem", record)
+    assert pr.enumerate_subnormal_subsystems(F) == []
+    return seen
+
+
+@pytest.mark.parametrize("dname,pname,count", [("product-24", "i", 27),
+                                               ("product-48", "iii", 1501)])
+def test_enumeration_candidates_match_every_map_oracles(dname, pname, count,
+                                                        monkeypatch):
+    F = product_setup(load_descriptor(dname), pname)["F"]
+    cands = enumeration_candidates(F, monkeypatch)
+    assert len(cands) == count
+    closed = [check_against_oracles(F, X) for X in cands]
+    assert any(closed) and not all(closed)  # both ways of closing
+
+
+def _group(degree, *cycles):
+    return FiniteGroup(degree, [from_cycles(degree, *c) for c in cycles])
+
+
+def _systems():
+    out = []
+    for G in (_group(4, [(1, 2, 3, 4)], [(1, 2)]),
+              _group(6, [(1, 2, 3)], [(1, 2)], [(4, 5, 6)], [(4, 5)]),
+              _group(8, [(1, 2, 3, 4, 5, 6)], [(1, 2)], [(7, 8)])):
+        out.append(fusion_of_group(G, sylow_subgroup(G, 2), p=2))
+    return out
+
+
+SYSTEMS = _systems()
+
+
+def test_systems_are_the_sylow_fusion_systems():
+    assert [(F.S.order, len(F.maps)) for F in SYSTEMS] == [
+        (8, 28), (4, 5), (32, 742)]
+
+
+if hypothesis is not None:
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def test_generated_subsystems_match_every_map_oracles(data):
+        """E = close(T, 2, maps of F inside T) for T <= S and up to three
+        maps of F = F_S(G)."""
+        F = data.draw(st.sampled_from(SYSTEMS))
+        T = data.draw(st.sampled_from(subgroup_lattice(F.S)))
+        inside = sorted(maps_inside(F, T, F.maps))
+        gens = data.draw(st.lists(st.sampled_from(inside), max_size=3))
+        check_against_oracles(F, close(T, 2, gens))
+
+
+def test_inner_maps_are_kept_on_the_index():
+    for F in SYSTEMS:
+        S = F.S
+        got = inner_maps(S)
+        assert got is inner_maps(S)
+        assert isinstance(got, frozenset)
+        assert got == _conjugation_maps(S, S.elements)
+        assert S.parent.sindex(S).inner_maps is got
+
+
+def test_bundled_suites_build_inner_maps_once_per_index(tmp_path,
+                                                        monkeypatch):
+    """Over the six bundled ``suite`` runs, no index of a subgroup builds
+    its inner maps (``_conjugation_maps`` by S itself) twice.  The
+    indices are held, so that none is freed and its id reused."""
+    calls = []
+
+    def recording(S, acting):
+        calls.append((S.parent.sindex(S), frozenset(acting) == S.eset))
+        return real(S, acting)
+    real = fusion._conjugation_maps
+    monkeypatch.setattr(fusion, "_conjugation_maps", recording)
+    out = tmp_path / "r.json"
+    for name in BUNDLED:
+        assert main(["suite", name, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"] is True
+    inner = [id(idx) for idx, by_s in calls if by_s]
+    assert inner and len(set(inner)) == len(inner)
+    assert len(calls) <= 26
