@@ -208,11 +208,19 @@ def cmd_verify_ed(ctx, args):
         rj["cross_route_agreement"] = agreement
         rj["matches_oracle"] = ed == st["oracle"]
         out.append(rj)
-        if not (pr.ed_ok(rep) and rj["matches_oracle"]
+        verdict = pr.ed_verdict(rep)
+        if not (verdict and rj["matches_oracle"]
                 and agreement in (True, None)):
             worst = EXIT_FAIL
+        elif verdict == "unknown":
+            worst = _worse(worst, EXIT_CAP)
     return {"suite": "verify_ed", "instance": ctx.d["name"],
             "products": out}, worst
+
+
+def _worse(a: int, b: int) -> int:
+    """The worse exit code: a failed clause beats an unknown verdict."""
+    return max(a, b, key=(EXIT_OK, EXIT_CAP, EXIT_FAIL).index)
 
 
 def cmd_suite(ctx, args):
@@ -230,7 +238,7 @@ def cmd_suite(ctx, args):
     for fn in steps:
         rep, code = fn(ctx, args)
         reports.append(rep)
-        worst = max(worst, code)
+        worst = _worse(worst, code)
     return {"suite": "suite", "instance": d["name"],
             "ok": worst == EXIT_OK, "reports": reports}, worst
 
@@ -287,17 +295,7 @@ def _verdict(args) -> int:
     if report.get("ok") is None and code == EXIT_OK:
         report["ok"] = True
     _emit(report, args)
-    if code == EXIT_OK and _has_unknown(report):
-        code = EXIT_CAP
     return code
-
-
-def _has_unknown(obj) -> bool:
-    if isinstance(obj, dict):
-        return any(_has_unknown(v) for v in obj.values())
-    if isinstance(obj, list):
-        return any(_has_unknown(v) for v in obj)
-    return obj == "unknown"
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ p-group.  ``close`` computes that closure, each composite one
 ``itemgetter`` call, also onto an already closed base: a normal closure
 over E's own Sylow T (T strongly closed) is closed onto E.  A system is
 closed under restriction, so a map is conjugated only by the maps on the
-join of its source and image (``normal_closure``).  Systems over
+join of its source and image (``_f_conjugates``).  Systems over
 different subgroups (E over T inside F over S, N_F(Q) over N_S(Q)) meet
 through ``embedding``, the positions of a subgroup among those of S.
 The lattice, joins, N_S(P), Aut_S(P) and the inner maps of S are
@@ -30,10 +30,12 @@ its word bound, and F_S(L) and the systems of its partial subgroups are
 closed under it.
 
 A system keeps the answers to the questions asked of it
-(``FusionSystem._verdicts``): N_F(Q) per Q, whether F is saturated, and,
-per subsystem E (which hashes by its content), whether E is normal in F
-and the subnormal chain search.  A system is never changed after it is
-built and these answers depend on its maps alone, so they are kept on
+(``FusionSystem._verdicts``): its conjugacy classes, walked once so that
+saturation and the centric radicals are decided once per class; N_F(Q)
+per Q; whether F is saturated; its centric radicals; and, per subsystem
+E (which hashes by its content), whether E is normal in F and the
+subnormal chain search.  A system is never changed after it is built
+and these answers depend on its maps alone, so they are kept on
 the object itself: they live as long as the system does, a run's systems
 take their answers with them when they are dropped, and no module holds
 state.  Normal closures, and the normalizer systems of the subcentric
@@ -189,6 +191,20 @@ class FusionSystem:
                 self.subgroup(idx.members(c))
                 for c in sorted(masks, key=bit_positions)]
         return cls
+
+    def classes(self) -> list[list[Subgroup]]:
+        """The F-conjugacy classes of the subgroups of S, in the order of
+        their first members, each the ``conjugates`` of that member; the
+        one walk over the classes, kept on F."""
+        key = ("classes",)
+        if key not in self._verdicts:
+            seen: set[frozenset] = set()
+            out = self._verdicts[key] = []
+            for P in self.subgroups:
+                if P.eset not in seen:
+                    out.append(self.conjugates(P))
+                    seen.update(Q.eset for Q in out[-1])
+        return self._verdicts[key]
 
     def point_images(self) -> list[int]:
         """For each position of S, the mask of its images; kept."""
@@ -603,17 +619,25 @@ def is_subcentric(F: FusionSystem, P: Subgroup) -> bool:
     return is_centric(F, F.subgroup(R.eset))
 
 
+def _class_members(F: FusionSystem, test) -> list[Subgroup]:
+    """The subgroups of S whose class passes ``test``, asked once of its
+    first member (``FusionSystem.classes``), in lattice order."""
+    keep = {Q.eset for cls in F.classes() if test(F, cls[0]) for Q in cls}
+    return [P for P in F.subgroups if P.eset in keep]
+
+
 def subcentric_subgroups(F: FusionSystem) -> list[Subgroup]:
-    verdicts: dict[frozenset, bool] = {}
-    for P in F.subgroups:
-        if P.eset not in verdicts:  # a class-invariant property
-            v = is_subcentric(F, P)
-            verdicts.update((Q.eset, v) for Q in F.conjugates(P))
-    return [P for P in F.subgroups if verdicts[P.eset]]
+    """Being subcentric is a property of the class (``is_subcentric``)."""
+    return _class_members(F, is_subcentric)
 
 
 def centric_radicals(F: FusionSystem) -> list[Subgroup]:
-    return [P for P in F.subgroups if is_centric_radical(F, P)]
+    """Decided once per class, kept on F: an iso P -> Q of F carries
+    Aut_F(P) onto Aut_F(Q) and Inn(P) onto Inn(Q)."""
+    key = ("centric_radicals",)
+    if key not in F._verdicts:
+        F._verdicts[key] = _class_members(F, is_centric_radical)
+    return F._verdicts[key]
 
 
 # -- saturation --------------------------------------------------------------
@@ -663,15 +687,17 @@ def is_saturated(F: FusionSystem) -> bool:
 
 
 def _is_saturated(F: FusionSystem) -> bool:
-    seen: set[frozenset] = set()
-    for P in F.subgroups:
-        if P.eset not in seen:
-            cls = F.conjugates(P)
-            seen |= {Q.eset for Q in cls}
-            if not any(is_fully_automized(F, Q) and is_receptive(F, Q)
-                       for Q in cls):
-                return False
-    return True
+    """Each class is decided at its fully normalized member P: if every
+    such P is fully automized and receptive, F is saturated by
+    definition, and in a saturated F every fully normalized P is both
+    (Aschbacher–Kessar–Oliver, *Fusion Systems in Algebra and Topology*,
+    §I.2).  Sketch: take Q ~ P fully automized and receptive, and an iso
+    phi: P -> Q with phi Aut_S(P) phi^-1 <= Aut_S(Q) (Sylow in Aut_F(Q)).
+    phi extends to N_S(P) -> N_S(Q), onto as |N_S(P)| is largest: so P is
+    fully automized, and maps into P extend through Q and back."""
+    return all(is_fully_automized(F, P) and is_receptive(F, P)
+               for P in (fully_normalized_conjugate(F, cls[0])
+                         for cls in F.classes()))
 
 
 # -- subsystems --------------------------------------------------------------
@@ -689,33 +715,32 @@ def _conjugate_map(psi: tuple[int, ...], phi: Morphism) -> Morphism:
     return domain_mask(images), tuple(images)
 
 
-def _by_join(F: FusionSystem, maps: Iterable[Morphism]
-             ) -> dict[int, list[Morphism]]:
-    """The maps phi on the positions of F.S, grouped by the join
-    J = <src(phi), phi(src(phi))> (``SIndex.join``)."""
+def _f_conjugates(F: FusionSystem, maps: Iterable[Morphism]):
+    """Every F-conjugate psi.phi.psi^-1 of every phi in ``maps`` (on the
+    positions of F.S).
+
+    A conjugate reads psi only on src(phi) and its image
+    (``_conjugate_map``), so only on J = <src(phi), phi(src(phi))>
+    (``SIndex.join``).  F is closed under restriction, so every psi of F
+    whose source contains J gives the conjugate that its restriction to
+    J, a map of F on J, gives; and those maps on J are among them.  So
+    phi is conjugated by the maps of F on J alone, as
+    ``normalizer_system`` takes the maps on each join PQ alone."""
     idx = F.index
-    out: dict[int, list[Morphism]] = {}
+    by_join: dict[int, list[Morphism]] = {}
     for m in maps:
-        out.setdefault(idx.join(m[0], _target(m)), []).append(m)
-    return out
+        by_join.setdefault(idx.join(m[0], _target(m)), []).append(m)
+    by_mask = F.maps_by_mask()
+    for j, phis in by_join.items():
+        for psi in by_mask.get(j, ()):
+            for phi in phis:
+                yield _conjugate_map(psi, phi)
 
 
 def _is_strongly_invariant(F: FusionSystem, in_e: frozenset) -> bool:
     """Every F-conjugate of a map of E (``in_e``, on the positions of F.S)
-    lies in E.
-
-    A conjugate psi.phi.psi^-1 reads psi only on src(phi) and its image
-    (``_conjugate_map``), so only on J = <src(phi), phi(src(phi))>.  F is
-    closed under restriction, so every psi of F whose source contains J
-    gives the conjugate that its restriction to J, a map of F on J, gives;
-    and those maps on J are among them.  So phi is conjugated by the maps
-    of F on J alone."""
-    by_mask = F.maps_by_mask()
-    for j, phis in _by_join(F, in_e).items():
-        for psi in by_mask.get(j, ()):
-            if any(_conjugate_map(psi, phi) not in in_e for phi in phis):
-                return False
-    return True
+    lies in E."""
+    return all(m in in_e for m in _f_conjugates(F, in_e))
 
 
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
@@ -757,16 +782,8 @@ def _is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
 
 
 def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
-    """Subsystem of F generated by all F-conjugates of E's morphisms,
-    over the strong closure of E's Sylow T.
-
-    A conjugate psi.phi.psi^-1 reads psi only on src(phi) and its image
-    (``_conjugate_map``), so only on J = <src(phi), phi(src(phi))>.  F is
-    closed under restriction, so every psi of F whose source contains J
-    gives the conjugate that its restriction to J, a map of F on J, gives;
-    and those maps on J are among them.  So phi is conjugated by the maps
-    of F on J alone (``_by_join``), as ``normalizer_system`` takes the
-    maps on each join PQ alone.
+    """Subsystem of F generated by all F-conjugates of E's morphisms
+    (``_f_conjugates``), over the strong closure of E's Sylow T.
 
     When T is strongly closed, the closure lies over T itself, and E is
     closed and holds Inn(T), so it is taken onto E (``close`` with
@@ -774,11 +791,7 @@ def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
     T = F.subgroup(E.S.eset)
     That = strong_closure(F, T)
     in_e = E.maps_over(F.S)
-    by_mask = F.maps_by_mask()
-    gens = set(in_e)
-    for j, phis in _by_join(F, in_e).items():
-        for psi in by_mask.get(j, ()):
-            gens.update(_conjugate_map(psi, phi) for phi in phis)
+    gens = set(in_e).union(_f_conjugates(F, in_e))
     return close(That, F.p, maps_inside(F, That, gens), F.morphism_cap,
                  base=E if That.eset == T.eset else None)
 

@@ -67,8 +67,9 @@ from dataclasses import dataclass, field
 from operator import getitem, itemgetter, ne, not_
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .fusion import (DEFAULT_MORPHISM_CAP, FusionError, centric_radicals,
-                     fusion_of_locality, is_saturated)
+from .fusion import (DEFAULT_MORPHISM_CAP, centric_radicals,
+                     fully_normalized_conjugate, fusion_of_locality,
+                     is_saturated)
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
                         bit_positions, cayley_group, domain_mask, getter,
                         image_mask, inverse, is_p_group,
@@ -862,7 +863,8 @@ def _sub_locality(L: Locality, carrier_ids: list[int],
     (masks of L), keeping the pairs (i, j) of L with i, j and i·j in the
     carrier and S_(i,j) in ``delta``.  Ids are renumbered in order, so S
     keeps its positions, and with them the masks and the S-lattice of
-    L, and its bounds."""
+    L, and its bounds: the sub-locality takes L's S (``s_group``), so
+    the two share one index of S."""
     carrier_ids = sorted(carrier_ids)
     new_id = [-1] * (L.n + 1)  # -1 off the carrier and for -1 itself
     for new, old in enumerate(carrier_ids):
@@ -882,12 +884,14 @@ def _sub_locality(L: Locality, carrier_ids: list[int],
             map(new_id.__getitem__, map(L.rows[i].__getitem__, carrier_ids)),
             keeps[c])])
     new_delta = [[new_id[x] for x in L.ids_of(d)] for d in delta]
-    return Locality(labels, new_id[L.identity],
-                    [new_id[L.inv[i]] for i in carrier_ids],
-                    rows, [new_id[s] for s in L.s_ids], L.p, new_delta,
-                    realization=L.realization,
-                    max_word_length=L.max_word_length,
-                    morphism_cap=L.morphism_cap)
+    sub = Locality(labels, new_id[L.identity],
+                   [new_id[L.inv[i]] for i in carrier_ids],
+                   rows, [new_id[s] for s in L.s_ids], L.p, new_delta,
+                   realization=L.realization,
+                   max_word_length=L.max_word_length,
+                   morphism_cap=L.morphism_cap)
+    sub._s = L.s_group()
+    return sub
 
 
 def restriction(Lplus: Locality, delta: Iterable[frozenset[int]]) -> Locality:
@@ -934,48 +938,20 @@ def normalizer_carrier(L: Locality, t_ids: Iterable[int]) -> list[int]:
 
 # -- linking localities ------------------------------------------------------
 
-def _sylow_on_table(L: Locality, ids: Sequence[int], X: set[int],
-                    order: int) -> set[int]:
-    """A Sylow p-subgroup of the group ``ids`` of L over its p-subgroup X,
-    of the given order (the p-part of ``len(ids)``), grown on the rows
-    by p-element adjunction as ``permgroup.sylow_subgroup`` grows one.
-
-    At each step the first p-element y of ``ids`` outside X that
-    normalizes X is adjoined, and X becomes X<y>.  A p-subgroup short of
-    Sylow is short of Sylow in its normalizer, so one always exists.  The
-    p-elements are the y with y^order = 1, and then <y> is the set of
-    y, y^2, ..., y^order.
-    """
-    rows, inv = L.rows, L.inv
-    cyclic = {}  # p-element -> the subgroup it generates
-    for y in ids:
-        ys = list(itertools.accumulate(itertools.repeat(y, order),
-                                       lambda a, b: rows[a][b]))
-        if ys[-1] == L.identity:
-            cyclic[y] = set(ys)
-    while len(X) < order:
-        for y, ys in cyclic.items():
-            if y not in X and all(rows[rows[inv[y]][x]][y] in X for x in X):
-                break
-        else:
-            break  # only a table that is no group has none
-        X = X.union(ys, [rows[x][z] for x in X for z in ys])
-    return X
-
-
 def local_p_core(L: Locality, P: Iterable[int]
                  ) -> Optional[tuple[list[int], frozenset[int]]]:
-    """N_L(P) and O_p(N_L(P)) as ids, read off the product rows, or None
-    when N_L(P) is not closed under the product.
+    """N_L(P) and a normal p-subgroup of it as ids, read off the product
+    rows, or None when N_L(P) is not closed under the product.
 
-    X = S ∩ N_L(P) is a p-subgroup; when it is short of the p-part of
-    |N_L(P)| it is grown to a Sylow subgroup (``_sylow_on_table``).  Then
-    O_p(N_L(P)) = {x in X : g^-1·x·g in X for every g in N_L(P)}, the
-    intersection of the conjugates of X.  For H a group and X Sylow in H:
-    O_p(H) is a normal p-subgroup, so it lies in one Sylow subgroup and
-    hence in all of them, which are the conjugates of X; and the
-    intersection of the conjugates of X is a p-subgroup that conjugation
-    by H permutes, so it is normal in H and lies in O_p(H).
+    The subgroup is the intersection of the conjugates of X = S ∩ N_L(P),
+    {x in X : g^-1·x·g in X for every g in N_L(P)}: N_L(P) permutes
+    them, so it lies in O_p(N_L(P)).  It is O_p(N_L(P)) when X is Sylow
+    in N_L(P), since O_p lies in every Sylow subgroup; and X = N_S(P) is
+    Sylow when P is fully normalized in F_S(L) (Chermak, "Fusion systems
+    and localities", Acta Math. 2013, §2).  For L_Δ(G), where N_L(P) =
+    N_G(P), that is the Sylow argument of Aschbacher–Kessar–Oliver §I.1:
+    a Sylow T >= N_S(P) of N_G(P) has T^g <= S for some g, and then
+    |N_S(P^g)| >= |T|.
     """
     ids = normalizer_carrier(L, P)
     idset, rows, inv = set(ids), L.rows, L.inv
@@ -983,9 +959,6 @@ def local_p_core(L: Locality, P: Iterable[int]
         if not idset.issuperset(map(rows[a].__getitem__, ids)):
             return None
     X = idset.intersection(L.s_ids)
-    order = _p_part(len(ids), L.p)
-    if len(X) < order:
-        X = _sylow_on_table(L, ids, X, order)
     core = X
     for g in ids:
         by_g = rows[inv[g]]
@@ -996,19 +969,24 @@ def local_p_core(L: Locality, P: Iterable[int]
 def is_linking_locality(L: Locality) -> tuple[bool, dict]:
     """Saturated fusion, F^cr inside delta, all N_L(P) of characteristic p.
 
-    N_L(P) is tested once per F_S(L)-class of delta, for its first
-    object in (order, members) order.  For P in delta and f in L with
-    P <= S_f, conjugation by f maps N_L(P) onto N_L(P^f) (Chermak,
-    "Fusion systems and localities", Acta Math. 2013), and the maps of
-    F_S(L) are composites of restrictions of such conjugations: so the
-    objects of one class have isomorphic normalizers, and the first
-    object to fail is the first of its class.  Each witness names only
-    the object's order and |N_L(P)|, which are the same across a class.
+    N_L(P) is tested once per F_S(L)-class of delta, at the class's fully
+    normalized member, where ``local_p_core`` gives O_p(N_L(P)).  For P
+    in delta and f in L with P <= S_f, conjugation by f maps N_L(P) onto
+    N_L(P^f) (Chermak, "Fusion systems and localities", Acta Math. 2013),
+    and the maps of F_S(L) are composites of restrictions of such
+    conjugations: so the objects of one class have isomorphic
+    normalizers.  The classes are visited in the order of their first
+    objects, and each witness names only the object's order and
+    |N_L(P)|, which are the same across a class.  Where that member is
+    not in delta (delta not closed under F_S(L)-conjugacy), and for an
+    object that is no subgroup of S, the first object is tested.
 
     The test runs on the product rows, with no permutation group built:
-    N_L(P) must be closed under the product, and with O_p = O_p(N_L(P))
-    from ``local_p_core``, N_L(P) has characteristic p exactly when every
-    element of N_L(P) that commutes with all of O_p lies in O_p."""
+    N_L(P) must be closed under the product, and with the normal
+    p-subgroup R from ``local_p_core``, N_L(P) has characteristic p when
+    every element of N_L(P) that commutes with all of R lies in R.  That
+    is sound for any R <= O_p, as C(O_p) <= C(R) <= R <= O_p, and exact
+    at a fully normalized member, where R = O_p."""
     report: dict = {"saturated": None, "centric_radicals_in_delta": None,
                     "local_groups_characteristic_p": None, "witness": None}
     F = fusion_of_locality(L)
@@ -1022,17 +1000,20 @@ def is_linking_locality(L: Locality) -> tuple[bool, dict]:
             break
     report["centric_radicals_in_delta"] = ok_cr
 
+    idx = F.index
+    # (first object, object tested) per class of delta
+    tests = [(d, d) for d in L.delta.difference(idx.lattice())]
+    for cls in F.classes():
+        objects = [m for m in map(idx.mask, (Q.eset for Q in cls))
+                   if m in L.delta]
+        if objects:
+            full = idx.mask(fully_normalized_conjugate(F, cls[0]).eset)
+            tests.append((objects[0], full if full in L.delta
+                          else objects[0]))
     ok_loc = True
     rows = L.rows
-    done: set[int] = set()  # the objects of the classes already tested
-    for d in sorted(L.delta, key=lambda m: (m.bit_count(), bit_positions(m))):
-        if d in done:
-            continue
-        try:
-            cls = F.conjugates(F.subgroup(F.index.members(d)))
-        except FusionError:  # d is no subgroup of S: tested on its own
-            cls = ()
-        done.update(F.index.mask(Q.eset) for Q in cls)
+    for _, d in sorted(tests, key=lambda t: (t[0].bit_count(),
+                                             bit_positions(t[0]))):
         res = local_p_core(L, L.ids_of(d))
         if res is None:
             ok_loc = False

@@ -116,10 +116,10 @@ def _locality_route_fault(L: Locality) -> Optional[str]:
     Neither part depends on N or K, so the answer is memoized on L.
 
     A subgroup in delta never breaks the second part, so subcentricity
-    is decided only for subgroups outside delta: once per F_S(L)-class,
-    since it is a property of the class, and only up to the first
-    subcentric one.  When delta holds every subgroup of S, no
-    normalizer system is built."""
+    is decided only for subgroups outside delta: at the first member
+    outside delta of each F_S(L)-class, since it is a property of the
+    class, and only up to the first subcentric one.  When delta holds
+    every subgroup of S, no normalizer system is built."""
     key = ("locality_route",)
     if key not in L._verdicts:
         fault = None
@@ -127,16 +127,11 @@ def _locality_route_fault(L: Locality) -> Optional[str]:
             fault = "locality is not a linking locality"
         else:
             F = fusion_of_locality(L)
-            tested: set[frozenset] = set()
-            for P in F.subgroups:
-                if (P.eset in tested
-                        or F.index.mask(P.eset) in L.delta):
-                    continue
-                if is_subcentric(F, P):
-                    fault = ("object set does not contain every subcentric "
-                             "subgroup")
-                    break
-                tested.update(Q.eset for Q in F.conjugates(P))
+            outside = ([P for P in cls if F.index.mask(P.eset) not in L.delta]
+                       for cls in F.classes())
+            if any(is_subcentric(F, out[0]) for out in outside if out):
+                fault = ("object set does not contain every subcentric "
+                         "subgroup")
         L._verdicts[key] = fault
     return L._verdicts[key]
 
@@ -226,16 +221,21 @@ def _normalizer_identity(NFT, NEDT, E, D, T):
     return NEDT == rhs
 
 
-def ed_ok(rep: Report) -> bool:
+def ed_verdict(rep: Report) -> bool | str:
+    """False when a clause fails, else "unknown" when the normalizer
+    identity could not be decided, else True: a failed clause beats an
+    unknown one."""
     c = rep.clauses
-    return (c.get("over_TR") is True
+    identity = c.get("N_ED_T_identity")
+    if not (c.get("over_TR") is True
             and c.get("E_normal_in_ED") is True
             and c.get("D_status") in ("normal", "subnormal")
             and c.get("ED_normal_in_F") in (True, None)
-            and (c.get("N_ED_T_identity") is True
-                 or (c.get("D_status") == "subnormal"
-                     and c.get("N_ED_T_identity") is None))
-            and c.get("minimality") in (True, "not_enumerable"))
+            and (identity in (True, "unknown")
+                 or (c.get("D_status") == "subnormal" and identity is None))
+            and c.get("minimality") in (True, "not_enumerable")):
+        return False
+    return "unknown" if identity == "unknown" else True
 
 
 def ed_report_json(rep: Report) -> dict:

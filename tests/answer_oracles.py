@@ -15,13 +15,18 @@ when E's Sylow is strongly closed.
 ``linking_per_object`` is the linking certificate with N_L(P) built as
 a permutation group (``local_group``) and tested by a Sylow search for
 every object of delta; the library tests one object per F_S(L)-class,
-on the product rows.  ``locality_route_fault_by_lattice``
+its fully normalized member, on the product rows.
+``locality_route_fault_by_lattice``
 asks of every subgroup of S whether it is subcentric; the library asks
 once per class outside delta.  ``locality_tables_by_pairs`` builds the
 tables of L_delta(G) a product pair at a time, conjugating every element
 of G directly and looking each product up by its permutation; the
 library conjugates one element per right coset of S and reads a row a
 coset at a time off the Cayley table of S.
+
+``saturated_by_any_member`` asks of each F-class whether some member is
+fully automized and receptive, the definition of saturation; the library
+asks it of each class's fully normalized member.
 
 ``join_closure_lattice`` is the subgroup lattice as the join-closure of
 the cyclic subgroups on bitmasks (Holt, Eick and O'Brien, *Handbook of
@@ -35,7 +40,8 @@ element per right coset of P, and groups N_S(P) by the map it induces.
 
 from locfusion.fusion import (FusionSystem, _NONE, _carry, _conjugate_map,
                               _keep, _target, centric_radicals, close,
-                              embedding, fusion_of_locality, is_saturated,
+                              embedding, fusion_of_locality,
+                              is_fully_automized, is_receptive, is_saturated,
                               maps_inside, strong_closure,
                               subcentric_subgroups)
 from locfusion.locality import _preimage_under, normalizer_carrier
@@ -97,6 +103,20 @@ def strongly_invariant_by_all_maps(F, E):
                 if any(span & src == span and _conjugate_map(psi, phi)
                        not in in_e for span, phi in spans):
                     return False
+    return True
+
+
+def saturated_by_any_member(F):
+    """Every F-conjugacy class has a fully automized receptive member,
+    each class walked from its first subgroup in lattice order."""
+    seen = set()
+    for P in F.subgroups:
+        if P.eset not in seen:
+            cls = F.conjugates(P)
+            seen |= {Q.eset for Q in cls}
+            if not any(is_fully_automized(F, Q) and is_receptive(F, Q)
+                       for Q in cls):
+                return False
     return True
 
 

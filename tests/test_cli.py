@@ -435,6 +435,22 @@ def test_subsystem_enumeration_cap_exits_3(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_unknown_normalizer_identity_exits_3(monkeypatch, capsys):
+    """An undecided normalizer identity with no failed clause exits 3 from
+    ``verify-ed`` and ``suite``, and a failed step still exits 1."""
+    from locfusion import cli, products
+    monkeypatch.setattr(products, "_normalizer_identity",
+                        lambda *args: "unknown")
+    assert run(["verify-ed", "product-24", "--product", "i"]) == 3
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["products"][0]["clauses"]["N_ED_T_identity"] == "unknown"
+    assert run(["suite", "product-24"]) == 3
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    monkeypatch.setattr(cli, "cmd_locality_validate",
+                        lambda ctx, args: ({}, cli.EXIT_FAIL))
+    assert run(["suite", "product-24"]) == 1
+
+
 @pytest.mark.parametrize("cap,code", [("50", 3), ("120", 0)])
 def test_group_cap_flag(cap, code, capsys):
     assert run(["group", "info", "instance-b", "--group-cap", cap]) == code

@@ -87,6 +87,23 @@ def test_saturated_on_bundled_groups():
         assert is_saturated(fusion_of_group(G, S, p=p)), name
 
 
+def test_classes_partition_the_subgroups():
+    """``classes`` is kept on F; each class is the ``conjugates`` of its
+    first member, the classes come in the order of their first members,
+    and together they hold each subgroup of S once."""
+    for name, G, p in bundled_groups():
+        F = fusion_of_group(G, sylow_subgroup(G, p), p=p)
+        classes = F.classes()
+        assert classes is F.classes()
+        assert all(cls == F.conjugates(cls[0]) for cls in classes), name
+        firsts = [F.subgroups.index(cls[0]) for cls in classes]
+        assert firsts == sorted(firsts), name
+        members = [P.eset for cls in classes for P in cls]
+        assert len(members) == len(set(members)) == len(F.subgroups)
+        assert set(members) == {P.eset for P in F.subgroups}, name
+        assert len(classes) < len(F.subgroups), name
+
+
 def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
     """Closing onto a closed base: the morphism cap, a generator on the
     positions of another group, and a base over another subgroup are all

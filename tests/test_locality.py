@@ -6,7 +6,8 @@ import random
 import pytest
 
 from locfusion import locality
-from locfusion.fusion import centric_radicals, fusion_of_locality, is_saturated
+from locfusion.fusion import (centric_radicals, fully_normalized_conjugate,
+                              fusion_of_locality, is_saturated)
 from locfusion.instances import (BUNDLED, Instance, build_locality,
                                  delta_of, load_descriptor)
 from locfusion.locality import (Locality, LocalityError, _s_group_fault,
@@ -18,7 +19,7 @@ from locfusion.locality import (Locality, LocalityError, _s_group_fault,
                                 strongly_closed_in_carrier, validate_locality)
 from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
                                  conjugate, domain_mask, from_cycles, inverse,
-                                 p_core, sylow_subgroup)
+                                 p_core, sylow_subgroup, _p_part)
 
 from answer_oracles import (linking_per_object, local_group,
                             locality_tables, locality_tables_by_pairs)
@@ -224,40 +225,88 @@ def _s6_locality(min_order, p=2):
     return locality_from_group(G, S, delta_min_order(G, S, min_order), p)
 
 
+def _fully_normalized(F, d):
+    """Whether the subgroup of S with mask d has the largest N_S in its
+    F-class."""
+    idx = F.index
+    size = idx.normalizer(d).bit_count
+    return size() == max(idx.normalizer(idx.mask(Q.eset)).bit_count()
+                         for Q in F.conjugates(F.subgroup(idx.members(d))))
+
+
 def test_linking_certificate_tests_one_object_per_class(monkeypatch):
     """On S6, p = 2, delta = order >= 4: the per-object verdict and
-    report, with N_L(P) and its O_p read for one object of each
-    F_S(L)-class."""
+    report, with N_L(P) and its O_p read once per F_S(L)-class of delta,
+    at the class's fully normalized member, in the order of the classes'
+    first objects."""
     L = _s6_locality(4)
     F = fusion_of_locality(L)
-    classes = {frozenset(F.index.mask(Q.eset) for Q in F.conjugates(P))
-               for P in F.subgroups if F.index.mask(P.eset) in L.delta}
+    idx = F.index
+    classes = [cls for cls in F.classes()
+               if idx.mask(cls[0].eset) in L.delta]
     built = []
     monkeypatch.setattr(locality, "local_p_core",
                         lambda L, P: built.append(L.mask_of(P))
                         or local_p_core(L, P))
     assert is_linking_locality(L) == linking_per_object(L)
     assert len(classes) < len(L.delta)
-    assert sorted(len(c & set(built)) for c in classes) == [1] * len(classes)
-    assert len(built) == len(classes)
+    assert built == [idx.mask(fully_normalized_conjugate(F, cls[0]).eset)
+                     for cls in classes]
+    assert all(_fully_normalized(F, d) for d in built)
+    assert not all(_fully_normalized(F, idx.mask(cls[0].eset))
+                   for cls in classes)
 
 
-def test_linking_certificate_grows_a_sylow_subgroup_on_the_table(monkeypatch):
-    """On S6, p = 2, delta = order >= 4, some tested N_L(P) has S ∩ N_L(P)
-    short of Sylow: the certificate grows it on the rows, and the verdict
-    and report are the per-object ones."""
-    L = _s6_locality(4)
-    grown = []
-    grow = locality._sylow_on_table
+def _locality(degree, gens, p, min_order):
+    G = FiniteGroup(degree, [from_cycles(degree, *g) for g in gens])
+    S = sylow_subgroup(G, p)
+    return locality_from_group(G, S, delta_min_order(G, S, min_order), p)
 
-    def sylow_on_table(L, ids, X, order):
-        Y = grow(L, ids, X, order)
-        grown.append((len(X), len(Y), order))
-        return Y
-    monkeypatch.setattr(locality, "_sylow_on_table", sylow_on_table)
-    assert is_linking_locality(L) == linking_per_object(L)
-    assert grown
-    assert all(x < y == order for x, y, order in grown)
+
+S6_GENS = [[(1, 2, 3, 4, 5, 6)], [(1, 2)]]
+SYLOW_LOCALITIES = {
+    "S6:p=2:delta>=4": (6, S6_GENS, 2, 4),
+    "S6:p=2:delta=all": (6, S6_GENS, 2, 1),
+    "S6:p=3:delta=all": (6, S6_GENS, 3, 1),
+    "S4xS4:p=2:delta>=4": (8, [[(1, 2, 3, 4)], [(1, 2)], [(5, 6, 7, 8)],
+                               [(5, 6)]], 2, 4),
+    "S7:p=2:delta>=4": (7, [[(1, 2, 3, 4, 5, 6, 7)], [(1, 2)]], 2, 4),
+}
+
+
+def _product_localities(dname):
+    ctx = Instance(load_descriptor(dname))
+    return list({id(L): L for L in (
+        ctx.product(name)["L"] for name in ctx.d["fusion_products"])
+    }.values())
+
+
+@pytest.mark.parametrize("source", [*SYLOW_LOCALITIES, "product-24",
+                                    "product-48"])
+def test_fully_normalized_objects_have_sylow_normalizers_in_s(source):
+    """At every fully normalized object P, N_S(P) = S ∩ N_L(P) is a Sylow
+    subgroup of N_L(P), by ``sylow_subgroup`` on N_L(P) built as a
+    permutation group: the fact that lets ``local_p_core`` take it as it
+    is.  Other objects fall short, except on S6 at p = 3; and the
+    certificate gives the per-object verdict and report."""
+    localities = ([_locality(*SYLOW_LOCALITIES[source])]
+                  if source in SYLOW_LOCALITIES
+                  else _product_localities(source))
+    for L in localities:
+        F = fusion_of_locality(L)
+        idx = F.index
+        short = 0
+        for d in sorted(L.delta):
+            ns = idx.normalizer(d).bit_count()
+            if _fully_normalized(F, d):
+                H, _ = local_group(L, L.ids_of(d))
+                assert ns == len(sylow_subgroup(H, L.p))
+            else:
+                short += ns < _p_part(len(normalizer_carrier(
+                    L, L.ids_of(d))), L.p)
+        assert short or source == "S6:p=3:delta=all"
+        if source in SYLOW_LOCALITIES:
+            assert is_linking_locality(L) == linking_per_object(L)
 
 
 @pytest.mark.parametrize("min_order", [1, 4])
@@ -272,31 +321,11 @@ def test_linking_certificate_builds_no_group_for_n_l_p(min_order,
     init = FiniteGroup.__init__
     monkeypatch.setattr(FiniteGroup, "__init__", lambda self, *args, **kw:
                         built.append(args[0]) or init(self, *args, **kw))
-    centric_radicals(F)
-    radicals = list(built)
+    assert centric_radicals(F) is centric_radicals(F)
+    assert built  # the Aut_F(P), once: the radicals are kept on F
     built.clear()
     is_linking_locality(L)
-    assert built == radicals
-
-
-@pytest.mark.parametrize("min_order,p", [(1, 2), (4, 2), (1, 3)])
-def test_sylow_on_table_is_a_sylow_subgroup(min_order, p):
-    """Grown from the trivial subgroup and from S ∩ N_L(P), for every
-    object P of S6: a subgroup of N_L(P), closed under the product, of
-    the p-part of |N_L(P)|, holding the subgroup it grew."""
-    L = _s6_locality(min_order, p)
-    grown = 0
-    for d in sorted(L.delta):
-        ids = normalizer_carrier(L, L.ids_of(d))
-        order = len(sylow_subgroup(local_group(L, L.ids_of(d))[0], p))
-        for X in ({L.identity}, set(ids) & set(L.s_ids)):
-            if len(X) == order:
-                continue
-            Y = locality._sylow_on_table(L, ids, X, order)
-            assert X <= Y <= set(ids) and len(Y) == order
-            assert {L.rows[a][b] for a in Y for b in Y} == Y
-            grown += 1
-    assert grown
+    assert built == []
 
 
 def _p_core_as_ids(L, P):
@@ -307,19 +336,18 @@ def _p_core_as_ids(L, P):
 
 @pytest.mark.parametrize("source", ["product-24", "product-48", "S6"])
 def test_table_p_core_matches_permutation_group(source):
-    """On every object of the localities of the descriptor's products, and
-    of S6 at p = 2, delta = order >= 4 (where some S ∩ N_L(P) is short of
-    Sylow), O_p(N_L(P)) read off the rows is the p-core of N_L(P) built
-    as a permutation group."""
-    if source == "S6":
-        localities = [_s6_locality(4)]
-    else:
-        ctx = Instance(load_descriptor(source))
-        localities = list({id(L): L for L in (
-            ctx.product(name)["L"] for name in ctx.d["fusion_products"])
-        }.values())
+    """On every fully normalized object of the localities of the
+    descriptor's products, and of S6 at p = 2, delta = order >= 4 (where
+    the S ∩ N_L(P) of some other objects are short of Sylow),
+    O_p(N_L(P)) read off the rows is the p-core of N_L(P) built as a
+    permutation group."""
+    localities = ([_s6_locality(4)] if source == "S6"
+                  else _product_localities(source))
     for L in localities:
+        F = fusion_of_locality(L)
         for d in sorted(L.delta):
+            if not _fully_normalized(F, d):
+                continue
             P = L.ids_of(d)
             ids, core = local_p_core(L, P)
             assert ids == normalizer_carrier(L, P)
@@ -1030,6 +1058,26 @@ def test_s_index_holds_s_ids_in_order(name):
         assert X.s_index.elements == tuple(map(to_perm.__getitem__,
                                                X.s_ids))
         assert X.lattice == X.s_index.lattice()
+
+
+def test_restriction_shares_the_index_of_s():
+    """The restriction of instance-b's L to its ``restriction`` delta, and
+    of L's abstract copy, keeps the parent's S: one index of S, and F_S
+    with the maps of a copy of the restriction that builds its own S."""
+    d = load_descriptor("instance-b")
+    L = build_locality(d)
+    sub = delta_of({**d, "delta": d["restriction"]["delta"]},
+                   L.realization, Instance(d).S)
+    delta = [frozenset(L.id_of[g] for g in P.eset) for P in sub]
+    maps = set()
+    for X in (L, locality_from_descriptor(locality_to_descriptor(L))):
+        R = restriction(X, delta)
+        assert R.s_index is X.s_index
+        own = locality_from_descriptor(locality_to_descriptor(R))
+        assert own.s_index is not X.s_index
+        assert fusion_of_locality(R).maps == fusion_of_locality(own).maps
+        maps.add(fusion_of_locality(R).maps)
+    assert len(maps) == 1
 
 
 def test_s_index_refuses_an_s_table_whose_identity_is_not_ls():

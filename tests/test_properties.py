@@ -20,13 +20,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from locfusion.fusion import (close, fusion_of_group, inner_maps,  # noqa: E402
-                              normalizer_system)
+                              is_saturated, maps_inside, normalizer_system)
 from locfusion.locality import (delta_min_order,  # noqa: E402
                                 locality_from_group)
 from locfusion.permgroup import FiniteGroup, sylow_subgroup  # noqa: E402
 
 from answer_oracles import (locality_tables,  # noqa: E402
-                            locality_tables_by_pairs, normalizer_by_sources)
+                            locality_tables_by_pairs, normalizer_by_sources,
+                            saturated_by_any_member)
 from graph_oracle import (graphs, ref_fusion_maps,  # noqa: E402
                           ref_to_json)
 
@@ -58,6 +59,22 @@ def test_fusion_of_group_against_graph_oracle(G):
             json.dumps(ref_to_json(S, p, ref), sort_keys=True)
         for Q in F.subgroups:
             assert normalizer_system(F, Q) == normalizer_by_sources(F, Q)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(groups(), st.data())
+def test_saturation_at_fully_normalized_members_against_any_member(G, data):
+    """On F = F_S(G), at every prime, and on E = close(T, p, up to three
+    maps of F inside a subgroup T of S), which is often not saturated."""
+    for p in _primes(G.order):
+        S = sylow_subgroup(G, p)
+        F = fusion_of_group(G, S, p=p)
+        T = data.draw(st.sampled_from(F.subgroups))
+        inside = sorted(maps_inside(F, T, F.maps))
+        gens = data.draw(st.lists(st.sampled_from(inside), max_size=3))
+        for X in (F, close(T, p, gens)):
+            assert is_saturated(X) == saturated_by_any_member(X)
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,

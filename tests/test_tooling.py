@@ -8,6 +8,13 @@ target with plain ``getattr``, without installing any wrapper.
 ``test_imports_are_one_way`` keeps the modules of ``src/locfusion`` in
 layers: each imports only the modules before it in ``MODULE_ORDER``, and
 only at module level.
+
+``test_every_function_is_reached`` keeps package-dead code out of
+``src/locfusion``: every module-level function is reached from the CLI
+(``cli.HANDLERS`` and the ``main`` entry point) or from a class of the
+package, through the names that the functions it reaches use.  The
+functions only tests call are listed with the ROADMAP item that keeps
+them.
 """
 
 import ast
@@ -116,3 +123,53 @@ def test_bounds_are_set_where_objects_are_built():
                 if BOUND_PARAMS & {a.arg for a in args}:
                     takers.add(f"{where}.{node.name}")
     assert takers == BOUND_TAKERS
+
+
+# Module-level functions that only tests (or the bench) call, each with the
+# ROADMAP item that keeps it in the package.
+TEST_ONLY = {
+    "fusion.op_core": "item 4: O_p(F) from centric radicals",
+    "fusion.subcentric_subgroups": "item 4: O_p(F) from centric radicals",
+    "permgroup.is_characteristic_p": "item 3: the perfbench char_p layer",
+    "permgroup.center": "item 9: moves to tests/ after item 3",
+    "permgroup.centralizer": "item 9: moves to tests/ after item 3",
+    "permgroup.from_cycles": "item 9: a test helper, to move to tests/",
+    "partial_subgroups.enumerate_partial_normals": "item 7: find N",
+    "locality.locality_from_descriptor": "item 2: abstract localities",
+    "locality.locality_to_descriptor": "item 2: abstract localities",
+}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_function_is_reached():
+    """Reachability by name: a function is reached when a reached function
+    or a root names it.  The roots are every class body, ``cli.HANDLERS``
+    and ``cli.main``.  Two functions of one name are reached together."""
+    functions: dict[str, list[ast.FunctionDef]] = {}
+    seen: set[str] = set()
+    found = []
+    roots = {"main"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, []).append(node)
+                found.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef) or (
+                    path.stem == "cli" and isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["HANDLERS"]):
+                roots |= _names(node)
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in seen:
+            seen.add(name)
+            for node in functions[name]:
+                todo += _names(node)
+    unreached = sorted(q for q in found if q.split(".")[1] not in seen)
+    assert unreached == sorted(TEST_ONLY)
