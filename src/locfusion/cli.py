@@ -3,6 +3,8 @@ verification suites, and emit deterministic JSON reports.
 
 Exit codes: 0 all clauses pass; 1 a clause failed; 2 descriptor or
 precondition error; 3 a cap was exceeded or a verdict came back unknown.
+Each handler returns its report and its verdict (``report.fold``), and
+``EXIT_CODES`` maps the verdict to 0, 1 or 3.
 
 Each run makes one ``instances.Instance`` from the descriptor and the
 caps, and every handler takes it, so the steps of ``suite`` build G, S,
@@ -26,9 +28,10 @@ from .partial_subgroups import (verify_restriction_product,
                                 verify_theorem_nk_normal,
                                 verify_theorem_nk_subnormal)
 from .permgroup import DEFAULT_GROUP_CAP, GroupError, SizeCapExceeded
-from .report import PreconditionError
+from .report import PreconditionError, fold
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_CAP = 0, 1, 2, 3
+EXIT_CODES = {True: EXIT_OK, False: EXIT_FAIL, "unknown": EXIT_CAP}
 
 
 def _positive_int(text: str) -> int:
@@ -97,21 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_group_info(ctx, args):
     return {"suite": "group_info", "instance": ctx.d["name"],
             "degree": ctx.G.degree, "order": ctx.G.order, "p": ctx.d["p"],
-            "sylow_order": ctx.S.order}, EXIT_OK
+            "sylow_order": ctx.S.order}, True
 
 
 def cmd_locality_build(ctx, args):
     L = ctx.L
     return {"suite": "locality_build", "instance": ctx.d["name"],
             "carrier_size": L.n, "s_order": len(L.s_ids),
-            "delta_size": len(L.delta), "p": L.p}, EXIT_OK
+            "delta_size": len(L.delta), "p": L.p}, True
 
 
 def cmd_locality_validate(ctx, args):
     rep = validate_locality(ctx.L, max_word_length=args.max_word_len)
-    out = {"suite": "locality_validate", "instance": ctx.d["name"],
-           **rep.to_json()}
-    return out, EXIT_OK if rep.ok else EXIT_FAIL
+    return {"suite": "locality_validate", "instance": ctx.d["name"],
+            **rep.to_json()}, rep.ok
 
 
 def _theorem_reports(ctx, which: str):
@@ -128,9 +130,9 @@ def _theorem_reports(ctx, which: str):
         K = inst.k_choice(d, L, kname)
         rep = verify(L, N, K, instance=f"{d['name']}:{kname}")
         reports.append(rep.to_json())
-    ok = all(r["ok"] for r in reports)
+    ok = fold(r["ok"] for r in reports)
     return {"suite": which, "instance": d["name"],
-            "ok": ok, "reports": reports}, EXIT_OK if ok else EXIT_FAIL
+            "ok": ok, "reports": reports}, ok
 
 
 def cmd_theorem1(ctx, args):
@@ -153,21 +155,19 @@ def cmd_restriction(ctx, args):
     N = inst.resolve_ids(L, inst.named_subgroup(d, G, cfg["n"]))
     K = inst.k_choice(d, L, cfg["k"])
     rep = verify_restriction_product(L, delta_ids, N, K, instance=d["name"])
-    return rep.to_json() | {"suite": "restriction"}, \
-        EXIT_OK if rep.ok else EXIT_FAIL
+    return rep.to_json() | {"suite": "restriction"}, rep.ok
 
 
 def cmd_fusion_build(ctx, args):
     F = fu.fusion_of_locality(ctx.L)
     return {"suite": "fusion_build", "instance": ctx.d["name"],
-            **F.to_json()}, EXIT_OK
+            **F.to_json()}, True
 
 
 def cmd_fusion_saturate(ctx, args):
     sat = fu.is_saturated(ctx.F)
     return {"suite": "saturate_check", "instance": ctx.d["name"],
-            "saturated": sat, "morphisms": len(ctx.F.maps)}, \
-        EXIT_OK if sat else EXIT_FAIL
+            "saturated": sat, "morphisms": len(ctx.F.maps)}, sat
 
 
 def _products_of(d, args):
@@ -179,48 +179,30 @@ def _products_of(d, args):
 
 
 def cmd_product_ed(ctx, args):
-    out, worst = [], EXIT_OK
+    out, verdicts = [], []
     for name in _products_of(ctx.d, args):
-        st = ctx.product(name)
-        ed, route, agreement = ctx.ed(name)
-        matches = ed == st["oracle"]
-        out.append({"instance": st["name"], "route": route,
-                    "matches_oracle": matches,
-                    "cross_route_agreement": agreement,
-                    "fusion": ed.to_json()})
-        if not (matches and agreement in (True, None)):
-            worst = EXIT_FAIL
+        ed, route, checks = ctx.ed(name)
+        out.append({"instance": ctx.product(name)["name"], "route": route,
+                    **checks, "fusion": ed.to_json()})
+        verdicts.append(fold(checks.values()))
     return {"suite": "product_ed", "instance": ctx.d["name"],
-            "products": out}, worst
+            "products": out}, fold(verdicts)
 
 
 def cmd_verify_ed(ctx, args):
-    out, worst = [], EXIT_OK
+    out, verdicts = [], []
     for name in _products_of(ctx.d, args):
         st = ctx.product(name)
-        ed, route, agreement = ctx.ed(name)
+        ed, route, checks = ctx.ed(name)
         comparisons = (ctx.subnormal_subsystems
                        if st["enumerate_minimality"] else None)
         rep = pr.verify_ed(st["F"], st["E"], st["D"], ed,
                            instance=st["name"], route=route,
                            comparisons=comparisons)
-        rj = pr.ed_report_json(rep)
-        rj["cross_route_agreement"] = agreement
-        rj["matches_oracle"] = ed == st["oracle"]
-        out.append(rj)
-        verdict = pr.ed_verdict(rep)
-        if not (verdict and rj["matches_oracle"]
-                and agreement in (True, None)):
-            worst = EXIT_FAIL
-        elif verdict == "unknown":
-            worst = _worse(worst, EXIT_CAP)
+        out.append(pr.ed_report_json(rep) | checks)
+        verdicts.append(fold([*rep.clauses.values(), *checks.values()]))
     return {"suite": "verify_ed", "instance": ctx.d["name"],
-            "products": out}, worst
-
-
-def _worse(a: int, b: int) -> int:
-    """The worse exit code: a failed clause beats an unknown verdict."""
-    return max(a, b, key=(EXIT_OK, EXIT_CAP, EXIT_FAIL).index)
+            "products": out}, fold(verdicts)
 
 
 def cmd_suite(ctx, args):
@@ -234,13 +216,10 @@ def cmd_suite(ctx, args):
         steps.append(cmd_restriction)
     if d.get("fusion_products"):
         steps += [cmd_product_ed, cmd_verify_ed]
-    reports, worst = [], EXIT_OK
-    for fn in steps:
-        rep, code = fn(ctx, args)
-        reports.append(rep)
-        worst = _worse(worst, code)
+    reports, verdicts = zip(*(fn(ctx, args) for fn in steps))
+    verdict = fold(verdicts)
     return {"suite": "suite", "instance": d["name"],
-            "ok": worst == EXIT_OK, "reports": reports}, worst
+            "ok": verdict is True, "reports": list(reports)}, verdict
 
 
 HANDLERS = {
@@ -284,7 +263,7 @@ def _verdict(args) -> int:
         ctx = inst.Instance(inst.load_descriptor(args.descriptor),
                             group_cap=args.group_cap,
                             morphism_cap=args.morphism_cap)
-        report, code = handler(ctx, args)
+        report, verdict = handler(ctx, args)
     except (SizeCapExceeded, MorphismCapExceeded) as e:
         _emit({"error": str(e), "kind": type(e).__name__}, args)
         return EXIT_CAP
@@ -292,10 +271,10 @@ def _verdict(args) -> int:
             GroupError, FusionError) as e:
         _emit({"error": str(e), "kind": type(e).__name__}, args)
         return EXIT_INPUT
-    if report.get("ok") is None and code == EXIT_OK:
+    if report.get("ok") is None and verdict is True:
         report["ok"] = True
     _emit(report, args)
-    return code
+    return EXIT_CODES[verdict]
 
 
 if __name__ == "__main__":

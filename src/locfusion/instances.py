@@ -26,7 +26,6 @@ from .locality import (DEFAULT_MAX_WORD_LENGTH, Locality, delta_min_order,
 from .permgroup import (DEFAULT_GROUP_CAP, FiniteGroup, SizeCapExceeded,
                         Subgroup, all_subgroups, generated_subgroup,
                         is_prime, sylow_subgroup, _p_part)
-from .report import PreconditionError
 
 BUNDLED = ("instance-a", "instance-b", "product-24", "product-48",
            "group-8", "group-60")
@@ -73,7 +72,9 @@ def _check_schema(d) -> None:
     _require_perms(d.get("sylow", "auto"), "'sylow'", "auto")
     for key in ("normal_subgroups", "k_choices", "fusion_products"):
         _require_keys(d.get(key, {}), (), repr(key))
-    deltas = [d.get("delta")]
+    for name, spec in d.get("normal_subgroups", {}).items():
+        _require_keys(spec, (), f"normal subgroup {name!r}")
+    deltas = [d["delta"]] if "delta" in d else []
     subgroups = [*d.get("normal_subgroups", {}).values(),
                  *d.get("k_choices", {}).values()]
     for key, keys in (("theorem1", ("n", "k")), ("theorem2", ("n", "k")),
@@ -85,22 +86,22 @@ def _check_schema(d) -> None:
             _require(isinstance(names, list) and all(
                 isinstance(x, str) for x in names), f"{key!r} 'k'",
                 "a name" if key == "restriction" else "a list of names", k)
-            deltas.append(d[key].get("delta"))
+            if "delta" in d[key]:
+                deltas.append(d[key]["delta"])
             subgroups.append(d[key]["n"])
     for spec in deltas:
-        if spec is not None:
-            _require_keys(spec, (), "delta")
-            if spec.get("all"):
-                continue
-            if "min_order" in spec:
-                _require(_is_int(spec["min_order"]), "delta 'min_order'",
-                         "an integer", spec["min_order"])
-            elif "explicit" in spec:
-                _require(isinstance(spec["explicit"], list) and all(
-                    map(_is_perms, spec["explicit"])), "delta 'explicit'",
-                    "a list of element lists", spec["explicit"])
-            else:
-                raise DescriptorError(f"unrecognized delta rule {spec!r}")
+        _require_keys(spec, (), "delta")
+        if spec.get("all"):
+            continue
+        if "min_order" in spec:
+            _require(_is_int(spec["min_order"]), "delta 'min_order'",
+                     "an integer", spec["min_order"])
+        elif "explicit" in spec:
+            _require(isinstance(spec["explicit"], list) and all(
+                map(_is_perms, spec["explicit"])), "delta 'explicit'",
+                "a list of element lists", spec["explicit"])
+        else:
+            raise DescriptorError(f"unrecognized delta rule {spec!r}")
     for name, spec in d.get("fusion_products", {}).items():
         what = f"product {name!r}"
         _require_keys(spec, ("E", "D", "N", "K", "oracle"), what)
@@ -149,7 +150,7 @@ def _is_perms(value) -> bool:
 
 def _require_perms(value, what: str, word: Optional[str] = None) -> None:
     """A list of permutations, or ``word`` when one is given."""
-    _require(value == word or _is_perms(value), what,
+    _require(_is_perms(value) or word is not None and value == word, what,
              (f"{word!r} or " if word else "") + "a list of permutations",
              value)
 
@@ -343,24 +344,14 @@ class Instance:
         return self._setups[name]
 
     def ed(self, name: str) -> tuple:
-        """(ED, route, cross_route_agreement) of a named product.
-
-        The generation formula gives ED where it applies, and the
-        locality route, where defined, is compared against it; for D
-        subnormal but not normal the locality route alone gives ED."""
+        """(ED, route, checks) of a named product, by
+        ``products.product_by_route``; the checks are its cross-route
+        agreement and whether ED equals the oracle."""
         if name not in self._eds:
             st = self.product(name)
-            args = (st["L"], st["N_ids"], st["K_ids"])
-            agreement = None
-            try:
-                ed = pr.product_ED(st["F"], st["E"], st["D"])
-                route = "formula_e"
-                try:
-                    agreement = ed == pr.product_ed_via_locality(*args)
-                except PreconditionError:
-                    pass
-            except pr.NormalityRequired:
-                ed = pr.product_ed_via_locality(*args)
-                route = "locality"
-            self._eds[name] = ed, route, agreement
+            ed, route, agreement = pr.product_by_route(
+                st["F"], st["E"], st["D"], st["L"], st["N_ids"], st["K_ids"])
+            self._eds[name] = ed, route, {
+                "cross_route_agreement": agreement,
+                "matches_oracle": ed == st["oracle"]}
         return self._eds[name]

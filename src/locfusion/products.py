@@ -22,8 +22,7 @@ from .fusion import (FusionSystem, Morphism, aut_group, close,
 from .locality import Locality, is_linking_locality
 from .partial_subgroups import (check_theorem2_hypotheses, is_partial_subgroup,
                                 set_product)
-from .permgroup import (SizeCapExceeded, Subgroup, compose, generated_subgroup,
-                        perm_order)
+from .permgroup import SizeCapExceeded, Subgroup, compose, perm_order
 from .report import PreconditionError, Report
 
 # the most closed subsystems enumerated over one subgroup of S
@@ -35,18 +34,16 @@ class NormalityRequired(PreconditionError):
 
 
 def a_fe(F: FusionSystem, E: FusionSystem, P: Subgroup) -> set[Morphism]:
-    """Automorphisms of P generated by p'-elements that centralize P
-    modulo P∩T and restrict into E on P∩T, generated inside Aut_F(P) as
-    a permutation group (``aut_group``)."""
+    """Generators of A(P): the automorphisms of P of p'-order that
+    centralize P modulo P∩T and restrict into E on P∩T, with their
+    orders read off the permutation group Aut_F(P) (``aut_group``).
+    The closure of the product generates the rest of A(P)."""
     pt = F.subgroup(P.eset & E.S.eset)
     in_e = E.maps_over(F.S)
-    A, to_perm = aut_group(F, P)
-    good = [x for phi, x in to_perm.items()
+    _, to_perm = aut_group(F, P)
+    return {restriction(F, phi, P) for phi, x in to_perm.items()
             if perm_order(x) % F.p and trivial_modulo(F, phi, P, pt)
-            and restriction(F, phi, pt) in in_e]
-    of_perm = {x: phi for phi, x in to_perm.items()}
-    return {restriction(F, of_perm[x], P)
-            for x in generated_subgroup(A, good)}
+            and restriction(F, phi, pt) in in_e}
 
 
 def _tr_subgroup(F: FusionSystem, T: frozenset, R: frozenset) -> Subgroup:
@@ -108,6 +105,23 @@ def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int]
     if not is_partial_subgroup(L, nk):
         raise PreconditionError("NK is not a partial subgroup")
     return fusion_of_partial_subgroup(L, nk)
+
+
+def product_by_route(F: FusionSystem, E: FusionSystem, D: FusionSystem,
+                     L: Locality, N: Iterable[int], K: Iterable[int]
+                     ) -> tuple[FusionSystem, str, Optional[bool]]:
+    """(ED, route, cross_route_agreement): the generation formula gives
+    ED where it applies, and the locality route, where defined, is
+    compared against it (None where it is not); for D subnormal but not
+    normal the locality route alone gives ED."""
+    try:
+        ed = product_ED(F, E, D)
+    except NormalityRequired:
+        return product_ed_via_locality(L, N, K), "locality", None
+    try:
+        return ed, "formula_e", ed == product_ed_via_locality(L, N, K)
+    except PreconditionError:
+        return ed, "formula_e", None
 
 
 def _locality_route_fault(L: Locality) -> Optional[str]:
@@ -174,7 +188,15 @@ def verify_ed(F: FusionSystem, E: FusionSystem, D: FusionSystem,
               comparisons: Optional[Sequence[FusionSystem]] = None) -> Report:
     """Audit the product subsystem: carrier, normality of E, preserved
     status of D, normality in F, the normalizer identity, and minimality
-    against a supplied enumeration of subnormal subsystems."""
+    against a supplied enumeration of subnormal subsystems.
+
+    ``report.fold`` over these clauses gives the verdict the per-clause
+    rule gave, which let None pass only in ``ED_normal_in_F`` and, beside
+    a subnormal ``D_status``, in ``N_ED_T_identity``: with s the status
+    of D in N_F(T), the identity is None exactly when s is "subnormal"
+    (``D_status`` is then s or "fail"), ``ED_normal_in_F`` is None
+    exactly when s is not "normal", and only the identity can be
+    "unknown"."""
     rep = Report(suite="ed", instance=instance)
     rep.extra["route"] = route
     T = F.subgroup(E.S.eset)
@@ -219,23 +241,6 @@ def _normalizer_identity(NFT, NEDT, E, D, T):
     except PreconditionError:
         return "unknown"
     return NEDT == rhs
-
-
-def ed_verdict(rep: Report) -> bool | str:
-    """False when a clause fails, else "unknown" when the normalizer
-    identity could not be decided, else True: a failed clause beats an
-    unknown one."""
-    c = rep.clauses
-    identity = c.get("N_ED_T_identity")
-    if not (c.get("over_TR") is True
-            and c.get("E_normal_in_ED") is True
-            and c.get("D_status") in ("normal", "subnormal")
-            and c.get("ED_normal_in_F") in (True, None)
-            and (identity in (True, "unknown")
-                 or (c.get("D_status") == "subnormal" and identity is None))
-            and c.get("minimality") in (True, "not_enumerable")):
-        return False
-    return "unknown" if identity == "unknown" else True
 
 
 def ed_report_json(rep: Report) -> dict:

@@ -3,7 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
+
+# values that pass besides True: the kept status of a subsystem, a
+# check that could not be enumerated
+PASSING = ("normal", "subnormal", "not_enumerable")
+
+
+def fold(values: Iterable) -> bool | str:
+    """The verdict of several checks: False beats "unknown", which beats
+    True.  None is a check that does not apply, in every suite; True and
+    ``PASSING`` pass; any other value ("fail" among them) fails."""
+    verdict = True
+    for v in values:
+        if v is None or v is True or v in PASSING:
+            continue
+        if v != "unknown":
+            return False
+        verdict = "unknown"
+    return verdict
 
 
 @dataclass
@@ -17,7 +35,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(v is True for v in self.clauses.values())
+        """Every clause passes or does not apply (None): ``fold``."""
+        return fold(self.clauses.values()) is True
 
     def set(self, name: str, value, witness=None):
         self.clauses[name] = value

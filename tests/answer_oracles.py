@@ -36,6 +36,10 @@ normalizer, one index-p step at a time.  ``normal_subgroups`` filters
 that lattice for normality.  ``normalizer_by_elements`` and
 ``aut_s_by_elements`` test every element of S; the library tests one
 element per right coset of P, and groups N_S(P) by the map it induces.
+
+``ed_verdict_by_clause`` is the verdict of a product's audit written one
+condition per clause, as ``products.ed_verdict`` had it; the library
+folds the clauses with ``report.fold``.
 """
 
 from locfusion.fusion import (FusionSystem, _NONE, _carry, _conjugate_map,
@@ -285,3 +289,20 @@ def aut_s_by_elements(idx, mask):
     ps = bit_positions(mask)
     return frozenset(tuple([idx.inner(s)[i] for i in ps])
                      for s in bit_positions(normalizer_by_elements(idx, mask)))
+
+
+def ed_verdict_by_clause(c):
+    """False when a clause of the ED audit ``c`` fails, else "unknown"
+    when the normalizer identity could not be decided, else True; None
+    passes for ``ED_normal_in_F``, and for ``N_ED_T_identity`` only
+    beside a subnormal ``D_status``."""
+    identity = c.get("N_ED_T_identity")
+    if not (c.get("over_TR") is True
+            and c.get("E_normal_in_ED") is True
+            and c.get("D_status") in ("normal", "subnormal")
+            and c.get("ED_normal_in_F") in (True, None)
+            and (identity in (True, "unknown")
+                 or (c.get("D_status") == "subnormal" and identity is None))
+            and c.get("minimality") in (True, "not_enumerable")):
+        return False
+    return "unknown" if identity == "unknown" else True

@@ -105,6 +105,28 @@ def test_reports_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_theorem_reports_set_boolean_clauses(tmp_path):
+    """Only a product's audit sets clauses that are not booleans, so the
+    None and string values that ``report.fold`` lets pass never reach a
+    theorem or restriction report (``Report.ok``) of a bundled suite."""
+    out, seen = tmp_path / "s.json", set()
+    for name in ("instance-a", "instance-b", "product-24", "product-48",
+                 "group-8", "group-60"):
+        assert run(["suite", name, "--out", str(out)]) == 0
+        todo = [json.loads(out.read_text())]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, dict):
+                if "suite" in node and "clauses" in node:
+                    seen.add(node["suite"])
+                    assert all(isinstance(v, bool)
+                               for v in node["clauses"].values()), node
+                todo += node.values()
+            elif isinstance(node, list):
+                todo += node
+    assert seen == {"nk_normal", "nk_subnormal", "restriction"}
+
+
 def test_json_echo_with_out(tmp_path, capsys):
     out = tmp_path / "r.json"
     run(["group", "info", "instance-a", "--out", str(out), "--json"])
@@ -517,3 +539,89 @@ def test_non_boolean_enumerate_minimality_exits_2(value, tmp_path, capsys):
         f"product 'i' 'enumerate_minimality' must be a boolean, "
         f"not {value!r}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,command,edit,message", [
+    ("product-24", ["verify-ed", "--product", "i"],
+     lambda d: d["fusion_products"]["i"]["D"].update(over=None),
+     "product 'i' 'D' 'over' must be a list of permutations, not None"),
+    ("product-24", ["verify-ed", "--product", "i"],
+     lambda d: d["fusion_products"]["i"]["E"].update(over=None),
+     "product 'i' 'E' 'over' must be a list of permutations, not None"),
+    ("product-24", ["verify-ed", "--product", "i"],
+     lambda d: d["fusion_products"]["i"]["E"].update(acting=None),
+     "product 'i' 'E' 'acting' must be a list of permutations, not None"),
+    ("instance-b", ["theorem1"],
+     lambda d: d["k_choices"]["trivial"].update(generators=None),
+     "subgroup 'generators' must be a list of permutations, not None"),
+    ("instance-b", ["theorem1"],
+     lambda d: d["k_choices"].update(t={"elements": None}),
+     "subgroup 'elements' must be a list of permutations, not None"),
+    ("group-8", ["suite"], lambda d: d.update(delta=None),
+     "delta must be an object, not None"),
+    ("instance-b", ["restriction"],
+     lambda d: d["restriction"].update(delta=None),
+     "delta must be an object, not None"),
+], ids=["d-over", "e-over", "e-acting", "generators", "elements", "delta",
+        "restriction-delta"])
+def test_null_where_a_value_is_required_exits_2(name, command, edit, message,
+                                                tmp_path, capsys):
+    """A ``null`` is not an absent key: where a value is required it is an
+    input error naming the field, not a crash where it is read."""
+    from locfusion.instances import load_descriptor
+    d = load_descriptor(name)
+    edit(d)
+    assert run(command + [_write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == message
+    assert "Traceback" not in err
+
+
+def test_normal_subgroup_must_be_an_object(tmp_path, capsys):
+    """A string inside ``normal_subgroups`` is rejected on load, while a
+    ``k_choices`` entry may still name a normal subgroup."""
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("instance-b")
+    d["normal_subgroups"]["alt"] = "my_generators"
+    assert run(["theorem1", _write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == \
+        "normal subgroup 'alt' must be an object, not 'my_generators'"
+    assert "Traceback" not in err
+    d = load_descriptor("instance-b")
+    d["k_choices"]["order12"] = "alt"
+    assert run(["restriction", _write(tmp_path, d)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def _fields(d, path=()):
+    """Every key path through the objects of a descriptor."""
+    for key, value in d.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _fields(value, path + (key,))
+
+
+@pytest.mark.parametrize("name,command", [
+    ("instance-b", ["suite"]), ("product-24", ["verify-ed", "--product", "i"])])
+def test_malformed_field_sweep_never_crashes(name, command, tmp_path,
+                                            capsys):
+    """Each field of the descriptor, in turn, replaced by null, a string
+    (one the loader reads as a key), an int, [] and {}: the CLI returns
+    0 to 3 without raising, and an exit 2 reports {"error", "kind"}."""
+    from locfusion.instances import load_descriptor
+    base = load_descriptor(name)
+    for path in _fields(base):
+        for value in (None, "generators", 7, [], {}):
+            d = json.loads(json.dumps(base))
+            parent = d
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            where = (path, value)
+            code = run(command + [_write(tmp_path, d)])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), where
+            assert "Traceback" not in err, where
+            if code == 2:
+                assert set(json.loads(out)) == {"error", "kind"}, where

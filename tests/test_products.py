@@ -1,5 +1,7 @@
 """Product subsystem construction against group oracles and reports."""
 
+import itertools
+
 import pytest
 
 from locfusion import products as pr
@@ -14,9 +16,10 @@ from locfusion.locality import (delta_min_order, is_linking_locality,
 from locfusion.partial_subgroups import verify_theorem_nk_subnormal
 from locfusion.permgroup import (FiniteGroup, bit_positions, from_cycles,
                                  generated_subgroup, sylow_subgroup)
-from locfusion.report import PreconditionError
+from locfusion.report import PreconditionError, fold
 
-from answer_oracles import linking_per_object, locality_route_fault_by_lattice
+from answer_oracles import (ed_verdict_by_clause, linking_per_object,
+                            locality_route_fault_by_lattice)
 from bundled import relabelled_copy
 from graph_oracle import graph_of
 
@@ -129,18 +132,15 @@ def test_enumerate_subnormal_subsystems(F, E):
 def test_verify_ed_reports(setups):
     subn_systems = pr.enumerate_subnormal_subsystems(setups["i"]["F"])
     for name, st in setups.items():
-        try:
-            ed = pr.product_ED(st["F"], st["E"], st["D"])
-            route = "formula_e"
-        except pr.NormalityRequired:
-            ed = pr.product_ed_via_locality(st["L"], st["N_ids"],
-                                            st["K_ids"])
-            route = "locality"
+        ed, route, agreement = pr.product_by_route(
+            st["F"], st["E"], st["D"], st["L"], st["N_ids"], st["K_ids"])
+        assert route == ("locality" if name == "subn" else "formula_e")
+        assert agreement is (None if name == "subn" else True)
         comps = subn_systems if st["enumerate_minimality"] else None
         rep = pr.verify_ed(st["F"], st["E"], st["D"], ed,
                            instance=st["name"], route=route,
                            comparisons=comps)
-        assert pr.ed_verdict(rep) is True, (name, rep.clauses)
+        assert fold(rep.clauses.values()) is True, (name, rep.clauses)
         if name == "subn":
             assert rep.clauses["D_status"] == "subnormal"
             assert rep.clauses["ED_normal_in_F"] is None
@@ -161,6 +161,37 @@ def test_ed_report_json_schema(setups):
     assert set(j["clauses"]) == {"over_TR", "E_normal_in_ED", "D_status",
                                  "ED_normal_in_F", "N_ED_T_identity",
                                  "minimality"}
+
+
+def test_fold_matches_the_per_clause_rule():
+    """``report.fold`` over the ED audit's clauses, with the cross-route
+    agreement and the oracle match beside them, against the per-clause
+    rule on every reachable combination of values.  With s the status of
+    D in N_F(T): D_status is s where D keeps it in N_ED(T), else "fail";
+    ED_normal_in_F is None unless s is "normal"; N_ED_T_identity is None
+    exactly when s is "subnormal"."""
+    seen = set()
+    for s, kept, over, e_normal, minimality, agreement, matches in \
+            itertools.product(("normal", "subnormal", "fail"),
+                              (True, False), (True, False), (True, False),
+                              (True, False, "not_enumerable"),
+                              (True, False, None), (True, False)):
+        for ed_normal in (True, False) if s == "normal" else (None,):
+            for identity in ((None,) if s == "subnormal"
+                             else (True, False, "unknown")):
+                c = {"over_TR": over, "E_normal_in_ED": e_normal,
+                     "D_status": s if kept else "fail",
+                     "ED_normal_in_F": ed_normal,
+                     "N_ED_T_identity": identity, "minimality": minimality}
+                want = ed_verdict_by_clause(c)
+                if not matches or agreement is False:
+                    want = False
+                checks = {"cross_route_agreement": agreement,
+                          "matches_oracle": matches}
+                assert fold({**c, **checks}.values()) == want, (c, checks)
+                assert fold(c.values()) == ed_verdict_by_clause(c), c
+                seen.add(want)
+    assert seen == {True, False, "unknown"}
 
 
 def test_incremental_close_matches_scratch_along_enumeration(setups):
