@@ -118,9 +118,9 @@ def cmd_locality_validate(ctx, args):
 
 def _theorem_reports(ctx, which: str):
     d = ctx.d
-    cfg = d.get(which)
-    if not cfg:
+    if which not in d:
         raise inst.DescriptorError(f"descriptor has no {which!r} section")
+    cfg = d[which]
     L = ctx.L
     N = inst.resolve_ids(L, inst.named_subgroup(d, L.realization, cfg["n"]))
     verify = (verify_theorem_nk_normal if which == "theorem1"
@@ -145,9 +145,9 @@ def cmd_theorem2(ctx, args):
 
 def cmd_restriction(ctx, args):
     d = ctx.d
-    cfg = d.get("restriction")
-    if not cfg:
+    if "restriction" not in d:
         raise inst.DescriptorError("descriptor has no 'restriction' section")
+    cfg = d["restriction"]
     L = ctx.L
     G = L.realization
     sub_delta = inst.delta_of({**d, "delta": cfg["delta"]}, G, ctx.S)
@@ -208,11 +208,11 @@ def cmd_verify_ed(ctx, args):
 def cmd_suite(ctx, args):
     d = ctx.d
     steps = [cmd_locality_validate, cmd_fusion_saturate]
-    if d.get("theorem1"):
+    if "theorem1" in d:
         steps.append(cmd_theorem1)
-    if d.get("theorem2"):
+    if "theorem2" in d:
         steps.append(cmd_theorem2)
-    if d.get("restriction"):
+    if "restriction" in d:
         steps.append(cmd_restriction)
     if d.get("fusion_products"):
         steps += [cmd_product_ed, cmd_verify_ed]

@@ -45,6 +45,7 @@ keeping them would only hold systems in memory.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
@@ -146,6 +147,7 @@ class FusionSystem:
         self.morphism_cap = morphism_cap
         self.subgroups = subgroup_lattice(S)
         self._sub_by_set = {P.eset: P for P in self.subgroups}
+        self._sub_by_mask = dict(zip(self.index.lattice(), self.subgroups))
         self._by_mask: Optional[dict[int, list[tuple[int, ...]]]] = None
         self._reach: Optional[list[int]] = None
         self._classes: dict[frozenset, list[Subgroup]] = {}
@@ -179,17 +181,17 @@ class FusionSystem:
                 if image_mask(img, ps) == m]
 
     def conjugates(self, P: Subgroup) -> list[Subgroup]:
-        """The F-conjugates of P, canonically ordered; kept per member."""
+        """The F-conjugates of P, canonically ordered; kept per member.
+        ``subgroups`` lists S's lattice in the order of its masks, so each
+        conjugate is read off by its mask."""
         cls = self._classes.get(P.eset)
         if cls is None:
-            idx = self.index
-            m = idx.mask(P.eset)
+            m = self.index.mask(P.eset)
             ps = bit_positions(m)
             masks = {image_mask(img, ps)
                      for img in self.maps_by_mask().get(m, ())} | {m}
             cls = self._classes[P.eset] = [
-                self.subgroup(idx.members(c))
-                for c in sorted(masks, key=bit_positions)]
+                self._sub_by_mask[c] for c in sorted(masks, key=bit_positions)]
         return cls
 
     def classes(self) -> list[list[Subgroup]]:
@@ -273,28 +275,36 @@ def maps_inside(F: FusionSystem, T: Subgroup,
 
 def _conjugation_maps(S: Subgroup, acting: Sequence) -> set[Morphism]:
     """The maps P -> P^g for P in the S-lattice and g in ``acting`` with
-    P^g <= S, a right coset gS at a time (``SIndex.cosets``).  The
-    subgroups inside dom(g) are listed once per dom, the images of each
-    are read by one getter, and each distinct (P, images) pair is spread
-    over S once."""
+    P^g <= S, a right coset gS at a time (``SIndex.cosets``).
+
+    Conjugation by a member r·s_t of a coset is that of r read through
+    inner(t) (``SIndex.member_images``), so it depends on t only through
+    the inner automorphism of s_t: each coset is read through the
+    distinct inner automorphisms among its members, and the distinct
+    maps are collected per domain dom(g) first.  Each distinct map is
+    then restricted once to every subgroup inside its domain, one getter
+    call per (subgroup, map)."""
     idx = S.parent.sindex(S)
     n = len(idx.elements)
-    subs = [(m, getter(bit_positions(m))) for m in idx.lattice()]
-    inside: dict[int, list] = {}
-    graphs = set()
-    for first, dom, members in idx.cosets(acting):
-        subs_in = inside.get(dom)
-        if subs_in is None:
-            subs_in = inside[dom] = [(m, get) for m, get in subs
-                                     if m & dom == m]
-        for images in idx.member_images(first, [t for t, _ in members]):
-            for m, get in subs_in:
-                graphs.add((m, get(images)))
-    # position j of S is entry |m below j| of a tuple over m, or the -1
+    first: dict[tuple[int, ...], int] = {}  # inner map -> its least t
+    same_inner = [first.setdefault(idx.inner(t), t) for t in range(n)]
+    by_dom: dict[int, set] = {}
+    for images, dom, members in idx.cosets(acting):
+        ts = {same_inner[t] for t, _ in members}
+        by_dom.setdefault(dom, set()).update(idx.member_images(images, ts))
+    # a map restricted to m: its images on m, then the -1 at position n
+    subs = [(m, getter(bit_positions(m) + [n])) for m in idx.lattice()]
+    graphs: set[tuple[int, tuple[int, ...]]] = set()
+    for dom, found in by_dom.items():
+        found = [images + _NONE for images in found]
+        for m, get in subs:
+            if m & dom == m:
+                graphs.update(zip(repeat(m), map(get, found)))
+    # position j of S is entry |m below j| of a restriction, or its -1
     spread = {m: getter([(m & ((1 << j) - 1)).bit_count() if m >> j & 1
                           else m.bit_count() for j in range(n)])
-              for m in idx.lattice()}
-    return {(m, spread[m](images + _NONE)) for m, images in graphs}
+              for m, _ in subs}
+    return {(m, spread[m](images)) for m, images in graphs}
 
 
 def inner_maps(S: Subgroup) -> frozenset:

@@ -79,7 +79,7 @@ def _check_schema(d) -> None:
                  *d.get("k_choices", {}).values()]
     for key, keys in (("theorem1", ("n", "k")), ("theorem2", ("n", "k")),
                       ("restriction", ("delta", "n", "k"))):
-        if d.get(key):
+        if key in d:
             _require_keys(d[key], keys, repr(key))
             k = d[key]["k"]
             names = [k] if key == "restriction" else k

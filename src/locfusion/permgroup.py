@@ -23,7 +23,8 @@ action of r·t off that of r through the inner action of t, for the
 cosets a caller keeps.  The same
 fact keeps ``sylow_subgroup`` from building normalizers: an element
 normalizes P exactly when it conjugates the generators adjoined so far
-into P, so each step is one scan of the p-elements of G.  S must be
+into P, so each step is one scan of G, and the search stops once |P| is
+the p-part of |G|.  S must be
 a p-group for its lattice: every subgroup J > 1 of a p-group extends a
 normal subgroup of index p by one element of its normalizer, so the
 S-lattice is built one order at a time, each J as a union of right
@@ -133,15 +134,21 @@ def perm_order(a: Perm) -> int:
 
 
 def _closure(gens: Iterable[Perm], degree: int, cap: int) -> set[Perm]:
+    """The group ``gens`` generate, breadth-first from the identity: each
+    element found is multiplied on the left by each generator through one
+    ``getter(g)`` per generator (``getter(g)(x)`` is g·x).  Only the
+    order of discovery depends on the side, and both callers sort.
+    SizeCapExceeded once more than ``cap`` elements are found, so exactly
+    when the group has more."""
     e = identity_perm(degree)
     seen = {e}
     frontier = [e]
-    gens = list(gens)
+    on_left = [getter(g) for g in gens]
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
-                y = compose(x, g)
+            for g_then in on_left:
+                y = g_then(x)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > cap:
@@ -590,26 +597,25 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """One Sylow p-subgroup, grown deterministically by p-element adjunction.
 
     At each step the canonically least p-element of N_G(P) outside P is
-    adjoined; P < Sylow always admits one, so the result is Sylow.  N_G(P)
-    is never built: the p-elements of G are listed once, and each step
-    takes the first one outside P that conjugates the elements adjoined so
-    far, which generate P, into P.  Returns the trivial subgroup when p
-    does not divide |G|.
+    adjoined; P < Sylow always admits one, so the search stops when |P|
+    is the p-part of |G|, and returns the trivial subgroup when p does
+    not divide |G|.  N_G(P) is never built: each step scans G in
+    canonical order for the first element outside P that conjugates the
+    elements adjoined so far, which generate P, into P, and only then
+    asks whether its order is a power of p.
     """
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
-    p_elements = [y for y in G.elements
-                  if _p_part(n := perm_order(y), p) == n]
+    sylow_order = _p_part(len(G), p)
     P, gens = G.trivial_subgroup(), []
-    while True:
-        for y in p_elements:
-            if y not in P.eset and all(conjugate(a, y) in P.eset
-                                       for a in gens):
-                break
-        else:
-            return P
-        gens.append(y)
+    while len(P) < sylow_order:
+        gens.append(next(
+            y for y in G.elements
+            if y not in P.eset
+            and all(conjugate(a, y) in P.eset for a in gens)
+            and _p_part(n := perm_order(y), p) == n))
         P = generated_subgroup(G, gens)
+    return P
 
 
 def p_core(G: FiniteGroup, p: int) -> Subgroup:

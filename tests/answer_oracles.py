@@ -37,6 +37,11 @@ that lattice for normality.  ``normalizer_by_elements`` and
 ``aut_s_by_elements`` test every element of S; the library tests one
 element per right coset of P, and groups N_S(P) by the map it induces.
 
+``normalizer`` builds N_G(H) by conjugating every element of H by every
+element of G, and ``ref_sylow_subgroup`` adjoins at each step the least
+p-element of that normalizer outside P, until none is left; the library
+never builds N_G(P), and stops when |P| is the p-part of |G|.
+
 ``ed_verdict_by_clause`` is the verdict of a product's audit written one
 condition per clause, as ``products.ed_verdict`` had it; the library
 folds the clauses with ``report.fold``.
@@ -49,9 +54,10 @@ from locfusion.fusion import (FusionSystem, _NONE, _carry, _conjugate_map,
                               maps_inside, strong_closure,
                               subcentric_subgroups)
 from locfusion.locality import _preimage_under, normalizer_carrier
-from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup,
+from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _p_part,
                                  bit_positions, compose, conjugate,
-                                 image_mask, inverse, is_characteristic_p)
+                                 generated_subgroup, image_mask, inverse,
+                                 is_characteristic_p, perm_order)
 
 
 def normalizer_by_sources(F, Q):
@@ -289,6 +295,24 @@ def aut_s_by_elements(idx, mask):
     ps = bit_positions(mask)
     return frozenset(tuple([idx.inner(s)[i] for i in ps])
                      for s in bit_positions(normalizer_by_elements(idx, mask)))
+
+
+def normalizer(G, H):
+    elems = [g for g in G.elements
+             if all(conjugate(h, g) in H.eset for h in H.elements)]
+    return Subgroup(G, elems, check=False)
+
+
+def ref_sylow_subgroup(G, p):
+    P = G.trivial_subgroup()
+    while True:
+        N = normalizer(G, P)
+        x = next((y for y in N.elements if y not in P.eset
+                  and perm_order(y) == _p_part(perm_order(y), p)),
+                 None)
+        if x is None:
+            return P
+        P = generated_subgroup(G, set(P.elements) | {x})
 
 
 def ed_verdict_by_clause(c):

@@ -577,6 +577,29 @@ def test_null_where_a_value_is_required_exits_2(name, command, edit, message,
     assert "Traceback" not in err
 
 
+FALSY = [None, [], {}, 0, ""]
+FIRST_KEY = {"theorem1": "n", "theorem2": "n", "restriction": "delta"}
+
+
+@pytest.mark.parametrize("value", FALSY, ids=repr)
+@pytest.mark.parametrize("section", ["theorem1", "theorem2", "restriction"])
+@pytest.mark.parametrize("command", ["suite", "own"])
+def test_falsy_optional_section_exits_2(command, section, value, tmp_path,
+                                        capsys):
+    """A present section is read as given, not as absent when it is falsy:
+    ``suite`` and the section's own command exit 2, naming it."""
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("instance-b")
+    d[section] = value
+    argv = [section if command == "own" else command, _write(tmp_path, d)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == (
+        f"{section!r} missing {FIRST_KEY[section]!r}" if value == {} else
+        f"{section!r} must be an object, not {value!r}")
+    assert "Traceback" not in err
+
+
 def test_normal_subgroup_must_be_an_object(tmp_path, capsys):
     """A string inside ``normal_subgroups`` is rejected on load, while a
     ``k_choices`` entry may still name a normal subgroup."""

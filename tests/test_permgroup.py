@@ -1,9 +1,9 @@
 """Group-core checks against independent brute-force oracles.
 
-``normalizer`` and ``ref_sylow_subgroup`` are the Sylow search the
-library replaced: N_G(P) built by conjugating every element of P by
-every element of G, and the least p-element of it outside P adjoined at
-each step.  They are kept here only as oracles.
+``answer_oracles.normalizer`` and ``answer_oracles.ref_sylow_subgroup``
+are the Sylow search the library replaced: N_G(P) built by conjugating
+every element of P by every element of G, and the least p-element of it
+outside P adjoined at each step.
 """
 
 import functools
@@ -22,25 +22,8 @@ from locfusion.permgroup import (FiniteGroup, GroupError, SizeCapExceeded,
                                  is_prime, p_core, perm_order,
                                  sylow_subgroup)
 
-from answer_oracles import join_closure_lattice, local_group, normal_subgroups
-
-
-def normalizer(G, H):
-    elems = [g for g in G.elements
-             if all(conjugate(h, g) in H.eset for h in H.elements)]
-    return Subgroup(G, elems, check=False)
-
-
-def ref_sylow_subgroup(G, p):
-    P = G.trivial_subgroup()
-    while True:
-        N = normalizer(G, P)
-        x = next((y for y in N.elements if y not in P.eset
-                  and perm_order(y) == permgroup._p_part(perm_order(y), p)),
-                 None)
-        if x is None:
-            return P
-        P = generated_subgroup(G, set(P.elements) | {x})
+from answer_oracles import (join_closure_lattice, local_group,
+                            normal_subgroups, normalizer, ref_sylow_subgroup)
 
 
 def test_compose_and_inverse():
@@ -91,6 +74,18 @@ def test_group_closure_sizes():
     s4 = FiniteGroup(4, [from_cycles(4, (1, 2, 3, 4)),
                          from_cycles(4, (1, 2))])
     assert len(s4) == 24
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S3xS3", "S6xC2"])
+def test_closure_cap_boundary(name):
+    """The cap fires exactly when the group has more elements than it."""
+    G = _sylow_group(name)
+    n = len(G)
+    assert FiniteGroup(G.degree, G.generators, max_size=n).elements == \
+        G.elements
+    with pytest.raises(SizeCapExceeded,
+                       match=f"^closure exceeds cap of {n - 1} elements$"):
+        FiniteGroup(G.degree, G.generators, max_size=n - 1)
 
 
 def test_group_cap():

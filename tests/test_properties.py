@@ -2,7 +2,9 @@
 against the element-graph oracle.
 
 Each example is a group of degree at most 6 on one to three random
-generators, taken at every prime dividing its order.  Through the graph
+generators, taken at every prime dividing its order.  Its Sylow
+subgroup at each prime up to 7 must be the one the normalizer-growth
+search (``answer_oracles.ref_sylow_subgroup``) finds.  Through the graph
 edge (``graph_oracle.graph_of`` and ``graph_oracle.from_graph``), F_S(G)
 must equal the conjugation graphs, closing its outer maps onto the inner
 maps must give F_S(G) back, and its report must be byte for byte the
@@ -27,7 +29,7 @@ from locfusion.permgroup import FiniteGroup, sylow_subgroup  # noqa: E402
 
 from answer_oracles import (locality_tables,  # noqa: E402
                             locality_tables_by_pairs, normalizer_by_sources,
-                            saturated_by_any_member)
+                            ref_sylow_subgroup, saturated_by_any_member)
 from graph_oracle import (graphs, ref_fusion_maps,  # noqa: E402
                           ref_to_json)
 
@@ -43,6 +45,17 @@ def groups(draw):
 def _primes(n):
     return [p for p in range(2, n + 1)
             if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(groups())
+def test_sylow_subgroup_against_normalizer_growth(G):
+    """At every prime, including those not dividing |G|: the search that
+    stops at |G|_p adjoins what the normalizer-growth oracle adjoins."""
+    for p in [2, 3, 5, 7]:
+        assert sylow_subgroup(G, p).elements == \
+            ref_sylow_subgroup(G, p).elements
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
