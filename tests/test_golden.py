@@ -26,6 +26,8 @@ from locfusion.cli import main
 S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
     "instances" / "s6.json"
 
+BENCH_INSTANCES = S6_DESCRIPTOR.parent
+
 S6_SHA256 = {
     "theorem1":
         "54b5e202f995265a75dace0756d44ec103d901d8854bb64c3e233bbb62995bcd",
@@ -212,3 +214,24 @@ def test_command_report_bytes_unchanged(argv, code, digest, capsys):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ``fusion build`` on two larger benchmark descriptors, recorded before
+# every subsystem moved onto the positions of its run's S: F_S(L) on S6xC2
+# at p=2 (|S| = 32, 742 maps), and on S7 at p=2; both over Delta =
+# order >= 4, a proper object set.
+BENCH_FUSION_SHA256 = {
+    "s6xc2":
+        "8cf93b349d1a64a1718e6d5be3701b6d5e47ebc001034223ed1b7f4bf169ff88",
+    "s7":
+        "c4136b16a116263cf213a586d54da9844c29df60403637132903a796e6c20c7e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_FUSION_SHA256))
+def test_bench_fusion_build_bytes_unchanged(name, capsys):
+    path = BENCH_INSTANCES / f"{name}.json"
+    assert main(["fusion", "build", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        BENCH_FUSION_SHA256[name]
