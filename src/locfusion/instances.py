@@ -24,8 +24,8 @@ from . import products as pr
 from .locality import (DEFAULT_MAX_WORD_LENGTH, Locality, delta_min_order,
                        locality_from_group)
 from .permgroup import (DEFAULT_GROUP_CAP, FiniteGroup, SizeCapExceeded,
-                        Subgroup, all_subgroups, generated_subgroup,
-                        is_prime, sylow_subgroup, _p_part)
+                        Subgroup, generated_subgroup, is_prime,
+                        sylow_subgroup, _p_part)
 
 BUNDLED = ("instance-a", "instance-b", "product-24", "product-48",
            "group-8", "group-60")
@@ -196,7 +196,7 @@ def sylow_of(d: dict, G: FiniteGroup) -> Subgroup:
 def delta_of(d: dict, G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     spec = d.get("delta", {"min_order": 1})
     if spec.get("all"):
-        return all_subgroups(G, within=S)
+        return fu.subgroup_lattice(S)
     if "min_order" in spec:
         return delta_min_order(G, S, spec["min_order"])
     return [G.subgroup(_perms(elems, G)) for elems in spec["explicit"]]
@@ -254,23 +254,23 @@ def product_setup(d: dict, name: str,
     G, S, F, cap = ctx.G, ctx.S, ctx.F, ctx.morphism_cap
     p = d["p"]
 
-    def inside_s(field: str, rows) -> Subgroup:
+    def inside_s(field: str, rows) -> int:  # the mask of a subgroup of S
         H = generated_subgroup(G, _perms(rows, G))
         try:
-            return F.subgroup(H.eset)
+            return F.mask_of(F.subgroup(H.eset))
         except fu.FusionError:
             raise DescriptorError(
                 f"{what} {field} does not generate a subgroup of S") from None
 
-    T = inside_s("'E' 'over'", spec["E"]["over"])
+    t = inside_s("'E' 'over'", spec["E"]["over"])
     E_act = generated_subgroup(G, _perms(spec["E"]["acting"], G))
-    E = fu.fusion_of_group(G, T, acting=E_act.elements, p=p, cap=cap)
+    E = fu.fusion_of_group(G, S, acting=E_act.elements, p=p, cap=cap, t=t)
 
     dd = spec["D"]
     if dd["kind"] == "inner":
-        D = fu.close(inside_s("'D' 'over'", dd["over"]), p, [], cap)
+        D = fu.close(S, p, [], cap, t=inside_s("'D' 'over'", dd["over"]))
     else:
-        D = fu.normalizer_system(F, T)
+        D = fu.normalizer_system(F, t)
 
     L = ctx.L
     N_ids = resolve_ids(L, named_subgroup(d, G, spec["N"]))
@@ -283,13 +283,13 @@ def product_setup(d: dict, name: str,
     if osp["over"] == "sylow" and osp["acting"] == "all":
         oracle = F
     else:
-        o_over = S if osp["over"] == "sylow" else generated_subgroup(
-            G, _perms(osp["over"], G))
+        o_t = None if osp["over"] == "sylow" else inside_s(
+            "'oracle' 'over'", osp["over"])
         o_act = G.elements if osp["acting"] == "all" else generated_subgroup(
             G, _perms(osp["acting"], G)).elements
-        oracle = fu.fusion_of_group(G, o_over, acting=o_act, p=p, cap=cap)
+        oracle = fu.fusion_of_group(G, S, acting=o_act, p=p, cap=cap, t=o_t)
 
-    return {"G": G, "S": S, "F": F, "E": E, "T": T, "D": D, "L": L,
+    return {"G": G, "S": S, "F": F, "E": E, "T": E.S, "D": D, "L": L,
             "N_ids": N_ids, "K_ids": K_ids, "oracle": oracle,
             "enumerate_minimality": spec.get("enumerate_minimality", False),
             "name": f"{d['name']}:{name}"}

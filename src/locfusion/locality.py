@@ -69,8 +69,8 @@ from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .fusion import (DEFAULT_MORPHISM_CAP, centric_radicals,
                      fully_normalized_conjugate, fusion_of_locality,
-                     is_saturated)
-from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
+                     is_saturated, subgroup_lattice)
+from .permgroup import (FiniteGroup, SIndex, Subgroup,
                         bit_positions, cayley_group, domain_mask, getter,
                         image_mask, inverse, is_p_group,
                         _p_part)
@@ -384,7 +384,7 @@ class Locality:
 # -- construction of group-realized localities -------------------------------
 
 def delta_min_order(G: FiniteGroup, S: Subgroup, min_order: int) -> list[Subgroup]:
-    return [P for P in all_subgroups(G, within=S) if P.order >= min_order]
+    return [P for P in subgroup_lattice(S) if P.order >= min_order]
 
 
 def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
@@ -994,7 +994,7 @@ def is_linking_locality(L: Locality) -> tuple[bool, dict]:
 
     ok_cr = True
     for P in centric_radicals(F):
-        if F.index.mask(P.eset) not in L.delta:
+        if F.mask_of(P) not in L.delta:
             ok_cr = False
             report["witness"] = f"centric radical of order {P.order} not in delta"
             break
@@ -1004,10 +1004,9 @@ def is_linking_locality(L: Locality) -> tuple[bool, dict]:
     # (first object, object tested) per class of delta
     tests = [(d, d) for d in L.delta.difference(idx.lattice())]
     for cls in F.classes():
-        objects = [m for m in map(idx.mask, (Q.eset for Q in cls))
-                   if m in L.delta]
+        objects = [m for m in cls if m in L.delta]
         if objects:
-            full = idx.mask(fully_normalized_conjugate(F, cls[0]).eset)
+            full = fully_normalized_conjugate(F, cls[0])
             tests.append((objects[0], full if full in L.delta
                           else objects[0]))
     ok_loc = True

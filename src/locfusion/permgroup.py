@@ -107,18 +107,6 @@ def is_bijection(a: Iterable[int], degree: int) -> bool:
     return len(a) == degree and sorted(a) == list(range(degree))
 
 
-def from_cycles(degree: int, *cycles: tuple[int, ...]) -> Perm:
-    """Build a permutation from disjoint cycles in 1-indexed points."""
-    images = list(range(degree))
-    for cyc in cycles:
-        for i, pt in enumerate(cyc):
-            images[pt - 1] = cyc[(i + 1) % len(cyc)] - 1
-    p = tuple(images)
-    if not is_bijection(p, degree):
-        raise GroupError(f"cycles {cycles!r} are not disjoint on 1..{degree}")
-    return p
-
-
 def perm_order(a: Perm) -> int:
     """The lcm of the cycle lengths of a."""
     order, seen = 1, [False] * len(a)
@@ -303,24 +291,27 @@ class SIndex:
     position 0 is the identity (the least permutation).  Columns of the
     Cayley table, the conjugation action of S on itself, the lattice
     masks, the joins, N_S(P) and Aut_S(P) by classes of inducing
-    elements are filled on first use, as are ``subgroups``
-    (``fusion.subgroup_lattice``), ``inner_maps`` (``fusion.inner_maps``)
-    and ``embeddings`` (``fusion.embedding``).  The lattice, and so the
-    joins, exist only when S is a p-group; the rest holds for any S.
-    Obtain the index of a subgroup through ``FiniteGroup.sindex``, which
-    keeps it on the group.
+    elements are filled on first use, as are the ``subgroups`` of S with
+    their ``masks`` and the subgroup ``by_mask`` of each
+    (``fusion.subgroup_lattice``), and the ``inner_maps`` of each
+    subgroup (``fusion.inner_maps``).  The lattice, and so the joins,
+    exist only when S is a p-group; the rest holds for any S.  Obtain the
+    index of a subgroup through ``FiniteGroup.sindex``, which keeps it on
+    the group.
     """
 
-    __slots__ = ("elements", "pos", "subgroups", "inner_maps", "embeddings",
-                 "_cols", "_inner", "_lattice", "_joins", "_ups",
-                 "_normalizers", "_aut_s")
+    __slots__ = ("S", "elements", "pos", "subgroups", "masks", "by_mask",
+                 "inner_maps", "_cols", "_inner", "_lattice", "_joins",
+                 "_ups", "_normalizers", "_aut_s")
 
     def __init__(self, S: Subgroup):
+        self.S = S
         self.elements = S.elements
         self.pos = {x: i for i, x in enumerate(S.elements)}
         self.subgroups: Optional[list[Subgroup]] = None
-        self.inner_maps: Optional[frozenset] = None
-        self.embeddings: dict[frozenset, tuple] = {}
+        self.masks: dict[frozenset, int] = {}
+        self.by_mask: dict[int, Subgroup] = {}
+        self.inner_maps: dict[int, frozenset] = {}
         self._cols: dict[int, tuple[int, ...]] = {}
         self._inner: Optional[list[tuple[int, ...]]] = None
         self._lattice: Optional[list[int]] = None

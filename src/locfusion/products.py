@@ -18,11 +18,11 @@ from .fusion import (FusionSystem, Morphism, aut_group, close,
                      inner_maps, is_centric, is_normal_subsystem,
                      is_subcentric, is_subnormal_subsystem, is_subsystem,
                      maps_inside, normalizer_system, restriction,
-                     subgroup_lattice, trivial_modulo)
+                     trivial_modulo)
 from .locality import Locality, is_linking_locality
 from .partial_subgroups import (check_theorem2_hypotheses, is_partial_subgroup,
                                 set_product)
-from .permgroup import SizeCapExceeded, Subgroup, compose, perm_order
+from .permgroup import SizeCapExceeded, perm_order
 from .report import PreconditionError, Report
 
 # the most closed subsystems enumerated over one subgroup of S
@@ -33,34 +33,37 @@ class NormalityRequired(PreconditionError):
     """The generation formula only covers D normal in the normalizer system."""
 
 
-def a_fe(F: FusionSystem, E: FusionSystem, P: Subgroup) -> set[Morphism]:
-    """Generators of A(P): the automorphisms of P of p'-order that
-    centralize P modulo P∩T and restrict into E on P∩T, with their
-    orders read off the permutation group Aut_F(P) (``aut_group``).
-    The closure of the product generates the rest of A(P)."""
-    pt = F.subgroup(P.eset & E.S.eset)
-    in_e = E.maps_over(F.S)
-    _, to_perm = aut_group(F, P)
-    return {restriction(F, phi, P) for phi, x in to_perm.items()
-            if perm_order(x) % F.p and trivial_modulo(F, phi, P, pt)
-            and restriction(F, phi, pt) in in_e}
+def a_fe(F: FusionSystem, E: FusionSystem, m: int) -> set[Morphism]:
+    """Generators of A(P), for the subgroup P with mask m: the
+    automorphisms of P of p'-order that centralize P modulo P∩T and
+    restrict into E on P∩T, with their orders read off the permutation
+    group Aut_F(P) (``aut_group``).  The closure of the product generates
+    the rest of A(P)."""
+    pt = m & E.t  # P∩T
+    _, to_perm = aut_group(F, m)
+    return {restriction(phi, m) for phi, x in to_perm.items()
+            if perm_order(x) % F.p and trivial_modulo(F, phi, m, pt)
+            and restriction(phi, pt) in E.maps}
 
 
-def _tr_subgroup(F: FusionSystem, T: frozenset, R: frozenset) -> Subgroup:
-    prod = frozenset(compose(t, r) for t in T for r in R)
-    if frozenset(compose(r, t) for t in T for r in R) != prod:
+def _tr_subgroup(F: FusionSystem, t: int, r: int) -> int:
+    """The mask of TR, for the subgroups T and R of S with masks t and r:
+    their join (``SIndex.join``), which is TR exactly when
+    |<T, R>| |T∩R| = |T| |R|."""
+    tr = F.index.join(t, r)
+    if tr.bit_count() * (t & r).bit_count() != t.bit_count() * r.bit_count():
         raise PreconditionError("TR is not a subgroup (T not normalized by R)")
-    return F.subgroup(prod)
+    return tr
 
 
 def _er_generators(F: FusionSystem, E: FusionSystem,
-                   TR: Subgroup) -> set[Morphism]:
-    """The A(P) families of E inside F, on the positions of TR."""
+                   tr: int) -> set[Morphism]:
+    """The A(P) families of E inside F over the P <= TR (mask tr)."""
     gens: set[Morphism] = set()
-    for P in subgroup_lattice(F.S):
-        if P.eset <= TR.eset and is_centric(E, E.subgroup(P.eset & E.S.eset)):
-            gens |= a_fe(F, E, P)
-    return maps_inside(F, TR, gens)
+    for m in F.lattice:
+        if m & tr == m and is_centric(E, m & E.t):
+            gens |= a_fe(F, E, m)
+    return maps_inside(gens, tr)
 
 
 def _status(N: FusionSystem, D: FusionSystem) -> str:
@@ -77,17 +80,16 @@ def product_ED(F: FusionSystem, E: FusionSystem,
     normalizer system of T, over R), generated over TR."""
     if not is_normal_subsystem(F, E):
         raise PreconditionError("E is not normal in F")
-    T = F.subgroup(E.S.eset)
-    NFT = normalizer_system(F, T)
+    NFT = normalizer_system(F, E.t)
     status = _status(NFT, D)
     if status == "fail":
         raise PreconditionError("D is not subnormal in the normalizer system")
     if status != "normal":
         raise NormalityRequired(
             "D is subnormal but not normal; use the locality route")
-    TR = _tr_subgroup(F, T.eset, D.S.eset)
-    gens = _er_generators(F, E, TR) | _er_generators(NFT, D, TR)
-    return close(TR, F.p, gens, F.morphism_cap)
+    tr = _tr_subgroup(F, E.t, D.t)
+    gens = _er_generators(F, E, tr) | _er_generators(NFT, D, tr)
+    return close(F.index.S, F.p, gens, F.morphism_cap, t=tr)
 
 
 def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int]
@@ -141,7 +143,7 @@ def _locality_route_fault(L: Locality) -> Optional[str]:
             fault = "locality is not a linking locality"
         else:
             F = fusion_of_locality(L)
-            outside = ([P for P in cls if F.index.mask(P.eset) not in L.delta]
+            outside = ([m for m in cls if m not in L.delta]
                        for cls in F.classes())
             if any(is_subcentric(F, out[0]) for out in outside if out):
                 fault = ("object set does not contain every subcentric "
@@ -156,10 +158,11 @@ def enumerate_subnormal_subsystems(F: FusionSystem) -> list[FusionSystem]:
     one) and filtering with the chain search.  Each candidate is closed
     incrementally from the closed system it extends by one map."""
     out = []
-    for T in subgroup_lattice(F.S):
-        inside = frozenset(maps_inside(F, T, F.maps))
-        extra = sorted(inside - inner_maps(T))
-        systems = [close(T, F.p, [], F.morphism_cap)]
+    S = F.index.S
+    for t in F.lattice:
+        inside = frozenset(maps_inside(F.maps, t))
+        extra = sorted(inside - inner_maps(S, t))
+        systems = [close(S, F.p, [], F.morphism_cap, t=t)]
         seen = {systems[0].maps}
         frontier = list(systems)
         while frontier:
@@ -167,7 +170,7 @@ def enumerate_subnormal_subsystems(F: FusionSystem) -> list[FusionSystem]:
             for m in extra:
                 if m in cur.maps:
                     continue
-                nxt = close(T, F.p, [m], F.morphism_cap, base=cur)
+                nxt = close(S, F.p, [m], F.morphism_cap, base=cur, t=t)
                 if nxt.maps <= inside and nxt.maps not in seen:
                     seen.add(nxt.maps)
                     systems.append(nxt)
@@ -199,15 +202,14 @@ def verify_ed(F: FusionSystem, E: FusionSystem, D: FusionSystem,
     "unknown"."""
     rep = Report(suite="ed", instance=instance)
     rep.extra["route"] = route
-    T = F.subgroup(E.S.eset)
-    tr = _tr_subgroup(F, T.eset, D.S.eset).eset
-    rep.set("over_TR", ED.S.eset == tr)
+    t = E.t
+    rep.set("over_TR", ED.t == _tr_subgroup(F, t, D.t))
     rep.set("E_normal_in_ED", is_normal_subsystem(ED, E))
 
     # D keeps its status in N_ED(T) when it is at least as close to
     # normal there: a D subnormal in N_F(T) may be normal in N_ED(T)
-    NFT = normalizer_system(F, T)
-    NEDT = normalizer_system(ED, ED.subgroup(T.eset))
+    NFT = normalizer_system(F, t)
+    NEDT = normalizer_system(ED, t)
     status = _status(NFT, D)
     kept = status != "fail" and _status(NEDT, D) in (status, "normal")
     rep.set("D_status", status if kept else "fail")
@@ -215,7 +217,7 @@ def verify_ed(F: FusionSystem, E: FusionSystem, D: FusionSystem,
     rep.set("ED_normal_in_F",
             is_normal_subsystem(F, ED) if status == "normal" else None)
 
-    rep.set("N_ED_T_identity", _normalizer_identity(NFT, NEDT, E, D, T))
+    rep.set("N_ED_T_identity", _normalizer_identity(NFT, NEDT, E, D))
 
     if comparisons is None:
         rep.set("minimality", "not_enumerable")
@@ -226,14 +228,14 @@ def verify_ed(F: FusionSystem, E: FusionSystem, D: FusionSystem,
         rep.set("minimality", all(
             is_subsystem(other, ED) for other in comparisons
             if is_subnormal_subsystem(other, E)[0] is True
-            and is_subnormal_subsystem(normalizer_system(
-                other, other.subgroup(T.eset)), D)[0] is True))
+            and is_subnormal_subsystem(
+                normalizer_system(other, t), D)[0] is True))
     return rep
 
 
-def _normalizer_identity(NFT, NEDT, E, D, T):
+def _normalizer_identity(NFT, NEDT, E, D):
     """N_ED(T) against the product of N_E(T) and D inside N_F(T)."""
-    NET = normalizer_system(E, E.subgroup(T.eset))
+    NET = normalizer_system(E, E.t)
     try:
         rhs = product_ED(NFT, NET, D)
     except NormalityRequired:

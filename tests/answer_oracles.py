@@ -47,12 +47,11 @@ condition per clause, as ``products.ed_verdict`` had it; the library
 folds the clauses with ``report.fold``.
 """
 
-from locfusion.fusion import (FusionSystem, _NONE, _carry, _conjugate_map,
-                              _keep, _target, centric_radicals, close,
-                              embedding, fusion_of_locality,
-                              is_fully_automized, is_receptive, is_saturated,
-                              maps_inside, strong_closure,
-                              subcentric_subgroups)
+from locfusion.fusion import (FusionSystem, _NONE, _conjugate_map, _keep,
+                              _target, centric_radicals, close,
+                              fusion_of_locality, is_fully_automized,
+                              is_receptive, is_saturated, maps_inside,
+                              strong_closure, subcentric_subgroups)
 from locfusion.locality import _preimage_under, normalizer_carrier
 from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _p_part,
                                  bit_positions, compose, conjugate,
@@ -61,14 +60,14 @@ from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _p_part,
 
 
 def normalizer_by_sources(F, Q):
-    """N_F(Q) over N_S(Q): each map psi of F with Q <= src(psi) and
-    psi(Q) = Q, restricted to every subgroup of N_S(Q) in its source and
-    carried onto the positions of N_S(Q).  Always a new system."""
+    """N_F(Q) over N_T(Q), for T the Sylow subgroup of F: each map psi of
+    F with Q <= src(psi) and psi(Q) = Q, restricted to every subgroup of
+    N_T(Q) in its source.  Always a new system."""
     idx = F.index
     n = len(idx.elements)
     q = idx.mask(Q.eset)
     qs = bit_positions(q)
-    ns = idx.normalizer(q)
+    ns = idx.normalizer(q) & F.t
     subs = [(m, _keep(m, n)) for m in idx.lattice() if m & ns == m]
     restricted = set()
     for src, imgs in F.maps_by_mask().items():
@@ -79,9 +78,7 @@ def normalizer_by_sources(F, Q):
             if image_mask(img, qs) == q:
                 ext = img + _NONE
                 restricted.update((m, keep(ext)) for m, keep in inside)
-    N = F.subgroup(idx.members(ns))
-    up, down = embedding(F.S, N)
-    return FusionSystem(N, F.p, _carry(restricted, down, up), F.morphism_cap)
+    return FusionSystem(idx, ns, F.p, restricted, F.morphism_cap)
 
 
 def normal_closure_by_all_maps(F, E):
@@ -89,23 +86,23 @@ def normal_closure_by_all_maps(F, E):
     over the strong closure of E's Sylow: each map of E conjugated by
     every map of F whose source contains its source and image, closed
     from the inner maps."""
-    That = strong_closure(F, F.subgroup(E.S.eset))
-    in_e = E.maps_over(F.S)
-    gens = set(in_e)
-    spans = [(m[0] | _target(m), m) for m in in_e]
+    that = strong_closure(F, E.t)
+    gens = set(E.maps)
+    spans = [(m[0] | _target(m), m) for m in E.maps]
     for src, imgs in F.maps_by_mask().items():
         for span, phi in spans:
             if span & src == span:
                 gens.update(_conjugate_map(psi, phi) for psi in imgs)
-    return close(That, F.p, maps_inside(F, That, gens), F.morphism_cap)
+    return close(F.index.S, F.p, maps_inside(gens, that), F.morphism_cap,
+                 t=that)
 
 
 def strongly_invariant_by_all_maps(F, E):
     """Every F-conjugate of a map of E lies in E: each map of E
     conjugated by every map of F on a subgroup of E's Sylow T whose
     source contains its source and image."""
-    t = F.index.mask(E.S.eset)
-    in_e = E.maps_over(F.S)
+    t = E.t
+    in_e = E.maps
     spans = [(m[0] | _target(m), m) for m in in_e]
     for src, imgs in F.maps_by_mask().items():
         if src & t == src:
@@ -120,12 +117,12 @@ def saturated_by_any_member(F):
     """Every F-conjugacy class has a fully automized receptive member,
     each class walked from its first subgroup in lattice order."""
     seen = set()
-    for P in F.subgroups:
-        if P.eset not in seen:
-            cls = F.conjugates(P)
-            seen |= {Q.eset for Q in cls}
-            if not any(is_fully_automized(F, Q) and is_receptive(F, Q)
-                       for Q in cls):
+    for m in F.lattice:
+        if m not in seen:
+            cls = F.conjugates(m)
+            seen.update(cls)
+            if not any(is_fully_automized(F, q) and is_receptive(F, q)
+                       for q in cls):
                 return False
     return True
 

@@ -1,7 +1,8 @@
 import pytest
 
-from locfusion.permgroup import (FiniteGroup, from_cycles, generated_subgroup,
-                                 sylow_subgroup)
+from locfusion.permgroup import FiniteGroup, generated_subgroup, sylow_subgroup
+
+from cycles import from_cycles
 
 
 @pytest.fixture(scope="session")

@@ -117,7 +117,8 @@ def from_graph(S, graph):
 
 
 def graphs(F):
-    return {graph_of(F.S, m) for m in F.maps}
+    """The graphs of F's maps, read on the positions of its run's S."""
+    return {graph_of(F.index.S, m) for m in F.maps}
 
 
 def ref_close(S, generators, base=None):

@@ -376,6 +376,24 @@ def test_product_over_outside_s_exits_2(field, tmp_path, capsys):
         "MorphismCapExceeded"
 
 
+@pytest.mark.parametrize("command", ["product-ed", "verify-ed"])
+@pytest.mark.parametrize("over", [[[1, 3, 2, 4]], [[2, 3, 1, 4]]],
+                         ids=["outside-s", "not-a-p-group"])
+def test_oracle_over_outside_s_exits_2(over, command, tmp_path, capsys):
+    """The oracle's ``over`` is checked as E's and D's are: a transposition
+    outside S, and a 3-cycle, which generates no p-group, are input
+    errors."""
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("product-24")
+    d["fusion_products"]["i"]["oracle"]["over"] = over
+    assert run([command, _write(tmp_path, d), "--product", "i"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "error": "product 'i' 'oracle' 'over' does not generate a subgroup "
+                 "of S", "kind": "DescriptorError"}
+    assert "Traceback" not in err
+
+
 def test_other_fusion_error_exits_2(monkeypatch, capsys):
     from locfusion import cli
     from locfusion.fusion import FusionError

@@ -14,10 +14,10 @@ from locfusion.fusion import (FusionError, MorphismCapExceeded, close,
                               subcentric_subgroups, subgroup_lattice)
 from locfusion.instances import (build_locality, load_descriptor,
                                  resolve_ids, named_subgroup)
-from locfusion.permgroup import (conjugate, from_cycles, generated_subgroup,
-                                 sylow_subgroup)
+from locfusion.permgroup import conjugate, generated_subgroup, sylow_subgroup
 
 from bundled import bundled_groups, net_triples
+from cycles import from_cycles
 from graph_oracle import from_graph, graphs
 
 
@@ -27,8 +27,10 @@ def F(s4, s4_sylow):
 
 
 @pytest.fixture(scope="module")
-def E(s4, klein, a4_elements):
-    return fusion_of_group(s4, klein, acting=a4_elements, p=2)
+def E(s4, s4_sylow, klein, a4_elements):
+    """F_V(A4) for V the Klein four-group, on the positions of S."""
+    return fusion_of_group(s4, s4_sylow, acting=a4_elements, p=2,
+                           t=s4.sindex(s4_sylow).mask(klein.eset))
 
 
 def _oracle_homs(G, S, P):
@@ -78,7 +80,7 @@ def test_fusion_of_partial_subgroup_alternating(loc_b):
     N = resolve_ids(loc_b, named_subgroup(d, loc_b.realization, "alt"))
     EN = fusion_of_partial_subgroup(loc_b, N)
     assert EN.S.order == 4
-    assert len(EN.aut(EN.S)) == 3  # inner trivial, order-3 adjoined
+    assert len(EN.aut(EN.t)) == 3  # inner trivial, order-3 adjoined
 
 
 def test_saturated_on_bundled_groups():
@@ -96,12 +98,12 @@ def test_classes_partition_the_subgroups():
         classes = F.classes()
         assert classes is F.classes()
         assert all(cls == F.conjugates(cls[0]) for cls in classes), name
-        firsts = [F.subgroups.index(cls[0]) for cls in classes]
+        firsts = [F.lattice.index(cls[0]) for cls in classes]
         assert firsts == sorted(firsts), name
-        members = [P.eset for cls in classes for P in cls]
-        assert len(members) == len(set(members)) == len(F.subgroups)
-        assert set(members) == {P.eset for P in F.subgroups}, name
-        assert len(classes) < len(F.subgroups), name
+        members = [m for cls in classes for m in cls]
+        assert len(members) == len(set(members)) == len(F.lattice)
+        assert set(members) == set(F.lattice), name
+        assert len(classes) < len(F.lattice), name
 
 
 def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
@@ -126,7 +128,7 @@ def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
     with pytest.raises(FusionError, match="not a homomorphism"):
         from_graph(s4_sylow, [(e, a), (a, e), (b, b), (c, c)])
     with pytest.raises(FusionError, match="another subgroup"):
-        close(s4_sylow, 2, [], base=close(klein, 2, []))
+        close(s4_sylow, 2, [], base=close(s4_sylow, 2, [], t=F.mask_of(klein)))
 
 
 def test_not_saturated_handmade(s4, klein):
@@ -147,18 +149,18 @@ def test_inner_fusion_saturated(s4_sylow):
 
 
 def test_strongly_closed(F, s4, klein):
-    assert is_strongly_closed(F, F.subgroup(klein.eset))
+    assert is_strongly_closed(F, F.mask_of(klein))
     u = generated_subgroup(s4, [from_cycles(4, (1, 2))])
-    assert not is_strongly_closed(F, F.subgroup(u.eset))
+    assert not is_strongly_closed(F, F.mask_of(u))
 
 
 def test_strong_closure_of_one_involution(F, s4, klein):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
-    assert strong_closure(F, F.subgroup(u.eset)).eset == klein.eset
+    assert strong_closure(F, F.mask_of(u)) == F.mask_of(klein)
 
 
 def test_normalizer_system_of_normal_subgroup_is_whole(F, klein):
-    assert normalizer_system(F, F.subgroup(klein.eset)) == F
+    assert normalizer_system(F, F.mask_of(klein)) == F
 
 
 def test_normalizer_system_of_sylow(s4, s4_sylow, F):
@@ -167,11 +169,11 @@ def test_normalizer_system_of_sylow(s4, s4_sylow, F):
     NS = tuple(g for g in s4
                if all(conjugate(x, g) in s4_sylow.eset for x in s4_sylow))
     oracle = fusion_of_group(s4, s4_sylow, acting=NS, p=2)
-    assert normalizer_system(F, F.subgroup(s4_sylow.eset)) == oracle
+    assert normalizer_system(F, F.t) == oracle
 
 
 def test_centric_and_radical(F, s4_sylow, klein):
-    assert is_centric(F, F.subgroup(klein.eset))
+    assert is_centric(F, F.mask_of(klein))
     crs = {P.eset for P in fu.centric_radicals(F)}
     assert crs == {klein.eset, s4_sylow.eset}
 
@@ -184,23 +186,23 @@ def test_op_core(F, klein):
     assert op_core(F).eset == klein.eset
 
 
-def test_normal_subsystem_true_cases(F, E, klein):
+def test_normal_subsystem_true_cases(F, E, s4_sylow, klein):
     assert is_normal_subsystem(F, E)
-    assert is_normal_subsystem(F, close(F.subgroup(klein.eset), 2, []))
+    assert is_normal_subsystem(F, close(s4_sylow, 2, [], t=F.mask_of(klein)))
 
 
-def test_normal_subsystem_false_case(F, s4):
+def test_normal_subsystem_false_case(F, s4, s4_sylow):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
-    assert not is_normal_subsystem(F, close(F.subgroup(u.eset), 2, []))
+    assert not is_normal_subsystem(F, close(s4_sylow, 2, [], t=F.mask_of(u)))
 
 
 def test_normal_implies_strongly_closed(F, E):
-    assert is_strongly_closed(F, F.subgroup(E.S.eset))
+    assert is_strongly_closed(F, E.t)
 
 
-def test_subnormal_chain_depth_two(F, s4):
+def test_subnormal_chain_depth_two(F, s4, s4_sylow):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
-    Eu = close(F.subgroup(u.eset), 2, [])
+    Eu = close(s4_sylow, 2, [], t=F.mask_of(u))
     verdict, chain = is_subnormal_subsystem(F, Eu)
     assert verdict is True
     assert [c.S.order for c in chain] == [2, 4, 8]
@@ -229,8 +231,8 @@ def test_net_identity_on_bundled_triples():
     for name, L, H, T_labels in net_triples():
         EH = fusion_of_partial_subgroup(L, H)
         T = EH.subgroup(frozenset(T_labels))
-        assert is_strongly_closed(EH, T), name
-        lhs = normalizer_system(EH, T)
+        assert is_strongly_closed(EH, EH.mask_of(T)), name
+        lhs = normalizer_system(EH, EH.mask_of(T))
         t_ids = frozenset(L.ids_of_labels(T_labels))
         NH = frozenset(normalizer_carrier(L, t_ids)) & H
         rhs = fusion_of_partial_subgroup(L, NH)

@@ -8,6 +8,8 @@ Every function below is wrapped under each name that binds it in a
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 import locfusion
 from locfusion import fusion, instances, locality, permgroup, products
 from locfusion.cli import main
+from locfusion.permgroup import compose, conjugate, generated_subgroup
 
 
 def _record_calls(monkeypatch, module, name):
@@ -74,7 +77,7 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
 
     def over_sylow(args, kwargs):
         acting = kwargs.get("acting", args[2] if len(args) > 2 else None)
-        return args[1].eset == S.eset and (
+        return args[1].eset == S.eset and kwargs.get("t") is None and (
             acting is None or set(acting) == set(G.elements))
 
     assert len(builds) == 1
@@ -83,10 +86,62 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     assert linking and _most_per_object(linking) == 1
     assert 1 <= len(via_loc) <= n_products
     assert _most_per_object(enums) <= 1
-    assert normalizers and _each_once(normalizers, lambda Q: Q.eset)
+    assert normalizers and _each_once(normalizers, lambda q: q)
     assert normals and _each_once(normals, lambda E: E)
     assert _each_once(subnormals, lambda E: E)
     assert saturations and _each_once(saturations, lambda: None)
+
+
+@pytest.mark.parametrize("name", ["product-24", "product-48"])
+def test_one_run_shares_one_index(name):
+    """Every system the product path builds lives on the positions of the
+    run's S: it holds F's index itself, and its mask t is its Sylow
+    subgroup, the union of the sources of its maps, which is the
+    subgroup the descriptor names for it, worked out element by element.
+    The systems: F, F_S(L), and per product E, D, N_F(T), N_ED(T), ED by
+    both routes, the oracle, and each link of the subnormal chains of E
+    in F, of D in N_F(T) and of ED in F."""
+    d = instances.load_descriptor(name)
+    ctx = instances.Instance(d)
+    F, G, S = ctx.F, ctx.G, ctx.S
+    idx = F.index
+
+    def over(rows):
+        return generated_subgroup(G, instances._perms(rows, G)).eset
+
+    systems = [("F", F, S.eset),
+               ("F_S(L)", fusion.fusion_of_locality(ctx.L), S.eset)]
+    for pname, spec in sorted(d["fusion_products"].items()):
+        st = ctx.product(pname)
+        E, D = st["E"], st["D"]
+        T = over(spec["E"]["over"])
+        NST = frozenset(s for s in S if all(conjugate(x, s) in T for x in T))
+        R = NST if spec["D"]["kind"] == "normalizer" else \
+            over(spec["D"]["over"])
+        TR = frozenset(compose(a, b) for a in T for b in R)
+        o = spec["oracle"]["over"]
+        ed = ctx.ed(pname)[0]
+        NFT = fusion.normalizer_system(F, idx.mask(T))
+        systems += [
+            ("E", E, T), ("D", D, R), ("N_F(T)", NFT, NST),
+            ("N_ED(T)", fusion.normalizer_system(ed, idx.mask(T)), NST & TR),
+            ("ED", ed, TR),
+            ("ED by L", products.product_ed_via_locality(
+                st["L"], st["N_ids"], st["K_ids"]), TR),
+            ("oracle", st["oracle"], S.eset if o == "sylow" else over(o))]
+        try:
+            systems.append(("ED by formula", products.product_ED(F, E, D), TR))
+        except products.NormalityRequired:
+            assert pname == "subn"
+        for ambient, X in ((F, E), (NFT, D), (F, ed)):
+            chain = fusion.is_subnormal_subsystem(ambient, X)[1]
+            assert chain
+            systems += [("chain link", link, None) for link in chain]
+    for label, X, sylow in systems:
+        assert X.index is idx, label
+        assert X.t == reduce(or_, (src for src, _ in X.maps)), label
+        if sylow is not None:
+            assert X.t == idx.mask(sylow), label
 
 
 def test_suite_indexes_each_subgroup_once(monkeypatch, tmp_path):

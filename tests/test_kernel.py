@@ -35,15 +35,15 @@ from locfusion.fusion import (FusionSystem, _normality_fault, _op_core_over,
                               strong_closure, subcentric_subgroups,
                               subgroup_lattice)
 from locfusion.locality import LocalityError, _check_delta_closures
-from locfusion.permgroup import (FiniteGroup, GroupError, SIndex, Subgroup,
-                                 _closure, all_subgroups, bit_positions,
-                                 cayley_group, center, compose, from_cycles,
-                                 generated_subgroup, inverse, p_core,
-                                 sylow_subgroup)
+from locfusion.permgroup import (FiniteGroup, GroupError, SIndex, _closure,
+                                 all_subgroups, bit_positions, cayley_group,
+                                 center, compose, generated_subgroup, inverse,
+                                 p_core, sylow_subgroup)
 from locfusion.products import _tr_subgroup, a_fe
 
 from answer_oracles import (coset_span, join_closure_lattice,
                             normalizer_by_sources)
+from cycles import from_cycles
 from graph_oracle import (conj_graph, from_graph, graph_of, graphs,
                           ref_all_subgroups, ref_close, ref_conjugate,
                           ref_fusion_maps)
@@ -73,7 +73,8 @@ def ref_aut_s(S, P):
 def ref_is_receptive(F, P):
     aut_s_p = ref_aut_s(F.S, P)
     by_src = _graphs_by_src(F)
-    for Q in F.conjugates(P):
+    for q in F.conjugates(F.mask_of(P)):
+        Q = F.index.by_mask[q]
         for phi in by_src[Q.eset]:
             if phi.img != P.eset:
                 continue
@@ -122,8 +123,8 @@ def ref_normalizer_system(F, Q):
             continue
         M = frozenset(x for x in psi.src & NS if psi.d[x] in NS)
         out |= {psi.restrict(P.eset) for P in lattice if P.eset <= M}
-    N = Subgroup(F.S.parent, NS, check=False)
-    return FusionSystem(N, F.p, {from_graph(N, m.pairs) for m in out},
+    return FusionSystem(F.index, F.index.mask(NS), F.p,
+                        {from_graph(F.index.S, m.pairs) for m in out},
                         F.morphism_cap)
 
 
@@ -176,15 +177,15 @@ def ref_op_core(F):
 def ref_is_subcentric(F, P):
     """O_p(N_F(Q)) centric for a fully normalized conjugate Q of P, with
     N_F(Q) and its O_p built for every P, centric or not."""
-    Q = fully_normalized_conjugate(F, P)
+    Q = F.index.by_mask[fully_normalized_conjugate(F, F.mask_of(P))]
     R = ref_op_core(ref_normalizer_system(F, Q))
-    return is_centric(F, F.subgroup(R.eset))
+    return is_centric(F, F.mask_of(R))
 
 
 def ref_is_centric_radical(F, P):
     """Centric, and O_p of Aut_F(P)/Inn(P) trivial, with both groups
     realized by their regular actions."""
-    if not is_centric(F, P):
+    if not is_centric(F, F.mask_of(P)):
         return False
     auts = [m for m in _graphs_by_src(F)[P.eset] if m.img == P.eset]
     GA, to_perm = cayley_group(sorted(auts), lambda a, b: a.then(b))
@@ -307,25 +308,25 @@ IDS = [c[0] for c in CASES]
 
 
 def _bundled_fusion_constructions():
-    """(label, G, over, acting) for every fusion_of_group call that
+    """(label, G, S, over, acting) for every fusion_of_group call that
     ``product_setup`` makes on the bundled descriptors, plus F_S(G)."""
     out = []
     for name in inst.BUNDLED:
         d = inst.load_descriptor(name)
         G = inst.group_of(d)
         S = inst.sylow_of(d, G)
-        out.append((f"{name}:F", G, S, G.elements))
+        out.append((f"{name}:F", G, S, S, G.elements))
 
         def gen(rows):
             return generated_subgroup(G, inst._perms(rows, G))
         for pname, spec in sorted(d.get("fusion_products", {}).items()):
-            out.append((f"{name}:{pname}:E", G, gen(spec["E"]["over"]),
+            out.append((f"{name}:{pname}:E", G, S, gen(spec["E"]["over"]),
                         gen(spec["E"]["acting"]).elements))
             o = spec["oracle"]
             over = S if o["over"] == "sylow" else gen(o["over"])
             acting = (G.elements if o["acting"] == "all"
                       else gen(o["acting"]).elements)
-            out.append((f"{name}:{pname}:oracle", G, over, acting))
+            out.append((f"{name}:{pname}:oracle", G, S, over, acting))
     return out
 
 
@@ -485,7 +486,7 @@ def test_scans_inside_s_match_element_wise(label, G, S):
         assert idx.aut_s(m).keys() == {
             tuple(idx.pos[a.d[x]] for x in P.elements)
             for a in ref_aut_s(S, P)}
-        assert is_receptive(F, P) == ref_is_receptive(F, P)
+        assert is_receptive(F, m) == ref_is_receptive(F, P)
 
 
 def test_bundled_fusion_constructions_cover_products():
@@ -493,10 +494,12 @@ def test_bundled_fusion_constructions_cover_products():
     assert len(labels) == 14 and len(set(labels)) == 14
 
 
-@pytest.mark.parametrize("label,G,over,acting", FUSION,
+@pytest.mark.parametrize("label,G,S,over,acting", FUSION,
                          ids=[f[0] for f in FUSION])
-def test_bundled_fusion_constructions_match(label, G, over, acting):
-    F = fusion_of_group(G, over, acting=acting)
+def test_bundled_fusion_constructions_match(label, G, S, over, acting):
+    """Each system on the positions of S, over the mask of ``over``."""
+    t = G.sindex(S).mask(over.eset)
+    F = fusion_of_group(G, S, acting=acting, t=t)
     assert graphs(F) == ref_fusion_maps(G, over, acting)
 
 
@@ -569,20 +572,24 @@ def test_subcentric_search_matches_full_scan(label):
     for P in F.subgroups:
         if P.eset in verdicts:
             continue
-        Q = fully_normalized_conjugate(F, P)
-        NQ = normalizer_system(F, Q)
+        q = fully_normalized_conjugate(F, F.mask_of(P))
+        Q = F.index.by_mask[q]
+        NQ = normalizer_system(F, q)
         assert NQ == ref_normalizer_system(F, Q)
         for R in NQ.subgroups:
-            assert is_strongly_closed(NQ, R) == ref_is_strongly_closed(NQ, R)
-            assert strong_closure(NQ, R).eset == ref_strong_closure(NQ, R)
-            assert is_normal_subgroup_in(NQ, R) == \
+            r = NQ.mask_of(R)
+            assert is_strongly_closed(NQ, r) == ref_is_strongly_closed(NQ, R)
+            assert frozenset(NQ.index.members(strong_closure(NQ, r))) == \
+                ref_strong_closure(NQ, R)
+            assert is_normal_subgroup_in(NQ, r) == \
                 ref_is_normal_subgroup_in(NQ, R)
         R = ref_op_core(NQ)
         assert op_core(NQ) == R
-        assert _op_core_over(NQ, NQ.subgroup(Q.eset)) == R
-        v = is_centric(F, F.subgroup(R.eset))
-        assert is_subcentric(F, P) == v == ref_is_subcentric(F, P)
-        verdicts.update((C.eset, v) for C in F.conjugates(P))
+        assert NQ.index.by_mask[_op_core_over(NQ, q)] == R
+        v = is_centric(F, F.mask_of(R))
+        assert is_subcentric(F, F.mask_of(P)) == v == ref_is_subcentric(F, P)
+        verdicts.update((F.index.by_mask[c].eset, v)
+                        for c in F.conjugates(F.mask_of(P)))
     assert subcentric_subgroups(F) == \
         [P for P in F.subgroups if verdicts[P.eset]]
 
@@ -609,12 +616,12 @@ def test_normalizer_system_matches_build_from_every_source(label):
         G = make()
         p = int(rest[2:])
         F = fusion_of_group(G, sylow_subgroup(G, p), p=p)
-    for Q in F.subgroups:
-        NQ = normalizer_system(F, Q)
+    for Q, q in zip(F.subgroups, F.lattice):
+        NQ = normalizer_system(F, q)
         assert NQ == normalizer_by_sources(F, Q), Q.order
         assert (NQ is F) == (NQ == F)
-        assert normalizer_system(F, Q) is NQ
-        assert normalizer_system(NQ, NQ.subgroup(Q.eset)) is NQ
+        assert normalizer_system(F, q) is NQ
+        assert normalizer_system(NQ, q) is NQ
 
 
 def test_each_normality_clause_fires(s4, s4_sylow, klein):
@@ -625,12 +632,12 @@ def test_each_normality_clause_fires(s4, s4_sylow, klein):
     F = fusion_of_group(s4, s4_sylow)
     Z = F.subgroup(center(s4_sylow).eset)
     S = F.subgroup(s4_sylow.eset)
-    assert _normality_fault(F, Z) == "strong_closure"
+    assert _normality_fault(F, F.mask_of(Z)) == "strong_closure"
     assert not ref_is_strongly_closed(F, Z)
     assert ref_is_strongly_closed(F, S)
-    assert _normality_fault(F, S) == "extension"
+    assert _normality_fault(F, F.mask_of(S)) == "extension"
     assert not ref_is_normal_subgroup_in(F, S)
-    assert _normality_fault(F, F.subgroup(klein.eset)) is None
+    assert _normality_fault(F, F.mask_of(klein)) is None
     assert op_core(F).eset == klein.eset
 
 
@@ -665,10 +672,10 @@ def test_aut_group_matches_cayley_route(label):
     F = _aut_system(label)
     verdicts = []
     for P in F.subgroups:
-        v = is_centric_radical(F, P)
+        v = is_centric_radical(F, F.mask_of(P))
         assert v == ref_is_centric_radical(F, P), P.elements
         verdicts.append(v)
-        assert span(graph_of(F.S, m) for m in a_fe(F, F, P)) == \
+        assert span(graph_of(F.S, m) for m in a_fe(F, F, F.mask_of(P))) == \
             ref_a_fe(F, F, P), P.elements
     assert centric_radicals(F) == \
         [P for P, v in zip(F.subgroups, verdicts) if v]
@@ -691,13 +698,13 @@ PRODUCT_SYSTEMS = list(_product_systems())
 def test_a_fe_matches_fmap_closure_over_tr(label, F, E, T, D):
     """A(P) for every P <= TR, of E inside F and of D inside N_F(T), as
     the group its generators span in the product formula."""
-    tr = _tr_subgroup(F, T.eset, D.S.eset).eset
-    NFT = normalizer_system(F, T)
+    tr = frozenset(F.index.members(_tr_subgroup(F, F.mask_of(T), D.t)))
+    NFT = normalizer_system(F, F.mask_of(T))
     for ambient, sub in ((F, E), (NFT, D)):
         for P in ambient.subgroups:
             if P.eset <= tr:
-                assert span(graph_of(ambient.S, m)
-                            for m in a_fe(ambient, sub, P)) == \
+                assert span(graph_of(F.S, m) for m in
+                            a_fe(ambient, sub, F.mask_of(P))) == \
                     ref_a_fe(ambient, sub, P)
 
 

@@ -18,12 +18,13 @@ from locfusion.locality import (Locality, LocalityError, _s_group_fault,
                                 normalizer_carrier, restriction,
                                 strongly_closed_in_carrier, validate_locality)
 from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
-                                 conjugate, domain_mask, from_cycles, inverse,
-                                 p_core, sylow_subgroup, _p_part)
+                                 conjugate, domain_mask, inverse, p_core,
+                                 sylow_subgroup, _p_part)
 
 from answer_oracles import (linking_per_object, local_group,
                             locality_tables, locality_tables_by_pairs)
 from bundled import relabelled_copy
+from cycles import from_cycles
 
 
 def s_of_word(L, w):
@@ -230,8 +231,8 @@ def _fully_normalized(F, d):
     F-class."""
     idx = F.index
     size = idx.normalizer(d).bit_count
-    return size() == max(idx.normalizer(idx.mask(Q.eset)).bit_count()
-                         for Q in F.conjugates(F.subgroup(idx.members(d))))
+    return size() == max(idx.normalizer(q).bit_count()
+                         for q in F.conjugates(d))
 
 
 def test_linking_certificate_tests_one_object_per_class(monkeypatch):
@@ -241,20 +242,17 @@ def test_linking_certificate_tests_one_object_per_class(monkeypatch):
     first objects."""
     L = _s6_locality(4)
     F = fusion_of_locality(L)
-    idx = F.index
-    classes = [cls for cls in F.classes()
-               if idx.mask(cls[0].eset) in L.delta]
+    classes = [cls for cls in F.classes() if cls[0] in L.delta]
     built = []
     monkeypatch.setattr(locality, "local_p_core",
                         lambda L, P: built.append(L.mask_of(P))
                         or local_p_core(L, P))
     assert is_linking_locality(L) == linking_per_object(L)
     assert len(classes) < len(L.delta)
-    assert built == [idx.mask(fully_normalized_conjugate(F, cls[0]).eset)
+    assert built == [fully_normalized_conjugate(F, cls[0])
                      for cls in classes]
     assert all(_fully_normalized(F, d) for d in built)
-    assert not all(_fully_normalized(F, idx.mask(cls[0].eset))
-                   for cls in classes)
+    assert not all(_fully_normalized(F, cls[0]) for cls in classes)
 
 
 def _locality(degree, gens, p, min_order):

@@ -14,11 +14,11 @@ three of their elements.
 import pytest
 
 from locfusion.permgroup import (FiniteGroup, SIndex, bit_positions,
-                                 from_cycles, generated_subgroup,
-                                 sylow_subgroup)
+                                 generated_subgroup, sylow_subgroup)
 
 from answer_oracles import (aut_s_by_elements, join_closure_lattice,
                             normalizer_by_elements)
+from cycles import from_cycles
 
 try:
     import hypothesis

@@ -23,8 +23,10 @@ from locfusion.partial_subgroups import (DecompositionNotFound, _conjugates,
                                          verify_restriction_product,
                                          verify_theorem_nk_normal,
                                          verify_theorem_nk_subnormal)
-from locfusion.permgroup import compose, conjugate, from_cycles, inverse
+from locfusion.permgroup import compose, conjugate, inverse
 from locfusion.report import PreconditionError
+
+from cycles import from_cycles
 
 S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
     "instances" / "s6.json"

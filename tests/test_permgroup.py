@@ -15,15 +15,15 @@ import pytest
 from locfusion import permgroup
 from locfusion.instances import Instance, load_descriptor
 from locfusion.permgroup import (FiniteGroup, GroupError, SizeCapExceeded,
-                                 Subgroup, all_subgroups, cayley_group,
-                                 center, centralizer, compose, conjugate,
-                                 from_cycles, generated_subgroup, identity_perm,
-                                 inverse, is_characteristic_p, is_p_group,
-                                 is_prime, p_core, perm_order,
-                                 sylow_subgroup)
+                                 Subgroup, all_subgroups, cayley_group, center,
+                                 centralizer, compose, conjugate,
+                                 generated_subgroup, identity_perm, inverse,
+                                 is_characteristic_p, is_p_group, is_prime,
+                                 p_core, perm_order, sylow_subgroup)
 
 from answer_oracles import (join_closure_lattice, local_group,
                             normal_subgroups, normalizer, ref_sylow_subgroup)
+from cycles import from_cycles
 
 
 def test_compose_and_inverse():

@@ -6,21 +6,21 @@ import pytest
 
 from locfusion import products as pr
 from locfusion.fusion import (close, fusion_of_group, fusion_of_locality,
-                              inner_maps, is_subcentric, maps_inside,
-                              subgroup_lattice)
+                              inner_maps, is_subcentric, maps_inside)
 from locfusion.instances import (build_locality, load_descriptor,
                                  named_subgroup, product_setup, resolve_ids)
 from locfusion.locality import (delta_min_order, is_linking_locality,
                                 locality_from_descriptor, locality_from_group,
                                 locality_to_descriptor, validate_locality)
 from locfusion.partial_subgroups import verify_theorem_nk_subnormal
-from locfusion.permgroup import (FiniteGroup, bit_positions, from_cycles,
+from locfusion.permgroup import (FiniteGroup, bit_positions,
                                  generated_subgroup, sylow_subgroup)
 from locfusion.report import PreconditionError, fold
 
 from answer_oracles import (ed_verdict_by_clause, linking_per_object,
                             locality_route_fault_by_lattice)
 from bundled import relabelled_copy
+from cycles import from_cycles
 from graph_oracle import graph_of
 
 
@@ -30,8 +30,10 @@ def F(s4, s4_sylow):
 
 
 @pytest.fixture(scope="module")
-def E(s4, klein, a4_elements):
-    return fusion_of_group(s4, klein, acting=a4_elements, p=2)
+def E(s4, s4_sylow, klein, a4_elements):
+    """F_V(A4) for V the Klein four-group, on the positions of S."""
+    return fusion_of_group(s4, s4_sylow, acting=a4_elements, p=2,
+                           t=s4.sindex(s4_sylow).mask(klein.eset))
 
 
 @pytest.fixture(scope="module")
@@ -44,19 +46,19 @@ def setups():
 
 
 def test_a_fe_order_three(F, E, klein):
-    A = pr.a_fe(F, E, F.subgroup(klein.eset))
+    A = pr.a_fe(F, E, F.mask_of(klein))
     assert len(A) == 3
 
 
 def test_a_fe_trivial_when_aut_is_p_group(F, E, s4_sylow):
     # Aut of the full Sylow is a 2-group: no nontrivial odd-order parts
-    A = pr.a_fe(F, E, F.subgroup(s4_sylow.eset))
+    A = pr.a_fe(F, E, F.t)
     assert all(graph_of(F.S, m).is_identity() for m in A)
 
 
 def test_a_fe_trivial_when_p_cap_t_trivial(F, E, s4):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2))])
-    A = pr.a_fe(F, E, F.subgroup(u.eset))
+    A = pr.a_fe(F, E, F.mask_of(u))
     assert all(graph_of(F.S, m).is_identity() for m in A)
 
 
@@ -78,7 +80,7 @@ def test_product_ed_identity_cases(setups):
 def test_product_ed_strictly_between(setups):
     st = setups["iii"]
     ed = pr.product_ED(st["F"], st["E"], st["D"])
-    assert st["E"].maps_over(ed.S) < ed.maps
+    assert st["E"].maps < ed.maps
     assert ed != st["F"]
 
 
@@ -88,9 +90,9 @@ def test_product_ed_requires_normal_d(setups):
         pr.product_ED(st["F"], st["E"], st["D"])
 
 
-def test_product_ed_rejects_non_normal_e(F, s4):
+def test_product_ed_rejects_non_normal_e(F, s4, s4_sylow):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
-    Eu = close(F.subgroup(u.eset), 2, [])
+    Eu = close(s4_sylow, 2, [], t=F.mask_of(u))
     with pytest.raises(PreconditionError):
         pr.product_ED(F, Eu, Eu)
 
@@ -199,20 +201,20 @@ def test_incremental_close_matches_scratch_along_enumeration(setups):
     F: closing one more map onto the closed system ``cur`` gives the
     system that closing ``cur.maps`` and the map from scratch gives."""
     F = setups["i"]["F"]
-    cap = F.morphism_cap
+    S, cap = F.S, F.morphism_cap
     steps = 0
-    for T in subgroup_lattice(F.S):
-        inside = frozenset(maps_inside(F, T, F.maps))
-        extra = sorted(inside - inner_maps(T))
-        start = close(T, F.p, [], cap)
+    for t in F.lattice:
+        inside = frozenset(maps_inside(F.maps, t))
+        extra = sorted(inside - inner_maps(S, t))
+        start = close(S, F.p, [], cap, t=t)
         seen, frontier = {start.maps}, [start]
         while frontier:
             cur = frontier.pop()
             for m in extra:
                 if m in cur.maps:
                     continue
-                nxt = close(T, F.p, [m], cap, base=cur)
-                assert nxt == close(T, F.p, cur.maps | {m}, cap)
+                nxt = close(S, F.p, [m], cap, base=cur, t=t)
+                assert nxt == close(S, F.p, cur.maps | {m}, cap, t=t)
                 steps += 1
                 if nxt.maps <= inside and nxt.maps not in seen:
                     seen.add(nxt.maps)
@@ -335,21 +337,20 @@ def test_route_subcentric_clause(name, min_order, fault, monkeypatch):
     L = _locality_at(name, min_order)
     asked = []
 
-    def subcentric(F, P):
-        v = is_subcentric(F, P)
-        asked.append((P, v))
+    def subcentric(F, m):
+        v = is_subcentric(F, m)
+        asked.append((m, v))
         return v
     monkeypatch.setattr(pr, "is_subcentric", subcentric)
     assert pr._locality_route_fault(L) == fault
     assert locality_route_fault_by_lattice(_locality_at(name, min_order)) \
         == fault
     F = fusion_of_locality(L)
-    outside = {frozenset(Q.eset for Q in F.conjugates(P))
-               for P in F.subgroups
-               if F.index.mask(P.eset) not in L.delta}
-    assert all(F.index.mask(P.eset) not in L.delta for P, _ in asked)
-    assert len({frozenset(Q.eset for Q in F.conjugates(P))
-                for P, _ in asked}) == len(asked)
+    outside = {frozenset(F.conjugates(m)) for m in F.lattice
+               if m not in L.delta}
+    assert all(m not in L.delta for m, _ in asked)
+    assert len({frozenset(F.conjugates(m))
+                for m, _ in asked}) == len(asked)
     verdicts = [v for _, v in asked]
     if fault is None:  # every class outside delta asked, none subcentric
         assert outside and len(asked) == len(outside)
@@ -391,10 +392,9 @@ def test_route_asks_each_class_outside_delta_once(monkeypatch):
     F = fusion_of_locality(L)
     asked = []
     monkeypatch.setattr(pr, "is_subcentric",
-                        lambda F, P: asked.append(P.eset) and False)
+                        lambda F, m: asked.append(m) and False)
     assert pr._locality_route_fault(L) is None
-    classes = {frozenset(Q.eset for Q in F.conjugates(P))
-               for P in F.subgroups
-               if F.index.mask(P.eset) not in L.delta}
+    classes = {frozenset(F.conjugates(m)) for m in F.lattice
+               if m not in L.delta}
     assert sorted(len(c & set(asked)) for c in classes) == [1] * len(classes)
     assert len(asked) == len(classes) < sum(map(len, classes))

@@ -70,8 +70,8 @@ def test_fusion_of_group_against_graph_oracle(G):
         assert close(S, p, sorted(F.maps - inner_maps(S))) == F
         assert json.dumps(F.to_json(), sort_keys=True) == \
             json.dumps(ref_to_json(S, p, ref), sort_keys=True)
-        for Q in F.subgroups:
-            assert normalizer_system(F, Q) == normalizer_by_sources(F, Q)
+        for Q, q in zip(F.subgroups, F.lattice):
+            assert normalizer_system(F, q) == normalizer_by_sources(F, Q)
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
@@ -83,10 +83,10 @@ def test_saturation_at_fully_normalized_members_against_any_member(G, data):
     for p in _primes(G.order):
         S = sylow_subgroup(G, p)
         F = fusion_of_group(G, S, p=p)
-        T = data.draw(st.sampled_from(F.subgroups))
-        inside = sorted(maps_inside(F, T, F.maps))
+        t = data.draw(st.sampled_from(F.lattice))
+        inside = sorted(maps_inside(F.maps, t))
         gens = data.draw(st.lists(st.sampled_from(inside), max_size=3))
-        for X in (F, close(T, p, gens)):
+        for X in (F, close(S, p, gens, t=t)):
             assert is_saturated(X) == saturated_by_any_member(X)
 
 

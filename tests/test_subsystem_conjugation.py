@@ -22,13 +22,13 @@ from locfusion import products as pr
 from locfusion.cli import main
 from locfusion.fusion import (_conjugation_maps, _is_strongly_invariant,
                               close, fusion_of_group, inner_maps, maps_inside,
-                              normal_closure, strong_closure,
-                              subgroup_lattice)
+                              normal_closure, strong_closure)
 from locfusion.instances import load_descriptor, product_setup
-from locfusion.permgroup import FiniteGroup, from_cycles, sylow_subgroup
+from locfusion.permgroup import FiniteGroup, sylow_subgroup
 
 from answer_oracles import (normal_closure_by_all_maps,
                             strongly_invariant_by_all_maps)
+from cycles import from_cycles
 
 try:
     import hypothesis
@@ -47,9 +47,9 @@ def check_against_oracles(F, E):
     got = normal_closure(F, E)
     want = normal_closure_by_all_maps(F, E)
     assert got.S.eset == want.S.eset and got.maps == want.maps
-    assert _is_strongly_invariant(F, E.maps_over(F.S)) == \
+    assert _is_strongly_invariant(F, E.maps) == \
         strongly_invariant_by_all_maps(F, E)
-    return strong_closure(F, F.subgroup(E.S.eset)).eset == E.S.eset
+    return strong_closure(F, E.t) == E.t
 
 
 def enumeration_candidates(F, monkeypatch):
@@ -107,38 +107,38 @@ if hypothesis is not None:
         """E = close(T, 2, maps of F inside T) for T <= S and up to three
         maps of F = F_S(G)."""
         F = data.draw(st.sampled_from(SYSTEMS))
-        T = data.draw(st.sampled_from(subgroup_lattice(F.S)))
-        inside = sorted(maps_inside(F, T, F.maps))
+        t = data.draw(st.sampled_from(F.lattice))
+        inside = sorted(maps_inside(F.maps, t))
         gens = data.draw(st.lists(st.sampled_from(inside), max_size=3))
-        check_against_oracles(F, close(T, 2, gens))
+        check_against_oracles(F, close(F.S, 2, gens, t=t))
 
 
 def test_inner_maps_are_kept_on_the_index():
     for F in SYSTEMS:
-        S = F.S
+        S, idx = F.S, F.index
         got = inner_maps(S)
         assert got is inner_maps(S)
         assert isinstance(got, frozenset)
-        assert got == _conjugation_maps(S, S.elements)
-        assert S.parent.sindex(S).inner_maps is got
+        assert got == _conjugation_maps(idx, F.t, S.elements)
+        assert idx.inner_maps[F.t] is got
 
 
 def test_bundled_suites_build_inner_maps_once_per_index(tmp_path,
                                                         monkeypatch):
-    """Over the six bundled ``suite`` runs, no index of a subgroup builds
-    its inner maps (``_conjugation_maps`` by S itself) twice.  The
+    """Over the six bundled ``suite`` runs, no subgroup T of an index
+    builds its inner maps (``_conjugation_maps`` by T itself) twice.  The
     indices are held, so that none is freed and its id reused."""
     calls = []
 
-    def recording(S, acting):
-        calls.append((S.parent.sindex(S), frozenset(acting) == S.eset))
-        return real(S, acting)
+    def recording(idx, t, acting):
+        calls.append((idx, t, frozenset(acting) == set(idx.members(t))))
+        return real(idx, t, acting)
     real = fusion._conjugation_maps
     monkeypatch.setattr(fusion, "_conjugation_maps", recording)
     out = tmp_path / "r.json"
     for name in BUNDLED:
         assert main(["suite", name, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["ok"] is True
-    inner = [id(idx) for idx, by_s in calls if by_s]
+    inner = [(id(idx), t) for idx, t, by_t in calls if by_t]
     assert inner and len(set(inner)) == len(inner)
     assert len(calls) <= 26

@@ -133,7 +133,8 @@ TEST_ONLY = {
     "permgroup.is_characteristic_p": "item 3: the perfbench char_p layer",
     "permgroup.center": "item 9: moves to tests/ after item 3",
     "permgroup.centralizer": "item 9: moves to tests/ after item 3",
-    "permgroup.from_cycles": "item 9: a test helper, to move to tests/",
+    "permgroup.centralizer_in": "item 9: the helper of center and "
+                                "centralizer, which move with it",
     "partial_subgroups.enumerate_partial_normals": "item 7: find N",
     "locality.locality_from_descriptor": "item 2: abstract localities",
     "locality.locality_to_descriptor": "item 2: abstract localities",
