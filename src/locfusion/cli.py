@@ -41,20 +41,25 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _common(sub: argparse.ArgumentParser):
-    sub.add_argument("descriptor", help="bundled instance name or JSON path")
-    sub.add_argument("--out", help="write the JSON report to this path")
-    sub.add_argument("--group-cap", type=_positive_int,
-                     default=DEFAULT_GROUP_CAP,
-                     help="largest order a group closure may reach "
-                          "(default %(default)s)")
-    sub.add_argument("--morphism-cap", type=_positive_int,
-                     default=fu.DEFAULT_MORPHISM_CAP,
-                     help="most morphisms a fusion closure may hold "
-                          "(default %(default)s)")
-    sub.add_argument("--json", action="store_true",
-                     help="echo the report to stdout even when --out is set")
-    return sub
+def _common() -> argparse.ArgumentParser:
+    """The descriptor and the flags of every command, given to each leaf
+    through ``parents=``."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("descriptor",
+                        help="bundled instance name or JSON path")
+    common.add_argument("--out", help="write the JSON report to this path")
+    common.add_argument("--group-cap", type=_positive_int,
+                        default=DEFAULT_GROUP_CAP,
+                        help="largest order a group closure may reach "
+                             "(default %(default)s)")
+    common.add_argument("--morphism-cap", type=_positive_int,
+                        default=fu.DEFAULT_MORPHISM_CAP,
+                        help="most morphisms a fusion closure may hold "
+                             "(default %(default)s)")
+    common.add_argument("--json", action="store_true",
+                        help="echo the report to stdout even when --out "
+                             "is set")
+    return common
 
 
 def _word_len(sub: argparse.ArgumentParser):
@@ -69,28 +74,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="locfusion",
         description="verification suites for localities and fusion systems")
     top = ap.add_subparsers(dest="command", required=True)
+    common = [_common()]
 
     grp = top.add_parser("group").add_subparsers(dest="sub", required=True)
-    _common(grp.add_parser("info"))
+    grp.add_parser("info", parents=common)
 
     loc = top.add_parser("locality").add_subparsers(dest="sub", required=True)
-    _common(loc.add_parser("build"))
-    _word_len(_common(loc.add_parser("validate")))
+    loc.add_parser("build", parents=common)
+    _word_len(loc.add_parser("validate", parents=common))
 
     for name in ("theorem1", "theorem2", "restriction"):
-        _common(top.add_parser(name))
+        top.add_parser(name, parents=common)
 
     fus = top.add_parser("fusion").add_subparsers(dest="sub", required=True)
-    _common(fus.add_parser("build"))
-    _common(fus.add_parser("saturate-check"))
+    fus.add_parser("build", parents=common)
+    fus.add_parser("saturate-check", parents=common)
 
     for name in ("product-ed", "verify-ed"):
-        p = top.add_parser(name)
-        _common(p)
-        p.add_argument("--product", default=None,
-                       help="product name from the descriptor (default: all)")
+        top.add_parser(name, parents=common).add_argument(
+            "--product", default=None,
+            help="product name from the descriptor (default: all)")
 
-    _word_len(_common(top.add_parser("suite")))
+    _word_len(top.add_parser("suite", parents=common))
     return ap
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -36,19 +35,16 @@ class DescriptorError(ValueError):
 
 
 def load_descriptor(name_or_path: str) -> dict:
-    """Load a bundled descriptor by name, or any descriptor by path."""
-    p = Path(name_or_path)
-    if p.suffix == ".json" and p.exists():
-        text = p.read_text()
+    """Load a descriptor: an argument that is exactly a bundled name
+    reads the packaged file, and any other argument is a path.  A path
+    that cannot be read raises its ``OSError``."""
+    if name_or_path in BUNDLED:
+        path = Path(__file__).with_name("instances") / f"{name_or_path}.json"
     else:
-        stem = name_or_path.removesuffix(".json")
-        if stem not in BUNDLED:
-            raise DescriptorError(f"unknown descriptor {name_or_path!r}")
-        text = (resources.files("locfusion") / "instances"
-                / f"{stem}.json").read_text()
+        path = Path(name_or_path)
     try:
-        d = json.loads(text)
-    except json.JSONDecodeError as e:
+        d = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DescriptorError(f"descriptor is not valid JSON: {e}") from e
     _check_schema(d)
     return d
@@ -198,7 +194,7 @@ def delta_of(d: dict, G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     if spec.get("all"):
         return fu.subgroup_lattice(S)
     if "min_order" in spec:
-        return delta_min_order(G, S, spec["min_order"])
+        return delta_min_order(S, spec["min_order"])
     return [G.subgroup(_perms(elems, G)) for elems in spec["explicit"]]
 
 

@@ -62,8 +62,8 @@ getter, and only other rows find their own.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from operator import getitem, itemgetter, ne, not_
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -87,18 +87,16 @@ class LocalityError(ValueError):
     """Invalid locality construction or precondition."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
+# one validator check: its name, whether it passed, and a witness string
+CheckResult = namedtuple("CheckResult", "name passed witness",
+                         defaults=(None,))
 
 
-@dataclass
 class ValidationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    bounded_only: bool = True
-    max_word_length: int = DEFAULT_MAX_WORD_LENGTH
+    def __init__(self):
+        self.checks = []  # CheckResult, in the order they ran
+        self.bounded_only = True
+        self.max_word_length = DEFAULT_MAX_WORD_LENGTH
 
     @property
     def ok(self) -> bool:
@@ -383,7 +381,7 @@ class Locality:
 
 # -- construction of group-realized localities -------------------------------
 
-def delta_min_order(G: FiniteGroup, S: Subgroup, min_order: int) -> list[Subgroup]:
+def delta_min_order(S: Subgroup, min_order: int) -> list[Subgroup]:
     return [P for P in subgroup_lattice(S) if P.order >= min_order]
 
 
@@ -614,7 +612,8 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     """
     if max_word_length is None:
         max_word_length = L.max_word_length
-    rep = ValidationReport(max_word_length=max_word_length)
+    rep = ValidationReport()
+    rep.max_word_length = max_word_length
     add = rep.checks.append
 
     # S is a p-group under a total product: the S-lattice is built from it

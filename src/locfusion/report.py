@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 # values that pass besides True: the kept status of a subsystem, a
 # check that could not be enumerated
@@ -24,14 +23,14 @@ def fold(values: Iterable) -> bool | str:
     return verdict
 
 
-@dataclass
 class Report:
-    suite: str
-    instance: str = ""
-    clauses: dict[str, Any] = field(default_factory=dict)  # name -> bool | str
-    witnesses: dict[str, Any] = field(default_factory=dict)
-    flags: list[str] = field(default_factory=list)
-    extra: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, suite: str, instance: str = ""):
+        self.suite = suite
+        self.instance = instance
+        self.clauses = {}  # name -> bool | str
+        self.witnesses = {}
+        self.flags = []
+        self.extra = {}
 
     @property
     def ok(self) -> bool:

@@ -34,6 +34,30 @@ def test_unknown_descriptor_exits_2(capsys):
     assert run(["group", "info", "no-such-instance"]) == 2
 
 
+def test_a_bundled_name_with_a_suffix_is_a_path(tmp_path, monkeypatch,
+                                                capsys):
+    """Only an argument that is exactly a bundled name reads the packaged
+    file: ``product-24.json`` is a path, and here no such file exists."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["group", "info", "product-24.json"]) == 2
+    got, err = capsys.readouterr()
+    rep = json.loads(got)
+    assert set(rep) == {"error", "kind"}
+    assert rep["kind"] == "FileNotFoundError"
+    assert "'product-24.json'" in rep["error"]
+    assert err == ""
+
+
+def test_a_descriptor_path_needs_no_json_suffix(tmp_path, capsys):
+    from locfusion.instances import load_descriptor
+    p = tmp_path / "g8.txt"
+    p.write_text(json.dumps(load_descriptor("group-8")))
+    assert run(["group", "info", str(p)]) == 0
+    from_path = capsys.readouterr().out
+    assert run(["group", "info", "group-8"]) == 0
+    assert from_path == capsys.readouterr().out
+
+
 def test_bad_delta_exits_2(tmp_path, capsys):
     d = {
         "name": "bad-delta",
@@ -441,6 +465,15 @@ def test_unreadable_descriptor_exits_2(tmp_path, capsys):
     assert run(["group", "info", str(d)]) == 2
     got, err = capsys.readouterr()
     assert json.loads(got)["kind"] == "IsADirectoryError"
+    assert err == ""
+
+
+def test_descriptor_that_is_not_utf8_exits_2(tmp_path, capsys):
+    d = tmp_path / "d.json"
+    d.write_bytes(b"\xff\xfe{}")
+    assert run(["group", "info", str(d)]) == 2
+    got, err = capsys.readouterr()
+    assert json.loads(got)["kind"] == "DescriptorError"
     assert err == ""
 
 

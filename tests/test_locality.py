@@ -84,7 +84,7 @@ def test_partial_domain_on_larger_symmetric_group():
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
-    L = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2)
+    L = locality_from_group(s6, s, delta_min_order(s, 8), 2)
     assert L.n == 80
     found = None
     for f, g in itertools.product(range(L.n), repeat=2):
@@ -145,7 +145,7 @@ def test_restriction_product_matches_pair_keyed_filter():
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
-    Lp = locality_from_group(s6, s, delta_min_order(s6, s, 4), 2)
+    Lp = locality_from_group(s6, s, delta_min_order(s, 4), 2)
     small = [Lp.ids_of(d) for d in Lp.delta if d.bit_count() >= 8]
     sub = restriction(Lp, small)
     masks = {Lp.mask_of(d) for d in small}
@@ -223,7 +223,7 @@ def _s6_locality(min_order, p=2):
     G = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                         from_cycles(6, (1, 2))])
     S = sylow_subgroup(G, p)
-    return locality_from_group(G, S, delta_min_order(G, S, min_order), p)
+    return locality_from_group(G, S, delta_min_order(S, min_order), p)
 
 
 def _fully_normalized(F, d):
@@ -258,7 +258,7 @@ def test_linking_certificate_tests_one_object_per_class(monkeypatch):
 def _locality(degree, gens, p, min_order):
     G = FiniteGroup(degree, [from_cycles(degree, *g) for g in gens])
     S = sylow_subgroup(G, p)
-    return locality_from_group(G, S, delta_min_order(G, S, min_order), p)
+    return locality_from_group(G, S, delta_min_order(S, min_order), p)
 
 
 S6_GENS = [[(1, 2, 3, 4, 5, 6)], [(1, 2)]]
@@ -364,7 +364,7 @@ def test_linking_certificate_names_the_per_object_witness(gens):
     per-object verdict, report and witness."""
     G = FiniteGroup(6, [from_cycles(6, *g) for g in gens])
     S = sylow_subgroup(G, 2)
-    L = locality_from_group(G, S, delta_min_order(G, S, 2), 2)
+    L = locality_from_group(G, S, delta_min_order(S, 2), 2)
     ok, rep = is_linking_locality(L)
     assert (ok, rep) == linking_per_object(L)
     assert not ok
@@ -399,7 +399,7 @@ def test_rows_match_pair_oracle(name, min_order):
     degree = max(max(c) for g in gens for c in g)
     G = FiniteGroup(degree, [from_cycles(degree, *g) for g in gens])
     S = sylow_subgroup(G, 2)
-    delta = delta_min_order(G, S, min_order)
+    delta = delta_min_order(S, min_order)
     L = locality_from_group(G, S, delta, 2)
     assert locality_tables(L) == locality_tables_by_pairs(G, S, delta)
 
@@ -415,14 +415,14 @@ def test_descriptor_roundtrip(loc_a):
 
 
 def test_delta_min_order_members(s4, s4_sylow):
-    delta = delta_min_order(s4, s4_sylow, 4)
+    delta = delta_min_order(s4_sylow, 4)
     assert sorted(P.order for P in delta) == [4, 4, 4, 8]
 
 
 # -- the one Delta-closure check, from each caller --------------------------
 
 def test_validator_reports_missing_overgroup(s4, s4_sylow):
-    L = locality_from_group(s4, s4_sylow, delta_min_order(s4, s4_sylow, 2), 2)
+    L = locality_from_group(s4, s4_sylow, delta_min_order(s4_sylow, 2), 2)
     d = locality_to_descriptor(L)
     d["delta"].remove(next(m for m in d["delta"] if len(m) == 4))
     rep = validate_locality(locality_from_descriptor(d), max_word_length=3)
@@ -555,7 +555,7 @@ def test_s_w_matches_element_wise_on_partial_domain():
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
-    delta = delta_min_order(s6, s, 8)
+    delta = delta_min_order(s, 8)
     L = locality_from_group(s6, s, delta, 2)
     dsets = {P.eset for P in delta}
     assert _check_s_w_oracle(L, s, dsets, 2) == {True, False}
@@ -589,7 +589,7 @@ def test_s_mask_walk_matches_composite_on_partial_domain():
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
-    L = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2)
+    L = locality_from_group(s6, s, delta_min_order(s, 8), 2)
     assert _check_walk_against_composite(L, 2) == {True, False}
 
 
@@ -797,7 +797,7 @@ def test_partial_subgroup_witness_matches_oracle(loc_b):
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
-    partial = locality_from_group(s6, s, delta_min_order(s6, s, 8), 2)
+    partial = locality_from_group(s6, s, delta_min_order(s, 8), 2)
     rng = random.Random(3)
     seen = set()
     for L in (loc_b, partial):
@@ -995,7 +995,7 @@ def test_realization_oracle_matches_pair_keyed(loc_b):
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
     s = sylow_subgroup(s6, 2)
-    for base in (loc_b, locality_from_group(s6, s, delta_min_order(s6, s, 4),
+    for base in (loc_b, locality_from_group(s6, s, delta_min_order(s, 4),
                                             2)):
         rng = random.Random(5)
         pairs = list(base.prod)

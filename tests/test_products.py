@@ -322,7 +322,7 @@ def _locality_at(name, min_order):
     degree = max(max(c) for g in gens for c in g)
     G = FiniteGroup(degree, [from_cycles(degree, *g) for g in gens])
     S = sylow_subgroup(G, 2)
-    return locality_from_group(G, S, delta_min_order(G, S, min_order), 2)
+    return locality_from_group(G, S, delta_min_order(S, min_order), 2)
 
 
 @pytest.mark.parametrize("name,min_order,fault", [

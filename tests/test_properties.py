@@ -96,6 +96,6 @@ def test_saturation_at_fully_normalized_members_against_any_member(G, data):
 def test_locality_rows_against_pair_oracle(G):
     for p in _primes(G.order):
         S = sylow_subgroup(G, p)
-        delta = delta_min_order(G, S, S.order // p)
+        delta = delta_min_order(S, S.order // p)
         L = locality_from_group(G, S, delta, p)
         assert locality_tables(L) == locality_tables_by_pairs(G, S, delta)

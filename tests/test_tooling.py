@@ -15,11 +15,18 @@ only at module level.
 package, through the names that the functions it reaches use.  The
 functions only tests call are listed with the ROADMAP item that keeps
 them.
+
+``test_cli_starts_without_heavy_imports`` keeps the start-up of a
+verdict process small: in ``python -S``, where no site hook preloads
+anything, running a CLI command imports neither ``dataclasses`` (with
+its ``inspect``) nor ``importlib.resources``.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,3 +181,27 @@ def test_every_function_is_reached():
                 todo += _names(node)
     unreached = sorted(q for q in found if q.split(".")[1] not in seen)
     assert unreached == sorted(TEST_ONLY)
+
+
+# modules whose import costs a verdict process milliseconds of start-up
+HEAVY_IMPORTS = {"dataclasses", "inspect", "importlib.resources"}
+
+PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from locfusion import cli
+code = cli.main(["group", "info", "group-8", "--out", sys.argv[2]])
+print(code, sorted(set(sys.argv[3:]) & set(sys.modules)))
+"""
+
+
+def test_cli_starts_without_heavy_imports(tmp_path):
+    """``-S`` keeps site from importing anything, and ``-I`` keeps the
+    environment's paths out, so ``src`` is the only path added."""
+    out = tmp_path / "r.json"
+    got = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", PROBE, str(PACKAGE.parent),
+         str(out), *sorted(HEAVY_IMPORTS)],
+        capture_output=True, text=True, check=True)
+    assert got.stdout == "0 []\n", got.stdout + got.stderr
+    assert out.exists()
