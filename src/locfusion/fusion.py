@@ -27,20 +27,21 @@ built under, and the closures inside it and its normalizer systems
 inherit it; a locality keeps the run's cap (``Locality.morphism_cap``)
 for F_S(L) and the systems of its partial subgroups.
 
-A system keeps the answers to the questions asked of it
-(``FusionSystem._verdicts``): its conjugacy classes, walked once so that
-saturation and the centric radicals are decided once per class; N_F(Q)
-per Q; whether F is saturated; its centric radicals; and, per subsystem
-E (which hashes by its content), whether E is normal in F and the
-subnormal chain search.  A system is never changed after it is built,
-so its answers live as long as it does, and no module holds state.
-Normal closures, and the normalizer systems of the subcentric test (one
-per class), are not kept: few are asked for twice.
+A system keeps the answers to the questions asked of it, each question
+declared with ``kept``: its maps by source, the conjugates of each
+subgroup and the one walk over its conjugacy classes (so that
+saturation, subcentricity and the centric radicals are decided once per
+class), the images of each point, N_F(Q) per Q (the subcentric test
+asks it too), whether F is saturated, its centric radicals, and, per
+subsystem E (which hashes by its content), whether E is normal in F and
+the subnormal chain search.  A system is never changed after it is
+built, so its answers live as long as it does, and no module holds
+state.  Normal closures are not kept: few are asked for twice.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
@@ -53,6 +54,34 @@ DEFAULT_MORPHISM_CAP = 1_000_000
 # A morphism: (source mask, image position of every point of S or -1).
 Morphism = tuple[int, tuple[int, ...]]
 _NONE = (-1,)  # appended to images, so that a -1 entry reads -1
+
+
+_ABSENT = object()  # no answer kept yet; a kept answer may be None
+
+
+def kept(ask):
+    """``ask(x, *args)``, answered once per ``args`` and kept on x, in
+    ``x._verdicts`` under a key that only this wrapper builds; a kept
+    None or False is an answer like any other.  x must not change after
+    it is built, and each argument must hash by its content (a
+    ``FusionSystem`` does).  The computation is read as ``__wrapped__``
+    when it runs, so a test can count the computations behind a question.
+
+    Four stores stay as they are.  ``SIndex``'s tables and
+    ``Locality.preimage`` are per-lookup kernel tables on hot paths
+    (5,159 ``SIndex.inner`` calls in ``fusion saturate-check`` on S6xC2,
+    3,692 ``preimage`` calls in ``theorem1`` and ``restriction`` on S6),
+    where a call through this wrapper would cost more than the lookup.  ``Locality._s`` is handed to sub-localities, so that they
+    share one index.  The ``partial_subgroups`` memos key on id
+    collections turned into frozensets first: a caller may pass a list.
+    And ``cached_property`` attributes stay attributes."""
+    def keeper(x, *args):
+        key = (keeper, *args)
+        got = x._verdicts.get(key, _ABSENT)
+        if got is _ABSENT:
+            got = x._verdicts[key] = keeper.__wrapped__(x, *args)
+        return got
+    return wraps(ask)(keeper)
 
 
 class FusionError(ValueError):
@@ -133,10 +162,7 @@ class FusionSystem:
         self.p = p
         self.maps = frozenset(maps)
         self.morphism_cap = morphism_cap
-        self._by_mask: Optional[dict[int, list[tuple[int, ...]]]] = None
-        self._reach: Optional[list[int]] = None
-        self._classes: dict[int, list[int]] = {}
-        self._verdicts: dict = {}  # the answers kept on F (module docstring)
+        self._verdicts: dict = {}  # the answers kept on F (``kept``)
 
     @cached_property
     def lattice(self) -> list[int]:
@@ -160,13 +186,13 @@ class FusionSystem:
             raise FusionError("not a subgroup of S")
         return self.index.by_mask[m]
 
+    @kept
     def maps_by_mask(self) -> dict[int, list[tuple[int, ...]]]:
-        """The images of the maps by the mask of their source; kept."""
-        if self._by_mask is None:
-            self._by_mask = {}
-            for src, images in self.maps:
-                self._by_mask.setdefault(src, []).append(images)
-        return self._by_mask
+        """The images of the maps by the mask of their source."""
+        by_mask: dict[int, list[tuple[int, ...]]] = {}
+        for src, images in self.maps:
+            by_mask.setdefault(src, []).append(images)
+        return by_mask
 
     def aut(self, m: int) -> list[tuple[int, ...]]:
         """Aut_F(P) for the subgroup P with mask m, as the images of each
@@ -175,41 +201,36 @@ class FusionSystem:
         return [img for img in self.maps_by_mask().get(m, ())
                 if image_mask(img, ps) == m]
 
+    @kept
     def conjugates(self, m: int) -> list[int]:
-        """The F-conjugates of the subgroup with mask m, in lattice order;
-        kept per member."""
-        cls = self._classes.get(m)
-        if cls is None:
-            ps = bit_positions(m)
-            masks = {image_mask(img, ps)
-                     for img in self.maps_by_mask().get(m, ())} | {m}
-            cls = self._classes[m] = sorted(masks, key=bit_positions)
-        return cls
+        """The F-conjugates of the subgroup with mask m, in lattice order."""
+        ps = bit_positions(m)
+        masks = {image_mask(img, ps)
+                 for img in self.maps_by_mask().get(m, ())} | {m}
+        return sorted(masks, key=bit_positions)
 
+    @kept
     def classes(self) -> list[list[int]]:
         """The F-conjugacy classes of the subgroups of T, in the order of
-        their first members, each the ``conjugates`` of that member; the
-        one walk over the classes, kept on F."""
-        key = ("classes",)
-        if key not in self._verdicts:
-            seen: set[int] = set()
-            out = self._verdicts[key] = []
-            for m in self.lattice:
-                if m not in seen:
-                    out.append(self.conjugates(m))
-                    seen.update(out[-1])
-        return self._verdicts[key]
+        their first members, each the ``conjugates`` of that member: the
+        one walk over the classes."""
+        seen: set[int] = set()
+        out = []
+        for m in self.lattice:
+            if m not in seen:
+                out.append(self.conjugates(m))
+                seen.update(out[-1])
+        return out
 
+    @kept
     def point_images(self) -> list[int]:
-        """For each position of S, the mask of its images; kept."""
-        if self._reach is None:
-            reach = [0] * len(self.index.elements)
-            for src, imgs in self.maps_by_mask().items():
-                for i in bit_positions(src):
-                    for img in imgs:
-                        reach[i] |= 1 << img[i]
-            self._reach = reach
-        return self._reach
+        """For each position of S, the mask of its images."""
+        reach = [0] * len(self.index.elements)
+        for src, imgs in self.maps_by_mask().items():
+            for i in bit_positions(src):
+                for img in imgs:
+                    reach[i] |= 1 << img[i]
+        return reach
 
     def __eq__(self, other):
         return (isinstance(other, FusionSystem) and self.p == other.p
@@ -420,11 +441,10 @@ def fusion_of_partial_subgroup(L, H: Iterable[int]) -> FusionSystem:
                  L.morphism_cap, t=sh)
 
 
+@kept
 def fusion_of_locality(L) -> FusionSystem:
     """F_S(L), kept on the locality."""
-    if L._fusion is None:
-        L._fusion = fusion_of_partial_subgroup(L, range(L.n))
-    return L._fusion
+    return fusion_of_partial_subgroup(L, range(L.n))
 
 
 # -- predicates on subgroups, each given by its mask --------------------------
@@ -512,6 +532,7 @@ def fully_normalized_conjugate(F: FusionSystem, m: int) -> int:
                key=lambda q: (idx.normalizer(q) & t).bit_count())
 
 
+@kept
 def normalizer_system(F: FusionSystem, q: int) -> FusionSystem:
     """N_F(Q) over N_T(Q), built once per Q (mask q) and kept on F.
 
@@ -523,17 +544,8 @@ def normalizer_system(F: FusionSystem, q: int) -> FusionSystem:
     P <= N_T(Q) is counted under exactly one R.  Such a psi sends P into
     N_T(psi(Q)) = N_T(Q), so the restrictions are maps of N_T(Q) as they
     stand.  When the result is F itself (Q normal in F), F is returned,
-    so that the answers kept on F serve for it; the result keeps
-    N_{N_F(Q)}(Q) = N_F(Q) in its own store.
+    so that the answers kept on F serve for it.
     """
-    key = ("normalizer", q)
-    if key not in F._verdicts:
-        N = F._verdicts[key] = _normalizer_system(F, q)
-        N._verdicts[key] = N
-    return F._verdicts[key]
-
-
-def _normalizer_system(F: FusionSystem, q: int) -> FusionSystem:
     idx = F.index
     n = len(idx.elements)
     qs = bit_positions(q)
@@ -617,10 +629,7 @@ def is_subcentric(F: FusionSystem, m: int) -> bool:
     if is_centric(F, m):
         return True
     q = fully_normalized_conjugate(F, m)
-    # built, not kept on F: ``subcentric_subgroups`` asks once per class,
-    # the locality route once per class outside its object set, and
-    # keeping one normalizer system per class only holds memory
-    return is_centric(F, _op_core_over(_normalizer_system(F, q), q))
+    return is_centric(F, _op_core_over(normalizer_system(F, q), q))
 
 
 def _class_members(F: FusionSystem, test) -> list[Subgroup]:
@@ -635,13 +644,11 @@ def subcentric_subgroups(F: FusionSystem) -> list[Subgroup]:
     return _class_members(F, is_subcentric)
 
 
+@kept
 def centric_radicals(F: FusionSystem) -> list[Subgroup]:
     """Decided once per class, kept on F: an iso P -> Q of F carries
     Aut_F(P) onto Aut_F(Q) and Inn(P) onto Inn(Q)."""
-    key = ("centric_radicals",)
-    if key not in F._verdicts:
-        F._verdicts[key] = _class_members(F, is_centric_radical)
-    return F._verdicts[key]
+    return _class_members(F, is_centric_radical)
 
 
 # -- saturation --------------------------------------------------------------
@@ -685,17 +692,12 @@ def is_receptive(F: FusionSystem, m: int) -> bool:
     return True
 
 
+@kept
 def is_saturated(F: FusionSystem) -> bool:
     """Every conjugacy class contains a fully automized receptive member.
-    Decided once and kept on F."""
-    key = ("saturated",)
-    if key not in F._verdicts:
-        F._verdicts[key] = _is_saturated(F)
-    return F._verdicts[key]
+    Decided once and kept on F.
 
-
-def _is_saturated(F: FusionSystem) -> bool:
-    """Each class is decided at its fully normalized member P: if every
+    Each class is decided at its fully normalized member P: if every
     such P is fully automized and receptive, F is saturated by
     definition, and in a saturated F every fully normalized P is both
     (Aschbacher–Kessar–Oliver, *Fusion Systems in Algebra and Topology*,
@@ -749,17 +751,11 @@ def _is_strongly_invariant(F: FusionSystem, in_e: frozenset) -> bool:
     return all(m in in_e for m in _f_conjugates(F, in_e))
 
 
+@kept
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
     """T strongly closed, E saturated, strongly F-invariant, and the
     automorphism extension condition on T C_S(T).  Decided once per E
     and kept on F."""
-    key = ("normal", E)
-    if key not in F._verdicts:
-        F._verdicts[key] = _is_normal_subsystem(F, E)
-    return F._verdicts[key]
-
-
-def _is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
     if not is_subsystem(F, E):
         return False
     t = E.t
@@ -797,6 +793,7 @@ def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
                  base=E if that == t else None, t=that)
 
 
+@kept
 def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
                            ) -> tuple[bool | str, tuple[FusionSystem, ...]]:
     """Chain search by descending normal closures.
@@ -806,14 +803,6 @@ def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
     weak closure need not be saturated in general).  Searched once per E
     and kept on F, so the chain is a tuple.
     """
-    key = ("subnormal", E)
-    if key not in F._verdicts:
-        F._verdicts[key] = _is_subnormal_subsystem(F, E)
-    return F._verdicts[key]
-
-
-def _is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
-                            ) -> tuple[bool | str, tuple[FusionSystem, ...]]:
     if not is_subsystem(F, E):
         return False, ()
     if E == F:

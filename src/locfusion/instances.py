@@ -7,8 +7,10 @@ suites: partial normal subgroups N, choices of K, and fusion-product
 configurations (E, D, K, oracle).
 
 ``Instance`` is one run's context over a descriptor: it holds the caps
-and builds each shared object once, through the public builders below.
-Called without a context, those builders return fresh objects.
+and builds each shared object once, through the public builders below,
+keeping it as an attribute or, per product name, as an answer
+(``fusion.kept``).  Called without a context, those builders return
+fresh objects.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def _check_schema(d) -> None:
     a malformed section is an input error before any group is built:
     required keys, objects, integers, a string name, a boolean
     ``enumerate_minimality``, and every field read as a list
-    (permutations, subgroup elements, K names) a list of them."""
+    (permutations, subgroup elements, K names) a list of them, the K
+    names of a theorem section at least one."""
     _require_keys(d, ("name", "group", "p"), "descriptor")
     _require(isinstance(d["name"], str), "'name'", "a string", d["name"])
     _require(_is_int(d["p"]), "'p'", "an integer", d["p"])
@@ -79,9 +82,10 @@ def _check_schema(d) -> None:
             _require_keys(d[key], keys, repr(key))
             k = d[key]["k"]
             names = [k] if key == "restriction" else k
-            _require(isinstance(names, list) and all(
+            _require(isinstance(names, list) and names and all(
                 isinstance(x, str) for x in names), f"{key!r} 'k'",
-                "a name" if key == "restriction" else "a list of names", k)
+                "a name" if key == "restriction"
+                else "a non-empty list of names", k)
             if "delta" in d[key]:
                 deltas.append(d[key]["delta"])
             subgroups.append(d[key]["n"])
@@ -295,13 +299,14 @@ class Instance:
     """One run's context over a descriptor: the caps, and the objects the
     CLI handlers share, each built on first use and then kept.
 
-    These are G and S; L with its object set Δ; F = F_S(G); per product
-    name its ``product_setup`` dict and its product E·D; and the
+    These are G and S; L with its object set Δ; F = F_S(G); and the
     subnormal subsystems of F, enumerated only when a product asks for
-    minimality.  Each is built by the public function of its module,
-    looked up by name at call time, so a traced run sees every build.
-    Building nothing in ``__init__`` keeps a run's set-up to the
-    descriptor load.
+    minimality, each a ``cached_property``; and, per product name, its
+    ``product_setup`` dict and its product E·D, each an answer kept in
+    ``_verdicts`` by ``fusion.kept``.  Each is built by the public
+    function of its module, looked up by name at call time, so a traced
+    run sees every build.  Building nothing in ``__init__`` keeps a
+    run's set-up to the descriptor load.
     """
 
     def __init__(self, d: dict, group_cap: int = DEFAULT_GROUP_CAP,
@@ -309,8 +314,7 @@ class Instance:
         self.d = d
         self.group_cap = group_cap
         self.morphism_cap = morphism_cap
-        self._setups: dict[str, dict] = {}
-        self._eds: dict[str, tuple] = {}
+        self._verdicts: dict = {}  # per product name (``fusion.kept``)
 
     @cached_property
     def G(self) -> FiniteGroup:
@@ -333,21 +337,18 @@ class Instance:
     def subnormal_subsystems(self) -> list[fu.FusionSystem]:
         return pr.enumerate_subnormal_subsystems(self.F)
 
+    @fu.kept
     def product(self, name: str) -> dict:
         """The ``product_setup`` dict of a named product."""
-        if name not in self._setups:
-            self._setups[name] = product_setup(self.d, name, ctx=self)
-        return self._setups[name]
+        return product_setup(self.d, name, ctx=self)
 
+    @fu.kept
     def ed(self, name: str) -> tuple:
         """(ED, route, checks) of a named product, by
         ``products.product_by_route``; the checks are its cross-route
         agreement and whether ED equals the oracle."""
-        if name not in self._eds:
-            st = self.product(name)
-            ed, route, agreement = pr.product_by_route(
-                st["F"], st["E"], st["D"], st["L"], st["N_ids"], st["K_ids"])
-            self._eds[name] = ed, route, {
-                "cross_route_agreement": agreement,
-                "matches_oracle": ed == st["oracle"]}
-        return self._eds[name]
+        st = self.product(name)
+        ed, route, agreement = pr.product_by_route(
+            st["F"], st["E"], st["D"], st["L"], st["N_ids"], st["K_ids"])
+        return ed, route, {"cross_route_agreement": agreement,
+                           "matches_oracle": ed == st["oracle"]}

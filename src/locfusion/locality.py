@@ -200,9 +200,10 @@ class Locality:
     The tables (carrier, inversion, product, S and delta) are not
     mutated after construction: the partial maps ``_pm`` built from
     them and their classes ``_cls``, the preimage cache behind
-    ``s_mask``, ``s_group`` and the ``_verdicts`` memo of the
-    partial-subgroup predicates and of the locality-route precondition
-    of ``products`` all rely on that.
+    ``s_mask``, ``s_group`` and the answers kept in ``_verdicts`` all
+    rely on that.  Those answers are F_S(L) and the locality-route
+    precondition of ``products`` (each declared with ``fusion.kept``),
+    and the memos of the partial-subgroup predicates.
 
     L keeps its run's bounds, as a fusion system keeps its cap:
     ``max_word_length`` for the validator and the partial-subgroup
@@ -256,8 +257,7 @@ class Locality:
         self._full = (1 << len(self.s_ids)) - 1
         self._pre: dict[tuple[int, int], int] = {}  # (class, mask) -> preimage
         self._s: Optional[Subgroup] = None  # S in its permutation group
-        self._fusion = None  # cached F_S(L)
-        self._verdicts: dict = {}  # memo of set-level verdicts on L
+        self._verdicts: dict = {}  # the answers kept on L
 
     # -- construction helpers ----------------------------------------------
 

@@ -17,7 +17,7 @@ from .fusion import (FusionSystem, Morphism, aut_group, close,
                      fusion_of_locality, fusion_of_partial_subgroup,
                      inner_maps, is_centric, is_normal_subsystem,
                      is_subcentric, is_subnormal_subsystem, is_subsystem,
-                     maps_inside, normalizer_system, restriction,
+                     kept, maps_inside, normalizer_system, restriction,
                      trivial_modulo)
 from .locality import Locality, is_linking_locality
 from .partial_subgroups import (check_theorem2_hypotheses, is_partial_subgroup,
@@ -126,30 +126,24 @@ def product_by_route(F: FusionSystem, E: FusionSystem, D: FusionSystem,
         return ed, "formula_e", None
 
 
+@kept
 def _locality_route_fault(L: Locality) -> Optional[str]:
     """Why L cannot carry the locality route, or None: L must be a
     linking locality whose object set holds every subcentric subgroup.
-    Neither part depends on N or K, so the answer is memoized on L.
+    Neither part depends on N or K, so the answer is kept on L.
 
     A subgroup in delta never breaks the second part, so subcentricity
     is decided only for subgroups outside delta: at the first member
     outside delta of each F_S(L)-class, since it is a property of the
     class, and only up to the first subcentric one.  When delta holds
     every subgroup of S, no normalizer system is built."""
-    key = ("locality_route",)
-    if key not in L._verdicts:
-        fault = None
-        if not is_linking_locality(L)[0]:
-            fault = "locality is not a linking locality"
-        else:
-            F = fusion_of_locality(L)
-            outside = ([m for m in cls if m not in L.delta]
-                       for cls in F.classes())
-            if any(is_subcentric(F, out[0]) for out in outside if out):
-                fault = ("object set does not contain every subcentric "
-                         "subgroup")
-        L._verdicts[key] = fault
-    return L._verdicts[key]
+    if not is_linking_locality(L)[0]:
+        return "locality is not a linking locality"
+    F = fusion_of_locality(L)
+    outside = ([m for m in cls if m not in L.delta] for cls in F.classes())
+    if any(is_subcentric(F, out[0]) for out in outside if out):
+        return "object set does not contain every subcentric subgroup"
+    return None
 
 
 def enumerate_subnormal_subsystems(F: FusionSystem) -> list[FusionSystem]:

@@ -341,7 +341,9 @@ def _no_closure(*args):
     ("product-24", lambda d: d["fusion_products"]["ii"]["D"].update(kind="x"),
      "product 'ii' 'D' 'kind' must be 'inner' or 'normalizer', not 'x'"),
     ("instance-b", lambda d: d["theorem1"].update(k=5),
-     "'theorem1' 'k' must be a list of names, not 5"),
+     "'theorem1' 'k' must be a non-empty list of names, not 5"),
+    ("instance-b", lambda d: d["theorem2"].update(k=[]),
+     "'theorem2' 'k' must be a non-empty list of names, not []"),
     ("instance-b", lambda d: d["restriction"].update(k=["order12"]),
      "'restriction' 'k' must be a name, not ['order12']"),
     ("instance-b", lambda d: d["k_choices"].update(u2={"elements": 5}),
@@ -361,7 +363,7 @@ def _no_closure(*args):
 ], ids=["d-kind", "inner-over", "product-not-object", "restriction-delta",
         "k-choice", "sylow", "explicit-delta", "explicit-delta-member",
         "delta-rule", "d-kind-unknown",
-        "theorem1-k", "restriction-k", "elements", "generators", "e-over",
+        "theorem1-k", "theorem2-k-empty", "restriction-k", "elements", "generators", "e-over",
         "e-acting", "oracle-acting", "name"])
 def test_malformed_section_exits_2_before_any_group(name, edit, message,
                                                     tmp_path, capsys,
@@ -377,6 +379,25 @@ def test_malformed_section_exits_2_before_any_group(name, edit, message,
     assert run(["group", "info", path]) == 2
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == message
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["theorem1", "theorem2", "suite"])
+@pytest.mark.parametrize("section", ["theorem1", "theorem2"])
+def test_empty_k_list_exits_2(command, section, tmp_path, capsys,
+                              monkeypatch):
+    """An empty K list would pass on no K at all: it is an input error,
+    under every command that reads or loads the section."""
+    from locfusion import permgroup
+    from locfusion.instances import load_descriptor
+    d = load_descriptor("instance-b")
+    d[section]["k"] = []
+    path = _write(tmp_path, d)
+    monkeypatch.setattr(permgroup, "_closure", _no_closure)
+    assert run([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == (
+        f"'{section}' 'k' must be a non-empty list of names, not []")
     assert "Traceback" not in err
 
 

@@ -154,6 +154,41 @@ def test_strongly_closed(F, s4, klein):
     assert not is_strongly_closed(F, F.mask_of(u))
 
 
+class _Asked:
+    """An object that keeps answers, as a system or a locality does, and
+    equals only itself."""
+
+    def __init__(self):
+        self._verdicts = {}
+
+
+def test_kept_answers_each_question_once_per_object(F):
+    computed = []
+
+    @fu.kept
+    def ask(x, *args):
+        computed.append((x, args))
+        return args[0] if args else None
+
+    a, b = _Asked(), _Asked()
+    # one computation per (object, args)
+    assert ask(a, 1) == ask(a, 1) == 1 and ask(a, 2) == 2
+    assert computed == [(a, (1,)), (a, (2,))]
+    # no answer shared between two objects
+    assert ask(b, 1) == 1 and computed[-1] == (b, (1,))
+    # an argument equal by content hits the same entry
+    copy = fu.FusionSystem(F.index, F.t, F.p, set(F.maps))
+    assert copy is not F and copy == F
+    assert ask(a, F) is F and ask(a, copy) is F
+    assert computed.count((a, (F,))) == 1 and len(computed) == 4
+    # a kept None or False is not computed again
+    assert ask(a) is None and ask(a) is None
+    assert ask(a, False) is False and ask(a, False) is False
+    assert len(computed) == 6
+    # each object holds its own answers
+    assert len(a._verdicts) == 5 and len(b._verdicts) == 1
+
+
 def test_strong_closure_of_one_involution(F, s4, klein):
     u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
     assert strong_closure(F, F.mask_of(u)) == F.mask_of(klein)

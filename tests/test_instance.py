@@ -1,8 +1,9 @@
 """One ``Instance`` per run: a ``suite`` builds each shared object once.
 
 Every function below is wrapped under each name that binds it in a
-``locfusion`` module (as the benchmark's tracer does), and a whole
-``suite`` runs in-process.
+``locfusion`` module (as the benchmark's tracer does), the computation
+behind each question declared with ``fusion.kept`` through its
+``__wrapped__``, and a whole ``suite`` runs in-process.
 """
 
 import os
@@ -38,6 +39,20 @@ def _record_calls(monkeypatch, module, name):
     return calls
 
 
+def _record_computations(monkeypatch, question):
+    """Wrap the computation behind a ``kept`` question; return the list of
+    the (args, kwargs) of each computation, not of each question."""
+    fn = question.__wrapped__
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(question, "__wrapped__", recorded)
+    return calls
+
+
 def _most_per_object(calls):
     """Largest number of calls on one first argument (by identity)."""
     counts = {}
@@ -68,10 +83,11 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     enums = _record_calls(monkeypatch, products,
                           "enumerate_subnormal_subsystems")
     # the questions a system keeps its answers to, where each is answered
-    normalizers = _record_calls(monkeypatch, fusion, "_normalizer_system")
-    normals = _record_calls(monkeypatch, fusion, "_is_normal_subsystem")
-    subnormals = _record_calls(monkeypatch, fusion, "_is_subnormal_subsystem")
-    saturations = _record_calls(monkeypatch, fusion, "_is_saturated")
+    normalizers = _record_computations(monkeypatch, fusion.normalizer_system)
+    normals = _record_computations(monkeypatch, fusion.is_normal_subsystem)
+    subnormals = _record_computations(monkeypatch,
+                                      fusion.is_subnormal_subsystem)
+    saturations = _record_computations(monkeypatch, fusion.is_saturated)
 
     assert main(["suite", name, "--out", str(tmp_path / "r.json")]) == 0
 

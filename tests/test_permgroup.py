@@ -225,6 +225,22 @@ def test_normal_subgroups_s4(s4):
     assert orders == [1, 4, 12, 24]
 
 
+@pytest.mark.parametrize("gens,orders", [
+    ([(1, 2), (1, 2, 3, 4, 5, 6)], [1, 360, 720]),  # S6
+    ([(1, 2, 3), (2, 3, 4, 5, 6)], [1, 360]),  # A6
+], ids=["S6", "A6"])
+def test_normal_subgroups_past_the_lattice(gens, orders):
+    """Groups whose whole lattice takes seconds to list (A6: 501
+    subgroups): the normal subgroups come from the class closures, and
+    each is normal, the last being G itself."""
+    G = FiniteGroup(6, [from_cycles(6, c) for c in gens])
+    normal = normal_subgroups(G)
+    assert [N.order for N in normal] == orders
+    assert normal[-1].eset == G.eset
+    assert all(conjugate(x, g) in N.eset for N in normal
+               for g in G.generators for x in N.elements)
+
+
 def test_characteristic_p(s4):
     assert is_characteristic_p(s4, 2)
     # adjoin a central order-3 factor: C_G(O_2) now contains it

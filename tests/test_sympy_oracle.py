@@ -1,7 +1,7 @@
 """The group core against ``sympy.combinatorics`` on random permutation
 groups: order, Sylow orders, center, and the centralizer of the Sylow
 subgroup the library picks; the normal subgroups of the groups small
-enough to list every subgroup; and N_S(P) and Aut_S(P) on the S-indexed
+enough to list every subgroup, also against the lattice filter; and N_S(P) and Aut_S(P) on the S-indexed
 kernel, for every subgroup P of each Sylow subgroup S, against sympy's
 conjugation over all of S.  Skipped where sympy is not installed."""
 
@@ -16,10 +16,12 @@ from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
 from locfusion.permgroup import (FiniteGroup, center, centralizer,  # noqa: E402
                                  sylow_subgroup)
 
-from answer_oracles import normal_subgroups  # noqa: E402
+from answer_oracles import (normal_subgroups,  # noqa: E402
+                            normal_subgroups_by_lattice)
 
-# the largest group whose subgroups are all listed here: the lattice of
-# the whole group takes seconds from A6 (order 360) on
+# the largest group whose subgroups are all listed here, by the reference
+# ``normal_subgroups_by_lattice``: the lattice of the whole group takes
+# seconds from A6 (order 360) on
 NORMAL_ORDER_CAP = 120
 
 
@@ -72,10 +74,13 @@ SMALL = [(i, gens) for i, gens in enumerate(GENERATORS)
                          ids=[f"group{i}" for i, _ in SMALL])
 def test_normal_subgroups_match_sympy(gens):
     """Every listed normal subgroup is normal in sympy, and the normal
-    closure of every element is listed."""
+    closure of every element is listed; the list from the class closures
+    is the lattice filter's, in the same order."""
     G = FiniteGroup(len(gens[0]), gens)
     sym = _sympy_group(gens)
-    normal = {N.eset for N in normal_subgroups(G)}
+    listed = [N.eset for N in normal_subgroups(G)]
+    assert listed == [N.eset for N in normal_subgroups_by_lattice(G)]
+    normal = set(listed)
     for N in normal:
         assert _sympy_group(sorted(N)).is_normal(sym)
     for g in G.elements:

@@ -10,11 +10,11 @@ layers: each imports only the modules before it in ``MODULE_ORDER``, and
 only at module level.
 
 ``test_every_function_is_reached`` keeps package-dead code out of
-``src/locfusion``: every module-level function is reached from the CLI
-(``cli.HANDLERS`` and the ``main`` entry point) or from a class of the
-package, through the names that the functions it reaches use.  The
-functions only tests call are listed with the ROADMAP item that keeps
-them.
+``src/locfusion``: every module-level function and every method is
+reached from the CLI (``cli.HANDLERS`` and the ``main`` entry point) or
+from a class of the package, through the names that the functions it
+reaches use.  The functions and methods only tests call are listed with
+the ROADMAP item that keeps them.
 
 ``test_cli_starts_without_heavy_imports`` keeps the start-up of a
 verdict process small: in ``python -S``, where no site hook preloads
@@ -132,9 +132,13 @@ def test_bounds_are_set_where_objects_are_built():
     assert takers == BOUND_TAKERS
 
 
-# Module-level functions that only tests (or the bench) call, each with the
+# Functions and methods that only tests (or the bench) call, each with the
 # ROADMAP item that keeps it in the package.
 TEST_ONLY = {
+    "permgroup.SIndex.mask": "item 9: the fusion layer reads masks off "
+                             "SIndex.masks; tests name subgroups by it",
+    "locality.Locality.s_mask": "item 9: the predicates walk preimages "
+                                "through _word_states; tests check S_w",
     "fusion.op_core": "item 4: O_p(F) from centric radicals",
     "fusion.subcentric_subgroups": "item 4: O_p(F) from centric radicals",
     "permgroup.is_characteristic_p": "item 3: the perfbench char_p layer",
@@ -153,33 +157,54 @@ def _names(node: ast.AST) -> set[str]:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _attrs(node: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def test_every_function_is_reached():
-    """Reachability by name: a function is reached when a reached function
-    or a root names it.  The roots are every class body, ``cli.HANDLERS``
-    and ``cli.main``.  Two functions of one name are reached together."""
-    functions: dict[str, list[ast.FunctionDef]] = {}
-    seen: set[str] = set()
+    """Reachability by name: a module-level function is reached when a
+    reached function or a root names it, and a method when one names it
+    as an attribute (``x.name``; a local variable of the same name does
+    not count).  The roots are ``cli.HANDLERS``, ``cli.main``, every
+    class body outside its methods, and the special methods
+    (``__init__``, ``__eq__``, ...), which Python calls itself.  Two
+    functions of one name are reached together, and so is a method with
+    any attribute of its name: ``FusionSystem.subgroups`` is reached
+    through the slot ``SIndex.subgroups``, which ``subgroup_lattice``
+    reads, whether or not the method has a caller."""
+    functions: dict[str, list[ast.AST]] = {}
+    methods: dict[str, list[ast.AST]] = {}
     found = []
-    roots = {"main"}
+    roots: list[ast.AST] = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 functions.setdefault(node.name, []).append(node)
-                found.append(f"{path.stem}.{node.name}")
-            elif isinstance(node, ast.ClassDef) or (
-                    path.stem == "cli" and isinstance(node, ast.Assign)
-                    and [getattr(t, "id", None) for t in node.targets]
-                    == ["HANDLERS"]):
-                roots |= _names(node)
-    todo = list(roots)
+                found.append((f"{path.stem}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                roots += node.bases + node.decorator_list
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")):
+                        methods.setdefault(item.name, []).append(item)
+                        found.append(
+                            (f"{path.stem}.{node.name}.{item.name}", item))
+                    else:
+                        roots.append(item)
+            elif (path.stem == "cli" and isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["HANDLERS"]):
+                roots.append(node)
+    seen: set[int] = set()  # the ids of the reached nodes
+    todo = roots + functions["main"]
     while todo:
-        name = todo.pop()
-        if name in functions and name not in seen:
-            seen.add(name)
-            for node in functions[name]:
-                todo += _names(node)
-    unreached = sorted(q for q in found if q.split(".")[1] not in seen)
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo += [f for n in _names(node) for f in functions.get(n, ())]
+            todo += [m for n in _attrs(node) for m in methods.get(n, ())]
+    unreached = sorted(q for q, node in found if id(node) not in seen)
     assert unreached == sorted(TEST_ONLY)
 
 
