@@ -17,11 +17,13 @@ by that key alone.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from locfusion.cli import main
+from locfusion.instances import load_descriptor
 
 S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
     "instances" / "s6.json"
@@ -235,3 +237,46 @@ def test_bench_fusion_build_bytes_unchanged(name, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         BENCH_FUSION_SHA256[name]
+
+
+# The two product descriptors with Delta = order >= 4, a proper object
+# set: the only command runs that decide whether a subgroup outside
+# Delta is subcentric (``products._locality_route_fault``).  On
+# product-24 some subcentric subgroup lies outside Delta, so the locality
+# route is refused, an input error; on product-48 none does, the
+# generation formula gives ED and the locality route has no verdict.
+MIN4_SHA256 = {
+    ("verify-ed", "product-24"): (2,
+        "2d9b458ebaf80d571ce2ab26a61bb4df8108f80f31538f5e380a0b8271f60241"),
+    ("product-ed", "product-24"): (2,
+        "2d9b458ebaf80d571ce2ab26a61bb4df8108f80f31538f5e380a0b8271f60241"),
+    ("suite", "product-24"): (2,
+        "2d9b458ebaf80d571ce2ab26a61bb4df8108f80f31538f5e380a0b8271f60241"),
+    ("verify-ed", "product-48"): (0,
+        "d24e9e93c9865c76679755c95b7de9bf3b525e1233868d526ce5eab6281e5d1c"),
+    ("product-ed", "product-48"): (0,
+        "2ec0ce90a34ce41dfef586bbfba8f0af2417ae7b0bf74dbc78596a5453df49c6"),
+    ("suite", "product-48"): (0,
+        "0d92cd31028d2ee26e9759d1aeae9e5a0aa862c4f08fff5ec9cb3ba4012ae6c3"),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(MIN4_SHA256),
+                         ids=[" ".join(k) for k in sorted(MIN4_SHA256)])
+def test_min_order_4_product_bytes_unchanged(command, name, tmp_path,
+                                             capsys):
+    path = tmp_path / f"{name}-min4.json"
+    path.write_text(json.dumps({**load_descriptor(name),
+                                "delta": {"min_order": 4}}))
+    code, digest = MIN4_SHA256[command, name]
+    assert main([command, str(path)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    report = json.loads(out)
+    if name == "product-24":
+        assert report["error"] == \
+            "object set does not contain every subcentric subgroup"
+    elif command == "verify-ed":
+        (product,) = report["products"]
+        assert product["route"] == "formula_e"
+        assert product["cross_route_agreement"] is None
