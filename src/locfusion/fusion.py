@@ -19,8 +19,9 @@ equal systems have the same maps over the same subgroup of the same S.
 ``close`` computes that closure, also onto an already closed base: a
 normal closure over E's own Sylow T (T strongly closed) is closed onto
 E.  A map is conjugated only by the maps on the join of its source and
-image (``_f_conjugates``), O_p is searched only above a subgroup it is
-known to contain, and Aut_F(P) is a permutation group (``aut_group``).
+image (``_f_conjugates``), O_p of a saturated system is read off its
+centric radicals (``op_core``), and Aut_F(P) is a permutation group
+(``aut_group``).
 
 Every closure runs under a morphism cap.  A system keeps the cap it was
 built under, and the closures inside it and its normalizer systems
@@ -394,7 +395,7 @@ def close(S: Subgroup, p: int, generators: Iterable[Morphism],
 
 
 def fusion_of_group(G: FiniteGroup, S: Subgroup,
-                    acting: Optional[Sequence] = None, p: int = 0,
+                    p: int, acting: Optional[Sequence] = None,
                     cap: int = DEFAULT_MORPHISM_CAP,
                     t: Optional[int] = None) -> FusionSystem:
     """F_T(G) for the subgroup T of S with mask t (all of S by default),
@@ -402,22 +403,10 @@ def fusion_of_group(G: FiniteGroup, S: Subgroup,
     G, or only by ``acting``, a subgroup M of G with T Sylow in M, for
     F_T(M).  ``cap`` is the morphism cap of closures inside the
     result."""
-    if p == 0:
-        p = _infer_p(S)
     idx = S.parent.sindex(S)
     t = _full(idx) if t is None else t
     acting = G.elements if acting is None else acting
     return FusionSystem(idx, t, p, _conjugation_maps(idx, t, acting), cap)
-
-
-def _infer_p(S: Subgroup) -> int:
-    n = S.order
-    if n == 1:
-        raise FusionError("cannot infer p from the trivial group")
-    p = 2
-    while n % p:
-        p += 1
-    return p
 
 
 def fusion_of_partial_subgroup(L, H: Iterable[int]) -> FusionSystem:
@@ -567,69 +556,45 @@ def normalizer_system(F: FusionSystem, q: int) -> FusionSystem:
     return FusionSystem(idx, ns, F.p, maps, F.morphism_cap)
 
 
-def _normality_fault(F: FusionSystem, q: int) -> Optional[str]:
-    """The first clause of normality in F that the subgroup with mask q
-    fails, or None.
-    "strong_closure": some map sends a point of Q outside Q.
-    "extension": some map phi is not the restriction of a map of F on
-    <src(phi), Q>.  Once Q is strongly closed, every map defined on Q
-    maps Q into Q, and so onto Q, being injective: the extension then
-    preserves Q with no further test.  <src, Q> is ``SIndex.join``, and
-    the maps over one source are checked together against the
-    restrictions of the maps over <src, Q>.
-    """
-    if not is_strongly_closed(F, q):
-        return "strong_closure"
-    groups = F.maps_by_mask()
-    join = F.index.join
-    for src, imgs in groups.items():
-        on_src = getter(bit_positions(src))
-        keep = set(map(on_src, groups.get(join(src, q), ())))
-        if not keep.issuperset(map(on_src, imgs)):
-            return "extension"
-    return None
+def op_core(F: FusionSystem) -> int:
+    """The mask of O_p(F), the largest subgroup normal in F, for F
+    saturated: the largest strongly closed subgroup of the intersection
+    of F's centric radicals (``centric_radicals``, kept on F).
 
-
-def is_normal_subgroup_in(F: FusionSystem, q: int) -> bool:
-    """The subgroup Q with mask q is normal in F: Q is strongly closed,
-    and every morphism extends to one on <src, Q> that maps Q onto Q."""
-    return _normality_fault(F, q) is None
-
-
-def _op_core_over(F: FusionSystem, floor: int) -> int:
-    """The mask of the largest subgroup normal in F, searched only above
-    the subgroup with mask ``floor``, which must lie in O_p(F).  Exact
-    for any system closed under restriction: the product of two normal
-    subgroups is normal, so O_p(F) contains every one.  The uniqueness
-    check refuses other map sets.
-    """
-    normals = [m for m in F.lattice
-               if m & floor == floor and is_normal_subgroup_in(F, m)]
-    best = max(normals, key=int.bit_count)  # the first of largest order
-    if any(m & ~best for m in normals):
-        raise FusionError("normal subgroups do not have a unique maximum")
-    return best
-
-
-def op_core(F: FusionSystem) -> Subgroup:
-    """O_p(F): the largest subgroup normal in F, which contains all the
-    others (``_op_core_over`` from the trivial subgroup, mask 1)."""
-    return F.index.by_mask[_op_core_over(F, 1)]
+    For saturated F, Q is normal in F exactly when Q is strongly closed
+    and lies in every F-centric radical (Aschbacher–Kessar–Oliver,
+    *Fusion Systems in Algebra and Topology*, §I.4).  If Q is both, each
+    Aut_F(P) of a centric radical P maps Q onto Q, and so does its
+    restriction to any subgroup RQ <= P; by Alperin's theorem every map
+    of F is a composite of restrictions of such automorphisms, so each
+    extends to one on <src, Q> that maps Q onto Q.  Conversely, for Q
+    normal in F and P a centric radical, every alpha of Aut_F(P) extends
+    to one on PQ that maps Q onto Q, so Aut_{N_Q(P)}(P) is a normal
+    p-subgroup of Aut_F(P), inside Inn(P): N_Q(P) <= P C_T(P) = P, so
+    N_{PQ}(P) = P, and then PQ = P.  Normal subgroups of F generate a
+    normal subgroup, so the largest candidate is unique."""
+    x = F.t
+    for P in centric_radicals(F):
+        x &= F.mask_of(P)
+    return max((m for m in F.lattice
+                if m & x == m and is_strongly_closed(F, m)),
+               key=int.bit_count)
 
 
 def is_subcentric(F: FusionSystem, m: int) -> bool:
-    """O_p(N_F(Q)) is F-centric, for a fully normalized conjugate Q of P.
+    """O_p(N_F(Q)) is F-centric, for a fully normalized conjugate Q of P,
+    for F saturated (FusionError otherwise).
 
-    Q is normal in N_F(Q), and the product of two normal subgroups is
-    normal, so Q <= O_p(N_F(Q)): O_p is searched only above Q.  Overgroups
-    of F-centric subgroups are F-centric, so an F-centric P is subcentric
-    with no normalizer system built.  Both hold for any system closed
-    under restriction.
-    """
+    N_F(Q) at a fully normalized Q of a saturated F is saturated
+    (Aschbacher–Kessar–Oliver, Thm I.5.5), so ``op_core`` applies to it.
+    Overgroups of F-centric subgroups are F-centric, so an F-centric P
+    is subcentric with no normalizer system built."""
+    if not is_saturated(F):
+        raise FusionError("subcentric subgroups of a non-saturated system")
     if is_centric(F, m):
         return True
     q = fully_normalized_conjugate(F, m)
-    return is_centric(F, _op_core_over(normalizer_system(F, q), q))
+    return is_centric(F, op_core(normalizer_system(F, q)))
 
 
 def _class_members(F: FusionSystem, test) -> list[Subgroup]:

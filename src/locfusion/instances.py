@@ -58,7 +58,8 @@ def _check_schema(d) -> None:
     required keys, objects, integers, a string name, a boolean
     ``enumerate_minimality``, and every field read as a list
     (permutations, subgroup elements, K names) a list of them, the K
-    names of a theorem section at least one."""
+    names of a theorem section at least one, and each delta rule one of
+    ``{"all": true}``, ``{"min_order": n}`` or ``{"explicit": [...]}``."""
     _require_keys(d, ("name", "group", "p"), "descriptor")
     _require(isinstance(d["name"], str), "'name'", "a string", d["name"])
     _require(_is_int(d["p"]), "'p'", "an integer", d["p"])
@@ -91,15 +92,17 @@ def _check_schema(d) -> None:
             subgroups.append(d[key]["n"])
     for spec in deltas:
         _require_keys(spec, (), "delta")
-        if spec.get("all"):
-            continue
-        if "min_order" in spec:
-            _require(_is_int(spec["min_order"]), "delta 'min_order'",
-                     "an integer", spec["min_order"])
-        elif "explicit" in spec:
-            _require(isinstance(spec["explicit"], list) and all(
-                map(_is_perms, spec["explicit"])), "delta 'explicit'",
-                "a list of element lists", spec["explicit"])
+        if len(spec) > 1:
+            raise DescriptorError(
+                f"a delta rule has exactly one key, not {sorted(spec)}")
+        rule, value = next(iter(spec.items()), (None, None))
+        if rule == "all":
+            _require(value is True, "delta 'all'", "true", value)
+        elif rule == "min_order":
+            _require(_is_int(value), "delta 'min_order'", "an integer", value)
+        elif rule == "explicit":
+            _require(isinstance(value, list) and all(map(_is_perms, value)),
+                     "delta 'explicit'", "a list of element lists", value)
         else:
             raise DescriptorError(f"unrecognized delta rule {spec!r}")
     for name, spec in d.get("fusion_products", {}).items():
@@ -195,7 +198,7 @@ def sylow_of(d: dict, G: FiniteGroup) -> Subgroup:
 
 def delta_of(d: dict, G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     spec = d.get("delta", {"min_order": 1})
-    if spec.get("all"):
+    if "all" in spec:
         return fu.subgroup_lattice(S)
     if "min_order" in spec:
         return delta_min_order(S, spec["min_order"])

@@ -24,6 +24,13 @@ of G directly and looking each product up by its permutation; the
 library conjugates one element per right coset of S and reads a row a
 coset at a time off the Cayley table of S.
 
+``op_core_by_scan`` is O_p(F) as the library found it before it read
+O_p off the centric radicals: ``_normality_fault`` tests each subgroup
+for normality clause by clause, and ``_op_core_over`` keeps the largest
+normal subgroup above a floor that must lie in O_p(F), checking that it
+contains every other; it holds for any system closed under restriction,
+saturated or not.
+
 ``saturated_by_any_member`` asks of each F-class whether some member is
 fully automized and receptive, the definition of saturation; the library
 asks it of each class's fully normalized member.
@@ -50,14 +57,17 @@ condition per clause, as ``products.ed_verdict`` had it; the library
 folds the clauses with ``report.fold``.
 """
 
-from locfusion.fusion import (FusionSystem, _NONE, _conjugate_map, _keep,
-                              _target, centric_radicals, close,
-                              fusion_of_locality, is_fully_automized,
-                              is_receptive, is_saturated, maps_inside,
-                              strong_closure, subcentric_subgroups)
+from typing import Optional
+
+from locfusion.fusion import (FusionError, FusionSystem, _NONE,
+                              _conjugate_map, _keep, _target,
+                              centric_radicals, close, fusion_of_locality,
+                              is_fully_automized, is_receptive, is_saturated,
+                              is_strongly_closed, maps_inside, strong_closure,
+                              subcentric_subgroups)
 from locfusion.locality import _preimage_under, normalizer_carrier
 from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _p_part,
-                                 bit_positions, compose, conjugate,
+                                 bit_positions, compose, conjugate, getter,
                                  generated_subgroup, image_mask, inverse,
                                  is_characteristic_p, perm_order)
 
@@ -114,6 +124,56 @@ def strongly_invariant_by_all_maps(F, E):
                        not in in_e for span, phi in spans):
                     return False
     return True
+
+
+def _normality_fault(F: FusionSystem, q: int) -> Optional[str]:
+    """The first clause of normality in F that the subgroup with mask q
+    fails, or None.
+    "strong_closure": some map sends a point of Q outside Q.
+    "extension": some map phi is not the restriction of a map of F on
+    <src(phi), Q>.  Once Q is strongly closed, every map defined on Q
+    maps Q into Q, and so onto Q, being injective: the extension then
+    preserves Q with no further test.  <src, Q> is ``SIndex.join``, and
+    the maps over one source are checked together against the
+    restrictions of the maps over <src, Q>.
+    """
+    if not is_strongly_closed(F, q):
+        return "strong_closure"
+    groups = F.maps_by_mask()
+    join = F.index.join
+    for src, imgs in groups.items():
+        on_src = getter(bit_positions(src))
+        keep = set(map(on_src, groups.get(join(src, q), ())))
+        if not keep.issuperset(map(on_src, imgs)):
+            return "extension"
+    return None
+
+
+def is_normal_subgroup_in(F: FusionSystem, q: int) -> bool:
+    """The subgroup Q with mask q is normal in F: Q is strongly closed,
+    and every morphism extends to one on <src, Q> that maps Q onto Q."""
+    return _normality_fault(F, q) is None
+
+
+def _op_core_over(F: FusionSystem, floor: int) -> int:
+    """The mask of the largest subgroup normal in F, searched only above
+    the subgroup with mask ``floor``, which must lie in O_p(F).  Exact
+    for any system closed under restriction: the product of two normal
+    subgroups is normal, so O_p(F) contains every one.  The uniqueness
+    check refuses other map sets.
+    """
+    normals = [m for m in F.lattice
+               if m & floor == floor and is_normal_subgroup_in(F, m)]
+    best = max(normals, key=int.bit_count)  # the first of largest order
+    if any(m & ~best for m in normals):
+        raise FusionError("normal subgroups do not have a unique maximum")
+    return best
+
+
+def op_core_by_scan(F: FusionSystem) -> Subgroup:
+    """O_p(F): the largest subgroup normal in F, which contains all the
+    others (``_op_core_over`` from the trivial subgroup, mask 1)."""
+    return F.index.by_mask[_op_core_over(F, 1)]
 
 
 def saturated_by_any_member(F):

@@ -82,7 +82,8 @@ def test_criterion_5_fusion_equivalence_and_saturation():
     la = build_locality(load_descriptor("instance-a"))
     F_loc = fu.fusion_of_locality(la)
     F_grp = fu.fusion_of_group(la.realization,
-                               la.realization.subgroup(la.label_set(la.s_ids)))
+                               la.realization.subgroup(la.label_set(la.s_ids)),
+                               p=la.p)
     assert F_loc == F_grp
     groups = bundled_groups()
     assert len(groups) >= 5

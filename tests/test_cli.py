@@ -338,6 +338,21 @@ def _no_closure(*args):
      "delta 'explicit' must be a list of element lists, not [5]"),
     ("instance-a", lambda d: d.update(delta={"every": True}),
      "unrecognized delta rule {'every': True}"),
+    ("instance-a", lambda d: d.update(delta={"all": "yes"}),
+     "delta 'all' must be true, not 'yes'"),
+    ("instance-a", lambda d: d.update(delta={"all": False}),
+     "delta 'all' must be true, not False"),
+    ("instance-a", lambda d: d.update(delta={"all": True, "min_order": 4}),
+     "a delta rule has exactly one key, not ['all', 'min_order']"),
+    ("instance-a", lambda d: d.update(delta={"min_order": 4,
+                                             "explicit": 5}),
+     "a delta rule has exactly one key, not ['explicit', 'min_order']"),
+    ("instance-a", lambda d: d.update(delta={}),
+     "unrecognized delta rule {}"),
+    ("instance-b", lambda d: d["restriction"].update(delta={"all": 1}),
+     "delta 'all' must be true, not 1"),
+    ("instance-b", lambda d: d["restriction"]["delta"].update(all=True),
+     "a delta rule has exactly one key, not ['all', 'min_order']"),
     ("product-24", lambda d: d["fusion_products"]["ii"]["D"].update(kind="x"),
      "product 'ii' 'D' 'kind' must be 'inner' or 'normalizer', not 'x'"),
     ("instance-b", lambda d: d["theorem1"].update(k=5),
@@ -362,7 +377,9 @@ def _no_closure(*args):
      "'name' must be a string, not [1]"),
 ], ids=["d-kind", "inner-over", "product-not-object", "restriction-delta",
         "k-choice", "sylow", "explicit-delta", "explicit-delta-member",
-        "delta-rule", "d-kind-unknown",
+        "delta-rule", "all-not-true", "all-false", "all-and-min-order",
+        "min-order-and-explicit", "empty-delta", "restriction-all-not-true",
+        "restriction-two-rules", "d-kind-unknown",
         "theorem1-k", "theorem2-k-empty", "restriction-k", "elements", "generators", "e-over",
         "e-acting", "oracle-acting", "name"])
 def test_malformed_section_exits_2_before_any_group(name, edit, message,

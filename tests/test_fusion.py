@@ -9,7 +9,8 @@ from locfusion.fusion import (FusionError, MorphismCapExceeded, close,
                               fusion_of_partial_subgroup,
                               is_centric, is_centric_radical,
                               is_normal_subsystem, is_saturated,
-                              is_strongly_closed, is_subnormal_subsystem,
+                              is_strongly_closed, is_subcentric,
+                              is_subnormal_subsystem,
                               normalizer_system, op_core, strong_closure,
                               subcentric_subgroups, subgroup_lattice)
 from locfusion.instances import (build_locality, load_descriptor,
@@ -23,7 +24,7 @@ from graph_oracle import from_graph, graphs
 
 @pytest.fixture(scope="module")
 def F(s4, s4_sylow):
-    return fusion_of_group(s4, s4_sylow)
+    return fusion_of_group(s4, s4_sylow, p=2)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +132,8 @@ def test_close_on_a_base_keeps_its_checks(s4, s4_sylow, klein, F):
         close(s4_sylow, 2, [], base=close(s4_sylow, 2, [], t=F.mask_of(klein)))
 
 
-def test_not_saturated_handmade(s4, klein):
+@pytest.fixture(scope="module")
+def Fbad(klein):
     """Two of the three order-2 subgroups fused with no extension data."""
     subs = sorted((P for P in subgroup_lattice(klein) if P.order == 2),
                   key=lambda P: P.elements)
@@ -140,8 +142,17 @@ def test_not_saturated_handmade(s4, klein):
     a = next(iter(u1.eset - {e}))
     b = next(iter(u2.eset - {e}))
     phi = from_graph(klein, [(e, e), (a, b)])
-    Fbad = close(klein, 2, [phi])
+    return close(klein, 2, [phi])
+
+
+def test_not_saturated_handmade(Fbad):
     assert not is_saturated(Fbad)
+
+
+def test_subcentric_refuses_non_saturated(Fbad):
+    """O_p is read off the centric radicals only for a saturated system."""
+    with pytest.raises(FusionError, match="non-saturated"):
+        is_subcentric(Fbad, Fbad.lattice[1])
 
 
 def test_inner_fusion_saturated(s4_sylow):
@@ -218,7 +229,7 @@ def test_subcentric_all_of_lattice(F):
 
 
 def test_op_core(F, klein):
-    assert op_core(F).eset == klein.eset
+    assert op_core(F) == F.mask_of(klein)
 
 
 def test_normal_subsystem_true_cases(F, E, s4_sylow, klein):
@@ -244,7 +255,7 @@ def test_subnormal_chain_depth_two(F, s4, s4_sylow):
 
 
 def test_subnormal_rejects_non_subsystem(F, s5, s5_sylow):
-    other = fusion_of_group(s5, s5_sylow)
+    other = fusion_of_group(s5, s5_sylow, p=2)
     verdict, chain = is_subnormal_subsystem(F, other)
     assert verdict is False
 

@@ -25,12 +25,11 @@ import random
 import pytest
 
 from locfusion import instances as inst
-from locfusion.fusion import (FusionSystem, _normality_fault, _op_core_over,
-                              centric_radicals, close,
+from locfusion.fusion import (FusionSystem, centric_radicals, close,
                               fully_normalized_conjugate, fusion_of_group,
                               fusion_of_locality, inner_maps, is_centric,
-                              is_centric_radical, is_normal_subgroup_in,
-                              is_receptive, is_strongly_closed,
+                              is_centric_radical, is_receptive,
+                              is_strongly_closed,
                               is_subcentric, normalizer_system, op_core,
                               strong_closure, subcentric_subgroups,
                               subgroup_lattice)
@@ -41,8 +40,9 @@ from locfusion.permgroup import (FiniteGroup, GroupError, SIndex, _closure,
                                  p_core, sylow_subgroup)
 from locfusion.products import _tr_subgroup, a_fe
 
-from answer_oracles import (coset_span, join_closure_lattice,
-                            normalizer_by_sources)
+from answer_oracles import (_normality_fault, _op_core_over, coset_span,
+                            is_normal_subgroup_in, join_closure_lattice,
+                            normalizer_by_sources, op_core_by_scan)
 from cycles import from_cycles
 from graph_oracle import (conj_graph, from_graph, graph_of, graphs,
                           ref_all_subgroups, ref_close, ref_conjugate,
@@ -307,6 +307,13 @@ CASES = _cases()
 IDS = [c[0] for c in CASES]
 
 
+def _p_of(label):
+    """The prime of a case: the one its label names, or its bundled
+    descriptor's."""
+    name, _, p = label.partition(":p=")
+    return int(p) if p else inst.load_descriptor(name.split(":")[0])["p"]
+
+
 def _bundled_fusion_constructions():
     """(label, G, S, over, acting) for every fusion_of_group call that
     ``product_setup`` makes on the bundled descriptors, plus F_S(G)."""
@@ -460,7 +467,7 @@ def test_fusion_of_group_matches_element_wise(label, G, S):
     outer maps and from all of them, onto the inner maps."""
     if S.order == 1:
         pytest.skip("no fusion over the trivial group")
-    F = fusion_of_group(G, S)
+    F = fusion_of_group(G, S, p=_p_of(label))
     ref = ref_fusion_maps(G, S, G.elements)
     inner = ref_fusion_maps(G, S, S.elements)
     assert graphs(F) == ref
@@ -477,7 +484,7 @@ def test_scans_inside_s_match_element_wise(label, G, S):
     """N_S(P), Aut_S(P) and receptivity on every subgroup of S."""
     if S.order == 1:
         pytest.skip("no fusion over the trivial group")
-    F = fusion_of_group(G, S)
+    F = fusion_of_group(G, S, p=_p_of(label))
     idx = F.index
     for P in F.subgroups:
         m = idx.mask(P.eset)
@@ -499,7 +506,7 @@ def test_bundled_fusion_constructions_cover_products():
 def test_bundled_fusion_constructions_match(label, G, S, over, acting):
     """Each system on the positions of S, over the mask of ``over``."""
     t = G.sindex(S).mask(over.eset)
-    F = fusion_of_group(G, S, acting=acting, t=t)
+    F = fusion_of_group(G, S, p=_p_of(label), acting=acting, t=t)
     assert graphs(F) == ref_fusion_maps(G, over, acting)
 
 
@@ -557,7 +564,8 @@ def _subcentric_system(label):
         return fusion_of_locality(inst.Instance(inst.load_descriptor(name)).L)
     make, _ = SUBCENTRIC_GROUPS[name]
     G = make()
-    return fusion_of_group(G, sylow_subgroup(G, int(rest[2:])))
+    p = int(rest[2:])
+    return fusion_of_group(G, sylow_subgroup(G, p), p=p)
 
 
 @pytest.mark.parametrize("label", SUBCENTRIC_IDS)
@@ -567,7 +575,7 @@ def test_subcentric_search_matches_full_scan(label):
     searched above Q, against the element-wise full scan; then the
     subcentric verdict and the subcentric list."""
     F = _subcentric_system(label)
-    assert op_core(F) == ref_op_core(F)
+    assert F.index.by_mask[op_core(F)] == ref_op_core(F)
     verdicts = {}
     for P in F.subgroups:
         if P.eset in verdicts:
@@ -584,7 +592,7 @@ def test_subcentric_search_matches_full_scan(label):
             assert is_normal_subgroup_in(NQ, r) == \
                 ref_is_normal_subgroup_in(NQ, R)
         R = ref_op_core(NQ)
-        assert op_core(NQ) == R
+        assert NQ.index.by_mask[op_core(NQ)] == R
         assert NQ.index.by_mask[_op_core_over(NQ, q)] == R
         v = is_centric(F, F.mask_of(R))
         assert is_subcentric(F, F.mask_of(P)) == v == ref_is_subcentric(F, P)
@@ -629,7 +637,7 @@ def test_each_normality_clause_fires(s4, s4_sylow, klein):
     strongly closed, but the map fusing the central involution with a
     non-central one has no extension to S: the extension clause fails.
     The Klein four-group O_2(S4) passes both."""
-    F = fusion_of_group(s4, s4_sylow)
+    F = fusion_of_group(s4, s4_sylow, p=2)
     Z = F.subgroup(center(s4_sylow).eset)
     S = F.subgroup(s4_sylow.eset)
     assert _normality_fault(F, F.mask_of(Z)) == "strong_closure"
@@ -638,7 +646,39 @@ def test_each_normality_clause_fires(s4, s4_sylow, klein):
     assert _normality_fault(F, F.mask_of(S)) == "extension"
     assert not ref_is_normal_subgroup_in(F, S)
     assert _normality_fault(F, F.mask_of(klein)) is None
-    assert op_core(F).eset == klein.eset
+    assert op_core(F) == F.mask_of(klein)
+
+
+OP_CORE_GROUPS = {"S6": (_s6, 3), "S6xC2": (_s6xc2, 2), "S4xS4": (_s4xs4, 2)}
+OP_CORE_IDS = ([f"{name}:F" for name in inst.BUNDLED]
+               + [f"{name}:p={p}" for name, (_, p) in OP_CORE_GROUPS.items()])
+
+
+@pytest.mark.parametrize("label", OP_CORE_IDS)
+def test_op_core_matches_normality_scan(label):
+    """O_p read off the centric radicals equals the normality scan: on
+    F_S(G), and on N_F(Q) at the fully normalized member Q of every
+    class (of a seeded sample of the non-centric classes on S4xS4),
+    where the scan starts at Q, which is normal in N_F(Q); and so does
+    the subcentric verdict of the class."""
+    name, _, rest = label.partition(":")
+    if rest == "F":
+        F = inst.Instance(inst.load_descriptor(name)).F
+    else:
+        make, p = OP_CORE_GROUPS[name]
+        G = make()
+        F = fusion_of_group(G, sylow_subgroup(G, p), p=p)
+    assert op_core(F) == F.mask_of(op_core_by_scan(F))
+    classes = F.classes()
+    if name == "S4xS4":  # N_F(Q) is built only for non-centric classes
+        classes = random.Random(0).sample(
+            [cls for cls in classes if not is_centric(F, cls[0])], 8)
+    for cls in classes:
+        q = fully_normalized_conjugate(F, cls[0])
+        NQ = normalizer_system(F, q)
+        r = _op_core_over(NQ, q)
+        assert op_core(NQ) == r
+        assert is_subcentric(F, cls[0]) == is_centric(F, r)
 
 
 # -- Aut_F(P) as a permutation group ------------------------------------------
@@ -660,7 +700,8 @@ def _aut_system(label):
     if rest == "F_S(L)":
         return fusion_of_locality(inst.Instance(inst.load_descriptor(name)).L)
     G = AUT_GROUPS[name][0]()
-    return fusion_of_group(G, sylow_subgroup(G, int(rest[2:])))
+    p = int(rest[2:])
+    return fusion_of_group(G, sylow_subgroup(G, p), p=p)
 
 
 @pytest.mark.parametrize("label", AUT_IDS)

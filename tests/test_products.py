@@ -26,7 +26,7 @@ from graph_oracle import graph_of
 
 @pytest.fixture(scope="module")
 def F(s4, s4_sylow):
-    return fusion_of_group(s4, s4_sylow)
+    return fusion_of_group(s4, s4_sylow, p=2)
 
 
 @pytest.fixture(scope="module")

@@ -139,8 +139,8 @@ TEST_ONLY = {
                              "SIndex.masks; tests name subgroups by it",
     "locality.Locality.s_mask": "item 9: the predicates walk preimages "
                                 "through _word_states; tests check S_w",
-    "fusion.op_core": "item 4: O_p(F) from centric radicals",
-    "fusion.subcentric_subgroups": "item 4: O_p(F) from centric radicals",
+    "fusion.subcentric_subgroups": "item 3: the perfbench fusion.subcentric "
+                                   "layer",
     "permgroup.is_characteristic_p": "item 3: the perfbench char_p layer",
     "permgroup.center": "item 9: moves to tests/ after item 3",
     "permgroup.centralizer": "item 9: moves to tests/ after item 3",
