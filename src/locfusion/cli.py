@@ -156,6 +156,8 @@ def cmd_restriction(ctx, args):
     L = ctx.L
     G = L.realization
     sub_delta = inst.delta_of({**d, "delta": cfg["delta"]}, G, ctx.S)
+    if any(not P.eset <= ctx.S.eset for P in sub_delta):
+        raise LocalityError("delta member is not a subgroup of S")
     delta_ids = [frozenset(L.id_of[g] for g in P.eset) for P in sub_delta]
     N = inst.resolve_ids(L, inst.named_subgroup(d, G, cfg["n"]))
     K = inst.k_choice(d, L, cfg["k"])

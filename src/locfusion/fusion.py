@@ -21,7 +21,8 @@ normal closure over E's own Sylow T (T strongly closed) is closed onto
 E.  A map is conjugated only by the maps on the join of its source and
 image (``_f_conjugates``), O_p of a saturated system is read off its
 centric radicals (``op_core``), and Aut_F(P) is a permutation group
-(``aut_group``).
+(``aut_group``).  E is subnormal in F exactly when E = F or E is
+subnormal in a proper normal subsystem of F (``subnormal_subsystems``).
 
 Every closure runs under a morphism cap.  A system keeps the cap it was
 built under, and the closures inside it and its normalizer systems
@@ -33,11 +34,11 @@ declared with ``kept``: its maps by source, the conjugates of each
 subgroup and the one walk over its conjugacy classes (so that
 saturation, subcentricity and the centric radicals are decided once per
 class), the images of each point, N_F(Q) per Q (the subcentric test
-asks it too), whether F is saturated, its centric radicals, and, per
-subsystem E (which hashes by its content), whether E is normal in F and
-the subnormal chain search.  A system is never changed after it is
-built, so its answers live as long as it does, and no module holds
-state.  Normal closures are not kept: few are asked for twice.
+asks it too), whether F is saturated, its centric radicals, whether a
+subsystem E (which hashes by its content) is normal in F, and its normal
+and subnormal subsystems.  A system is never changed after it is built,
+so its answers live as long as it does, and no module holds state.
+Normal closures are not kept: few are asked for twice.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ from functools import cached_property, wraps
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from .permgroup import (FiniteGroup, SIndex, Subgroup, all_subgroups,
-                        bit_positions, domain_mask, getter, image_mask,
-                        p_core, _p_part)
+from .permgroup import (FiniteGroup, SIndex, SizeCapExceeded, Subgroup,
+                        all_subgroups, bit_positions, domain_mask, getter,
+                        image_mask, p_core, _p_part)
 
 DEFAULT_MORPHISM_CAP = 1_000_000
+# the most closed subsystems enumerated over one subgroup of S
+SUBSYSTEM_ENUM_CAP = 2000
 
 # A morphism: (source mask, image position of every point of S or -1).
 Morphism = tuple[int, tuple[int, ...]]
@@ -759,26 +762,52 @@ def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
 
 
 @kept
-def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
-                           ) -> tuple[bool | str, tuple[FusionSystem, ...]]:
-    """Chain search by descending normal closures.
+def normal_subsystems(F: FusionSystem) -> list[FusionSystem]:
+    """Every subsystem normal in F, by strongly closed T <= S in lattice
+    order; SizeCapExceeded past ``SUBSYSTEM_ENUM_CAP`` found over one T.
+    A normal E over T is closed and holds Inn(T) and the F-conjugates of
+    its maps, so it is grown from the normal closure of the inner system
+    of T by adding one of its maps with their F-conjugates at a time."""
+    S, p, cap = F.index.S, F.p, F.morphism_cap
+    out = []
+    for t in (t for t in F.lattice if is_strongly_closed(F, t)):
+        inside = maps_inside(F.maps, t)
+        inner = FusionSystem(F.index, t, p, inner_maps(S, t), cap)
+        found = [normal_closure(F, inner)]
+        seen = {found[0].maps}
+        for cur in found:  # found grows while it is read: breadth-first
+            for m in sorted(inside - cur.maps):
+                nxt = close(S, p, [m, *_f_conjugates(F, [m])], cap,
+                            base=cur, t=t)
+                if nxt.maps not in seen:
+                    seen.add(nxt.maps)
+                    found.append(nxt)
+                    if len(found) > SUBSYSTEM_ENUM_CAP:
+                        raise SizeCapExceeded(
+                            "subsystem enumeration exceeded "
+                            f"{SUBSYSTEM_ENUM_CAP} closed subsystems over "
+                            "one subgroup of S")
+        out += [E for E in found if is_normal_subsystem(F, E)]
+    return out
 
-    Returns (verdict, chain from E up to F); verdict is True, False, or
-    "unknown" when a descending link fails the normality audit (the
-    weak closure need not be saturated in general).  Searched once per E
-    and kept on F, so the chain is a tuple.
-    """
-    if not is_subsystem(F, E):
-        return False, ()
-    if E == F:
-        return True, (F,)
-    chain = [F]
-    # each normal closure is a subsystem of the last: the chain descends
-    while (nxt := normal_closure(chain[-1], E)) != chain[-1]:
-        chain.append(nxt)
-    if chain[-1] != E:
-        return False, tuple(reversed(chain))
-    for below, above in zip(chain[1:], chain):
-        if not is_normal_subsystem(above, below):
-            return "unknown", tuple(reversed(chain))
-    return True, tuple(reversed(chain))
+
+@kept
+def subnormal_subsystems(F: FusionSystem
+                         ) -> dict[FusionSystem, tuple[FusionSystem, ...]]:
+    """Each subnormal subsystem of F with a chain up to F, each link normal
+    in the next: F, and those of each proper normal subsystem of F
+    (Aschbacher–Kessar–Oliver, *Fusion Systems in Algebra and Topology*,
+    §I.6)."""
+    chains = {F: (F,)}
+    for N in normal_subsystems(F):
+        if N != F:
+            for X, chain in subnormal_subsystems(N).items():
+                chains.setdefault(X, chain + (F,))
+    return chains
+
+
+def is_subnormal_subsystem(F: FusionSystem, E: FusionSystem
+                           ) -> tuple[bool, tuple[FusionSystem, ...]]:
+    """(True, a chain from E up to F), or (False, ()): a lookup."""
+    chain = subnormal_subsystems(F).get(E)
+    return (True, chain) if chain else (False, ())

@@ -15,18 +15,15 @@ from typing import Iterable, Optional, Sequence
 
 from .fusion import (FusionSystem, Morphism, aut_group, close,
                      fusion_of_locality, fusion_of_partial_subgroup,
-                     inner_maps, is_centric, is_normal_subsystem,
-                     is_subcentric, is_subnormal_subsystem, is_subsystem,
-                     kept, maps_inside, normalizer_system, restriction,
-                     trivial_modulo)
+                     is_centric, is_normal_subsystem, is_subcentric,
+                     is_subnormal_subsystem, is_subsystem, kept,
+                     maps_inside, normalizer_system, restriction,
+                     subnormal_subsystems, trivial_modulo)
 from .locality import Locality, is_linking_locality
 from .partial_subgroups import (check_theorem2_hypotheses, is_partial_subgroup,
                                 set_product)
-from .permgroup import SizeCapExceeded, perm_order
+from .permgroup import perm_order
 from .report import PreconditionError, Report
-
-# the most closed subsystems enumerated over one subgroup of S
-SUBSYSTEM_ENUM_CAP = 2000
 
 
 class NormalityRequired(PreconditionError):
@@ -71,7 +68,7 @@ def _status(N: FusionSystem, D: FusionSystem) -> str:
     D is not a subsystem of N)."""
     if is_normal_subsystem(N, D):
         return "normal"
-    return "subnormal" if is_subnormal_subsystem(N, D)[0] is True else "fail"
+    return "subnormal" if is_subnormal_subsystem(N, D)[0] else "fail"
 
 
 def product_ED(F: FusionSystem, E: FusionSystem,
@@ -147,36 +144,9 @@ def _locality_route_fault(L: Locality) -> Optional[str]:
 
 
 def enumerate_subnormal_subsystems(F: FusionSystem) -> list[FusionSystem]:
-    """All subnormal subsystems of F, by exhausting closed subsystems over
-    each subgroup of S (SizeCapExceeded past ``SUBSYSTEM_ENUM_CAP`` over
-    one) and filtering with the chain search.  Each candidate is closed
-    incrementally from the closed system it extends by one map."""
-    out = []
-    S = F.index.S
-    for t in F.lattice:
-        inside = frozenset(maps_inside(F.maps, t))
-        extra = sorted(inside - inner_maps(S, t))
-        systems = [close(S, F.p, [], F.morphism_cap, t=t)]
-        seen = {systems[0].maps}
-        frontier = list(systems)
-        while frontier:
-            cur = frontier.pop()
-            for m in extra:
-                if m in cur.maps:
-                    continue
-                nxt = close(S, F.p, [m], F.morphism_cap, base=cur, t=t)
-                if nxt.maps <= inside and nxt.maps not in seen:
-                    seen.add(nxt.maps)
-                    systems.append(nxt)
-                    frontier.append(nxt)
-                    if len(seen) > SUBSYSTEM_ENUM_CAP:
-                        raise SizeCapExceeded(
-                            "subsystem enumeration exceeded "
-                            f"{SUBSYSTEM_ENUM_CAP} closed subsystems over "
-                            "one subgroup of S")
-        out += [X for X in systems if is_subnormal_subsystem(F, X)[0] is True]
-    return sorted(out, key=lambda X: (X.S.order, X.S.elements,
-                                      len(X.maps), sorted(X.maps)))
+    """``subnormal_subsystems`` of F, by Sylow subgroup, then by maps."""
+    return sorted(subnormal_subsystems(F), key=lambda X: (
+        X.S.order, X.S.elements, len(X.maps), sorted(X.maps)))
 
 
 def verify_ed(F: FusionSystem, E: FusionSystem, D: FusionSystem,
@@ -216,14 +186,11 @@ def verify_ed(F: FusionSystem, E: FusionSystem, D: FusionSystem,
     if comparisons is None:
         rep.set("minimality", "not_enumerable")
     else:
-        # ED lies in every system with E subnormal in it and D subnormal
-        # in its normalizer of T (each chain search first asks whether
-        # the smaller system is a subsystem at all)
+        # ED lies in every X with E subnormal in X and D in N_X(T)
         rep.set("minimality", all(
             is_subsystem(other, ED) for other in comparisons
-            if is_subnormal_subsystem(other, E)[0] is True
-            and is_subnormal_subsystem(
-                normalizer_system(other, t), D)[0] is True))
+            if is_subnormal_subsystem(other, E)[0]
+            and is_subnormal_subsystem(normalizer_system(other, t), D)[0]))
     return rep
 
 

@@ -12,6 +12,15 @@ closure is closed from the inner maps; the library conjugates phi only
 by the maps on the join of its source and image, and closes onto E
 when E's Sylow is strongly closed.
 
+``subnormal_chain_by_closures`` is the chain search by descending
+normal closures that the library ran before it read subnormality off the
+normal subsystems: it answers "unknown" when a link of the chain fails
+the normality audit.  ``closed_subsystems_by_exhaust`` builds every
+closed subsystem over every subgroup of S, and
+``subnormal_subsystems_by_exhaust`` keeps those the chain search finds
+subnormal, as the library enumerated them; the library grows only the
+F-invariant systems over the strongly closed subgroups.
+
 ``linking_per_object`` is the linking certificate with N_L(P) built as
 a permutation group (``local_group``) and tested by a Sylow search for
 every object of delta; the library tests one object per F_S(L)-class,
@@ -59,17 +68,21 @@ folds the clauses with ``report.fold``.
 
 from typing import Optional
 
+from locfusion import fusion
 from locfusion.fusion import (FusionError, FusionSystem, _NONE,
                               _conjugate_map, _keep, _target,
                               centric_radicals, close, fusion_of_locality,
-                              is_fully_automized, is_receptive, is_saturated,
-                              is_strongly_closed, maps_inside, strong_closure,
+                              inner_maps, is_fully_automized,
+                              is_normal_subsystem, is_receptive,
+                              is_saturated, is_strongly_closed, is_subsystem,
+                              maps_inside, normal_closure, strong_closure,
                               subcentric_subgroups)
 from locfusion.locality import _preimage_under, normalizer_carrier
-from locfusion.permgroup import (FiniteGroup, SIndex, Subgroup, _p_part,
-                                 bit_positions, compose, conjugate, getter,
-                                 generated_subgroup, image_mask, inverse,
-                                 is_characteristic_p, perm_order)
+from locfusion.permgroup import (FiniteGroup, SIndex, SizeCapExceeded,
+                                 Subgroup, _p_part, bit_positions, compose,
+                                 conjugate, getter, generated_subgroup,
+                                 image_mask, inverse, is_characteristic_p,
+                                 perm_order)
 
 
 def normalizer_by_sources(F, Q):
@@ -124,6 +137,73 @@ def strongly_invariant_by_all_maps(F, E):
                        not in in_e for span, phi in spans):
                     return False
     return True
+
+
+def subnormal_chain_by_closures(F: FusionSystem, E: FusionSystem
+                                ) -> tuple[bool | str,
+                                           tuple[FusionSystem, ...]]:
+    """Chain search by descending normal closures.
+
+    Returns (verdict, chain from E up to F); verdict is True, False, or
+    "unknown" when a descending link fails the normality audit (the
+    weak closure need not be saturated in general).
+    """
+    if not is_subsystem(F, E):
+        return False, ()
+    if E == F:
+        return True, (F,)
+    chain = [F]
+    # each normal closure is a subsystem of the last: the chain descends
+    while (nxt := normal_closure(chain[-1], E)) != chain[-1]:
+        chain.append(nxt)
+    if chain[-1] != E:
+        return False, tuple(reversed(chain))
+    for below, above in zip(chain[1:], chain):
+        if not is_normal_subsystem(above, below):
+            return "unknown", tuple(reversed(chain))
+    return True, tuple(reversed(chain))
+
+
+def closed_subsystems_by_exhaust(F: FusionSystem) -> list[FusionSystem]:
+    """Every closed subsystem of F over each subgroup T of S that holds
+    Inn(T), by exhausting them over each T (SizeCapExceeded past
+    ``fusion.SUBSYSTEM_ENUM_CAP`` over one).  Each candidate is closed
+    incrementally from the closed system it extends by one map."""
+    out = []
+    S = F.index.S
+    for t in F.lattice:
+        inside = frozenset(maps_inside(F.maps, t))
+        extra = sorted(inside - inner_maps(S, t))
+        systems = [close(S, F.p, [], F.morphism_cap, t=t)]
+        seen = {systems[0].maps}
+        frontier = list(systems)
+        while frontier:
+            cur = frontier.pop()
+            for m in extra:
+                if m in cur.maps:
+                    continue
+                nxt = close(S, F.p, [m], F.morphism_cap, base=cur, t=t)
+                if nxt.maps <= inside and nxt.maps not in seen:
+                    seen.add(nxt.maps)
+                    systems.append(nxt)
+                    frontier.append(nxt)
+                    if len(seen) > fusion.SUBSYSTEM_ENUM_CAP:
+                        raise SizeCapExceeded(
+                            "subsystem enumeration exceeded "
+                            f"{fusion.SUBSYSTEM_ENUM_CAP} closed subsystems "
+                            "over one subgroup of S")
+        out += systems
+    return out
+
+
+def subnormal_subsystems_by_exhaust(F: FusionSystem) -> list[FusionSystem]:
+    """All subnormal subsystems of F, as ``enumerate_subnormal_subsystems``
+    orders them: the closed subsystems that the chain search by
+    descending normal closures finds subnormal."""
+    out = [X for X in closed_subsystems_by_exhaust(F)
+           if subnormal_chain_by_closures(F, X)[0] is True]
+    return sorted(out, key=lambda X: (X.S.order, X.S.elements,
+                                      len(X.maps), sorted(X.maps)))
 
 
 def _normality_fault(F: FusionSystem, q: int) -> Optional[str]:

@@ -483,6 +483,22 @@ def test_restriction_non_overgroup_closed_delta_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["restriction", "suite"])
+def test_restriction_delta_outside_s_exits_2(command, tmp_path, capsys):
+    """A restriction delta member outside S (a 5-cycle of S6 at p = 2)
+    gets the message of a top-level delta member outside S."""
+    d = json.loads(S6_DESCRIPTOR.read_text())
+    d["name"] = "s6-c5"
+    d["restriction"]["delta"] = {"explicit": [
+        [[1, 2, 3, 4, 5, 6], [2, 3, 4, 5, 1, 6], [3, 4, 5, 1, 2, 6],
+         [4, 5, 1, 2, 3, 6], [5, 1, 2, 3, 4, 6]]]}
+    assert run([command, _write(tmp_path, d)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "delta member is not a subgroup of S",
+                               "kind": "LocalityError"}
+    assert "Traceback" not in err
+
+
 def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
     """An --out that cannot be written is an input error: exit 2, the
     error on stdout as for the other input errors, and no file."""
@@ -535,8 +551,8 @@ def test_morphism_cap_reaches_product_closures(capsys):
 
 
 def test_subsystem_enumeration_cap_exits_3(monkeypatch, capsys):
-    from locfusion import products
-    monkeypatch.setattr(products, "SUBSYSTEM_ENUM_CAP", 1)
+    from locfusion import fusion
+    monkeypatch.setattr(fusion, "SUBSYSTEM_ENUM_CAP", 1)
     assert run(["verify-ed", "product-24"]) == 3
     out, err = capsys.readouterr()
     rep = json.loads(out)

@@ -85,8 +85,9 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     # the questions a system keeps its answers to, where each is answered
     normalizers = _record_computations(monkeypatch, fusion.normalizer_system)
     normals = _record_computations(monkeypatch, fusion.is_normal_subsystem)
+    normal_subs = _record_computations(monkeypatch, fusion.normal_subsystems)
     subnormals = _record_computations(monkeypatch,
-                                      fusion.is_subnormal_subsystem)
+                                      fusion.subnormal_subsystems)
     saturations = _record_computations(monkeypatch, fusion.is_saturated)
 
     assert main(["suite", name, "--out", str(tmp_path / "r.json")]) == 0
@@ -104,7 +105,8 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     assert _most_per_object(enums) <= 1
     assert normalizers and _each_once(normalizers, lambda q: q)
     assert normals and _each_once(normals, lambda E: E)
-    assert _each_once(subnormals, lambda E: E)
+    assert _each_once(normal_subs, lambda: None)
+    assert _each_once(subnormals, lambda: None)
     assert saturations and _each_once(saturations, lambda: None)
 
 

@@ -7,7 +7,7 @@ import pytest
 from locfusion import products as pr
 from locfusion.fusion import (close, fusion_of_group, fusion_of_locality,
                               inner_maps, is_subcentric, maps_inside)
-from locfusion.instances import (build_locality, load_descriptor,
+from locfusion.instances import (Instance, build_locality, load_descriptor,
                                  named_subgroup, product_setup, resolve_ids)
 from locfusion.locality import (delta_min_order, is_linking_locality,
                                 locality_from_descriptor, locality_from_group,
@@ -18,7 +18,8 @@ from locfusion.permgroup import (FiniteGroup, bit_positions,
 from locfusion.report import PreconditionError, fold
 
 from answer_oracles import (ed_verdict_by_clause, linking_per_object,
-                            locality_route_fault_by_lattice)
+                            locality_route_fault_by_lattice,
+                            subnormal_subsystems_by_exhaust)
 from bundled import relabelled_copy
 from cycles import from_cycles
 from graph_oracle import graph_of
@@ -131,6 +132,18 @@ def test_enumerate_subnormal_subsystems(F, E):
     assert (8, len(F.maps)) in key  # F itself
 
 
+@pytest.mark.parametrize("dname", ["group-8", "group-60", "instance-a",
+                                   "instance-b", "product-24"])
+def test_enumeration_matches_the_exhaust(dname):
+    """The subnormal subsystems read off the normal ones are those that
+    the chain search by normal closures finds subnormal among every
+    closed subsystem (product-48's are compared candidate by candidate
+    in ``test_subsystem_conjugation``)."""
+    F = Instance(load_descriptor(dname)).F
+    assert pr.enumerate_subnormal_subsystems(F) == \
+        subnormal_subsystems_by_exhaust(F)
+
+
 def test_verify_ed_reports(setups):
     subn_systems = pr.enumerate_subnormal_subsystems(setups["i"]["F"])
     for name, st in setups.items():
@@ -197,8 +210,8 @@ def test_fold_matches_the_per_clause_rule():
 
 
 def test_incremental_close_matches_scratch_along_enumeration(setups):
-    """Every step of the subnormal-subsystem enumeration of product-24's
-    F: closing one more map onto the closed system ``cur`` gives the
+    """Every step of the exhaust over the closed subsystems of
+    product-24's F (``closed_subsystems_by_exhaust``): closing one more map onto the closed system ``cur`` gives the
     system that closing ``cur.maps`` and the map from scratch gives."""
     F = setups["i"]["F"]
     S, cap = F.S, F.morphism_cap

@@ -6,11 +6,13 @@ of E only by the maps of F on the join of phi's source and image, and a
 normal closure over a strongly closed T is closed onto E;
 ``normal_closure_by_all_maps`` and ``strongly_invariant_by_all_maps``
 conjugate phi by every map of F whose source contains that join, and
-close from the inner maps.  The cases are every candidate subsystem
-that ``enumerate_subnormal_subsystems`` builds for the F of product-24
-and of product-48, and a derandomized sample of systems generated by
-maps of F_S(G) inside a subgroup T of S, for S4, S3×S3 and S6×C2 at
-p = 2.
+close from the inner maps.  The cases are every closed subsystem over
+every subgroup of S (``closed_subsystems_by_exhaust``) for the F of
+product-24 and of product-48, and a derandomized sample of systems
+generated by maps of F_S(G) inside a subgroup T of S, for S4, S3×S3 and
+S6×C2 at p = 2.  On those closed subsystems, ``is_subnormal_subsystem``
+is also checked against a recursion over them and against the chain
+search by descending normal closures.
 """
 
 import json
@@ -18,16 +20,18 @@ import json
 import pytest
 
 from locfusion import fusion
-from locfusion import products as pr
 from locfusion.cli import main
 from locfusion.fusion import (_conjugation_maps, _is_strongly_invariant,
-                              close, fusion_of_group, inner_maps, maps_inside,
-                              normal_closure, strong_closure)
+                              close, fusion_of_group, inner_maps,
+                              is_normal_subsystem, is_subnormal_subsystem,
+                              maps_inside, normal_closure, strong_closure)
 from locfusion.instances import load_descriptor, product_setup
 from locfusion.permgroup import FiniteGroup, sylow_subgroup
 
-from answer_oracles import (normal_closure_by_all_maps,
-                            strongly_invariant_by_all_maps)
+from answer_oracles import (closed_subsystems_by_exhaust,
+                            normal_closure_by_all_maps,
+                            strongly_invariant_by_all_maps,
+                            subnormal_chain_by_closures)
 from cycles import from_cycles
 
 try:
@@ -52,30 +56,46 @@ def check_against_oracles(F, E):
     return strong_closure(F, E.t) == E.t
 
 
-def enumeration_candidates(F, monkeypatch):
-    """Every closed subsystem ``enumerate_subnormal_subsystems`` builds
-    for F, recorded where it asks for the subnormal chain (which is not
-    searched here: each candidate is refused)."""
-    seen = []
+def subnormal_among(cands, A, found):
+    """The members of ``cands`` subnormal in A, itself one of them: A, and
+    those subnormal in some other member normal in A, each found once
+    (``found``, by system)."""
+    if A not in found:
+        found[A] = {A}.union(*(subnormal_among(cands, N, found)
+                               for N in cands
+                               if N != A and is_normal_subsystem(A, N)))
+    return found[A]
 
-    def record(G, X):
-        assert G is F
-        seen.append(X)
-        return False, ()
-    monkeypatch.setattr(pr, "is_subnormal_subsystem", record)
-    assert pr.enumerate_subnormal_subsystems(F) == []
-    return seen
+
+# the candidates the chain search by normal closures leaves "unknown"
+UNDECIDED = {"product-24": 12, "product-48": 739}
 
 
 @pytest.mark.parametrize("dname,pname,count", [("product-24", "i", 27),
                                                ("product-48", "iii", 1501)])
-def test_enumeration_candidates_match_every_map_oracles(dname, pname, count,
-                                                        monkeypatch):
+def test_enumeration_candidates_match_every_map_oracles(dname, pname, count):
     F = product_setup(load_descriptor(dname), pname)["F"]
-    cands = enumeration_candidates(F, monkeypatch)
+    cands = closed_subsystems_by_exhaust(F)
     assert len(cands) == count
     closed = [check_against_oracles(F, X) for X in cands]
     assert any(closed) and not all(closed)  # both ways of closing
+    # subnormality: the exact rule against a recursion over the candidates
+    # (F among them) and against the chain search by normal closures
+    want = subnormal_among(cands, F, {})
+    undecided = 0
+    for X in cands:
+        verdict, chain = is_subnormal_subsystem(F, X)
+        assert verdict is (X in want)
+        if verdict:
+            assert chain[0] == X and chain[-1] is F
+            assert all(is_normal_subsystem(above, below)
+                       for below, above in zip(chain, chain[1:]))
+        else:
+            assert chain == ()
+        old = subnormal_chain_by_closures(F, X)[0]
+        assert old in (verdict, "unknown")
+        undecided += old == "unknown"
+    assert undecided == UNDECIDED[dname]
 
 
 def _group(degree, *cycles):
