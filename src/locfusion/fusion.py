@@ -36,9 +36,16 @@ saturation, subcentricity and the centric radicals are decided once per
 class), the images of each point, N_F(Q) per Q (the subcentric test
 asks it too), whether F is saturated, its centric radicals, whether a
 subsystem E (which hashes by its content) is normal in F, and its normal
-and subnormal subsystems.  A system is never changed after it is built,
-so its answers live as long as it does, and no module holds state.
-Normal closures are not kept: few are asked for twice.
+and subnormal subsystems.  A run rebuilds equal systems as separate
+objects (F, N_F(T), ED, N_ED(T) and the links of their subnormal
+chains), so the answers are kept per system, not per object: every
+system on one index of S with the same t, p, maps and morphism cap
+shares one store, kept on the index (``SIndex.answers``).  The cap is
+part of the key because a kept computation can raise
+MorphismCapExceeded under a smaller cap.  A system is never changed
+after it is built, so the store lives as long as the index, and no
+module holds state.  Normal closures are not kept: few are asked for
+twice.
 """
 
 from __future__ import annotations
@@ -64,12 +71,15 @@ _ABSENT = object()  # no answer kept yet; a kept answer may be None
 
 
 def kept(ask):
-    """``ask(x, *args)``, answered once per ``args`` and kept on x, in
+    """``ask(x, *args)``, answered once per ``args`` and kept in
     ``x._verdicts`` under a key that only this wrapper builds; a kept
     None or False is an answer like any other.  x must not change after
     it is built, and each argument must hash by its content (a
-    ``FusionSystem`` does).  The computation is read as ``__wrapped__``
-    when it runs, so a test can count the computations behind a question.
+    ``FusionSystem`` does).  A system's ``_verdicts`` is the store it
+    shares with every equal system on its index under the same cap, so
+    an answer may hold an equal system rather than x itself.  The
+    computation is read as ``__wrapped__`` when it runs, so a test can
+    count the computations behind a question.
 
     Four stores stay as they are.  ``SIndex``'s tables and
     ``Locality.preimage`` are per-lookup kernel tables on hot paths
@@ -153,7 +163,9 @@ class FusionSystem:
     """Fusion system over the subgroup T of S with mask ``t``, each
     morphism held once, on the positions of S (``index``); ``S`` is T as
     a subgroup.  ``morphism_cap`` bounds the closures computed inside it;
-    it takes no part in equality, nor do the answers kept on it."""
+    it takes no part in equality, nor do the answers kept for it.  Those
+    are shared with every equal system on the same index under the same
+    cap (``_verdicts``)."""
 
     def __init__(self, index: SIndex, t: int, p: int,
                  maps: Iterable[Morphism],
@@ -166,7 +178,14 @@ class FusionSystem:
         self.p = p
         self.maps = frozenset(maps)
         self.morphism_cap = morphism_cap
-        self._verdicts: dict = {}  # the answers kept on F (``kept``)
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        """The answers kept for F (``kept``): one dict per (t, p, maps,
+        cap) on F's index, taken on the first question, so a system never
+        asked anything puts nothing in ``SIndex.answers``."""
+        key = (self.t, self.p, self.maps, self.morphism_cap)
+        return self.index.answers.setdefault(key, {})
 
     @cached_property
     def lattice(self) -> list[int]:
@@ -535,8 +554,9 @@ def normalizer_system(F: FusionSystem, q: int) -> FusionSystem:
     restricted to the P <= N_T(Q) with PQ = R (``SIndex.join``): every
     P <= N_T(Q) is counted under exactly one R.  Such a psi sends P into
     N_T(psi(Q)) = N_T(Q), so the restrictions are maps of N_T(Q) as they
-    stand.  When the result is F itself (Q normal in F), F is returned,
-    so that the answers kept on F serve for it.
+    stand.  When the result is F itself (Q normal in F), F is returned:
+    equal systems share their answers anyway (``FusionSystem._verdicts``),
+    so this only saves a second object holding the same maps.
     """
     idx = F.index
     n = len(idx.elements)

@@ -294,15 +294,18 @@ class SIndex:
     elements are filled on first use, as are the ``subgroups`` of S with
     their ``masks`` and the subgroup ``by_mask`` of each
     (``fusion.subgroup_lattice``), and the ``inner_maps`` of each
-    subgroup (``fusion.inner_maps``).  The lattice, and so the joins,
-    exist only when S is a p-group; the rest holds for any S.  Obtain the
-    index of a subgroup through ``FiniteGroup.sindex``, which keeps it on
-    the group.
+    subgroup (``fusion.inner_maps``).  ``answers`` holds the answers
+    asked of the fusion systems on S: one dict per distinct system and
+    morphism cap, which every equal system built under that cap shares
+    (``FusionSystem._verdicts``).  The lattice, and so the joins, exist
+    only when S is a p-group; the rest holds for any S.  Obtain the index
+    of a subgroup through ``FiniteGroup.sindex``, which keeps it on the
+    group.
     """
 
     __slots__ = ("S", "elements", "pos", "subgroups", "masks", "by_mask",
-                 "inner_maps", "_cols", "_inner", "_lattice", "_joins",
-                 "_ups", "_normalizers", "_aut_s")
+                 "inner_maps", "answers", "_cols", "_inner", "_lattice",
+                 "_joins", "_ups", "_normalizers", "_aut_s")
 
     def __init__(self, S: Subgroup):
         self.S = S
@@ -312,6 +315,7 @@ class SIndex:
         self.masks: dict[frozenset, int] = {}
         self.by_mask: dict[int, Subgroup] = {}
         self.inner_maps: dict[int, frozenset] = {}
+        self.answers: dict[tuple, dict] = {}
         self._cols: dict[int, tuple[int, ...]] = {}
         self._inner: Optional[list[tuple[int, ...]]] = None
         self._lattice: Optional[list[int]] = None

@@ -15,7 +15,10 @@ from locfusion.fusion import (FusionError, MorphismCapExceeded, close,
                               subcentric_subgroups, subgroup_lattice)
 from locfusion.instances import (build_locality, load_descriptor,
                                  resolve_ids, named_subgroup)
-from locfusion.permgroup import conjugate, generated_subgroup, sylow_subgroup
+from locfusion.locality import (locality_from_descriptor,
+                                locality_to_descriptor)
+from locfusion.permgroup import (FiniteGroup, conjugate, generated_subgroup,
+                                 sylow_subgroup)
 
 from bundled import bundled_groups, net_triples
 from cycles import from_cycles
@@ -198,6 +201,68 @@ def test_kept_answers_each_question_once_per_object(F):
     assert len(computed) == 6
     # each object holds its own answers
     assert len(a._verdicts) == 5 and len(b._verdicts) == 1
+
+
+def _counting(monkeypatch, *questions):
+    """The number of computations behind each ``kept`` question."""
+    counts = dict.fromkeys(questions, 0)
+    for q in questions:
+        def counted(*args, _q=q, _fn=q.__wrapped__):
+            counts[_q] += 1
+            return _fn(*args)
+        monkeypatch.setattr(q, "__wrapped__", counted)
+    return counts
+
+
+def _fresh_s4_system():
+    """F_S(S4) at p = 2 on a group of its own, so on an index of S that
+    nothing else has asked a question on."""
+    G = FiniteGroup(4, [from_cycles(4, (1, 2, 3, 4)),
+                        from_cycles(4, (1, 2))])
+    return fusion_of_group(G, sylow_subgroup(G, 2), p=2)
+
+
+def test_equal_systems_on_one_index_share_their_answers(monkeypatch):
+    counts = _counting(monkeypatch, is_saturated, fu.normal_subsystems)
+    a = _fresh_s4_system()
+    b = fu.FusionSystem(a.index, a.t, a.p, set(a.maps))
+    assert b is not a and b == a
+    assert is_saturated(a) and is_saturated(b)
+    assert counts[is_saturated] == 1
+    assert fu.normal_subsystems(b) is fu.normal_subsystems(a)
+    assert counts[fu.normal_subsystems] == 1
+
+
+def test_a_smaller_cap_keeps_its_own_answers():
+    """The cap takes no part in equality, but a kept computation can
+    exceed a smaller cap, so a twin built under one still raises after
+    the default-cap twin has answered."""
+    a = _fresh_s4_system()
+    found = fu.normal_subsystems(a)
+    small = fu.FusionSystem(a.index, a.t, a.p, a.maps, morphism_cap=1)
+    assert small == a
+    with pytest.raises(MorphismCapExceeded):
+        fu.normal_subsystems(small)
+    assert fu.normal_subsystems(
+        fu.FusionSystem(a.index, a.t, a.p, a.maps)) is found
+
+
+def test_an_abstract_copy_keeps_its_answers_on_its_own_index(monkeypatch):
+    """An abstract copy of L realizes S by its own Cayley group: F_S of
+    the copy has L's maps on the positions of another S, so it shares
+    nothing with F_S(L), and its normal subsystems live on its own S."""
+    L = build_locality(load_descriptor("instance-b"))
+    A = locality_from_descriptor(locality_to_descriptor(L))
+    FL, FA = fusion_of_locality(L), fusion_of_locality(A)
+    assert FA.index is not FL.index
+    assert (FA.t, FA.p, FA.maps) == (FL.t, FL.p, FL.maps)
+    counts = _counting(monkeypatch, is_saturated, fu.normal_subsystems)
+    assert is_saturated(FA) == is_saturated(FL)
+    assert counts[is_saturated] == 2
+    want, got = fu.normal_subsystems(FL), fu.normal_subsystems(FA)
+    assert counts[fu.normal_subsystems] == 2
+    assert [(E.t, E.maps) for E in got] == [(E.t, E.maps) for E in want]
+    assert all(E.index is FA.index for E in got)
 
 
 def test_strong_closure_of_one_involution(F, s4, klein):

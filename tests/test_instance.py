@@ -61,14 +61,16 @@ def _most_per_object(calls):
     return max(counts.values(), default=0)
 
 
-def _each_once(calls, key):
+def _each_once(calls):
     """No two calls ask the same question of one system: the first
-    argument by identity, the rest through ``key``."""
-    asked = [(id(args[0]), key(*args[1:])) for args, _ in calls]
+    argument by its content (Sylow mask, maps and morphism cap), so equal
+    systems held by different objects count as one, with the same other
+    arguments (a subsystem hashes by its content)."""
+    asked = [((F.t, F.maps, F.morphism_cap), *args) for (F, *args), _ in calls]
     return len(asked) == len(set(asked))
 
 
-@pytest.mark.parametrize("name", ["product-24", "product-48"])
+@pytest.mark.parametrize("name", instances.BUNDLED)
 def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     d = instances.load_descriptor(name)
     G = instances.group_of(d)
@@ -89,6 +91,10 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     subnormals = _record_computations(monkeypatch,
                                       fusion.subnormal_subsystems)
     saturations = _record_computations(monkeypatch, fusion.is_saturated)
+    others = [_record_computations(monkeypatch, q) for q in (
+        fusion.FusionSystem.maps_by_mask, fusion.FusionSystem.conjugates,
+        fusion.FusionSystem.classes, fusion.FusionSystem.point_images,
+        fusion.centric_radicals)]
 
     assert main(["suite", name, "--out", str(tmp_path / "r.json")]) == 0
 
@@ -100,14 +106,16 @@ def test_suite_builds_each_object_once(name, monkeypatch, tmp_path):
     assert len(builds) == 1
     assert len(setups) == n_products
     assert sum(over_sylow(a, k) for a, k in of_group) == 1
-    assert linking and _most_per_object(linking) == 1
-    assert 1 <= len(via_loc) <= n_products
+    assert _most_per_object(linking) == (1 if n_products else 0)
+    assert len(via_loc) <= n_products and bool(via_loc) == bool(n_products)
     assert _most_per_object(enums) <= 1
-    assert normalizers and _each_once(normalizers, lambda q: q)
-    assert normals and _each_once(normals, lambda E: E)
-    assert _each_once(normal_subs, lambda: None)
-    assert _each_once(subnormals, lambda: None)
-    assert saturations and _each_once(saturations, lambda: None)
+    # the product path asks normalizers and normality; the other suites
+    # ask neither
+    assert bool(normalizers) == bool(normals) == bool(n_products)
+    assert _each_once(normalizers) and _each_once(normals)
+    assert _each_once(normal_subs) and _each_once(subnormals)
+    assert saturations and _each_once(saturations)
+    assert all(map(_each_once, others))
 
 
 @pytest.mark.parametrize("name", ["product-24", "product-48"])
