@@ -41,9 +41,15 @@ identically under the checks performed here, and one explorer
 one representative word per state.  One check (``_check_delta_closures``)
 decides whether a family of masks is an object set.
 
-The letters a state extends by depend only on its composite map, so the
-explorer decides them once per composite map, by the domain of that map
-followed by each letter class.  The split check of the validator admits
+The letters a state extends by, and the composite maps they lead to,
+depend only on its composite map, so the explorer decides them once per
+composite map, by the domain of that map followed by each letter class,
+and splits them into blocks, one per composite map they lead to.  Each
+composite map keeps the set of fold values its states have, and a state
+is decided a block at a time: one getter reads the block's fold values
+off the state's row, and one superset test of that set shows the block
+reaches no new state and no failure.  Only the other blocks are read a
+letter at a time, in letter order.  The split check of the validator admits
 groups of right states, grouped by (length, domain), once per composite
 map of the left state, and folds each group's representative words
 column by column.  It follows one representative word per right state,
@@ -534,36 +540,53 @@ def _word_states(L: Locality, max_len: int,
     is in delta.  So the letters a state extends by, and the map ids of
     the extensions, depend only on its map id: they are decided once
     per map id, one composition and one delta test per letter class.
-    The fold values of the extensions are read from the state's row, and
-    states are looked up as (fold value, map id) pairs.
+    The letters admitted for a map id fall into blocks, one per map id
+    they lead to, and each map id keeps the set of fold values its
+    states have.  A state is decided a block at a time: the block's
+    getter reads the fold values from the state's row, and one superset
+    test says whether all of them are letters already reached with the
+    block's map id, so that the block adds no state and no failure.
+    Only the letters of the other blocks are taken one at a time, in
+    letter order across blocks.  On S7 at length 3 that is 8,960 block
+    tests for the 1,136 states, in place of 166k (state, letter) pairs.
     """
     letters = range(L.n) if letters is None else sorted(letters)
     inside = [False] * (L.n + 1)  # inside[-1] is False, for an undefined fold
     for f in letters:
         inside[f] = True
     cls, cmaps, rows, delta = L._cls, L._cmaps, L.rows, L.delta
-    letter_cls = list(map(cls.__getitem__, letters))
-    classes = sorted(set(letter_cls))
+    of_cls: dict[int, list[int]] = {}  # letter class -> its letters
+    for f in letters:
+        of_cls.setdefault(cls[f], []).append(f)
     ids = {m: c for c, m in enumerate(cmaps)}  # composite map -> map id
     maps = list(cmaps)  # map id -> composite map
     doms = list(L._csf)  # map id -> domain of the map
-    exts: list = [None] * len(maps)  # map id -> (letters, map ids after)
+    reached = [set() for _ in maps]  # map id -> fold values of its states
+    blocks: list = [None] * len(maps)  # map id -> its blocks
 
     def map_id(m: tuple[int, ...]) -> int:
         if m not in ids:
             ids[m] = len(maps)
             maps.append(m)
             doms.append(domain_mask(m))
-            exts.append(None)
+            reached.append(set())
+            blocks.append(None)
         return ids[m]
 
-    def extensions(mid: int) -> tuple[list[int], list[int]]:
+    def blocks_of(mid: int) -> list[tuple]:
+        """(fold values reached with t, getter, letters, t) per map id t
+        in delta that the letters admitted for ``mid`` lead to."""
         after = itemgetter(*maps[mid])
-        step = {c: map_id(after(cmaps[c])) for c in classes}
-        ok = {c: doms[s] in delta for c, s in step.items()}
-        nexts = list(itertools.compress(letters,
-                                        map(ok.__getitem__, letter_cls)))
-        return nexts, [step[cls[f]] for f in nexts]
+        to: dict[int, list[int]] = {}  # map id after -> its letters
+        for c, fs in of_cls.items():
+            t = map_id(after(cmaps[c]))
+            if doms[t] in delta:
+                to.setdefault(t, []).extend(fs)
+        out = []
+        for t, fs in to.items():
+            fs = tuple(sorted(fs))  # shared with itemgetter(*fs), not copied
+            out.append((reached[t], getter(fs), fs, t))
+        return out
 
     seen: dict[tuple[int, int], tuple[int, Word]] = {}
     failures = []
@@ -573,28 +596,29 @@ def _word_states(L: Locality, max_len: int,
         if st not in seen:
             seen[st] = (1, (f,))
             frontier[st] = (f,)
+            reached[cls[f]].add(f)
     length = 1
     while frontier and length < max_len:
         length += 1
         new = {}
         for (pi, mid), word in frontier.items():
-            if exts[mid] is None:
-                exts[mid] = extensions(mid)
-            nexts, mids = exts[mid]
-            pis = list(map(rows[pi].__getitem__, nexts))
-            if not all(map(inside.__getitem__, pis)):
-                ok = list(map(inside.__getitem__, pis))
-                failures += [word + (f,) for f, k in zip(nexts, ok) if not k]
-                nexts = list(itertools.compress(nexts, ok))
-                mids = list(itertools.compress(mids, ok))
-                pis = list(itertools.compress(pis, ok))
-            sts = list(zip(pis, mids))
-            # the membership test runs lazily, after the states before it
-            # were added, so the first word reaching a state names it
-            for st, f in itertools.compress(
-                    zip(sts, nexts), map(not_, map(seen.__contains__, sts))):
-                seen[st] = (length, word + (f,))
-                new[st] = word + (f,)
+            if blocks[mid] is None:
+                blocks[mid] = blocks_of(mid)
+            row = rows[pi]
+            # the letters of blocks that fail the superset test, whose
+            # fold value was not reached with the block's map id
+            odd = [(f, v, t) for known, at, fs, t in blocks[mid]
+                   if not known.issuperset(vs := at(row))
+                   for f, v in zip(fs, vs) if v not in known]
+            # in letter order, so the first word reaching a state names it
+            odd.sort()
+            for f, v, t in odd:
+                if not inside[v]:
+                    failures.append(word + (f,))
+                elif v not in reached[t]:
+                    reached[t].add(v)
+                    seen[v, t] = (length, word + (f,))
+                    new[v, t] = word + (f,)
         frontier = new
     return {(pi, maps[mid]): v for (pi, mid), v in seen.items()}, failures
 
@@ -678,16 +702,20 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     add(CheckResult("fold_defined_on_domain", not fold_failures,
                     f"word {fold_failures[0]!r}" if fold_failures else None))
 
-    ok, wit = True, None
+    # the map of Pi w agrees with the composite map of w on its domain:
+    # one getter per composite map reads its domain, one compare a state
+    bad, reads = None, {}  # composite map -> (getter of its domain, values)
     for (pi, m), (_, word) in states.items():
-        pm_pi = L._pm[pi]
-        for i, v in enumerate(m):
-            if v >= 0 and pm_pi[i] != v:
-                ok, wit = False, f"word {word!r}: S_w image differs from S_w^(Pi w)"
-                break
-        if not ok:
+        r = reads.get(m)
+        if r is None:
+            at = getter(list(itertools.compress(range(len(m)),
+                                                map(_defined, m))))
+            r = reads[m] = (at, at(m))
+        if r[0](L._pm[pi]) != r[1]:
+            bad = word
             break
-    add(CheckResult("s_w_through_product", ok, wit))
+    add(CheckResult("s_w_through_product", bad is None, None if bad is None
+                    else f"word {bad!r}: S_w image differs from S_w^(Pi w)"))
 
     wit = _split_fault(L, states, max_word_length)
     add(CheckResult("associativity_by_splitting", wit is None, wit))

@@ -792,6 +792,99 @@ def test_explorer_matches_oracle_on_corruptions(fixture, seed, request):
             _assert_matches_oracle(L, max_len)
 
 
+def _assert_walk_matches_oracle(L, max_len, letters):
+    states, failures = _word_states(L, max_len, letters)
+    want_states, want_failures = _oracle_word_states(L, max_len, letters)
+    assert list(states.items()) == list(want_states.items())
+    assert failures == want_failures
+    return failures
+
+
+@pytest.mark.parametrize("fixture,seed", [("loc_b", 1), ("loc_a", 7)])
+def test_explorer_matches_oracle_on_corruptions_over_letter_subsets(
+        fixture, seed, request):
+    """Over a random subset of the letters of each corrupted table, folds
+    that leave the letters are failures, so blocks hold failures and new
+    states side by side; states (in order) and failures still agree with
+    the oracle."""
+    rng = random.Random(seed)
+    failed = 0
+    for L in _corruptions(request.getfixturevalue(fixture), seed):
+        X = rng.sample(range(L.n), rng.randrange(1, L.n + 1))
+        for max_len in (2, 3, 4):
+            failed += bool(_assert_walk_matches_oracle(L, max_len, X))
+    assert 0 < failed < 600
+
+
+def _oracle_blocks(L, max_len, letters, states):
+    """For each representative word the walk extends (shorter than
+    ``max_len``): the letters it extends by, in blocks by the composite
+    map they lead to (composed as tuples, blocks ordered by their first
+    letter), each letter with what it reaches: "new" when the word it
+    makes names its state, "failure" when its fold is undefined or
+    leaves the letters, and "known" otherwise."""
+    letters = sorted(letters)
+    reps = {L._sf[f]: L._pm[f] for f in letters}
+    out = {}
+    for (pi, m), (length, word) in states.items():
+        if length >= max_len:
+            continue
+        ok = _oracle_extends_in_delta(L, m, reps)
+        blocks = {}
+        for f in letters:
+            if not ok[L._sf[f]]:
+                continue
+            m2 = tuple(map(L._pm[f].__getitem__, m))
+            pi2 = L.prod.get((pi, f))
+            if pi2 not in letters:
+                what = "failure"
+            elif states[pi2, m2] == (length + 1, word + (f,)):
+                what = "new"
+            else:
+                what = "known"
+            blocks.setdefault(m2, []).append((f, what))
+        out[word] = list(blocks.values())
+    return out
+
+
+@pytest.mark.parametrize("letters,word,blocks", [
+    # the block {0, 7} names its new state by 7, its second letter, and
+    # the new states of two blocks interleave: 5, then 7, then 9
+    ((0, 1, 5, 7, 9), (1, 1), [[(0, "known"), (7, "new")], [(1, "known")],
+                               [(5, "new"), (9, "new")]]),
+    # the failures of two blocks interleave: 1, then 2, then 6
+    ((1, 2, 6), (1,), [[(1, "failure"), (6, "failure")],
+                       [(2, "failure")]]),
+])
+def test_explorer_merges_blocks_in_letter_order(letters, word, blocks, loc_b):
+    """Where a state's blocks hold new states or failures, the walk takes
+    their letters in letter order across blocks, as the oracle does."""
+    states = _oracle_word_states(loc_b, 3, letters)[0]
+    assert _oracle_blocks(loc_b, 3, letters, states)[word] == blocks
+    _assert_walk_matches_oracle(loc_b, 3, letters)
+
+
+@pytest.mark.parametrize("fixture,seed", [("loc_b", 1), ("loc_a", 7)])
+def test_s_w_through_product_matches_element_wise_on_corruptions(
+        fixture, seed, request):
+    """The check reads each composite map's domain with one getter; it
+    names the same first state, in state order, as a compare at each
+    position of each state's composite map."""
+    seen = set()
+    for L in _corruptions(request.getfixturevalue(fixture), seed):
+        want = (True, None)
+        for (pi, m), (_, word) in _oracle_word_states(L, 3)[0].items():
+            if any(v >= 0 and L._pm[pi][i] != v for i, v in enumerate(m)):
+                want = (False, f"word {word!r}: S_w image differs from "
+                               "S_w^(Pi w)")
+                break
+        got = next(c for c in validate_locality(L, max_word_length=3).checks
+                   if c.name == "s_w_through_product")
+        assert (got.passed, got.witness) == want
+        seen.add(got.passed)
+    assert seen == {True, False}
+
+
 def test_partial_subgroup_witness_matches_oracle(loc_b):
     from locfusion.partial_subgroups import partial_subgroup_witness
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
