@@ -16,13 +16,15 @@ P -> Q with phi(P) <= Q, and is checked once (``checked_morphism``).
 
 Morphism sets are closed under composition, restriction and inverses;
 equal systems have the same maps over the same subgroup of the same S.
-``close`` computes that closure, also onto an already closed base: a
-normal closure over E's own Sylow T (T strongly closed) is closed onto
-E.  A map is conjugated only by the maps on the join of its source and
-image (``_f_conjugates``), O_p of a saturated system is read off its
-centric radicals (``op_core``), and Aut_F(P) is a permutation group
-(``aut_group``).  E is subnormal in F exactly when E = F or E is
-subnormal in a proper normal subsystem of F (``subnormal_subsystems``).
+``close`` computes that closure, also onto an already closed base: the
+search for normal subsystems closes one F-orbit of Alperin's
+generators at a time onto a system it has found
+(``normal_subsystems``).  A map is conjugated only by the maps on the
+join of its source and image (``_f_conjugates``), O_p of a saturated
+system is read off its centric radicals (``op_core``), and Aut_F(P) is
+a permutation group (``aut_group``).  E is subnormal in F exactly when
+E = F or E is subnormal in a proper normal subsystem of F
+(``subnormal_subsystems``).
 
 Every closure runs under a morphism cap.  A system keeps the cap it was
 built under, and the closures inside it and its normalizer systems
@@ -44,8 +46,7 @@ shares one store, kept on the index (``SIndex.answers``).  The cap is
 part of the key because a kept computation can raise
 MorphismCapExceeded under a smaller cap.  A system is never changed
 after it is built, so the store lives as long as the index, and no
-module holds state.  Normal closures are not kept: few are asked for
-twice.
+module holds state.
 """
 
 from __future__ import annotations
@@ -467,21 +468,6 @@ def is_strongly_closed(F: FusionSystem, t: int) -> bool:
     return not any(reach[i] & ~t for i in bit_positions(t))
 
 
-def strong_closure(F: FusionSystem, x: int) -> int:
-    """The mask of the smallest strongly F-closed subgroup containing the
-    subgroup with mask x: add the images of its points and take the
-    subgroup they generate, until stable."""
-    reach = F.point_images()
-    while True:
-        y = x
-        for i in bit_positions(x):
-            y |= reach[i]
-        y = F.index.join(1, y)  # mask 1 is the trivial subgroup
-        if y == x:
-            return x
-        x = y
-
-
 def _centralizer(F: FusionSystem, q: int) -> int:
     """C_T(Q) for T the Sylow subgroup of F: the elements of N_S(Q) that
     induce the identity on Q (``SIndex.aut_s``), inside T."""
@@ -595,13 +581,13 @@ def op_core(F: FusionSystem) -> int:
     to one on PQ that maps Q onto Q, so Aut_{N_Q(P)}(P) is a normal
     p-subgroup of Aut_F(P), inside Inn(P): N_Q(P) <= P C_T(P) = P, so
     N_{PQ}(P) = P, and then PQ = P.  Normal subgroups of F generate a
-    normal subgroup, so the largest candidate is unique."""
+    normal subgroup, so the candidates have a unique largest member, the
+    first met from the top of the lattice."""
     x = F.t
     for P in centric_radicals(F):
         x &= F.mask_of(P)
-    return max((m for m in F.lattice
-                if m & x == m and is_strongly_closed(F, m)),
-               key=int.bit_count)
+    return next(m for m in reversed(F.lattice)
+                if m & x == m and is_strongly_closed(F, m))
 
 
 def is_subcentric(F: FusionSystem, m: int) -> bool:
@@ -767,38 +753,45 @@ def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
                for alpha in E.maps_by_mask().get(t, ()))
 
 
-def normal_closure(F: FusionSystem, E: FusionSystem) -> FusionSystem:
-    """Subsystem of F generated by all F-conjugates of E's morphisms
-    (``_f_conjugates``), over the strong closure of E's Sylow T.
-
-    When T is strongly closed, the closure lies over T itself, and E is
-    closed and holds Inn(T), so it is taken onto E (``close`` with
-    ``base``): only the conjugates outside E are queued."""
-    t = E.t
-    that = strong_closure(F, t)
-    gens = set(E.maps).union(_f_conjugates(F, E.maps))
-    return close(F.index.S, F.p, maps_inside(gens, that), F.morphism_cap,
-                 base=E if that == t else None, t=that)
-
-
 @kept
 def normal_subsystems(F: FusionSystem) -> list[FusionSystem]:
     """Every subsystem normal in F, by strongly closed T <= S in lattice
     order; SizeCapExceeded past ``SUBSYSTEM_ENUM_CAP`` found over one T.
-    A normal E over T is closed and holds Inn(T) and the F-conjugates of
-    its maps, so it is grown from the normal closure of the inner system
-    of T by adding one of its maps with their F-conjugates at a time."""
+
+    Over each T the search adds one F-orbit of candidate generators at a
+    time.  A normal E over T is saturated, so by Alperin's theorem
+    (Aschbacher–Kessar–Oliver, *Fusion Systems in Algebra and
+    Topology*, Thm I.3.5) it is generated by Inn(T) and the
+    automorphisms in E of its E-centric subgroups P, each with
+    C_T(P) <= P.  E is strongly F-invariant, so it holds the F-orbit of
+    each of its maps (``_f_conjugates``).  The candidates are therefore
+    the F-orbits of the automorphisms in F of the P <= T with
+    C_T(P) <= P, and E is generated by Inn(T) and the candidates it
+    holds.  The seed closes the orbits that meet Inn(T) onto Inn(T), so
+    it lies inside every normal E over T.  Each step closes one orbit
+    onto a system already found, and every system inside E that is not
+    E misses an orbit inside E; so the breadth-first growth reaches
+    every E, and the normality test keeps them."""
     S, p, cap = F.index.S, F.p, F.morphism_cap
     out = []
     for t in (t for t in F.lattice if is_strongly_closed(F, t)):
-        inside = maps_inside(F.maps, t)
-        inner = FusionSystem(F.index, t, p, inner_maps(S, t), cap)
-        found = [normal_closure(F, inner)]
+        orbits: list[frozenset] = []
+        placed: set[Morphism] = set()
+        for q in F.lattice:
+            if q & t == q and not _centralizer(F, q) & t & ~q:
+                for m in sorted((q, img) for img in F.aut(q)):
+                    if m not in placed:
+                        orbits.append(frozenset([m, *_f_conjugates(F, [m])]))
+                        placed |= orbits[-1]
+        inner = inner_maps(S, t)
+        seed = set().union(*(o for o in orbits if not o.isdisjoint(inner)))
+        found = [close(S, p, seed, cap, t=t)]  # onto Inn(T)
         seen = {found[0].maps}
         for cur in found:  # found grows while it is read: breadth-first
-            for m in sorted(inside - cur.maps):
-                nxt = close(S, p, [m, *_f_conjugates(F, [m])], cap,
-                            base=cur, t=t)
+            for orb in orbits:
+                if orb <= cur.maps:
+                    continue
+                nxt = close(S, p, orb, cap, base=cur, t=t)
                 if nxt.maps not in seen:
                     seen.add(nxt.maps)
                     found.append(nxt)

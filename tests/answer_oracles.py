@@ -8,9 +8,16 @@ between Q and N_S(Q) and restricts each to the P with PQ equal to its
 source.  ``normal_closure_by_all_maps`` and
 ``strongly_invariant_by_all_maps`` conjugate each map phi of E by every
 map of F whose source contains phi's source and image, and the normal
-closure is closed from the inner maps; the library conjugates phi only
-by the maps on the join of its source and image, and closes onto E
-when E's Sylow is strongly closed.
+closure is closed from the inner maps, over the strong closure of E's
+Sylow (``ref_strong_closure``, element by element); the library
+conjugates phi only by the maps on the join of its source and image.
+
+``normal_subsystems_by_every_map`` is the search for normal subsystems
+that the library ran before it took Alperin's generators: over each
+strongly closed T it grows the normal closure of Inn(T) by every map of
+F inside T missing from a system found, with its F-conjugates; the
+library adds one F-orbit of automorphisms of a subgroup P of T with
+C_T(P) <= P at a time.
 
 ``subnormal_chain_by_closures`` is the chain search by descending
 normal closures that the library ran before it read subnormality off the
@@ -70,19 +77,20 @@ from typing import Optional
 
 from locfusion import fusion
 from locfusion.fusion import (FusionError, FusionSystem, _NONE,
-                              _conjugate_map, _keep, _target,
+                              _conjugate_map, _f_conjugates, _keep, _target,
                               centric_radicals, close, fusion_of_locality,
                               inner_maps, is_fully_automized,
                               is_normal_subsystem, is_receptive,
                               is_saturated, is_strongly_closed, is_subsystem,
-                              maps_inside, normal_closure, strong_closure,
-                              subcentric_subgroups)
+                              maps_inside, subcentric_subgroups)
 from locfusion.locality import _preimage_under, normalizer_carrier
 from locfusion.permgroup import (FiniteGroup, SIndex, SizeCapExceeded,
                                  Subgroup, _p_part, bit_positions, compose,
                                  conjugate, getter, generated_subgroup,
                                  image_mask, inverse, is_characteristic_p,
                                  perm_order)
+
+from graph_oracle import graphs
 
 
 def normalizer_by_sources(F, Q):
@@ -107,12 +115,32 @@ def normalizer_by_sources(F, Q):
     return FusionSystem(idx, ns, F.p, restricted, F.morphism_cap)
 
 
+def ref_generated(F, xs):
+    """The smallest member of the S-lattice over the set xs."""
+    return min((P for P in F.subgroups if xs <= P.eset),
+               key=lambda P: P.order).eset
+
+
+def ref_strong_closure(F, T):
+    """Add the images of points until none is new, then generate; repeat
+    until both are stable."""
+    X = set(T.eset)
+    every = graphs(F)
+    while True:
+        for m in every:
+            X |= {m.d[x] for x in X & m.src}
+        gen = ref_generated(F, frozenset(X))
+        if gen == X:
+            return gen
+        X = set(gen)
+
+
 def normal_closure_by_all_maps(F, E):
     """Subsystem of F generated by all F-conjugates of E's morphisms,
     over the strong closure of E's Sylow: each map of E conjugated by
     every map of F whose source contains its source and image, closed
     from the inner maps."""
-    that = strong_closure(F, E.t)
+    that = F.index.mask(ref_strong_closure(F, E.S))
     gens = set(E.maps)
     spans = [(m[0] | _target(m), m) for m in E.maps]
     for src, imgs in F.maps_by_mask().items():
@@ -139,6 +167,30 @@ def strongly_invariant_by_all_maps(F, E):
     return True
 
 
+def normal_subsystems_by_every_map(F: FusionSystem) -> list[FusionSystem]:
+    """Every subsystem normal in F, as ``fusion.normal_subsystems`` lists
+    them: over each strongly closed T in lattice order, the normal
+    closure of Inn(T) is grown breadth-first by each map of F inside T
+    that a system found misses, with its F-conjugates, and the normal
+    systems found are kept."""
+    S, p, cap = F.index.S, F.p, F.morphism_cap
+    out = []
+    for t in (t for t in F.lattice if is_strongly_closed(F, t)):
+        inside = maps_inside(F.maps, t)
+        inner = FusionSystem(F.index, t, p, inner_maps(S, t), cap)
+        found = [normal_closure_by_all_maps(F, inner)]
+        seen = {found[0].maps}
+        for cur in found:
+            for m in sorted(inside - cur.maps):
+                nxt = close(S, p, [m, *_f_conjugates(F, [m])], cap,
+                            base=cur, t=t)
+                if nxt.maps not in seen:
+                    seen.add(nxt.maps)
+                    found.append(nxt)
+        out += [E for E in found if is_normal_subsystem(F, E)]
+    return out
+
+
 def subnormal_chain_by_closures(F: FusionSystem, E: FusionSystem
                                 ) -> tuple[bool | str,
                                            tuple[FusionSystem, ...]]:
@@ -154,7 +206,7 @@ def subnormal_chain_by_closures(F: FusionSystem, E: FusionSystem
         return True, (F,)
     chain = [F]
     # each normal closure is a subsystem of the last: the chain descends
-    while (nxt := normal_closure(chain[-1], E)) != chain[-1]:
+    while (nxt := normal_closure_by_all_maps(chain[-1], E)) != chain[-1]:
         chain.append(nxt)
     if chain[-1] != E:
         return False, tuple(reversed(chain))

@@ -11,7 +11,7 @@ from locfusion.fusion import (FusionError, MorphismCapExceeded, close,
                               is_normal_subsystem, is_saturated,
                               is_strongly_closed, is_subcentric,
                               is_subnormal_subsystem,
-                              normalizer_system, op_core, strong_closure,
+                              normalizer_system, op_core,
                               subcentric_subgroups, subgroup_lattice)
 from locfusion.instances import (build_locality, load_descriptor,
                                  resolve_ids, named_subgroup)
@@ -263,11 +263,6 @@ def test_an_abstract_copy_keeps_its_answers_on_its_own_index(monkeypatch):
     assert counts[fu.normal_subsystems] == 2
     assert [(E.t, E.maps) for E in got] == [(E.t, E.maps) for E in want]
     assert all(E.index is FA.index for E in got)
-
-
-def test_strong_closure_of_one_involution(F, s4, klein):
-    u = generated_subgroup(s4, [from_cycles(4, (1, 2), (3, 4))])
-    assert strong_closure(F, F.mask_of(u)) == F.mask_of(klein)
 
 
 def test_normalizer_system_of_normal_subgroup_is_whole(F, klein):

@@ -2,8 +2,9 @@
 
 The ``ref_*`` functions are the element-wise implementations of the
 S-lattice and of F_S(G) (both in ``graph_oracle``), of the Delta-closure
-check, of normalizer systems, of strong closure and of normality in a
-fusion system, with conjugation computed as g^-1 * x * g from two
+check, of normalizer systems and of normality in a fusion system
+(``ref_generated``, the subgroup generated by a set, is in
+``answer_oracles``), with conjugation computed as g^-1 * x * g from two
 compositions, and the full-scan O_p and the unshortcut subcentric test
 built on them.  They are kept here only as oracles: the library computes
 all of these through ``SIndex``, and searches O_p only above a subgroup
@@ -31,8 +32,7 @@ from locfusion.fusion import (FusionSystem, centric_radicals, close,
                               is_centric_radical, is_receptive,
                               is_strongly_closed,
                               is_subcentric, normalizer_system, op_core,
-                              strong_closure, subcentric_subgroups,
-                              subgroup_lattice)
+                              subcentric_subgroups, subgroup_lattice)
 from locfusion.locality import LocalityError, _check_delta_closures
 from locfusion.permgroup import (FiniteGroup, GroupError, SIndex, _closure,
                                  all_subgroups, bit_positions, cayley_group,
@@ -42,7 +42,8 @@ from locfusion.products import _tr_subgroup, a_fe
 
 from answer_oracles import (_normality_fault, _op_core_over, coset_span,
                             is_normal_subgroup_in, join_closure_lattice,
-                            normalizer_by_sources, op_core_by_scan)
+                            normalizer_by_sources, op_core_by_scan,
+                            ref_generated)
 from cycles import from_cycles
 from graph_oracle import (conj_graph, from_graph, graph_of, graphs,
                           ref_all_subgroups, ref_close, ref_conjugate,
@@ -130,25 +131,6 @@ def ref_normalizer_system(F, Q):
 
 def ref_is_strongly_closed(F, Q):
     return all(m.d[x] in Q.eset for m in _graphs(F) for x in Q.eset & m.src)
-
-
-def ref_generated(F, xs):
-    """The smallest member of the S-lattice over the set xs."""
-    return min((P for P in F.subgroups if xs <= P.eset),
-               key=lambda P: P.order).eset
-
-
-def ref_strong_closure(F, T):
-    """Add the images of points until none is new, then generate; repeat
-    until both are stable."""
-    X = set(T.eset)
-    while True:
-        for m in _graphs(F):
-            X |= {m.d[x] for x in X & m.src}
-        gen = ref_generated(F, frozenset(X))
-        if gen == X:
-            return gen
-        X = set(gen)
 
 
 def ref_is_normal_subgroup_in(F, Q):
@@ -587,8 +569,6 @@ def test_subcentric_search_matches_full_scan(label):
         for R in NQ.subgroups:
             r = NQ.mask_of(R)
             assert is_strongly_closed(NQ, r) == ref_is_strongly_closed(NQ, R)
-            assert frozenset(NQ.index.members(strong_closure(NQ, r))) == \
-                ref_strong_closure(NQ, R)
             assert is_normal_subgroup_in(NQ, r) == \
                 ref_is_normal_subgroup_in(NQ, R)
         R = ref_op_core(NQ)

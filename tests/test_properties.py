@@ -9,7 +9,9 @@ edge (``graph_oracle.graph_of`` and ``graph_oracle.from_graph``), F_S(G)
 must equal the conjugation graphs, closing its outer maps onto the inner
 maps must give F_S(G) back, and its report must be byte for byte the
 report written from the graphs.  For every subgroup Q of S, N_F(Q) must equal
-the build from every Q-preserving map (``answer_oracles``).  The tables
+the build from every Q-preserving map (``answer_oracles``).  The normal
+subsystems of F_S(G) must be those of the search by every missing map,
+in its order (``answer_oracles``).  The tables
 of L_delta(G), for delta the subgroups of S of order at least |S|/p,
 must equal the pair-wise build (``answer_oracles``).
 """
@@ -22,13 +24,15 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from locfusion.fusion import (close, fusion_of_group, inner_maps,  # noqa: E402
-                              is_saturated, maps_inside, normalizer_system)
+                              is_saturated, maps_inside, normal_subsystems,
+                              normalizer_system)
 from locfusion.locality import (delta_min_order,  # noqa: E402
                                 locality_from_group)
 from locfusion.permgroup import FiniteGroup, sylow_subgroup  # noqa: E402
 
 from answer_oracles import (locality_tables,  # noqa: E402
                             locality_tables_by_pairs, normalizer_by_sources,
+                            normal_subsystems_by_every_map,
                             ref_sylow_subgroup, saturated_by_any_member)
 from graph_oracle import (graphs, ref_fusion_maps,  # noqa: E402
                           ref_to_json)
@@ -72,6 +76,15 @@ def test_fusion_of_group_against_graph_oracle(G):
             json.dumps(ref_to_json(S, p, ref), sort_keys=True)
         for Q, q in zip(F.subgroups, F.lattice):
             assert normalizer_system(F, q) == normalizer_by_sources(F, Q)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(groups())
+def test_normal_subsystems_against_every_map_search(G):
+    for p in _primes(G.order):
+        F = fusion_of_group(G, sylow_subgroup(G, p), p=p)
+        assert normal_subsystems(F) == normal_subsystems_by_every_map(F)
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,

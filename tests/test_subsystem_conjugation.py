@@ -1,18 +1,19 @@
-"""Normal closures and strong invariance against their every-map forms,
-and the inner maps kept on the index of S.
+"""Strong invariance against its every-map form, and the inner maps
+kept on the index of S.
 
-``normal_closure`` and the strong-invariance test conjugate each map phi
-of E only by the maps of F on the join of phi's source and image, and a
-normal closure over a strongly closed T is closed onto E;
-``normal_closure_by_all_maps`` and ``strongly_invariant_by_all_maps``
-conjugate phi by every map of F whose source contains that join, and
-close from the inner maps.  The cases are every closed subsystem over
-every subgroup of S (``closed_subsystems_by_exhaust``) for the F of
-product-24 and of product-48, and a derandomized sample of systems
+The strong-invariance test conjugates each map phi of E only by the
+maps of F on the join of phi's source and image;
+``strongly_invariant_by_all_maps`` conjugates phi by every map of F
+whose source contains that join.  The cases are every closed subsystem
+over every subgroup of S (``closed_subsystems_by_exhaust``) for the F
+of product-24 and of product-48, and a derandomized sample of systems
 generated by maps of F_S(G) inside a subgroup T of S, for S4, S3×S3 and
 S6×C2 at p = 2.  On those closed subsystems, ``is_subnormal_subsystem``
 is also checked against a recursion over them and against the chain
-search by descending normal closures.
+search by descending normal closures.  ``normal_subsystems``, which
+grows Alperin's generators one F-orbit at a time, lists what the
+every-map search (``normal_subsystems_by_every_map``) lists, in its
+order, on the bundled F and on F_S(G) of named groups.
 """
 
 import json
@@ -23,13 +24,14 @@ from locfusion import fusion
 from locfusion.cli import main
 from locfusion.fusion import (_conjugation_maps, _is_strongly_invariant,
                               close, fusion_of_group, inner_maps,
-                              is_normal_subsystem, is_subnormal_subsystem,
-                              maps_inside, normal_closure, strong_closure)
-from locfusion.instances import load_descriptor, product_setup
+                              is_normal_subsystem, is_strongly_closed,
+                              is_subnormal_subsystem, maps_inside,
+                              normal_subsystems)
+from locfusion.instances import Instance, load_descriptor, product_setup
 from locfusion.permgroup import FiniteGroup, sylow_subgroup
 
 from answer_oracles import (closed_subsystems_by_exhaust,
-                            normal_closure_by_all_maps,
+                            normal_subsystems_by_every_map,
                             strongly_invariant_by_all_maps,
                             subnormal_chain_by_closures)
 from cycles import from_cycles
@@ -45,15 +47,11 @@ BUNDLED = ("group-8", "group-60", "instance-a", "instance-b", "product-24",
 
 
 def check_against_oracles(F, E):
-    """Equal normal closures, over the same subgroup, and equal
-    strong-invariance verdicts; returns whether E's Sylow is strongly
-    closed, the case closed onto E."""
-    got = normal_closure(F, E)
-    want = normal_closure_by_all_maps(F, E)
-    assert got.S.eset == want.S.eset and got.maps == want.maps
+    """Equal strong-invariance verdicts; returns whether E's Sylow is
+    strongly closed."""
     assert _is_strongly_invariant(F, E.maps) == \
         strongly_invariant_by_all_maps(F, E)
-    return strong_closure(F, E.t) == E.t
+    return is_strongly_closed(F, E.t)
 
 
 def subnormal_among(cands, A, found):
@@ -78,7 +76,7 @@ def test_enumeration_candidates_match_every_map_oracles(dname, pname, count):
     cands = closed_subsystems_by_exhaust(F)
     assert len(cands) == count
     closed = [check_against_oracles(F, X) for X in cands]
-    assert any(closed) and not all(closed)  # both ways of closing
+    assert any(closed) and not all(closed)  # Sylows of both kinds
     # subnormality: the exact rule against a recursion over the candidates
     # (F among them) and against the chain search by normal closures
     want = subnormal_among(cands, F, {})
@@ -112,6 +110,32 @@ def _systems():
 
 
 SYSTEMS = _systems()
+
+NAMED_GROUPS = {
+    "S6": ((6, [(1, 2, 3, 4, 5, 6)], [(1, 2)]), (2, 3)),
+    "S6xC2": ((8, [(1, 2, 3, 4, 5, 6)], [(1, 2)], [(7, 8)]), (2,)),
+    "S7": ((7, [(1, 2, 3, 4, 5, 6, 7)], [(1, 2)]), (2,)),
+    "S3xS3": ((6, [(1, 2, 3)], [(1, 2)], [(4, 5, 6)], [(4, 5)]), (2, 3))}
+NORMAL_IDS = ([f"{name}:F" for name in BUNDLED]
+              + [f"{name}:p={p}" for name, (_, ps) in NAMED_GROUPS.items()
+                 for p in ps])
+
+
+@pytest.mark.parametrize("label", NORMAL_IDS)
+def test_normal_subsystems_match_every_map_search(label):
+    """The same normal subsystems, in the same order, as the search that
+    adds every missing map of F inside T: on the F of each bundled
+    descriptor, and on F_S(G) of the named groups at each prime."""
+    name, _, rest = label.partition(":")
+    if rest == "F":
+        F = Instance(load_descriptor(name)).F
+    else:
+        G = _group(*NAMED_GROUPS[name][0])
+        p = int(rest[2:])
+        F = fusion_of_group(G, sylow_subgroup(G, p), p=p)
+    got = normal_subsystems(F)
+    assert got == normal_subsystems_by_every_map(F)
+    assert F in got
 
 
 def test_systems_are_the_sylow_fusion_systems():
