@@ -49,12 +49,17 @@ composite map keeps the set of fold values its states have, and a state
 is decided a block at a time: one getter reads the block's fold values
 off the state's row, and one superset test of that set shows the block
 reaches no new state and no failure.  Only the other blocks are read a
-letter at a time, in letter order.  The split check of the validator admits
-groups of right states, grouped by (length, domain), once per composite
-map of the left state, and folds each group's representative words
-column by column.  It follows one representative word per right state,
-so it can miss a corrupted entry that only other words of that state
-reach.
+letter at a time, in letter order.  The split check of the validator
+groups the left states by the right states they take, which depend only
+on the domains their composite map admits and their length, and plans
+each group once: its admitted right states split by the prefix of their
+representative words, which is the parent state's representative, with
+a getter of their last letters and one of their fold values per prefix.
+A left state's row is folded along each prefix and read by the two
+getters; right states of length 1 need one read, and none for a left
+state of length 1 whose row fits its class.  The check follows one
+representative word per right state, so it can miss a corrupted entry
+that only other words of that state reach.
 
 A locality realized by a group G is built a right coset of S at a time
 (``locality_from_group``): S_(r·t) = S_r for t in S, so the carrier is a
@@ -70,7 +75,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Mapping
-from operator import getitem, itemgetter, ne, not_
+from operator import itemgetter, ne, not_
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .fusion import (DEFAULT_MORPHISM_CAP, centric_radicals,
@@ -630,9 +635,11 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
 
     Words are explored through (product, map) states, one
     representative word each, and every state is visited.  The fold and
-    S_w checks depend only on a word's state; the split check folds the
-    left factor along the representative of the right state only, so it
-    is not exhaustive.
+    S_w checks depend only on a word's state.  The split check
+    (``_split_fault``) takes the left states a group at a time, by the
+    right states they admit, and folds Pi(u) along the representative
+    word of each admitted right state only, so it can miss a corrupted
+    entry that only other words of a state reach: it is not exhaustive.
     """
     if max_word_length is None:
         max_word_length = L.max_word_length
@@ -665,25 +672,13 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
                     None if bad is None else f"element {bad}"))
 
     # objectivity at length 2: (f,g) defined iff S_(f,g) = pre_f(S_g)
-    # in delta.  That is decided once per (class of f, S_g), and a row is
-    # read at the columns its class admits (no -1 there) and at the
-    # others (only -1 there): ``fits[f]`` when it passes both
+    # in delta, that is, every row fits its class
     ok, wit = True, None
-    cols = range(L.n)
-    objs_of = []  # class of f -> ([(f,g) in D? for each g], the two reads)
-    for m in L._cmaps:
-        objs = list(map({d: _preimage_under(m, d) in L.delta
-                         for d in set(L._csf)}.__getitem__, L._sf))
-        ins = list(itertools.compress(cols, objs))
-        outs = list(itertools.compress(cols, map(not_, objs)))
-        objs_of.append((objs, getter(ins), getter(outs), len(outs)))
-    fits = [-1 not in at_in(row) and at_out(row).count(-1) == n_out
-            for (_, at_in, at_out, n_out), row
-            in zip(map(objs_of.__getitem__, L._cls), rows)]
+    objs_of, fits = _class_reads(L)
     if not all(fits):
         f = fits.index(False)
         objs, row = objs_of[L._cls[f]][0], rows[f]
-        g = next(g for g in cols if objs[g] != (row[g] >= 0))
+        g = next(g for g in range(L.n) if objs[g] != (row[g] >= 0))
         ok, wit = False, (f"pair ({f},{g}): defined={row[g] >= 0}, "
                           f"S_w in delta={objs[g]}")
     add(CheckResult("objectivity_len2", ok, wit))
@@ -717,7 +712,7 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     add(CheckResult("s_w_through_product", bad is None, None if bad is None
                     else f"word {bad!r}: S_w image differs from S_w^(Pi w)"))
 
-    wit = _split_fault(L, states, max_word_length)
+    wit = _split_fault(L, states, max_word_length, fits)
     add(CheckResult("associativity_by_splitting", wit is None, wit))
 
     # maximality of S among p-subgroups of the carrier
@@ -730,6 +725,29 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
 
     rep.bounded_only = L.realization is None
     return rep
+
+
+def _class_reads(L: Locality) -> tuple[list[tuple], list[bool]]:
+    """What objectivity at length 2 reads off L, once per class.
+
+    (f, g) is in D iff S_(f,g) = pre_f(S_g) is in delta, which is decided
+    once per (class of f, S_g).  Per class, ``objs_of`` holds that answer
+    for each column g, the getters of the columns the class admits and of
+    the others, and the count of the others.  A row ``fits`` its class
+    when it is defined at exactly the columns its class admits: no -1 in
+    the one read and only -1 in the other."""
+    cols = range(L.n)
+    objs_of = []  # class -> ([(f,g) in D? for each g], the two reads, count)
+    for m in L._cmaps:
+        objs = list(map({d: _preimage_under(m, d) in L.delta
+                         for d in set(L._csf)}.__getitem__, L._sf))
+        ins = list(itertools.compress(cols, objs))
+        outs = list(itertools.compress(cols, map(not_, objs)))
+        objs_of.append((objs, getter(ins), getter(outs), len(outs)))
+    fits = [-1 not in at_in(row) and at_out(row).count(-1) == n_out
+            for (_, at_in, at_out, n_out), row
+            in zip(map(objs_of.__getitem__, L._cls), L.rows)]
+    return objs_of, fits
 
 
 def _realization_fault(L: Locality, fits: Sequence[bool],
@@ -773,50 +791,102 @@ def _realization_fault(L: Locality, fits: Sequence[bool],
     return f"pair ({i},{j}) disagrees with the ambient product"
 
 
-def _split_fault(L: Locality, states: dict, max_len: int) -> Optional[str]:
+def _split_fault(L: Locality, states: dict, max_len: int,
+                 fits: Sequence[bool]) -> Optional[str]:
     """The first split u|v of a domain word into two states whose fold
-    differs from Pi(u)Pi(v), or None.
+    differs from Pi(u)Pi(v), or None: the first left state u, in state
+    order, with such a right state v, and its first such v in state order.
 
-    The right states are grouped by (length, S_v), and each group is
-    admitted for a left state at once, by the preimage of S_v under the
-    composite map of u, decided once per distinct map of the left states.
-    The representative words of an admitted group are folded from Pi(u)
-    column by column through the rows, and compared with the row of
-    Pi(u) at the Pi(v); the witness is the first right state, in state
-    order, whose fold is undefined or differs.
+    Which right states a left state takes depends only on its composite
+    map m1 and its length l1: v is admitted when l1 + l2 is within the
+    bound and the preimage of S_v under m1 is in delta.  So the left
+    states are taken a group at a time, one group per (the S_v that m1
+    admits, l1), and each group gets a plan: its admitted right states, in
+    state order, split by the prefix w2[:-1] of their representative
+    word w2, with a getter of their last letters and a getter of their
+    Pi(v).  A right state's representative is its parent's plus one
+    letter, so the fold of Pi(u) along it is the fold along the prefix,
+    one row, read by the getter of last letters; it is compared with the
+    row of Pi(u) read at the Pi(v).  One plan is alive at a time, and a
+    group whose first left state comes after a faulty one is not planned.
+
+    For v = (g) of length 1, Pi(v) is g, the fold and Pi(u)Pi(v) are one
+    read of Pi(u)'s row, and only an undefined entry is a fault.  For u =
+    (f) of length 1 too, m1 is the map of f's class, so that read is
+    skipped when f's row ``fits`` its class: it is then defined at every
+    g the class admits, which are the g admitted here.
+
+    The check follows one representative word per right state, so it can
+    miss a corrupted entry that only other words of that state reach.
     """
     rows, delta = L.rows, L.delta
     items = list(states.items())
-    groups: dict[tuple[int, int], list[int]] = {}
+    dom_of: dict[tuple[int, ...], int] = {}  # composite map -> its domain
+    # prefix -> (state indices, last letters, Pi(v), S_v) of the right
+    # states with a representative word of that prefix, in state order
+    right: dict[Word, tuple[list, list, list, list]] = {}
+    for k, ((pi, m), (_, word)) in enumerate(items):
+        d = dom_of.get(m)
+        if d is None:
+            d = dom_of[m] = domain_mask(m)
+        ks, lasts, pis, ds = right.setdefault(word[:-1], ([], [], [], []))
+        ks.append(k)
+        lasts.append(word[-1])
+        pis.append(pi)
+        ds.append(d)
+    doms = set(dom_of.values())
+    admits: dict[tuple[int, ...], frozenset] = {}  # m1 -> S_v it admits
+    left: dict[tuple[frozenset, int], list[int]] = {}  # group -> states
     for k, ((_, m), (length, _)) in enumerate(items):
-        groups.setdefault((length, domain_mask(m)), []).append(k)
-    blocks = []  # (length, S_v, state indices, the Pi(v), letter columns)
-    for (l2, d2), ks in groups.items():
-        words = [items[k][1][1] for k in ks]
-        blocks.append((l2, d2, ks, [items[k][0][0] for k in ks],
-                       list(zip(*words))))
-    doms = {d2 for _, d2 in groups}
-    admits: dict[tuple[int, ...], dict[int, bool]] = {}  # map -> S_v -> ok
-    for (p1, m1), (l1, w1) in items:
-        row = rows[p1]
-        admitted = admits.get(m1)
-        if admitted is None:
-            admitted = admits[m1] = {d: _preimage_under(m1, d) in delta
-                                     for d in doms}
-        bad = []
-        for l2, d2, ks, p2s, cols in blocks:
-            if l1 + l2 > max_len or not admitted[d2]:
+        if length < max_len:
+            a = admits.get(m)
+            if a is None:
+                a = admits[m] = frozenset(
+                    d for d in doms if _preimage_under(m, d) in delta)
+            left.setdefault((a, length), []).append(k)
+    found = None  # (left state, right state) of the first fault
+    for (admitted, l1), ks1 in left.items():  # in order of first state
+        if found is not None and ks1[0] > found[0]:
+            break
+        singles = None  # (state indices, getter of g) of the v = (g)
+        plan = []  # (prefix, state indices, getter of last letters, of Pi)
+        for prefix, (ks, lasts, pis, ds) in right.items():
+            if l1 + len(prefix) + 1 > max_len:
                 continue
-            q = map(row.__getitem__, cols[0])
-            for col in cols[1:]:
-                q = map(getitem, map(rows.__getitem__, q), col)
-            q = list(q)
-            want = list(map(row.__getitem__, p2s))
-            if -1 in q or q != want:
-                bad += [k for k, a, b in zip(ks, q, want) if a < 0 or a != b]
-        if bad:
-            return f"split {w1!r}|{items[min(bad)][1][1]!r}: fold != Pi(u)Pi(v)"
-    return None
+            on = list(map(admitted.__contains__, ds))
+            if not any(on):
+                continue
+            at = getter(list(itertools.compress(lasts, on)))
+            if prefix:
+                plan.append((prefix, list(itertools.compress(ks, on)), at,
+                             getter(list(itertools.compress(pis, on)))))
+            else:
+                singles = (list(itertools.compress(ks, on)), at)
+        for k1 in ks1:
+            if found is not None and k1 > found[0]:
+                break
+            p1 = items[k1][0][0]
+            row = rows[p1]
+            bad = []
+            if singles is not None and not (l1 == 1 and fits[p1]):
+                q = singles[1](row)
+                if -1 in q:
+                    bad.append(singles[0][q.index(-1)])
+            for prefix, ks, at_last, at_pi in plan:
+                x = row
+                for f in prefix:
+                    x = rows[x[f]]
+                q, want = at_last(x), at_pi(row)
+                if q != want or -1 in q:
+                    bad.append(next(k for k, a, b in zip(ks, q, want)
+                                    if a < 0 or a != b))
+            if bad:
+                found = (k1, min(bad))
+                break
+    if found is None:
+        return None
+    return (f"split {items[found[0]][1][1]!r}|{items[found[1]][1][1]!r}: "
+            "fold != Pi(u)Pi(v)")
 
 
 def _s_group_fault(L: Locality) -> Optional[str]:

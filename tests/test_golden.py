@@ -239,6 +239,28 @@ def test_bench_fusion_build_bytes_unchanged(name, capsys):
         BENCH_FUSION_SHA256[name]
 
 
+# ``locality validate`` on the two larger benchmark descriptors, with its
+# exit code, recorded before the split check took the left states a
+# group at a time: S7 at p=2 with words up to length 3 (1,136 states),
+# and S6 at p=2 at the descriptor's bound.
+BENCH_VALIDATE = [
+    ("s7", ["--max-word-len", "3"], 0,
+     "a02febd8209acc389330b02a4347ea8e3275cb6c858900e9b31f36370d92f9d4"),
+    ("s6", [], 0,
+     "14b1c8dc1d03d72c6cf37565853019f262d77a07a103f5bb85803436a403f03d"),
+]
+
+
+@pytest.mark.parametrize("name,extra,code,digest", BENCH_VALIDATE,
+                         ids=[name for name, _, _, _ in BENCH_VALIDATE])
+def test_bench_locality_validate_bytes_unchanged(name, extra, code, digest,
+                                                 capsys):
+    path = BENCH_INSTANCES / f"{name}.json"
+    assert main(["locality", "validate", str(path), *extra]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # The two product descriptors with Delta = order >= 4, a proper object
 # set: the only command runs that decide whether a subgroup outside
 # Delta is subcentric (``products._locality_route_fault``).  On

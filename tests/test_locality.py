@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,8 @@ from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
                                  sylow_subgroup, _p_part)
 
 from answer_oracles import (linking_per_object, local_group,
-                            locality_tables, locality_tables_by_pairs)
+                            locality_tables, locality_tables_by_pairs,
+                            ref_split_fault)
 from bundled import relabelled_copy
 from cycles import from_cycles
 
@@ -965,6 +967,145 @@ def test_validator_rejects_what_brute_force_rejects(draw, corrupted_b):
     L = corrupted_b[draw]
     if validate_locality(L, max_word_length=3).ok:
         assert _brute_force_split_fault(L, 3) is None
+
+
+# -- the split check against its column-fold reference, and each check firing -
+
+BENCH_INSTANCES = Path(__file__).resolve().parents[1] / "perfbench" / \
+    "instances"
+
+
+@pytest.fixture(scope="module")
+def loc_s6():
+    return build_locality(load_descriptor(str(BENCH_INSTANCES / "s6.json")))
+
+
+def _split_matches_reference(L, max_len):
+    """The split check's witness, or None, after checking that
+    ``ref_split_fault`` gives the same on the same states."""
+    states = _word_states(L, max_len)[0]
+    want = ref_split_fault(L, states, max_len)
+    fits = locality._class_reads(L)[1]
+    assert locality._split_fault(L, states, max_len, fits) == want
+    return want
+
+
+def _undefinitions(L, seed, count):
+    """``count`` descriptors of L, each with one product entry dropped."""
+    d = locality_to_descriptor(L)
+    rng = random.Random(seed)
+    for _ in range(count):
+        products = list(d["products"])
+        del products[rng.randrange(len(products))]
+        yield locality_from_descriptor(dict(d, products=products))
+
+
+def test_split_check_matches_column_fold_reference(loc_s6, loc_b):
+    """The split check, run a group of left states at a time with each
+    right state folded along its parent's representative, and with the
+    reads of length-1 right states skipped where objectivity shows them
+    defined, names the same first split, or None, as the column fold of
+    every admitted representative word: on the six bundled localities at
+    lengths 2 to 5, on the S6 benchmark locality at 2 to 4 and S7 at 3,
+    and on 60 one-entry corruptions of S6 at 3 and 4, where rows that do
+    not fit their class are read.  The right states of S6 have
+    representatives of several prefixes, where those of instance-a and
+    instance-b share one, so only these corruptions fold along a second
+    prefix."""
+    for name in BUNDLED:
+        L = build_locality(load_descriptor(name))
+        for max_len in (2, 3, 4, 5):
+            assert _split_matches_reference(L, max_len) is None
+    for max_len in (2, 3, 4):
+        assert _split_matches_reference(loc_s6, max_len) is None
+    prefixes = {w[:-1] for _, w in _word_states(loc_s6, 4)[0].values()}
+    assert len(prefixes) > 2
+    s7 = build_locality(load_descriptor(str(BENCH_INSTANCES / "s7.json")))
+    assert _split_matches_reference(s7, 3) is None
+    del s7
+    seen = set()
+    for L in _corruptions(loc_s6, 5, count=60):
+        for max_len in (3, 4):
+            seen.add(_split_matches_reference(L, max_len) is None)
+    assert seen == {True, False}
+    # an entry of instance-b made undefined: its row no longer fits its
+    # class, so the row is read at the length-1 right states even for a
+    # left state of length 1, and that read alone finds u = (f), v = (g)
+    pairs = 0
+    for L in _undefinitions(loc_b, 3, count=20):
+        wit = _split_matches_reference(L, 3)
+        pairs += wit is not None and wit.split(":")[0].count(",)") == 2
+    assert pairs > 0
+
+
+def test_split_check_reads_longer_left_states_of_fitting_rows(loc_s6):
+    """The read of the length-1 right states is skipped for a row that
+    fits its class only when the left state has length 1, whose map is
+    the class's.  A longer left state's map may admit more: here the
+    length-2 state of the S6 benchmark locality named by (4, 12) is given
+    another composite map of the same domain, so that as a right state it
+    is admitted as before, but as a left state it admits some S_g that
+    the class of its fold value does not.  Its row fits that class, so
+    it is undefined at g."""
+    L = loc_s6
+    states = _word_states(L, 3)[0]
+    (p1, m), _ = next(item for item in states.items()
+                      if item[1][1] == (4, 12))
+
+    def admitted(m):
+        return {d for d in set(L._sf)
+                if locality._preimage_under(m, d) in L.delta}
+    more = next(m2 for _, m2 in states
+                if domain_mask(m2) == domain_mask(m)
+                and (p1, m2) not in states
+                and admitted(m2) - admitted(L._cmaps[L._cls[p1]]))
+    forged = {((p1, more) if key == (p1, m) else key): v
+              for key, v in states.items()}
+    fits = locality._class_reads(L)[1]
+    assert fits[p1]
+    want = ref_split_fault(L, forged, 3)
+    assert want.startswith("split (4, 12)|(")
+    assert locality._split_fault(L, forged, 3, fits) == want
+
+
+# (check, draw of ``_corruptions(loc_b, 1)``, witness): the first draw
+# whose first failing check at length 3 is that check.
+# ``fold_defined_on_domain`` comes first on none of these 200 draws; it
+# does on draw 1 of ``_corruptions`` of the S6 benchmark locality, seed 5.
+FIRST_FAULTS = [
+    ("s_subgroup", 2, "identity law fails in S at 5"),
+    ("identity_and_inversion", 5, "identity law fails at 4"),
+    ("s_f_in_delta", 12, "element 1"),
+    ("objectivity_len2", 1, "pair (2,1): defined=True, S_w in delta=False"),
+    ("delta_closure", 36, "delta is not closed under conjugation maps into S"),
+    ("s_w_through_product", 0,
+     "word (5, 17): S_w image differs from S_w^(Pi w)"),
+    # a two-letter right word, folded along its one-letter prefix
+    ("associativity_by_splitting", 15,
+     "split (22,)|(1, 6): fold != Pi(u)Pi(v)"),
+]
+
+
+def _first_failure(L, max_len):
+    rep = validate_locality(L, max_word_length=max_len)
+    return next((c.name, c.witness) for c in rep.checks if not c.passed)
+
+
+@pytest.mark.parametrize("check,draw,witness", FIRST_FAULTS,
+                         ids=[c for c, _, _ in FIRST_FAULTS])
+def test_each_check_fires_first_on_a_corrupted_table(check, draw, witness,
+                                                     corrupted_b):
+    """The draw fails the check, with its witness, and passes every check
+    that runs before it."""
+    assert _first_failure(corrupted_b[draw], 3) == (check, witness)
+
+
+def test_fold_check_fires_first_on_a_corrupted_s6_table(loc_s6):
+    """A word of three letters whose fold is undefined, on a table that
+    passes every check before ``fold_defined_on_domain``."""
+    L = next(itertools.islice(_corruptions(loc_s6, 5, count=2), 1, None))
+    assert _first_failure(L, 3) == ("fold_defined_on_domain",
+                                    "word (97, 116, 4)")
 
 
 # -- the class index, and the class-keyed paths on corrupted tables ----------
