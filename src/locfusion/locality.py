@@ -50,16 +50,14 @@ is decided a block at a time: one getter reads the block's fold values
 off the state's row, and one superset test of that set shows the block
 reaches no new state and no failure.  Only the other blocks are read a
 letter at a time, in letter order.  The split check of the validator
-groups the left states by the right states they take, which depend only
-on the domains their composite map admits and their length, and plans
-each group once: its admitted right states split by the prefix of their
-representative words, which is the parent state's representative, with
-a getter of their last letters and one of their fold values per prefix.
-A left state's row is folded along each prefix and read by the two
-getters; right states of length 1 need one read, and none for a left
-state of length 1 whose row fits its class.  The check follows one
-representative word per right state, so it can miss a corrupted entry
-that only other words of that state reach.
+works on pairs of states, by induction on the right factor: for states
+(p1, m1) and (p2, m2) and each letter f their composite map admits,
+(p1·p2)·f = p1·(p2·f), both sides defined.  That equation and the
+admission depend only on the states, so the check is exact on the words
+the walk reaches.  The letters a composite map admits are read by one
+getter, kept per composite map.  A realized locality whose realization
+oracle passes, with the checks the proof needs, skips that walk over
+pairs: its products are products in G (``validate_locality``).
 
 A locality realized by a group G is built a right coset of S at a time
 (``locality_from_group``): S_(r·t) = S_r for t in S, so the carrier is a
@@ -139,13 +137,12 @@ class _ProductView(Mapping):
     """Read-only view of the rows as {(i, j): i·j} over the pairs of D.
 
     Nothing in the package loops over it: it serves ``len()`` (counted
-    once, at construction) and pair-keyed reads from outside."""
+    on the first call and kept) and pair-keyed reads from outside."""
 
     __slots__ = ("_rows", "_n", "_len")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], n: int):
-        self._rows, self._n = rows, n
-        self._len = n * (n + 1) - sum(r.count(-1) for r in rows[:n])
+        self._rows, self._n, self._len = rows, n, None
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -160,6 +157,9 @@ class _ProductView(Mapping):
                 yield i, j
 
     def __len__(self) -> int:
+        if self._len is None:
+            n = self._n
+            self._len = n * (n + 1) - sum(r.count(-1) for r in self._rows[:n])
         return self._len
 
 
@@ -635,11 +635,33 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
 
     Words are explored through (product, map) states, one
     representative word each, and every state is visited.  The fold and
-    S_w checks depend only on a word's state.  The split check
-    (``_split_fault``) takes the left states a group at a time, by the
-    right states they admit, and folds Pi(u) along the representative
-    word of each admitted right state only, so it can miss a corrupted
-    entry that only other words of a state reach: it is not exhaustive.
+    S_w checks depend only on a word's state, and so does the split
+    check (``_associativity_fault``): by induction on the right factor
+    over pairs of states, it covers every split of every domain word up
+    to the bound.
+
+    A realized L is not walked in pairs: when the realization oracle and
+    every check before the split check pass, every such split is
+    proved.  Let w = uv be a domain word.
+    - The oracle makes every defined entry the product of the labels in
+      G, so Pi(w) is labelled by the product of the letters of w.
+    - The identity and inversion laws label the identity 1 and f^-1 by
+      the inverse of f's label, so the map of f, read off (f^-1, s, f),
+      is conjugation by the label g of f on S_f, a subgroup of S, being
+      in delta (``s_f_in_delta``, ``delta_closure``).
+    - ``s_w_through_product`` puts S_u inside S_Pi(u), the two maps
+      agreeing on S_u, and S_v inside S_Pi(v), so S_uv lies in
+      P = pre_Pi(u)(S_Pi(v)) = S_Pi(u) cap S_Pi(v)^(g^-1) for g the label
+      of Pi(u), a subgroup of S.
+    - Overgroup closure puts P in delta, as S_uv is, and objectivity then
+      defines (Pi(u), Pi(v)), labelled by the product of the letters of
+      uv, as Pi(uv) is (``fold_defined_on_domain``).
+    - Labels name one id each (``id_of`` inverts them):
+      ``locality_from_group`` labels each carrier element by itself in
+      G, and a sub-locality keeps some of its parent's labels.  So the
+      two ids are equal.
+    The oracle therefore runs before the split check; the report keeps
+    its order, with the oracle last.
     """
     if max_word_length is None:
         max_word_length = L.max_word_length
@@ -712,16 +734,23 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     add(CheckResult("s_w_through_product", bad is None, None if bad is None
                     else f"word {bad!r}: S_w image differs from S_w^(Pi w)"))
 
-    wit = _split_fault(L, states, max_word_length, fits)
+    # realization oracle, with the columns each class admits; it runs
+    # here, since its pass proves associativity, and is reported last
+    realized = None
+    if L.realization is not None:
+        wit = _realization_fault(L, fits, [o[1] for o in objs_of])
+        realized = CheckResult("realization_oracle", wit is None, wit)
+
+    if realized is not None and realized.passed and rep.ok:
+        wit = None
+    else:
+        wit = _associativity_fault(L, states, max_word_length)
     add(CheckResult("associativity_by_splitting", wit is None, wit))
 
     # maximality of S among p-subgroups of the carrier
     add(_check_s_maximal(L))
-
-    # realization oracle, with the columns each class admits
-    if L.realization is not None:
-        wit = _realization_fault(L, fits, [o[1] for o in objs_of])
-        add(CheckResult("realization_oracle", wit is None, wit))
+    if realized is not None:
+        add(realized)
 
     rep.bounded_only = L.realization is None
     return rep
@@ -791,102 +820,65 @@ def _realization_fault(L: Locality, fits: Sequence[bool],
     return f"pair ({i},{j}) disagrees with the ambient product"
 
 
-def _split_fault(L: Locality, states: dict, max_len: int,
-                 fits: Sequence[bool]) -> Optional[str]:
-    """The first split u|v of a domain word into two states whose fold
-    differs from Pi(u)Pi(v), or None: the first left state u, in state
-    order, with such a right state v, and its first such v in state order.
+def _associativity_fault(L: Locality, states: dict, max_len: int
+                         ) -> Optional[str]:
+    """The first split u|v of a domain word whose fold differs from
+    Pi(u)Pi(v), by induction on v, or None.
 
-    Which right states a left state takes depends only on its composite
-    map m1 and its length l1: v is admitted when l1 + l2 is within the
-    bound and the preimage of S_v under m1 is in delta.  So the left
-    states are taken a group at a time, one group per (the S_v that m1
-    admits, l1), and each group gets a plan: its admitted right states, in
-    state order, split by the prefix w2[:-1] of their representative
-    word w2, with a getter of their last letters and a getter of their
-    Pi(v).  A right state's representative is its parent's plus one
-    letter, so the fold of Pi(u) along it is the fold along the prefix,
-    one row, read by the getter of last letters; it is compared with the
-    row of Pi(u) read at the Pi(v).  One plan is alive at a time, and a
-    group whose first left state comes after a faulty one is not planned.
+    For states (p1, m1) and (p2, m2) of minimal lengths l1 and l2 with
+    l1 + l2 + 1 <= ``max_len``, and each letter f that their composite
+    map m1 then m2 admits (its preimage of S_f is in delta), both sides
+    of ``rows[rows[p1][p2]][f] == rows[p1][rows[p2][f]]`` must be
+    defined and equal.  That covers every split u|v of a domain word w
+    up to the bound with u and v domain words (every prefix in D, as the
+    walk explores them; in a locality every subword of a word in D is).
+    By induction on |v|: for v = (f), Pi(v) = f and Pi(w) = Pi(u)·f is
+    the left fold.  For v = v'f, the words u, v' and uv' are domain
+    words, of the states (p1, m1), (p2, m2) and (Pi(uv'), m1 then m2),
+    S_w is the composite's preimage of S_f, in delta, and |u| + |v'| +
+    1 = |w| bounds l1 + l2 + 1.  So Pi(w) = Pi(uv')·f by the left fold,
+    = (p1·p2)·f by induction on v', = p1·(p2·f) by the check, and p2·f =
+    Pi(v) by the left fold.  The equation and the admission depend only
+    on the two states, never on a representative word.
 
-    For v = (g) of length 1, Pi(v) is g, the fold and Pi(u)Pi(v) are one
-    read of Pi(u)'s row, and only an undefined entry is a fault.  For u =
-    (f) of length 1 too, m1 is the map of f's class, so that read is
-    skipped when f's row ``fits`` its class: it is then defined at every
-    g the class admits, which are the g admitted here.
-
-    The check follows one representative word per right state, so it can
-    miss a corrupted entry that only other words of that state reach.
+    The letters a composite map admits, and their getter, are kept per
+    composite map.  The witness is the first left state in state order,
+    its first right state in state order, and the least f: u is the left
+    representative and v the right one followed by f.
     """
     rows, delta = L.rows, L.delta
-    items = list(states.items())
-    dom_of: dict[tuple[int, ...], int] = {}  # composite map -> its domain
-    # prefix -> (state indices, last letters, Pi(v), S_v) of the right
-    # states with a representative word of that prefix, in state order
-    right: dict[Word, tuple[list, list, list, list]] = {}
-    for k, ((pi, m), (_, word)) in enumerate(items):
-        d = dom_of.get(m)
-        if d is None:
-            d = dom_of[m] = domain_mask(m)
-        ks, lasts, pis, ds = right.setdefault(word[:-1], ([], [], [], []))
-        ks.append(k)
-        lasts.append(word[-1])
-        pis.append(pi)
-        ds.append(d)
-    doms = set(dom_of.values())
-    admits: dict[tuple[int, ...], frozenset] = {}  # m1 -> S_v it admits
-    left: dict[tuple[frozenset, int], list[int]] = {}  # group -> states
-    for k, ((_, m), (length, _)) in enumerate(items):
-        if length < max_len:
-            a = admits.get(m)
-            if a is None:
-                a = admits[m] = frozenset(
-                    d for d in doms if _preimage_under(m, d) in delta)
-            left.setdefault((a, length), []).append(k)
-    found = None  # (left state, right state) of the first fault
-    for (admitted, l1), ks1 in left.items():  # in order of first state
-        if found is not None and ks1[0] > found[0]:
+    ids: dict[tuple[int, ...], int] = {}  # composite map -> map id
+    # the states come by length, as the walk reaches them, so both loops
+    # stop at the first state too long for the bound
+    items = [(p, ids.setdefault(m, len(ids)), length, word)
+             for (p, m), (length, word) in states.items()]
+    maps, cols, sfs = list(ids), range(L.n), set(L._sf)
+    pairs: dict[tuple[int, int], tuple] = {}  # (map id, map id) -> reads
+    reads: dict[tuple[int, ...], tuple] = {}  # composite -> (letters, getter)
+    for p1, i1, l1, w1 in items:
+        if l1 + 2 > max_len:
             break
-        singles = None  # (state indices, getter of g) of the v = (g)
-        plan = []  # (prefix, state indices, getter of last letters, of Pi)
-        for prefix, (ks, lasts, pis, ds) in right.items():
-            if l1 + len(prefix) + 1 > max_len:
-                continue
-            on = list(map(admitted.__contains__, ds))
-            if not any(on):
-                continue
-            at = getter(list(itertools.compress(lasts, on)))
-            if prefix:
-                plan.append((prefix, list(itertools.compress(ks, on)), at,
-                             getter(list(itertools.compress(pis, on)))))
-            else:
-                singles = (list(itertools.compress(ks, on)), at)
-        for k1 in ks1:
-            if found is not None and k1 > found[0]:
+        row = rows[p1]
+        for p2, i2, l2, w2 in items:
+            if l1 + l2 + 1 > max_len:
                 break
-            p1 = items[k1][0][0]
-            row = rows[p1]
-            bad = []
-            if singles is not None and not (l1 == 1 and fits[p1]):
-                q = singles[1](row)
-                if -1 in q:
-                    bad.append(singles[0][q.index(-1)])
-            for prefix, ks, at_last, at_pi in plan:
-                x = row
-                for f in prefix:
-                    x = rows[x[f]]
-                q, want = at_last(x), at_pi(row)
-                if q != want or -1 in q:
-                    bad.append(next(k for k, a, b in zip(ks, q, want)
-                                    if a < 0 or a != b))
-            if bad:
-                found = (k1, min(bad))
-                break
-    if found is None:
-        return None
-    return (f"split {items[found[0]][1][1]!r}|{items[found[1]][1][1]!r}: "
-            "fold != Pi(u)Pi(v)")
+            r = pairs.get((i1, i2))
+            if r is None:
+                m = tuple(map(maps[i2].__getitem__, maps[i1]))
+                r = reads.get(m)
+                if r is None:
+                    ok = {d: _preimage_under(m, d) in delta for d in sfs}
+                    fs = list(itertools.compress(cols, map(ok.__getitem__,
+                                                           L._sf)))
+                    r = reads[m] = (fs, getter(fs))
+                pairs[i1, i2] = r
+            fs, at = r
+            q = at(rows[row[p2]])
+            want = tuple(map(row.__getitem__, at(rows[p2])))
+            if q != want or -1 in q:
+                f = next(f for f, a, b in zip(fs, q, want) if a < 0 or a != b)
+                return f"split {w1!r}|{w2 + (f,)!r}: fold != Pi(u)Pi(v)"
+    return None
 
 
 def _s_group_fault(L: Locality) -> Optional[str]:

@@ -38,12 +38,7 @@ once per class outside delta.  ``locality_tables_by_pairs`` builds the
 tables of L_delta(G) a product pair at a time, conjugating every element
 of G directly and looking each product up by its permutation; the
 library conjugates one element per right coset of S and reads a row a
-coset at a time off the Cayley table of S.  ``ref_split_fault`` is the
-validator's split check as it ran before it took the left states a
-group at a time: for each left state it folds the representative words
-of every admitted right state column by column; the library builds one
-plan per group of left states with the same admitted domains and
-length, and folds each right state along its parent's representative.
+coset at a time off the Cayley table of S.
 
 ``op_core_by_scan`` is O_p(F) as the library found it before it read
 O_p off the centric radicals: ``_normality_fault`` tests each subgroup
@@ -78,7 +73,6 @@ condition per clause, as ``products.ed_verdict`` had it; the library
 folds the clauses with ``report.fold``.
 """
 
-from operator import getitem
 from typing import Optional
 
 from locfusion import fusion
@@ -92,7 +86,7 @@ from locfusion.fusion import (FusionError, FusionSystem, _NONE,
 from locfusion.locality import _preimage_under, normalizer_carrier
 from locfusion.permgroup import (FiniteGroup, SIndex, SizeCapExceeded,
                                  Subgroup, _p_part, bit_positions, compose,
-                                 conjugate, domain_mask, getter,
+                                 conjugate, getter,
                                  generated_subgroup,
                                  image_mask, inverse, is_characteristic_p,
                                  perm_order)
@@ -415,52 +409,6 @@ def locality_tables(L):
     """(labels, inv, s_ids, rows) of L, each row without its trailing -1,
     as ``locality_tables_by_pairs`` gives them."""
     return L.labels, L.inv, L.s_ids, tuple(r[:-1] for r in L.rows[:-1])
-
-
-def ref_split_fault(L, states: dict, max_len: int) -> Optional[str]:
-    """The first split u|v of a domain word into two states whose fold
-    differs from Pi(u)Pi(v), or None.
-
-    The right states are grouped by (length, S_v), and each group is
-    admitted for a left state at once, by the preimage of S_v under the
-    composite map of u, decided once per distinct map of the left states.
-    The representative words of an admitted group are folded from Pi(u)
-    column by column through the rows, and compared with the row of
-    Pi(u) at the Pi(v); the witness is the first right state, in state
-    order, whose fold is undefined or differs.
-    """
-    rows, delta = L.rows, L.delta
-    items = list(states.items())
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, ((_, m), (length, _)) in enumerate(items):
-        groups.setdefault((length, domain_mask(m)), []).append(k)
-    blocks = []  # (length, S_v, state indices, the Pi(v), letter columns)
-    for (l2, d2), ks in groups.items():
-        words = [items[k][1][1] for k in ks]
-        blocks.append((l2, d2, ks, [items[k][0][0] for k in ks],
-                       list(zip(*words))))
-    doms = {d2 for _, d2 in groups}
-    admits: dict[tuple[int, ...], dict[int, bool]] = {}  # map -> S_v -> ok
-    for (p1, m1), (l1, w1) in items:
-        row = rows[p1]
-        admitted = admits.get(m1)
-        if admitted is None:
-            admitted = admits[m1] = {d: _preimage_under(m1, d) in delta
-                                     for d in doms}
-        bad = []
-        for l2, d2, ks, p2s, cols in blocks:
-            if l1 + l2 > max_len or not admitted[d2]:
-                continue
-            q = map(row.__getitem__, cols[0])
-            for col in cols[1:]:
-                q = map(getitem, map(rows.__getitem__, q), col)
-            q = list(q)
-            want = list(map(row.__getitem__, p2s))
-            if -1 in q or q != want:
-                bad += [k for k, a, b in zip(ks, q, want) if a < 0 or a != b]
-        if bad:
-            return f"split {w1!r}|{items[min(bad)][1][1]!r}: fold != Pi(u)Pi(v)"
-    return None
 
 
 def coset_span(idx, h, gens):

@@ -23,8 +23,7 @@ from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
                                  sylow_subgroup, _p_part)
 
 from answer_oracles import (linking_per_object, local_group,
-                            locality_tables, locality_tables_by_pairs,
-                            ref_split_fault)
+                            locality_tables, locality_tables_by_pairs)
 from bundled import relabelled_copy
 from cycles import from_cycles
 
@@ -628,9 +627,8 @@ def test_validator_reports_every_corrupted_product_entry(loc_b):
     """200 corruptions of one product entry each of instance-b, taken as
     an abstract descriptor: every one gives a report, none raises.  When
     the S-table is not a group table, the S-lattice is not built and
-    ``delta_closure`` fails with the ``s_subgroup`` witness.  (Which
-    corruptions still pass at length 3 is pinned by
-    ``test_validator_rejects_what_brute_force_rejects``.)"""
+    ``delta_closure`` fails with the ``s_subgroup`` witness.  No
+    corruption passes at length 3."""
     d = locality_to_descriptor(loc_b)
     rng = random.Random(1)
     s_faults = []
@@ -642,6 +640,7 @@ def test_validator_reports_every_corrupted_product_entry(loc_b):
         bad["products"][i] = [a, b, new]
         rep = validate_locality(locality_from_descriptor(bad),
                                 max_word_length=3)
+        assert not rep.ok
         checks = {c.name: c for c in rep.checks}
         if not checks["s_subgroup"].passed:
             s_faults.append(checks["s_subgroup"].witness.split(" at ")[0])
@@ -697,10 +696,37 @@ def _oracle_word_states(L, max_len, letters=None):
     return states, failures
 
 
+def _oracle_associativity(L, states, max_len):
+    """The first (left state, right state, letter f), each in order, for
+    which (Pi(u)·Pi(v'))·f and Pi(u)·(Pi(v')·f) are not both defined and
+    equal, over every pair of states with l1 + l2 + 1 <= ``max_len`` and
+    every f whose word u v' f has S_w in delta, with maps composed as
+    tuples; the split u|v'f as a witness, or None."""
+    items = list(states.items())
+    reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
+    prod = {(i, j): k for i, row in enumerate(L.rows[:-1])
+            for j, k in enumerate(row[:-1]) if k >= 0}
+    admits = {}  # composite map -> the letters it admits
+    for (p1, m1), (l1, w1) in items:
+        for (p2, m2), (l2, w2) in items:
+            if l1 + l2 + 1 > max_len:
+                continue
+            m = tuple(map(m2.__getitem__, m1))
+            if m not in admits:
+                ok = _oracle_extends_in_delta(L, m, reps)
+                admits[m] = [f for f in range(L.n) if ok[L._sf[f]]]
+            p12 = prod.get((p1, p2))
+            for f in admits[m]:
+                left = prod.get((p12, f))
+                if left is None or left != prod.get((p1, prod.get((p2, f)))):
+                    return f"split {w1!r}|{w2 + (f,)!r}: fold != Pi(u)Pi(v)"
+    return None
+
+
 def _oracle_checks(L, max_len):
     """objectivity_len2, fold_defined_on_domain and the split check over
-    all pairs of states, each with composed maps; name -> (passed,
-    witness)."""
+    all pairs of states and letters, each with composed maps; name ->
+    (passed, witness)."""
     out = {}
     ok, wit = True, None
     reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
@@ -718,25 +744,8 @@ def _oracle_checks(L, max_len):
     states, failures = _oracle_word_states(L, max_len)
     out["fold_defined_on_domain"] = (
         not failures, f"word {failures[0]!r}" if failures else None)
-    ok, wit = True, None
-    items = [(p, domain_mask(m), m, v) for (p, m), v in states.items()]
-    reps = {d: m for _, d, m, _ in items}
-    for p1, _, m1, (l1, w1) in items:
-        in_delta = _oracle_extends_in_delta(L, m1, reps)
-        for p2, d2, _, (l2, w2) in items:
-            if l1 + l2 > max_len or not in_delta[d2]:
-                continue
-            pi, q = L.prod.get((p1, p2)), p1
-            for f in w2:
-                q = L.prod.get((q, f))
-                if q is None:
-                    break
-            if pi is None or q is None or pi != q:
-                ok, wit = False, f"split {w1!r}|{w2!r}: fold != Pi(u)Pi(v)"
-                break
-        if not ok:
-            break
-    out["associativity_by_splitting"] = (ok, wit)
+    wit = _oracle_associativity(L, states, max_len)
+    out["associativity_by_splitting"] = (wit is None, wit)
     return out
 
 
@@ -764,11 +773,14 @@ def test_explorer_matches_oracle_on_bundled(name):
 
 
 def test_explorer_matches_oracle_on_s6():
+    """The walk at length 4, and the checks at 3, where the oracle's
+    pairs of states are fewer."""
     from pathlib import Path
     from locfusion import instances as inst
     path = Path(__file__).resolve().parents[1] / "perfbench/instances/s6.json"
-    _assert_matches_oracle(inst.build_locality(
-        inst.load_descriptor(str(path))), 4)
+    L = inst.build_locality(inst.load_descriptor(str(path)))
+    _assert_walk_matches_oracle(L, 4, range(L.n))
+    _assert_matches_oracle(L, 3)
 
 
 def _corruptions(L, seed, count=200):
@@ -946,22 +958,12 @@ def test_brute_force_oracle_accepts_bundled(name):
     assert _brute_force_split_fault(L, 3) is None
 
 
-# Draws of ``_corruptions(loc_b, 1)`` that the validator passes at length 3
-# and the oracle rejects: the split check follows one representative word
-# per right state, so an entry reached only through other words of the
-# same state is never compared.
-FALSE_PASSES = (19, 21, 30, 104, 148, 149, 158, 173)
-
-
 @pytest.fixture(scope="module")
 def corrupted_b(loc_b):
     return list(_corruptions(loc_b, 1))
 
 
-@pytest.mark.parametrize("draw", [
-    pytest.param(k, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 1"))
-    if k in FALSE_PASSES else k for k in range(200)])
+@pytest.mark.parametrize("draw", range(200))
 def test_validator_rejects_what_brute_force_rejects(draw, corrupted_b):
     """A table the validator passes at length 3 passes the oracle."""
     L = corrupted_b[draw]
@@ -969,7 +971,7 @@ def test_validator_rejects_what_brute_force_rejects(draw, corrupted_b):
         assert _brute_force_split_fault(L, 3) is None
 
 
-# -- the split check against its column-fold reference, and each check firing -
+# -- the induction check against its pair-loop oracle and the realized route -
 
 BENCH_INSTANCES = Path(__file__).resolve().parents[1] / "perfbench" / \
     "instances"
@@ -980,13 +982,12 @@ def loc_s6():
     return build_locality(load_descriptor(str(BENCH_INSTANCES / "s6.json")))
 
 
-def _split_matches_reference(L, max_len):
-    """The split check's witness, or None, after checking that
-    ``ref_split_fault`` gives the same on the same states."""
+def _induction_matches_oracle(L, max_len):
+    """The induction check's witness, or None, after checking that the
+    plain double loop over pairs of states and letters gives the same."""
     states = _word_states(L, max_len)[0]
-    want = ref_split_fault(L, states, max_len)
-    fits = locality._class_reads(L)[1]
-    assert locality._split_fault(L, states, max_len, fits) == want
+    want = _oracle_associativity(L, states, max_len)
+    assert locality._associativity_fault(L, states, max_len) == want
     return want
 
 
@@ -1000,72 +1001,110 @@ def _undefinitions(L, seed, count):
         yield locality_from_descriptor(dict(d, products=products))
 
 
-def test_split_check_matches_column_fold_reference(loc_s6, loc_b):
-    """The split check, run a group of left states at a time with each
-    right state folded along its parent's representative, and with the
-    reads of length-1 right states skipped where objectivity shows them
-    defined, names the same first split, or None, as the column fold of
-    every admitted representative word: on the six bundled localities at
-    lengths 2 to 5, on the S6 benchmark locality at 2 to 4 and S7 at 3,
-    and on 60 one-entry corruptions of S6 at 3 and 4, where rows that do
-    not fit their class are read.  The right states of S6 have
-    representatives of several prefixes, where those of instance-a and
-    instance-b share one, so only these corruptions fold along a second
-    prefix."""
+def test_induction_check_matches_pair_loop_oracle(loc_s6, loc_b):
+    """The induction check names the same first (left state, right state,
+    letter), or None, as the double loop: None on the abstract copies of
+    instance-a and instance-b at lengths 3 and 4; a witness on each of 20
+    instance-b descriptors with one product entry dropped, at lengths 3
+    and 4, and on each of 15 one-entry corruptions of the S6 benchmark
+    locality at length 3.  (The oracle is compared with the validator on
+    200 corruptions each of instance-b and instance-a by
+    ``test_explorer_matches_oracle_on_corruptions``.)"""
+    for name in ("instance-a", "instance-b"):
+        A = locality_from_descriptor(locality_to_descriptor(
+            build_locality(load_descriptor(name))))
+        for max_len in (3, 4):
+            assert _induction_matches_oracle(A, max_len) is None
+    for L in _undefinitions(loc_b, 3, count=20):
+        for max_len in (3, 4):
+            assert _induction_matches_oracle(L, max_len) is not None
+    for L in _corruptions(loc_s6, 5, count=15):
+        assert _induction_matches_oracle(L, 3) is not None
+
+
+def _corrupted_realized(base, seed, count):
+    """``count`` copies of a group-realized L, each with up to two
+    product entries changed (set to another id, defined off the domain or
+    made undefined), keeping the realization."""
+    rng = random.Random(seed)
+    pairs = list(base.prod)
+    off = [(i, j) for i in range(base.n) for j in range(base.n)
+           if base.rows[i][j] < 0]
+    delta = [base.ids_of(d) for d in base.delta]
+    for _ in range(count):
+        rows = [list(r[:-1]) for r in base.rows[:-1]]
+        for _ in range(rng.randrange(3)):
+            change = rng.randrange(3)
+            if change == 2 or (change == 1 and not off):
+                i, j = rng.choice(pairs)
+                rows[i][j] = -1
+            else:
+                i, j = rng.choice(off if change == 1 else pairs)
+                rows[i][j] = rng.randrange(base.n)
+        yield Locality(base.labels, base.identity, base.inv, rows,
+                       base.s_ids, base.p, delta,
+                       realization=base.realization)
+
+
+def _s6_at_order_4():
+    s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
+                         from_cycles(6, (1, 2))])
+    s = sylow_subgroup(s6, 2)
+    return locality_from_group(s6, s, delta_min_order(s, 4), 2)
+
+
+def test_realized_route_agrees_with_induction_check(loc_s6, loc_b,
+                                                    corrupted_b, monkeypatch):
+    """A realized L whose realization oracle and earlier checks pass is
+    not walked in pairs; the induction check, called directly, passes
+    wherever that route does.  It returns None on the six bundled
+    localities at lengths 3 to 5 and on the S6 benchmark locality at 3
+    and 4, and, at length 3, on each corrupted realized table of
+    ``test_realization_oracle_matches_pair_keyed`` that passes every
+    other check; here those are the tables whose draws leave their base
+    unchanged (no change, or changes that undo each other).  Draw 19 of
+    the instance-b corruptions, whose only fault is associativity, given
+    instance-b's labels and realization, fails the oracle, so the check
+    runs and fails too.  The validator calls it 0 times on a valid
+    realized L, and once on each table that fails another check."""
+    check = locality._associativity_fault
     for name in BUNDLED:
         L = build_locality(load_descriptor(name))
-        for max_len in (2, 3, 4, 5):
-            assert _split_matches_reference(L, max_len) is None
-    for max_len in (2, 3, 4):
-        assert _split_matches_reference(loc_s6, max_len) is None
-    prefixes = {w[:-1] for _, w in _word_states(loc_s6, 4)[0].values()}
-    assert len(prefixes) > 2
-    s7 = build_locality(load_descriptor(str(BENCH_INSTANCES / "s7.json")))
-    assert _split_matches_reference(s7, 3) is None
-    del s7
-    seen = set()
-    for L in _corruptions(loc_s6, 5, count=60):
-        for max_len in (3, 4):
-            seen.add(_split_matches_reference(L, max_len) is None)
-    assert seen == {True, False}
-    # an entry of instance-b made undefined: its row no longer fits its
-    # class, so the row is read at the length-1 right states even for a
-    # left state of length 1, and that read alone finds u = (f), v = (g)
-    pairs = 0
-    for L in _undefinitions(loc_b, 3, count=20):
-        wit = _split_matches_reference(L, 3)
-        pairs += wit is not None and wit.split(":")[0].count(",)") == 2
-    assert pairs > 0
+        for max_len in (3, 4, 5):
+            assert check(L, _word_states(L, max_len)[0], max_len) is None
+    for max_len in (3, 4):
+        assert check(loc_s6, _word_states(loc_s6, max_len)[0],
+                     max_len) is None
 
+    A = corrupted_b[19]
+    R = Locality(loc_b.labels, A.identity, A.inv,
+                 [r[:-1] for r in A.rows[:-1]], A.s_ids, A.p,
+                 [A.ids_of(d) for d in A.delta],
+                 realization=loc_b.realization)
+    assert [(c.name, c.witness) for c in validate_locality(R, 3).checks
+            if not c.passed] == [
+        ("associativity_by_splitting",
+         "split (1,)|(20, 3): fold != Pi(u)Pi(v)"),
+        ("realization_oracle",
+         "pair (21,3) disagrees with the ambient product")]
 
-def test_split_check_reads_longer_left_states_of_fitting_rows(loc_s6):
-    """The read of the length-1 right states is skipped for a row that
-    fits its class only when the left state has length 1, whose map is
-    the class's.  A longer left state's map may admit more: here the
-    length-2 state of the S6 benchmark locality named by (4, 12) is given
-    another composite map of the same domain, so that as a right state it
-    is admitted as before, but as a left state it admits some S_g that
-    the class of its fold value does not.  Its row fits that class, so
-    it is undefined at g."""
-    L = loc_s6
-    states = _word_states(L, 3)[0]
-    (p1, m), _ = next(item for item in states.items()
-                      if item[1][1] == (4, 12))
-
-    def admitted(m):
-        return {d for d in set(L._sf)
-                if locality._preimage_under(m, d) in L.delta}
-    more = next(m2 for _, m2 in states
-                if domain_mask(m2) == domain_mask(m)
-                and (p1, m2) not in states
-                and admitted(m2) - admitted(L._cmaps[L._cls[p1]]))
-    forged = {((p1, more) if key == (p1, m) else key): v
-              for key, v in states.items()}
-    fits = locality._class_reads(L)[1]
-    assert fits[p1]
-    want = ref_split_fault(L, forged, 3)
-    assert want.startswith("split (4, 12)|(")
-    assert locality._split_fault(L, forged, 3, fits) == want
+    calls = []
+    monkeypatch.setattr(locality, "_associativity_fault",
+                        lambda *args: calls.append(args))
+    for L in (loc_b, loc_s6):
+        assert validate_locality(L, 3).ok
+    assert calls == []
+    passed = {}  # rows -> the induction check's witness
+    for base in (loc_b, _s6_at_order_4()):
+        for L in _corrupted_realized(base, 5, 40):
+            del calls[:]
+            checks = {c.name: c for c in validate_locality(L, 3).checks}
+            del checks["associativity_by_splitting"]
+            others = all(c.passed for c in checks.values())
+            assert len(calls) == (not others)
+            if others and L.rows not in passed:
+                passed[L.rows] = check(L, _word_states(L, 3)[0], 3)
+    assert list(passed.values()) == [None, None]
 
 
 # (check, draw of ``_corruptions(loc_b, 1)``, witness): the first draw
@@ -1080,9 +1119,9 @@ FIRST_FAULTS = [
     ("delta_closure", 36, "delta is not closed under conjugation maps into S"),
     ("s_w_through_product", 0,
      "word (5, 17): S_w image differs from S_w^(Pi w)"),
-    # a two-letter right word, folded along its one-letter prefix
+    # u = (1,), and v the right state (16,) followed by the letter 6
     ("associativity_by_splitting", 15,
-     "split (22,)|(1, 6): fold != Pi(u)Pi(v)"),
+     "split (1,)|(16, 6): fold != Pi(u)Pi(v)"),
 ]
 
 
@@ -1226,30 +1265,9 @@ def test_realization_oracle_matches_pair_keyed(loc_b):
     off the domain or undefine one on it, so that the row no longer fits
     its class and the oracle reads it on its own; witnesses are named on
     both paths."""
-    s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
-                         from_cycles(6, (1, 2))])
-    s = sylow_subgroup(s6, 2)
-    for base in (loc_b, locality_from_group(s6, s, delta_min_order(s, 4),
-                                            2)):
-        rng = random.Random(5)
-        pairs = list(base.prod)
-        off = [(i, j) for i in range(base.n) for j in range(base.n)
-               if base.rows[i][j] < 0]
-        delta = [base.ids_of(d) for d in base.delta]
+    for base in (loc_b, _s6_at_order_4()):
         seen, paths = set(), set()
-        for _ in range(40):
-            rows = [list(r[:-1]) for r in base.rows[:-1]]
-            for _ in range(rng.randrange(3)):
-                change = rng.randrange(3)
-                if change == 2 or (change == 1 and not off):
-                    i, j = rng.choice(pairs)
-                    rows[i][j] = -1
-                else:
-                    i, j = rng.choice(off if change == 1 else pairs)
-                    rows[i][j] = rng.randrange(base.n)
-            L = Locality(base.labels, base.identity, base.inv, rows,
-                         base.s_ids, base.p, delta,
-                         realization=base.realization)
+        for L in _corrupted_realized(base, 5, 40):
             bad = next(((i, j) for (i, j), k in L.prod.items()
                         if compose(L.labels[i], L.labels[j]) != L.labels[k]),
                        None)

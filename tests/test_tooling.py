@@ -110,7 +110,7 @@ BOUND_TAKERS = {
     "fusion.FusionSystem.__init__", "fusion.close", "fusion.fusion_of_group",
     "locality.Locality.__init__", "locality.locality_from_group",
     "locality.validate_locality", "locality._word_states",
-    "locality._split_fault", "instances.group_of",
+    "locality._associativity_fault", "instances.group_of",
     "instances.Instance.__init__"}
 
 
