@@ -22,8 +22,7 @@ from . import fusion as fu
 from . import instances as inst
 from . import products as pr
 from .fusion import FusionError, MorphismCapExceeded
-from .locality import (DEFAULT_MAX_WORD_LENGTH, LocalityError,
-                       validate_locality)
+from .locality import LocalityError, validate_locality
 from .partial_subgroups import (verify_restriction_product,
                                 verify_theorem_nk_normal,
                                 verify_theorem_nk_subnormal)
@@ -64,9 +63,9 @@ def _common() -> argparse.ArgumentParser:
 
 def _word_len(sub: argparse.ArgumentParser):
     sub.add_argument("--max-word-len", type=_positive_int, default=None,
-                     help="longest word the locality validator explores "
-                          "(default: the descriptor's max_word_length, or "
-                          f"{DEFAULT_MAX_WORD_LENGTH})")
+                     help="accepted and ignored: the locality validator "
+                          "checks every word of the domain, from its pairs "
+                          "and triples")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +115,7 @@ def cmd_locality_build(ctx, args):
 
 
 def cmd_locality_validate(ctx, args):
-    rep = validate_locality(ctx.L, max_word_length=args.max_word_len)
+    rep = validate_locality(ctx.L)
     return {"suite": "locality_validate", "instance": ctx.d["name"],
             **rep.to_json()}, rep.ok
 

@@ -22,8 +22,7 @@ from typing import Iterable, Optional
 
 from . import fusion as fu
 from . import products as pr
-from .locality import (DEFAULT_MAX_WORD_LENGTH, Locality, delta_min_order,
-                       locality_from_group)
+from .locality import Locality, delta_min_order, locality_from_group
 from .permgroup import (DEFAULT_GROUP_CAP, FiniteGroup, SizeCapExceeded,
                         Subgroup, generated_subgroup, is_prime,
                         sylow_subgroup, _p_part)
@@ -65,7 +64,7 @@ def _check_schema(d) -> None:
     _require(_is_int(d["p"]), "'p'", "an integer", d["p"])
     if not is_prime(d["p"]):
         raise DescriptorError(f"'p' must be a prime, not {d['p']}")
-    if "max_word_length" in d:
+    if "max_word_length" in d:  # accepted for old descriptors, not read
         mwl = d["max_word_length"]
         _require(_is_int(mwl), "'max_word_length'", "an integer", mwl)
         _require(mwl >= 1, "'max_word_length'", "at least 1", mwl)
@@ -225,10 +224,8 @@ def build_locality(d: dict, ctx: Optional[Instance] = None) -> Locality:
     validator on it."""
     ctx = ctx or Instance(d)
     delta = delta_of(d, ctx.G, ctx.S)
-    return locality_from_group(
-        ctx.G, ctx.S, delta, d["p"],
-        max_word_length=d.get("max_word_length", DEFAULT_MAX_WORD_LENGTH),
-        morphism_cap=ctx.morphism_cap)
+    return locality_from_group(ctx.G, ctx.S, delta, d["p"],
+                               morphism_cap=ctx.morphism_cap)
 
 
 def resolve_ids(L: Locality, sub: Subgroup) -> frozenset:

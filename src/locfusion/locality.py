@@ -36,28 +36,27 @@ questions are answered without building the composite: the preimage of
 a mask under one class's map is cached per (class, mask), and S_w is
 the preimage of S walked through w from the right.
 Words with the same (left-fold value, composite map) pair behave
-identically under the checks performed here, and one explorer
-(``_word_states``) walks those states up to a word-length bound, keeping
-one representative word per state.  One check (``_check_delta_closures``)
-decides whether a family of masks is an object set.
+identically under the checks performed here.  The validator reads the
+states of the words of length 1 and 2 (``_word_states``), their
+one-letter extensions and the triples of D, and when its checks pass
+they hold for every word of D, of any length (``validate_locality``).
+One check (``_check_delta_closures``) decides whether a family of masks
+is an object set.
 
-The letters a state extends by, and the composite maps they lead to,
-depend only on its composite map, so the explorer decides them once per
-composite map, by the domain of that map followed by each letter class,
-and splits them into blocks, one per composite map they lead to.  Each
-composite map keeps the set of fold values its states have, and a state
-is decided a block at a time: one getter reads the block's fold values
-off the state's row, and one superset test of that set shows the block
-reaches no new state and no failure.  Only the other blocks are read a
-letter at a time, in letter order.  The split check of the validator
-works on pairs of states, by induction on the right factor: for states
-(p1, m1) and (p2, m2) and each letter f their composite map admits,
-(p1·p2)·f = p1·(p2·f), both sides defined.  That equation and the
-admission depend only on the states, so the check is exact on the words
-the walk reaches.  The letters a composite map admits are read by one
-getter, kept per composite map.  A realized locality whose realization
-oracle passes, with the checks the proof needs, skips that walk over
-pairs: its products are products in G (``validate_locality``).
+The letters a word extends by, and the composite maps they lead to,
+depend only on its composite map, so ``_word_states`` decides them once
+per class, by the domain of its map followed by each letter class, and
+splits them into blocks, one per composite map they lead to.  Each
+composite map keeps the set of fold values its states have, and a letter
+x is extended a block at a time: one getter reads the block's fold
+values off the row of x, and one superset test of that set shows the
+block reaches no new state and no failure.  Only the other blocks are
+read a letter at a time, in letter order.  The split check reads the
+triples: for letters a and b and each letter f that the composite of
+their maps admits, (a·b)·f = a·(b·f), both sides defined.  The letters
+a composite map admits are read by one getter, kept per pair of classes.
+A realized locality whose realization oracle passes, with the checks
+the proof needs, skips the triples: its products are products in G.
 
 A locality realized by a group G is built a right coset of S at a time
 (``locality_from_group``): S_(r·t) = S_r for t in S, so the carrier is a
@@ -88,9 +87,6 @@ Word = tuple[int, ...]
 
 _defined = (0).__le__  # v -> v >= 0, for a position or -1
 
-# the word-length bound of the validator and the partial-subgroup predicates
-DEFAULT_MAX_WORD_LENGTH = 4
-
 
 class LocalityError(ValueError):
     """Invalid locality construction or precondition."""
@@ -104,8 +100,6 @@ CheckResult = namedtuple("CheckResult", "name passed witness",
 class ValidationReport:
     def __init__(self):
         self.checks = []  # CheckResult, in the order they ran
-        self.bounded_only = True
-        self.max_word_length = DEFAULT_MAX_WORD_LENGTH
 
     @property
     def ok(self) -> bool:
@@ -114,8 +108,6 @@ class ValidationReport:
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
-            "max_word_length": self.max_word_length,
-            "bounded_check_only": self.bounded_only,
             "checks": [{"name": c.name, "passed": c.passed,
                         **({"witness": c.witness} if c.witness else {})}
                        for c in self.checks],
@@ -216,22 +208,19 @@ class Locality:
     precondition of ``products`` (each declared with ``fusion.kept``),
     and the memos of the partial-subgroup predicates.
 
-    L keeps its run's bounds, as a fusion system keeps its cap:
-    ``max_word_length`` for the validator and the partial-subgroup
-    predicates, ``morphism_cap`` for F_S(L) and its partial subgroups'
-    systems.  Sub-localities inherit both.
+    L keeps its run's morphism cap, as a fusion system keeps its cap:
+    ``morphism_cap`` for F_S(L) and its partial subgroups' systems.
+    Sub-localities inherit it.
     """
 
     def __init__(self, labels: Sequence, identity: int, inv: Sequence[int],
                  rows: Iterable[Iterable[int]], s_ids: Iterable[int],
                  p: int, delta: Iterable[Iterable[int]],
                  realization: Optional[FiniteGroup] = None,
-                 max_word_length: int = DEFAULT_MAX_WORD_LENGTH,
                  morphism_cap: int = DEFAULT_MORPHISM_CAP):
         """``rows`` holds n rows of n entries, each an id in range(n) or
         -1; the identity, the inverse table and S must hold ids in
         range(n) (LocalityError naming the row or entry otherwise)."""
-        self.max_word_length = max_word_length
         self.morphism_cap = morphism_cap
         self.labels = tuple(labels)
         n = self.n = len(self.labels)
@@ -397,8 +386,8 @@ def delta_min_order(S: Subgroup, min_order: int) -> list[Subgroup]:
 
 
 def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
-                        p: int, max_word_length: int = DEFAULT_MAX_WORD_LENGTH,
-                        morphism_cap: int = DEFAULT_MORPHISM_CAP) -> Locality:
+                        p: int, morphism_cap: int = DEFAULT_MORPHISM_CAP
+                        ) -> Locality:
     """The standard realization L_delta(G) = {g : S cap S^(g^-1) in delta}.
 
     delta must be overgroup-closed in S and closed under the conjugation
@@ -442,8 +431,7 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     del idx, doms, members, maps  # the rows hold them until the last one
 
     return Locality(labels, identity, inv, rows, s_ids, p, delta_ids,
-                    realization=G, max_word_length=max_word_length,
-                    morphism_cap=morphism_cap)
+                    realization=G, morphism_cap=morphism_cap)
 
 
 def _coset_rows(six: SIndex, dmasks: Collection[int], labels: Sequence,
@@ -528,129 +516,130 @@ def _check_delta_closures(lattice: Sequence[int], delta: Collection[int],
 
 # -- the validator -----------------------------------------------------------
 
-def _word_states(L: Locality, max_len: int,
-                 letters: Optional[Iterable[int]] = None):
-    """All (fold value, composite partial map) states of domain words
-    over ``letters`` (the whole carrier by default), up to ``max_len``.
+def _word_states(L: Locality):
+    """The (fold value, composite partial map) states of the domain words
+    of length 1 and 2, and the domain words of length 2 and 3 whose left
+    fold is undefined.
 
     Returns ``(states, failures)``: ``states`` maps each state to its
-    minimal length and a representative word, in the order the states
-    are first reached, and ``failures`` lists the domain words whose
-    left fold is undefined or leaves the letters.
+    length and a representative word, in the order the states are first
+    reached, and ``failures`` lists those words, the shorter first, each
+    length in the order of the states they extend and then by letter.
 
-    Composite maps are few (69 on S7 at length 3, against 1,136 states),
-    so each gets an id; the maps of the classes of L take the first ids.
     A word with composite map m extends by f exactly when the domain of
-    m followed by the map of f, which is the preimage of S_f under m,
-    is in delta.  So the letters a state extends by, and the map ids of
-    the extensions, depend only on its map id: they are decided once
-    per map id, one composition and one delta test per letter class.
-    The letters admitted for a map id fall into blocks, one per map id
-    they lead to, and each map id keeps the set of fold values its
-    states have.  A state is decided a block at a time: the block's
-    getter reads the fold values from the state's row, and one superset
-    test says whether all of them are letters already reached with the
-    block's map id, so that the block adds no state and no failure.
-    Only the letters of the other blocks are taken one at a time, in
-    letter order across blocks.  On S7 at length 3 that is 8,960 block
-    tests for the 1,136 states, in place of 166k (state, letter) pairs.
+    m followed by the map of f, which is the preimage of S_f under m, is
+    in delta.  So the letters a word extends by, and the composite maps
+    of the extensions, depend only on m: they are decided once per
+    composite map, one composition and one delta test per letter class
+    (``admitted``).  The letters admitted by a class's map fall into
+    blocks, one per composite map they lead to, and each composite map
+    keeps the set of fold values its states have.  A letter x is
+    extended a block at a time: the block's getter reads the fold values
+    from the row of x, and one superset test says whether all of them
+    were reached already with the block's map, so that the block adds no
+    state and no failure.  Only the letters of the other blocks are
+    taken one at a time, in letter order across blocks.  A state of
+    length 2 is extended only to find failures: one getter reads its row
+    at the letters its map admits.
     """
-    letters = range(L.n) if letters is None else sorted(letters)
-    inside = [False] * (L.n + 1)  # inside[-1] is False, for an undefined fold
-    for f in letters:
-        inside[f] = True
     cls, cmaps, rows, delta = L._cls, L._cmaps, L.rows, L.delta
     of_cls: dict[int, list[int]] = {}  # letter class -> its letters
-    for f in letters:
+    for f in range(L.n):
         of_cls.setdefault(cls[f], []).append(f)
-    ids = {m: c for c, m in enumerate(cmaps)}  # composite map -> map id
-    maps = list(cmaps)  # map id -> composite map
-    doms = list(L._csf)  # map id -> domain of the map
-    reached = [set() for _ in maps]  # map id -> fold values of its states
-    blocks: list = [None] * len(maps)  # map id -> its blocks
 
-    def map_id(m: tuple[int, ...]) -> int:
-        if m not in ids:
-            ids[m] = len(maps)
-            maps.append(m)
-            doms.append(domain_mask(m))
-            reached.append(set())
-            blocks.append(None)
-        return ids[m]
-
-    def blocks_of(mid: int) -> list[tuple]:
-        """(fold values reached with t, getter, letters, t) per map id t
-        in delta that the letters admitted for ``mid`` lead to."""
-        after = itemgetter(*maps[mid])
-        to: dict[int, list[int]] = {}  # map id after -> its letters
+    def admitted(m: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+        """composite map after m -> the letters m admits that lead to it"""
+        after = itemgetter(*m)
+        to: dict[tuple[int, ...], list[int]] = {}
         for c, fs in of_cls.items():
-            t = map_id(after(cmaps[c]))
-            if doms[t] in delta:
+            t = after(cmaps[c])
+            if domain_mask(t) in delta:
                 to.setdefault(t, []).extend(fs)
-        out = []
-        for t, fs in to.items():
-            fs = tuple(sorted(fs))  # shared with itemgetter(*fs), not copied
-            out.append((reached[t], getter(fs), fs, t))
-        return out
+        return to
 
-    seen: dict[tuple[int, int], tuple[int, Word]] = {}
+    states = {(f, cmaps[cls[f]]): (1, (f,)) for f in range(L.n)}
+    reached: dict[tuple[int, ...], set] = {}  # map -> fold values reached
+    for f, m in states:
+        reached.setdefault(m, set()).add(f)
     failures = []
-    frontier = {}
-    for f in letters:
-        st = (f, cls[f])
-        if st not in seen:
-            seen[st] = (1, (f,))
-            frontier[st] = (f,)
-            reached[cls[f]].add(f)
-    length = 1
-    while frontier and length < max_len:
-        length += 1
-        new = {}
-        for (pi, mid), word in frontier.items():
-            if blocks[mid] is None:
-                blocks[mid] = blocks_of(mid)
-            row = rows[pi]
-            # the letters of blocks that fail the superset test, whose
-            # fold value was not reached with the block's map id
-            odd = [(f, v, t) for known, at, fs, t in blocks[mid]
-                   if not known.issuperset(vs := at(row))
-                   for f, v in zip(fs, vs) if v not in known]
-            # in letter order, so the first word reaching a state names it
-            odd.sort()
-            for f, v, t in odd:
-                if not inside[v]:
-                    failures.append(word + (f,))
-                elif v not in reached[t]:
-                    reached[t].add(v)
-                    seen[v, t] = (length, word + (f,))
-                    new[v, t] = word + (f,)
-        frontier = new
-    return {(pi, maps[mid]): v for (pi, mid), v in seen.items()}, failures
+    blocks: dict[int, list[tuple]] = {}  # class -> its blocks
+    for x, c in enumerate(cls):
+        if c not in blocks:
+            blocks[c] = [(reached.setdefault(t, set()), getter(fs), fs, t)
+                         for t, fs in ((t, tuple(sorted(fs))) for t, fs
+                                       in admitted(cmaps[c]).items())]
+        row = rows[x]
+        # the letters of blocks that fail the superset test, whose fold
+        # value was not reached with the block's map, in letter order, so
+        # the first word reaching a state names it
+        odd = sorted([(f, v, t) for known, at, fs, t in blocks[c]
+                      if not known.issuperset(vs := at(row))
+                      for f, v in zip(fs, vs) if v not in known])
+        for f, v, t in odd:
+            if v < 0:
+                failures.append((x, f))
+            elif v not in reached[t]:
+                reached[t].add(v)
+                states[v, t] = (2, (x, f))
+    reads: dict[tuple[int, ...], tuple] = {}  # map -> (letters, getter)
+    for (p, m), (length, word) in states.items():
+        if length == 2:
+            if m not in reads:
+                fs = sorted(itertools.chain.from_iterable(
+                    admitted(m).values()))
+                reads[m] = (fs, getter(fs))
+            fs, at = reads[m]
+            vs = at(rows[p])
+            if -1 in vs:
+                failures += [word + (f,) for f, v in zip(fs, vs) if v < 0]
+    return states, failures
 
 
-def validate_locality(L: Locality, max_word_length: Optional[int] = None
-                      ) -> ValidationReport:
-    """Check the locality axioms on the words up to the length bound:
-    ``max_word_length`` when given, else L's own.
+def validate_locality(L: Locality) -> ValidationReport:
+    """Check the locality axioms on every word of D.
 
-    Words are explored through (product, map) states, one
-    representative word each, and every state is visited.  The fold and
-    S_w checks depend only on a word's state, and so does the split
-    check (``_associativity_fault``): by induction on the right factor
-    over pairs of states, it covers every split of every domain word up
-    to the bound.
+    The checks read words of length at most 3: the states of the words
+    of length 1 and 2 (``_word_states``), their one-letter extensions,
+    and the triples (a, b, f) of D.  The fold and S_w checks depend only
+    on a word's state.  When every check passes, they hold for every
+    word of D, of any length, and so does the split check.  Write Pi(u)
+    for the left fold of u, c_x for the map of x on S_x and c_u for the
+    composite map along u, whose domain is S_u.  Take w = uf in D and
+    induct on |w|; words of length at most 3 are checked directly.
+    - By induction, a = Pi(u) is defined and c_a extends c_u.  So S_w =
+      S_u cap pre_a(S_f) lies in pre_a(S_f) = S_(a,f).
+    - Overgroup closure (``delta_closure``) puts S_(a,f) in delta, as
+      S_w is, and objectivity (``objectivity_len2``) then defines
+      (a, f), so Pi(w) = a·f (``fold_defined_on_domain``).
+    - The pair check on the word (a, f) (``s_w_through_product``) makes
+      c_(a·f) extend c_a then c_f on S_(a,f), so c_Pi(w) extends c_w.
+    - Splits: Pi(w) = Pi(u')·Pi(v) for every split w = u'v, by induction
+      on |v|.  For v = (f) that is the left fold.  For v = v'f, let a =
+      Pi(u') and b = Pi(v').  The words u', v' and u'v' lie in D by
+      overgroup closure: S_u' and S_u'v' contain S_w, and S_v' contains
+      its image under c_u', a member of delta (``delta_closure``).  As
+      c_a extends c_u' and c_b extends c_v', S_w lies in S_(a,b,f), so
+      (a, b, f) is in D too.  Then Pi(w) = Pi(u'v')·f = (a·b)·f by
+      induction on v', = a·(b·f) by the triple law
+      (``associativity_by_splitting``), and b·f = Pi(v) by the left
+      fold.
+    Overgroup closure is used on sets S_w, which are subgroups of S when
+    each c_x is a homomorphism on S_x: then every preimage of a subgroup
+    is one.  A realization makes c_x conjugation in G.  For an abstract L
+    no check tests that on its own.
 
-    A realized L is not walked in pairs: when the realization oracle and
-    every check before the split check pass, every such split is
-    proved.  Let w = uv be a domain word.
+    A realized L skips the triples: when the realization oracle and
+    every check before the split check pass, every split is proved.  Let
+    w = uv be a domain word.
     - The oracle makes every defined entry the product of the labels in
       G, so Pi(w) is labelled by the product of the letters of w.
     - The identity and inversion laws label the identity 1 and f^-1 by
       the inverse of f's label, so the map of f, read off (f^-1, s, f),
       is conjugation by the label g of f on S_f, a subgroup of S, being
       in delta (``s_f_in_delta``, ``delta_closure``).
-    - ``s_w_through_product`` puts S_u inside S_Pi(u), the two maps
-      agreeing on S_u, and S_v inside S_Pi(v), so S_uv lies in
+    - ``s_w_through_product``, at every length by the argument above,
+      puts S_u inside S_Pi(u), the two maps agreeing on S_u, and S_v
+      inside S_Pi(v), so S_uv lies in
       P = pre_Pi(u)(S_Pi(v)) = S_Pi(u) cap S_Pi(v)^(g^-1) for g the label
       of Pi(u), a subgroup of S.
     - Overgroup closure puts P in delta, as S_uv is, and objectivity then
@@ -663,10 +652,7 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     The oracle therefore runs before the split check; the report keeps
     its order, with the oracle last.
     """
-    if max_word_length is None:
-        max_word_length = L.max_word_length
     rep = ValidationReport()
-    rep.max_word_length = max_word_length
     add = rep.checks.append
 
     # S is a p-group under a total product: the S-lattice is built from it
@@ -715,7 +701,7 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     add(CheckResult("delta_closure", bad is None, bad))
 
     # domain words: folds defined, splitting/associativity, S_w transport
-    states, fold_failures = _word_states(L, max_word_length)
+    states, fold_failures = _word_states(L)
     add(CheckResult("fold_defined_on_domain", not fold_failures,
                     f"word {fold_failures[0]!r}" if fold_failures else None))
 
@@ -744,15 +730,13 @@ def validate_locality(L: Locality, max_word_length: Optional[int] = None
     if realized is not None and realized.passed and rep.ok:
         wit = None
     else:
-        wit = _associativity_fault(L, states, max_word_length)
+        wit = _associativity_fault(L)
     add(CheckResult("associativity_by_splitting", wit is None, wit))
 
     # maximality of S among p-subgroups of the carrier
     add(_check_s_maximal(L))
     if realized is not None:
         add(realized)
-
-    rep.bounded_only = L.realization is None
     return rep
 
 
@@ -820,64 +804,41 @@ def _realization_fault(L: Locality, fits: Sequence[bool],
     return f"pair ({i},{j}) disagrees with the ambient product"
 
 
-def _associativity_fault(L: Locality, states: dict, max_len: int
-                         ) -> Optional[str]:
-    """The first split u|v of a domain word whose fold differs from
-    Pi(u)Pi(v), by induction on v, or None.
+def _associativity_fault(L: Locality) -> Optional[str]:
+    """The first triple (a, b, f) of D, by a, then b, then f, whose two
+    products (a·b)·f and a·(b·f) are not both defined and equal, as the
+    split (a,)|(b, f); None when there is none.
 
-    For states (p1, m1) and (p2, m2) of minimal lengths l1 and l2 with
-    l1 + l2 + 1 <= ``max_len``, and each letter f that their composite
-    map m1 then m2 admits (its preimage of S_f is in delta), both sides
-    of ``rows[rows[p1][p2]][f] == rows[p1][rows[p2][f]]`` must be
-    defined and equal.  That covers every split u|v of a domain word w
-    up to the bound with u and v domain words (every prefix in D, as the
-    walk explores them; in a locality every subword of a word in D is).
-    By induction on |v|: for v = (f), Pi(v) = f and Pi(w) = Pi(u)·f is
-    the left fold.  For v = v'f, the words u, v' and uv' are domain
-    words, of the states (p1, m1), (p2, m2) and (Pi(uv'), m1 then m2),
-    S_w is the composite's preimage of S_f, in delta, and |u| + |v'| +
-    1 = |w| bounds l1 + l2 + 1.  So Pi(w) = Pi(uv')·f by the left fold,
-    = (p1·p2)·f by induction on v', = p1·(p2·f) by the check, and p2·f =
-    Pi(v) by the left fold.  The equation and the admission depend only
-    on the two states, never on a representative word.
-
-    The letters a composite map admits, and their getter, are kept per
-    composite map.  The witness is the first left state in state order,
-    its first right state in state order, and the least f: u is the left
-    representative and v the right one followed by f.
+    (a, b, f) is in D when the composite of the maps of a and b admits
+    f: its preimage of S_f is in delta.  That depends on a and b only
+    through their classes, so the letters admitted, and their getter,
+    are kept per pair of classes, and one compare checks a pair (a, b)
+    against all of them.  ``validate_locality`` shows why the triples
+    cover every split of every word of D.
     """
-    rows, delta = L.rows, L.delta
-    ids: dict[tuple[int, ...], int] = {}  # composite map -> map id
-    # the states come by length, as the walk reaches them, so both loops
-    # stop at the first state too long for the bound
-    items = [(p, ids.setdefault(m, len(ids)), length, word)
-             for (p, m), (length, word) in states.items()]
-    maps, cols, sfs = list(ids), range(L.n), set(L._sf)
-    pairs: dict[tuple[int, int], tuple] = {}  # (map id, map id) -> reads
+    rows, delta, cls, cmaps = L.rows, L.delta, L._cls, L._cmaps
+    cols, sfs = range(L.n), set(L._sf)
+    pairs: dict[tuple[int, int], tuple] = {}  # (class, class) -> reads
     reads: dict[tuple[int, ...], tuple] = {}  # composite -> (letters, getter)
-    for p1, i1, l1, w1 in items:
-        if l1 + 2 > max_len:
-            break
-        row = rows[p1]
-        for p2, i2, l2, w2 in items:
-            if l1 + l2 + 1 > max_len:
-                break
-            r = pairs.get((i1, i2))
+    for a in cols:
+        row, ca = rows[a], cls[a]
+        for b in cols:
+            r = pairs.get((ca, cls[b]))
             if r is None:
-                m = tuple(map(maps[i2].__getitem__, maps[i1]))
+                m = tuple(map(cmaps[cls[b]].__getitem__, cmaps[ca]))
                 r = reads.get(m)
                 if r is None:
                     ok = {d: _preimage_under(m, d) in delta for d in sfs}
                     fs = list(itertools.compress(cols, map(ok.__getitem__,
                                                            L._sf)))
                     r = reads[m] = (fs, getter(fs))
-                pairs[i1, i2] = r
+                pairs[ca, cls[b]] = r
             fs, at = r
-            q = at(rows[row[p2]])
-            want = tuple(map(row.__getitem__, at(rows[p2])))
+            q = at(rows[row[b]])
+            want = tuple(map(row.__getitem__, at(rows[b])))
             if q != want or -1 in q:
-                f = next(f for f, a, b in zip(fs, q, want) if a < 0 or a != b)
-                return f"split {w1!r}|{w2 + (f,)!r}: fold != Pi(u)Pi(v)"
+                f = next(f for f, x, y in zip(fs, q, want) if x < 0 or x != y)
+                return f"split {(a,)!r}|{(b, f)!r}: fold != Pi(u)Pi(v)"
     return None
 
 
@@ -952,7 +913,7 @@ def _sub_locality(L: Locality, carrier_ids: list[int],
     (masks of L), keeping the pairs (i, j) of L with i, j and i·j in the
     carrier and S_(i,j) in ``delta``.  Ids are renumbered in order, so S
     keeps its positions, and with them the masks and the S-lattice of
-    L, and its bounds: the sub-locality takes L's S (``s_group``), so
+    L, and its morphism cap: the sub-locality takes L's S (``s_group``), so
     the two share one index of S."""
     carrier_ids = sorted(carrier_ids)
     new_id = [-1] * (L.n + 1)  # -1 off the carrier and for -1 itself
@@ -976,9 +937,7 @@ def _sub_locality(L: Locality, carrier_ids: list[int],
     sub = Locality(labels, new_id[L.identity],
                    [new_id[L.inv[i]] for i in carrier_ids],
                    rows, [new_id[s] for s in L.s_ids], L.p, new_delta,
-                   realization=L.realization,
-                   max_word_length=L.max_word_length,
-                   morphism_cap=L.morphism_cap)
+                   realization=L.realization, morphism_cap=L.morphism_cap)
     sub._s = L.s_group()
     return sub
 
@@ -1140,9 +1099,7 @@ def locality_from_descriptor(d: dict) -> Locality:
         rows[i][j] = k
     return Locality(labels=tuple(ids), identity=d["identity"],
                     inv=tuple(d["inverse"]), rows=rows, s_ids=d["S"],
-                    p=d["p"], delta=[frozenset(x) for x in d["delta"]],
-                    max_word_length=d.get("max_word_length",
-                                          DEFAULT_MAX_WORD_LENGTH))
+                    p=d["p"], delta=[frozenset(x) for x in d["delta"]])
 
 
 def locality_to_descriptor(L: Locality) -> dict:
@@ -1151,5 +1108,4 @@ def locality_to_descriptor(L: Locality) -> dict:
             "products": [[i, j, row[j]] for i, row in zip(cols, L.rows)
                          for j in itertools.compress(cols, map(_defined, row))],
             "S": list(L.s_ids), "p": L.p,
-            "delta": sorted(sorted(L.ids_of(d)) for d in L.delta),
-            "max_word_length": L.max_word_length}
+            "delta": sorted(sorted(L.ids_of(d)) for d in L.delta)}

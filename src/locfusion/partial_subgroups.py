@@ -28,9 +28,9 @@ import itertools
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .locality import (Locality, LocalityError, _word_states,
-                       normalizer_carrier, restriction,
-                       strongly_closed_in_carrier)
+from .locality import (Locality, LocalityError, normalizer_carrier,
+                       restriction, strongly_closed_in_carrier)
+from .permgroup import getter
 from .report import PreconditionError, Report
 
 # the largest carrier whose partial normal subgroups are enumerated
@@ -41,9 +41,19 @@ def partial_subgroup_witness(L: Locality, X: Iterable[int]) -> Optional[dict]:
     """The first way X fails to be a partial subgroup, or None.
 
     In order: the identity missing, the first element in id order whose
-    inverse is outside X, the first domain word over X (from the
-    word-state explorer, up to L's word bound) whose fold is undefined
-    or leaves X.  Memoized on L per X.
+    inverse is outside X, the first pair (x, y) of X in D, in id order,
+    with x·y undefined or outside X.  Memoized on L per X.
+
+    Pairs are enough.  In a locality, a word uf in D has u in D,
+    (Pi(u), f) in D and Pi(uf) = Pi(u)·f (``validate_locality`` proves it
+    from the checks that pass; Chermak, "Fusion systems and localities",
+    Acta Math. 2013, §1, from the axioms).  So by induction on the length
+    of a word over X, its fold is a product x·y of a pair of X in D, and
+    X, containing 1 and closed under inversion, is a partial subgroup
+    exactly when every such x·y lies in X.  The pairs (x, y) in D depend
+    on x only through its class, and on y through S_y: the y admitted are
+    listed once per class of x, and one getter reads them off the row of
+    x.
     """
     X = frozenset(X)
     key = ("subgroup", X)
@@ -56,19 +66,36 @@ def partial_subgroup_witness(L: Locality, X: Iterable[int]) -> Optional[dict]:
             if x is not None:
                 fault = {"inverse_outside": {"x": x, "x^-1": L.inv[x]}}
             else:
-                failures = _word_states(L, L.max_word_length, X)[1]
-                if failures:
-                    fault = {"word": list(failures[0])}
+                fault = _pair_fault(L, X)
         L._verdicts[key] = fault
     return L._verdicts[key]
 
 
-def is_partial_subgroup(L: Locality, X: Iterable[int]) -> bool:
-    """Inversion-closed, contains 1, and folds of domain words stay in X.
+def _pair_fault(L: Locality, X: frozenset) -> Optional[dict]:
+    """The first pair (x, y) of X in D, in id order, whose product is
+    outside X (-1 included), as ``{"word": [x, y]}``, or None."""
+    xs = sorted(X)
+    sfs = {L._sf[y] for y in xs}
+    reads: dict[int, tuple] = {}  # class of x -> (the y it admits, getter)
+    for x in xs:
+        r = reads.get(L._cls[x])
+        if r is None:
+            ok = {d: L.preimage(x, d) in L.delta for d in sfs}
+            ys = [y for y in xs if ok[L._sf[y]]]
+            r = reads[L._cls[x]] = (ys, getter(ys))
+        ys, at = r
+        vs = at(L.rows[x])
+        if not X.issuperset(vs):
+            return {"word": [x, next(y for y, v in zip(ys, vs)
+                                     if v not in X)]}
+    return None
 
-    Words over X are explored through (product, map) states up to L's
-    word bound, by the explorer of the locality validator.  The verdict
-    is memoized on L per X, with its first fault.
+
+def is_partial_subgroup(L: Locality, X: Iterable[int]) -> bool:
+    """Inversion-closed, contains 1, and x·y in X for every pair (x, y)
+    of X in D, which puts the fold of every word of D over X in X
+    (``partial_subgroup_witness``).  The verdict is memoized on L per X,
+    with its first fault.
     """
     return partial_subgroup_witness(L, X) is None
 

@@ -93,7 +93,7 @@ def product_ed_via_locality(L: Locality, N: Iterable[int], K: Iterable[int]
                             ) -> FusionSystem:
     """The product through a linking locality: the fusion system of the
     partial subgroup NK over T·(S∩K), in the setting of Theorem 2
-    (``check_theorem2_hypotheses``), under L's word bound and cap."""
+    (``check_theorem2_hypotheses``), under L's morphism cap."""
     N = frozenset(N)
     K = frozenset(K)
     check_theorem2_hypotheses(L, N, K)

@@ -40,6 +40,16 @@ of G directly and looking each product up by its permutation; the
 library conjugates one element per right coset of S and reads a row a
 coset at a time off the Cayley table of S.
 
+``oracle_word_states`` is the word-state walk that the validator and the
+partial-subgroup predicates ran to a word bound before the pair and
+triple checks replaced it, with one map composed as a tuple per state
+and letter (``composite_s_w`` composes a whole word).
+``oracle_checks`` runs the fold, S_w and split checks of that walk to a
+bound: the split check over every pair of states and letter
+(``oracle_associativity``), and ``brute_force_split_fault`` folds every
+word of D up to a bound in every split.  Each reads the product rows;
+the library reads the states of length 1 and 2 and the triples of D.
+
 ``op_core_by_scan`` is O_p(F) as the library found it before it read
 O_p off the centric radicals: ``_normality_fault`` tests each subgroup
 for normality clause by clause, and ``_op_core_over`` keeps the largest
@@ -73,6 +83,7 @@ condition per clause, as ``products.ed_verdict`` had it; the library
 folds the clauses with ``report.fold``.
 """
 
+import itertools
 from typing import Optional
 
 from locfusion import fusion
@@ -86,7 +97,7 @@ from locfusion.fusion import (FusionError, FusionSystem, _NONE,
 from locfusion.locality import _preimage_under, normalizer_carrier
 from locfusion.permgroup import (FiniteGroup, SIndex, SizeCapExceeded,
                                  Subgroup, _p_part, bit_positions, compose,
-                                 conjugate, getter,
+                                 conjugate, domain_mask, getter,
                                  generated_subgroup,
                                  image_mask, inverse, is_characteristic_p,
                                  perm_order)
@@ -409,6 +420,151 @@ def locality_tables(L):
     """(labels, inv, s_ids, rows) of L, each row without its trailing -1,
     as ``locality_tables_by_pairs`` gives them."""
     return L.labels, L.inv, L.s_ids, tuple(r[:-1] for r in L.rows[:-1])
+
+
+def composite_s_w(L, w):
+    """S_w as the domain of the partial maps of w composed on positions."""
+    m = tuple(range(len(L.s_ids))) + (-1,)
+    for f in w:
+        m = tuple(L._pm[f][i] for i in m)
+    return sum(1 << i for i, v in enumerate(m[:-1]) if v >= 0)
+
+
+def _extends_in_delta(L, m, reps):
+    """For each mask d of ``reps`` (d -> a map with domain d): is the
+    domain of m followed by ``reps[d]``, composed as tuples, in delta?"""
+    return {d: domain_mask(tuple(map(r.__getitem__, m))) in L.delta
+            for d, r in reps.items()}
+
+
+def oracle_word_states(L, max_len, letters=None):
+    """The (fold value, composite map) states of the domain words over
+    ``letters`` (all of L by default) up to ``max_len``, each with its
+    minimal length and first word in the order reached, and the domain
+    words whose fold is undefined or leaves the letters, in the order
+    the walk meets them."""
+    letters = range(L.n) if letters is None else sorted(letters)
+    inside = set(letters)
+    pm, sf, rows = L._pm, L._sf, L.rows
+    reps = {sf[f]: pm[f] for f in letters}
+    states, failures, frontier = {}, [], {}
+    for f in letters:
+        st = (f, pm[f])
+        if st not in states:
+            states[st] = (1, (f,))
+            frontier[st] = (f,)
+    length = 1
+    while frontier and length < max_len:
+        length += 1
+        new = {}
+        for (pi, m), word in frontier.items():
+            ok = _extends_in_delta(L, m, reps)
+            for f in letters:
+                if not ok[sf[f]]:
+                    continue
+                m2 = tuple(map(pm[f].__getitem__, m))
+                pi2 = rows[pi][f]
+                if pi2 not in inside:
+                    failures.append(word + (f,))
+                    continue
+                st = (pi2, m2)
+                if st not in states:
+                    states[st] = (length, word + (f,))
+                    new[st] = word + (f,)
+        frontier = new
+    return states, failures
+
+
+def oracle_associativity(L, states, max_len):
+    """The first (left state, right state, letter f), each in order, for
+    which (Pi(u)·Pi(v'))·f and Pi(u)·(Pi(v')·f) are not both defined and
+    equal, over every pair of states with l1 + l2 + 1 <= ``max_len`` and
+    every f whose word u v' f has S_w in delta, with maps composed as
+    tuples; the split u|v'f as a witness, or None."""
+    rows = L.rows
+    items = list(states.items())
+    reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
+    admits = {}  # composite map -> the letters it admits
+    for (p1, m1), (l1, w1) in items:
+        for (p2, m2), (l2, w2) in items:
+            if l1 + l2 + 1 > max_len:
+                continue
+            m = tuple(map(m2.__getitem__, m1))
+            if m not in admits:
+                ok = _extends_in_delta(L, m, reps)
+                admits[m] = [f for f in range(L.n) if ok[L._sf[f]]]
+            p12 = rows[p1][p2]
+            for f in admits[m]:
+                left = rows[p12][f]
+                if left < 0 or left != rows[p1][rows[p2][f]]:
+                    return f"split {w1!r}|{w2 + (f,)!r}: fold != Pi(u)Pi(v)"
+    return None
+
+
+def oracle_s_w(L, states):
+    """(passed, witness) of the S_w check on ``states``: the first state
+    whose fold value's map differs from its composite map somewhere on
+    the composite's domain."""
+    for (pi, m), (_, word) in states.items():
+        if any(v >= 0 and L._pm[pi][i] != v for i, v in enumerate(m)):
+            return False, (f"word {word!r}: S_w image differs from "
+                           "S_w^(Pi w)")
+    return True, None
+
+
+def oracle_checks(L, max_len):
+    """objectivity_len2, and the fold, S_w and split checks of the walk
+    to ``max_len``, each with composed maps; name -> (passed, witness)."""
+    out = {}
+    ok, wit = True, None
+    reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
+    for f in range(L.n):
+        in_delta = _extends_in_delta(L, L._pm[f], reps)
+        for g in range(L.n):
+            defined, obj = L.rows[f][g] >= 0, in_delta[L._sf[g]]
+            if defined != obj:
+                ok, wit = False, (f"pair ({f},{g}): defined={defined}, "
+                                  f"S_w in delta={obj}")
+                break
+        if not ok:
+            break
+    out["objectivity_len2"] = (ok, wit)
+    states, failures = oracle_word_states(L, max_len)
+    out["fold_defined_on_domain"] = (
+        not failures, f"word {failures[0]!r}" if failures else None)
+    out["s_w_through_product"] = oracle_s_w(L, states)
+    wit = oracle_associativity(L, states, max_len)
+    out["associativity_by_splitting"] = (wit is None, wit)
+    return out
+
+
+def _fold(L, w):
+    """Left fold through the rows; None when a step is undefined."""
+    x = L.identity
+    for f in w:
+        x = L.rows[x][f]
+        if x < 0:
+            return None
+    return x
+
+
+def brute_force_split_fault(L, max_len):
+    """The first domain word up to ``max_len`` (by length, then letters)
+    whose fold is undefined or differs from Pi(u)Pi(v) in some split
+    u|v; None when there is none.  Every word is folded in every split,
+    with S_w the domain of the composite map along w."""
+    for k in range(1, max_len + 1):
+        for w in itertools.product(range(L.n), repeat=k):
+            if composite_s_w(L, w) not in L.delta:
+                continue
+            x = _fold(L, w)
+            if x is None:
+                return w
+            for i in range(1, k):
+                u, v = _fold(L, w[:i]), _fold(L, w[i:])
+                if u is None or v is None or L.rows[u][v] != x:
+                    return w
+    return None
 
 
 def coset_span(idx, h, gens):

@@ -54,5 +54,4 @@ def relabelled_copy(L):
         "inverse": new(reversed(d["inverse"])),
         "products": [new(t) for t in d["products"]],
         "S": new(d["S"]), "p": d["p"],
-        "delta": [new(P) for P in d["delta"]],
-        "max_word_length": d["max_word_length"]})
+        "delta": [new(P) for P in d["delta"]]})

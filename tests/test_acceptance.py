@@ -44,9 +44,9 @@ def product_setups():
 
 def test_criterion_1_locality_axioms_and_conjugation_identities(lb):
     la = build_locality(load_descriptor("instance-a"))
-    rep_a = validate_locality(la, max_word_length=5)
+    rep_a = validate_locality(la)
     assert rep_a.ok, rep_a.to_json()
-    rep_b = validate_locality(lb, max_word_length=4)
+    rep_b = validate_locality(lb)
     assert rep_b.ok, rep_b.to_json()
 
 

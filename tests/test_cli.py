@@ -231,11 +231,21 @@ def test_max_word_len_only_where_read(command, capsys):
         capsys.readouterr().err
 
 
-def test_max_word_len_flag_overrides_descriptor(capsys):
-    # instance-a's descriptor says 5; the flag wins, down to length 1
-    for flag, want in (([], 5), (["--max-word-len", "1"], 1)):
-        assert run(["locality", "validate", "instance-a", *flag]) == 0
-        assert json.loads(capsys.readouterr().out)["max_word_length"] == want
+@pytest.mark.parametrize("name", ["instance-a", "s7"])
+def test_max_word_len_flag_changes_no_byte(name, capsys):
+    """The flag is accepted and ignored, as is the descriptor's
+    ``max_word_length`` (5 on instance-a, 3 on the S7 benchmark
+    descriptor): the report is the same with no flag, with 1 and with
+    6, and names no word bound."""
+    if name == "s7":
+        name = str(S6_DESCRIPTOR.with_name("s7.json"))
+    outs = []
+    for flag in ([], ["--max-word-len", "1"], ["--max-word-len", "6"]):
+        assert run(["locality", "validate", name, *flag]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert not {"max_word_length", "bounded_check_only"} & \
+        json.loads(outs[0]).keys()
 
 
 @pytest.mark.parametrize("value,message", [
@@ -611,26 +621,25 @@ def test_non_positive_cap_exits_2(flag, capsys):
 @pytest.mark.parametrize("name,command", [
     ("instance-b", "theorem1"), ("instance-b", "theorem2"),
     ("instance-b", "restriction"), ("product-24", "verify-ed")])
-def test_predicates_explore_to_the_descriptor_bound(name, command,
-                                                    monkeypatch):
-    """A descriptor's ``max_word_length`` bounds the partial-subgroup
-    tests of the theorem and restriction harnesses and of the locality
-    route: with bound 3, every word-state exploration stops at 3, none
-    at the default 4, also on the restricted locality."""
-    from locfusion import cli, instances as inst, locality, partial_subgroups
-    bounds = []
-
-    def recording(explore):
-        def states(L, max_len, letters=None):
-            bounds.append(max_len)
-            return explore(L, max_len, letters)
-        return states
-    for mod in (locality, partial_subgroups):
-        monkeypatch.setattr(mod, "_word_states", recording(mod._word_states))
-    ctx = inst.Instance({**inst.load_descriptor(name), "max_word_length": 3})
+def test_predicates_ignore_the_descriptor_word_bound(name, command,
+                                                     monkeypatch):
+    """The partial-subgroup tests of the theorem and restriction
+    harnesses and of the locality route check pairs and walk no words:
+    with a descriptor's ``max_word_length`` of 1 they give the report
+    they give without one, also on the restricted locality, and no
+    word-state exploration runs."""
+    from locfusion import cli, instances as inst, locality
+    calls = []
+    explore = locality._word_states
+    monkeypatch.setattr(locality, "_word_states",
+                        lambda L: calls.append(L) or explore(L))
     args = cli.build_parser().parse_args([command, name])
-    cli.HANDLERS[(args.command, getattr(args, "sub", None))](ctx, args)
-    assert bounds and set(bounds) == {3}
+    handler = cli.HANDLERS[(args.command, getattr(args, "sub", None))]
+    d = inst.load_descriptor(name)
+    reports = [handler(inst.Instance(dict(d, **bound)), args)
+               for bound in ({}, {"max_word_length": 1})]
+    assert reports[0] == reports[1]
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", ["yes", 1, []])

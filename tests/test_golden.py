@@ -13,7 +13,10 @@ automorphism groups and subgroup indexes were rebuilt; any change to a
 verdict, an exit code, a morphism list or the JSON layout shows here.
 Every digest was re-recorded once when the ``"seed"`` key left the
 reports, after checking that each output differed from the one before
-by that key alone.
+by that key alone.  The ``locality validate`` and ``suite`` digests were
+re-recorded once more when the ``"max_word_length"`` and
+``"bounded_check_only"`` keys left the validator's report, checked the
+same way against those two keys.
 """
 
 import hashlib
@@ -39,17 +42,17 @@ S6_SHA256 = {
 
 SUITE_SHA256 = {
     "instance-a":
-        "f9a31ff6e155b780b985c7872170be75459cb967dc656a79e78860a12d96c390",
+        "9db9d5ba7cbe1ce356c38bf3c78e81cfb94643e39f61adc65a866edbe03cbe6b",
     "instance-b":
-        "c86537c23b221e5e8847f51cc5e83656fc70a088c65eb7a5f9f174051072ae7d",
+        "16688734821e7f8b59326c9d153352c91fa8ac8ab47f4cbb5c7ecd639fad5705",
     "product-24":
-        "9133b02607be1f5a6ade7cf04c8e8a060f51bbcde3915f6ef4bc4bb2eada065b",
+        "e46456c07d1de1d2501ea1ee718adec17127d2cb68024036668a5b7e1038880f",
     "product-48":
-        "759a4898a736d047ec5733b7f2c0e5385aac716f0a1cf20353b1ba9bec52e311",
+        "746bffa4692aa119fe930a17ccf3239ccffa3295b6c7078eba821e1eefaf1300",
     "group-8":
-        "70147d7901ca8f8e28f8eb6c052c3199d2a9f92b85b352928e9f280dea6d4387",
+        "5bb6b851c565141dff2011fe359c4e4de58ebedfdda8531971a4f8f5d3c90974",
     "group-60":
-        "599722ffa9258f32c4899c512caf03caa44b4f42fef26b643dad7edeab5f3cc7",
+        "f05d8de975456e48da9fd8bc2996b33324f75f97e4146c74a1b1977640bc583e",
 }
 
 
@@ -78,7 +81,7 @@ COMMANDS = [
     (["locality", "build", "instance-a"], 0,
      "d3f09aec02e51ed3d456363a81bc6d5b29256305c3a16e30ab93c79af8bd6cc9"),
     (["locality", "validate", "instance-a"], 0,
-     "36f6b20f1f5568dc9d5059bcbcf5b4c673b52a102fe2e022ff3f9b47a32cbb24"),
+     "bdf463749fd6a65a6117e4dc4a0909dc7d198655f79b5f52cc9f9216020fd2c5"),
     (["theorem1", "instance-a"], 2,
      "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "instance-a"], 2,
@@ -94,13 +97,13 @@ COMMANDS = [
     (["verify-ed", "instance-a"], 2,
      "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["suite", "instance-a"], 0,
-     "f9a31ff6e155b780b985c7872170be75459cb967dc656a79e78860a12d96c390"),
+     "9db9d5ba7cbe1ce356c38bf3c78e81cfb94643e39f61adc65a866edbe03cbe6b"),
     (["group", "info", "instance-b"], 0,
      "2c733e9296a4c69e4d4c91fbeab6c94b6cdfdc3c9cb78eba7dd952bce932eda9"),
     (["locality", "build", "instance-b"], 0,
      "d31f42e1556b6f317ea29d70e70e5c51eeec4073ef5a0cb30009b182ee597edf"),
     (["locality", "validate", "instance-b"], 0,
-     "67932e1f0c65c5cc0111590b118c5c3e2de6f370966e03ff3922e79e389e5222"),
+     "be57543870ab5631790f98515020401f580331e3af83df76c7d12b53df9c4647"),
     (["theorem1", "instance-b"], 0,
      "f860f020e2186f6bf7f01d37cfb96428e931a63d4b409edb475301f41751270c"),
     (["theorem2", "instance-b"], 0,
@@ -116,13 +119,13 @@ COMMANDS = [
     (["verify-ed", "instance-b"], 2,
      "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["suite", "instance-b"], 0,
-     "c86537c23b221e5e8847f51cc5e83656fc70a088c65eb7a5f9f174051072ae7d"),
+     "16688734821e7f8b59326c9d153352c91fa8ac8ab47f4cbb5c7ecd639fad5705"),
     (["group", "info", "product-24"], 0,
      "bddabf2536ae7050386cfc81b3c139300c47b07ccf31ed13722d593168553a32"),
     (["locality", "build", "product-24"], 0,
      "88634789c9cc12de17041d59f85bcffae9d755986659bdde3614c02094914df2"),
     (["locality", "validate", "product-24"], 0,
-     "896b1c5d4c9ecb5804df2b785b8320e75b3e8e181d271ef684ced5774bc082c7"),
+     "66a5f15809e7f37241bd5cbd375337d503987536da12db98e423de0576446d24"),
     (["theorem1", "product-24"], 2,
      "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "product-24"], 2,
@@ -138,13 +141,13 @@ COMMANDS = [
     (["verify-ed", "product-24"], 0,
      "8b5118f614e2157873ba75a9c05f6d707f82603629b038a5067016dcbc94c017"),
     (["suite", "product-24"], 0,
-     "9133b02607be1f5a6ade7cf04c8e8a060f51bbcde3915f6ef4bc4bb2eada065b"),
+     "e46456c07d1de1d2501ea1ee718adec17127d2cb68024036668a5b7e1038880f"),
     (["group", "info", "product-48"], 0,
      "3d454b1551aeced530d9e05ed402cd57ecdbc527de82d3a726b9f3d7d45782e3"),
     (["locality", "build", "product-48"], 0,
      "210cd2a06f9800044e2176e4920b11dcee5e181217fb71f851fde9fcf7fa3e25"),
     (["locality", "validate", "product-48"], 0,
-     "fd74c4ec6de0efa47bed5ec39f7a3d3e347e2a1a73436e25a0b7b8b95d121394"),
+     "8711b86b6072f7190d736d02328de5926170c8bceb2000cac207e09cb54c98fd"),
     (["theorem1", "product-48"], 2,
      "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "product-48"], 2,
@@ -160,13 +163,13 @@ COMMANDS = [
     (["verify-ed", "product-48"], 0,
      "5b854b2c56ad1a300a54c46b7191e419c397092fec7d0f15b717a810c3f8da72"),
     (["suite", "product-48"], 0,
-     "759a4898a736d047ec5733b7f2c0e5385aac716f0a1cf20353b1ba9bec52e311"),
+     "746bffa4692aa119fe930a17ccf3239ccffa3295b6c7078eba821e1eefaf1300"),
     (["group", "info", "group-8"], 0,
      "95a863e30b4938fc3eaa0efb1edd11c76d1feb22acd6011dd9512de1aede52b0"),
     (["locality", "build", "group-8"], 0,
      "e429cd48bf68cec4c9d0dac1971d67ed0184da879710f9eb976e59250c03cbb3"),
     (["locality", "validate", "group-8"], 0,
-     "f142a7ba2c6fb25683e009d7b979be8e62652d232e385667f9b6b4644a82d68b"),
+     "3bd558fe1a6bcd115ad0a953d292b0574c12a2dd24ae9ab0ab8e2d9c65583286"),
     (["theorem1", "group-8"], 2,
      "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "group-8"], 2,
@@ -182,13 +185,13 @@ COMMANDS = [
     (["verify-ed", "group-8"], 2,
      "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["suite", "group-8"], 0,
-     "70147d7901ca8f8e28f8eb6c052c3199d2a9f92b85b352928e9f280dea6d4387"),
+     "5bb6b851c565141dff2011fe359c4e4de58ebedfdda8531971a4f8f5d3c90974"),
     (["group", "info", "group-60"], 0,
      "b7e7b026c89042ac1503bb64c370b12670d1e23dd9955547d5f661074f4d2075"),
     (["locality", "build", "group-60"], 0,
      "98522b74ecbd43239b789278338271c152fa45ab39f5b683da18eaa70cf3ae39"),
     (["locality", "validate", "group-60"], 0,
-     "0660bcb08ce28b76e8a6ad5acddbdc566d0648526f1dbd915e99bdd771e9a4ac"),
+     "90d8a7d68b8ffd8dcf53e180626c3f52578d2229b94aef12b313c3bfcf4bbac1"),
     (["theorem1", "group-60"], 2,
      "3aea1e4a47b1a124c4bfff2bb57c87d3791191b26fa145828844580bae0bed8e"),
     (["theorem2", "group-60"], 2,
@@ -204,7 +207,7 @@ COMMANDS = [
     (["verify-ed", "group-60"], 2,
      "8bf2e51a7f48d5ffcb8438fb05cf7ab5c9e5cfc4000f6f5f1a3edae0493e88b1"),
     (["suite", "group-60"], 0,
-     "599722ffa9258f32c4899c512caf03caa44b4f42fef26b643dad7edeab5f3cc7"),
+     "f05d8de975456e48da9fd8bc2996b33324f75f97e4146c74a1b1977640bc583e"),
     (["verify-ed", "product-24", "--product", "subn"], 0,
      "375d7555289740853907c3fd187cf91e33b5019b66456d5ef8ca793af6206df8"),
 ]
@@ -241,13 +244,13 @@ def test_bench_fusion_build_bytes_unchanged(name, capsys):
 
 # ``locality validate`` on the two larger benchmark descriptors, with its
 # exit code, recorded before the split check took the left states a
-# group at a time: S7 at p=2 with words up to length 3 (1,136 states),
-# and S6 at p=2 at the descriptor's bound.
+# group at a time: S7 at p=2, given the ignored ``--max-word-len 3`` of
+# the benchmark's command line, and S6 at p=2.
 BENCH_VALIDATE = [
     ("s7", ["--max-word-len", "3"], 0,
-     "a02febd8209acc389330b02a4347ea8e3275cb6c858900e9b31f36370d92f9d4"),
+     "8feaef48d55e63488e192b5dc789def25fdde357c411c658ead321be5a7437a3"),
     ("s6", [], 0,
-     "14b1c8dc1d03d72c6cf37565853019f262d77a07a103f5bb85803436a403f03d"),
+     "c95d4d73fca737bef73ed4aeae867cd6f0f6d1aa07a91f5f8c362bd3da968404"),
 ]
 
 
@@ -279,7 +282,7 @@ MIN4_SHA256 = {
     ("product-ed", "product-48"): (0,
         "2ec0ce90a34ce41dfef586bbfba8f0af2417ae7b0bf74dbc78596a5453df49c6"),
     ("suite", "product-48"): (0,
-        "0d92cd31028d2ee26e9759d1aeae9e5a0aa862c4f08fff5ec9cb3ba4012ae6c3"),
+        "905b78501e052ba8871e2a8762bb4bece01a04091c211860e517464db676647a"),
 }
 
 

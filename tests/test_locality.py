@@ -22,8 +22,11 @@ from locfusion.permgroup import (FiniteGroup, all_subgroups, compose,
                                  conjugate, domain_mask, inverse, p_core,
                                  sylow_subgroup, _p_part)
 
-from answer_oracles import (linking_per_object, local_group,
-                            locality_tables, locality_tables_by_pairs)
+from answer_oracles import (brute_force_split_fault, composite_s_w,
+                            linking_per_object, local_group,
+                            locality_tables, locality_tables_by_pairs,
+                            oracle_associativity, oracle_checks, oracle_s_w,
+                            oracle_word_states)
 from bundled import relabelled_copy
 from cycles import from_cycles
 
@@ -94,7 +97,7 @@ def test_partial_domain_on_larger_symmetric_group():
             break
     assert found is not None
     assert not in_domain(L, found)
-    assert validate_locality(L, max_word_length=3).ok
+    assert validate_locality(L).ok
 
 
 def test_product_matches_group_oracle(loc_a, s4):
@@ -110,13 +113,19 @@ def test_inversion_table(loc_a):
 
 
 def test_validate_instance_a_word_len_5(loc_a):
-    rep = validate_locality(loc_a, max_word_length=5)
+    """The validator passes instance-a, and so does the walk over every
+    word of length up to 5, its descriptor's old word bound."""
+    rep = validate_locality(loc_a)
     assert rep.ok, rep.to_json()
+    assert all(ok for ok, _ in oracle_checks(loc_a, 5).values())
 
 
 def test_validate_instance_b_word_len_4(loc_b):
-    rep = validate_locality(loc_b, max_word_length=4)
+    """The validator passes instance-b, and so does the walk over every
+    word of length up to 4, its descriptor's old word bound."""
+    rep = validate_locality(loc_b)
     assert rep.ok, rep.to_json()
+    assert all(ok for ok, _ in oracle_checks(loc_b, 4).values())
 
 
 def test_delta_requires_s(s4, s4_sylow):
@@ -411,7 +420,7 @@ def test_descriptor_roundtrip(loc_a):
     assert back.n == loc_a.n
     assert back.prod == {(i, j): k
                          for (i, j), k in loc_a.prod.items()}
-    rep = validate_locality(back, max_word_length=3)
+    rep = validate_locality(back)
     assert rep.ok
 
 
@@ -426,7 +435,7 @@ def test_validator_reports_missing_overgroup(s4, s4_sylow):
     L = locality_from_group(s4, s4_sylow, delta_min_order(s4_sylow, 2), 2)
     d = locality_to_descriptor(L)
     d["delta"].remove(next(m for m in d["delta"] if len(m) == 4))
-    rep = validate_locality(locality_from_descriptor(d), max_word_length=3)
+    rep = validate_locality(locality_from_descriptor(d))
     check = next(c for c in rep.checks if c.name == "delta_closure")
     assert not check.passed
     assert check.witness == \
@@ -564,19 +573,11 @@ def test_s_w_matches_element_wise_on_partial_domain():
 
 # -- the preimage walk against the composite-map definition of S_w ------------
 
-def _composite_s_w(L, w):
-    """S_w as the domain of the partial maps of w composed on positions."""
-    m = tuple(range(len(L.s_ids))) + (-1,)
-    for f in w:
-        m = tuple(L._pm[f][i] for i in m)
-    return sum(1 << i for i, v in enumerate(m[:-1]) if v >= 0)
-
-
 def _check_walk_against_composite(L, max_len):
     seen = set()
     for k in range(max_len + 1):
         for w in itertools.product(range(L.n), repeat=k):
-            s_w = _composite_s_w(L, w)
+            s_w = composite_s_w(L, w)
             assert L.s_mask(w) == s_w, w
             seen.add(s_w in L.delta)
     return seen
@@ -617,7 +618,7 @@ def test_s_mask_walk_matches_composite_on_corrupted_table(loc_b):
             break
     else:
         pytest.fail("no corruption broke the inverse rows")
-    assert not validate_locality(L, max_word_length=2).ok
+    assert not validate_locality(L).ok
     _check_walk_against_composite(L, 3)
 
 
@@ -628,7 +629,7 @@ def test_validator_reports_every_corrupted_product_entry(loc_b):
     an abstract descriptor: every one gives a report, none raises.  When
     the S-table is not a group table, the S-lattice is not built and
     ``delta_closure`` fails with the ``s_subgroup`` witness.  No
-    corruption passes at length 3."""
+    corruption passes."""
     d = locality_to_descriptor(loc_b)
     rng = random.Random(1)
     s_faults = []
@@ -638,8 +639,7 @@ def test_validator_reports_every_corrupted_product_entry(loc_b):
         new = rng.choice([x for x in range(d["carrier"]) if x != old])
         bad = dict(d, products=list(d["products"]))
         bad["products"][i] = [a, b, new]
-        rep = validate_locality(locality_from_descriptor(bad),
-                                max_word_length=3)
+        rep = validate_locality(locality_from_descriptor(bad))
         assert not rep.ok
         checks = {c.name: c for c in rep.checks}
         if not checks["s_subgroup"].passed:
@@ -653,134 +653,48 @@ def test_validator_reports_every_corrupted_product_entry(loc_b):
                              "product on S not associative"}
 
 
-# -- the explorer and the validator against the tuple-composing oracle --------
+# -- the validator against the walk oracle ------------------------------------
 
-def _oracle_extends_in_delta(L, m, reps):
-    """For each mask d of ``reps`` (d -> a map with domain d): is the
-    domain of m followed by ``reps[d]``, composed as tuples, in delta?"""
-    return {d: domain_mask(tuple(map(r.__getitem__, m))) in L.delta
-            for d, r in reps.items()}
-
-
-def _oracle_word_states(L, max_len, letters=None):
-    """The explorer with one composed map per state and letter."""
-    letters = range(L.n) if letters is None else sorted(letters)
-    inside = set(letters)
-    pm, sf = L._pm, L._sf
-    reps = {sf[f]: pm[f] for f in letters}
-    states, failures, frontier = {}, [], {}
-    for f in letters:
-        st = (f, pm[f])
-        if st not in states:
-            states[st] = (1, (f,))
-            frontier[st] = (f,)
-    length = 1
-    while frontier and length < max_len:
-        length += 1
-        new = {}
-        for (pi, m), word in frontier.items():
-            ok = _oracle_extends_in_delta(L, m, reps)
-            for f in letters:
-                if not ok[sf[f]]:
-                    continue
-                m2 = tuple(map(pm[f].__getitem__, m))
-                pi2 = L.prod.get((pi, f))
-                if pi2 is None or pi2 not in inside:
-                    failures.append(word + (f,))
-                    continue
-                st = (pi2, m2)
-                if st not in states:
-                    states[st] = (length, word + (f,))
-                    new[st] = word + (f,)
-        frontier = new
-    return states, failures
-
-
-def _oracle_associativity(L, states, max_len):
-    """The first (left state, right state, letter f), each in order, for
-    which (Pi(u)·Pi(v'))·f and Pi(u)·(Pi(v')·f) are not both defined and
-    equal, over every pair of states with l1 + l2 + 1 <= ``max_len`` and
-    every f whose word u v' f has S_w in delta, with maps composed as
-    tuples; the split u|v'f as a witness, or None."""
-    items = list(states.items())
-    reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
-    prod = {(i, j): k for i, row in enumerate(L.rows[:-1])
-            for j, k in enumerate(row[:-1]) if k >= 0}
-    admits = {}  # composite map -> the letters it admits
-    for (p1, m1), (l1, w1) in items:
-        for (p2, m2), (l2, w2) in items:
-            if l1 + l2 + 1 > max_len:
-                continue
-            m = tuple(map(m2.__getitem__, m1))
-            if m not in admits:
-                ok = _oracle_extends_in_delta(L, m, reps)
-                admits[m] = [f for f in range(L.n) if ok[L._sf[f]]]
-            p12 = prod.get((p1, p2))
-            for f in admits[m]:
-                left = prod.get((p12, f))
-                if left is None or left != prod.get((p1, prod.get((p2, f)))):
-                    return f"split {w1!r}|{w2 + (f,)!r}: fold != Pi(u)Pi(v)"
-    return None
-
-
-def _oracle_checks(L, max_len):
-    """objectivity_len2, fold_defined_on_domain and the split check over
-    all pairs of states and letters, each with composed maps; name ->
-    (passed, witness)."""
-    out = {}
-    ok, wit = True, None
-    reps = {L._sf[g]: L._pm[g] for g in range(L.n)}
-    for f in range(L.n):
-        in_delta = _oracle_extends_in_delta(L, L._pm[f], reps)
-        for g in range(L.n):
-            defined, obj = (f, g) in L.prod, in_delta[L._sf[g]]
-            if defined != obj:
-                ok, wit = False, (f"pair ({f},{g}): defined={defined}, "
-                                  f"S_w in delta={obj}")
-                break
-        if not ok:
-            break
-    out["objectivity_len2"] = (ok, wit)
-    states, failures = _oracle_word_states(L, max_len)
-    out["fold_defined_on_domain"] = (
-        not failures, f"word {failures[0]!r}" if failures else None)
-    wit = _oracle_associativity(L, states, max_len)
-    out["associativity_by_splitting"] = (wit is None, wit)
-    return out
-
-
-def _assert_matches_oracle(L, max_len):
-    states, failures = _word_states(L, max_len)
-    want_states, want_failures = _oracle_word_states(L, max_len)
+def _assert_matches_oracle(L):
+    """The states of length 1 and 2, in order, and the words of length 2
+    and 3 whose fold is undefined are the walk's; so are the rows the
+    walk decides: the S_w check on the states of length 1 and 2, and
+    the fold and split checks at length 3."""
+    states, failures = _word_states(L)
+    want_states = oracle_word_states(L, 2)[0]
     assert list(states.items()) == list(want_states.items())
-    assert failures == want_failures
-    got = validate_locality(L, max_word_length=max_len).to_json()
-    want = _oracle_checks(L, max_len)
-    for c in got["checks"]:
-        if c["name"] in want:
-            assert (c["passed"], c.get("witness")) == want[c["name"]], \
-                c["name"]
-    assert want.keys() <= {c["name"] for c in got["checks"]}
+    assert failures == oracle_word_states(L, 3)[1]
+    want = oracle_checks(L, 3)
+    want["s_w_through_product"] = oracle_s_w(L, want_states)
+    got = {c.name: (c.passed, c.witness) for c in validate_locality(L).checks}
+    assert {name: got[name] for name in want} == want
+
+
+def _walk_rows(L, max_len):
+    """(name, passed, witness) of each check of L's report, in order, with
+    the rows that read words taken from the walk to ``max_len``: the
+    report of the validator that took a word bound."""
+    walk = oracle_checks(L, max_len)
+    return [(c.name, *walk.get(c.name, (c.passed, c.witness)))
+            for c in validate_locality(L).checks]
 
 
 @pytest.mark.parametrize("name", ["instance-a", "instance-b", "product-24",
                                   "product-48", "group-8", "group-60"])
 def test_explorer_matches_oracle_on_bundled(name):
+    """Each bundled locality matches the walk, which passes it to
+    length 4 too."""
     from locfusion import instances as inst
     L = inst.build_locality(inst.load_descriptor(name))
-    for max_len in (2, 3, 4):
-        _assert_matches_oracle(L, max_len)
+    _assert_matches_oracle(L)
+    assert all(ok for _, ok, _ in _walk_rows(L, 4))
 
 
 def test_explorer_matches_oracle_on_s6():
-    """The walk at length 4, and the checks at 3, where the oracle's
-    pairs of states are fewer."""
     from pathlib import Path
     from locfusion import instances as inst
     path = Path(__file__).resolve().parents[1] / "perfbench/instances/s6.json"
-    L = inst.build_locality(inst.load_descriptor(str(path)))
-    _assert_walk_matches_oracle(L, 4, range(L.n))
-    _assert_matches_oracle(L, 3)
+    _assert_matches_oracle(inst.build_locality(inst.load_descriptor(str(path))))
 
 
 def _corruptions(L, seed, count=200):
@@ -802,97 +716,60 @@ def test_explorer_matches_oracle_on_corruptions(fixture, seed, request):
     same maps, so states, failures and reports agree with the oracle
     also on tables that break the axioms."""
     for L in _corruptions(request.getfixturevalue(fixture), seed):
-        for max_len in (2, 3, 4):
-            _assert_matches_oracle(L, max_len)
+        _assert_matches_oracle(L)
 
 
-def _assert_walk_matches_oracle(L, max_len, letters):
-    states, failures = _word_states(L, max_len, letters)
-    want_states, want_failures = _oracle_word_states(L, max_len, letters)
-    assert list(states.items()) == list(want_states.items())
-    assert failures == want_failures
-    return failures
+@pytest.mark.parametrize("fixture,seed,count", [
+    ("loc_b", 1, 200), ("loc_a", 7, 200), ("loc_s6", 5, 15)])
+def test_validator_is_exact_at_length_3(fixture, seed, count, request):
+    """On the one-entry corruptions of instance-b, instance-a and the S6
+    benchmark locality, the verdict is the walk's at every word bound
+    from 3 to 6, and the first failing check, with its witness, is the
+    walk's at 3, the bound of the validator that the pair and triple
+    checks replaced."""
+    for L in _corruptions(request.getfixturevalue(fixture), seed, count):
+        got = [(c.name, c.passed, c.witness)
+               for c in validate_locality(L).checks]
+        for max_len in (3, 4, 5, 6):
+            want = _walk_rows(L, max_len)
+            assert all(r[1] for r in got) == all(r[1] for r in want)
+            if max_len == 3:
+                assert next((r for r in got if not r[1]), None) == \
+                    next((r for r in want if not r[1]), None)
 
 
-@pytest.mark.parametrize("fixture,seed", [("loc_b", 1), ("loc_a", 7)])
-def test_explorer_matches_oracle_on_corruptions_over_letter_subsets(
-        fixture, seed, request):
-    """Over a random subset of the letters of each corrupted table, folds
-    that leave the letters are failures, so blocks hold failures and new
-    states side by side; states (in order) and failures still agree with
-    the oracle."""
-    rng = random.Random(seed)
-    failed = 0
-    for L in _corruptions(request.getfixturevalue(fixture), seed):
-        X = rng.sample(range(L.n), rng.randrange(1, L.n + 1))
-        for max_len in (2, 3, 4):
-            failed += bool(_assert_walk_matches_oracle(L, max_len, X))
-    assert 0 < failed < 600
+# the draws of ``_corruptions(loc_b, 1)`` that the walk passes at length 2
+LENGTH_2_PASSES = [15, 19, 20, 21, 29, 30, 48, 81, 93, 104, 112, 113, 116,
+                   148, 149, 158, 161, 173]
 
 
-def _oracle_blocks(L, max_len, letters, states):
-    """For each representative word the walk extends (shorter than
-    ``max_len``): the letters it extends by, in blocks by the composite
-    map they lead to (composed as tuples, blocks ordered by their first
-    letter), each letter with what it reaches: "new" when the word it
-    makes names its state, "failure" when its fold is undefined or
-    leaves the letters, and "known" otherwise."""
-    letters = sorted(letters)
-    reps = {L._sf[f]: L._pm[f] for f in letters}
-    out = {}
-    for (pi, m), (length, word) in states.items():
-        if length >= max_len:
-            continue
-        ok = _oracle_extends_in_delta(L, m, reps)
-        blocks = {}
-        for f in letters:
-            if not ok[L._sf[f]]:
-                continue
-            m2 = tuple(map(L._pm[f].__getitem__, m))
-            pi2 = L.prod.get((pi, f))
-            if pi2 not in letters:
-                what = "failure"
-            elif states[pi2, m2] == (length + 1, word + (f,)):
-                what = "new"
-            else:
-                what = "known"
-            blocks.setdefault(m2, []).append((f, what))
-        out[word] = list(blocks.values())
-    return out
-
-
-@pytest.mark.parametrize("letters,word,blocks", [
-    # the block {0, 7} names its new state by 7, its second letter, and
-    # the new states of two blocks interleave: 5, then 7, then 9
-    ((0, 1, 5, 7, 9), (1, 1), [[(0, "known"), (7, "new")], [(1, "known")],
-                               [(5, "new"), (9, "new")]]),
-    # the failures of two blocks interleave: 1, then 2, then 6
-    ((1, 2, 6), (1,), [[(1, "failure"), (6, "failure")],
-                       [(2, "failure")]]),
-])
-def test_explorer_merges_blocks_in_letter_order(letters, word, blocks, loc_b):
-    """Where a state's blocks hold new states or failures, the walk takes
-    their letters in letter order across blocks, as the oracle does."""
-    states = _oracle_word_states(loc_b, 3, letters)[0]
-    assert _oracle_blocks(loc_b, 3, letters, states)[word] == blocks
-    _assert_walk_matches_oracle(loc_b, 3, letters)
+def test_length_2_passes_fail_on_the_split_check(corrupted_b):
+    """A word bound of 2 passed 18 of the 200 instance-b draws, each of
+    which breaks the triple law: the validator fails each of them, on
+    ``associativity_by_splitting`` first."""
+    assert [draw for draw, L in enumerate(corrupted_b)
+            if all(ok for _, ok, _ in _walk_rows(L, 2))] == LENGTH_2_PASSES
+    for draw in LENGTH_2_PASSES:
+        failed = [c.name for c in validate_locality(corrupted_b[draw]).checks
+                  if not c.passed]
+        assert failed[0] == "associativity_by_splitting", draw
 
 
 @pytest.mark.parametrize("fixture,seed", [("loc_b", 1), ("loc_a", 7)])
 def test_s_w_through_product_matches_element_wise_on_corruptions(
         fixture, seed, request):
     """The check reads each composite map's domain with one getter; it
-    names the same first state, in state order, as a compare at each
-    position of each state's composite map."""
+    names the same first state of length 1 or 2, in state order, as a
+    compare at each position of each state's composite map."""
     seen = set()
     for L in _corruptions(request.getfixturevalue(fixture), seed):
         want = (True, None)
-        for (pi, m), (_, word) in _oracle_word_states(L, 3)[0].items():
+        for (pi, m), (_, word) in oracle_word_states(L, 2)[0].items():
             if any(v >= 0 and L._pm[pi][i] != v for i, v in enumerate(m)):
                 want = (False, f"word {word!r}: S_w image differs from "
                                "S_w^(Pi w)")
                 break
-        got = next(c for c in validate_locality(L, max_word_length=3).checks
+        got = next(c for c in validate_locality(L).checks
                    if c.name == "s_w_through_product")
         assert (got.passed, got.witness) == want
         seen.add(got.passed)
@@ -900,6 +777,8 @@ def test_s_w_through_product_matches_element_wise_on_corruptions(
 
 
 def test_partial_subgroup_witness_matches_oracle(loc_b):
+    """The first pair of X whose product leaves X is the first word over
+    X, up to length 4, that the walk finds leaving X."""
     from locfusion.partial_subgroups import partial_subgroup_witness
     s6 = FiniteGroup(6, [from_cycles(6, (1, 2, 3, 4, 5, 6)),
                          from_cycles(6, (1, 2))])
@@ -912,7 +791,7 @@ def test_partial_subgroup_witness_matches_oracle(loc_b):
             X = {L.identity}
             for f in rng.sample(range(L.n), rng.randrange(1, 8)):
                 X |= {f, L.inv[f]}
-            failures = _oracle_word_states(L, 4, X)[1]
+            failures = oracle_word_states(L, 4, X)[1]
             want = {"word": list(failures[0])} if failures else None
             assert partial_subgroup_witness(L, X) == want
             seen.add(want is None)
@@ -921,41 +800,11 @@ def test_partial_subgroup_witness_matches_oracle(loc_b):
 
 # -- the brute-force associativity oracle -----------------------------------------
 
-def _pair_fold(L, w):
-    """Left fold through the pair-keyed view; None when a step is
-    undefined."""
-    x = L.identity
-    for f in w:
-        x = L.prod.get((x, f))
-        if x is None:
-            return None
-    return x
-
-
-def _brute_force_split_fault(L, max_len):
-    """The first domain word up to ``max_len`` (by length, then letters)
-    whose fold is undefined or differs from Pi(u)Pi(v) in some split
-    u|v; None when there is none.  Every word is folded in every split,
-    with S_w the domain of the composite map along w."""
-    for k in range(1, max_len + 1):
-        for w in itertools.product(range(L.n), repeat=k):
-            if _composite_s_w(L, w) not in L.delta:
-                continue
-            x = _pair_fold(L, w)
-            if x is None:
-                return w
-            for i in range(1, k):
-                u, v = _pair_fold(L, w[:i]), _pair_fold(L, w[i:])
-                if u is None or v is None or L.prod.get((u, v)) != x:
-                    return w
-    return None
-
-
 @pytest.mark.parametrize("name", ["instance-a", "instance-b"])
 def test_brute_force_oracle_accepts_bundled(name):
     from locfusion import instances as inst
     L = inst.build_locality(inst.load_descriptor(name))
-    assert _brute_force_split_fault(L, 3) is None
+    assert brute_force_split_fault(L, 3) is None
 
 
 @pytest.fixture(scope="module")
@@ -965,10 +814,10 @@ def corrupted_b(loc_b):
 
 @pytest.mark.parametrize("draw", range(200))
 def test_validator_rejects_what_brute_force_rejects(draw, corrupted_b):
-    """A table the validator passes at length 3 passes the oracle."""
+    """A table the validator passes passes the oracle to length 3."""
     L = corrupted_b[draw]
-    if validate_locality(L, max_word_length=3).ok:
-        assert _brute_force_split_fault(L, 3) is None
+    if validate_locality(L).ok:
+        assert brute_force_split_fault(L, 3) is None
 
 
 # -- the induction check against its pair-loop oracle and the realized route -
@@ -982,13 +831,19 @@ def loc_s6():
     return build_locality(load_descriptor(str(BENCH_INSTANCES / "s6.json")))
 
 
-def _induction_matches_oracle(L, max_len):
-    """The induction check's witness, or None, after checking that the
-    plain double loop over pairs of states and letters gives the same."""
-    states = _word_states(L, max_len)[0]
-    want = _oracle_associativity(L, states, max_len)
-    assert locality._associativity_fault(L, states, max_len) == want
+def _induction_matches_oracle(L):
+    """The split check's witness, or None, after checking that the plain
+    double loop over pairs of states of length 1 and letters gives the
+    same."""
+    want = oracle_associativity(L, oracle_word_states(L, 1)[0], 3)
+    assert locality._associativity_fault(L) == want
     return want
+
+
+def _walk_split_fault(L, max_len):
+    """The split check of the walk to ``max_len``."""
+    return oracle_associativity(L, oracle_word_states(L, max_len - 1)[0],
+                                max_len)
 
 
 def _undefinitions(L, seed, count):
@@ -1002,24 +857,25 @@ def _undefinitions(L, seed, count):
 
 
 def test_induction_check_matches_pair_loop_oracle(loc_s6, loc_b):
-    """The induction check names the same first (left state, right state,
-    letter), or None, as the double loop: None on the abstract copies of
-    instance-a and instance-b at lengths 3 and 4; a witness on each of 20
-    instance-b descriptors with one product entry dropped, at lengths 3
-    and 4, and on each of 15 one-entry corruptions of the S6 benchmark
-    locality at length 3.  (The oracle is compared with the validator on
-    200 corruptions each of instance-b and instance-a by
+    """The split check names the same first (a, b, f), or None, as the
+    double loop over pairs of letters and letters: None on the abstract
+    copies of instance-a and instance-b, where the walk's split check to
+    length 4 finds no fault either; a witness on each of 20 instance-b
+    descriptors with one product entry dropped, where the walk's to
+    length 4 finds one too, and on each of 15 one-entry corruptions of
+    the S6 benchmark locality.  (The oracle is compared with the
+    validator on 200 corruptions each of instance-b and instance-a by
     ``test_explorer_matches_oracle_on_corruptions``.)"""
     for name in ("instance-a", "instance-b"):
         A = locality_from_descriptor(locality_to_descriptor(
             build_locality(load_descriptor(name))))
-        for max_len in (3, 4):
-            assert _induction_matches_oracle(A, max_len) is None
+        assert _induction_matches_oracle(A) is None
+        assert _walk_split_fault(A, 4) is None
     for L in _undefinitions(loc_b, 3, count=20):
-        for max_len in (3, 4):
-            assert _induction_matches_oracle(L, max_len) is not None
+        assert _induction_matches_oracle(L) is not None
+        assert _walk_split_fault(L, 4) is not None
     for L in _corruptions(loc_s6, 5, count=15):
-        assert _induction_matches_oracle(L, 3) is not None
+        assert _induction_matches_oracle(L) is not None
 
 
 def _corrupted_realized(base, seed, count):
@@ -1055,11 +911,10 @@ def _s6_at_order_4():
 
 def test_realized_route_agrees_with_induction_check(loc_s6, loc_b,
                                                     corrupted_b, monkeypatch):
-    """A realized L whose realization oracle and earlier checks pass is
-    not walked in pairs; the induction check, called directly, passes
-    wherever that route does.  It returns None on the six bundled
-    localities at lengths 3 to 5 and on the S6 benchmark locality at 3
-    and 4, and, at length 3, on each corrupted realized table of
+    """A realized L whose realization oracle and earlier checks pass
+    skips the triples; the split check, called directly, passes wherever
+    that route does.  It returns None on the six bundled localities and
+    on the S6 benchmark locality, and on each corrupted realized table of
     ``test_realization_oracle_matches_pair_keyed`` that passes every
     other check; here those are the tables whose draws leave their base
     unchanged (no change, or changes that undo each other).  Draw 19 of
@@ -1069,19 +924,15 @@ def test_realized_route_agrees_with_induction_check(loc_s6, loc_b,
     realized L, and once on each table that fails another check."""
     check = locality._associativity_fault
     for name in BUNDLED:
-        L = build_locality(load_descriptor(name))
-        for max_len in (3, 4, 5):
-            assert check(L, _word_states(L, max_len)[0], max_len) is None
-    for max_len in (3, 4):
-        assert check(loc_s6, _word_states(loc_s6, max_len)[0],
-                     max_len) is None
+        assert check(build_locality(load_descriptor(name))) is None
+    assert check(loc_s6) is None
 
     A = corrupted_b[19]
     R = Locality(loc_b.labels, A.identity, A.inv,
                  [r[:-1] for r in A.rows[:-1]], A.s_ids, A.p,
                  [A.ids_of(d) for d in A.delta],
                  realization=loc_b.realization)
-    assert [(c.name, c.witness) for c in validate_locality(R, 3).checks
+    assert [(c.name, c.witness) for c in validate_locality(R).checks
             if not c.passed] == [
         ("associativity_by_splitting",
          "split (1,)|(20, 3): fold != Pi(u)Pi(v)"),
@@ -1092,23 +943,23 @@ def test_realized_route_agrees_with_induction_check(loc_s6, loc_b,
     monkeypatch.setattr(locality, "_associativity_fault",
                         lambda *args: calls.append(args))
     for L in (loc_b, loc_s6):
-        assert validate_locality(L, 3).ok
+        assert validate_locality(L).ok
     assert calls == []
     passed = {}  # rows -> the induction check's witness
     for base in (loc_b, _s6_at_order_4()):
         for L in _corrupted_realized(base, 5, 40):
             del calls[:]
-            checks = {c.name: c for c in validate_locality(L, 3).checks}
+            checks = {c.name: c for c in validate_locality(L).checks}
             del checks["associativity_by_splitting"]
             others = all(c.passed for c in checks.values())
             assert len(calls) == (not others)
             if others and L.rows not in passed:
-                passed[L.rows] = check(L, _word_states(L, 3)[0], 3)
+                passed[L.rows] = check(L)
     assert list(passed.values()) == [None, None]
 
 
 # (check, draw of ``_corruptions(loc_b, 1)``, witness): the first draw
-# whose first failing check at length 3 is that check.
+# whose first failing check is that check.
 # ``fold_defined_on_domain`` comes first on none of these 200 draws; it
 # does on draw 1 of ``_corruptions`` of the S6 benchmark locality, seed 5.
 FIRST_FAULTS = [
@@ -1119,14 +970,14 @@ FIRST_FAULTS = [
     ("delta_closure", 36, "delta is not closed under conjugation maps into S"),
     ("s_w_through_product", 0,
      "word (5, 17): S_w image differs from S_w^(Pi w)"),
-    # u = (1,), and v the right state (16,) followed by the letter 6
+    # the triple (1, 16, 6): u = (1,) and v = (16, 6)
     ("associativity_by_splitting", 15,
      "split (1,)|(16, 6): fold != Pi(u)Pi(v)"),
 ]
 
 
-def _first_failure(L, max_len):
-    rep = validate_locality(L, max_word_length=max_len)
+def _first_failure(L):
+    rep = validate_locality(L)
     return next((c.name, c.witness) for c in rep.checks if not c.passed)
 
 
@@ -1136,14 +987,14 @@ def test_each_check_fires_first_on_a_corrupted_table(check, draw, witness,
                                                      corrupted_b):
     """The draw fails the check, with its witness, and passes every check
     that runs before it."""
-    assert _first_failure(corrupted_b[draw], 3) == (check, witness)
+    assert _first_failure(corrupted_b[draw]) == (check, witness)
 
 
 def test_fold_check_fires_first_on_a_corrupted_s6_table(loc_s6):
     """A word of three letters whose fold is undefined, on a table that
     passes every check before ``fold_defined_on_domain``."""
     L = next(itertools.islice(_corruptions(loc_s6, 5, count=2), 1, None))
-    assert _first_failure(L, 3) == ("fold_defined_on_domain",
+    assert _first_failure(L) == ("fold_defined_on_domain",
                                     "word (97, 116, 4)")
 
 
@@ -1172,17 +1023,17 @@ def _element_wise_normal_witness(L, N, ambient):
     S_w from the maps of the word composed as tuples, and n^f its fold."""
     N = set(N)
     return next(((f, n) for f in sorted(ambient) for n in sorted(N)
-                 if _composite_s_w(L, (L.inv[f], n, f)) in L.delta
+                 if composite_s_w(L, (L.inv[f], n, f)) in L.delta
                  and L.fold((L.inv[f], n, f)) not in N), None)
 
 
 def test_class_keyed_paths_match_element_wise_on_corruptions(corrupted_b,
                                                              loc_b):
     """On each of the 200 corruptions of instance-b: partial normality
-    (first witness), the conjugates, the normalizer carrier and the
-    explorer over a subset of the carrier agree with element-wise
-    oracles.  (The explorer over the whole carrier and the validator are
-    compared with theirs on the same draws by
+    (first witness), the conjugates, the normalizer carrier and the pair
+    check of a subset of the carrier agree with element-wise oracles.
+    (The states and the validator are compared with theirs on the same
+    draws by
     ``test_explorer_matches_oracle_on_corruptions``.)  In 167 draws the
     corrupted row shares its class with rows that are not corrupted, so
     a class-keyed answer is read for rows that differ, and in 85 the
@@ -1190,7 +1041,8 @@ def test_class_keyed_paths_match_element_wise_on_corruptions(corrupted_b,
     from locfusion.instances import (load_descriptor, named_subgroup,
                                      resolve_ids)
     from locfusion.partial_subgroups import (_conjugates,
-                                             partial_normal_witness)
+                                             partial_normal_witness,
+                                             partial_subgroup_witness)
     alt = resolve_ids(loc_b, named_subgroup(
         load_descriptor("instance-b"), loc_b.realization, "alt"))
     rng = random.Random(2)
@@ -1212,17 +1064,16 @@ def test_class_keyed_paths_match_element_wise_on_corruptions(corrupted_b,
         for f, xs, zs in _conjugates(L, whole, whole):
             fi = L.inv[f]
             want = {x: L.fold((fi, x, f)) for x in whole
-                    if _composite_s_w(L, (fi, x, f)) in L.delta}
+                    if composite_s_w(L, (fi, x, f)) in L.delta}
             assert xs == sorted(want)
             assert zs == [-1 if z is None else z for z in want.values()]
         pm = L._build_partial_maps()
         tpos = {L._s_pos[t] for t in alt & set(L.s_ids)}
         assert normalizer_carrier(L, alt & set(L.s_ids)) == [
             f for f in whole if {pm[f][i] for i in tpos} == tpos]
-        states, failures = _word_states(L, 3, alt)
-        want_states, want_failures = _oracle_word_states(L, 3, alt)
-        assert list(states.items()) == list(want_states.items())
-        assert failures == want_failures
+        failures = oracle_word_states(L, 2, alt)[1]
+        assert partial_subgroup_witness(L, alt) == \
+            ({"word": list(failures[0])} if failures else None)
     assert seen == {True, False}
     assert (shared, repartitioned) == (167, 85)
 
@@ -1273,7 +1124,7 @@ def test_realization_oracle_matches_pair_keyed(loc_b):
                        None)
             want = None if bad is None else (
                 f"pair ({bad[0]},{bad[1]}) disagrees with the ambient product")
-            check = next(c for c in validate_locality(L, 2).checks
+            check = next(c for c in validate_locality(L).checks
                          if c.name == "realization_oracle")
             assert (check.passed, check.witness) == (want is None, want)
             seen.add(want is None)
@@ -1338,7 +1189,7 @@ def test_s_index_refuses_an_s_table_whose_identity_is_not_ls():
         "carrier": 2, "identity": 0, "inverse": [0, 1],
         "products": [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]],
         "S": [0, 1], "p": 2, "delta": [[0, 1]]})
-    s_check = validate_locality(L, 3).checks[0]
+    s_check = validate_locality(L).checks[0]
     assert (s_check.name, s_check.passed) == ("s_subgroup", False)
     with pytest.raises(LocalityError, match="identity of S is not L's"):
         L.s_index
@@ -1351,7 +1202,7 @@ def test_validator_refuses_an_s_that_is_not_a_p_group():
         "carrier": 3, "identity": 0, "inverse": [0, 2, 1],
         "products": [[a, b, (a + b) % 3] for a in range(3) for b in range(3)],
         "S": [0, 1, 2], "p": 2, "delta": [[0, 1, 2]]})
-    checks = {c.name: c for c in validate_locality(L, 3).checks}
+    checks = {c.name: c for c in validate_locality(L).checks}
     assert checks["s_subgroup"].witness == "S of order 3 is not a 2-group"
     assert checks["delta_closure"].witness == \
         "not checked: s_subgroup failed (S of order 3 is not a 2-group)"
@@ -1368,11 +1219,11 @@ def test_locality_from_group_refuses_an_s_that_is_not_a_p_group():
 def test_s_maximal_check_fires():
     """S4 over its normal Klein four V, delta every subgroup of V: the
     carrier is all of S4, and element 1, a transposition, extends V to a
-    Sylow 2-subgroup.  Every other check passes at length 3."""
+    Sylow 2-subgroup.  Every other check passes."""
     G = FiniteGroup(4, [from_cycles(4, (1, 2, 3, 4)), from_cycles(4, (1, 2))])
     V = G.subgroup([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
     L = locality_from_group(G, V, all_subgroups(G, within=V), 2)
-    rep = validate_locality(L, 3)
+    rep = validate_locality(L)
     failed = [(c.name, c.witness) for c in rep.checks if not c.passed]
     assert failed == [("s_maximal_p_subgroup",
                        "element 1 extends S to a p-subgroup")]

@@ -7,7 +7,7 @@ import pytest
 from locfusion.instances import (build_locality, delta_of, k_choice,
                                  load_descriptor, named_subgroup, resolve_ids,
                                  sylow_of)
-from locfusion.locality import (LocalityError, _word_states, delta_min_order,
+from locfusion.locality import (LocalityError, delta_min_order,
                                 locality_from_descriptor,
                                 locality_to_descriptor, normalizer_carrier)
 from locfusion.partial_subgroups import (DecompositionNotFound, _conjugates,
@@ -26,6 +26,7 @@ from locfusion.partial_subgroups import (DecompositionNotFound, _conjugates,
 from locfusion.permgroup import compose, conjugate, inverse
 from locfusion.report import PreconditionError
 
+from answer_oracles import oracle_word_states
 from cycles import from_cycles
 
 S6_DESCRIPTOR = Path(__file__).resolve().parents[1] / "perfbench" / \
@@ -325,19 +326,22 @@ def test_normality_witness_violates_definition(desc_b):
 
 
 @pytest.mark.parametrize("bounds", [(1, 2), (2, 1)])
-def test_subgroup_memo_keys_on_word_length(bounds):
-    """Each locality keeps its word bound, and its memo answers for that
-    bound alone: instance-a built at bound 1 and at bound 2, in either
-    order, gives each its own verdict, asked twice."""
+def test_subgroup_verdict_ignores_the_word_bound(bounds):
+    """A descriptor's ``max_word_length`` is not read: instance-a built
+    with 1 and with 2, in either order, gives the one verdict of the pair
+    check, asked twice, with the square of f or of f^-1, whichever has the
+    smaller id, as its witness."""
     d = load_descriptor("instance-a")
     for bound in bounds:
         L = build_locality({**d, "max_word_length": bound})  # a fresh memo
-        assert L.max_word_length == bound
+        assert not hasattr(L, "max_word_length")
         f = next(i for i in range(L.n) if L.prod[(i, i)] != L.inv[i]
                  and L.prod[(i, i)] != L.identity)
         X = {L.identity, f, L.inv[f]}  # f of order 4: f^2 is missing
         for _ in range(2):
-            assert is_partial_subgroup(L, X) is (bound == 1), bound
+            assert not is_partial_subgroup(L, X), bound
+        m = min(f, L.inv[f])
+        assert partial_subgroup_witness(L, X) == {"word": [m, m]}
 
 
 # -- the witness of a failed partial-subgroup test -----------------------------
@@ -362,9 +366,10 @@ def test_partial_subgroup_witness_kinds(lb):
 def test_nk_partial_subgroup_clause_carries_the_first_failing_word():
     """S6 at p=2 with one product entry removed, chosen so that N = alt,
     K = S still meet every precondition: both harnesses fail
-    ``nk_partial_subgroup`` with a domain word over NK whose fold is
-    undefined, the first one the word-state explorer reports, and the
-    witness is the memoized one."""
+    ``nk_partial_subgroup`` with a pair of NK in D whose product is
+    undefined, the first one a walk over NK to length 4 reports, and the
+    witness is the memoized one.  The entry's product lies outside S, so
+    no conjugation map reads it and the pair stays in D."""
     d = load_descriptor(str(S6_DESCRIPTOR))
     L = build_locality(d)
     N, _, ks = _n_and_k_choices(d, L)
@@ -372,8 +377,8 @@ def test_nk_partial_subgroup_clause_carries_the_first_failing_word():
     NK = set(set_product(L, sorted(N), sorted(K)))
     sset = set(L.s_ids)
     ab = locality_to_descriptor(L)
-    idx = next(i for i, (a, b, _) in enumerate(ab["products"])
-               if a in NK and b in NK and not sset & {a, b}
+    idx = next(i for i, (a, b, c) in enumerate(ab["products"])
+               if a in NK and b in NK and not sset & {a, b, c}
                and not {a, b} <= N and not {a, b} <= K)
     bad = locality_from_descriptor(
         dict(ab, products=ab["products"][:idx] + ab["products"][idx + 1:]))
@@ -383,5 +388,5 @@ def test_nk_partial_subgroup_clause_carries_the_first_failing_word():
         wit = rep.witnesses["nk_partial_subgroup"]
         assert bad.fold(tuple(wit["word"])) is None
         assert wit == partial_subgroup_witness(bad, NK)
-        assert tuple(wit["word"]) == _word_states(bad, 4, NK)[1][0]
+        assert tuple(wit["word"]) == oracle_word_states(bad, 4, NK)[1][0]
     assert verify_theorem_nk_normal(L, N, K).clauses["nk_partial_subgroup"]

@@ -98,25 +98,20 @@ def test_imports_are_one_way():
     assert problems == []
 
 
-# Parameters that set a word bound or a cap, and the functions that may
-# take one: the builders, where a run sets its bounds on the objects it
-# builds, the validator's optional override of the word bound, and the
-# word explorer with the validator's split check, which run under it.
-BOUND_PARAMS = {"cap", "group_cap", "morphism_cap", "max_word_length",
-                "max_len", "max_size"}
+# Parameters that set a cap, and the functions that may take one: the
+# builders, where a run sets its caps on the objects it builds.
+BOUND_PARAMS = {"cap", "group_cap", "morphism_cap", "max_size"}
 BOUND_TAKERS = {
     "permgroup._closure", "permgroup.FiniteGroup.__init__",
     "permgroup.FiniteGroup.from_descriptor",
     "fusion.FusionSystem.__init__", "fusion.close", "fusion.fusion_of_group",
     "locality.Locality.__init__", "locality.locality_from_group",
-    "locality.validate_locality", "locality._word_states",
-    "locality._associativity_fault", "instances.group_of",
-    "instances.Instance.__init__"}
+    "instances.group_of", "instances.Instance.__init__"}
 
 
 def test_bounds_are_set_where_objects_are_built():
-    """A locality keeps its word bound and morphism cap, and a fusion
-    system its cap, so no other function takes one per call."""
+    """A locality keeps its morphism cap, and a fusion system its cap, so
+    no other function takes one per call."""
     takers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -137,8 +132,8 @@ def test_bounds_are_set_where_objects_are_built():
 TEST_ONLY = {
     "permgroup.SIndex.mask": "item 9: the fusion layer reads masks off "
                              "SIndex.masks; tests name subgroups by it",
-    "locality.Locality.s_mask": "item 9: the predicates walk preimages "
-                                "through _word_states; tests check S_w",
+    "locality.Locality.s_mask": "item 9: tests check S_w against it; "
+                                "the library reads S_w off composite maps",
     "fusion.subcentric_subgroups": "item 3: the perfbench fusion.subcentric "
                                    "layer",
     "permgroup.is_characteristic_p": "item 3: the perfbench char_p layer",
