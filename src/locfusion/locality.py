@@ -45,8 +45,10 @@ is an object set.
 
 The letters a word extends by, and the composite maps they lead to,
 depend only on its composite map, so ``_word_states`` decides them once
-per class, by the domain of its map followed by each letter class, and
-splits them into blocks, one per composite map they lead to.  Each
+per class: the delta test once per distinct S_f, by the preimage of S_f
+under the class's map, and the composite only for the letter classes
+that pass.  It splits the letters into blocks, one per composite map
+they lead to.  Each
 composite map keeps the set of fold values its states have, and a letter
 x is extended a block at a time: one getter reads the block's fold
 values off the row of x, and one superset test of that set shows the
@@ -60,11 +62,16 @@ the proof needs, skips the triples: its products are products in G.
 
 A locality realized by a group G is built a right coset of S at a time
 (``locality_from_group``): S_(r·t) = S_r for t in S, so the carrier is a
-union of cosets, and a row's block over a coset is read off the Cayley
-table of S from one product with the coset's first element.  Its
-realization oracle checks the rows a class at a time: a row defined on
-exactly the columns its class admits reads them with the class's
-getter, and only other rows find their own.
+union of cosets.  The row of each coset's first element r is built a
+coset block at a time, each block read off the Cayley table of S from
+one product with the block's first element.  The carrier is closed
+under left multiplication by S too, and (r·s)·g = r·(s·g), so the row
+of r·s is the row of r read through g -> s·g: one getter per s
+(``_coset_rows``).  The realization oracle uses the same identity.  It
+checks the rows of S and one row per right coset a point at a time,
+and every other row r·s by one compare with the row of r read through
+the row of s; a row that fails the compare is checked a point at a
+time (``_realization_fault``).
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Mapping
-from operator import itemgetter, ne, not_
+from operator import itemgetter, ne
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .fusion import (DEFAULT_MORPHISM_CAP, centric_radicals,
@@ -427,7 +434,8 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
     identity = idx[G.identity]
     inv = tuple(idx[inverse(g)] for g in labels)
     delta_ids = [frozenset(idx[s] for s in P.elements) for P in delta]
-    rows = _coset_rows(six, dmasks, labels, idx, doms, members, maps)
+    rows = _coset_rows(six, dmasks, labels, idx, doms, members,
+                       [ms[0] for ms in maps])
     del idx, doms, members, maps  # the rows hold them until the last one
 
     return Locality(labels, identity, inv, rows, s_ids, p, delta_ids,
@@ -436,47 +444,77 @@ def locality_from_group(G: FiniteGroup, S: Subgroup, delta: Iterable[Subgroup],
 
 def _coset_rows(six: SIndex, dmasks: Collection[int], labels: Sequence,
                 idx: dict, doms: Sequence[int], members: Sequence[list],
-                maps: Sequence[list]) -> Iterator[tuple[int, ...]]:
+                first_maps: Sequence[tuple]) -> Iterator[tuple[int, ...]]:
     """The product rows of L_delta(G), n entries each, in id order.
 
     ``labels`` are the carrier elements in id order (``idx`` inverts
-    them), and ``doms``, ``members`` and ``maps`` hold, per carrier coset
-    rS, S_r, the members r·s_t in t order and their maps on the
+    them), and ``doms``, ``members`` and ``first_maps`` hold, per carrier
+    coset rS, S_r, the members r·s_t in t order and the map of r on the
     positions of S (``six``).  The rows are made one at a time as they
-    are read, so ``Locality`` never holds them next to its padded copy,
-    and the tables here are freed once the last row is read.
+    are read, so ``Locality`` never holds them next to its padded copy;
+    only the rows of the cosets' first members are kept, and the tables
+    here are freed once the last row is read.
 
-    (f, r·s_t) is composable iff pre_f(S_r) is in delta, which depends
-    on f only through its map: the composable cosets are listed once per
-    map.  If f·r = r'·s_u, then f·(r·s_t) = r'·(s_u·s_t) for every t,
-    so the block of f's row over rS is the ids of r'S read through row u
-    of the Cayley table of S: one composition per row and composable
-    coset, in place of one per product pair.  The row is assembled in
+    Only the row of each coset's first member r is built from the
+    Cayley table of S.  (r, g) is composable iff pre_r(S_g) is in delta,
+    which depends on r only through its map: the composable cosets are
+    listed once per map.  If x·r' = r''·s_u, then x·(r'·s_t) =
+    r''·(s_u·s_t) for every t, so the block of x's row over r'S is the
+    ids of r''S read through row u of the Cayley table of S: one
+    composition per composable coset (``in_cosets``), assembled in
     coset order and put in id order by one getter.
+
+    Every other row is the row of its coset's first member read through
+    a permutation of the carrier: the row of f = r·s_t is
+    lambda_t(row of r), where lambda_t maps g to the id of s_t·g.
+    - lambda_t is defined on the carrier: S_(s·g) = S_g^(s^-1) for s in
+      S, and delta is closed under conjugation by S, which
+      ``locality_from_group`` checks before the rows are built, so s·g
+      lies in the carrier with g.
+    - (f, g) is composable iff (r, s_t·g) is: x^f = (x^r)^(s_t) lies in
+      S iff x^r does, and x^(f·g) = x^(r·(s_t·g)), so S_(f,g) =
+      S_(r, s_t·g).  Where both are, f·g = r·(s_t·g) in G.
+    lambda_t is itself built a coset at a time, as the row of s_t over
+    every coset; it is one getter per t.
     """
     ns = len(six.elements)
     where = {g: (c, t) for c, gs in enumerate(members)
              for t, g in enumerate(gs)}  # r·s_t -> (its coset, t)
     ids = [tuple(map(idx.__getitem__, gs)) for gs in members]
+    firsts = [gs[0] for gs in members]
     # row u of the Cayley table: the positions of s_u·s_t, t in order
     times = [getter([six.right(t)[u] for t in range(ns)]) for u in range(ns)]
     # a row in coset order (block c, entry t) -> the row in id order
     order = getter([c * ns + t for c, t in map(where.__getitem__, labels)])
     empty = [-1] * len(labels)
-    admitted: dict = {}  # map -> (composable cosets, their first members)
+
+    def in_cosets(x, cs: Sequence[int]) -> tuple[int, ...]:
+        """The ids of x·g for g in the cosets ``cs``, -1 elsewhere, in
+        id order."""
+        row = empty.copy()
+        for c2, (c3, u) in zip(cs, map(where.__getitem__, map(
+                getter(x), map(firsts.__getitem__, cs)))):
+            row[c2 * ns:(c2 + 1) * ns] = times[u](ids[c3])
+        return order(row)
+
+    every = range(len(members))
+    # t -> lambda_t as one getter; s_0 is the identity
+    lam = [None] + [getter(in_cosets(s, every)) for s in six.elements[1:]]
+    admitted: dict = {}  # map -> the cosets it composes with
+    first_rows: list = [None] * len(members)
     for f in labels:
         c, t = where[f]
-        images = maps[c][t]
-        if images not in admitted:
-            ok = {d: _preimage_under(images, d) in dmasks for d in set(doms)}
-            cs = [c2 for c2, d in enumerate(doms) if ok[d]]
-            admitted[images] = cs, [members[c2][0] for c2 in cs]
-        cs, firsts = admitted[images]
-        row = empty.copy()
-        for c2, (c3, u) in zip(cs, map(where.__getitem__,
-                                       map(getter(f), firsts))):
-            row[c2 * ns:(c2 + 1) * ns] = times[u](ids[c3])
-        yield order(row)
+        row = first_rows[c]
+        if row is None:
+            images = first_maps[c]
+            cs = admitted.get(images)
+            if cs is None:
+                ok = {d: _preimage_under(images, d) in dmasks
+                      for d in set(doms)}
+                cs = admitted[images] = [c2 for c2, d in enumerate(doms)
+                                         if ok[d]]
+            row = first_rows[c] = in_cosets(firsts[c], cs)
+        yield lam[t](row) if t else row
 
 
 def _check_delta_closures(lattice: Sequence[int], delta: Collection[int],
@@ -543,6 +581,7 @@ def _word_states(L: Locality):
     at the letters its map admits.
     """
     cls, cmaps, rows, delta = L._cls, L._cmaps, L.rows, L.delta
+    csf, sfs = L._csf, set(L._csf)
     of_cls: dict[int, list[int]] = {}  # letter class -> its letters
     for f in range(L.n):
         of_cls.setdefault(cls[f], []).append(f)
@@ -550,11 +589,11 @@ def _word_states(L: Locality):
     def admitted(m: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
         """composite map after m -> the letters m admits that lead to it"""
         after = itemgetter(*m)
+        ok = {d: _preimage_under(m, d) in delta for d in sfs}
         to: dict[tuple[int, ...], list[int]] = {}
         for c, fs in of_cls.items():
-            t = after(cmaps[c])
-            if domain_mask(t) in delta:
-                to.setdefault(t, []).extend(fs)
+            if ok[csf[c]]:
+                to.setdefault(after(cmaps[c]), []).extend(fs)
         return to
 
     states = {(f, cmaps[cls[f]]): (1, (f,)) for f in range(L.n)}
@@ -745,20 +784,20 @@ def _class_reads(L: Locality) -> tuple[list[tuple], list[bool]]:
 
     (f, g) is in D iff S_(f,g) = pre_f(S_g) is in delta, which is decided
     once per (class of f, S_g).  Per class, ``objs_of`` holds that answer
-    for each column g, the getters of the columns the class admits and of
-    the others, and the count of the others.  A row ``fits`` its class
-    when it is defined at exactly the columns its class admits: no -1 in
-    the one read and only -1 in the other."""
+    for each column g, the getter of the columns the class admits, and
+    the count of the others.  A row ``fits`` its class when it is
+    defined at exactly the columns its class admits: no -1 in the ones
+    read, and as many -1 in the row as there are others, plus its
+    trailing -1."""
     cols = range(L.n)
-    objs_of = []  # class -> ([(f,g) in D? for each g], the two reads, count)
+    objs_of = []  # class -> ([(f,g) in D? for each g], the read, count)
     for m in L._cmaps:
         objs = list(map({d: _preimage_under(m, d) in L.delta
                          for d in set(L._csf)}.__getitem__, L._sf))
         ins = list(itertools.compress(cols, objs))
-        outs = list(itertools.compress(cols, map(not_, objs)))
-        objs_of.append((objs, getter(ins), getter(outs), len(outs)))
-    fits = [-1 not in at_in(row) and at_out(row).count(-1) == n_out
-            for (_, at_in, at_out, n_out), row
+        objs_of.append((objs, getter(ins), L.n - len(ins) + 1))
+    fits = [-1 not in at_in(row) and row.count(-1) == n_out
+            for (_, at_in, n_out), row
             in zip(map(objs_of.__getitem__, L._cls), L.rows)]
     return objs_of, fits
 
@@ -767,6 +806,58 @@ def _realization_fault(L: Locality, fits: Sequence[bool],
                        at_class: Sequence) -> Optional[str]:
     """The first defined pair (i, j), in (i, j) order, whose product id
     is not the product of the labels in the realization, or None.
+
+    The rows of S and the row of one element r per right coset rS of S
+    in the carrier are checked a point at a time (``_first_bad_row``).
+    The cosets are read off the labels: the id of r·s is looked up by
+    its label (``id_of``), never in the table, and an element whose coset
+    does not lie whole in the carrier is checked on its own.  When those
+    rows pass, any other f = r·s passes when its row is the row of r read
+    through the row of s: rows[f][g] = rows[r][rows[s][g]] for every g,
+    -1 on both sides included.  Then a defined entry rows[f][g] is
+    rows[r][h] with h = rows[s][g] defined, since row r ends in -1.  Both
+    entries were checked, so h is labelled s·g and rows[r][h] is labelled
+    r·(s·g), which is f·g in G.
+    A row that fails the compare is checked a point at a time.  When a
+    checked row fails, the compare proves nothing, and every row is
+    checked a point at a time.  So the verdict and the witness are those
+    of a scan of every row.
+    """
+    rows, labels, id_of, s_ids = L.rows, L.labels, L.id_of, L.s_ids
+    s_labels = [labels[s] for s in s_ids]
+    checked, through = set(s_ids), []  # (f, r, s) with f = r·s
+    covered: set[int] = set()
+    for r in range(L.n):
+        if r in covered:
+            continue
+        checked.add(r)
+        fs = [id_of.get(x) for x in map(getter(labels[r]), s_labels)]
+        if None not in fs:
+            covered.update(fs)
+            through += [(f, r, s) for f, s in zip(fs, s_ids)
+                        if f not in checked]
+    bad = _first_bad_row(L, sorted(checked), fits, at_class)
+    if bad is None:
+        reads = {s: getter(rows[s]) for s in s_ids}  # s -> row s as a getter
+        bad = _first_bad_row(L, sorted(
+            f for f, r, s in through if reads[s](rows[r]) != rows[f]),
+            fits, at_class)
+    else:
+        bad = _first_bad_row(L, range(L.n), fits, at_class)
+    if bad is None:
+        return None
+    row, cols = rows[bad], range(L.n)
+    js = list(itertools.compress(cols, map(_defined, row)))
+    got = list(map(getter(labels[bad]), map(labels.__getitem__, js)))
+    want = list(map(labels.__getitem__, map(row.__getitem__, js)))
+    j = next(j for j, a, b in zip(js, got, want) if a != b)
+    return f"pair ({bad},{j}) disagrees with the ambient product"
+
+
+def _first_bad_row(L: Locality, ids: Iterable[int], fits: Sequence[bool],
+                   at_class: Sequence) -> Optional[int]:
+    """The least row of ``ids`` (ascending) with a defined entry whose id
+    is not the product of the labels, or None.
 
     It is decided a point at a time: (i·j)[x] = j[i[x]], so at each
     point x the x-th coordinates of the products in row i must be the
@@ -779,29 +870,22 @@ def _realization_fault(L: Locality, fits: Sequence[bool],
     rows, labels, cols = L.rows, L.labels, range(L.n)
     coords = list(zip(*labels))  # point -> its coordinate in each id
     groups: dict = {}  # class, or (i,) for a row that does not fit it
-    for i, (c, fit) in enumerate(zip(L._cls, fits)):
-        if fit:
+    for i in ids:
+        c = L._cls[i]
+        if fits[i]:
             groups.setdefault(c, (at_class[c], []))[1].append(i)
         else:
             groups[(i,)] = (getter(list(itertools.compress(
                 cols, map(_defined, rows[i])))), [i])
     bad = []  # the first disagreeing row of each group
-    for at_j, ids in groups.values():
+    for at_j, rs in groups.values():
         at = list(map(at_j, coords))  # point y -> the y-th coordinates
-        i = next((i for i in ids if any(map(
+        i = next((i for i in rs if any(map(
             ne, map(getter(at_j(rows[i])), coords),
             map(at.__getitem__, labels[i])))), None)
         if i is not None:
             bad.append(i)
-    if not bad:
-        return None
-    i = min(bad)
-    row = rows[i]
-    js = list(itertools.compress(cols, map(_defined, row)))
-    got = list(map(getter(labels[i]), map(labels.__getitem__, js)))
-    want = list(map(labels.__getitem__, map(row.__getitem__, js)))
-    j = next(j for j, a, b in zip(js, got, want) if a != b)
-    return f"pair ({i},{j}) disagrees with the ambient product"
+    return min(bad, default=None)
 
 
 def _associativity_fault(L: Locality) -> Optional[str]:

@@ -44,6 +44,9 @@ coset at a time off the Cayley table of S.
 partial-subgroup predicates ran to a word bound before the pair and
 triple checks replaced it, with one map composed as a tuple per state
 and letter (``composite_s_w`` composes a whole word).
+``word_states_by_composites`` is ``locality._word_states`` as it was
+before it tested delta once per distinct S_f: it composes every letter
+class's map after a state's map and tests the domain of each composite.
 ``oracle_checks`` runs the fold, S_w and split checks of that walk to a
 bound: the split check over every pair of states and letter
 (``oracle_associativity``), and ``brute_force_split_fault`` folds every
@@ -84,6 +87,7 @@ folds the clauses with ``report.fold``.
 """
 
 import itertools
+from operator import itemgetter
 from typing import Optional
 
 from locfusion import fusion
@@ -472,6 +476,62 @@ def oracle_word_states(L, max_len, letters=None):
                     states[st] = (length, word + (f,))
                     new[st] = word + (f,)
         frontier = new
+    return states, failures
+
+
+def word_states_by_composites(L):
+    """``locality._word_states`` as it was before it decided the delta
+    test once per distinct S_f: each letter class's map is composed
+    after m, and the domain of every composite is tested.  The states of
+    length 1 and 2 in the order first reached, and the failures of
+    length 2 and 3 in order."""
+    cls, cmaps, rows, delta = L._cls, L._cmaps, L.rows, L.delta
+    of_cls = {}  # letter class -> its letters
+    for f in range(L.n):
+        of_cls.setdefault(cls[f], []).append(f)
+
+    def admitted(m):
+        """composite map after m -> the letters m admits that lead to it"""
+        after = itemgetter(*m)
+        to = {}
+        for c, fs in of_cls.items():
+            t = after(cmaps[c])
+            if domain_mask(t) in delta:
+                to.setdefault(t, []).extend(fs)
+        return to
+
+    states = {(f, cmaps[cls[f]]): (1, (f,)) for f in range(L.n)}
+    reached = {}  # map -> fold values reached
+    for f, m in states:
+        reached.setdefault(m, set()).add(f)
+    failures = []
+    blocks = {}  # class -> its blocks
+    for x, c in enumerate(cls):
+        if c not in blocks:
+            blocks[c] = [(reached.setdefault(t, set()), getter(fs), fs, t)
+                         for t, fs in ((t, tuple(sorted(fs))) for t, fs
+                                       in admitted(cmaps[c]).items())]
+        row = rows[x]
+        odd = sorted([(f, v, t) for known, at, fs, t in blocks[c]
+                      if not known.issuperset(vs := at(row))
+                      for f, v in zip(fs, vs) if v not in known])
+        for f, v, t in odd:
+            if v < 0:
+                failures.append((x, f))
+            elif v not in reached[t]:
+                reached[t].add(v)
+                states[v, t] = (2, (x, f))
+    reads = {}  # map -> (letters, getter)
+    for (p, m), (length, word) in states.items():
+        if length == 2:
+            if m not in reads:
+                fs = sorted(itertools.chain.from_iterable(
+                    admitted(m).values()))
+                reads[m] = (fs, getter(fs))
+            fs, at = reads[m]
+            vs = at(rows[p])
+            if -1 in vs:
+                failures += [word + (f,) for f, v in zip(fs, vs) if v < 0]
     return states, failures
 
 

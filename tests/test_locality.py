@@ -26,7 +26,7 @@ from answer_oracles import (brute_force_split_fault, composite_s_w,
                             linking_per_object, local_group,
                             locality_tables, locality_tables_by_pairs,
                             oracle_associativity, oracle_checks, oracle_s_w,
-                            oracle_word_states)
+                            oracle_word_states, word_states_by_composites)
 from bundled import relabelled_copy
 from cycles import from_cycles
 
@@ -400,17 +400,19 @@ ROW_GROUPS = {
 }
 
 
-@pytest.mark.parametrize("name,min_order", [
-    ("S4", 2), ("S3wrC2", 2), ("S6", 4), ("S6", 8), ("S7", 4)])
-def test_rows_match_pair_oracle(name, min_order):
+@pytest.mark.parametrize("name,min_order,p", [
+    ("S4", 2, 2), ("S3wrC2", 2, 2), ("S6", 4, 2), ("S6", 8, 2), ("S7", 4, 2),
+    ("S6", 1, 3), ("S6", 3, 3)], ids=[
+    "S4-2", "S3wrC2-2", "S6-4", "S6-8", "S7-4", "S6-1-p3", "S6-3-p3"])
+def test_rows_match_pair_oracle(name, min_order, p):
     """Labels, inverses, S and every row of L_delta(G), Delta = order >=
-    ``min_order`` at p = 2, equal the pair-wise build."""
+    ``min_order`` at p, equal the pair-wise build."""
     gens = ROW_GROUPS[name]
     degree = max(max(c) for g in gens for c in g)
     G = FiniteGroup(degree, [from_cycles(degree, *g) for g in gens])
-    S = sylow_subgroup(G, 2)
+    S = sylow_subgroup(G, p)
     delta = delta_min_order(S, min_order)
-    L = locality_from_group(G, S, delta, 2)
+    L = locality_from_group(G, S, delta, p)
     assert locality_tables(L) == locality_tables_by_pairs(G, S, delta)
 
 
@@ -856,6 +858,43 @@ def _undefinitions(L, seed, count):
         yield locality_from_descriptor(dict(d, products=products))
 
 
+@pytest.fixture(scope="module")
+def loc_s7():
+    return build_locality(load_descriptor(str(BENCH_INSTANCES / "s7.json")))
+
+
+def _assert_states_match_composites(L):
+    states, failures = _word_states(L)
+    want_states, want_failures = word_states_by_composites(L)
+    assert list(states.items()) == list(want_states.items())
+    assert failures == want_failures
+
+
+@pytest.mark.parametrize("fixture", ["loc_s6", "loc_s7"])
+def test_word_states_match_every_composite(fixture, request):
+    """Testing delta once per distinct S_f, and composing only the letter
+    classes that pass, gives the states and the failures, in order, that
+    composing every class and testing its domain gives: on the S6 and S7
+    benchmark localities and on their abstract and relabelled copies."""
+    L = request.getfixturevalue(fixture)
+    for X in (L, locality_from_descriptor(locality_to_descriptor(L)),
+              relabelled_copy(L)):
+        _assert_states_match_composites(X)
+
+
+@pytest.mark.parametrize("fixture,seed,count", [
+    ("loc_b", 1, 200), ("loc_a", 7, 200), ("loc_s6", 5, 15)])
+def test_word_states_match_every_composite_on_corruptions(
+        fixture, seed, count, request):
+    """The same on the one-entry corruptions of instance-b, instance-a
+    and the S6 benchmark locality, and on as many of each with one
+    product entry dropped."""
+    L = request.getfixturevalue(fixture)
+    for X in itertools.chain(_corruptions(L, seed, count),
+                             _undefinitions(L, seed, count)):
+        _assert_states_match_composites(X)
+
+
 def test_induction_check_matches_pair_loop_oracle(loc_s6, loc_b):
     """The split check names the same first (a, b, f), or None, as the
     double loop over pairs of letters and letters: None on the abstract
@@ -878,6 +917,17 @@ def test_induction_check_matches_pair_loop_oracle(loc_s6, loc_b):
         assert _induction_matches_oracle(L) is not None
 
 
+def _with_entries(base, entries):
+    """A copy of the realized ``base`` with the entries ``{(i, j): k}``
+    set (k = -1 makes one undefined), keeping the realization."""
+    rows = [list(r[:-1]) for r in base.rows[:-1]]
+    for (i, j), k in entries.items():
+        rows[i][j] = k
+    return Locality(base.labels, base.identity, base.inv, rows, base.s_ids,
+                    base.p, [base.ids_of(d) for d in base.delta],
+                    realization=base.realization)
+
+
 def _corrupted_realized(base, seed, count):
     """``count`` copies of a group-realized L, each with up to two
     product entries changed (set to another id, defined off the domain or
@@ -886,20 +936,16 @@ def _corrupted_realized(base, seed, count):
     pairs = list(base.prod)
     off = [(i, j) for i in range(base.n) for j in range(base.n)
            if base.rows[i][j] < 0]
-    delta = [base.ids_of(d) for d in base.delta]
     for _ in range(count):
-        rows = [list(r[:-1]) for r in base.rows[:-1]]
+        entries = {}
         for _ in range(rng.randrange(3)):
             change = rng.randrange(3)
             if change == 2 or (change == 1 and not off):
-                i, j = rng.choice(pairs)
-                rows[i][j] = -1
+                entries[rng.choice(pairs)] = -1
             else:
-                i, j = rng.choice(off if change == 1 else pairs)
-                rows[i][j] = rng.randrange(base.n)
-        yield Locality(base.labels, base.identity, base.inv, rows,
-                       base.s_ids, base.p, delta,
-                       realization=base.realization)
+                pair = rng.choice(off if change == 1 else pairs)
+                entries[pair] = rng.randrange(base.n)
+        yield _with_entries(base, entries)
 
 
 def _s6_at_order_4():
@@ -1135,6 +1181,127 @@ def test_realization_oracle_matches_pair_keyed(loc_b):
                           == [k >= 0 for k in L.rows[i][:-1]])
         assert seen == {True, False}
         assert paths == {True, False}
+
+
+def _pair_keyed_realization_fault(L):
+    """The witness of the first defined pair (i, j), in (i, j) order,
+    whose product is not the product of the labels, or None."""
+    bad = next(((i, j) for (i, j), k in L.prod.items()
+                if compose(L.labels[i], L.labels[j]) != L.labels[k]), None)
+    return None if bad is None else (
+        f"pair ({bad[0]},{bad[1]}) disagrees with the ambient product")
+
+
+def _realization_scans(L, monkeypatch):
+    """The realization oracle's witness on L, and the ids of the rows
+    that each point-at-a-time scan (``_first_bad_row``) read, in call
+    order."""
+    scans, scan = [], locality._first_bad_row
+
+    def spy(L, ids, *args):
+        scans.append(list(ids))
+        return scan(L, scans[-1], *args)
+    objs_of, fits = locality._class_reads(L)
+    with monkeypatch.context() as m:
+        m.setattr(locality, "_first_bad_row", spy)
+        wit = locality._realization_fault(L, fits, [o[1] for o in objs_of])
+    return wit, scans
+
+
+def _checked_rows(L):
+    """The rows of S and the least id of each right coset of S that lies
+    whole in the carrier, with every id whose coset does not, read off
+    the labels."""
+    s_labels = [L.labels[s] for s in L.s_ids]
+    out = set(L.s_ids)
+    for f in range(L.n):
+        coset = [L.id_of.get(compose(L.labels[f], x)) for x in s_labels]
+        out.add(f if None in coset else min(coset))
+    return sorted(out)
+
+
+def test_realization_oracle_reads_a_row_per_coset(monkeypatch):
+    """On S6 at Delta = order >= 4 (208 elements, 13 right cosets of S),
+    the oracle scans the 16 rows of S and one row per coset, and
+    compares every other row f = r·s with row r read through row s.  The
+    witness is the pair-keyed oracle's in each case:
+    - unchanged: the compares pass, and no row is scanned again;
+    - an entry of a coset's first row r changed: the first scan fails,
+      and every row is scanned;
+    - an entry of a row s of S changed, and the same entry of f = r·s,
+      f < s, changed to match row r read through the new row s: f passes
+      the compare, the first scan fails on s, and the rescan of every row
+      names f, the least faulty row;
+    - an entry of another row f changed: only f fails the compare, and
+      only f is scanned again;
+    - such an entry made undefined: f fails the compare, and its scan
+      finds no defined pair at fault, so the oracle passes."""
+    base = _s6_at_order_4()
+    rows, n = base.rows, base.n
+    checked = _checked_rows(base)
+    assert (n, len(checked)) == (208, 16 + 12)
+    reps = [r for r in checked if r not in base.s_ids]
+    others = [f for f in range(n) if f not in checked]
+
+    def defined(i):
+        return next(j for j in range(n) if rows[i][j] >= 0)
+
+    def changed(i, j):
+        return next(k for k in range(n) if k != rows[i][j])
+
+    def of(r, s):
+        return base.id_of[compose(base.labels[r], base.labels[s])]
+
+    r, f = reps[0], others[0]
+    s, r2, f2 = next((s, r2, of(r2, s)) for s in base.s_ids for r2 in reps
+                     if of(r2, s) < s)
+    g = defined(s)
+    x = next(x for x in range(n) if x != rows[s][g] and rows[s][x] >= 0
+             and rows[r2][x] >= 0)
+    cases = [
+        ({}, None),
+        ({(r, defined(r)): changed(r, defined(r))}, "all"),
+        ({(s, g): x, (f2, g): rows[r2][x]}, "all"),
+        ({(f, defined(f)): changed(f, defined(f))}, [f]),
+        ({(f, defined(f)): -1}, [f]),
+    ]
+    for entries, rescan in cases:
+        L = _with_entries(base, entries)
+        wit, scans = _realization_scans(L, monkeypatch)
+        assert wit == _pair_keyed_realization_fault(L)
+        assert scans[0] == checked
+        assert scans[1:] == [list(range(n)) if rescan == "all"
+                             else rescan or []]
+    assert _realization_scans(_with_entries(base, cases[2][0]),
+                              monkeypatch)[0].startswith(f"pair ({f2},")
+    assert _realization_scans(_with_entries(base, cases[4][0]),
+                              monkeypatch)[0] is None
+
+
+def test_realization_oracle_on_a_carrier_not_a_union_of_cosets(
+        monkeypatch):
+    """A realized sub-locality of S6 at Delta = order >= 4 on S, part of
+    one right coset rS and the inverses of that part: the elements whose
+    coset is not whole in the carrier are scanned on their own, and the
+    witness, on the table and with one entry of such a row changed, is
+    the pair-keyed oracle's."""
+    base = _s6_at_order_4()
+    r = next(r for r in _checked_rows(base) if r not in base.s_ids)
+    part = [base.id_of[compose(base.labels[r], base.labels[s])]
+            for s in base.s_ids[:8]]
+    sub = _sub_locality(base, sorted({*base.s_ids, *part,
+                                      *(base.inv[f] for f in part)}),
+                        base.delta)
+    alone = [f for f in range(sub.n) if f not in sub.s_ids]
+    assert alone and _checked_rows(sub) == sorted({*sub.s_ids, *alone})
+    f = alone[0]
+    j = next(j for j in range(sub.n) if sub.rows[f][j] >= 0)
+    k = next(k for k in range(sub.n) if k != sub.rows[f][j])
+    for L in (sub, _with_entries(sub, {(f, j): k})):
+        wit, scans = _realization_scans(L, monkeypatch)
+        assert wit == _pair_keyed_realization_fault(L)
+        assert scans[0] == sorted({*sub.s_ids, *alone})
+    assert wit is not None
 
 
 # -- one index of S for L and F_S(L) -----------------------------------------

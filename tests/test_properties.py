@@ -28,7 +28,8 @@ from locfusion.fusion import (close, fusion_of_group, inner_maps,  # noqa: E402
                               normalizer_system)
 from locfusion.locality import (delta_min_order,  # noqa: E402
                                 locality_from_group)
-from locfusion.permgroup import FiniteGroup, sylow_subgroup  # noqa: E402
+from locfusion.permgroup import (FiniteGroup, compose,  # noqa: E402
+                                 sylow_subgroup)
 
 from answer_oracles import (locality_tables,  # noqa: E402
                             locality_tables_by_pairs, normalizer_by_sources,
@@ -112,3 +113,7 @@ def test_locality_rows_against_pair_oracle(G):
         delta = delta_min_order(S, S.order // p)
         L = locality_from_group(G, S, delta, p)
         assert locality_tables(L) == locality_tables_by_pairs(G, S, delta)
+        # closed under left multiplication by S, as ``_coset_rows`` reads
+        # every row off the first row of its coset
+        assert all(compose(s, g) in L.id_of
+                   for s in S.elements for g in L.labels)
